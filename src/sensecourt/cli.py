@@ -315,16 +315,22 @@ def write_plotdata(run_dir: Path, metrics: TraceMetrics) -> None:
 def _worker_count(n_jobs: int) -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        cap = max(1, int(raw))
+        cap = int(raw)
     except ValueError:
+        cap = 0
+    if cap < 1:
+        print(
+            f"warning: {THREADS_ENV}={raw!r} is not a positive integer; using 1 worker",
+            file=sys.stderr,
+        )
         cap = 1
-    return max(1, min(cap, n_jobs))
+    return min(cap, n_jobs)
 
 
-def _simulate_job(args) -> TraceMetrics:
-    scenario, policy, t_slots, warmup, thresholds, solver, rep = args
+def _simulate_job(args) -> list[TraceMetrics]:
+    scenario, policies, t_slots, warmup, thresholds, solver, rep = args
     return run_simulation(
-        scenario, policy, t_slots, warmup, thresholds, solver=solver, replication=rep
+        scenario, policies, t_slots, warmup, thresholds, solver=solver, replication=rep
     )
 
 
@@ -349,14 +355,13 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
             seen[label] = 0
         labels.append(label)
 
-    jobs = []
-    for policy in cfg.policies:
-        for rep in range(cfg.replications):
-            rep_scenario = dataclasses.replace(scenario, seed=scenario.seed + rep)
-            jobs.append(
-                (rep_scenario, policy, cfg.t_slots, cfg.warmup_slots, cfg.thresholds,
-                 cfg.solver, rep)
-            )
+    # one job per replication: its stream is built once and every policy
+    # steps over it in lockstep
+    jobs = [
+        (dataclasses.replace(scenario, seed=scenario.seed + rep), cfg.policies,
+         cfg.t_slots, cfg.warmup_slots, cfg.thresholds, cfg.solver, rep)
+        for rep in range(cfg.replications)
+    ]
 
     workers = _worker_count(len(jobs))
     if workers > 1:
@@ -366,11 +371,9 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
         results = [_simulate_job(job) for job in jobs]
 
     summaries: dict[str, dict] = {}
-    idx = 0
-    for label in labels:
+    for i, label in enumerate(labels):
         for rep in range(cfg.replications):
-            metrics = results[idx]
-            idx += 1
+            metrics = results[rep][i]
             run_dir = out_dir / f"{label}_rep{rep}"
             run_dir.mkdir(parents=True, exist_ok=True)
             metrics.policy_label = label

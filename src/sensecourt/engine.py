@@ -1,17 +1,25 @@
 """Simulation driver: warmup, policy stepping, dropping model, metrics.
 
-One run owns one policy state machine and one per-user ledger vector.
-Every user is force-selected during the warmup slots (regulation states
-still update as if selected); afterwards the policy allocates among active
-users only, and any active user whose running selection frequency falls
-strictly below its threshold drops permanently. Dropped users keep their
-regulation state frozen and leave the eligibility set for good.
+One pass over a realization stream steps every configured policy in
+lockstep: each slot is taken from the stream once and handed to every
+policy before the next slot is drawn, so all policies of a replication see
+the same slots (common random numbers) and only one slot is in memory at a
+time. A single-policy run is the same pass with one policy. The CLI runs
+one such pass per replication, and one replication is its parallel unit.
+
+Each policy owns one state machine and one per-user ledger vector. Every
+user is force-selected during the warmup slots (regulation states still
+update as if selected); afterwards the policy allocates among active users
+only, and any active user whose running selection frequency falls strictly
+below its threshold drops permanently. Dropped users keep their regulation
+state frozen and leave the eligibility set for good.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -133,13 +141,16 @@ class _PolicyRunner:
         n_users: int,
         thresholds: np.ndarray,
         options: SolveOptions,
-        rng: np.random.Generator | None,
+        seed: int,
     ):
         self.spec = spec
         self.thresholds = thresholds
         self.options = options
-        self.rng = rng
         kind = spec.kind
+        # each random policy draws from its own generator, as it would alone
+        self.rng = (
+            np.random.default_rng([seed, RANDOM_POLICY_STREAM]) if kind == "random" else None
+        )
         if kind == "dual":
             self.state = _dual.DualState.initial(n_users, spec.schedule)
         elif kind == "lyapunov":
@@ -150,8 +161,6 @@ class _PolicyRunner:
             self.state = _baselines.VpcState.initial(n_users, spec.alpha)
         else:
             self.state = None
-        if kind == "random" and rng is None:
-            raise ValueError("random policy needs a seeded rng")
 
     def bonus(self) -> np.ndarray | float:
         kind = self.spec.kind
@@ -215,109 +224,183 @@ class _PolicyRunner:
             self.state = _baselines.VpcState(credits, self.state.alpha)
 
 
-def run_policy(
-    realizations: Iterable[SlotRealization],
-    policy: PolicySpec,
-    thresholds: np.ndarray,
-    warmup_slots: int,
-    solver: SolveOptions = SolveOptions(mode="greedy"),
-    rng: np.random.Generator | None = None,
-    policy_label: str | None = None,
-    replication: int = 0,
-    seed: int = 0,
-    dropping: bool = True,
-) -> TraceMetrics:
-    """Run one policy over a realization sequence and record metrics.
+class _Lane:
+    """One policy inside a lockstep pass: its runner, ledgers and (T, N) rows.
 
-    dropping=False keeps every user active regardless of frequency, which
-    is the setting policy-level stability statements are about.
+    The row arrays are allocated for `capacity` slots and doubled by `grow`
+    when a stream of unknown length outlasts them.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    n = thresholds.size
-    ledgers = [UserLedger(float(d)) for d in thresholds]
-    runner: _PolicyRunner | None = None
 
-    welfare: list[float] = []
-    selected_rows: list[np.ndarray] = []
-    active_rows: list[np.ndarray] = []
-    regulation_rows: list[np.ndarray] = []
-    prob_rows: list[np.ndarray] = []
-    payment_rows: list[np.ndarray] = []
-    drop_events: list[tuple[int, int]] = []
+    def __init__(
+        self,
+        spec: PolicySpec,
+        thresholds: np.ndarray,
+        options: SolveOptions,
+        seed: int,
+        capacity: int,
+    ):
+        n = thresholds.size
+        self.runner = _PolicyRunner(spec, n, thresholds, options, seed)
+        self.ledgers = [UserLedger(float(d)) for d in thresholds]
+        self.drop_events: list[tuple[int, int]] = []
+        self.welfare = np.empty(capacity)
+        self.alloc_prob = np.empty((capacity, n))
+        self.selected = np.empty((capacity, n), dtype=bool)
+        self.active = np.empty((capacity, n), dtype=bool)
+        self.regulation = np.empty((capacity, n))
+        self.payments = np.empty((capacity, n)) if spec.kind == "auction" else None
 
-    t = 0
-    for realization in realizations:
-        t += 1
-        if realization.n_users != n:
-            raise ValueError("realization user count does not match thresholds")
-        if runner is None:
-            runner = _PolicyRunner(policy, n, thresholds, solver, rng)
-        eligible = np.array([lg.active for lg in ledgers])
-        regulation_rows.append(np.where(eligible, runner.bonus(), 0.0))
-        active_rows.append(eligible)
+    def grow(self, capacity: int) -> None:
+        for name in ("welfare", "alloc_prob", "selected", "active", "regulation", "payments"):
+            rows = getattr(self, name)
+            if rows is not None:
+                grown = np.empty((capacity,) + rows.shape[1:], dtype=rows.dtype)
+                grown[: rows.shape[0]] = rows
+                setattr(self, name, grown)
+
+    def step(
+        self, realization: SlotRealization, t: int, warmup_slots: int, dropping: bool
+    ) -> None:
+        """Allocate, record and update for 1-based slot t."""
+        k = t - 1
+        eligible = np.array([lg.active for lg in self.ledgers])
+        self.regulation[k] = np.where(eligible, self.runner.bonus(), 0.0)
+        self.active[k] = eligible
 
         payments = None
         if t <= warmup_slots:
             alloc = Allocation(eligible.copy())
         else:
-            alloc, payments = runner.allocate(realization, eligible)
-        if policy.kind == "auction":
-            payment_rows.append(payments if payments is not None else np.zeros(n))
+            alloc, payments = self.runner.allocate(realization, eligible)
+        if self.payments is not None:
+            self.payments[k] = payments if payments is not None else 0.0
 
-        wb = evaluate_allocation(realization, alloc)
-        welfare.append(wb.welfare)
-        selected_rows.append(alloc.selected)
+        self.welfare[k] = evaluate_allocation(realization, alloc).welfare
+        self.selected[k] = alloc.selected
 
-        for u, ledger in enumerate(ledgers):
+        for u, ledger in enumerate(self.ledgers):
             if ledger.active:
                 ledger.slots_seen += 1
                 ledger.selections += int(alloc.selected[u])
-        prob_rows.append(np.array([lg.allocation_probability for lg in ledgers]))
+        self.alloc_prob[k] = [lg.allocation_probability for lg in self.ledgers]
 
-        runner.update(alloc, eligible)
+        self.runner.update(alloc, eligible)
 
         if dropping and t > warmup_slots:
-            for u in apply_dropping(ledgers, t):
-                drop_events.append((u, t))
+            for u in apply_dropping(self.ledgers, t):
+                self.drop_events.append((u, t))
+
+    def metrics(
+        self, t: int, warmup_slots: int, replication: int, seed: int
+    ) -> TraceMetrics:
+        welfare = self.welfare[:t]
+        metrics = TraceMetrics(
+            policy_label=self.runner.spec.label,
+            replication=replication,
+            seed=seed,
+            t_slots=t,
+            warmup_slots=warmup_slots,
+            thresholds=self.runner.thresholds,
+            welfare_series=welfare,
+            running_avg_welfare=np.cumsum(welfare) / np.arange(1, t + 1),
+            alloc_prob_series=self.alloc_prob[:t],
+            selected=self.selected[:t],
+            active=self.active[:t],
+            regulation=self.regulation[:t],
+            payments_series=None if self.payments is None else self.payments[:t],
+            drop_events=tuple(self.drop_events),
+            final_ledgers=self.ledgers,
+            final_policy_state=self.runner.state,
+        )
+        metrics.summary = compute_summary(metrics)
+        return metrics
+
+
+# first row capacity for a stream whose length is not known in advance
+_UNSIZED_CAPACITY = 256
+
+
+def run_policy(
+    realizations: Iterable[SlotRealization],
+    policy: PolicySpec | Sequence[PolicySpec],
+    thresholds: np.ndarray,
+    warmup_slots: int,
+    solver: SolveOptions = SolveOptions(mode="greedy"),
+    replication: int = 0,
+    seed: int = 0,
+    dropping: bool = True,
+    t_slots: int | None = None,
+) -> TraceMetrics | list[TraceMetrics]:
+    """Run one policy, or several in lockstep, over a realization sequence.
+
+    Each slot is drawn once and stepped through every policy in order. Given
+    one PolicySpec this returns its TraceMetrics; given a sequence it returns
+    one TraceMetrics per entry, each equal to what that policy gives alone.
+    seed is the scenario seed recorded in the metrics; every random policy
+    draws from its own generator keyed by (seed, RANDOM_POLICY_STREAM).
+
+    t_slots is the number of slots the sequence yields; it defaults to its
+    len() when it has one. With a known horizon, a warmup longer than the
+    run is rejected before the first slot is drawn, and a sequence that
+    yields a different number of slots is an error.
+
+    dropping=False keeps every user active regardless of frequency, which
+    is the setting policy-level stability statements are about.
+    """
+    single = isinstance(policy, PolicySpec)
+    specs = (policy,) if single else tuple(policy)
+    if not specs:
+        raise ValueError("run_policy needs at least one policy")
+    if t_slots is None and isinstance(realizations, Sized):
+        t_slots = len(realizations)
+    if t_slots is not None:
+        if t_slots < 1:
+            raise ValueError("simulation needs at least one slot")
+        if warmup_slots > t_slots:
+            raise ValueError("warmup_slots cannot exceed the number of slots")
+    thresholds = np.asarray(thresholds, dtype=float)
+    n = thresholds.size
+    capacity = t_slots if t_slots is not None else _UNSIZED_CAPACITY
+    lanes = [_Lane(spec, thresholds, solver, seed, capacity) for spec in specs]
+
+    t = 0
+    for realization in realizations:
+        if realization.n_users != n:
+            raise ValueError("realization user count does not match thresholds")
+        if t == capacity:
+            if t_slots is not None:
+                raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
+            capacity *= 2
+            for lane in lanes:
+                lane.grow(capacity)
+        t += 1
+        for lane in lanes:
+            lane.step(realization, t, warmup_slots, dropping)
 
     if t == 0:
         raise ValueError("simulation needs at least one slot")
+    if t_slots is not None and t < t_slots:
+        raise ValueError(f"realizations ended after {t} of t_slots={t_slots} slots")
     if warmup_slots > t:
         raise ValueError("warmup_slots cannot exceed the number of slots")
 
-    welfare_arr = np.asarray(welfare)
-    metrics = TraceMetrics(
-        policy_label=policy_label or policy.label,
-        replication=replication,
-        seed=seed,
-        t_slots=t,
-        warmup_slots=warmup_slots,
-        thresholds=thresholds,
-        welfare_series=welfare_arr,
-        running_avg_welfare=np.cumsum(welfare_arr) / np.arange(1, t + 1),
-        alloc_prob_series=np.vstack(prob_rows),
-        selected=np.vstack(selected_rows),
-        active=np.vstack(active_rows),
-        regulation=np.vstack(regulation_rows),
-        payments_series=np.vstack(payment_rows) if payment_rows else None,
-        drop_events=tuple(drop_events),
-        final_ledgers=ledgers,
-        final_policy_state=runner.state,
-    )
-    metrics.summary = compute_summary(metrics)
-    return metrics
+    results = [lane.metrics(t, warmup_slots, replication, seed) for lane in lanes]
+    return results[0] if single else results
 
 
 def run_simulation(
     config: ScenarioConfig,
-    policy: PolicySpec,
+    policy: PolicySpec | Sequence[PolicySpec],
     t_slots: int,
     warmup_slots: int,
     thresholds,
     solver: SolveOptions = SolveOptions(mode="greedy"),
     replication: int = 0,
-) -> TraceMetrics:
-    """Generate the scenario stream and run one policy over it."""
+) -> TraceMetrics | list[TraceMetrics]:
+    """Generate the scenario stream once and run the policy or policies over it.
+
+    Returns what run_policy returns for the same policy argument.
+    """
     if t_slots < 1:
         raise ValueError("t_slots must be at least 1")
     if not 0 <= warmup_slots <= t_slots:
@@ -325,18 +408,15 @@ def run_simulation(
     thresholds = np.broadcast_to(
         np.asarray(thresholds, dtype=float), (config.n_users,)
     ).copy()
-    rng = None
-    if policy.kind == "random":
-        rng = np.random.default_rng([config.seed, RANDOM_POLICY_STREAM])
     return run_policy(
         realization_stream(config, t_slots),
         policy,
         thresholds,
         warmup_slots,
         solver=solver,
-        rng=rng,
         replication=replication,
         seed=config.seed,
+        t_slots=t_slots,
     )
 
 

@@ -154,29 +154,29 @@ def build_slot_realization(
     """Realize one slot: weights, disk sensing regions, proportional costs.
 
     A grid belongs to a region iff its center lies within the user's radius,
-    drawn fresh per slot from Uniform[radius_min_m, radius_max_m].
+    drawn fresh per slot from Uniform[radius_min_m, radius_max_m]. The squared
+    distance from user u to the center at (row, col) is dx2[u, col] +
+    dy2[u, row], computed for all users and grids at once.
     """
     weights = generate_weight_field(config, slot, rng)
     n = config.n_users
-    centers = config.map.centers()
+    grid = config.map
     radii = rng.uniform(config.radius_min_m, config.radius_max_m, size=n)
     jitter = rng.uniform(config.cost_jitter[0], config.cost_jitter[1], size=n)
-    regions = []
-    costs = np.zeros(n)
-    i = config.map.n_grids
-    for u in range(n):
-        d2 = (centers[:, 0] - state.positions[u, 0]) ** 2 + (
-            centers[:, 1] - state.positions[u, 1]
-        ) ** 2
-        idx = np.flatnonzero(d2 <= radii[u] * radii[u])
-        regions.append(SensingRegion(i, idx))
-        costs[u] = (
-            config.cost_to_weight_ratio
-            * config.mean_weight
-            * idx.size
-            * jitter[u]
-        )
-    return SlotRealization(weights=weights, regions=tuple(regions), true_costs=costs)
+    centers = grid.centers()
+    xs, ys = centers[: grid.width_grids, 0], centers[:: grid.width_grids, 1]
+    dx2 = (xs[None, :] - state.positions[:, 0:1]) ** 2
+    dy2 = (ys[None, :] - state.positions[:, 1:2]) ** 2
+    d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(n, grid.n_grids)
+    users, grids = np.divmod(np.flatnonzero(d2 <= (radii * radii)[:, None]), grid.n_grids)
+    counts = np.bincount(users, minlength=n)
+    ends = np.cumsum(counts).tolist()
+    regions = tuple(
+        SensingRegion(grid.n_grids, grids[start:end])
+        for start, end in zip([0] + ends[:-1], ends)
+    )
+    costs = config.cost_to_weight_ratio * config.mean_weight * counts * jitter
+    return SlotRealization(weights=weights, regions=regions, true_costs=costs)
 
 
 def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRealization]:

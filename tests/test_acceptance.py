@@ -301,15 +301,16 @@ def test_c7_dropping_reproduction():
         step_max_m=1000.0, seed=42,
     )
     start = time.monotonic()
-    fractions = {}
-    for spec in (
+    specs = (
         PolicySpec("lyapunov", phi=3),
         PolicySpec("radp_vpc", alpha=1),
         PolicySpec("greedy"),
         PolicySpec("random"),
-    ):
-        metrics = run_simulation(cfg, spec, 2000, 40, 0.5)
-        fractions[spec.kind] = metrics.summary["dropping_fraction"]
+    )
+    fractions = {
+        spec.kind: metrics.summary["dropping_fraction"]
+        for spec, metrics in zip(specs, run_simulation(cfg, specs, 2000, 40, 0.5))
+    }
     elapsed = time.monotonic() - start
     ok = (
         fractions["lyapunov"] == 0.0

@@ -1,7 +1,13 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 import sensecourt.auction as auction_mod
-from sensecourt.cli import cmd_benchmark, cmd_simulate, cmd_truthcheck, main
+from sensecourt.cli import _worker_count, cmd_benchmark, cmd_simulate, cmd_truthcheck, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "scenario": {
@@ -165,6 +171,64 @@ class TestSimulate:
         cmd_simulate(str(path), out=str(out_parallel))
         for rel in sorted(p.relative_to(out_serial) for p in out_serial.rglob("*") if p.is_file()):
             assert (out_serial / rel).read_bytes() == (out_parallel / rel).read_bytes()
+
+
+def tree_digest(root):
+    """sha256 over sorted relative paths plus each file's length and bytes."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(len(data).to_bytes(8, "little") + data)
+    return h.hexdigest()
+
+
+class TestShippedConfigDigests:
+    """The shipped simulate configs, shrunk to 30 slots, write fixed bytes.
+
+    The digests were recorded from the per-(policy, replication) engine that
+    built each policy's stream separately; lockstep stepping and the
+    vectorized region build must not change a byte.
+    """
+
+    GOLDEN = {
+        "dropping_desk": (
+            {},
+            "35afeefddeedf4d53c2098aa83bd33f71ab2be9d355c65596d843e3493bfdfb9",
+        ),
+        "welfare_desk": (
+            {"replications": 2},
+            "bb1c239613e5b288dd464ce8863e9ffbea877c994ee67320ba4c0db0d9b300a0",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_output_tree_digest(self, tmp_path, name):
+        extra, digest = self.GOLDEN[name]
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        cfg.update(t_slots=30, warmup_slots=10, **extra)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cmd_simulate(str(path), out=str(out)) == 0
+        assert tree_digest(out) == digest
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("raw", ["two", "", "0", "-3", "1.5"])
+    def test_invalid_value_warns_and_uses_one(self, monkeypatch, capsys, raw):
+        monkeypatch.setenv("SENSECOURT_THREADS", raw)
+        assert _worker_count(4) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "SENSECOURT_THREADS" in err and "warning" in err
+
+    def test_valid_value_is_silent_and_capped_by_jobs(self, monkeypatch, capsys):
+        monkeypatch.setenv("SENSECOURT_THREADS", "8")
+        assert _worker_count(3) == 3
+        monkeypatch.delenv("SENSECOURT_THREADS")
+        assert _worker_count(3) == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestBenchmarkCommand:

@@ -134,6 +134,106 @@ class TestRunSimulation:
             PolicySpec("simulated_annealing")
 
 
+def assert_same_run(a, b):
+    for name in (
+        "thresholds",
+        "welfare_series",
+        "running_avg_welfare",
+        "alloc_prob_series",
+        "selected",
+        "active",
+        "regulation",
+    ):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    if a.payments_series is None:
+        assert b.payments_series is None
+    else:
+        assert a.payments_series.tobytes() == b.payments_series.tobytes()
+    assert a.summary == b.summary
+    assert a.drop_events == b.drop_events
+
+
+class TestLockstep:
+    def test_each_policy_equals_its_solo_run(self):
+        cfg = desk_config(cost_to_weight_ratio=1.2)
+        specs = [PolicySpec("random"), PolicySpec("lyapunov", phi=5), PolicySpec("random")]
+        together = run_simulation(cfg, specs, 120, 10, 0.5)
+        assert [m.policy_label for m in together] == ["random", "lyapunov_phi5", "random"]
+        for spec, metrics in zip(specs, together):
+            assert_same_run(metrics, run_simulation(cfg, spec, 120, 10, 0.5))
+        # each random entry has its own generator, so the two agree
+        assert_same_run(together[0], together[2])
+        assert len(together[0].drop_events) > 0
+
+    def test_auction_lane_keeps_its_payments(self):
+        cfg = desk_config(n_users=4)
+        specs = [PolicySpec("greedy"), PolicySpec("auction", phi=10)]
+        solver = SolveOptions(mode="exact")
+        greedy, auct = run_simulation(cfg, specs, 30, 5, 0.5, solver=solver)
+        assert greedy.payments_series is None
+        assert_same_run(
+            auct, run_simulation(cfg, specs[1], 30, 5, 0.5, solver=solver)
+        )
+
+    def test_stream_of_unknown_length_matches_list(self):
+        cfg = desk_config()
+        slots = list(realization_stream(cfg, 300))  # past the first row capacity
+        thresholds = np.full(cfg.n_users, 0.5)
+        spec = PolicySpec("radp_vpc", alpha=0.5)
+        from_list = run_policy(slots, spec, thresholds, 10)
+        from_gen = run_policy((s for s in slots), spec, thresholds, 10)
+        assert from_gen.t_slots == 300
+        assert_same_run(from_list, from_gen)
+
+    def test_rejects_empty_policy_list(self):
+        with pytest.raises(ValueError, match="at least one policy"):
+            run_simulation(desk_config(), [], 10, 0, 0.5)
+
+
+def counting_stream(cfg, t_slots, calls):
+    for realization in realization_stream(cfg, t_slots):
+        calls.append(1)
+        yield realization
+
+
+class TestFailBeforeWork:
+    def test_known_horizon_rejects_warmup_before_first_slot(self):
+        cfg = desk_config()
+        calls = []
+        with pytest.raises(ValueError, match="warmup_slots"):
+            run_policy(
+                counting_stream(cfg, 5, calls), PolicySpec("greedy"),
+                np.full(cfg.n_users, 0.5), warmup_slots=9, t_slots=5,
+            )
+        assert calls == []
+
+    def test_sized_input_rejects_warmup_before_first_slot(self):
+        cfg = desk_config()
+        slots = list(realization_stream(cfg, 5))
+        with pytest.raises(ValueError, match="warmup_slots"):
+            run_policy(slots, PolicySpec("greedy"), np.full(cfg.n_users, 0.5), 9)
+
+    def test_unknown_horizon_still_checked_at_the_end(self):
+        cfg = desk_config()
+        calls = []
+        with pytest.raises(ValueError, match="warmup_slots"):
+            run_policy(
+                counting_stream(cfg, 5, calls), PolicySpec("greedy"),
+                np.full(cfg.n_users, 0.5), warmup_slots=9,
+            )
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("actual", [4, 6])
+    def test_stream_length_must_match_horizon(self, actual):
+        cfg = desk_config()
+        with pytest.raises(ValueError, match="t_slots=5"):
+            run_policy(
+                counting_stream(cfg, actual, []), PolicySpec("greedy"),
+                np.full(cfg.n_users, 0.5), warmup_slots=0, t_slots=5,
+            )
+
+
 class TestPolicyEquivalences:
     def test_auction_truthful_matches_lyapunov_trace(self):
         cfg = desk_config(n_users=5)

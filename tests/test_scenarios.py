@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensecourt.scenarios import (
+    WEIGHT_MODES,
     MobilityState,
     ScenarioConfig,
     build_slot_realization,
@@ -12,6 +17,8 @@ from sensecourt.scenarios import (
     step_mobility,
 )
 from sensecourt.world import GridMap
+
+from oracle_regions import build_slot_realization_loop
 
 
 def config(**overrides):
@@ -156,6 +163,75 @@ class TestRealization:
             assert real.true_costs[u] == pytest.approx(
                 0.3 * cfg.mean_weight * real.regions[u].size, rel=1e-12
             )
+
+
+@st.composite
+def region_cases(draw):
+    """A map, user positions and radii that stress the disk test's edges."""
+    edge = draw(st.sampled_from([0.5, 1.0, 137.5, 200.0]))
+    grid = GridMap(draw(st.integers(1, 12)), draw(st.integers(1, 12)), edge)
+    n_users = draw(st.integers(1, 6))
+    diag = math.hypot(grid.width_m, grid.height_m)
+    radius = st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.5 * edge, edge, 2.0 * edge, math.sqrt(2.0) * edge]),
+        st.floats(0.0, diag),
+        st.just(2.0 * diag),  # every grid of the map, from any corner
+    )
+    r_lo, r_hi = sorted((draw(radius), draw(radius)))
+
+    def coord(length, count):
+        # the walls, grid centers (ties with the radius) or anywhere between
+        return draw(
+            st.one_of(
+                st.sampled_from([0.0, length]),
+                st.integers(0, count - 1).map(lambda k: (k + 0.5) * edge),
+                st.floats(0.0, length),
+            )
+        )
+
+    positions = [
+        (coord(grid.width_m, grid.width_grids), coord(grid.height_m, grid.height_grids))
+        for _ in range(n_users)
+    ]
+    jitter = sorted((draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))))
+    cfg = ScenarioConfig(
+        map=grid,
+        n_users=n_users,
+        radius_min_m=r_lo,
+        radius_max_m=r_hi,
+        weight_mode=draw(st.sampled_from(WEIGHT_MODES)),
+        temporal_noise=draw(st.booleans()),
+        cost_to_weight_ratio=draw(st.floats(0.0, 3.0)),
+        cost_jitter=tuple(jitter),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return cfg, MobilityState(np.array(positions)), draw(st.integers(1, 50))
+
+
+class TestRegionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(region_cases())
+    def test_matches_per_user_loop_bit_for_bit(self, case):
+        cfg, state, slot = case
+        fast = build_slot_realization(state, cfg, slot, slot_rng(cfg, slot))
+        ref = build_slot_realization_loop(state, cfg, slot, slot_rng(cfg, slot))
+        assert fast.weights.values.tobytes() == ref.weights.values.tobytes()
+        assert fast.true_costs.tobytes() == ref.true_costs.tobytes()
+        assert len(fast.regions) == len(ref.regions) == cfg.n_users
+        for a, b in zip(fast.regions, ref.regions):
+            assert a.indices.tolist() == b.indices.tolist()
+
+    def test_matches_on_desk_scale_stream(self):
+        cfg = config(map=GridMap(50, 50, 200.0), n_users=100, seed=42)
+        state = initial_state(cfg)
+        for t in range(1, 6):
+            fast = build_slot_realization(state, cfg, t, slot_rng(cfg, t))
+            ref = build_slot_realization_loop(state, cfg, t, slot_rng(cfg, t))
+            assert fast.true_costs.tobytes() == ref.true_costs.tobytes()
+            for a, b in zip(fast.regions, ref.regions):
+                assert np.array_equal(a.indices, b.indices)
+            state = step_mobility(state, cfg, slot_rng(cfg, t))
 
 
 class TestStream:
