@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Exact-solver microbenchmark: median ms per solve_exact at N = 8, 12, 16, 20.
+
+Each instance is the first N users of one dropping-desk slot (2,500 grids,
+disk regions), every user eligible, true costs as charges. Every solve
+starts on a fresh slot object, so no table is reused between timings.
+After each timed solve the subset table it used is compared bit for bit
+with the scalar loop in tests/oracle_subset.py, whose time is recorded too.
+
+    PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from sensecourt.cli import load_config
+from sensecourt.scenarios import realization_stream
+from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact
+from sensecourt.world import SlotRealization
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+from oracle_subset import subset_value_table_loop  # noqa: E402
+
+CONFIG = ROOT / "configs" / "dropping_desk.json"
+SIZES = (8, 12, 16, 20)
+
+
+def first_users(slot: SlotRealization, n: int) -> SlotRealization:
+    return SlotRealization(slot.weights, slot.regions[:n], slot.true_costs[:n])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default="BENCH_solver.json")
+    parser.add_argument("--instances", type=int, default=5)
+    args = parser.parse_args()
+    if args.instances < 1:
+        parser.error("--instances must be at least 1")
+
+    scenario = load_config(str(CONFIG)).scenario
+    slots = list(realization_stream(scenario, args.instances))
+    solve_ms, loop_ms, grids = {}, {}, {}
+    for n in SIZES:
+        users = np.arange(n)
+        solves, loops = [], []
+        for slot in slots:
+            real = first_users(slot, n)
+            inst = RegulatedInstance.of(real, real.true_costs)
+            start = time.perf_counter()
+            solve_exact(inst, exact_limit=n)
+            solves.append((time.perf_counter() - start) * 1e3)
+
+            start = time.perf_counter()
+            oracle = subset_value_table_loop(real, users)
+            loops.append((time.perf_counter() - start) * 1e3)
+            table = slot_value_table(real, users)  # the table the solve used
+            if not np.array_equal(table.view(np.int64), oracle.view(np.int64)):
+                raise AssertionError(f"subset table differs from the loop at N={n}")
+        solve_ms[n] = statistics.median(solves)
+        loop_ms[n] = statistics.median(loops)
+        grids[n] = statistics.mean(r.size for s in slots for r in s.regions[:n])
+        print(
+            f"N={n:2d}: solve_exact {solve_ms[n]:9.2f} ms, oracle loop "
+            f"{loop_ms[n]:9.2f} ms, {grids[n]:.1f} grids per region (median of "
+            f"{len(slots)})",
+            flush=True,
+        )
+
+    report = {
+        "config": str(CONFIG.relative_to(ROOT)),
+        "instances": len(slots),
+        "solve_exact_ms_median": {str(n): solve_ms[n] for n in SIZES},
+        "oracle_loop_table_ms_median": {str(n): loop_ms[n] for n in SIZES},
+        "mean_region_grids": {str(n): grids[n] for n in SIZES},
+        "tables_bit_identical_to_oracle": True,
+        "nproc": len(os.sched_getaffinity(0)),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

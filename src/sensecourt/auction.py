@@ -4,9 +4,12 @@ Users bid their costs; the platform maximizes coverage value minus
 regulated bids (bid minus regulation factor) and pays each winner its
 pivot: the realized value, minus the other winners' regulated bids, minus
 the best regulated welfare achievable without the winner, plus the
-winner's regulation factor. Payments need exact leave-one-out optima, so
-auction slots refuse to run when the eligible set exceeds the exact solver
-limit rather than quietly breaking truthfulness with approximate pivots.
+winner's regulation factor. Payments need exact leave-one-out optima. They
+are read from the allocation's own subset table, as the tie-break maximum
+over the subsets that leave the winner out, which equals an exact solve
+without the winner bit for bit. Auction slots refuse to run when the
+eligible set exceeds the exact solver limit rather than quietly breaking
+truthfulness with approximate pivots.
 
 Scaled by phi, the regulation factors follow exactly the virtual-queue
 recursion of the drift-plus-penalty policy, so under truthful bidding the
@@ -23,9 +26,11 @@ from .solver import (
     DEFAULT_EXACT_LIMIT,
     SolverCapacityError,
     RegulatedInstance,
+    slot_value_table,
     solve_exact,
     subset_linear_table,
     subset_value_table,
+    tiebreak_argmax_without,
     tiebreak_tables,
     TIE_TOL,
 )
@@ -173,14 +178,17 @@ def run_auction_slot(
 
     payments = np.zeros(n)
     pivots = []
+    if winners.size:
+        # solve_exact left this table on the slot; costs are rebuilt the same way
+        users = np.flatnonzero(inst.eligible)
+        objective = slot_value_table(realization, users) - subset_linear_table(
+            kappa[users]
+        )
     for u in winners:
         u = int(u)
         others_cost = float(kappa[winners].sum() - kappa[u])
-        without = eligible.copy()
-        without[u] = False
-        welfare_without = _exact_or_refuse(
-            RegulatedInstance.of(realization, kappa, without), exact_limit
-        ).objective
+        j = int(np.searchsorted(users, u))
+        welfare_without = float(objective[tiebreak_argmax_without(objective, users.size, j)])
         payments[u] = pivot_payment(
             value_term, others_cost, welfare_without, float(state.factors[u])
         )
@@ -219,7 +227,8 @@ def truthfulness_sweep(
 
     The sweep is its own oracle: truthfulness means no grid point beats the
     truthful bid's utility by more than the tie tolerance. The leave-one-out
-    welfare does not depend on the swept bid, so it is solved once.
+    welfare does not depend on the swept bid; it is read once from the
+    sweep's table.
     """
     n = realization.n_users
     true_costs = np.asarray(true_costs, dtype=float)
@@ -246,21 +255,17 @@ def truthfulness_sweep(
     per_user = kappa[users].copy()
     per_user[pos] = 0.0  # swept user's charge handled per bid
     others_cost = subset_linear_table(per_user)
+    base = values - others_cost
     member = ((np.arange(1 << m) >> pos) & 1).astype(float)
     r_n = float(state.factors[user])
     c_n = float(true_costs[user])
-
-    without = eligible.copy()
-    without[user] = False
-    welfare_without = _exact_or_refuse(
-        RegulatedInstance.of(realization, kappa, without), exact_limit
-    ).objective
+    welfare_without = float(base[tiebreak_argmax_without(base, m, pos)])
 
     _, _, tb = tiebreak_tables(m)
     big = np.iinfo(np.int64).max
 
     def evaluate(bid_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        obj = (values - others_cost)[None, :] - np.outer(bid_values - r_n, member)
+        obj = base[None, :] - np.outer(bid_values - r_n, member)
         row_best = obj.max(axis=1)
         picks = np.where(obj >= row_best[:, None] - TIE_TOL, tb[None, :], big).argmin(
             axis=1

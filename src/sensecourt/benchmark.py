@@ -31,6 +31,8 @@ __all__ = [
     "BenchmarkCapacityError",
     "Trace",
     "BenchmarkResult",
+    "welfare_tables",
+    "check_dual_capacity",
     "solve_complete_bruteforce",
     "dual_upper_bound",
     "unconstrained_trace_welfare",
@@ -89,8 +91,12 @@ class BenchmarkResult:
     kind: str
 
 
-def _welfare_tables(trace: Trace) -> np.ndarray:
-    """(T, 2^N) welfare of every subset in every slot, true costs."""
+def welfare_tables(trace: Trace) -> np.ndarray:
+    """(T, 2^N) welfare of every subset in every slot, true costs.
+
+    Row k equals the objective solve_exact maximizes for slot k with every
+    user eligible, so a row's tie-break maximum is that slot's exact optimum.
+    """
     n = trace.n_users
     users = np.arange(n)
     rows = []
@@ -101,7 +107,29 @@ def _welfare_tables(trace: Trace) -> np.ndarray:
     return np.vstack(rows)
 
 
-def solve_complete_bruteforce(trace: Trace) -> BenchmarkResult:
+def check_dual_capacity(n_users: int, t_slots: int) -> None:
+    """Refuse a dual table of more than _TABLE_CELL_CAP cells."""
+    if (1 << n_users) * t_slots > _TABLE_CELL_CAP:
+        raise BenchmarkCapacityError(
+            f"2^N * T = {(1 << n_users) * t_slots} exceeds the dual table cap "
+            f"{_TABLE_CELL_CAP}; reduce n_users or the trace length"
+        )
+
+
+def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """Average welfare and per-user selection frequency of each row's optimum."""
+    total = 0.0
+    selections = np.zeros(n)
+    for row in tables:
+        s = tiebreak_argmax(row, n)
+        total += float(row[s])
+        selections += (s >> np.arange(n)) & 1
+    return total / len(tables), selections / len(tables)
+
+
+def solve_complete_bruteforce(
+    trace: Trace, tables: np.ndarray | None = None
+) -> BenchmarkResult:
     """Joint enumeration of all allocations over the whole trace.
 
     Maximizes average welfare subject to every user's selection frequency
@@ -115,7 +143,8 @@ def solve_complete_bruteforce(trace: Trace) -> BenchmarkResult:
         raise BenchmarkCapacityError(
             f"N*T = {n * t} exceeds {BRUTEFORCE_CELL_LIMIT}; joint enumeration refused"
         )
-    tables = _welfare_tables(trace)
+    if tables is None:
+        tables = welfare_tables(trace)
     d = trace.thresholds
     slot_mask = (1 << n) - 1
 
@@ -150,20 +179,15 @@ def solve_complete_bruteforce(trace: Trace) -> BenchmarkResult:
         return BenchmarkResult(best_w / t, probs / t, True, "complete_exact")
 
     # infeasible: best effort is the slot-wise unconstrained optimum
-    probs = np.zeros(n)
-    total_w = 0.0
-    for k in range(t):
-        s = tiebreak_argmax(tables[k], n)
-        total_w += float(tables[k][s])
-        for u in range(n):
-            probs[u] += (s >> u) & 1
-    return BenchmarkResult(total_w / t, probs / t, False, "complete_exact")
+    avg, probs = _slotwise_optimum(tables, n)
+    return BenchmarkResult(avg, probs, False, "complete_exact")
 
 
 def dual_upper_bound(
     trace: Trace,
     iterations: int,
     schedule: StepSchedule | None = None,
+    tables: np.ndarray | None = None,
 ) -> BenchmarkResult:
     """Subgradient descent on the trace-empirical dual objective.
 
@@ -176,7 +200,8 @@ def dual_upper_bound(
 
     The default schedule is harmonic with a coefficient matched to the
     trace's mean cost: the optimal multipliers live on the cost scale, and
-    a unit step cannot reach them on expensive instances.
+    a unit step cannot reach them on expensive instances. `tables` is
+    welfare_tables(trace), built here if absent.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -184,12 +209,9 @@ def dual_upper_bound(
         scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    if (1 << n) * t > _TABLE_CELL_CAP:
-        raise BenchmarkCapacityError(
-            f"2^N * T = {(1 << n) * t} exceeds the dual table cap {_TABLE_CELL_CAP}; "
-            "reduce n_users or the trace length"
-        )
-    tables = _welfare_tables(trace)
+    check_dual_capacity(n, t)
+    if tables is None:
+        tables = welfare_tables(trace)
     d = trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -228,10 +250,24 @@ def dual_upper_bound(
 
 
 def unconstrained_trace_welfare(
-    trace: Trace, options: SolveOptions = SolveOptions()
+    trace: Trace,
+    options: SolveOptions = SolveOptions(),
+    tables: np.ndarray | None = None,
 ) -> BenchmarkResult:
-    """Slot-wise optimum with true costs and no participatory constraint."""
+    """Slot-wise optimum with true costs and no participatory constraint.
+
+    Given welfare_tables(trace) and options that solve every slot exactly
+    (mode exact or auto, N within exact_limit), the optimum is read from
+    the table rows; otherwise each slot is solved.
+    """
     n = trace.n_users
+    if (
+        tables is not None
+        and options.mode in ("auto", "exact")
+        and n <= options.exact_limit
+    ):
+        avg, selections = _slotwise_optimum(tables, n)
+        return BenchmarkResult(avg, selections, True, "unconstrained")
     selections = np.zeros(n)
     total = 0.0
     for slot in trace.slots:

@@ -22,10 +22,12 @@ from .benchmark import (
     BRUTEFORCE_CELL_LIMIT,
     BenchmarkCapacityError,
     Trace,
+    check_dual_capacity,
     dual_upper_bound,
     incentive_cost,
     solve_complete_bruteforce,
     unconstrained_trace_welfare,
+    welfare_tables,
 )
 from .engine import PolicySpec, TraceMetrics, run_simulation
 from .policy_dual import StepSchedule
@@ -389,31 +391,36 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
     scenario = cfg.scenario
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
+    # refuse oversized tables before the first slot is built
+    n, t = scenario.n_users, cfg.t_slots
+    check_dual_capacity(n, t)
+    bf_mode = cfg.benchmark["bruteforce"]
+    within = n * t <= BRUTEFORCE_CELL_LIMIT
+    if bf_mode is True and not within:
+        raise BenchmarkCapacityError(
+            f"N*T = {n * t} exceeds "
+            f"{BRUTEFORCE_CELL_LIMIT}; shrink n_users or t_slots, or set "
+            'benchmark.bruteforce to "auto" or false'
+        )
+
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    slots = tuple(realization_stream(scenario, cfg.t_slots))
+    slots = tuple(realization_stream(scenario, t))
     trace = Trace(slots, cfg.thresholds)
+    tables = welfare_tables(trace)
     solver = dataclasses.replace(cfg.solver, mode="auto")
 
-    unconstrained = unconstrained_trace_welfare(trace, solver)
+    unconstrained = unconstrained_trace_welfare(trace, solver, tables)
     step = cfg.benchmark["step"]
     schedule = (
         _schedule_from_dict(step, "benchmark.step") if step is not None else None
     )
-    bound = dual_upper_bound(trace, int(cfg.benchmark["iterations"]), schedule)
+    bound = dual_upper_bound(trace, int(cfg.benchmark["iterations"]), schedule, tables)
 
-    bf_mode = cfg.benchmark["bruteforce"]
-    within = trace.n_users * trace.t_slots <= BRUTEFORCE_CELL_LIMIT
     bruteforce = None
     if bf_mode is True or (bf_mode == "auto" and within):
-        if not within:
-            raise BenchmarkCapacityError(
-                f"N*T = {trace.n_users * trace.t_slots} exceeds "
-                f"{BRUTEFORCE_CELL_LIMIT}; shrink n_users or t_slots, or set "
-                'benchmark.bruteforce to "auto" or false'
-            )
-        bruteforce = solve_complete_bruteforce(trace)
+        bruteforce = solve_complete_bruteforce(trace, tables)
 
     constrained = bruteforce if bruteforce is not None else bound
     report = {

@@ -35,14 +35,17 @@ __all__ = [
     "branch_and_bound",
     "solve",
     "subset_value_table",
+    "slot_value_table",
     "subset_linear_table",
     "tiebreak_argmax",
+    "tiebreak_argmax_without",
     "tiebreak_tables",
 ]
 
 TIE_TOL = 1e-9
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_NODE_BUDGET = 20_000
+_BLOCK_CELLS = 1 << 16  # per-block temporaries of subset_value_table
 
 
 class SolverCapacityError(RuntimeError):
@@ -119,33 +122,54 @@ class SolveOptions:
 def subset_value_table(realization: SlotRealization, users: np.ndarray) -> np.ndarray:
     """Coverage value of every subset of `users`, indexed by local bit mask.
 
-    Subset s has bit i set iff users[i] is in the subset. Built by a
-    lowest-bit recursion: value(s) adds only the weights newly covered
-    relative to value(s without its lowest member).
+    Subset s has bit i set iff users[i] is in the subset. value(s) is
+    value(s without its lowest member j) plus, in ascending grid order, the
+    weights of j's grids that no higher member covers. The table is filled
+    one level per user, from the highest bit down, so every parent is ready
+    before its children. At level j the parents are the rows of a
+    (2^(m-j-1), 2^(j+1)) view; a grid already covered by a parent adds 0.0,
+    which leaves the running sum unchanged, and `np.add.accumulate` adds in
+    column order. That repeats the scalar loop's additions in its order, so
+    the table matches it bit for bit. Parent rows go in blocks of about
+    _BLOCK_CELLS cells to keep the temporaries small.
     """
     m = len(users)
-    size = 1 << m
-    values = np.zeros(size)
-    if m == 0:
-        return values
-    w = realization.weights.values.tolist()
-    masks = [realization.regions[int(u)].mask for u in users]
-    unions = [0] * size
-    vals = values
-    for s in range(1, size):
-        low = s & -s
-        j = low.bit_length() - 1
-        parent = s ^ low
-        pu = unions[parent]
-        v = vals[parent]
-        new = masks[j] & ~pu
-        while new:
-            b = new & -new
-            v += w[b.bit_length() - 1]
-            new ^= b
-        unions[s] = pu | masks[j]
-        vals[s] = v
+    values = np.zeros(1 << m)
+    w = realization.weights.values
+    owners = np.zeros(realization.n_grids, dtype=np.int64)  # local bits above j
+    for j in range(m - 1, -1, -1):
+        grids = realization.regions[int(users[j])].indices
+        rows = values.reshape(-1, 2 << j)  # row p: subsets whose bits above j spell p
+        above = (owners[grids] >> (j + 1))[:, None]
+        weights = w[grids][:, None]
+        step = max(1, _BLOCK_CELLS // (grids.size + 1))
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo : lo + step]
+            acc = np.empty((grids.size + 1, block.shape[0]))
+            acc[0] = block[:, 0]
+            parents = np.arange(lo, lo + block.shape[0])
+            np.copyto(acc[1:], np.where((above & parents) == 0, weights, 0.0))
+            np.add.accumulate(acc, axis=0, out=acc)
+            block[:, 1 << j] = acc[-1]
+        owners[grids] |= 1 << j
     return values
+
+
+def slot_value_table(realization: SlotRealization, users: np.ndarray) -> np.ndarray:
+    """subset_value_table, built once per (slot, users) and kept on the slot.
+
+    Lockstep policies that solve one slot over the same eligible users, and
+    an auction's pivots, read the same read-only table; it is dropped with
+    the slot.
+    """
+    memo = realization.table_memo
+    key = np.asarray(users, dtype=np.int64).tobytes()
+    table = memo.get(key)
+    if table is None:
+        table = subset_value_table(realization, users)
+        table.flags.writeable = False
+        memo[key] = table
+    return table
 
 
 def subset_linear_table(per_user: np.ndarray) -> np.ndarray:
@@ -176,12 +200,31 @@ def tiebreak_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pc, rev, tb
 
 
+def _argmin_rank_near_max(objective: np.ndarray, ranks: np.ndarray, tol: float) -> int:
+    best = objective.max()
+    return int(np.where(objective >= best - tol, ranks, np.iinfo(np.int64).max).argmin())
+
+
 def tiebreak_argmax(objective: np.ndarray, m: int, tol: float = TIE_TOL) -> int:
     """Index of the tie-break-preferred maximizer of a subset objective."""
-    _, _, tb = tiebreak_tables(m)
-    best = objective.max()
-    masked = np.where(objective >= best - tol, tb, np.iinfo(np.int64).max)
-    return int(masked.argmin())
+    return _argmin_rank_near_max(objective, tiebreak_tables(m)[2], tol)
+
+
+def tiebreak_argmax_without(
+    objective: np.ndarray, m: int, j: int, tol: float = TIE_TOL
+) -> int:
+    """Local mask of the tie-break-preferred maximizer among subsets without bit j.
+
+    A subset without user j has the same table entry, built by the same
+    additions, as in a table over the other m - 1 users, and the tie-break
+    ranks keep their order when restricted. So the mask and its objective
+    equal those of solve_exact on the eligible set without user j.
+    """
+    half = 1 << j
+    rows = objective.reshape(-1, 2 * half)[:, :half]
+    ranks = tiebreak_tables(m)[2].reshape(-1, 2 * half)[:, :half]
+    row, col = divmod(_argmin_rank_near_max(rows, ranks, tol), half)
+    return (row << (j + 1)) | col
 
 
 def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> Allocation:
@@ -213,7 +256,7 @@ def solve_exact(inst: RegulatedInstance, exact_limit: int = DEFAULT_EXACT_LIMIT)
     n = inst.realization.n_users
     if m == 0:
         return SolveResult(Allocation.none(n), 0.0, True)
-    values = subset_value_table(inst.realization, users)
+    values = slot_value_table(inst.realization, users)
     costs = subset_linear_table(inst.effective_costs[users])
     objective = values - costs
     s = tiebreak_argmax(objective, m)

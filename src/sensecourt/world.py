@@ -111,7 +111,11 @@ class SensingRegion:
     def __post_init__(self):
         if self.n_grids <= 0:
             raise ValueError("n_grids must be positive")
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        idx = np.array(self.indices, dtype=np.int64).ravel()
+        # slot generation hands over sorted, distinct indices; only other
+        # input pays for np.unique (compared pairwise: np.diff can overflow)
+        if not np.all(idx[1:] > idx[:-1]):
+            idx = np.unique(idx)
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n_grids):
             raise ValueError("region index out of range")
         idx.flags.writeable = False
@@ -171,6 +175,12 @@ class SlotRealization:
     @property
     def n_grids(self) -> int:
         return self.weights.n_grids
+
+    @cached_property
+    def table_memo(self) -> dict:
+        """Tables derived from this slot, keyed by their users (see
+        solver.slot_value_table); they live and die with the slot."""
+        return {}
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,8 +11,9 @@ from sensecourt.benchmark import (
     incentive_cost,
     solve_complete_bruteforce,
     unconstrained_trace_welfare,
+    welfare_tables,
 )
-from sensecourt.solver import RegulatedInstance, solve_exact
+from sensecourt.solver import RegulatedInstance, SolveOptions, solve_exact
 from sensecourt.world import Allocation, evaluate_allocation
 
 from test_world import make_realization
@@ -149,6 +150,21 @@ class TestUnconstrained:
             for s in slots
         ) / 3
         assert res.avg_welfare == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "options",
+        [SolveOptions(), SolveOptions(mode="exact"), SolveOptions(exact_limit=3)],
+    )
+    def test_table_rows_equal_per_slot_solves(self, options):
+        # exact_limit 3 < N falls back to solving each slot (branch and bound)
+        rng = np.random.default_rng(11)
+        trace = random_trace(rng, 5, 30)
+        solved = unconstrained_trace_welfare(trace, options)
+        read = unconstrained_trace_welfare(trace, options, welfare_tables(trace))
+        assert np.float64(read.avg_welfare).view(np.int64) == np.float64(
+            solved.avg_welfare
+        ).view(np.int64)
+        assert np.array_equal(read.per_user_alloc_prob, solved.per_user_alloc_prob)
 
     def test_dominates_constrained(self):
         rng = np.random.default_rng(10)

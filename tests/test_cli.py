@@ -5,6 +5,9 @@ from pathlib import Path
 import pytest
 
 import sensecourt.auction as auction_mod
+import sensecourt.benchmark as benchmark_mod
+import sensecourt.cli as cli_mod
+from sensecourt.benchmark import BenchmarkCapacityError
 from sensecourt.cli import _worker_count, cmd_benchmark, cmd_simulate, cmd_truthcheck, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -264,6 +267,50 @@ class TestBenchmarkCommand:
         assert main(["benchmark", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "N*T" in err and "shrink" in err
+
+    @pytest.mark.parametrize(
+        "overrides, top_level, match",
+        [
+            ({"scenario.n_users": 16}, {"t_slots": 300}, "dual table cap"),
+            ({}, {"t_slots": 30, "benchmark": {"bruteforce": True}}, "N\\*T"),
+        ],
+    )
+    def test_capacity_refused_before_first_slot(
+        self, tmp_path, monkeypatch, overrides, top_level, match
+    ):
+        built = []
+        original = cli_mod.realization_stream
+
+        def counting(scenario, t_slots):
+            for realization in original(scenario, t_slots):
+                built.append(1)
+                yield realization
+
+        monkeypatch.setattr(cli_mod, "realization_stream", counting)
+        path = write_config(tmp_path, overrides, **top_level)
+        out = tmp_path / "out"
+        with pytest.raises(BenchmarkCapacityError, match=match):
+            cmd_benchmark(str(path), out=str(out))
+        assert built == []
+        assert not out.exists()
+
+    def test_one_table_per_slot_shared_by_all_references(self, tmp_path, monkeypatch):
+        built = []
+        original = benchmark_mod.subset_value_table
+
+        def counting(realization, users):
+            built.append(len(users))
+            return original(realization, users)
+
+        monkeypatch.setattr(benchmark_mod, "subset_value_table", counting)
+        path = write_config(
+            tmp_path, {"scenario.n_users": 3}, t_slots=4, warmup_slots=0,
+            benchmark={"iterations": 40},
+        )
+        out = tmp_path / "out"
+        assert cmd_benchmark(str(path), out=str(out)) == 0
+        assert json.loads((out / "benchmark.json").read_text())["bruteforce"] is not None
+        assert built == [3] * 4
 
 
 class TestTruthcheckCommand:

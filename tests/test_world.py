@@ -80,6 +80,25 @@ class TestTypes:
         assert region.size == 2
         assert region.covers(2) and not region.covers(1)
 
+    def test_sorted_input_kept_as_a_private_copy(self):
+        given = np.array([1, 3, 7], dtype=np.int64)
+        region = SensingRegion(8, given)
+        given[0] = 5
+        assert region.indices.tolist() == [1, 3, 7]
+        assert not region.indices.flags.writeable
+        assert given.flags.writeable
+        with pytest.raises(ValueError):
+            SensingRegion(8, np.array([1, 3, 8]))
+        with pytest.raises(ValueError):
+            SensingRegion(8, np.array([-1, 3]))
+
+    def test_unsorted_or_repeated_input_normalised(self):
+        assert SensingRegion(8, np.array([5, 1, 3])).indices.tolist() == [1, 3, 5]
+        assert SensingRegion(8, np.array([1, 3, 3])).indices.tolist() == [1, 3]
+        assert SensingRegion(8, np.array([[4, 0]])).indices.tolist() == [0, 4]
+        with pytest.raises(ValueError):
+            SensingRegion(8, np.array([9, 1]))
+
     def test_empty_region_permitted(self):
         region = SensingRegion.empty(8)
         assert region.size == 0 and region.mask == 0
