@@ -1,11 +1,17 @@
 #!/usr/bin/env python3
-"""Exact-solver microbenchmark: median ms per solve_exact at N = 8, 12, 16, 20.
+"""Exact-solver microbenchmark: median ms per solve_exact at N = 8, 12, 16, 20
+and per truthfulness_sweep at N = 8, 12, 16.
 
 Each instance is the first N users of one dropping-desk slot (2,500 grids,
 disk regions), every user eligible, true costs as charges. Every solve
 starts on a fresh slot object, so no table is reused between timings.
 After each timed solve the subset table it used is compared bit for bit
 with the scalar loop in tests/oracle_subset.py, whose time is recorded too.
+
+Each sweep scores 201 bids from 0 to 3x the swept user's cost, with
+regulation factors drawn as `truthcheck` draws them; its time includes its
+subset table. The dense bids x 2^N oracle in tests/oracle_sweep.py is timed
+on the same inputs, and every report must equal it bit for bit.
 
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
 """
@@ -21,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sensecourt.auction import RegulationState, truthfulness_sweep
 from sensecourt.cli import load_config
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact
@@ -29,13 +36,38 @@ from sensecourt.world import SlotRealization
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from oracle_subset import subset_value_table_loop  # noqa: E402
+from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
 
 CONFIG = ROOT / "configs" / "dropping_desk.json"
 SIZES = (8, 12, 16, 20)
+SWEEP_SIZES = (8, 12, 16)
+BID_POINTS = 201
 
 
 def first_users(slot: SlotRealization, n: int) -> SlotRealization:
     return SlotRealization(slot.weights, slot.regions[:n], slot.true_costs[:n])
+
+
+def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
+    """Median ms of the sweep and of the dense oracle on the same inputs."""
+    sweeps, dense = [], []
+    for k, slot in enumerate(slots):
+        real = first_users(slot, n)
+        rng = np.random.default_rng([n, k])
+        state = RegulationState(rng.uniform(0.0, 0.5 * real.true_costs.max(), n), 10.0)
+        user = k % n
+        grid = np.linspace(0.0, 3.0 * real.true_costs[user], BID_POINTS)
+        start = time.perf_counter()
+        report = truthfulness_sweep(real, state, real.true_costs, user, grid)
+        sweeps.append((time.perf_counter() - start) * 1e3)
+
+        start = time.perf_counter()
+        oracle = truthfulness_sweep_dense(real, state, real.true_costs, user, grid)
+        dense.append((time.perf_counter() - start) * 1e3)
+        differ = report_differences(report, oracle)
+        if differ:
+            raise AssertionError(f"sweep differs from the dense oracle at N={n}: {differ}")
+    return statistics.median(sweeps), statistics.median(dense)
 
 
 def main() -> int:
@@ -75,6 +107,15 @@ def main() -> int:
             flush=True,
         )
 
+    sweep_ms, dense_ms = {}, {}
+    for n in SWEEP_SIZES:
+        sweep_ms[n], dense_ms[n] = time_sweeps(slots, n)
+        print(
+            f"N={n:2d}: truthfulness_sweep {sweep_ms[n]:9.2f} ms, dense oracle "
+            f"{dense_ms[n]:9.2f} ms ({BID_POINTS} bids, median of {len(slots)})",
+            flush=True,
+        )
+
     report = {
         "config": str(CONFIG.relative_to(ROOT)),
         "instances": len(slots),
@@ -82,6 +123,10 @@ def main() -> int:
         "oracle_loop_table_ms_median": {str(n): loop_ms[n] for n in SIZES},
         "mean_region_grids": {str(n): grids[n] for n in SIZES},
         "tables_bit_identical_to_oracle": True,
+        "sweep_bid_points": BID_POINTS,
+        "truthfulness_sweep_ms_median": {str(n): sweep_ms[n] for n in SWEEP_SIZES},
+        "dense_sweep_oracle_ms_median": {str(n): dense_ms[n] for n in SWEEP_SIZES},
+        "sweeps_bit_identical_to_oracle": True,
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),

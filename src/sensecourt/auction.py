@@ -19,6 +19,7 @@ auction reproduces that policy's allocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -214,6 +215,31 @@ def regulation_update(
     return RegulationState(factors=r, phi=state.phi, slot_index=state.slot_index + 1)
 
 
+@lru_cache(maxsize=8)
+def _tiebreak_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local masks in tie-break order, and each mask's place in that order."""
+    by_rank = np.argsort(tiebreak_tables(m)[2])
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(1 << m)
+    by_rank.flags.writeable = False
+    rank.flags.writeable = False
+    return by_rank, rank
+
+
+def _sorted_group(
+    base: np.ndarray, masks: np.ndarray, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A group's scores in ascending order and the least rank of each suffix.
+
+    Both get a sentinel at the end: score inf and rank 2^m, more than any
+    mask's rank, so an empty suffix never wins the pick.
+    """
+    order = masks[np.argsort(base[masks])]
+    vals = np.append(base[order], np.inf)
+    least = np.minimum.accumulate(rank[order][::-1])[::-1]
+    return vals, np.append(least, rank.size)
+
+
 def truthfulness_sweep(
     realization: SlotRealization,
     state: RegulationState,
@@ -229,6 +255,20 @@ def truthfulness_sweep(
     truthful bid's utility by more than the tie tolerance. The leave-one-out
     welfare does not depend on the swept bid; it is read once from the
     sweep's table.
+
+    A bid b enters only through d = b - r_n: a subset without the swept
+    user scores base[s], one with the user scores fl(base[s] - d). Rounding
+    keeps order, so fl(x - d) never falls as x grows. Each group is
+    therefore sorted by base once, its best score sits last, and the row
+    maximum is exactly max(A, fl(B - d)) for the two groups' maxima A and B.
+    The tie set {score >= fl(best - TIE_TOL)} is a suffix of each sorted
+    group, so the pick is the smaller of the two groups' suffix-minimum
+    tie-break ranks at their cutoffs. The cutoff without the user is a
+    searchsorted for the threshold. The cutoff with the user is a bisection
+    on the exact predicate fl(base[s] - d) >= threshold: searching base for
+    fl(threshold + d) rounds differently and can move a subset across the
+    tie boundary. Each bid costs O(m) instead of a pass over all 2^m
+    subsets.
     """
     n = realization.n_users
     true_costs = np.asarray(true_costs, dtype=float)
@@ -241,6 +281,8 @@ def truthfulness_sweep(
     if not eligible[user]:
         raise ValueError("swept user must be eligible")
     bid_grid = np.asarray(bid_grid, dtype=float)
+    if not np.all(np.isfinite(bid_grid)):
+        raise ValueError("bid grid must be finite")
 
     users = np.flatnonzero(eligible)
     m = users.size
@@ -256,32 +298,37 @@ def truthfulness_sweep(
     per_user[pos] = 0.0  # swept user's charge handled per bid
     others_cost = subset_linear_table(per_user)
     base = values - others_cost
-    member = ((np.arange(1 << m) >> pos) & 1).astype(float)
+    member = ((np.arange(1 << m) >> pos) & 1).astype(bool)
     r_n = float(state.factors[user])
     c_n = float(true_costs[user])
     welfare_without = float(base[tiebreak_argmax_without(base, m, pos)])
 
-    _, _, tb = tiebreak_tables(m)
-    big = np.iinfo(np.int64).max
+    by_rank, rank = _tiebreak_order(m)
+    vals_out, ranks_out = _sorted_group(base, np.flatnonzero(~member), rank)
+    vals_in, ranks_in = _sorted_group(base, np.flatnonzero(member), rank)
+    n_in = vals_in.size - 1
 
-    def evaluate(bid_values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        obj = base[None, :] - np.outer(bid_values - r_n, member)
-        row_best = obj.max(axis=1)
-        picks = np.where(obj >= row_best[:, None] - TIE_TOL, tb[None, :], big).argmin(
-            axis=1
-        )
-        sel = member[picks].astype(bool)
-        pay = np.where(
-            sel,
-            pivot_payment(values[picks], others_cost[picks], welfare_without, r_n),
-            0.0,
-        )
-        util = np.where(sel, pay - c_n, 0.0)
-        return sel, pay, util
-
-    selected, payments, utilities = evaluate(bid_grid)
-    _, _, util_truth = evaluate(np.array([c_n]))
-    truthful_utility = float(util_truth[0])
+    d = np.append(bid_grid, c_n) - r_n  # the truthful bid rides along last
+    threshold = np.maximum(vals_out[-2], vals_in[-2] - d) - TIE_TOL
+    cut_out = np.searchsorted(vals_out, threshold)
+    # first k with vals_in[k] - d >= threshold; the inf sentinel always passes
+    lo = np.zeros(d.shape, dtype=np.intp)
+    hi = np.full(d.shape, n_in, dtype=np.intp)
+    for _ in range(n_in.bit_length()):
+        mid = (lo + hi) >> 1
+        ok = vals_in[mid] - d >= threshold
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid + 1)
+    picks = by_rank[np.minimum(ranks_out[cut_out], ranks_in[hi])]
+    sel = member[picks]
+    pay = np.where(
+        sel,
+        pivot_payment(values[picks], others_cost[picks], welfare_without, r_n),
+        0.0,
+    )
+    util = np.where(sel, pay - c_n, 0.0)
+    selected, payments, utilities = sel[:-1], pay[:-1], util[:-1]
+    truthful_utility = float(util[-1])
 
     best_idx = int(utilities.argmax())
     best_utility = float(utilities[best_idx])

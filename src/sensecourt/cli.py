@@ -172,6 +172,31 @@ def _solver_from_dict(d: dict | None, default_mode: str) -> SolveOptions:
         raise ConfigError(f"invalid solver: {exc}") from exc
 
 
+def _number(section: dict, context: str, key: str, kind: type):
+    try:
+        return kind(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {context}.{key}: {exc}") from exc
+
+
+def _check_runs(bench: dict, truth: dict) -> None:
+    """Reject benchmark and truthcheck settings no run can use, before any work."""
+    bench["iterations"] = _number(bench, "benchmark", "iterations", int)
+    if bench["iterations"] < 1:
+        raise ConfigError("benchmark.iterations must be at least 1")
+    kinds = {"instances": int, "bid_points": int, "bid_span": float, "phi": float}
+    for key, kind in kinds.items():
+        truth[key] = _number(truth, "truthcheck", key, kind)
+    if truth["instances"] < 0:
+        raise ConfigError("truthcheck.instances must be at least 0")
+    if truth["bid_points"] < 1:
+        raise ConfigError("truthcheck.bid_points must be at least 1")
+    if not (np.isfinite(truth["bid_span"]) and truth["bid_span"] >= 0):
+        raise ConfigError("truthcheck.bid_span must be a finite number >= 0")
+    if not truth["phi"] > 0:
+        raise ConfigError("truthcheck.phi must be positive")
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     scenario: ScenarioConfig
@@ -247,6 +272,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         {"instances": 100, "bid_points": 201, "bid_span": 3.0, "phi": 10.0},
         (),
     )
+    _check_runs(bench, truth)
     return ExperimentConfig(
         scenario=scenario,
         policies=policies,
@@ -416,7 +442,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
     schedule = (
         _schedule_from_dict(step, "benchmark.step") if step is not None else None
     )
-    bound = dual_upper_bound(trace, int(cfg.benchmark["iterations"]), schedule, tables)
+    bound = dual_upper_bound(trace, cfg.benchmark["iterations"], schedule, tables)
 
     bruteforce = None
     if bf_mode is True or (bf_mode == "auto" and within):
@@ -432,7 +458,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
         "bruteforce": None if bruteforce is None else bruteforce.avg_welfare,
         "bruteforce_feasible": None if bruteforce is None else bruteforce.feasible,
         "incentive_cost": incentive_cost(unconstrained, constrained),
-        "iterations": int(cfg.benchmark["iterations"]),
+        "iterations": cfg.benchmark["iterations"],
     }
     (out_dir / "benchmark.json").write_text(_canonical_json(report))
     return 0
@@ -443,18 +469,18 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
     scenario = cfg.scenario
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
-    out_dir = Path(out if out is not None else cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    instances = int(cfg.truthcheck["instances"])
-    bid_points = int(cfg.truthcheck["bid_points"])
-    bid_span = float(cfg.truthcheck["bid_span"])
-    phi = float(cfg.truthcheck["phi"])
     if scenario.n_users > cfg.solver.exact_limit:
         raise ConfigError(
             f"truthcheck needs scenario.n_users <= solver.exact_limit "
             f"({cfg.solver.exact_limit}); auction pivots must be exact"
         )
+    out_dir = Path(out if out is not None else cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    instances = cfg.truthcheck["instances"]
+    bid_points = cfg.truthcheck["bid_points"]
+    bid_span = cfg.truthcheck["bid_span"]
+    phi = cfg.truthcheck["phi"]
 
     max_regret = 0.0
     swept = 0

@@ -217,6 +217,72 @@ class TestShippedConfigDigests:
         assert tree_digest(out) == digest
 
 
+class TestTruthcheckDigest:
+    """The shipped truthcheck config at 16 users and 4 instances writes fixed bytes.
+
+    The digest was recorded from the dense bids x 2^m sweep; the
+    sorted-threshold sweep must not change a byte.
+    """
+
+    GOLDEN = "0020e5f36d728a817aa3aaec7c47f7b34258058816cce7ce4b81619899182475"
+
+    def test_output_tree_digest(self, tmp_path):
+        cfg = json.loads((CONFIGS / "truthcheck.json").read_text())
+        cfg["scenario"]["n_users"] = 16
+        cfg["truthcheck"]["instances"] = 4
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cmd_truthcheck(str(path), out=str(out)) == 0
+        assert tree_digest(out) == self.GOLDEN
+
+
+class TestFailBeforeWork:
+    """Settings no run can use are refused before any slot or output exists."""
+
+    @pytest.mark.parametrize(
+        "command, section, value, key",
+        [
+            ("benchmark", "benchmark", {"iterations": 0}, "benchmark.iterations"),
+            ("benchmark", "benchmark", {"iterations": -3}, "benchmark.iterations"),
+            ("benchmark", "benchmark", {"iterations": float("inf")}, "benchmark.iterations"),
+            ("truthcheck", "truthcheck", {"bid_points": "many"}, "truthcheck.bid_points"),
+            ("truthcheck", "truthcheck", {"bid_points": 0}, "truthcheck.bid_points"),
+            ("truthcheck", "truthcheck", {"phi": 0}, "truthcheck.phi"),
+            ("truthcheck", "truthcheck", {"phi": -2.5}, "truthcheck.phi"),
+            ("truthcheck", "truthcheck", {"bid_span": -1.0}, "truthcheck.bid_span"),
+            ("truthcheck", "truthcheck", {"bid_span": float("nan")}, "truthcheck.bid_span"),
+            ("truthcheck", "truthcheck", {"bid_span": float("inf")}, "truthcheck.bid_span"),
+            ("truthcheck", "truthcheck", {"instances": -1}, "truthcheck.instances"),
+        ],
+    )
+    def test_refused_with_error_line(
+        self, tmp_path, monkeypatch, capsys, command, section, value, key
+    ):
+        built = []
+        original = cli_mod.realization_stream
+
+        def counting(scenario, t_slots):
+            for realization in original(scenario, t_slots):
+                built.append(1)
+                yield realization
+
+        monkeypatch.setattr(cli_mod, "realization_stream", counting)
+        path = write_config(tmp_path, **{section: value})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert built == []
+        assert not out.exists()
+
+    def test_zero_instances_still_valid(self, tmp_path):
+        path = write_config(tmp_path, truthcheck={"instances": 0, "bid_span": 0.0})
+        out = tmp_path / "out"
+        assert cmd_truthcheck(str(path), out=str(out)) == 0
+        assert json.loads((out / "truthfulness.json").read_text())["vacuous"] is True
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("raw", ["two", "", "0", "-3", "1.5"])
     def test_invalid_value_warns_and_uses_one(self, monkeypatch, capsys, raw):
