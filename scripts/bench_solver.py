@@ -1,10 +1,18 @@
 #!/usr/bin/env python3
-"""Exact-solver microbenchmark: median ms per solve_exact at N = 8, 12, 16, 20
-and per truthfulness_sweep at N = 8, 12, 16.
+"""Slot-generation and exact-solver microbenchmark: median ms per generated
+slot at desk and welfare scale, per solve_exact at N = 8, 12, 16, 20 and per
+truthfulness_sweep at N = 8, 12, 16.
 
-Each instance is the first N users of one dropping-desk slot (2,500 grids,
-disk regions), every user eligible, true costs as charges. Every solve
-starts on a fresh slot object, so no table is reused between timings.
+Slot generation is timed one next() of realization_stream at a time over the
+first --slots slots of configs/dropping_desk.json (100 users, 2,500 grids)
+and configs/welfare_desk.json (8 users, 100 grids). The same slots are then
+rebuilt by the per-user loop in tests/oracle_regions.py, whose time is
+recorded too, and every region, cost and weight must equal it bit for bit.
+
+Each solver instance is the first N users of one dropping-desk slot
+(2,500 grids, disk regions), every user eligible, true costs as charges.
+Every solve starts on a fresh slot object, so no table is reused between
+timings.
 After each timed solve the subset table it used is compared bit for bit
 with the scalar loop in tests/oracle_subset.py, whose time is recorded too.
 
@@ -29,16 +37,18 @@ import numpy as np
 
 from sensecourt.auction import RegulationState, truthfulness_sweep
 from sensecourt.cli import load_config
-from sensecourt.scenarios import realization_stream
+from sensecourt.scenarios import initial_state, realization_stream, slot_rng, step_mobility
 from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact
 from sensecourt.world import SlotRealization
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
+from oracle_regions import build_slot_realization_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
 
 CONFIG = ROOT / "configs" / "dropping_desk.json"
+SLOT_CONFIGS = {"desk": CONFIG, "welfare": ROOT / "configs" / "welfare_desk.json"}
 SIZES = (8, 12, 16, 20)
 SWEEP_SIZES = (8, 12, 16)
 BID_POINTS = 201
@@ -46,6 +56,34 @@ BID_POINTS = 201
 
 def first_users(slot: SlotRealization, n: int) -> SlotRealization:
     return SlotRealization(slot.weights, slot.regions[:n], slot.true_costs[:n])
+
+
+def slot_bytes(slot: SlotRealization) -> list[bytes]:
+    return [slot.weights.values.tobytes(), slot.true_costs.tobytes()] + [
+        r.indices.tobytes() for r in slot.regions
+    ]
+
+
+def time_slots(scenario, t_slots: int) -> tuple[float, float]:
+    """Median ms per slot of realization_stream and of the per-user loop."""
+    stream, slots = [], []
+    it = realization_stream(scenario, t_slots)
+    for _ in range(t_slots):
+        start = time.perf_counter()
+        slots.append(next(it))
+        stream.append((time.perf_counter() - start) * 1e3)
+
+    loops = []
+    state = initial_state(scenario)
+    for t, slot in enumerate(slots, start=1):
+        rng = slot_rng(scenario, t)
+        start = time.perf_counter()
+        oracle = build_slot_realization_loop(state, scenario, t, rng)
+        loops.append((time.perf_counter() - start) * 1e3)
+        if slot_bytes(slot) != slot_bytes(oracle):
+            raise AssertionError(f"slot {t} differs from the per-user loop")
+        state = step_mobility(state, scenario, rng)
+    return statistics.median(stream), statistics.median(loops)
 
 
 def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
@@ -74,9 +112,24 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="BENCH_solver.json")
     parser.add_argument("--instances", type=int, default=5)
+    parser.add_argument("--slots", type=int, default=200)
     args = parser.parse_args()
     if args.instances < 1:
         parser.error("--instances must be at least 1")
+    if args.slots < 1:
+        parser.error("--slots must be at least 1")
+
+    slot_ms, slot_loop_ms, slot_shape = {}, {}, {}
+    for scale, path in SLOT_CONFIGS.items():
+        scenario = load_config(str(path)).scenario
+        slot_ms[scale], slot_loop_ms[scale] = time_slots(scenario, args.slots)
+        slot_shape[scale] = {"users": scenario.n_users, "grids": scenario.map.n_grids}
+        print(
+            f"{scale:7s}: realization_stream {slot_ms[scale]:7.3f} ms per slot, oracle loop "
+            f"{slot_loop_ms[scale]:7.3f} ms ({scenario.n_users} users, "
+            f"{scenario.map.n_grids} grids, median of {args.slots})",
+            flush=True,
+        )
 
     scenario = load_config(str(CONFIG)).scenario
     slots = list(realization_stream(scenario, args.instances))
@@ -117,6 +170,12 @@ def main() -> int:
         )
 
     report = {
+        "slot_configs": {k: str(p.relative_to(ROOT)) for k, p in SLOT_CONFIGS.items()},
+        "slots": args.slots,
+        "slot_shape": slot_shape,
+        "slot_stream_ms_median": slot_ms,
+        "slot_oracle_loop_ms_median": slot_loop_ms,
+        "slots_bit_identical_to_oracle": True,
         "config": str(CONFIG.relative_to(ROOT)),
         "instances": len(slots),
         "solve_exact_ms_median": {str(n): solve_ms[n] for n in SIZES},

@@ -115,7 +115,7 @@ def _scenario_from_dict(d: dict) -> ScenarioConfig:
             step_max_m=float(vals["step_max_m"]),
             seed=int(vals["seed"]),
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ConfigError(f"invalid scenario value: {exc}") from exc
 
 
@@ -292,20 +292,44 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Format each distinct value of a float array once.
+
+    Values are keyed by their int64 bit pattern, not compared as floats:
+    -0.0 and 0.0 print differently, and float keys would merge them.
+    Returns the strings and, per element, the index of its string.
+    """
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    keys, inverse = np.unique(arr.view(np.int64), return_inverse=True)
+    return [_fmt(v) for v in keys.view(np.float64)], inverse.reshape(arr.shape)
+
+
 def write_trace_csv(path: Path, metrics: TraceMetrics) -> None:
     n = metrics.thresholds.size
     payments = metrics.payments_series
-    lines = ["slot,policy,replication,user,selected,regulation,payment,active,welfare_slot"]
-    for t in range(metrics.t_slots):
-        welfare = _fmt(metrics.welfare_series[t])
-        for u in range(n):
-            pay = payments[t, u] if payments is not None else 0.0
-            lines.append(
-                f"{t + 1},{metrics.policy_label},{metrics.replication},{u},"
-                f"{int(metrics.selected[t, u])},{_fmt(metrics.regulation[t, u])},"
-                f"{_fmt(pay)},{int(metrics.active[t, u])},{welfare}"
+    if payments is None:
+        payments = np.zeros_like(metrics.regulation)
+    regs, reg_idx = _formatted(metrics.regulation)
+    pays, pay_idx = _formatted(payments)
+    users = range(n)
+    # one slot's rows at a time, so the whole file is never held in memory
+    with path.open("w") as f:
+        f.write("slot,policy,replication,user,selected,regulation,payment,active,welfare_slot\n")
+        for t in range(metrics.t_slots):
+            head = f"{t + 1},{metrics.policy_label},{metrics.replication},"
+            welfare = _fmt(metrics.welfare_series[t])
+            f.write(
+                "".join(
+                    f"{head}{u},{sel},{regs[r]},{pays[p]},{act},{welfare}\n"
+                    for u, sel, r, p, act in zip(
+                        users,
+                        metrics.selected[t].astype(np.int8).tolist(),
+                        reg_idx[t].tolist(),
+                        pay_idx[t].tolist(),
+                        metrics.active[t].astype(np.int8).tolist(),
+                    )
+                )
             )
-    path.write_text("\n".join(lines) + "\n")
 
 
 def write_plotdata(run_dir: Path, metrics: TraceMetrics) -> None:
@@ -321,8 +345,9 @@ def write_plotdata(run_dir: Path, metrics: TraceMetrics) -> None:
 
     header = "slot," + ",".join(f"u{u}" for u in range(n))
     lines = [header]
+    probs, prob_idx = _formatted(metrics.alloc_prob_series)
     for k in range(t):
-        row = ",".join(_fmt(v) for v in metrics.alloc_prob_series[k])
+        row = ",".join([probs[i] for i in prob_idx[k].tolist()])
         lines.append(f"{k + 1},{row}")
     (run_dir / "plotdata_alloc_prob.csv").write_text("\n".join(lines) + "\n")
 

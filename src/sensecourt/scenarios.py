@@ -8,6 +8,7 @@ reserved for the initial user placement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -55,22 +56,35 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # NaN fails every comparison below, so each check also rejects it
         if self.n_users < 1:
             raise ValueError("n_users must be at least 1")
-        if not 0 <= self.radius_min_m <= self.radius_max_m:
-            raise ValueError("need 0 <= radius_min_m <= radius_max_m")
+        if not 0 <= self.radius_min_m <= self.radius_max_m < math.inf:
+            raise ValueError("need 0 <= radius_min_m <= radius_max_m, both finite")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        if not self.mean_weight > 0:
-            raise ValueError("mean_weight must be positive")
-        if self.cost_to_weight_ratio < 0:
-            raise ValueError("cost_to_weight_ratio must be non-negative")
+        if not 0 < self.hotspot_sigma_fraction < math.inf:
+            raise ValueError("hotspot_sigma_fraction must be positive and finite")
+        if not 0 < 2.0 * self.mean_weight < math.inf:
+            raise ValueError("mean_weight must be positive and finite")
+        if not 0 <= self.cost_to_weight_ratio < math.inf:
+            raise ValueError("cost_to_weight_ratio must be non-negative and finite")
         lo, hi = self.cost_jitter
-        if not 0 <= lo <= hi:
-            raise ValueError("cost_jitter must satisfy 0 <= low <= high")
-        if self.step_max_m < 0:
-            raise ValueError("step_max_m must be non-negative")
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError("cost_jitter must satisfy 0 <= low <= high, both finite")
+        if not 0 <= self.step_max_m < math.inf:
+            raise ValueError("step_max_m must be non-negative and finite")
         object.__setattr__(self, "cost_jitter", (float(lo), float(hi)))
+        # the largest cost any slot can draw: every grid, the top jitter
+        top = self.cost_to_weight_ratio * self.mean_weight * self.map.n_grids * hi
+        if not top < math.inf:
+            raise ValueError("cost_to_weight_ratio * mean_weight * n_grids * jitter overflows")
+        if self.weight_mode == "hotspot":
+            # a narrow bump can underflow to all zeros, and its rescale to inf
+            with np.errstate(all="ignore"):
+                peak = _hotspot_profile(self).max() * 1.5  # top temporal noise
+            if not peak < math.inf:
+                raise ValueError("hotspot_sigma_fraction is too small for this map")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,29 +168,48 @@ def build_slot_realization(
     """Realize one slot: weights, disk sensing regions, proportional costs.
 
     A grid belongs to a region iff its center lies within the user's radius,
-    drawn fresh per slot from Uniform[radius_min_m, radius_max_m]. The squared
-    distance from user u to the center at (row, col) is dx2[u, col] +
-    dy2[u, row], computed for all users and grids at once.
+    drawn fresh per slot from Uniform[radius_min_m, radius_max_m]. Only a
+    fixed window of grids around each user is measured: the
+    K = ceil(2 * radius_max_m / edge) + 2 columns from floor((x - r) / edge),
+    shifted to stay inside the map, hold every column whose center can lie
+    within r <= radius_max_m of the user with at least half a grid to spare
+    on each side, and rows likewise. The squared distance to the center at
+    (row, col) is dx2[u, col] + dy2[u, row], the same arithmetic as a test
+    against every center, for all users at once.
     """
     weights = generate_weight_field(config, slot, rng)
     n = config.n_users
     grid = config.map
     radii = rng.uniform(config.radius_min_m, config.radius_max_m, size=n)
     jitter = rng.uniform(config.cost_jitter[0], config.cost_jitter[1], size=n)
-    centers = grid.centers()
-    xs, ys = centers[: grid.width_grids, 0], centers[:: grid.width_grids, 1]
-    dx2 = (xs[None, :] - state.positions[:, 0:1]) ** 2
-    dy2 = (ys[None, :] - state.positions[:, 1:2]) ** 2
-    d2 = (dx2[:, None, :] + dy2[:, :, None]).reshape(n, grid.n_grids)
-    users, grids = np.divmod(np.flatnonzero(d2 <= (radii * radii)[:, None]), grid.n_grids)
+    xs, ys = grid.axis_centers()  # the coordinates grid.centers() pairs up
+    # the min keeps ceil finite when the radius dwarfs the map
+    longest = max(grid.width_grids, grid.height_grids)
+    span = min(2.0 * config.radius_max_m / grid.grid_edge_m, longest)
+    reach = math.ceil(span) + 2
+    cols = _window(state.positions[:, 0], radii, grid.grid_edge_m, grid.width_grids, reach)
+    rows = _window(state.positions[:, 1], radii, grid.grid_edge_m, grid.height_grids, reach)
+    dx2 = (xs[cols] - state.positions[:, 0:1]) ** 2
+    dy2 = (ys[rows] - state.positions[:, 1:2]) ** 2
+    d2 = dx2[:, None, :] + dy2[:, :, None]
+    users, i, j = np.nonzero(d2 <= (radii * radii)[:, None, None])
+    grids = rows[users, i] * grid.width_grids + cols[users, j]
     counts = np.bincount(users, minlength=n)
-    ends = np.cumsum(counts).tolist()
-    regions = tuple(
-        SensingRegion(grid.n_grids, grids[start:end])
-        for start, end in zip([0] + ends[:-1], ends)
-    )
+    regions = SensingRegion.split_sorted(grid.n_grids, grids, counts)
     costs = config.cost_to_weight_ratio * config.mean_weight * counts * jitter
     return SlotRealization(weights=weights, regions=regions, true_costs=costs)
+
+
+def _window(
+    coords: np.ndarray, radii: np.ndarray, edge: float, count: int, reach: int
+) -> np.ndarray:
+    """(n_users, K) indices of the K = min(reach, count) columns (or rows)
+    measured for each user, starting at floor((coord - radius) / edge) and
+    shifted to stay inside the map; NaN starts go to 0."""
+    size = min(reach, count)
+    start = np.floor((coords - radii) / edge)
+    start = np.minimum(np.where(start > 0, start, 0.0), count - size)
+    return start.astype(np.int64)[:, None] + np.arange(size)
 
 
 def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRealization]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -52,8 +53,9 @@ class GridMap:
     def __post_init__(self):
         if self.width_grids <= 0 or self.height_grids <= 0:
             raise ValueError("grid dimensions must be positive")
-        if not self.grid_edge_m > 0:
-            raise ValueError("grid_edge_m must be positive")
+        # NaN fails both comparisons
+        if not (self.grid_edge_m > 0 and max(self.width_m, self.height_m) < np.inf):
+            raise ValueError("grid_edge_m must be positive and the map's extent finite")
 
     @property
     def n_grids(self) -> int:
@@ -67,13 +69,15 @@ class GridMap:
     def height_m(self) -> float:
         return self.height_grids * self.grid_edge_m
 
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Center x of each column and center y of each row, in meters."""
+        xs = (np.arange(self.width_grids, dtype=float) + 0.5) * self.grid_edge_m
+        ys = (np.arange(self.height_grids, dtype=float) + 0.5) * self.grid_edge_m
+        return xs, ys
+
     def centers(self) -> np.ndarray:
         """(n_grids, 2) array of grid-center coordinates in meters."""
-        cols = np.arange(self.width_grids, dtype=float)
-        rows = np.arange(self.height_grids, dtype=float)
-        xs = (cols + 0.5) * self.grid_edge_m
-        ys = (rows + 0.5) * self.grid_edge_m
-        gx, gy = np.meshgrid(xs, ys)
+        gx, gy = np.meshgrid(*self.axis_centers())
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
@@ -111,15 +115,46 @@ class SensingRegion:
     def __post_init__(self):
         if self.n_grids <= 0:
             raise ValueError("n_grids must be positive")
-        idx = np.array(self.indices, dtype=np.int64).ravel()
-        # slot generation hands over sorted, distinct indices; only other
-        # input pays for np.unique (compared pairwise: np.diff can overflow)
-        if not np.all(idx[1:] > idx[:-1]):
-            idx = np.unique(idx)
+        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n_grids):
             raise ValueError("region index out of range")
         idx.flags.writeable = False
         object.__setattr__(self, "indices", idx)
+
+    @classmethod
+    def split_sorted(
+        cls, n_grids: int, grids: np.ndarray, counts: np.ndarray
+    ) -> tuple["SensingRegion", ...]:
+        """Cut one concatenated index array into consecutive regions.
+
+        Region k holds the next counts[k] entries of grids, which must be in
+        range and strictly increasing within each region; unsorted or
+        duplicated input raises instead of being normalised. The checks run
+        once over the whole array, and every region is a read-only slice of
+        one private copy, so no per-region validation is repeated.
+        """
+        if n_grids <= 0:
+            raise ValueError("n_grids must be positive")
+        idx = np.array(grids, dtype=np.int64).ravel()
+        counts = np.asarray(counts, dtype=np.int64).ravel().tolist()
+        if min(counts, default=0) < 0 or sum(counts) != idx.size:
+            raise ValueError("counts must be non-negative and sum to the number of grids")
+        if idx.size and (idx.min() < 0 or idx.max() >= n_grids):
+            raise ValueError("region index out of range")
+        ends = list(accumulate(counts))
+        # pairs straddling two regions may drop; all others must rise
+        rising = idx[1:] > idx[:-1]
+        rising[[end - 1 for end in ends if 0 < end < idx.size]] = True
+        if not rising.all():
+            raise ValueError("region indices must be strictly increasing within each region")
+        idx.flags.writeable = False
+        regions = []
+        for start, end in zip([0] + ends, ends):
+            region = object.__new__(cls)
+            object.__setattr__(region, "n_grids", n_grids)
+            object.__setattr__(region, "indices", idx[start:end])
+            regions.append(region)
+        return tuple(regions)
 
     @classmethod
     def from_indices(cls, n_grids: int, indices: Iterable[int]) -> "SensingRegion":

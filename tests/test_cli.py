@@ -1,14 +1,26 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sensecourt.auction as auction_mod
 import sensecourt.benchmark as benchmark_mod
 import sensecourt.cli as cli_mod
+import sensecourt.engine as engine_mod
 from sensecourt.benchmark import BenchmarkCapacityError
-from sensecourt.cli import _worker_count, cmd_benchmark, cmd_simulate, cmd_truthcheck, main
+from sensecourt.cli import (
+    _worker_count,
+    cmd_benchmark,
+    cmd_simulate,
+    cmd_truthcheck,
+    main,
+    write_plotdata,
+    write_trace_csv,
+)
+from sensecourt.engine import TraceMetrics
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -276,11 +288,162 @@ class TestFailBeforeWork:
         assert built == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "benchmark", "truthcheck"])
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"scenario.step_max_m": math.nan}, "step_max_m"),
+            ({"scenario.step_max_m": math.inf}, "step_max_m"),
+            ({"scenario.radius_max_m": math.inf}, "radius"),
+            ({"scenario.cost_jitter": [0.5, math.inf]}, "cost_jitter"),
+            ({"scenario.mean_weight": math.inf}, "mean_weight"),
+            ({"scenario.cost_to_weight_ratio": math.nan}, "cost_to_weight_ratio"),
+            ({"scenario.cost_to_weight_ratio": math.inf}, "cost_to_weight_ratio"),
+            (
+                {"scenario.weight_mode": "hotspot", "scenario.hotspot_sigma_fraction": 0},
+                "hotspot_sigma_fraction",
+            ),
+            ({"scenario.hotspot_sigma_fraction": -0.5}, "hotspot_sigma_fraction"),
+            ({"scenario.grid_edge_m": math.inf}, "grid_edge_m"),
+            ({"scenario.width_grids": math.inf}, "invalid scenario value"),
+        ],
+    )
+    def test_scenario_value_refused_with_error_line(
+        self, tmp_path, monkeypatch, capsys, command, overrides, key
+    ):
+        built = []
+
+        def counting(original):
+            def stream(scenario, t_slots):
+                for realization in original(scenario, t_slots):
+                    built.append(1)
+                    yield realization
+
+            return stream
+
+        for module in (cli_mod, engine_mod):
+            monkeypatch.setattr(
+                module, "realization_stream", counting(module.realization_stream)
+            )
+        path = write_config(tmp_path, overrides)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario value: ") and key in err
+        assert err.count("\n") == 1
+        assert built == []
+        assert not out.exists()
+
     def test_zero_instances_still_valid(self, tmp_path):
         path = write_config(tmp_path, truthcheck={"instances": 0, "bid_span": 0.0})
         out = tmp_path / "out"
         assert cmd_truthcheck(str(path), out=str(out)) == 0
         assert json.loads((out / "truthfulness.json").read_text())["vacuous"] is True
+
+
+def _fmt_cell(x) -> str:
+    return format(float(x), ".9g")
+
+
+def write_per_cell(run_dir: Path, metrics: TraceMetrics) -> None:
+    """The writers as they were before per-value formatting: one format()
+    call per cell. The reference for write_trace_csv and write_plotdata."""
+    n, t = metrics.thresholds.size, metrics.t_slots
+    payments = metrics.payments_series
+    lines = ["slot,policy,replication,user,selected,regulation,payment,active,welfare_slot"]
+    for k in range(t):
+        welfare = _fmt_cell(metrics.welfare_series[k])
+        for u in range(n):
+            pay = payments[k, u] if payments is not None else 0.0
+            lines.append(
+                f"{k + 1},{metrics.policy_label},{metrics.replication},{u},"
+                f"{int(metrics.selected[k, u])},{_fmt_cell(metrics.regulation[k, u])},"
+                f"{_fmt_cell(pay)},{int(metrics.active[k, u])},{welfare}"
+            )
+    (run_dir / "trace.csv").write_text("\n".join(lines) + "\n")
+    lines = ["slot,welfare,running_avg"] + [
+        f"{k + 1},{_fmt_cell(metrics.welfare_series[k])},"
+        f"{_fmt_cell(metrics.running_avg_welfare[k])}"
+        for k in range(t)
+    ]
+    (run_dir / "plotdata_welfare.csv").write_text("\n".join(lines) + "\n")
+    lines = ["slot," + ",".join(f"u{u}" for u in range(n))] + [
+        f"{k + 1}," + ",".join(_fmt_cell(v) for v in metrics.alloc_prob_series[k])
+        for k in range(t)
+    ]
+    (run_dir / "plotdata_alloc_prob.csv").write_text("\n".join(lines) + "\n")
+    dropped = np.zeros(t)
+    for _, slot in metrics.drop_events:
+        dropped[slot - 1 :] += 1
+    lines = ["slot,dropped_fraction"] + [
+        f"{k + 1},{_fmt_cell(dropped[k] / n)}" for k in range(t)
+    ]
+    (run_dir / "plotdata_dropping.csv").write_text("\n".join(lines) + "\n")
+
+
+# values whose text is easy to get wrong when formatting by distinct value
+AWKWARD = np.array(
+    [
+        0.0,
+        -0.0,  # prints "-0": a float-keyed unique would merge it into 0.0
+        np.nan,
+        -np.nan,
+        np.frombuffer(np.int64(0x7FF8000000000001).tobytes(), dtype=np.float64)[0],
+        np.inf,
+        -np.inf,
+        5e-324,  # smallest subnormal
+        -2.5e-310,
+        np.nextafter(2.2250738585072014e-308, 0.0),  # largest subnormal
+        1e16,
+        1e16 + 2.0,
+        0.1 + 0.2,
+        0.3,
+        1.0 / 3.0,
+        123456789.123456789,
+        -1e-300,
+        1.7976931348623157e308,
+    ]
+)
+
+
+def awkward_metrics(payments: bool) -> TraceMetrics:
+    rng = np.random.default_rng(5)
+    t, n = 6, AWKWARD.size
+    grid = lambda: rng.permutation(np.tile(AWKWARD, t)).reshape(t, n)  # noqa: E731
+    return TraceMetrics(
+        policy_label="probe",
+        replication=3,
+        seed=0,
+        t_slots=t,
+        warmup_slots=0,
+        thresholds=np.full(n, 0.5),
+        welfare_series=AWKWARD[:t][::-1].copy(),
+        running_avg_welfare=AWKWARD[-t:].copy(),
+        alloc_prob_series=grid(),
+        selected=rng.random((t, n)) < 0.5,
+        active=rng.random((t, n)) < 0.5,
+        regulation=grid(),
+        payments_series=grid() if payments else None,
+        drop_events=((2, 3), (7, 5)),
+        final_ledgers=[],
+        final_policy_state=None,
+    )
+
+
+class TestWriters:
+    @pytest.mark.parametrize("payments", [True, False])
+    def test_same_bytes_as_formatting_each_cell(self, tmp_path, payments):
+        metrics = awkward_metrics(payments)
+        fast, ref = tmp_path / "fast", tmp_path / "ref"
+        fast.mkdir()
+        ref.mkdir()
+        write_trace_csv(fast / "trace.csv", metrics)
+        write_plotdata(fast, metrics)
+        write_per_cell(ref, metrics)
+        assert tree_digest(fast) == tree_digest(ref)
+        text = (fast / "trace.csv").read_text()
+        for token in (",-0,", ",0,", ",nan,", ",inf,", ",-inf,", ",4.94065646e-324,", ",1e+16,"):
+            assert token in text
 
 
 class TestWorkerCount:

@@ -46,6 +46,42 @@ class TestConfig:
         with pytest.raises(ValueError):
             config(weight_mode="spiky")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"step_max_m": math.nan},
+            {"step_max_m": math.inf},
+            {"radius_max_m": math.inf},
+            {"radius_min_m": math.nan},
+            {"cost_jitter": (0.5, math.inf)},
+            {"cost_jitter": (math.nan, 1.0)},
+            {"mean_weight": math.inf},
+            {"mean_weight": 1e308},  # its uniform draws reach 2 * mean_weight
+            {"cost_to_weight_ratio": math.nan},
+            {"cost_to_weight_ratio": math.inf},
+            {"cost_to_weight_ratio": 1e307},  # the largest cost overflows
+            {"hotspot_sigma_fraction": -0.25},
+            {"hotspot_sigma_fraction": math.inf},
+            {"weight_mode": "hotspot", "hotspot_sigma_fraction": 0.0},
+            {"weight_mode": "hotspot", "hotspot_sigma_fraction": math.nan},
+            # the bump underflows to zero at every center of an even map
+            {"weight_mode": "hotspot", "hotspot_sigma_fraction": 1e-6},
+        ],
+    )
+    def test_rejects_non_finite_or_degenerate_values(self, overrides):
+        with pytest.raises(ValueError):
+            config(**overrides)
+
+    def test_narrow_hotspot_on_a_center_grid_is_usable(self):
+        cfg = config(
+            map=GridMap(5, 5, 200.0),
+            weight_mode="hotspot",
+            hotspot_sigma_fraction=1e-6,
+            temporal_noise=True,
+        )
+        for real in realization_stream(cfg, 3):
+            assert np.all(np.isfinite(real.weights.values))
+
 
 class TestWeights:
     def test_uniform_mean_near_target(self):
@@ -165,11 +201,20 @@ class TestRealization:
             )
 
 
+def _nudge(x: float, ulps: int) -> float:
+    """x moved |ulps| representable floats up (ulps > 0) or down."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, ulps)))
+    return x
+
+
 @st.composite
 def region_cases(draw):
-    """A map, user positions and radii that stress the disk test's edges."""
+    """A map, user positions and radii that stress the disk test's edges and
+    the edges of the window of grids measured around each user."""
     edge = draw(st.sampled_from([0.5, 1.0, 137.5, 200.0]))
-    grid = GridMap(draw(st.integers(1, 12)), draw(st.integers(1, 12)), edge)
+    sides = st.one_of(st.just(1), st.integers(1, 12))  # 1-wide and 1-tall maps
+    grid = GridMap(draw(sides), draw(sides), edge)
     n_users = draw(st.integers(1, 6))
     diag = math.hypot(grid.width_m, grid.height_m)
     radius = st.one_of(
@@ -177,16 +222,30 @@ def region_cases(draw):
         st.sampled_from([0.5 * edge, edge, 2.0 * edge, math.sqrt(2.0) * edge]),
         st.floats(0.0, diag),
         st.just(2.0 * diag),  # every grid of the map, from any corner
+        st.floats(diag, 8.0 * diag),  # beyond the diagonal
     )
     r_lo, r_hi = sorted((draw(radius), draw(radius)))
+    if draw(st.booleans()):
+        r_lo = r_hi  # every radius exactly r_hi, so p +- r is known exactly
 
     def coord(length, count):
-        # the walls, grid centers (ties with the radius) or anywhere between
+        # a disk edge p - r or p + r on a grid line, or ulps either side
+        on_line = st.tuples(
+            st.integers(-2, count + 2),
+            st.sampled_from([r_lo, r_hi]),
+            st.sampled_from([-1.0, 1.0]),
+            st.sampled_from([-2, -1, 0, 1, 2]),
+        ).map(lambda a: _nudge(a[0] * edge + a[2] * a[1], a[3]))
         return draw(
             st.one_of(
+                # the walls, grid centers (ties with the radius) or anywhere between
                 st.sampled_from([0.0, length]),
                 st.integers(0, count - 1).map(lambda k: (k + 0.5) * edge),
                 st.floats(0.0, length),
+                # off the map, which MobilityState accepts
+                st.floats(-3.0 * length - 4.0 * edge, -1e-9),
+                st.floats(length + 1e-9, 4.0 * length + 4.0 * edge),
+                on_line,
             )
         )
 
@@ -209,18 +268,51 @@ def region_cases(draw):
     return cfg, MobilityState(np.array(positions)), draw(st.integers(1, 50))
 
 
+def assert_same_slot(fast, ref):
+    assert fast.weights.values.tobytes() == ref.weights.values.tobytes()
+    assert fast.true_costs.tobytes() == ref.true_costs.tobytes()
+    assert len(fast.regions) == len(ref.regions)
+    for a, b in zip(fast.regions, ref.regions):
+        assert a.indices.tolist() == b.indices.tolist()
+
+
 class TestRegionOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(region_cases())
     def test_matches_per_user_loop_bit_for_bit(self, case):
         cfg, state, slot = case
         fast = build_slot_realization(state, cfg, slot, slot_rng(cfg, slot))
         ref = build_slot_realization_loop(state, cfg, slot, slot_rng(cfg, slot))
-        assert fast.weights.values.tobytes() == ref.weights.values.tobytes()
-        assert fast.true_costs.tobytes() == ref.true_costs.tobytes()
-        assert len(fast.regions) == len(ref.regions) == cfg.n_users
-        for a, b in zip(fast.regions, ref.regions):
-            assert a.indices.tolist() == b.indices.tolist()
+        assert len(fast.regions) == cfg.n_users
+        assert_same_slot(fast, ref)
+
+    @pytest.mark.parametrize("edge", [0.5, 137.5, 200.0])
+    @pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("radius_in_edges", [0.0, 0.5, 1.0, 2.0, 3.0, 50.0])
+    def test_disk_edges_on_grid_lines(self, edge, shape, radius_in_edges):
+        """Every user sits where p - r or p + r is a multiple of the edge, or
+        one or two floats beside it, in both axes, on and off the map."""
+        grid = GridMap(shape[0], shape[1], edge)
+        r = radius_in_edges * edge
+
+        def near_lines(count):
+            return [
+                _nudge(k * edge + sign * r, ulps)
+                for k in range(-2, count + 3)
+                for sign in (-1.0, 1.0)
+                for ulps in (-2, -1, 0, 1, 2)
+            ]
+
+        xs, ys = near_lines(grid.width_grids), near_lines(grid.height_grids)
+        # every x against a stride of the y values, and the transpose
+        positions = np.array(
+            [(x, y) for x in xs for y in ys[::7]] + [(x, y) for x in xs[::7] for y in ys]
+        )
+        cfg = config(map=grid, n_users=len(positions), radius_min_m=r, radius_max_m=r)
+        state = MobilityState(positions)
+        fast = build_slot_realization(state, cfg, 1, slot_rng(cfg, 1))
+        ref = build_slot_realization_loop(state, cfg, 1, slot_rng(cfg, 1))
+        assert_same_slot(fast, ref)
 
     def test_matches_on_desk_scale_stream(self):
         cfg = config(map=GridMap(50, 50, 200.0), n_users=100, seed=42)
@@ -228,9 +320,7 @@ class TestRegionOracle:
         for t in range(1, 6):
             fast = build_slot_realization(state, cfg, t, slot_rng(cfg, t))
             ref = build_slot_realization_loop(state, cfg, t, slot_rng(cfg, t))
-            assert fast.true_costs.tobytes() == ref.true_costs.tobytes()
-            for a, b in zip(fast.regions, ref.regions):
-                assert np.array_equal(a.indices, b.indices)
+            assert_same_slot(fast, ref)
             state = step_mobility(state, cfg, slot_rng(cfg, t))
 
 

@@ -58,7 +58,18 @@ class TestGridMap:
         assert centers[1].tolist() == [150.0, 50.0]
         assert centers[3].tolist() == [50.0, 150.0]
 
-    @pytest.mark.parametrize("w,h,e", [(0, 2, 1.0), (2, -1, 1.0), (2, 2, 0.0)])
+    @pytest.mark.parametrize(
+        "w,h,e",
+        [
+            (0, 2, 1.0),
+            (2, -1, 1.0),
+            (2, 2, 0.0),
+            (2, 2, -1.0),
+            (2, 2, np.nan),
+            (2, 2, np.inf),
+            (2, 3, 1e308),  # finite edge, infinite map
+        ],
+    )
     def test_rejects_bad_dimensions(self, w, h, e):
         with pytest.raises(ValueError):
             GridMap(w, h, e)
@@ -98,6 +109,44 @@ class TestTypes:
         assert SensingRegion(8, np.array([[4, 0]])).indices.tolist() == [0, 4]
         with pytest.raises(ValueError):
             SensingRegion(8, np.array([9, 1]))
+
+    def test_split_sorted_cuts_read_only_disjoint_slices(self):
+        grids = np.array([3, 7, 1, 2, 5, 0], dtype=np.int64)
+        regions = SensingRegion.split_sorted(8, grids, [0, 2, 3, 0, 1, 0])
+        assert [r.indices.tolist() for r in regions] == [[], [3, 7], [1, 2, 5], [], [0], []]
+        assert all(r.n_grids == 8 for r in regions)
+        assert regions[2].mask == 0b100110 and regions[2].covers(5)
+        grids[0] = 6  # the regions hold a private copy
+        assert regions[1].indices.tolist() == [3, 7]
+        for k, a in enumerate(regions):
+            assert not a.indices.flags.writeable
+            with pytest.raises(ValueError):
+                a.indices[...] = 0
+            for b in regions[k + 1 :]:
+                assert not np.shares_memory(a.indices, b.indices)
+
+    def test_split_sorted_empty_input(self):
+        regions = SensingRegion.split_sorted(4, np.empty(0, dtype=np.int64), [0, 0])
+        assert [r.size for r in regions] == [0, 0]
+        assert SensingRegion.split_sorted(4, [], []) == ()
+        with pytest.raises(ValueError):
+            SensingRegion.split_sorted(0, [], [])
+
+    @pytest.mark.parametrize(
+        "grids, counts",
+        [
+            ([1, 8], [2]),  # past the end
+            ([-1, 3], [2]),  # negative
+            ([3, 1], [2]),  # unsorted within a region
+            ([1, 4, 4], [1, 2]),  # duplicate within a region
+            ([2, 5, 1, 0], [2, 2]),  # second region unsorted
+            ([1, 2], [1]),  # counts too short
+            ([1, 2], [3, -1]),  # negative count
+        ],
+    )
+    def test_split_sorted_rejects_bad_input(self, grids, counts):
+        with pytest.raises(ValueError):
+            SensingRegion.split_sorted(8, np.array(grids), counts)
 
     def test_empty_region_permitted(self):
         region = SensingRegion.empty(8)
