@@ -53,7 +53,13 @@ from .auction import (
     run_auction_slot,
     truthfulness_sweep,
 )
-from .baselines import VpcState, greedy_baseline_step, radp_vpc_step, random_baseline_step
+from .baselines import (
+    VpcState,
+    greedy_baseline_step,
+    radp_vpc_step,
+    random_baseline_step,
+    vpc_update,
+)
 from .scenarios import (
     MobilityState,
     ScenarioConfig,
@@ -65,7 +71,6 @@ from .scenarios import (
 from .engine import (
     PolicySpec,
     TraceMetrics,
-    UserLedger,
     apply_dropping,
     compute_summary,
     run_policy,

@@ -27,6 +27,7 @@ from .solver import (
     DEFAULT_EXACT_LIMIT,
     SolverCapacityError,
     RegulatedInstance,
+    freeze_ineligible,
     slot_value_table,
     solve_exact,
     subset_linear_table,
@@ -35,7 +36,7 @@ from .solver import (
     tiebreak_tables,
     TIE_TOL,
 )
-from .world import Allocation, SlotRealization
+from .world import Allocation, SlotRealization, evaluate_allocation
 
 __all__ = [
     "ExactPivotsRequiredError",
@@ -73,6 +74,11 @@ class RegulationState:
             raise ValueError("slot_index starts at 1")
         r.flags.writeable = False
         object.__setattr__(self, "factors", r)
+
+    @property
+    def bonus(self) -> np.ndarray:
+        """The amount taken off each user's bid: its factor r_n."""
+        return self.factors
 
     @classmethod
     def initial(cls, thresholds: np.ndarray, phi: float) -> "RegulationState":
@@ -118,7 +124,6 @@ class AuctionOutcome:
     alloc: Allocation
     payments: np.ndarray
     regulated_welfare: float
-    value_term: float
     per_winner_pivot: tuple[PivotTerms, ...]
 
 
@@ -157,25 +162,20 @@ def run_auction_slot(
     state: RegulationState,
     realization: SlotRealization,
     bids: BidVector,
-    thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
-) -> tuple[AuctionOutcome, RegulationState]:
-    """Allocate on regulated bids, pay winners their pivots, update factors."""
+) -> AuctionOutcome:
+    """Allocate on regulated bids and pay winners their pivots; regulation_update
+    moves the factors."""
     n = realization.n_users
     if bids.n_users != n:
         raise ValueError("bid vector length must match user count")
-    if eligible is None:
-        eligible = np.ones(n, dtype=bool)
-    kappa = bids.bids - state.factors
+    kappa = bids.bids - state.bonus
     inst = RegulatedInstance.of(realization, kappa, eligible)
     result = _exact_or_refuse(inst, exact_limit)
 
     winners = result.alloc.indices()
-    covered = np.zeros(realization.n_grids, dtype=bool)
-    for u in winners:
-        covered[realization.regions[u].indices] = True
-    value_term = float(realization.weights.values[covered].sum())
+    value_term = evaluate_allocation(realization, result.alloc).value
 
     payments = np.zeros(n)
     pivots = []
@@ -195,23 +195,26 @@ def run_auction_slot(
         )
         pivots.append(PivotTerms(u, others_cost, welfare_without))
 
-    outcome = AuctionOutcome(
+    return AuctionOutcome(
         alloc=result.alloc,
         payments=payments,
         regulated_welfare=result.objective,
-        value_term=value_term,
         per_winner_pivot=tuple(pivots),
     )
-    return outcome, regulation_update(state, result.alloc, thresholds)
 
 
 def regulation_update(
-    state: RegulationState, alloc: Allocation, thresholds: np.ndarray
+    state: RegulationState,
+    alloc: Allocation,
+    thresholds: np.ndarray,
+    eligible: np.ndarray | None = None,
 ) -> RegulationState:
-    """r <- ([phi r - x]^+ + D) / phi, the virtual-queue recursion over phi."""
+    """r <- ([phi r - x]^+ + D) / phi, the virtual-queue recursion over phi;
+    ineligible users' factors stay unchanged."""
     x = alloc.selected.astype(float)
     d = np.asarray(thresholds, dtype=float)
     r = (np.maximum(state.phi * state.factors - x, 0.0) + d) / state.phi
+    r = freeze_ineligible(r, state.factors, eligible)
     return RegulationState(factors=r, phi=state.phi, slot_index=state.slot_index + 1)
 
 

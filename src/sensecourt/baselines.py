@@ -6,10 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import RegulatedInstance, SolveOptions, solve, solve_greedy
+from .solver import SolveOptions, freeze_ineligible, regulated_allocate
+from .solver import solve, solve_greedy  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .world import Allocation, SlotRealization
 
-__all__ = ["VpcState", "radp_vpc_step", "greedy_baseline_step", "random_baseline_step"]
+__all__ = [
+    "VpcState",
+    "vpc_update",
+    "radp_vpc_step",
+    "greedy_baseline_step",
+    "random_baseline_step",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,9 +35,26 @@ class VpcState:
         v.flags.writeable = False
         object.__setattr__(self, "credits", v)
 
+    @property
+    def bonus(self) -> np.ndarray:
+        """The amount taken off each user's cost: its credit."""
+        return self.credits
+
     @classmethod
     def initial(cls, n_users: int, alpha: float) -> "VpcState":
         return cls(credits=np.zeros(n_users), alpha=alpha)
+
+
+def vpc_update(
+    state: VpcState,
+    alloc: Allocation,
+    thresholds: np.ndarray | None = None,
+    eligible: np.ndarray | None = None,
+) -> VpcState:
+    """Reset winners' credits to 0 and grow losers' by alpha; ineligible users
+    keep theirs. thresholds is unused; it keeps the common update signature."""
+    credits = np.where(alloc.selected, 0.0, state.credits + state.alpha)
+    return VpcState(freeze_ineligible(credits, state.credits, eligible), state.alpha)
 
 
 def radp_vpc_step(
@@ -39,28 +63,16 @@ def radp_vpc_step(
     eligible: np.ndarray | None = None,
     options: SolveOptions = SolveOptions(),
 ) -> tuple[Allocation, VpcState]:
-    """Allocate with credit-discounted costs, then reset or grow credits.
-
-    Only eligible users' credits move; ineligible (dropped) users keep
-    theirs frozen.
-    """
-    if eligible is None:
-        eligible = np.ones(realization.n_users, dtype=bool)
-    kappa = realization.true_costs - state.credits
-    alloc = solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc
-    credits = state.credits.copy()
-    credits[eligible & alloc.selected] = 0.0
-    credits[eligible & ~alloc.selected] += state.alpha
-    return alloc, VpcState(credits=credits, alpha=state.alpha)
+    """Allocate with credit-discounted costs, then update the credits."""
+    alloc = regulated_allocate(state, realization, eligible, options)
+    return alloc, vpc_update(state, alloc, eligible=eligible)
 
 
 def greedy_baseline_step(
     realization: SlotRealization, eligible: np.ndarray | None = None
 ) -> Allocation:
     """Admit users in descending marginal-welfare order while the gain is positive."""
-    return solve_greedy(
-        RegulatedInstance.of(realization, realization.true_costs, eligible)
-    ).alloc
+    return regulated_allocate(None, realization, eligible, SolveOptions(mode="greedy"))
 
 
 def random_baseline_step(

@@ -7,12 +7,21 @@ the same slots (common random numbers) and only one slot is in memory at a
 time. A single-policy run is the same pass with one policy. The CLI runs
 one such pass per replication, and one replication is its parallel unit.
 
-Each policy owns one state machine and one per-user ledger vector. Every
+The four regulated policies (dual, lyapunov, auction, radp_vpc) share one
+contract: each user is charged its true cost minus the state's `bonus`, and
+the policy's update(state, alloc, thresholds, eligible) advances the state
+from the selection and leaves ineligible users' values unchanged. Dual,
+lyapunov and radp_vpc allocate through `solver.regulated_allocate` on that
+bonus, and greedy is the same allocation with bonus 0 in greedy mode; only
+the allocation branches by kind, since the auction prices and random draws
+an order.
+
+Each policy keeps its state and per-user selection and seen counts. Every
 user is force-selected during the warmup slots (regulation states still
 update as if selected); afterwards the policy allocates among active users
 only, and any active user whose running selection frequency falls strictly
 below its threshold drops permanently. Dropped users keep their regulation
-state frozen and leave the eligibility set for good.
+frozen and leave the eligibility set for good.
 """
 
 from __future__ import annotations
@@ -34,13 +43,12 @@ from .scenarios import (
     ScenarioConfig,
     realization_stream,
 )
-from .solver import SolveOptions
+from .solver import SolveOptions, regulated_allocate
 from .world import Allocation, SlotRealization, evaluate_allocation
 
 __all__ = [
     "POLICY_KINDS",
     "PolicySpec",
-    "UserLedger",
     "TraceMetrics",
     "apply_dropping",
     "compute_summary",
@@ -79,23 +87,6 @@ class PolicySpec:
 
 
 @dataclass
-class UserLedger:
-    """Long-term bookkeeping for one user."""
-
-    threshold: float
-    selections: int = 0
-    slots_seen: int = 0
-    active: bool = True
-    dropped_at: int | None = None
-
-    @property
-    def allocation_probability(self) -> float:
-        if self.slots_seen == 0:
-            return 0.0
-        return self.selections / self.slots_seen
-
-
-@dataclass
 class TraceMetrics:
     """Per-slot and cumulative statistics of one run."""
 
@@ -113,119 +104,40 @@ class TraceMetrics:
     regulation: np.ndarray  # (T, N) bonus applied to each user's cost
     payments_series: np.ndarray | None  # (T, N), auction runs only
     drop_events: tuple[tuple[int, int], ...]  # (user, slot)
-    final_ledgers: list[UserLedger]
     final_policy_state: object
     summary: dict = field(default_factory=dict)
 
 
-def apply_dropping(ledgers: list[UserLedger], slot: int) -> list[int]:
+def apply_dropping(
+    active: np.ndarray, alloc_prob: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
     """Drop every active user whose frequency is strictly below its threshold.
 
-    Returns the indices of newly dropped users. Drops are permanent.
+    Clears the dropped users in `active` in place and returns their indices.
+    Drops are permanent: an inactive user is never dropped again.
     """
-    dropped = []
-    for u, ledger in enumerate(ledgers):
-        if ledger.active and ledger.allocation_probability < ledger.threshold:
-            ledger.active = False
-            ledger.dropped_at = slot
-            dropped.append(u)
+    dropped = np.flatnonzero(active & (alloc_prob < thresholds))
+    active[dropped] = False
     return dropped
 
 
-class _PolicyRunner:
-    """Allocation/update/bonus adapter that freezes dropped users' state."""
-
-    def __init__(
-        self,
-        spec: PolicySpec,
-        n_users: int,
-        thresholds: np.ndarray,
-        options: SolveOptions,
-        seed: int,
-    ):
-        self.spec = spec
-        self.thresholds = thresholds
-        self.options = options
-        kind = spec.kind
-        # each random policy draws from its own generator, as it would alone
-        self.rng = (
-            np.random.default_rng([seed, RANDOM_POLICY_STREAM]) if kind == "random" else None
-        )
-        if kind == "dual":
-            self.state = _dual.DualState.initial(n_users, spec.schedule)
-        elif kind == "lyapunov":
-            self.state = _lyap.QueueState.initial(n_users, spec.phi)
-        elif kind == "auction":
-            self.state = _auction.RegulationState.initial(thresholds, spec.phi)
-        elif kind == "radp_vpc":
-            self.state = _baselines.VpcState.initial(n_users, spec.alpha)
-        else:
-            self.state = None
-
-    def bonus(self) -> np.ndarray | float:
-        kind = self.spec.kind
-        if kind == "dual":
-            return self.state.multipliers
-        if kind == "lyapunov":
-            return self.state.backlogs / self.state.phi
-        if kind == "auction":
-            return self.state.factors
-        if kind == "radp_vpc":
-            return self.state.credits
-        return 0.0
-
-    def allocate(
-        self, realization: SlotRealization, eligible: np.ndarray
-    ) -> tuple[Allocation, np.ndarray | None]:
-        kind = self.spec.kind
-        if kind == "dual":
-            return _dual.dual_allocate(self.state, realization, eligible, self.options), None
-        if kind == "lyapunov":
-            return _lyap.lyapunov_allocate(self.state, realization, eligible, self.options), None
-        if kind == "auction":
-            outcome, _ = _auction.run_auction_slot(
-                self.state,
-                realization,
-                _auction.BidVector(realization.true_costs),
-                self.thresholds,
-                eligible,
-                self.options.exact_limit,
-            )
-            return outcome.alloc, outcome.payments
-        if kind == "radp_vpc":
-            alloc, _ = _baselines.radp_vpc_step(
-                self.state, realization, eligible, self.options
-            )
-            return alloc, None
-        if kind == "greedy":
-            return _baselines.greedy_baseline_step(realization, eligible), None
-        return _baselines.random_baseline_step(realization, eligible, self.rng), None
-
-    def update(self, alloc: Allocation, eligible: np.ndarray) -> None:
-        kind = self.spec.kind
-        if kind == "dual":
-            new = _dual.dual_update(self.state, alloc, self.thresholds)
-            lam = np.where(eligible, new.multipliers, self.state.multipliers)
-            self.state = _dual.DualState(
-                lam, new.cumulative_selected, new.slot_index, new.schedule
-            )
-        elif kind == "lyapunov":
-            new = _lyap.queue_update(self.state, alloc, self.thresholds)
-            q = np.where(eligible, new.backlogs, self.state.backlogs)
-            self.state = _lyap.QueueState(q, new.phi, new.slot_index)
-        elif kind == "auction":
-            new = _auction.regulation_update(self.state, alloc, self.thresholds)
-            r = np.where(eligible, new.factors, self.state.factors)
-            self.state = _auction.RegulationState(r, new.phi, new.slot_index)
-        elif kind == "radp_vpc":
-            credits = self.state.credits.copy()
-            credits[eligible & alloc.selected] = 0.0
-            credits[eligible & ~alloc.selected] += self.state.alpha
-            self.state = _baselines.VpcState(credits, self.state.alpha)
+def _regulator(spec: PolicySpec, thresholds: np.ndarray):
+    """A policy's initial state and its update(state, alloc, thresholds,
+    eligible), or (None, None) for greedy and random, which carry no state."""
+    n = thresholds.size
+    if spec.kind == "dual":
+        return _dual.DualState.initial(n, spec.schedule), _dual.dual_update
+    if spec.kind == "lyapunov":
+        return _lyap.QueueState.initial(n, spec.phi), _lyap.queue_update
+    if spec.kind == "auction":
+        return _auction.RegulationState.initial(thresholds, spec.phi), _auction.regulation_update
+    if spec.kind == "radp_vpc":
+        return _baselines.VpcState.initial(n, spec.alpha), _baselines.vpc_update
+    return None, None
 
 
 class _Lane:
-    """One policy inside a lockstep pass: its runner, ledgers and (T, N) rows.
+    """One policy inside a lockstep pass: its state, counts and (T, N) rows.
 
     The row arrays are allocated for `capacity` slots and doubled by `grow`
     when a stream of unknown length outlasts them.
@@ -240,21 +152,29 @@ class _Lane:
         capacity: int,
     ):
         n = thresholds.size
-        self.runner = _PolicyRunner(spec, n, thresholds, options, seed)
-        self.ledgers = [UserLedger(float(d)) for d in thresholds]
+        self.spec = spec
+        self.thresholds = thresholds
+        self.options = options
+        # each random policy draws from its own generator, as it would alone
+        self.rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
+        self.state, self.update = _regulator(spec, thresholds)
+        self.eligible = np.ones(n, dtype=bool)
+        self.selections = np.zeros(n, dtype=np.int64)
+        self.seen = np.zeros(n, dtype=np.int64)
         self.drop_events: list[tuple[int, int]] = []
         self.welfare = np.empty(capacity)
         self.alloc_prob = np.empty((capacity, n))
         self.selected = np.empty((capacity, n), dtype=bool)
         self.active = np.empty((capacity, n), dtype=bool)
         self.regulation = np.empty((capacity, n))
-        self.payments = np.empty((capacity, n)) if spec.kind == "auction" else None
+        # warmup slots pay nothing
+        self.payments = np.zeros((capacity, n)) if spec.kind == "auction" else None
 
     def grow(self, capacity: int) -> None:
         for name in ("welfare", "alloc_prob", "selected", "active", "regulation", "payments"):
             rows = getattr(self, name)
             if rows is not None:
-                grown = np.empty((capacity,) + rows.shape[1:], dtype=rows.dtype)
+                grown = np.zeros((capacity,) + rows.shape[1:], dtype=rows.dtype)
                 grown[: rows.shape[0]] = rows
                 setattr(self, name, grown)
 
@@ -263,44 +183,51 @@ class _Lane:
     ) -> None:
         """Allocate, record and update for 1-based slot t."""
         k = t - 1
-        eligible = np.array([lg.active for lg in self.ledgers])
-        self.regulation[k] = np.where(eligible, self.runner.bonus(), 0.0)
+        eligible = self.eligible
+        bonus = 0.0 if self.state is None else self.state.bonus
+        self.regulation[k] = np.where(eligible, bonus, 0.0)
         self.active[k] = eligible
 
-        payments = None
         if t <= warmup_slots:
-            alloc = Allocation(eligible.copy())
+            alloc = Allocation(eligible)
+        elif self.spec.kind == "auction":
+            bids = _auction.BidVector(realization.true_costs)
+            outcome = _auction.run_auction_slot(
+                self.state, realization, bids, eligible, self.options.exact_limit
+            )
+            alloc = outcome.alloc
+            self.payments[k] = outcome.payments
+        elif self.spec.kind == "random":
+            alloc = _baselines.random_baseline_step(realization, eligible, self.rng)
+        elif self.spec.kind == "greedy":
+            alloc = _baselines.greedy_baseline_step(realization, eligible)
         else:
-            alloc, payments = self.runner.allocate(realization, eligible)
-        if self.payments is not None:
-            self.payments[k] = payments if payments is not None else 0.0
+            alloc = regulated_allocate(self.state, realization, eligible, self.options)
 
         self.welfare[k] = evaluate_allocation(realization, alloc).welfare
         self.selected[k] = alloc.selected
+        self.seen += eligible
+        self.selections += alloc.selected
+        np.divide(self.selections, self.seen, out=self.alloc_prob[k])
 
-        for u, ledger in enumerate(self.ledgers):
-            if ledger.active:
-                ledger.slots_seen += 1
-                ledger.selections += int(alloc.selected[u])
-        self.alloc_prob[k] = [lg.allocation_probability for lg in self.ledgers]
-
-        self.runner.update(alloc, eligible)
+        if self.update is not None:
+            self.state = self.update(self.state, alloc, self.thresholds, eligible)
 
         if dropping and t > warmup_slots:
-            for u in apply_dropping(self.ledgers, t):
-                self.drop_events.append((u, t))
+            dropped = apply_dropping(eligible, self.alloc_prob[k], self.thresholds)
+            self.drop_events.extend((u, t) for u in dropped.tolist())
 
     def metrics(
         self, t: int, warmup_slots: int, replication: int, seed: int
     ) -> TraceMetrics:
         welfare = self.welfare[:t]
         metrics = TraceMetrics(
-            policy_label=self.runner.spec.label,
+            policy_label=self.spec.label,
             replication=replication,
             seed=seed,
             t_slots=t,
             warmup_slots=warmup_slots,
-            thresholds=self.runner.thresholds,
+            thresholds=self.thresholds,
             welfare_series=welfare,
             running_avg_welfare=np.cumsum(welfare) / np.arange(1, t + 1),
             alloc_prob_series=self.alloc_prob[:t],
@@ -309,8 +236,7 @@ class _Lane:
             regulation=self.regulation[:t],
             payments_series=None if self.payments is None else self.payments[:t],
             drop_events=tuple(self.drop_events),
-            final_ledgers=self.ledgers,
-            final_policy_state=self.runner.state,
+            final_policy_state=self.state,
         )
         metrics.summary = compute_summary(metrics)
         return metrics
@@ -351,6 +277,8 @@ def run_policy(
     specs = (policy,) if single else tuple(policy)
     if not specs:
         raise ValueError("run_policy needs at least one policy")
+    if warmup_slots < 0:
+        raise ValueError("warmup_slots must be non-negative")
     if t_slots is None and isinstance(realizations, Sized):
         t_slots = len(realizations)
     if t_slots is not None:
@@ -401,10 +329,6 @@ def run_simulation(
 
     Returns what run_policy returns for the same policy argument.
     """
-    if t_slots < 1:
-        raise ValueError("t_slots must be at least 1")
-    if not 0 <= warmup_slots <= t_slots:
-        raise ValueError("need 0 <= warmup_slots <= t_slots")
     thresholds = np.broadcast_to(
         np.asarray(thresholds, dtype=float), (config.n_users,)
     ).copy()
@@ -431,7 +355,7 @@ def compute_summary(
     """
     t, w = metrics.t_slots, metrics.warmup_slots
     post = metrics.welfare_series[w:] if t > w else metrics.welfare_series
-    n = len(metrics.final_ledgers)
+    n = metrics.thresholds.size
     summary = {
         "policy": metrics.policy_label,
         "replication": metrics.replication,
@@ -441,9 +365,7 @@ def compute_summary(
         "n_users": n,
         "avg_welfare": float(post.mean()),
         "dropping_fraction": len(metrics.drop_events) / n,
-        "min_alloc_prob": min(
-            lg.allocation_probability for lg in metrics.final_ledgers
-        ),
+        "min_alloc_prob": float(metrics.alloc_prob_series[-1].min()),
     }
     if benchmarks is not None:
         unconstrained, constrained = benchmarks

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import RegulatedInstance, SolveOptions, solve
-from .world import Allocation, SlotRealization
+from .solver import freeze_ineligible, regulated_allocate
+from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
+from .world import Allocation
 
 __all__ = ["StepSchedule", "DualState", "dual_allocate", "dual_update"]
 
@@ -77,6 +78,11 @@ class DualState:
         object.__setattr__(self, "multipliers", lam)
         object.__setattr__(self, "cumulative_selected", cum)
 
+    @property
+    def bonus(self) -> np.ndarray:
+        """The amount taken off each user's cost: its multiplier."""
+        return self.multipliers
+
     @classmethod
     def initial(cls, n_users: int, schedule: StepSchedule | None = None) -> "DualState":
         if schedule is None:
@@ -89,22 +95,21 @@ class DualState:
         )
 
 
-def dual_allocate(
+# maximize value - cost + sum(multiplier * x) over eligible users
+dual_allocate = regulated_allocate
+
+
+def dual_update(
     state: DualState,
-    realization: SlotRealization,
+    alloc: Allocation,
+    thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
-    options: SolveOptions = SolveOptions(),
-) -> Allocation:
-    """Maximize value - cost + sum(multiplier * x) over eligible users."""
-    kappa = realization.true_costs - state.multipliers
-    return solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc
-
-
-def dual_update(state: DualState, alloc: Allocation, thresholds: np.ndarray) -> DualState:
+) -> DualState:
     """Projected subgradient step against the running allocation frequency.
 
     The frequency includes the slot just allocated, so at slot t the noisy
-    subgradient is (1/t) * selections(1..t) - threshold.
+    subgradient is (1/t) * selections(1..t) - threshold. Ineligible users'
+    multipliers stay unchanged.
     """
     t = state.slot_index
     x = alloc.selected.astype(np.int64)
@@ -113,7 +118,7 @@ def dual_update(state: DualState, alloc: Allocation, thresholds: np.ndarray) -> 
     eps = state.schedule.step(t)
     lam = np.maximum(state.multipliers - eps * (dbar - np.asarray(thresholds, dtype=float)), 0.0)
     return DualState(
-        multipliers=lam,
+        multipliers=freeze_ineligible(lam, state.multipliers, eligible),
         cumulative_selected=cum,
         slot_index=t + 1,
         schedule=state.schedule,

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .solver import RegulatedInstance, SolveOptions, solve
+from .solver import freeze_ineligible, regulated_allocate
+from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .world import Allocation, SlotRealization, evaluate_allocation
 
 __all__ = [
@@ -46,26 +47,30 @@ class QueueState:
         q.flags.writeable = False
         object.__setattr__(self, "backlogs", q)
 
+    @property
+    def bonus(self) -> np.ndarray:
+        """The amount taken off each user's cost: q_n / phi."""
+        return self.backlogs / self.phi
+
     @classmethod
     def initial(cls, n_users: int, phi: float) -> "QueueState":
         return cls(backlogs=np.zeros(n_users), phi=phi)
 
 
-def lyapunov_allocate(
+# maximize value - cost + sum(q_n / phi * x_n) over eligible users
+lyapunov_allocate = regulated_allocate
+
+
+def queue_update(
     state: QueueState,
-    realization: SlotRealization,
+    alloc: Allocation,
+    thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
-    options: SolveOptions = SolveOptions(),
-) -> Allocation:
-    """Maximize value - cost + sum(q_n / phi * x_n) over eligible users."""
-    kappa = realization.true_costs - state.backlogs / state.phi
-    return solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc
-
-
-def queue_update(state: QueueState, alloc: Allocation, thresholds: np.ndarray) -> QueueState:
-    """q <- [q - x]^+ + D, one virtual arrival per slot per user."""
+) -> QueueState:
+    """q <- [q - x]^+ + D, one virtual arrival per slot; ineligible users' q stay unchanged."""
     x = alloc.selected.astype(float)
     q = np.maximum(state.backlogs - x, 0.0) + np.asarray(thresholds, dtype=float)
+    q = freeze_ineligible(q, state.backlogs, eligible)
     return QueueState(backlogs=q, phi=state.phi, slot_index=state.slot_index + 1)
 
 

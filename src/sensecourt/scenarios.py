@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -97,6 +98,8 @@ class MobilityState:
         pos = np.array(self.positions, dtype=float, copy=True)
         if pos.ndim != 2 or pos.shape[1] != 2:
             raise ValueError("positions must have shape (n_users, 2)")
+        if not np.all(np.isfinite(pos)):
+            raise ValueError("positions must be finite")
         pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
@@ -133,13 +136,17 @@ def generate_weight_field(
     return WeightField(profile)
 
 
+@lru_cache(maxsize=8)
 def _hotspot_profile(config: ScenarioConfig) -> np.ndarray:
+    """The static bump of a hotspot config, built once per config; read-only."""
     centers = config.map.centers()
     mid = np.array([config.map.width_m / 2.0, config.map.height_m / 2.0])
     sigma = config.hotspot_sigma_fraction * config.map.width_m
     d2 = ((centers - mid) ** 2).sum(axis=1)
     profile = np.exp(-d2 / (2.0 * sigma * sigma))
-    return profile * (config.mean_weight / profile.mean())
+    profile *= config.mean_weight / profile.mean()
+    profile.flags.writeable = False
+    return profile
 
 
 def step_mobility(

@@ -28,12 +28,14 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "SolverCapacityError",
     "RegulatedInstance",
+    "freeze_ineligible",
     "SolveResult",
     "SolveOptions",
     "solve_exact",
     "solve_greedy",
     "branch_and_bound",
     "solve",
+    "regulated_allocate",
     "subset_value_table",
     "slot_value_table",
     "subset_linear_table",
@@ -88,6 +90,13 @@ class RegulatedInstance:
         if eligible is None:
             eligible = np.ones(realization.n_users, dtype=bool)
         return cls(realization, effective_costs, eligible)
+
+
+def freeze_ineligible(
+    new: np.ndarray, old: np.ndarray, eligible: np.ndarray | None
+) -> np.ndarray:
+    """new for eligible users (all when None), old for the rest: dropped users stay frozen."""
+    return new if eligible is None else np.where(eligible, new, old)
 
 
 @dataclass(frozen=True)
@@ -419,3 +428,17 @@ def solve(inst: RegulatedInstance, options: SolveOptions = SolveOptions()) -> So
     if int(inst.eligible.sum()) <= options.exact_limit:
         return solve_exact(inst, options.exact_limit)
     return branch_and_bound(inst, options.node_budget)
+
+
+def regulated_allocate(
+    state,
+    realization: SlotRealization,
+    eligible: np.ndarray | None = None,
+    options: SolveOptions = SolveOptions(),
+) -> Allocation:
+    """Maximize value - sum((cost - state.bonus) * x) over eligible users.
+
+    The allocation of dual, lyapunov and radp_vpc; a None state is bonus 0 (greedy).
+    """
+    kappa = realization.true_costs - (0.0 if state is None else state.bonus)
+    return solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc

@@ -252,28 +252,28 @@ class Allocation:
 
 @dataclass(frozen=True)
 class WelfareBreakdown:
-    """Per-slot welfare decomposition: value minus cost plus the covered set."""
+    """Per-slot welfare decomposition: value minus cost."""
 
     value: float
     cost: float
     welfare: float
-    covered: frozenset[int]
 
 
-def _check_dims(realization: SlotRealization, alloc: Allocation) -> None:
+def _covered(realization: SlotRealization, alloc: Allocation) -> np.ndarray:
+    """Boolean mask of the grids in the union of the selected users' regions."""
     if alloc.n_users != realization.n_users:
         raise ValueError(
             f"allocation has {alloc.n_users} users, realization has {realization.n_users}"
         )
+    cov = np.zeros(realization.n_grids, dtype=bool)
+    for u in alloc.indices():
+        cov[realization.regions[u].indices] = True
+    return cov
 
 
 def compute_coverage(realization: SlotRealization, alloc: Allocation) -> frozenset[int]:
     """Union of the sensing regions of all selected users."""
-    _check_dims(realization, alloc)
-    cov = np.zeros(realization.n_grids, dtype=bool)
-    for u in alloc.indices():
-        cov[realization.regions[u].indices] = True
-    return frozenset(np.flatnonzero(cov).tolist())
+    return frozenset(np.flatnonzero(_covered(realization, alloc)).tolist())
 
 
 def user_value(realization: SlotRealization, user: int) -> float:
@@ -290,15 +290,6 @@ def evaluate_allocation(realization: SlotRealization, alloc: Allocation) -> Welf
     Value counts each covered grid once; cost is the plain sum of selected
     users' costs; welfare is their difference.
     """
-    _check_dims(realization, alloc)
-    cov = np.zeros(realization.n_grids, dtype=bool)
-    for u in alloc.indices():
-        cov[realization.regions[u].indices] = True
-    value = float(realization.weights.values[cov].sum())
+    value = float(realization.weights.values[_covered(realization, alloc)].sum())
     cost = float(realization.true_costs[alloc.selected].sum())
-    return WelfareBreakdown(
-        value=value,
-        cost=cost,
-        welfare=value - cost,
-        covered=frozenset(np.flatnonzero(cov).tolist()),
-    )
+    return WelfareBreakdown(value=value, cost=cost, welfare=value - cost)

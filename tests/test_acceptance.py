@@ -102,7 +102,7 @@ def test_c2_queue_stability_and_participation():
     )
     elapsed = time.monotonic() - start
     backlogs = metrics.final_policy_state.backlogs
-    probs = np.array([lg.allocation_probability for lg in metrics.final_ledgers])
+    probs = metrics.alloc_prob_series[-1]
     max_ratio = backlogs.max() / t_slots
     report(
         "C2 queue stability and participatory satisfaction",
@@ -224,9 +224,7 @@ def test_c5_truthfulness():
         grid = np.linspace(0.0, 3.0 * costs[user], 201)
         rep = truthfulness_sweep(real, state, costs, user, grid)
         max_regret = max(max_regret, rep.regret)
-        outcome, _ = run_auction_slot(
-            state, real, BidVector(costs), np.full(real.n_users, 0.5)
-        )
+        outcome = run_auction_slot(state, real, BidVector(costs))
         for u in outcome.alloc.indices():
             min_ir_margin = min(min_ir_margin, outcome.payments[u] - costs[u])
         winning = rep.payments[rep.selected]

@@ -41,9 +41,7 @@ def random_auction_instance(rng, n_max=6, grids_max=16):
 class TestSingleBidder:
     def test_profitable_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[2.0])
-        outcome, _ = run_auction_slot(
-            zero_state(1), real, BidVector(np.array([2.0])), np.array([0.5])
-        )
+        outcome = run_auction_slot(zero_state(1), real, BidVector(np.array([2.0])))
         assert outcome.alloc.selected[0]
         assert outcome.payments[0] == pytest.approx(5.0, abs=TOL)
         # utility against the true cost of 2 is +3
@@ -51,9 +49,7 @@ class TestSingleBidder:
 
     def test_loss_making_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[6.0])
-        outcome, _ = run_auction_slot(
-            zero_state(1), real, BidVector(np.array([6.0])), np.array([0.5])
-        )
+        outcome = run_auction_slot(zero_state(1), real, BidVector(np.array([6.0])))
         assert not outcome.alloc.selected[0]
         assert outcome.payments[0] == 0.0
 
@@ -61,9 +57,7 @@ class TestSingleBidder:
 class TestPivots:
     def test_two_disjoint_users_marginal_payment(self):
         real = make_realization(8, [{0, 1, 2}, {3, 4, 5, 6}], costs=[1.0, 1.0])
-        outcome, _ = run_auction_slot(
-            zero_state(2), real, BidVector(real.true_costs), np.array([0.5, 0.5])
-        )
+        outcome = run_auction_slot(zero_state(2), real, BidVector(real.true_costs))
         assert outcome.alloc.selected.tolist() == [True, True]
         # payment to user 0: value 7 - others' cost 1 - welfare without (3) = 3
         assert outcome.payments[0] == pytest.approx(3.0, abs=TOL)
@@ -75,9 +69,7 @@ class TestPivots:
             real, state = random_auction_instance(rng, n_max=5)
             n = real.n_users
             bids = BidVector(real.true_costs)
-            outcome, _ = run_auction_slot(
-                state, real, bids, np.full(n, 0.5)
-            )
+            outcome = run_auction_slot(state, real, bids)
             kappa = bids.bids - state.factors
             weights = real.weights.values
             for pivot in outcome.per_winner_pivot:
@@ -100,10 +92,7 @@ class TestPivots:
         rng = np.random.default_rng(1)
         for _ in range(20):
             real, state = random_auction_instance(rng)
-            outcome, _ = run_auction_slot(
-                state, real, BidVector(real.true_costs),
-                np.full(real.n_users, 0.5),
-            )
+            outcome = run_auction_slot(state, real, BidVector(real.true_costs))
             assert np.all(np.isfinite(outcome.payments))
             assert np.all(outcome.payments[~outcome.alloc.selected] == 0.0)
 
@@ -111,10 +100,7 @@ class TestPivots:
         rng = np.random.default_rng(2)
         for _ in range(40):
             real, state = random_auction_instance(rng)
-            outcome, _ = run_auction_slot(
-                state, real, BidVector(real.true_costs),
-                np.full(real.n_users, 0.5),
-            )
+            outcome = run_auction_slot(state, real, BidVector(real.true_costs))
             for u in outcome.alloc.indices():
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
 
@@ -122,7 +108,7 @@ class TestPivots:
         rng = np.random.default_rng(3)
         real, state = random_auction_instance(rng)
         bids = BidVector(real.true_costs)
-        outcome, _ = run_auction_slot(state, real, bids, np.full(real.n_users, 0.5))
+        outcome = run_auction_slot(state, real, bids)
         res = solve_exact(
             RegulatedInstance.of(real, bids.bids - state.factors)
         )
@@ -131,10 +117,7 @@ class TestPivots:
     def test_refuses_oversized_instances(self):
         real = make_realization(4, [{0}] * 5, costs=[0.1] * 5)
         with pytest.raises(ExactPivotsRequiredError):
-            run_auction_slot(
-                zero_state(5), real, BidVector(real.true_costs),
-                np.full(5, 0.5), exact_limit=4,
-            )
+            run_auction_slot(zero_state(5), real, BidVector(real.true_costs), exact_limit=4)
 
 
 class TestLeaveOneOutAssert:
@@ -227,9 +210,7 @@ class TestTruthfulnessSweep:
         for i, bid in enumerate(grid):
             bids = real.true_costs.copy()
             bids[user] = bid
-            outcome, _ = run_auction_slot(
-                state, real, BidVector(bids), np.full(real.n_users, 0.5)
-            )
+            outcome = run_auction_slot(state, real, BidVector(bids))
             assert bool(outcome.alloc.selected[user]) == bool(report.selected[i])
             assert outcome.payments[user] == pytest.approx(
                 report.payments[i] if report.selected[i] else 0.0, abs=TOL

@@ -228,6 +228,26 @@ class TestShippedConfigDigests:
         assert cmd_simulate(str(path), out=str(out)) == 0
         assert tree_digest(out) == digest
 
+    def test_dropping_welfare_desk_digest(self, tmp_path):
+        """welfare_desk at 200 slots, thresholds 0.6 and C/W 0.7: every lane
+        drops 37.5-75% of its users, so the dropping rule, the selection
+        counts and the eligibility masks reach the written bytes. A dropped
+        user's frozen regulation is not written (its row reads 0); the
+        freeze tests in test_engine.py cover it."""
+        cfg = json.loads((CONFIGS / "welfare_desk.json").read_text())
+        cfg.update(t_slots=200, thresholds=0.6)
+        cfg["scenario"]["cost_to_weight_ratio"] = 0.7
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cmd_simulate(str(path), out=str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(run["dropping_fraction"] > 0 for run in summary["runs"].values())
+        assert (
+            tree_digest(out)
+            == "f9698e85b99c75c63db694a9c854fb419eda68f1e16bc84776593af0d1d2e818"
+        )
+
 
 class TestTruthcheckDigest:
     """The shipped truthcheck config at 16 users and 4 instances writes fixed bytes.
@@ -425,7 +445,6 @@ def awkward_metrics(payments: bool) -> TraceMetrics:
         regulation=grid(),
         payments_series=grid() if payments else None,
         drop_events=((2, 3), (7, 5)),
-        final_ledgers=[],
         final_policy_state=None,
     )
 

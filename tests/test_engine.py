@@ -4,7 +4,6 @@ import pytest
 from sensecourt.benchmark import BenchmarkResult
 from sensecourt.engine import (
     PolicySpec,
-    UserLedger,
     apply_dropping,
     compute_summary,
     run_policy,
@@ -28,28 +27,40 @@ def desk_config(**overrides):
     return ScenarioConfig(**base)
 
 
+def drop(active, selections, seen, threshold):
+    return apply_dropping(
+        active, np.array([selections / seen]), np.array([threshold])
+    ).tolist()
+
+
 class TestApplyDropping:
     def test_strictly_below_threshold_drops(self):
-        ledgers = [UserLedger(0.5, selections=49, slots_seen=100)]
-        assert apply_dropping(ledgers, 101) == [0]
-        assert not ledgers[0].active
-        assert ledgers[0].dropped_at == 101
+        active = np.array([True])
+        assert drop(active, 49, 100, 0.5) == [0]
+        assert not active[0]
 
     def test_boundary_survives(self):
-        ledgers = [UserLedger(0.5, selections=50, slots_seen=100)]
-        assert apply_dropping(ledgers, 101) == []
-        assert ledgers[0].active
+        active = np.array([True])
+        assert drop(active, 50, 100, 0.5) == []
+        assert active[0]
 
     def test_zero_threshold_never_drops(self):
-        ledgers = [UserLedger(0.0, selections=0, slots_seen=500)]
-        assert apply_dropping(ledgers, 501) == []
+        assert drop(np.array([True]), 0, 500, 0.0) == []
 
     def test_drop_is_permanent(self):
-        ledgers = [UserLedger(0.5, selections=0, slots_seen=10)]
-        apply_dropping(ledgers, 11)
-        ledgers[0].selections = 10  # even if the ratio later recovers
-        assert apply_dropping(ledgers, 12) == []
-        assert not ledgers[0].active
+        active = np.array([True])
+        drop(active, 0, 10, 0.5)
+        # even if the ratio later recovers
+        assert drop(active, 10, 11, 0.5) == []
+        assert not active[0]
+
+    def test_only_users_below_their_own_threshold_drop(self):
+        active = np.array([True, True, False, True])
+        dropped = apply_dropping(
+            active, np.array([0.2, 0.6, 0.1, 0.39]), np.array([0.3, 0.5, 0.5, 0.4])
+        )
+        assert dropped.tolist() == [0, 3]
+        assert active.tolist() == [False, True, False, False]
 
 
 class TestRunSimulation:
@@ -59,8 +70,7 @@ class TestRunSimulation:
             cfg, PolicySpec("greedy"), t_slots=30, warmup_slots=30, thresholds=0.5
         )
         assert metrics.drop_events == ()
-        for ledger in metrics.final_ledgers:
-            assert ledger.allocation_probability == 1.0
+        assert np.all(metrics.alloc_prob_series[-1] == 1.0)
 
     def test_same_seed_identical_metrics(self):
         cfg = desk_config()
@@ -84,20 +94,19 @@ class TestRunSimulation:
             assert not metrics.selected[slot:, u].any()
             assert not metrics.active[slot:, u].any()
 
-    def test_ledger_conservation(self):
-        cfg = desk_config()
+    @pytest.mark.parametrize("ratio", [0.4, 1.2])
+    def test_ledger_conservation(self, ratio):
+        cfg = desk_config(cost_to_weight_ratio=ratio)
         metrics = run_simulation(cfg, PolicySpec("greedy"), 100, 10, 0.5)
-        for u, ledger in enumerate(metrics.final_ledgers):
-            assert ledger.selections <= ledger.slots_seen
-            expected_seen = (
-                metrics.t_slots
-                if ledger.active
-                else ledger.dropped_at
-            )
-            assert ledger.slots_seen == expected_seen
-            assert ledger.selections == int(metrics.selected[
-                : ledger.slots_seen, u
-            ].sum())
+        dropped_at = dict(metrics.drop_events)
+        for u in range(cfg.n_users):
+            seen = dropped_at.get(u, metrics.t_slots)
+            assert metrics.active[:seen, u].all() and not metrics.active[seen:, u].any()
+            # frequencies are Python's int / int of the counts, bit for bit
+            for k in range(metrics.t_slots):
+                n_seen = min(k + 1, seen)
+                n_sel = int(metrics.selected[:n_seen, u].sum())
+                assert metrics.alloc_prob_series[k, u] == n_sel / n_seen
 
     def test_warmup_counts_toward_probability(self):
         cfg = desk_config(cost_to_weight_ratio=1.2)
@@ -128,6 +137,8 @@ class TestRunSimulation:
             run_simulation(cfg, PolicySpec("greedy"), 0, 0, 0.5)
         with pytest.raises(ValueError):
             run_simulation(cfg, PolicySpec("greedy"), 5, 9, 0.5)
+        with pytest.raises(ValueError, match="warmup_slots"):
+            run_simulation(cfg, PolicySpec("greedy"), 5, -1, 0.5)
 
     def test_unknown_policy_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -261,13 +272,46 @@ class TestPolicyEquivalences:
         assert np.all(dual.regulation == 0.0)
 
 
+# the regulated value each policy's state carries per user
+REGULATED = {
+    "dual": "multipliers",
+    "lyapunov": "backlogs",
+    "auction": "factors",
+    "radp_vpc": "credits",
+}
+
+
+class TestFreeze:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            PolicySpec("dual"),
+            PolicySpec("lyapunov", phi=5),
+            PolicySpec("auction", phi=5),
+            PolicySpec("radp_vpc", alpha=0.5),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_dropped_user_keeps_its_value_from_the_drop_slot(self, spec):
+        cfg = desk_config(n_users=5, cost_to_weight_ratio=1.2)
+        slots = list(realization_stream(cfg, 120))
+        thresholds = np.full(5, 0.5)
+        solver = SolveOptions(mode="exact")
+        full = run_policy(slots, spec, thresholds, 10, solver=solver)
+        assert len(full.drop_events) == 5
+        final = getattr(full.final_policy_state, REGULATED[spec.kind])
+        for user, slot in full.drop_events:
+            cut = run_policy(slots[:slot], spec, thresholds, 10, solver=solver)
+            at_drop = getattr(cut.final_policy_state, REGULATED[spec.kind])
+            assert at_drop[user].tobytes() == final[user].tobytes()
+
+
 class TestComputeSummary:
     def _metrics(self, welfare, warmup=0, drops=(), n=10):
         from sensecourt.engine import TraceMetrics
 
         t = len(welfare)
         welfare = np.asarray(welfare, dtype=float)
-        ledgers = [UserLedger(0.5, selections=t, slots_seen=t) for _ in range(n)]
         return TraceMetrics(
             policy_label="greedy",
             replication=0,
@@ -283,7 +327,6 @@ class TestComputeSummary:
             regulation=np.zeros((t, n)),
             payments_series=None,
             drop_events=tuple(drops),
-            final_ledgers=ledgers,
             final_policy_state=None,
         )
 

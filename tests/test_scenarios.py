@@ -9,6 +9,7 @@ from sensecourt.scenarios import (
     WEIGHT_MODES,
     MobilityState,
     ScenarioConfig,
+    _hotspot_profile,
     build_slot_realization,
     generate_weight_field,
     initial_state,
@@ -117,8 +118,23 @@ class TestWeights:
                 total += generate_weight_field(cfg, t, slot_rng(cfg, t)).values.mean()
             assert abs(total / 60 - cfg.mean_weight) <= 0.02 * cfg.mean_weight
 
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_hotspot_stream_matches_a_profile_rebuilt_every_slot(self, noise):
+        cfg = config(map=GridMap(13, 7, 150.0), weight_mode="hotspot", temporal_noise=noise)
+        for t, real in enumerate(realization_stream(cfg, 12), start=1):
+            profile = _hotspot_profile.__wrapped__(cfg)  # uncached, built afresh
+            if noise:  # the weights are the slot generator's first draw
+                profile = profile * slot_rng(cfg, t).uniform(0.5, 1.5, size=cfg.map.n_grids)
+            assert real.weights.values.tobytes() == profile.tobytes()
+        assert not _hotspot_profile(cfg).flags.writeable
+
 
 class TestMobility:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_positions(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MobilityState(np.array([[100.0, 100.0], [50.0, bad]]))
+
     def test_zero_step_keeps_positions(self):
         cfg = config(step_max_m=0.0)
         state = initial_state(cfg)

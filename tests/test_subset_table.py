@@ -174,9 +174,7 @@ class TestLeaveOneOutFromTable:
         kappa = real.true_costs - factors
 
         with recorded_pivots() as seen:
-            outcome, _ = run_auction_slot(
-                state, real, BidVector(real.true_costs), np.full(n, 0.5), eligible
-            )
+            outcome = run_auction_slot(state, real, BidVector(real.true_costs), eligible)
         winners = outcome.alloc.indices().tolist()
         assert [p.user for p in outcome.per_winner_pivot] == winners
         assert len(seen) == len(winners)
@@ -236,9 +234,7 @@ class TestSlotMemo:
         calls = self.counting_tables(monkeypatch)
         real = self.instance()
         state = RegulationState(np.full(6, 0.4), phi=5.0)
-        outcome, _ = run_auction_slot(
-            state, real, BidVector(real.true_costs), np.full(6, 0.5)
-        )
+        outcome = run_auction_slot(state, real, BidVector(real.true_costs))
         assert outcome.alloc.indices().size >= 2
         assert calls == [list(range(6))]
 

@@ -212,7 +212,7 @@ class TestEvaluateAllocation:
         real = make_realization(5, [{0, 1}], costs=[3.0])
         wb = evaluate_allocation(real, Allocation.none(1))
         assert (wb.value, wb.cost, wb.welfare) == (0.0, 0.0, 0.0)
-        assert wb.covered == frozenset()
+        assert compute_coverage(real, Allocation.none(1)) == frozenset()
 
     def test_overlap_instance_welfare(self):
         a = set(range(20))
