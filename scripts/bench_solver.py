@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Slot-generation and exact-solver microbenchmark: median ms per generated
-slot at desk and welfare scale, per solve_exact at N = 8, 12, 16, 20 and per
-truthfulness_sweep at N = 8, 12, 16.
+slot at desk and welfare scale, per solve_exact at N = 8, 12, 16, 20, per
+truthfulness_sweep at N = 8, 12, 16 and per dual sweep at (N, T) = (8, 800),
+(8, 10,000) and (12, 800).
 
 Slot generation is timed one next() of realization_stream at a time over the
 first --slots slots of configs/dropping_desk.json (100 users, 2,500 grids)
@@ -21,10 +22,19 @@ regulation factors drawn as `truthcheck` draws them; its time includes its
 subset table. The dense bids x 2^N oracle in tests/oracle_sweep.py is timed
 on the same inputs, and every report must equal it bit for bit.
 
+Each dual trace is the first T slots of configs/welfare_desk.json at N users
+with thresholds 0.5, as `benchmark` builds it. dual_upper_bound runs
+DUAL_ITERATIONS iterations (one sweep each, plus one at the averaged
+multipliers) on the prebuilt welfare tables; its ms per sweep is the run's
+time over its sweep count, median of --instances runs. The dense per-chunk
+oracle in tests/oracle_dual.py is timed the same way on the same tables, and
+its bound and frequencies must equal the fast ones bit for bit.
+
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -36,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from sensecourt.auction import RegulationState, truthfulness_sweep
+from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
 from sensecourt.cli import load_config
 from sensecourt.scenarios import initial_state, realization_stream, slot_rng, step_mobility
 from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact
@@ -43,6 +54,7 @@ from sensecourt.world import SlotRealization
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
+from oracle_dual import dual_upper_bound_dense  # noqa: E402
 from oracle_regions import build_slot_realization_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
@@ -52,6 +64,8 @@ SLOT_CONFIGS = {"desk": CONFIG, "welfare": ROOT / "configs" / "welfare_desk.json
 SIZES = (8, 12, 16, 20)
 SWEEP_SIZES = (8, 12, 16)
 BID_POINTS = 201
+DUAL_SHAPES = ((8, 800), (8, 10_000), (12, 800))
+DUAL_ITERATIONS = 50
 
 
 def first_users(slot: SlotRealization, n: int) -> SlotRealization:
@@ -106,6 +120,30 @@ def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
         if differ:
             raise AssertionError(f"sweep differs from the dense oracle at N={n}: {differ}")
     return statistics.median(sweeps), statistics.median(dense)
+
+
+def time_dual(n: int, t: int, runs: int) -> tuple[float, float]:
+    """Median ms per dual sweep, fast and dense oracle, on one welfare trace."""
+    scenario = load_config(str(SLOT_CONFIGS["welfare"])).scenario
+    scenario = dataclasses.replace(scenario, n_users=n)
+    trace = Trace(tuple(realization_stream(scenario, t)), np.full(n, 0.5))
+    tables = welfare_tables(trace)
+    sweeps = DUAL_ITERATIONS + 1
+    fast, dense = [], []
+    for _ in range(runs):
+        start = time.perf_counter()
+        got = dual_upper_bound(trace, DUAL_ITERATIONS, tables=tables)
+        fast.append((time.perf_counter() - start) * 1e3 / sweeps)
+
+        start = time.perf_counter()
+        want = dual_upper_bound_dense(trace, DUAL_ITERATIONS, tables=tables)
+        dense.append((time.perf_counter() - start) * 1e3 / sweeps)
+        if (
+            got.avg_welfare.hex() != want.avg_welfare.hex()
+            or got.per_user_alloc_prob.tobytes() != want.per_user_alloc_prob.tobytes()
+        ):
+            raise AssertionError(f"dual bound differs from the dense oracle at N={n}, T={t}")
+    return statistics.median(fast), statistics.median(dense)
 
 
 def main() -> int:
@@ -169,6 +207,17 @@ def main() -> int:
             flush=True,
         )
 
+    dual_ms, dual_dense_ms = {}, {}
+    for n, t in DUAL_SHAPES:
+        key = f"N={n},T={t}"
+        dual_ms[key], dual_dense_ms[key] = time_dual(n, t, args.instances)
+        print(
+            f"N={n:2d}, T={t:5d}: dual sweep {dual_ms[key]:8.3f} ms, dense oracle "
+            f"{dual_dense_ms[key]:8.3f} ms ({DUAL_ITERATIONS + 1} sweeps, median of "
+            f"{args.instances})",
+            flush=True,
+        )
+
     report = {
         "slot_configs": {k: str(p.relative_to(ROOT)) for k, p in SLOT_CONFIGS.items()},
         "slots": args.slots,
@@ -186,6 +235,10 @@ def main() -> int:
         "truthfulness_sweep_ms_median": {str(n): sweep_ms[n] for n in SWEEP_SIZES},
         "dense_sweep_oracle_ms_median": {str(n): dense_ms[n] for n in SWEEP_SIZES},
         "sweeps_bit_identical_to_oracle": True,
+        "dual_iterations": DUAL_ITERATIONS,
+        "dual_sweep_ms_median": dual_ms,
+        "dense_dual_oracle_ms_median": dual_dense_ms,
+        "dual_bit_identical_to_oracle": True,
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),

@@ -62,7 +62,6 @@ class RegulationState:
 
     factors: np.ndarray
     phi: float
-    slot_index: int = 1
 
     def __post_init__(self):
         r = np.array(self.factors, dtype=float, copy=True)
@@ -70,8 +69,6 @@ class RegulationState:
             raise ValueError("regulation factors must be non-negative")
         if not self.phi > 0:
             raise ValueError("phi must be positive")
-        if self.slot_index < 1:
-            raise ValueError("slot_index starts at 1")
         r.flags.writeable = False
         object.__setattr__(self, "factors", r)
 
@@ -215,7 +212,7 @@ def regulation_update(
     d = np.asarray(thresholds, dtype=float)
     r = (np.maximum(state.phi * state.factors - x, 0.0) + d) / state.phi
     r = freeze_ineligible(r, state.factors, eligible)
-    return RegulationState(factors=r, phi=state.phi, slot_index=state.slot_index + 1)
+    return RegulationState(factors=r, phi=state.phi)
 
 
 @lru_cache(maxsize=8)

@@ -21,9 +21,9 @@ from .solver import (
     solve,
     subset_linear_table,
     subset_value_table,
-    tiebreak_argmax,
     tiebreak_tables,
     TIE_TOL,
+    _BLOCK_CELLS,
 )
 from .world import SlotRealization
 
@@ -116,14 +116,44 @@ def check_dual_capacity(n_users: int, t_slots: int) -> None:
         )
 
 
+def _rank_order(n: int) -> np.ndarray:
+    """The 2^n local masks sorted by tie-break rank, most preferred first."""
+    return np.argsort(tiebreak_tables(n)[2])
+
+
+def _near_max_picks(ranked: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima of ranked + add, and each row's first column within TIE_TOL.
+
+    `ranked` is a (T, 2^n) subset table with its columns in _rank_order(n),
+    and `add` is one row in the same order. The first near-maximum column is
+    the pick tiebreak_argmax makes on the unpermuted row, found by a boolean
+    argmax in place of an int64 rank array. Rows go in blocks of about
+    _BLOCK_CELLS cells through one float and one boolean buffer.
+    """
+    t, size = ranked.shape
+    rows = min(t, max(1, _BLOCK_CELLS // size))
+    obj = np.empty((rows, size))
+    hit = np.empty((rows, size), dtype=bool)
+    row_best = np.empty(t)
+    picks = np.empty(t, dtype=np.intp)
+    for lo in range(0, t, rows):
+        hi = min(lo + rows, t)
+        block = np.add(ranked[lo:hi], add, out=obj[: hi - lo])
+        best = np.max(block, axis=1, out=row_best[lo:hi])
+        near = np.greater_equal(block, (best - TIE_TOL)[:, None], out=hit[: hi - lo])
+        picks[lo:hi] = near.argmax(axis=1)
+    return row_best, picks
+
+
 def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
+    order = _rank_order(n)
+    ranked = np.take(tables, order, axis=1)
+    _, picks = _near_max_picks(ranked, np.zeros(1 << n))  # + 0.0 keeps every pick
     total = 0.0
-    selections = np.zeros(n)
-    for row in tables:
-        s = tiebreak_argmax(row, n)
-        total += float(row[s])
-        selections += (s >> np.arange(n)) & 1
+    for value in ranked[np.arange(len(ranked)), picks].tolist():
+        total += value  # left to right, as the per-slot solves add
+    selections = ((order[picks][:, None] >> np.arange(n)) & 1).sum(axis=0)
     return total / len(tables), selections / len(tables)
 
 
@@ -215,22 +245,18 @@ def dual_upper_bound(
     d = trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    _, _, tb = tiebreak_tables(n)
-    big = np.iinfo(np.int64).max
+    order = _rank_order(n)
+    ranked = np.take(tables, order, axis=1)  # C-ordered; tables[:, order] is not
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        add = member @ lam
+        add = (member @ lam)[order]
         ghat_sum = 0.0
-        dbar = np.zeros(n)
-        for lo in range(0, t, 4096):
-            obj = tables[lo : lo + 4096] + add[None, :]
-            row_best = obj.max(axis=1)
-            picks = np.where(
-                obj >= row_best[:, None] - TIE_TOL, tb[None, :], big
-            ).argmin(axis=1)
+        counts = np.zeros(size, dtype=np.int64)
+        for lo in range(0, t, 4096):  # the row groups that fix ghat's bits
+            row_best, picks = _near_max_picks(ranked[lo : lo + 4096], add)
             ghat_sum += float(row_best.sum())
-            dbar += member[picks].sum(axis=0)
-        return ghat_sum / t - float(lam @ d), dbar / t
+            counts += np.bincount(order[picks], minlength=size)
+        return ghat_sum / t - float(lam @ d), counts @ member / t
 
     lam = np.zeros(n)
     lam_sum = np.zeros(n)

@@ -34,7 +34,6 @@ class QueueState:
 
     backlogs: np.ndarray
     phi: float
-    slot_index: int = 1
 
     def __post_init__(self):
         q = np.array(self.backlogs, dtype=float, copy=True)
@@ -42,8 +41,6 @@ class QueueState:
             raise ValueError("backlogs must be non-negative")
         if not self.phi > 0:
             raise ValueError("phi must be positive")
-        if self.slot_index < 1:
-            raise ValueError("slot_index starts at 1")
         q.flags.writeable = False
         object.__setattr__(self, "backlogs", q)
 
@@ -71,7 +68,7 @@ def queue_update(
     x = alloc.selected.astype(float)
     q = np.maximum(state.backlogs - x, 0.0) + np.asarray(thresholds, dtype=float)
     q = freeze_ineligible(q, state.backlogs, eligible)
-    return QueueState(backlogs=q, phi=state.phi, slot_index=state.slot_index + 1)
+    return QueueState(backlogs=q, phi=state.phi)
 
 
 def penalty_bound_B(thresholds: np.ndarray) -> float:

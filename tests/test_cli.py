@@ -269,6 +269,26 @@ class TestTruthcheckDigest:
         assert tree_digest(out) == self.GOLDEN
 
 
+class TestBenchmarkDigest:
+    """The shipped welfare config's benchmark at 200 slots writes fixed bytes.
+
+    The digest was recorded from the dense per-chunk dual sweep and the
+    per-row tie-break loop of the unconstrained optimum; the rank-ordered
+    sweep must not change a byte.
+    """
+
+    GOLDEN = "5ab3a3a677927bc5cfce1365e360e55f9e277004192b71cc03611e18729e8b0f"
+
+    def test_output_tree_digest(self, tmp_path):
+        cfg = json.loads((CONFIGS / "welfare_desk.json").read_text())
+        cfg["t_slots"] = 200
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cmd_benchmark(str(path), out=str(out)) == 0
+        assert tree_digest(out) == self.GOLDEN
+
+
 class TestFailBeforeWork:
     """Settings no run can use are refused before any slot or output exists."""
 
