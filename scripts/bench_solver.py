@@ -6,9 +6,10 @@ truthfulness_sweep at N = 8, 12, 16 and per dual sweep at (N, T) = (8, 800),
 
 Slot generation is timed one next() of realization_stream at a time over the
 first --slots slots of configs/dropping_desk.json (100 users, 2,500 grids)
-and configs/welfare_desk.json (8 users, 100 grids). The same slots are then
-rebuilt by the per-user loop in tests/oracle_regions.py, whose time is
-recorded too, and every region, cost and weight must equal it bit for bit.
+and configs/welfare_desk.json (8 users, 100 grids), each with its uniform
+weights and again with hotspot weights and temporal noise. The same slots
+are then rebuilt by the per-user loop in tests/oracle_regions.py, whose time
+is recorded too, and every region, cost and weight must equal it bit for bit.
 
 Each solver instance is the first N users of one dropping-desk slot
 (2,500 grids, disk regions), every user eligible, true costs as charges.
@@ -61,6 +62,7 @@ from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E
 
 CONFIG = ROOT / "configs" / "dropping_desk.json"
 SLOT_CONFIGS = {"desk": CONFIG, "welfare": ROOT / "configs" / "welfare_desk.json"}
+HOTSPOT = {"weight_mode": "hotspot", "temporal_noise": True}
 SIZES = (8, 12, 16, 20)
 SWEEP_SIZES = (8, 12, 16)
 BID_POINTS = 201
@@ -158,16 +160,24 @@ def main() -> int:
         parser.error("--slots must be at least 1")
 
     slot_ms, slot_loop_ms, slot_shape = {}, {}, {}
-    for scale, path in SLOT_CONFIGS.items():
-        scenario = load_config(str(path)).scenario
-        slot_ms[scale], slot_loop_ms[scale] = time_slots(scenario, args.slots)
-        slot_shape[scale] = {"users": scenario.n_users, "grids": scenario.map.n_grids}
-        print(
-            f"{scale:7s}: realization_stream {slot_ms[scale]:7.3f} ms per slot, oracle loop "
-            f"{slot_loop_ms[scale]:7.3f} ms ({scenario.n_users} users, "
-            f"{scenario.map.n_grids} grids, median of {args.slots})",
-            flush=True,
-        )
+    for name, path in SLOT_CONFIGS.items():
+        uniform = load_config(str(path)).scenario
+        for scale, scenario in (
+            (name, uniform),
+            (f"{name}_hotspot", dataclasses.replace(uniform, **HOTSPOT)),
+        ):
+            slot_ms[scale], slot_loop_ms[scale] = time_slots(scenario, args.slots)
+            slot_shape[scale] = {
+                "users": scenario.n_users,
+                "grids": scenario.map.n_grids,
+                "weight_mode": scenario.weight_mode,
+            }
+            print(
+                f"{scale:15s}: realization_stream {slot_ms[scale]:7.3f} ms per slot, oracle "
+                f"loop {slot_loop_ms[scale]:7.3f} ms ({scenario.n_users} users, "
+                f"{scenario.map.n_grids} grids, median of {args.slots})",
+                flush=True,
+            )
 
     scenario = load_config(str(CONFIG)).scenario
     slots = list(realization_stream(scenario, args.instances))
@@ -220,6 +230,7 @@ def main() -> int:
 
     report = {
         "slot_configs": {k: str(p.relative_to(ROOT)) for k, p in SLOT_CONFIGS.items()},
+        "slot_hotspot_overrides": HOTSPOT,
         "slots": args.slots,
         "slot_shape": slot_shape,
         "slot_stream_ms_median": slot_ms,

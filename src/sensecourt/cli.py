@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -55,160 +59,194 @@ def _canonical_json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config sections: each dataclass holds its section's defaults and checks
 # ---------------------------------------------------------------------------
 
 
-def _take(section: dict, context: str, known: dict, required: tuple[str, ...]) -> dict:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"unknown key {context}.{key}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"missing key {context}.{key}")
-    out = dict(known)
-    out.update(section)
-    return out
+@dataclasses.dataclass(frozen=True)
+class BenchmarkSettings:
+    """The `benchmark` section. A step of None keeps dual_upper_bound's own
+    default, a harmonic step scaled to the trace's mean cost."""
 
+    iterations: int = 150
+    bruteforce: typing.Literal[True, False, "auto"] = "auto"
+    step: StepSchedule | None = None
 
-def _scenario_from_dict(d: dict) -> ScenarioConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("scenario must be an object")
-    known = {
-        "width_grids": None,
-        "height_grids": None,
-        "grid_edge_m": None,
-        "n_users": None,
-        "seed": None,
-        "radius_min_m": 400.0,
-        "radius_max_m": 800.0,
-        "weight_mode": "uniform_iid",
-        "hotspot_sigma_fraction": 0.25,
-        "mean_weight": 0.5,
-        "temporal_noise": False,
-        "cost_to_weight_ratio": 0.2,
-        "cost_jitter": [0.8, 1.2],
-        "step_max_m": 1000.0,
-    }
-    vals = _take(
-        d,
-        "scenario",
-        known,
-        ("width_grids", "height_grids", "grid_edge_m", "n_users", "seed"),
-    )
-    try:
-        grid = GridMap(
-            int(vals["width_grids"]), int(vals["height_grids"]), float(vals["grid_edge_m"])
-        )
-        jitter = vals["cost_jitter"]
-        return ScenarioConfig(
-            map=grid,
-            n_users=int(vals["n_users"]),
-            radius_min_m=float(vals["radius_min_m"]),
-            radius_max_m=float(vals["radius_max_m"]),
-            weight_mode=str(vals["weight_mode"]),
-            hotspot_sigma_fraction=float(vals["hotspot_sigma_fraction"]),
-            mean_weight=float(vals["mean_weight"]),
-            temporal_noise=bool(vals["temporal_noise"]),
-            cost_to_weight_ratio=float(vals["cost_to_weight_ratio"]),
-            cost_jitter=(float(jitter[0]), float(jitter[1])),
-            step_max_m=float(vals["step_max_m"]),
-            seed=int(vals["seed"]),
-        )
-    except (TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ConfigError(f"invalid scenario value: {exc}") from exc
-
-
-def _schedule_from_dict(d: dict, context: str) -> StepSchedule:
-    vals = _take(d, context, {"kind": "harmonic", "coeff": 1.0}, ())
-    try:
-        return StepSchedule(str(vals["kind"]), float(vals["coeff"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-
-
-def _policy_from_dict(d: dict, index: int) -> PolicySpec:
-    context = f"policies[{index}]"
-    if not isinstance(d, dict):
-        raise ConfigError(f"{context} must be an object")
-    vals = _take(
-        d,
-        context,
-        {"kind": None, "phi": 10.0, "alpha": 1.0, "schedule": None},
-        ("kind",),
-    )
-    schedule = (
-        _schedule_from_dict(vals["schedule"], f"{context}.schedule")
-        if vals["schedule"] is not None
-        else StepSchedule.harmonic(1.0)
-    )
-    try:
-        return PolicySpec(
-            kind=str(vals["kind"]),
-            phi=float(vals["phi"]),
-            alpha=float(vals["alpha"]),
-            schedule=schedule,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid {context}: {exc}") from exc
-
-
-def _solver_from_dict(d: dict | None, default_mode: str) -> SolveOptions:
-    if d is None:
-        return SolveOptions(mode=default_mode)
-    vals = _take(
-        d,
-        "solver",
-        {"mode": default_mode, "exact_limit": 20, "node_budget": 20000},
-        (),
-    )
-    try:
-        return SolveOptions(
-            mode=str(vals["mode"]),
-            exact_limit=int(vals["exact_limit"]),
-            node_budget=int(vals["node_budget"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver: {exc}") from exc
-
-
-def _number(section: dict, context: str, key: str, kind: type):
-    try:
-        return kind(section[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {context}.{key}: {exc}") from exc
-
-
-def _check_runs(bench: dict, truth: dict) -> None:
-    """Reject benchmark and truthcheck settings no run can use, before any work."""
-    bench["iterations"] = _number(bench, "benchmark", "iterations", int)
-    if bench["iterations"] < 1:
-        raise ConfigError("benchmark.iterations must be at least 1")
-    kinds = {"instances": int, "bid_points": int, "bid_span": float, "phi": float}
-    for key, kind in kinds.items():
-        truth[key] = _number(truth, "truthcheck", key, kind)
-    if truth["instances"] < 0:
-        raise ConfigError("truthcheck.instances must be at least 0")
-    if truth["bid_points"] < 1:
-        raise ConfigError("truthcheck.bid_points must be at least 1")
-    if not (np.isfinite(truth["bid_span"]) and truth["bid_span"] >= 0):
-        raise ConfigError("truthcheck.bid_span must be a finite number >= 0")
-    if not truth["phi"] > 0:
-        raise ConfigError("truthcheck.phi must be positive")
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValueError("benchmark.iterations must be at least 1")
 
 
 @dataclasses.dataclass(frozen=True)
+class TruthcheckSettings:
+    """The `truthcheck` section: instances swept, bids per sweep, the bid
+    range as a multiple of the swept user's cost, and the auction's phi."""
+
+    instances: int = 100
+    bid_points: int = 201
+    bid_span: float = 3.0
+    phi: float = 10.0
+
+    def __post_init__(self):
+        # NaN fails every comparison below, so each check also rejects it
+        if self.instances < 0:
+            raise ValueError("truthcheck.instances must be at least 0")
+        if self.bid_points < 1:
+            raise ValueError("truthcheck.bid_points must be at least 1")
+        if not 0 <= self.bid_span < math.inf:
+            raise ValueError("truthcheck.bid_span must be a finite number >= 0")
+        if not self.phi > 0:
+            raise ValueError("truthcheck.phi must be positive")
+
+
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """A whole config file. thresholds is read as one number for every user
+    or a list of one per user, and kept as a float array of n_users."""
+
     scenario: ScenarioConfig
-    policies: tuple[PolicySpec, ...]
+    policies: tuple[PolicySpec, ...] = ()
     t_slots: int
-    warmup_slots: int
-    thresholds: np.ndarray
-    replications: int
-    output_dir: str
-    solver: SolveOptions
-    benchmark: dict
-    truthcheck: dict
+    warmup_slots: int = 0
+    thresholds: float | tuple[float, ...] = 0.5
+    replications: int = 1
+    output_dir: str = "out"
+    # a solver section without a mode keeps greedy: a nested section starts
+    # from its field default when that is an instance
+    solver: SolveOptions = SolveOptions(mode="greedy")
+    benchmark: BenchmarkSettings = BenchmarkSettings()
+    truthcheck: TruthcheckSettings = TruthcheckSettings()
+
+    def __post_init__(self):
+        n = self.scenario.n_users
+        thr = np.asarray(self.thresholds, dtype=float)
+        if thr.ndim == 0:
+            thr = np.full(n, float(thr))
+        elif thr.shape != (n,):
+            raise ValueError("thresholds list length must equal scenario.n_users")
+        if not np.all((thr >= 0) & (thr <= 1)):  # NaN fails both
+            raise ValueError("thresholds must lie in [0, 1]")
+        object.__setattr__(self, "thresholds", thr)
+        if self.t_slots < 1:
+            raise ValueError("t_slots must be at least 1")
+        if not 0 <= self.warmup_slots <= self.t_slots:
+            raise ValueError("warmup_slots must lie in [0, t_slots]")
+        if self.replications < 1:
+            raise ValueError("replications must be at least 1")
+
+
+# ---------------------------------------------------------------------------
+# config parsing
+# ---------------------------------------------------------------------------
+#
+# Each section is read from the fields of the dataclass it builds: its keys
+# are the field names, a key that is missing or null takes the field default,
+# and a value must already have the field's type (an integral float counts
+# as an int). Defaults and range checks live on the dataclasses only.
+
+
+@functools.cache
+def _fields(cls) -> dict[str, tuple[object, object]]:
+    """name -> (resolved type, default) of each field of a dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+def _section(cls, raw: dict, name: str, base=None, **given):
+    """Build dataclass `cls` from the JSON object `raw`, refusing by `name`.
+    Missing keys keep `base`'s values if given; `given` fills keyless fields."""
+    fields = _fields(cls)
+    for key in raw:
+        if key not in fields or key in given:
+            raise ConfigError(f"unknown key {name}.{key}")
+    values = dict(given)
+    for key, (hint, default) in fields.items():
+        value = raw.get(key)
+        if value is not None:
+            sub = key if name == "config" else f"{name}.{key}"
+            try:
+                values[key] = _convert(value, hint, sub, default)
+            except TypeError as exc:
+                raise ConfigError(
+                    f"invalid {name} value: {name}.{key} must be {exc}, got {json.dumps(value)}"
+                ) from None
+        elif key not in given and base is None and default is dataclasses.MISSING:
+            raise ConfigError(f"missing key {name}.{key}")
+    try:
+        return cls(**values) if base is None else dataclasses.replace(base, **values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name} value: {exc}") from exc
+
+
+def _convert(value, hint, name: str, default=None):
+    """`value` as type `hint`, else a TypeError saying what it must be. A nested
+    section keeps the values of `default` when that is an instance of it."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        for arg in args:
+            try:
+                return _convert(value, arg, name, default)
+            except TypeError:
+                pass
+    elif dataclasses.is_dataclass(hint):
+        if isinstance(value, dict):
+            if hint is ScenarioConfig:
+                return _scenario(value)
+            return _section(hint, value, name, default if isinstance(default, hint) else None)
+    elif origin is typing.Literal:
+        if any(type(value) is type(arg) and value == arg for arg in args):
+            return value
+    elif origin is tuple and isinstance(value, list):
+        kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) == len(value):
+            try:
+                return tuple(
+                    _convert(v, kind, f"{name}[{i}]")
+                    for i, (v, kind) in enumerate(zip(value, kinds))
+                )
+            except TypeError:
+                pass
+    elif hint is float and (
+        type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    elif hint is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    elif type(value) is hint:  # str, bool
+        return value
+    raise TypeError(_describe(hint))
+
+
+def _describe(hint) -> str:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
+        return " or ".join(json.dumps(arg) for arg in args)
+    if origin in (typing.Union, types.UnionType):
+        return " or ".join(_describe(arg) for arg in args)
+    if origin is tuple:
+        size = "a list" if args[-1] is Ellipsis else f"a list of {len(args)}"
+        return f"{size}, each {_describe(args[0])}"
+    if dataclasses.is_dataclass(hint):
+        return "an object"
+    names = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
+    return names.get(hint, "null")
+
+
+def _scenario(raw: dict) -> ScenarioConfig:
+    # the map's keys sit flat in the scenario section
+    flat = _fields(GridMap)
+    grid = _section(GridMap, {k: v for k, v in raw.items() if k in flat}, "scenario")
+    rest = {k: v for k, v in raw.items() if k not in flat}
+    return _with_seed(_section(ScenarioConfig, rest, "scenario", map=grid))
+
+
+def _with_seed(scenario: ScenarioConfig, seed: int | None = None) -> ScenarioConfig:
+    # numpy refuses a negative seed only once the output directory exists
+    if seed is not None:
+        scenario = dataclasses.replace(scenario, seed=seed)
+    if scenario.seed < 0:
+        raise ConfigError(f"invalid scenario value: seed must be at least 0, got {scenario.seed}")
+    return scenario
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -222,69 +260,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    known = {
-        "scenario": None,
-        "policies": [],
-        "t_slots": None,
-        "warmup_slots": 0,
-        "thresholds": 0.5,
-        "replications": 1,
-        "output_dir": "out",
-        "solver": None,
-        "benchmark": {},
-        "truthcheck": {},
-    }
-    vals = _take(raw, "config", known, ("scenario", "t_slots"))
-    scenario = _scenario_from_dict(vals["scenario"])
-
-    policies = tuple(
-        _policy_from_dict(p, i) for i, p in enumerate(vals["policies"])
-    )
-    thresholds = vals["thresholds"]
-    if isinstance(thresholds, (int, float)):
-        thr = np.full(scenario.n_users, float(thresholds))
-    else:
-        thr = np.asarray(thresholds, dtype=float)
-        if thr.shape != (scenario.n_users,):
-            raise ConfigError("thresholds list length must equal scenario.n_users")
-    if np.any(thr < 0) or np.any(thr > 1):
-        raise ConfigError("thresholds must lie in [0, 1]")
-
-    t_slots = int(vals["t_slots"])
-    warmup = int(vals["warmup_slots"])
-    if t_slots < 1:
-        raise ConfigError("t_slots must be at least 1")
-    if not 0 <= warmup <= t_slots:
-        raise ConfigError("warmup_slots must lie in [0, t_slots]")
-    replications = int(vals["replications"])
-    if replications < 1:
-        raise ConfigError("replications must be at least 1")
-
-    bench = _take(
-        dict(vals["benchmark"]),
-        "benchmark",
-        {"iterations": 150, "bruteforce": "auto", "step": None},
-        (),
-    )
-    truth = _take(
-        dict(vals["truthcheck"]),
-        "truthcheck",
-        {"instances": 100, "bid_points": 201, "bid_span": 3.0, "phi": 10.0},
-        (),
-    )
-    _check_runs(bench, truth)
-    return ExperimentConfig(
-        scenario=scenario,
-        policies=policies,
-        t_slots=t_slots,
-        warmup_slots=warmup,
-        thresholds=thr,
-        replications=replications,
-        output_dir=str(vals["output_dir"]),
-        solver=_solver_from_dict(vals["solver"], "greedy"),
-        benchmark=bench,
-        truthcheck=truth,
-    )
+    return _section(ExperimentConfig, raw, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +367,7 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
     cfg = load_config(config_path)
     if not cfg.policies:
         raise ConfigError("simulate needs at least one entry in policies")
-    scenario = cfg.scenario
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
+    scenario = _with_seed(cfg.scenario, seed)
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -439,13 +413,11 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
 
 def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     cfg = load_config(config_path)
-    scenario = cfg.scenario
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
+    scenario = _with_seed(cfg.scenario, seed)
     # refuse oversized tables before the first slot is built
     n, t = scenario.n_users, cfg.t_slots
     check_dual_capacity(n, t)
-    bf_mode = cfg.benchmark["bruteforce"]
+    bf_mode = cfg.benchmark.bruteforce
     within = n * t <= BRUTEFORCE_CELL_LIMIT
     if bf_mode is True and not within:
         raise BenchmarkCapacityError(
@@ -463,11 +435,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
     solver = dataclasses.replace(cfg.solver, mode="auto")
 
     unconstrained = unconstrained_trace_welfare(trace, solver, tables)
-    step = cfg.benchmark["step"]
-    schedule = (
-        _schedule_from_dict(step, "benchmark.step") if step is not None else None
-    )
-    bound = dual_upper_bound(trace, cfg.benchmark["iterations"], schedule, tables)
+    bound = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step, tables)
 
     bruteforce = None
     if bf_mode is True or (bf_mode == "auto" and within):
@@ -483,7 +451,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
         "bruteforce": None if bruteforce is None else bruteforce.avg_welfare,
         "bruteforce_feasible": None if bruteforce is None else bruteforce.feasible,
         "incentive_cost": incentive_cost(unconstrained, constrained),
-        "iterations": cfg.benchmark["iterations"],
+        "iterations": cfg.benchmark.iterations,
     }
     (out_dir / "benchmark.json").write_text(_canonical_json(report))
     return 0
@@ -491,9 +459,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
 
 def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     cfg = load_config(config_path)
-    scenario = cfg.scenario
-    if seed is not None:
-        scenario = dataclasses.replace(scenario, seed=seed)
+    scenario = _with_seed(cfg.scenario, seed)
     if scenario.n_users > cfg.solver.exact_limit:
         raise ConfigError(
             f"truthcheck needs scenario.n_users <= solver.exact_limit "
@@ -502,16 +468,13 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    instances = cfg.truthcheck["instances"]
-    bid_points = cfg.truthcheck["bid_points"]
-    bid_span = cfg.truthcheck["bid_span"]
-    phi = cfg.truthcheck["phi"]
+    settings = cfg.truthcheck
 
     max_regret = 0.0
     swept = 0
     counterexample = None
     for k, realization in enumerate(
-        realization_stream(scenario, instances), start=1
+        realization_stream(scenario, settings.instances), start=1
     ):
         rng = np.random.default_rng([scenario.seed, _TRUTHCHECK_STREAM, k])
         costs = realization.true_costs
@@ -520,8 +483,8 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
             continue
         user = int(rng.choice(candidates))
         cap = float(costs.max())
-        state = _auction.RegulationState(rng.uniform(0.0, 0.5 * cap, costs.size), phi)
-        grid = np.linspace(0.0, bid_span * float(costs[user]), bid_points)
+        state = _auction.RegulationState(rng.uniform(0.0, 0.5 * cap, costs.size), settings.phi)
+        grid = np.linspace(0.0, settings.bid_span * float(costs[user]), settings.bid_points)
         report = _auction.truthfulness_sweep(realization, state, costs, user, grid)
         swept += 1
         if report.regret > max_regret:
@@ -538,7 +501,7 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
             }
 
     result = {
-        "instances": instances,
+        "instances": settings.instances,
         "swept": swept,
         "vacuous": swept == 0,
         "max_regret": max_regret,

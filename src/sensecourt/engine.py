@@ -69,7 +69,7 @@ class PolicySpec:
     kind: str
     phi: float = 10.0
     alpha: float = 1.0
-    schedule: StepSchedule = StepSchedule.harmonic(1.0)
+    schedule: StepSchedule = StepSchedule()
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:

@@ -28,8 +28,8 @@ class StepSchedule:
     persistent approximation error.
     """
 
-    kind: str
-    coeff: float
+    kind: str = "harmonic"
+    coeff: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("harmonic", "constant"):
@@ -86,7 +86,7 @@ class DualState:
     @classmethod
     def initial(cls, n_users: int, schedule: StepSchedule | None = None) -> "DualState":
         if schedule is None:
-            schedule = StepSchedule.harmonic(1.0)
+            schedule = StepSchedule()
         return cls(
             multipliers=np.zeros(n_users),
             cumulative_selected=np.zeros(n_users, dtype=np.int64),

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -90,6 +91,94 @@ class TestConfigErrors:
         path = write_config(tmp_path, thresholds=[0.5, 0.5])
         assert main(["simulate", "--config", str(path)]) == 1
         assert "thresholds" in capsys.readouterr().err
+
+
+class TestConfigDefaults:
+    """A config with only the required keys takes these values, copied from
+    the per-section default tables the parser had before the dataclasses
+    held the defaults; a default that drifts fails here."""
+
+    SCENARIO = {
+        "radius_min_m": 400.0,
+        "radius_max_m": 800.0,
+        "weight_mode": "uniform_iid",
+        "hotspot_sigma_fraction": 0.25,
+        "mean_weight": 0.5,
+        "temporal_noise": False,
+        "cost_to_weight_ratio": 0.2,
+        "cost_jitter": (0.8, 1.2),
+        "step_max_m": 1000.0,
+    }
+    TOP = {"policies": (), "warmup_slots": 0, "replications": 1, "output_dir": "out"}
+    SOLVER = {"mode": "greedy", "exact_limit": 20, "node_budget": 20000}
+    BENCHMARK = {"iterations": 150, "bruteforce": "auto", "step": None}
+    TRUTHCHECK = {"instances": 100, "bid_points": 201, "bid_span": 3.0, "phi": 10.0}
+    POLICY = {"phi": 10.0, "alpha": 1.0}
+    SCHEDULE = {"kind": "harmonic", "coeff": 1.0}
+    REQUIRED = {
+        "scenario": {
+            "width_grids": 8, "height_grids": 6, "grid_edge_m": 200, "n_users": 4, "seed": 5
+        },
+        "t_slots": 12,
+    }
+
+    @staticmethod
+    def assert_fields(obj, expected, given=()):
+        names = {f.name for f in dataclasses.fields(obj)}
+        assert names == set(expected) | set(given)
+        for key, want in expected.items():
+            got = getattr(obj, key)
+            assert type(got) is type(want) and got == want, key
+
+    @pytest.mark.parametrize("form", ["absent", "null", "empty"])
+    def test_required_keys_only(self, tmp_path, form):
+        cfg = json.loads(json.dumps(self.REQUIRED))
+        if form != "absent":
+            empty = None if form == "null" else {}
+            cfg.update(solver=empty, benchmark=empty, truthcheck=empty)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        loaded = cli_mod.load_config(path)
+        sections = ("scenario", "t_slots", "thresholds", "solver", "benchmark", "truthcheck")
+        self.assert_fields(loaded, self.TOP, sections)
+        assert loaded.t_slots == 12
+        assert loaded.thresholds.dtype == np.float64
+        assert loaded.thresholds.tolist() == [0.5] * 4
+        self.assert_fields(loaded.scenario, self.SCENARIO, ("map", "n_users", "seed"))
+        assert (loaded.scenario.n_users, loaded.scenario.seed) == (4, 5)
+        grid = loaded.scenario.map
+        assert (grid.width_grids, grid.height_grids, grid.grid_edge_m) == (8, 6, 200.0)
+        assert type(grid.grid_edge_m) is float
+        self.assert_fields(loaded.solver, self.SOLVER)
+        self.assert_fields(loaded.benchmark, self.BENCHMARK)
+        self.assert_fields(loaded.truthcheck, self.TRUTHCHECK)
+
+    @pytest.mark.parametrize("schedule", ["absent", None, {}])
+    def test_policy_and_step_defaults(self, tmp_path, schedule):
+        policy = {"kind": "dual"}
+        if schedule != "absent":
+            policy["schedule"] = schedule
+        cfg = dict(self.REQUIRED, policies=[policy], benchmark={"step": {}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        loaded = cli_mod.load_config(path)
+        (spec,) = loaded.policies
+        assert spec.kind == "dual"
+        self.assert_fields(spec, self.POLICY, ("kind", "schedule"))
+        self.assert_fields(spec.schedule, self.SCHEDULE)
+        self.assert_fields(loaded.benchmark.step, self.SCHEDULE)
+
+    def test_seed_defaults_to_zero(self, tmp_path):
+        cfg = json.loads(json.dumps(self.REQUIRED))
+        del cfg["scenario"]["seed"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_mod.load_config(path).scenario.seed == 0
+
+    def test_map_is_not_a_scenario_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario.map": {"width_grids": 8}})
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "unknown key scenario.map" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -306,6 +395,15 @@ class TestFailBeforeWork:
             ("truthcheck", "truthcheck", {"bid_span": float("nan")}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"bid_span": float("inf")}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"instances": -1}, "truthcheck.instances"),
+            ("benchmark", "benchmark", {"step": {"kind": "cubic"}}, "benchmark.step"),
+            ("benchmark", "benchmark", {"step": {"coeff": 0}}, "benchmark.step"),
+            ("benchmark", "benchmark", {"bruteforce": "yes"}, "benchmark.bruteforce"),
+            ("benchmark", "benchmark", "x", "benchmark must be an object"),
+            ("simulate", "thresholds", float("nan"), "thresholds"),
+            ("simulate", "thresholds", ["low"] * 5, "thresholds"),
+            ("simulate", "t_slots", "abc", "t_slots"),
+            ("simulate", "t_slots", 20.9, "t_slots"),
+            ("simulate", "solver", "fast", "solver must be an object"),
         ],
     )
     def test_refused_with_error_line(
@@ -346,6 +444,10 @@ class TestFailBeforeWork:
             ({"scenario.hotspot_sigma_fraction": -0.5}, "hotspot_sigma_fraction"),
             ({"scenario.grid_edge_m": math.inf}, "grid_edge_m"),
             ({"scenario.width_grids": math.inf}, "invalid scenario value"),
+            ({"scenario.width_grids": 10.9}, "width_grids"),
+            ({"scenario.temporal_noise": "false"}, "temporal_noise"),
+            ({"scenario.cost_jitter": [0.5, 1.0, 1.5]}, "cost_jitter"),
+            ({"scenario.seed": -1}, "seed"),
         ],
     )
     def test_scenario_value_refused_with_error_line(
@@ -372,6 +474,16 @@ class TestFailBeforeWork:
         assert err.startswith("error: invalid scenario value: ") and key in err
         assert err.count("\n") == 1
         assert built == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark", "truthcheck"])
+    def test_negative_seed_override_refused(self, tmp_path, capsys, command):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out", str(out), "--seed", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario value: seed") and err.count("\n") == 1
         assert not out.exists()
 
     def test_zero_instances_still_valid(self, tmp_path):
