@@ -13,9 +13,7 @@ from .world import (
     SlotRealization,
     WeightField,
     WelfareBreakdown,
-    compute_coverage,
     evaluate_allocation,
-    user_value,
 )
 from .solver import (
     RegulatedInstance,
@@ -39,7 +37,6 @@ from .benchmark import (
 from .policy_dual import DualState, StepSchedule, dual_allocate, dual_update
 from .policy_lyapunov import (
     QueueState,
-    drift_plus_penalty_diag,
     lyapunov_allocate,
     penalty_bound_B,
     queue_update,

@@ -19,13 +19,11 @@ auction reproduces that policy's allocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .solver import (
     DEFAULT_EXACT_LIMIT,
-    SolverCapacityError,
     RegulatedInstance,
     freeze_ineligible,
     slot_value_table,
@@ -33,7 +31,7 @@ from .solver import (
     subset_linear_table,
     subset_value_table,
     tiebreak_argmax_without,
-    tiebreak_tables,
+    tiebreak_order,
     TIE_TOL,
 )
 from .world import Allocation, SlotRealization, evaluate_allocation
@@ -42,10 +40,10 @@ __all__ = [
     "ExactPivotsRequiredError",
     "RegulationState",
     "BidVector",
-    "PivotTerms",
     "AuctionOutcome",
     "TruthfulnessReport",
     "pivot_payment",
+    "require_exact_pivots",
     "run_auction_slot",
     "regulation_update",
     "truthfulness_sweep",
@@ -54,6 +52,14 @@ __all__ = [
 
 class ExactPivotsRequiredError(RuntimeError):
     """Auction refused: payments require exact leave-one-out solves."""
+
+
+def require_exact_pivots(m: int, exact_limit: int) -> None:
+    """Refuse an auction over more than exact_limit eligible users."""
+    if m > exact_limit:
+        raise ExactPivotsRequiredError(
+            f"auction requires exact pivots: {m} eligible users exceed {exact_limit}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +113,10 @@ class BidVector:
         return self.bids.size
 
 
-@dataclass(frozen=True)
-class PivotTerms:
-    """Leave-one-out terms behind one winner's payment."""
-
-    user: int
-    others_cost: float
-    welfare_without: float
-
-
 @dataclass(frozen=True, eq=False)
 class AuctionOutcome:
     alloc: Allocation
     payments: np.ndarray
-    regulated_welfare: float
-    per_winner_pivot: tuple[PivotTerms, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +141,6 @@ def pivot_payment(value_term, others_cost, welfare_without, regulation):
     return value_term - others_cost - welfare_without + regulation
 
 
-def _exact_or_refuse(inst: RegulatedInstance, exact_limit: int):
-    try:
-        return solve_exact(inst, exact_limit)
-    except SolverCapacityError as exc:
-        raise ExactPivotsRequiredError(
-            f"auction requires exact pivots: {exc}"
-        ) from exc
-
-
 def run_auction_slot(
     state: RegulationState,
     realization: SlotRealization,
@@ -169,13 +155,13 @@ def run_auction_slot(
         raise ValueError("bid vector length must match user count")
     kappa = bids.bids - state.bonus
     inst = RegulatedInstance.of(realization, kappa, eligible)
-    result = _exact_or_refuse(inst, exact_limit)
+    require_exact_pivots(int(inst.eligible.sum()), exact_limit)
+    result = solve_exact(inst, exact_limit)
 
     winners = result.alloc.indices()
     value_term = evaluate_allocation(realization, result.alloc).value
 
     payments = np.zeros(n)
-    pivots = []
     if winners.size:
         # solve_exact left this table on the slot; costs are rebuilt the same way
         users = np.flatnonzero(inst.eligible)
@@ -190,14 +176,8 @@ def run_auction_slot(
         payments[u] = pivot_payment(
             value_term, others_cost, welfare_without, float(state.factors[u])
         )
-        pivots.append(PivotTerms(u, others_cost, welfare_without))
 
-    return AuctionOutcome(
-        alloc=result.alloc,
-        payments=payments,
-        regulated_welfare=result.objective,
-        per_winner_pivot=tuple(pivots),
-    )
+    return AuctionOutcome(alloc=result.alloc, payments=payments)
 
 
 def regulation_update(
@@ -213,17 +193,6 @@ def regulation_update(
     r = (np.maximum(state.phi * state.factors - x, 0.0) + d) / state.phi
     r = freeze_ineligible(r, state.factors, eligible)
     return RegulationState(factors=r, phi=state.phi)
-
-
-@lru_cache(maxsize=8)
-def _tiebreak_order(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Local masks in tie-break order, and each mask's place in that order."""
-    by_rank = np.argsort(tiebreak_tables(m)[2])
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(1 << m)
-    by_rank.flags.writeable = False
-    rank.flags.writeable = False
-    return by_rank, rank
 
 
 def _sorted_group(
@@ -286,10 +255,7 @@ def truthfulness_sweep(
 
     users = np.flatnonzero(eligible)
     m = users.size
-    if m > exact_limit:
-        raise ExactPivotsRequiredError(
-            f"auction requires exact pivots: {m} eligible users exceed {exact_limit}"
-        )
+    require_exact_pivots(m, exact_limit)
     pos = int(np.flatnonzero(users == user)[0])
 
     kappa = true_costs - state.factors
@@ -303,7 +269,7 @@ def truthfulness_sweep(
     c_n = float(true_costs[user])
     welfare_without = float(base[tiebreak_argmax_without(base, m, pos)])
 
-    by_rank, rank = _tiebreak_order(m)
+    by_rank, rank = tiebreak_order(m)
     vals_out, ranks_out = _sorted_group(base, np.flatnonzero(~member), rank)
     vals_in, ranks_in = _sorted_group(base, np.flatnonzero(member), rank)
     n_in = vals_in.size - 1

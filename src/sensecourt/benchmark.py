@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy_dual import StepSchedule
+from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .solver import (
     RegulatedInstance,
-    SolveOptions,
-    solve,
+    solve_exact,
     subset_linear_table,
     subset_value_table,
-    tiebreak_tables,
+    tiebreak_order,
     TIE_TOL,
     _BLOCK_CELLS,
 )
@@ -116,15 +116,10 @@ def check_dual_capacity(n_users: int, t_slots: int) -> None:
         )
 
 
-def _rank_order(n: int) -> np.ndarray:
-    """The 2^n local masks sorted by tie-break rank, most preferred first."""
-    return np.argsort(tiebreak_tables(n)[2])
-
-
 def _near_max_picks(ranked: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row maxima of ranked + add, and each row's first column within TIE_TOL.
 
-    `ranked` is a (T, 2^n) subset table with its columns in _rank_order(n),
+    `ranked` is a (T, 2^n) subset table with its columns in tiebreak_order(n)[0],
     and `add` is one row in the same order. The first near-maximum column is
     the pick tiebreak_argmax makes on the unpermuted row, found by a boolean
     argmax in place of an int64 rank array. Rows go in blocks of about
@@ -147,7 +142,7 @@ def _near_max_picks(ranked: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np
 
 def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
-    order = _rank_order(n)
+    order = tiebreak_order(n)[0]
     ranked = np.take(tables, order, axis=1)
     _, picks = _near_max_picks(ranked, np.zeros(1 << n))  # + 0.0 keeps every pick
     total = 0.0
@@ -245,7 +240,7 @@ def dual_upper_bound(
     d = trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    order = _rank_order(n)
+    order = tiebreak_order(n)[0]
     ranked = np.take(tables, order, axis=1)  # C-ordered; tables[:, order] is not
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
@@ -276,28 +271,21 @@ def dual_upper_bound(
 
 
 def unconstrained_trace_welfare(
-    trace: Trace,
-    options: SolveOptions = SolveOptions(),
-    tables: np.ndarray | None = None,
+    trace: Trace, tables: np.ndarray | None = None
 ) -> BenchmarkResult:
     """Slot-wise optimum with true costs and no participatory constraint.
 
-    Given welfare_tables(trace) and options that solve every slot exactly
-    (mode exact or auto, N within exact_limit), the optimum is read from
-    the table rows; otherwise each slot is solved.
+    Given welfare_tables(trace), the optimum is read from the table rows;
+    otherwise each slot is solved exactly.
     """
     n = trace.n_users
-    if (
-        tables is not None
-        and options.mode in ("auto", "exact")
-        and n <= options.exact_limit
-    ):
+    if tables is not None:
         avg, selections = _slotwise_optimum(tables, n)
         return BenchmarkResult(avg, selections, True, "unconstrained")
     selections = np.zeros(n)
     total = 0.0
     for slot in trace.slots:
-        res = solve(RegulatedInstance.of(slot, slot.true_costs), options)
+        res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
         total += res.objective
         selections += res.alloc.selected
     return BenchmarkResult(

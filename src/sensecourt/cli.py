@@ -33,7 +33,7 @@ from .benchmark import (
     unconstrained_trace_welfare,
     welfare_tables,
 )
-from .engine import PolicySpec, TraceMetrics, run_simulation
+from .engine import PolicySpec, TraceMetrics, check_exact_pivots, run_simulation
 from .policy_dual import StepSchedule
 from .scenarios import ScenarioConfig, realization_stream
 from .solver import SolveOptions
@@ -367,6 +367,9 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
     cfg = load_config(config_path)
     if not cfg.policies:
         raise ConfigError("simulate needs at least one entry in policies")
+    check_exact_pivots(
+        cfg.policies, cfg.scenario.n_users, cfg.solver, cfg.t_slots, cfg.warmup_slots
+    )
     scenario = _with_seed(cfg.scenario, seed)
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -432,9 +435,8 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
     slots = tuple(realization_stream(scenario, t))
     trace = Trace(slots, cfg.thresholds)
     tables = welfare_tables(trace)
-    solver = dataclasses.replace(cfg.solver, mode="auto")
 
-    unconstrained = unconstrained_trace_welfare(trace, solver, tables)
+    unconstrained = unconstrained_trace_welfare(trace, tables=tables)
     bound = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step, tables)
 
     bruteforce = None
@@ -460,11 +462,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
 def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     cfg = load_config(config_path)
     scenario = _with_seed(cfg.scenario, seed)
-    if scenario.n_users > cfg.solver.exact_limit:
-        raise ConfigError(
-            f"truthcheck needs scenario.n_users <= solver.exact_limit "
-            f"({cfg.solver.exact_limit}); auction pivots must be exact"
-        )
+    _auction.require_exact_pivots(scenario.n_users, cfg.solver.exact_limit)
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -485,7 +483,9 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
         cap = float(costs.max())
         state = _auction.RegulationState(rng.uniform(0.0, 0.5 * cap, costs.size), settings.phi)
         grid = np.linspace(0.0, settings.bid_span * float(costs[user]), settings.bid_points)
-        report = _auction.truthfulness_sweep(realization, state, costs, user, grid)
+        report = _auction.truthfulness_sweep(
+            realization, state, costs, user, grid, exact_limit=cfg.solver.exact_limit
+        )
         swept += 1
         if report.regret > max_regret:
             max_regret = report.regret

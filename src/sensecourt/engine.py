@@ -51,6 +51,7 @@ __all__ = [
     "PolicySpec",
     "TraceMetrics",
     "apply_dropping",
+    "check_exact_pivots",
     "compute_summary",
     "run_policy",
     "run_simulation",
@@ -137,11 +138,7 @@ def _regulator(spec: PolicySpec, thresholds: np.ndarray):
 
 
 class _Lane:
-    """One policy inside a lockstep pass: its state, counts and (T, N) rows.
-
-    The row arrays are allocated for `capacity` slots and doubled by `grow`
-    when a stream of unknown length outlasts them.
-    """
+    """One policy inside a lockstep pass: its state, counts and (T, N) rows."""
 
     def __init__(
         self,
@@ -149,7 +146,7 @@ class _Lane:
         thresholds: np.ndarray,
         options: SolveOptions,
         seed: int,
-        capacity: int,
+        t_slots: int,
     ):
         n = thresholds.size
         self.spec = spec
@@ -162,21 +159,13 @@ class _Lane:
         self.selections = np.zeros(n, dtype=np.int64)
         self.seen = np.zeros(n, dtype=np.int64)
         self.drop_events: list[tuple[int, int]] = []
-        self.welfare = np.empty(capacity)
-        self.alloc_prob = np.empty((capacity, n))
-        self.selected = np.empty((capacity, n), dtype=bool)
-        self.active = np.empty((capacity, n), dtype=bool)
-        self.regulation = np.empty((capacity, n))
+        self.welfare = np.empty(t_slots)
+        self.alloc_prob = np.empty((t_slots, n))
+        self.selected = np.empty((t_slots, n), dtype=bool)
+        self.active = np.empty((t_slots, n), dtype=bool)
+        self.regulation = np.empty((t_slots, n))
         # warmup slots pay nothing
-        self.payments = np.zeros((capacity, n)) if spec.kind == "auction" else None
-
-    def grow(self, capacity: int) -> None:
-        for name in ("welfare", "alloc_prob", "selected", "active", "regulation", "payments"):
-            rows = getattr(self, name)
-            if rows is not None:
-                grown = np.zeros((capacity,) + rows.shape[1:], dtype=rows.dtype)
-                grown[: rows.shape[0]] = rows
-                setattr(self, name, grown)
+        self.payments = np.zeros((t_slots, n)) if spec.kind == "auction" else None
 
     def step(
         self, realization: SlotRealization, t: int, warmup_slots: int, dropping: bool
@@ -242,8 +231,20 @@ class _Lane:
         return metrics
 
 
-# first row capacity for a stream whose length is not known in advance
-_UNSIZED_CAPACITY = 256
+def check_exact_pivots(
+    specs: Sequence[PolicySpec],
+    n_users: int,
+    solver: SolveOptions,
+    t_slots: int,
+    warmup_slots: int,
+) -> None:
+    """Refuse an auction whose pivots cannot all be solved exactly.
+
+    No user drops before the warmup ends, so the first auction slot after
+    it has all n_users eligible.
+    """
+    if t_slots > warmup_slots and any(spec.kind == "auction" for spec in specs):
+        _auction.require_exact_pivots(n_users, solver.exact_limit)
 
 
 def run_policy(
@@ -266,9 +267,11 @@ def run_policy(
     draws from its own generator keyed by (seed, RANDOM_POLICY_STREAM).
 
     t_slots is the number of slots the sequence yields; it defaults to its
-    len() when it has one. With a known horizon, a warmup longer than the
-    run is rejected before the first slot is drawn, and a sequence that
-    yields a different number of slots is an error.
+    len(), and an iterable without one is refused unless t_slots is given.
+    A warmup longer than the run, and an auction over more users than
+    solver.exact_limit that runs past the warmup, are rejected before the
+    first slot is drawn; a sequence that yields a different number of slots
+    is an error.
 
     dropping=False keeps every user active regardless of frequency, which
     is the setting policy-level stability statements are about.
@@ -279,38 +282,30 @@ def run_policy(
         raise ValueError("run_policy needs at least one policy")
     if warmup_slots < 0:
         raise ValueError("warmup_slots must be non-negative")
-    if t_slots is None and isinstance(realizations, Sized):
+    if t_slots is None:
+        if not isinstance(realizations, Sized):
+            raise ValueError("run_policy needs t_slots for realizations without a len()")
         t_slots = len(realizations)
-    if t_slots is not None:
-        if t_slots < 1:
-            raise ValueError("simulation needs at least one slot")
-        if warmup_slots > t_slots:
-            raise ValueError("warmup_slots cannot exceed the number of slots")
+    if t_slots < 1:
+        raise ValueError("simulation needs at least one slot")
+    if warmup_slots > t_slots:
+        raise ValueError("warmup_slots cannot exceed the number of slots")
     thresholds = np.asarray(thresholds, dtype=float)
     n = thresholds.size
-    capacity = t_slots if t_slots is not None else _UNSIZED_CAPACITY
-    lanes = [_Lane(spec, thresholds, solver, seed, capacity) for spec in specs]
+    check_exact_pivots(specs, n, solver, t_slots, warmup_slots)
+    lanes = [_Lane(spec, thresholds, solver, seed, t_slots) for spec in specs]
 
     t = 0
     for realization in realizations:
         if realization.n_users != n:
             raise ValueError("realization user count does not match thresholds")
-        if t == capacity:
-            if t_slots is not None:
-                raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
-            capacity *= 2
-            for lane in lanes:
-                lane.grow(capacity)
+        if t == t_slots:
+            raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
         t += 1
         for lane in lanes:
             lane.step(realization, t, warmup_slots, dropping)
-
-    if t == 0:
-        raise ValueError("simulation needs at least one slot")
-    if t_slots is not None and t < t_slots:
+    if t < t_slots:
         raise ValueError(f"realizations ended after {t} of t_slots={t_slots} slots")
-    if warmup_slots > t:
-        raise ValueError("warmup_slots cannot exceed the number of slots")
 
     results = [lane.metrics(t, warmup_slots, replication, seed) for lane in lanes]
     return results[0] if single else results

@@ -15,16 +15,13 @@ import numpy as np
 
 from .solver import freeze_ineligible, regulated_allocate
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation, SlotRealization, evaluate_allocation
+from .world import Allocation
 
 __all__ = [
     "QueueState",
     "lyapunov_allocate",
     "queue_update",
     "penalty_bound_B",
-    "drift_plus_penalty_diag",
-    "lyapunov_function",
-    "lyapunov_drift",
 ]
 
 
@@ -77,34 +74,3 @@ def penalty_bound_B(thresholds: np.ndarray) -> float:
     if d.size and (np.any(d < 0) or np.any(d > 1)):
         raise ValueError("thresholds must lie in [0, 1]")
     return float(((1.0 + d * d) / 2.0).sum())
-
-
-def drift_plus_penalty_diag(
-    state: QueueState,
-    alloc: Allocation,
-    realization: SlotRealization,
-    thresholds: np.ndarray,
-) -> float:
-    """Right-hand side of the drift-plus-penalty upper bound for one allocation.
-
-    Diagnostic only: the allocation rule must minimize this quantity over
-    all allocations of the slot.
-    """
-    d = np.asarray(thresholds, dtype=float)
-    x = alloc.selected.astype(float)
-    wb = evaluate_allocation(realization, alloc)
-    return float(
-        penalty_bound_B(d)
-        + (state.backlogs * (d - x)).sum()
-        - state.phi * wb.welfare
-    )
-
-
-def lyapunov_function(state: QueueState) -> float:
-    """J = 0.5 * sum(q_n^2)."""
-    return float(0.5 * (state.backlogs * state.backlogs).sum())
-
-
-def lyapunov_drift(state: QueueState, next_state: QueueState) -> float:
-    """Change of the Lyapunov function across one slot."""
-    return lyapunov_function(next_state) - lyapunov_function(state)

@@ -41,7 +41,7 @@ __all__ = [
     "subset_linear_table",
     "tiebreak_argmax",
     "tiebreak_argmax_without",
-    "tiebreak_tables",
+    "tiebreak_order",
 ]
 
 TIE_TOL = 1e-9
@@ -190,33 +190,35 @@ def subset_linear_table(per_user: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def tiebreak_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(popcount, reversed-bit key, combined rank) for all 2^m local masks.
+def tiebreak_order(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(by_rank, rank) of the 2^m local masks under the tie-break rule.
 
-    For equal popcount, the lexicographically smaller selected-index vector
-    has the larger reversed-bit key, so minimizing the combined rank
-    popcount * 2^(m+1) + (2^m - 1 - revkey) realizes the tie-break order.
+    by_rank lists the masks from most to least preferred and rank[s] is mask
+    s's place in that list; both are read-only. For equal popcount, the
+    lexicographically smaller selected-index vector has the larger
+    reversed-bit key, so sorting by popcount * 2^(m+1) - revkey realizes
+    the order.
     """
-    size = 1 << m
-    ar = np.arange(size, dtype=np.int64)
-    pc = np.zeros(size, dtype=np.int64)
-    rev = np.zeros(size, dtype=np.int64)
+    masks = np.arange(1 << m, dtype=np.int64)
+    key = np.zeros(1 << m, dtype=np.int64)
     for j in range(m):
-        bit = (ar >> j) & 1
-        pc += bit
-        rev += bit << (m - 1 - j)
-    tb = pc * (1 << (m + 1)) + ((1 << m) - 1 - rev)
-    return pc, rev, tb
+        key += ((masks >> j) & 1) * ((2 << m) - (1 << (m - 1 - j)))
+    by_rank = np.argsort(key)
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = masks
+    by_rank.flags.writeable = False
+    rank.flags.writeable = False
+    return by_rank, rank
 
 
-def _argmin_rank_near_max(objective: np.ndarray, ranks: np.ndarray, tol: float) -> int:
+def _argmin_rank_near_max(objective: np.ndarray, rank: np.ndarray, tol: float) -> int:
     best = objective.max()
-    return int(np.where(objective >= best - tol, ranks, np.iinfo(np.int64).max).argmin())
+    return int(np.where(objective >= best - tol, rank, np.iinfo(np.int64).max).argmin())
 
 
 def tiebreak_argmax(objective: np.ndarray, m: int, tol: float = TIE_TOL) -> int:
     """Index of the tie-break-preferred maximizer of a subset objective."""
-    return _argmin_rank_near_max(objective, tiebreak_tables(m)[2], tol)
+    return _argmin_rank_near_max(objective, tiebreak_order(m)[1], tol)
 
 
 def tiebreak_argmax_without(
@@ -231,8 +233,8 @@ def tiebreak_argmax_without(
     """
     half = 1 << j
     rows = objective.reshape(-1, 2 * half)[:, :half]
-    ranks = tiebreak_tables(m)[2].reshape(-1, 2 * half)[:, :half]
-    row, col = divmod(_argmin_rank_near_max(rows, ranks, tol), half)
+    rank = tiebreak_order(m)[1].reshape(-1, 2 * half)[:, :half]
+    row, col = divmod(_argmin_rank_near_max(rows, rank, tol), half)
     return (row << (j + 1)) | col
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "SlotRealization",
     "Allocation",
     "WelfareBreakdown",
-    "compute_coverage",
-    "user_value",
     "evaluate_allocation",
 ]
 
@@ -156,14 +154,6 @@ class SensingRegion:
             regions.append(region)
         return tuple(regions)
 
-    @classmethod
-    def from_indices(cls, n_grids: int, indices: Iterable[int]) -> "SensingRegion":
-        return cls(n_grids, np.fromiter(indices, dtype=np.int64))
-
-    @classmethod
-    def empty(cls, n_grids: int) -> "SensingRegion":
-        return cls(n_grids, np.empty(0, dtype=np.int64))
-
     @cached_property
     def mask(self) -> int:
         m = 0
@@ -174,10 +164,6 @@ class SensingRegion:
     @property
     def size(self) -> int:
         return int(self.indices.size)
-
-    def covers(self, grid: int) -> bool:
-        pos = np.searchsorted(self.indices, grid)
-        return pos < self.indices.size and self.indices[pos] == grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,19 +255,6 @@ def _covered(realization: SlotRealization, alloc: Allocation) -> np.ndarray:
     for u in alloc.indices():
         cov[realization.regions[u].indices] = True
     return cov
-
-
-def compute_coverage(realization: SlotRealization, alloc: Allocation) -> frozenset[int]:
-    """Union of the sensing regions of all selected users."""
-    return frozenset(np.flatnonzero(_covered(realization, alloc)).tolist())
-
-
-def user_value(realization: SlotRealization, user: int) -> float:
-    """Standalone sensing value of one user: sum of weights over its region."""
-    if not 0 <= user < realization.n_users:
-        raise IndexError(f"user {user} out of range for {realization.n_users} users")
-    region = realization.regions[user]
-    return float(realization.weights.values[region.indices].sum())
 
 
 def evaluate_allocation(realization: SlotRealization, alloc: Allocation) -> WelfareBreakdown:

@@ -20,7 +20,9 @@ from sensecourt.benchmark import (
     welfare_tables,
 )
 from sensecourt.policy_dual import StepSchedule
-from sensecourt.solver import TIE_TOL, tiebreak_argmax, tiebreak_tables
+from sensecourt.solver import TIE_TOL
+
+from oracle_subset import tiebreak_tables
 
 
 def dual_upper_bound_dense(
@@ -91,10 +93,12 @@ def dual_upper_bound_dense(
 
 def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
+    _, _, tb = tiebreak_tables(n)
+    big = np.iinfo(np.int64).max
     total = 0.0
     selections = np.zeros(n)
     for row in tables:
-        s = tiebreak_argmax(row, n)
+        s = int(np.where(row >= row.max() - TIE_TOL, tb, big).argmin())
         total += float(row[s])
         selections += (s >> np.arange(n)) & 1
     return total / len(tables), selections / len(tables)

@@ -16,8 +16,9 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_table,
     tiebreak_argmax_without,
-    tiebreak_tables,
 )
+
+from oracle_subset import tiebreak_tables
 
 
 def truthfulness_sweep_dense(

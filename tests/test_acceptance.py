@@ -99,6 +99,7 @@ def test_c2_queue_stability_and_participation():
         warmup_slots=40,
         solver=SolveOptions(mode="greedy"),
         dropping=False,
+        t_slots=t_slots,
     )
     elapsed = time.monotonic() - start
     backlogs = metrics.final_policy_state.backlogs
@@ -334,9 +335,7 @@ def test_c8_incentive_cost_monotonicity():
         step_max_m=2000.0, seed=99,
     )
     slots = tuple(realization_stream(cfg, 400))
-    unconstrained = unconstrained_trace_welfare(
-        Trace(slots, np.zeros(8)), SolveOptions(mode="exact")
-    )
+    unconstrained = unconstrained_trace_welfare(Trace(slots, np.zeros(8)))
     welfare = []
     costs = []
     for d in (0.0, 0.2, 0.4, 0.6):

@@ -13,7 +13,7 @@ from sensecourt.auction import (
 )
 from sensecourt.policy_lyapunov import QueueState, queue_update
 from sensecourt.solver import RegulatedInstance, solve_exact
-from sensecourt.world import Allocation
+from sensecourt.world import Allocation, evaluate_allocation
 
 from test_world import make_realization
 
@@ -72,8 +72,9 @@ class TestPivots:
             outcome = run_auction_slot(state, real, bids)
             kappa = bids.bids - state.factors
             weights = real.weights.values
-            for pivot in outcome.per_winner_pivot:
-                u = pivot.user
+            winners = outcome.alloc.indices()
+            value = evaluate_allocation(real, outcome.alloc).value
+            for u in winners.tolist():
                 # independent leave-one-out optimum over all subsets
                 best = 0.0
                 others = [v for v in range(n) if v != u]
@@ -86,7 +87,9 @@ class TestPivots:
                             kappa[v] for v in combo
                         )
                         best = max(best, obj)
-                assert pivot.welfare_without == pytest.approx(best, abs=TOL)
+                others_cost = kappa[winners].sum() - kappa[u]
+                expected = value - others_cost - best + state.factors[u]
+                assert outcome.payments[u] == pytest.approx(expected, abs=TOL)
 
     def test_losers_paid_zero_and_payments_finite(self):
         rng = np.random.default_rng(1)
@@ -103,16 +106,6 @@ class TestPivots:
             outcome = run_auction_slot(state, real, BidVector(real.true_costs))
             for u in outcome.alloc.indices():
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
-
-    def test_regulated_welfare_matches_solver(self):
-        rng = np.random.default_rng(3)
-        real, state = random_auction_instance(rng)
-        bids = BidVector(real.true_costs)
-        outcome = run_auction_slot(state, real, bids)
-        res = solve_exact(
-            RegulatedInstance.of(real, bids.bids - state.factors)
-        )
-        assert outcome.regulated_welfare == pytest.approx(res.objective, abs=TOL)
 
     def test_refuses_oversized_instances(self):
         real = make_realization(4, [{0}] * 5, costs=[0.1] * 5)

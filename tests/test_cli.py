@@ -476,6 +476,40 @@ class TestFailBeforeWork:
         assert built == []
         assert not out.exists()
 
+    def test_auction_beyond_exact_limit_refused_before_warmup(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        built = []
+        original = engine_mod.realization_stream
+
+        def counting(scenario, t_slots):
+            for realization in original(scenario, t_slots):
+                built.append(1)
+                yield realization
+
+        monkeypatch.setattr(engine_mod, "realization_stream", counting)
+        path = write_config(
+            tmp_path,
+            {"scenario.n_users": 22},
+            policies=[{"kind": "greedy"}, {"kind": "auction", "phi": 10}],
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: auction requires exact pivots") and err.count("\n") == 1
+        assert "22 eligible users exceed 20" in err
+        assert built == []
+        assert not out.exists()
+
+    def test_auction_beyond_exact_limit_runs_when_every_slot_is_warmup(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"scenario.n_users": 22},
+            policies=[{"kind": "greedy"}, {"kind": "auction", "phi": 10}],
+            warmup_slots=25,
+        )
+        assert cmd_simulate(str(path), out=str(tmp_path / "out")) == 0
+
     @pytest.mark.parametrize("command", ["simulate", "benchmark", "truthcheck"])
     def test_negative_seed_override_refused(self, tmp_path, capsys, command):
         path = write_config(tmp_path)
@@ -729,6 +763,18 @@ class TestTruthcheckCommand:
         report = json.loads((out / "truthfulness.json").read_text())
         assert report["counterexample"] is not None
         assert report["max_regret"] > 1e-9
+
+    def test_configured_exact_limit_reaches_the_sweep(self, tmp_path):
+        # 21 users pass a limit of 21, above the sweep's default of 20
+        cfg = json.loads((CONFIGS / "truthcheck.json").read_text())
+        cfg["scenario"]["n_users"] = 21
+        cfg["solver"] = {"exact_limit": 21}
+        cfg["truthcheck"]["instances"] = 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["truthcheck", "--config", str(path), "--out", str(out)]) == 0
+        assert json.loads((out / "truthfulness.json").read_text())["swept"] == 1
 
     def test_oversized_instances_rejected(self, tmp_path, capsys):
         path = write_config(

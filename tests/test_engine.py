@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sensecourt.auction import ExactPivotsRequiredError
 from sensecourt.benchmark import BenchmarkResult
 from sensecourt.engine import (
     PolicySpec,
@@ -189,11 +190,11 @@ class TestLockstep:
 
     def test_stream_of_unknown_length_matches_list(self):
         cfg = desk_config()
-        slots = list(realization_stream(cfg, 300))  # past the first row capacity
+        slots = list(realization_stream(cfg, 300))
         thresholds = np.full(cfg.n_users, 0.5)
         spec = PolicySpec("radp_vpc", alpha=0.5)
         from_list = run_policy(slots, spec, thresholds, 10)
-        from_gen = run_policy((s for s in slots), spec, thresholds, 10)
+        from_gen = run_policy((s for s in slots), spec, thresholds, 10, t_slots=300)
         assert from_gen.t_slots == 300
         assert_same_run(from_list, from_gen)
 
@@ -225,15 +226,35 @@ class TestFailBeforeWork:
         with pytest.raises(ValueError, match="warmup_slots"):
             run_policy(slots, PolicySpec("greedy"), np.full(cfg.n_users, 0.5), 9)
 
-    def test_unknown_horizon_still_checked_at_the_end(self):
+    def test_unknown_horizon_refused_before_first_slot(self):
         cfg = desk_config()
         calls = []
-        with pytest.raises(ValueError, match="warmup_slots"):
+        with pytest.raises(ValueError, match="needs t_slots"):
             run_policy(
                 counting_stream(cfg, 5, calls), PolicySpec("greedy"),
-                np.full(cfg.n_users, 0.5), warmup_slots=9,
+                np.full(cfg.n_users, 0.5), warmup_slots=0,
             )
-        assert len(calls) == 5
+        assert calls == []
+
+    def test_auction_beyond_exact_limit_refused_before_first_slot(self):
+        cfg = desk_config(n_users=5)
+        calls = []
+        specs = [PolicySpec("greedy"), PolicySpec("auction", phi=10)]
+        with pytest.raises(ExactPivotsRequiredError, match="5 eligible users exceed 4"):
+            run_policy(
+                counting_stream(cfg, 5, calls), specs, np.full(5, 0.5),
+                warmup_slots=4, solver=SolveOptions(exact_limit=4), t_slots=5,
+            )
+        assert calls == []
+
+    def test_auction_beyond_exact_limit_runs_when_every_slot_is_warmup(self):
+        cfg = desk_config(n_users=5)
+        slots = list(realization_stream(cfg, 5))
+        metrics = run_policy(
+            slots, PolicySpec("auction", phi=10), np.full(5, 0.5),
+            warmup_slots=5, solver=SolveOptions(exact_limit=4),
+        )
+        assert metrics.t_slots == 5
 
     @pytest.mark.parametrize("actual", [4, 6])
     def test_stream_length_must_match_horizon(self, actual):

@@ -5,16 +5,14 @@ import pytest
 
 from sensecourt.policy_lyapunov import (
     QueueState,
-    drift_plus_penalty_diag,
     lyapunov_allocate,
-    lyapunov_drift,
-    lyapunov_function,
     penalty_bound_B,
     queue_update,
 )
 from sensecourt.solver import RegulatedInstance, SolveOptions, solve_exact
 from sensecourt.world import Allocation
 
+from oracle_lyapunov import drift_plus_penalty_diag, lyapunov_drift, lyapunov_function
 from test_solver import random_instance
 
 

@@ -11,9 +11,11 @@ from sensecourt.solver import (
     solve,
     solve_exact,
     solve_greedy,
+    tiebreak_order,
 )
 from sensecourt.world import Allocation, evaluate_allocation
 
+from oracle_subset import tiebreak_tables
 from test_world import make_realization
 
 TOL = 1e-9
@@ -239,3 +241,20 @@ class TestDispatch:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SolveOptions(mode="magic")
+
+
+class TestTiebreakOrder:
+    @pytest.mark.parametrize("m", range(13))
+    def test_matches_oracle_ranks(self, m):
+        by_rank, rank = tiebreak_order(m)
+        assert by_rank.tolist() == np.argsort(tiebreak_tables(m)[2]).tolist()
+        assert rank[by_rank].tolist() == list(range(1 << m))
+        assert not by_rank.flags.writeable and not rank.flags.writeable
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_fewer_users_then_smaller_index_vector(self, m):
+        def users(mask):
+            return [j for j in range(m) if (mask >> j) & 1]
+
+        want = sorted(range(1 << m), key=lambda mask: (len(users(mask)), users(mask)))
+        assert tiebreak_order(m)[0].tolist() == want

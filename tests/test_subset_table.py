@@ -26,6 +26,7 @@ from sensecourt.solver import (
     subset_value_table,
     tiebreak_argmax_without,
 )
+from sensecourt.world import evaluate_allocation
 
 from oracle_subset import subset_value_table_loop
 from test_world import make_realization
@@ -175,13 +176,17 @@ class TestLeaveOneOutFromTable:
 
         with recorded_pivots() as seen:
             outcome = run_auction_slot(state, real, BidVector(real.true_costs), eligible)
-        winners = outcome.alloc.indices().tolist()
-        assert [p.user for p in outcome.per_winner_pivot] == winners
-        assert len(seen) == len(winners)
-        for pivot, without in zip(outcome.per_winner_pivot, seen):
-            reduced = reduced_solve(real, kappa, eligible, pivot.user)
-            assert bits(pivot.welfare_without) == bits(reduced.objective)
+        winners = outcome.alloc.indices()
+        value = evaluate_allocation(real, outcome.alloc).value
+        assert len(seen) == winners.size
+        for u, without in zip(winners.tolist(), seen):
+            reduced = reduced_solve(real, kappa, eligible, u)
             assert bits(without) == bits(reduced.objective)
+            # the payment rule's arithmetic on the leave-one-out solve
+            others_cost = float(kappa[winners].sum() - kappa[u])
+            expected = value - others_cost - reduced.objective + float(factors[u])
+            assert bits(outcome.payments[u]) == bits(expected)
+        assert np.all(outcome.payments[~outcome.alloc.selected] == 0.0)
 
         for user in np.flatnonzero(eligible).tolist():
             with recorded_pivots() as seen:

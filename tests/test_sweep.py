@@ -19,9 +19,9 @@ from sensecourt.solver import (
     TIE_TOL,
     subset_linear_table,
     subset_value_table,
-    tiebreak_tables,
 )
 
+from oracle_subset import tiebreak_tables
 from oracle_sweep import report_differences, truthfulness_sweep_dense
 from test_subset_table import coverage_instances
 from test_world import make_realization

@@ -9,14 +9,12 @@ from sensecourt.world import (
     SensingRegion,
     SlotRealization,
     WeightField,
-    compute_coverage,
     evaluate_allocation,
-    user_value,
 )
 
 
 def make_realization(n_grids, regions, weights=None, costs=None):
-    regs = tuple(SensingRegion.from_indices(n_grids, r) for r in regions)
+    regs = tuple(SensingRegion(n_grids, sorted(r)) for r in regions)
     w = np.ones(n_grids) if weights is None else np.asarray(weights, dtype=float)
     c = np.zeros(len(regions)) if costs is None else np.asarray(costs, dtype=float)
     return SlotRealization(WeightField(w), regs, c)
@@ -84,12 +82,11 @@ class TestTypes:
 
     def test_region_validates_indices(self):
         with pytest.raises(ValueError):
-            SensingRegion.from_indices(4, [4])
-        region = SensingRegion.from_indices(4, [2, 0, 2])
+            SensingRegion(4, [4])
+        region = SensingRegion(4, [2, 0, 2])
         assert region.indices.tolist() == [0, 2]
         assert region.mask == 0b101
         assert region.size == 2
-        assert region.covers(2) and not region.covers(1)
 
     def test_sorted_input_kept_as_a_private_copy(self):
         given = np.array([1, 3, 7], dtype=np.int64)
@@ -115,7 +112,7 @@ class TestTypes:
         regions = SensingRegion.split_sorted(8, grids, [0, 2, 3, 0, 1, 0])
         assert [r.indices.tolist() for r in regions] == [[], [3, 7], [1, 2, 5], [], [0], []]
         assert all(r.n_grids == 8 for r in regions)
-        assert regions[2].mask == 0b100110 and regions[2].covers(5)
+        assert regions[2].mask == 0b100110
         grids[0] = 6  # the regions hold a private copy
         assert regions[1].indices.tolist() == [3, 7]
         for k, a in enumerate(regions):
@@ -149,7 +146,7 @@ class TestTypes:
             SensingRegion.split_sorted(8, np.array(grids), counts)
 
     def test_empty_region_permitted(self):
-        region = SensingRegion.empty(8)
+        region = SensingRegion(8, [])
         assert region.size == 0 and region.mask == 0
 
     def test_realization_validates(self):
@@ -165,13 +162,15 @@ class TestTypes:
 
 
 class TestCoverage:
+    """With unit weights, the value of an allocation counts its covered grids."""
+
     def test_no_user_selected_empty(self):
         real = make_realization(5, [{0, 1}, {2}])
-        assert compute_coverage(real, Allocation.none(2)) == frozenset()
+        assert evaluate_allocation(real, Allocation.none(2)).value == 0.0
 
     def test_union(self):
         real = make_realization(5, [{1, 2}, {2, 3}])
-        assert compute_coverage(real, Allocation.of(2, [0, 1])) == {1, 2, 3}
+        assert evaluate_allocation(real, Allocation.of(2, [0, 1])).value == 3.0
 
     def test_overlap_vector_from_worked_example(self):
         # 20-grid and 9-grid regions sharing 3 grids cover 26 grids together
@@ -179,32 +178,12 @@ class TestCoverage:
         b = set(range(17, 26))
         assert len(a & b) == 3
         real = make_realization(30, [a, b])
-        covered = compute_coverage(real, Allocation.of(2, [0, 1]))
-        assert len(covered) == 26
+        assert evaluate_allocation(real, Allocation.of(2, [0, 1])).value == 26.0
 
     def test_dimension_mismatch(self):
         real = make_realization(5, [{0}])
         with pytest.raises(ValueError):
-            compute_coverage(real, Allocation.none(2))
-
-
-class TestUserValue:
-    def test_empty_region_zero(self):
-        real = make_realization(5, [set()])
-        assert user_value(real, 0) == 0.0
-
-    def test_unit_weights(self):
-        real = make_realization(5, [{1, 2}])
-        assert user_value(real, 0) == 2.0
-
-    def test_twenty_unit_grids(self):
-        real = make_realization(25, [set(range(20))])
-        assert user_value(real, 0) == 20.0
-
-    def test_index_out_of_range(self):
-        real = make_realization(5, [{0}])
-        with pytest.raises(IndexError):
-            user_value(real, 1)
+            evaluate_allocation(real, Allocation.none(2))
 
 
 class TestEvaluateAllocation:
@@ -212,7 +191,6 @@ class TestEvaluateAllocation:
         real = make_realization(5, [{0, 1}], costs=[3.0])
         wb = evaluate_allocation(real, Allocation.none(1))
         assert (wb.value, wb.cost, wb.welfare) == (0.0, 0.0, 0.0)
-        assert compute_coverage(real, Allocation.none(1)) == frozenset()
 
     def test_overlap_instance_welfare(self):
         a = set(range(20))
@@ -302,7 +280,12 @@ class TestProperties:
         alloc = Allocation(np.ones(n_users, dtype=bool))
         total = evaluate_allocation(real, alloc).value
         assert total == pytest.approx(
-            sum(user_value(real, u) for u in range(n_users)), rel=1e-12, abs=1e-12
+            sum(
+                evaluate_allocation(real, Allocation.of(n_users, [u])).value
+                for u in range(n_users)
+            ),
+            rel=1e-12,
+            abs=1e-12,
         )
 
     @settings(max_examples=60, deadline=None)
