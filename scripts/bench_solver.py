@@ -2,7 +2,8 @@
 """Slot-generation and exact-solver microbenchmark: median ms per generated
 slot at desk and welfare scale, per solve_exact at N = 8, 12, 16, 20, per
 truthfulness_sweep at N = 8, 12, 16 and per dual sweep at (N, T) = (8, 800),
-(8, 10,000) and (12, 800).
+(8, 10,000) and (12, 800), and the dual's peak memory over its table at
+(N, T) = (12, 4,096), (16, 256) and (20, 16).
 
 Slot generation is timed one next() of realization_stream at a time over the
 first --slots slots of configs/dropping_desk.json (100 users, 2,500 grids)
@@ -31,6 +32,10 @@ time over its sweep count, median of --instances runs. The dense per-chunk
 oracle in tests/oracle_dual.py is timed the same way on the same tables, and
 its bound and frequencies must equal the fast ones bit for bit.
 
+The dual's peak is the tracemalloc peak of dual_upper_bound, DUAL_PEAK_ITERATIONS
+iterations on prebuilt welfare tables of 2^24 cells (128 MB), divided by the
+table's bytes: what the sweep allocates beyond the table it reads.
+
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
 """
 
@@ -42,6 +47,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +56,7 @@ from sensecourt.auction import RegulationState, truthfulness_sweep
 from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
 from sensecourt.cli import load_config
 from sensecourt.scenarios import initial_state, realization_stream, slot_rng, step_mobility
-from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact
+from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact, tiebreak_order
 from sensecourt.world import SlotRealization
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +74,8 @@ SWEEP_SIZES = (8, 12, 16)
 BID_POINTS = 201
 DUAL_SHAPES = ((8, 800), (8, 10_000), (12, 800))
 DUAL_ITERATIONS = 50
+DUAL_PEAK_SHAPES = ((12, 4096), (16, 256), (20, 16))
+DUAL_PEAK_ITERATIONS = 3
 
 
 def first_users(slot: SlotRealization, n: int) -> SlotRealization:
@@ -124,11 +132,16 @@ def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
     return statistics.median(sweeps), statistics.median(dense)
 
 
-def time_dual(n: int, t: int, runs: int) -> tuple[float, float]:
-    """Median ms per dual sweep, fast and dense oracle, on one welfare trace."""
+def welfare_trace(n: int, t: int) -> Trace:
+    """The first t welfare-desk slots at n users, thresholds 0.5."""
     scenario = load_config(str(SLOT_CONFIGS["welfare"])).scenario
     scenario = dataclasses.replace(scenario, n_users=n)
-    trace = Trace(tuple(realization_stream(scenario, t)), np.full(n, 0.5))
+    return Trace(tuple(realization_stream(scenario, t)), np.full(n, 0.5))
+
+
+def time_dual(n: int, t: int, runs: int) -> tuple[float, float]:
+    """Median ms per dual sweep, fast and dense oracle, on one welfare trace."""
+    trace = welfare_trace(n, t)
     tables = welfare_tables(trace)
     sweeps = DUAL_ITERATIONS + 1
     fast, dense = [], []
@@ -146,6 +159,20 @@ def time_dual(n: int, t: int, runs: int) -> tuple[float, float]:
         ):
             raise AssertionError(f"dual bound differs from the dense oracle at N={n}, T={t}")
     return statistics.median(fast), statistics.median(dense)
+
+
+def dual_peak_ratio(n: int, t: int) -> float:
+    """tracemalloc peak of dual_upper_bound on a prebuilt table, in table bytes."""
+    trace = welfare_trace(n, t)
+    tables = welfare_tables(trace)
+    tiebreak_order(n)  # cached once per process, not part of the sweep
+    tracemalloc.start()
+    try:
+        dual_upper_bound(trace, DUAL_PEAK_ITERATIONS, tables=tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / tables.nbytes
 
 
 def main() -> int:
@@ -228,6 +255,16 @@ def main() -> int:
             flush=True,
         )
 
+    dual_peak = {}
+    for n, t in DUAL_PEAK_SHAPES:
+        key = f"N={n},T={t}"
+        dual_peak[key] = dual_peak_ratio(n, t)
+        print(
+            f"N={n:2d}, T={t:5d}: dual peak {dual_peak[key]:.3f} x the table "
+            f"({DUAL_PEAK_ITERATIONS} iterations)",
+            flush=True,
+        )
+
     report = {
         "slot_configs": {k: str(p.relative_to(ROOT)) for k, p in SLOT_CONFIGS.items()},
         "slot_hotspot_overrides": HOTSPOT,
@@ -250,6 +287,8 @@ def main() -> int:
         "dual_sweep_ms_median": dual_ms,
         "dense_dual_oracle_ms_median": dual_dense_ms,
         "dual_bit_identical_to_oracle": True,
+        "dual_peak_iterations": DUAL_PEAK_ITERATIONS,
+        "dual_peak_over_table_bytes": dual_peak,
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),

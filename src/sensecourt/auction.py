@@ -73,8 +73,8 @@ class RegulationState:
         r = np.array(self.factors, dtype=float, copy=True)
         if np.any(r < 0):
             raise ValueError("regulation factors must be non-negative")
-        if not self.phi > 0:
-            raise ValueError("phi must be positive")
+        if not 0 < self.phi < np.inf:  # NaN fails both
+            raise ValueError("phi must be a finite number > 0")
         r.flags.writeable = False
         object.__setattr__(self, "factors", r)
 

@@ -30,8 +30,8 @@ class VpcState:
         v = np.array(self.credits, dtype=float, copy=True)
         if np.any(v < 0):
             raise ValueError("credits must be non-negative")
-        if self.alpha < 0:
-            raise ValueError("alpha must be non-negative")
+        if not 0 <= self.alpha < np.inf:  # NaN fails both
+            raise ValueError("alpha must be a finite number >= 0")
         v.flags.writeable = False
         object.__setattr__(self, "credits", v)
 

@@ -17,8 +17,6 @@ import numpy as np
 from .policy_dual import StepSchedule
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .solver import (
-    RegulatedInstance,
-    solve_exact,
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
@@ -32,7 +30,7 @@ __all__ = [
     "Trace",
     "BenchmarkResult",
     "welfare_tables",
-    "check_dual_capacity",
+    "check_table_capacity",
     "solve_complete_bruteforce",
     "dual_upper_bound",
     "unconstrained_trace_welfare",
@@ -40,7 +38,7 @@ __all__ = [
 ]
 
 BRUTEFORCE_CELL_LIMIT = 24  # joint enumeration bounded by 2^(N*T)
-_TABLE_CELL_CAP = 1 << 24  # slots x subsets cells for the dual table
+_TABLE_CELL_CAP = 1 << 24  # slots x subsets cells of the welfare table
 _FEAS_TOL = 1e-12
 _CHUNK = 1 << 20
 
@@ -92,40 +90,45 @@ class BenchmarkResult:
 
 
 def welfare_tables(trace: Trace) -> np.ndarray:
-    """(T, 2^N) welfare of every subset in every slot, true costs.
+    """(T, 2^N) welfare of every subset in every slot, true costs, with the
+    columns in tiebreak_order(N)[0] order (a permutation: every bit is kept).
 
-    Row k equals the objective solve_exact maximizes for slot k with every
-    user eligible, so a row's tie-break maximum is that slot's exact optimum.
+    Column r of row k is the objective solve_exact maximizes for slot k with
+    every user eligible, at subset tiebreak_order(N)[0][r], so a row's first
+    near-maximum column is that slot's exact optimum. All three references
+    read it, so each refuses a trace whose table exceeds _TABLE_CELL_CAP.
     """
     n = trace.n_users
+    check_table_capacity(n, trace.t_slots)
     users = np.arange(n)
-    rows = []
-    for slot in trace.slots:
-        rows.append(
-            subset_value_table(slot, users) - subset_linear_table(slot.true_costs)
-        )
-    return np.vstack(rows)
+    by_rank = tiebreak_order(n)[0]
+    tables = np.empty((trace.t_slots, 1 << n))
+    for slot, row in zip(trace.slots, tables):
+        values = subset_value_table(slot, users)
+        values -= subset_linear_table(slot.true_costs)
+        np.take(values, by_rank, out=row)
+    return tables
 
 
-def check_dual_capacity(n_users: int, t_slots: int) -> None:
-    """Refuse a dual table of more than _TABLE_CELL_CAP cells."""
+def check_table_capacity(n_users: int, t_slots: int) -> None:
+    """Refuse a welfare table of more than _TABLE_CELL_CAP cells."""
     if (1 << n_users) * t_slots > _TABLE_CELL_CAP:
         raise BenchmarkCapacityError(
-            f"2^N * T = {(1 << n_users) * t_slots} exceeds the dual table cap "
+            f"2^N * T = {(1 << n_users) * t_slots} exceeds the welfare table cap "
             f"{_TABLE_CELL_CAP}; reduce n_users or the trace length"
         )
 
 
-def _near_max_picks(ranked: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima of ranked + add, and each row's first column within TIE_TOL.
+def _near_max_picks(tables: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima of tables + add, and each row's first column within TIE_TOL.
 
-    `ranked` is a (T, 2^n) subset table with its columns in tiebreak_order(n)[0],
-    and `add` is one row in the same order. The first near-maximum column is
-    the pick tiebreak_argmax makes on the unpermuted row, found by a boolean
-    argmax in place of an int64 rank array. Rows go in blocks of about
-    _BLOCK_CELLS cells through one float and one boolean buffer.
+    `tables` is welfare_tables output or rows of it, and `add` is one row in
+    the same column order. The first near-maximum column is the pick
+    tiebreak_argmax makes on the unpermuted row, found by a boolean argmax
+    in place of an int64 rank array. Rows go in blocks of about _BLOCK_CELLS
+    cells through one float and one boolean buffer.
     """
-    t, size = ranked.shape
+    t, size = tables.shape
     rows = min(t, max(1, _BLOCK_CELLS // size))
     obj = np.empty((rows, size))
     hit = np.empty((rows, size), dtype=bool)
@@ -133,22 +136,25 @@ def _near_max_picks(ranked: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np
     picks = np.empty(t, dtype=np.intp)
     for lo in range(0, t, rows):
         hi = min(lo + rows, t)
-        block = np.add(ranked[lo:hi], add, out=obj[: hi - lo])
+        block = np.add(tables[lo:hi], add, out=obj[: hi - lo])
         best = np.max(block, axis=1, out=row_best[lo:hi])
         near = np.greater_equal(block, (best - TIE_TOL)[:, None], out=hit[: hi - lo])
         picks[lo:hi] = near.argmax(axis=1)
     return row_best, picks
 
 
+def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
+    """How many of the subset masks select each of the n users."""
+    return ((masks >> np.arange(n)[:, None]) & 1).sum(axis=1)  # row sums: contiguous
+
+
 def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
-    order = tiebreak_order(n)[0]
-    ranked = np.take(tables, order, axis=1)
-    _, picks = _near_max_picks(ranked, np.zeros(1 << n))  # + 0.0 keeps every pick
+    _, picks = _near_max_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
     total = 0.0
-    for value in ranked[np.arange(len(ranked)), picks].tolist():
+    for value in tables[np.arange(len(tables)), picks].tolist():
         total += value  # left to right, as the per-slot solves add
-    selections = ((order[picks][:, None] >> np.arange(n)) & 1).sum(axis=0)
+    selections = _user_counts(tiebreak_order(n)[0][picks], n)
     return total / len(tables), selections / len(tables)
 
 
@@ -172,6 +178,7 @@ def solve_complete_bruteforce(
         tables = welfare_tables(trace)
     d = trace.thresholds
     slot_mask = (1 << n) - 1
+    rank = tiebreak_order(n)[1]
 
     best_w = -np.inf
     best_j = -1
@@ -183,7 +190,7 @@ def solve_complete_bruteforce(
         counts = np.zeros((n, js.size), dtype=np.int8)
         for k in range(t):
             sub = (js >> (n * k)) & slot_mask
-            welf += tables[k][sub]
+            welf += tables[k][rank[sub]]
             for u in range(n):
                 counts[u] += ((sub >> u) & 1).astype(np.int8)
         for u in range(n):
@@ -196,12 +203,8 @@ def solve_complete_bruteforce(
                 best_j = int(js[k])
 
     if best_j >= 0:
-        probs = np.zeros(n)
-        for k in range(t):
-            sub = (best_j >> (n * k)) & slot_mask
-            for u in range(n):
-                probs[u] += (sub >> u) & 1
-        return BenchmarkResult(best_w / t, probs / t, True, "complete_exact")
+        plan = np.array([(best_j >> (n * k)) & slot_mask for k in range(t)])
+        return BenchmarkResult(best_w / t, _user_counts(plan, n) / t, True, "complete_exact")
 
     # infeasible: best effort is the slot-wise unconstrained optimum
     avg, probs = _slotwise_optimum(tables, n)
@@ -234,24 +237,20 @@ def dual_upper_bound(
         scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    check_dual_capacity(n, t)
     if tables is None:
         tables = welfare_tables(trace)
     d = trace.thresholds
-    size = 1 << n
-    member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    order = tiebreak_order(n)[0]
-    ranked = np.take(tables, order, axis=1)  # C-ordered; tables[:, order] is not
+    by_rank = tiebreak_order(n)[0]
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        add = (member @ lam)[order]
+        add = subset_linear_table(lam)[by_rank]
         ghat_sum = 0.0
-        counts = np.zeros(size, dtype=np.int64)
+        counts = np.zeros(n, dtype=np.int64)
         for lo in range(0, t, 4096):  # the row groups that fix ghat's bits
-            row_best, picks = _near_max_picks(ranked[lo : lo + 4096], add)
+            row_best, picks = _near_max_picks(tables[lo : lo + 4096], add)
             ghat_sum += float(row_best.sum())
-            counts += np.bincount(order[picks], minlength=size)
-        return ghat_sum / t - float(lam @ d), counts @ member / t
+            counts += _user_counts(by_rank[picks], n)
+        return ghat_sum / t - float(lam @ d), counts / t
 
     lam = np.zeros(n)
     lam_sum = np.zeros(n)
@@ -273,24 +272,14 @@ def dual_upper_bound(
 def unconstrained_trace_welfare(
     trace: Trace, tables: np.ndarray | None = None
 ) -> BenchmarkResult:
-    """Slot-wise optimum with true costs and no participatory constraint.
-
-    Given welfare_tables(trace), the optimum is read from the table rows;
-    otherwise each slot is solved exactly.
+    """Slot-wise optimum with true costs and no participatory constraint,
+    read from the rows of `tables`, welfare_tables(trace), built here if
+    absent: the whole (T, 2^N) table, refused above _TABLE_CELL_CAP cells.
     """
-    n = trace.n_users
-    if tables is not None:
-        avg, selections = _slotwise_optimum(tables, n)
-        return BenchmarkResult(avg, selections, True, "unconstrained")
-    selections = np.zeros(n)
-    total = 0.0
-    for slot in trace.slots:
-        res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
-        total += res.objective
-        selections += res.alloc.selected
-    return BenchmarkResult(
-        total / trace.t_slots, selections / trace.t_slots, True, "unconstrained"
-    )
+    if tables is None:
+        tables = welfare_tables(trace)
+    avg, selections = _slotwise_optimum(tables, trace.n_users)
+    return BenchmarkResult(avg, selections, True, "unconstrained")
 
 
 def incentive_cost(unconstrained: BenchmarkResult, constrained: BenchmarkResult) -> float:

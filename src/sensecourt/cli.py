@@ -26,7 +26,7 @@ from .benchmark import (
     BRUTEFORCE_CELL_LIMIT,
     BenchmarkCapacityError,
     Trace,
-    check_dual_capacity,
+    check_table_capacity,
     dual_upper_bound,
     incentive_cost,
     solve_complete_bruteforce,
@@ -95,8 +95,8 @@ class TruthcheckSettings:
             raise ValueError("truthcheck.bid_points must be at least 1")
         if not 0 <= self.bid_span < math.inf:
             raise ValueError("truthcheck.bid_span must be a finite number >= 0")
-        if not self.phi > 0:
-            raise ValueError("truthcheck.phi must be positive")
+        if not 0 < self.phi < math.inf:  # as RegulationState requires
+            raise ValueError("truthcheck.phi must be a finite number > 0")
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -419,7 +419,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
     scenario = _with_seed(cfg.scenario, seed)
     # refuse oversized tables before the first slot is built
     n, t = scenario.n_users, cfg.t_slots
-    check_dual_capacity(n, t)
+    check_table_capacity(n, t)
     bf_mode = cfg.benchmark.bruteforce
     within = n * t <= BRUTEFORCE_CELL_LIMIT
     if bf_mode is True and not within:
@@ -444,6 +444,10 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
         bruteforce = solve_complete_bruteforce(trace, tables)
 
     constrained = bruteforce if bruteforce is not None else bound
+    try:
+        cost = incentive_cost(unconstrained, constrained)
+    except ValueError:  # undefined for a non-positive unconstrained optimum
+        cost = None
     report = {
         "n_users": trace.n_users,
         "t_slots": trace.t_slots,
@@ -452,7 +456,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
         "dual_upper_bound": bound.avg_welfare,
         "bruteforce": None if bruteforce is None else bruteforce.avg_welfare,
         "bruteforce_feasible": None if bruteforce is None else bruteforce.feasible,
-        "incentive_cost": incentive_cost(unconstrained, constrained),
+        "incentive_cost": cost,
         "iterations": cfg.benchmark.iterations,
     }
     (out_dir / "benchmark.json").write_text(_canonical_json(report))

@@ -36,7 +36,6 @@ from . import auction as _auction
 from . import baselines as _baselines
 from . import policy_dual as _dual
 from . import policy_lyapunov as _lyap
-from .benchmark import BenchmarkResult, incentive_cost
 from .policy_dual import StepSchedule
 from .scenarios import (
     RANDOM_POLICY_STREAM,
@@ -75,6 +74,7 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        _regulator(self, np.zeros(0))  # the kind's state refuses the phi or alpha it reads
 
     @property
     def label(self) -> str:
@@ -339,19 +339,16 @@ def run_simulation(
     )
 
 
-def compute_summary(
-    metrics: TraceMetrics,
-    benchmarks: tuple[BenchmarkResult, BenchmarkResult] | None = None,
-) -> dict:
-    """Headline numbers of one run; incentive cost when benchmarks are given.
+def compute_summary(metrics: TraceMetrics) -> dict:
+    """Headline numbers of one run.
 
     avg_welfare averages the post-warmup slots (all slots when the whole run
-    is warmup). benchmarks is (unconstrained, constrained).
+    is warmup).
     """
     t, w = metrics.t_slots, metrics.warmup_slots
     post = metrics.welfare_series[w:] if t > w else metrics.welfare_series
     n = metrics.thresholds.size
-    summary = {
+    return {
         "policy": metrics.policy_label,
         "replication": metrics.replication,
         "seed": metrics.seed,
@@ -362,7 +359,3 @@ def compute_summary(
         "dropping_fraction": len(metrics.drop_events) / n,
         "min_alloc_prob": float(metrics.alloc_prob_series[-1].min()),
     }
-    if benchmarks is not None:
-        unconstrained, constrained = benchmarks
-        summary["incentive_cost"] = incentive_cost(unconstrained, constrained)
-    return summary

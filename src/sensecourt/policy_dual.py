@@ -8,6 +8,7 @@ user's running allocation frequency and its threshold, projected at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class StepSchedule:
     def __post_init__(self):
         if self.kind not in ("harmonic", "constant"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.coeff > 0:
-            raise ValueError("step coefficient must be positive")
+        if not 0 < self.coeff < math.inf:  # NaN fails both
+            raise ValueError("step coefficient must be a finite number > 0")
 
     @classmethod
     def harmonic(cls, c: float = 1.0) -> "StepSchedule":

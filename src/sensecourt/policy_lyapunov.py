@@ -36,8 +36,8 @@ class QueueState:
         q = np.array(self.backlogs, dtype=float, copy=True)
         if np.any(q < 0):
             raise ValueError("backlogs must be non-negative")
-        if not self.phi > 0:
-            raise ValueError("phi must be positive")
+        if not 0 < self.phi < np.inf:  # NaN fails both
+            raise ValueError("phi must be a finite number > 0")
         q.flags.writeable = False
         object.__setattr__(self, "backlogs", q)
 

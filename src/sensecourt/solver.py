@@ -183,9 +183,10 @@ def slot_value_table(realization: SlotRealization, users: np.ndarray) -> np.ndar
 
 def subset_linear_table(per_user: np.ndarray) -> np.ndarray:
     """Sum of per-user terms over every subset, indexed by local bit mask."""
-    table = np.zeros(1)
-    for v in np.asarray(per_user, dtype=float):
-        table = np.concatenate([table, table + v])
+    terms = np.asarray(per_user, dtype=float)
+    table = np.zeros(1 << terms.size)
+    for j, v in enumerate(terms.tolist()):  # subset s | 2^j, s < 2^j: s plus term j
+        np.add(table[: 1 << j], v, out=table[1 << j : 2 << j])
     return table
 
 

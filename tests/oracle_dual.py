@@ -1,11 +1,15 @@
 """Reference dual upper bound: the dense per-chunk tie-break sweep.
 
-Each sweep adds the multiplier term to 4096-row chunks of the welfare
-table, builds an int64 array that holds each near-maximum's tie-break rank
-and the int64 maximum elsewhere, and takes each row's argmin as its pick.
-`sensecourt.benchmark.dual_upper_bound` must reproduce its result bit for
-bit. Test and benchmark helper only: per chunk it holds a float and an
-int64 temporary of 4096 x 2^N cells.
+Both references take welfare_tables output, whose columns are in
+tie-break order, and first put the columns back in bit-mask order with
+tiebreak_order(n)[1]. Each sweep adds the multiplier term, summed over
+each subset by subset_linear_table as the fast sweep sums it, to 4096-row
+chunks of the table, builds an int64 array that holds each near-maximum's
+tie-break rank and the int64 maximum elsewhere, and takes each row's
+argmin as its pick. `sensecourt.benchmark.dual_upper_bound` must reproduce
+its result bit for bit. Test and benchmark helper only: it holds an
+unranked copy of the table and, per chunk, a float and an int64 temporary
+of 4096 x 2^N cells.
 
 `slotwise_optimum_loop` is the per-row tie-break loop that the unconstrained
 optimum and the infeasible-bruteforce fallback must reproduce.
@@ -16,11 +20,11 @@ import numpy as np
 from sensecourt.benchmark import (
     BenchmarkResult,
     Trace,
-    check_dual_capacity,
+    check_table_capacity,
     welfare_tables,
 )
 from sensecourt.policy_dual import StepSchedule
-from sensecourt.solver import TIE_TOL
+from sensecourt.solver import TIE_TOL, subset_linear_table, tiebreak_order
 
 from oracle_subset import tiebreak_tables
 
@@ -51,9 +55,10 @@ def dual_upper_bound_dense(
         scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    check_dual_capacity(n, t)
+    check_table_capacity(n, t)
     if tables is None:
         tables = welfare_tables(trace)
+    tables = tables[:, tiebreak_order(n)[1]]
     d = trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -61,7 +66,7 @@ def dual_upper_bound_dense(
     big = np.iinfo(np.int64).max
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        add = member @ lam
+        add = subset_linear_table(lam)
         ghat_sum = 0.0
         dbar = np.zeros(n)
         for lo in range(0, t, 4096):
@@ -93,6 +98,7 @@ def dual_upper_bound_dense(
 
 def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
+    tables = tables[:, tiebreak_order(n)[1]]
     _, _, tb = tiebreak_tables(n)
     big = np.iinfo(np.int64).max
     total = 0.0

@@ -1,8 +1,9 @@
-"""Reference subset coverage table and tie-break ranks.
+"""Reference subset coverage and cost tables and tie-break ranks.
 
 The vectorized `sensecourt.solver.subset_value_table` must reproduce the
 scalar lowest-bit loop here bit for bit: same parent per subset, same
-grids added, same order of additions. `tiebreak_tables` derives the
+grids added, same order of additions. `subset_linear_table` must
+reproduce `subset_linear_table_loop` the same way. `tiebreak_tables` derives the
 tie-break rank of every subset from its popcount and reversed-bit key, a
 derivation apart from `sensecourt.solver.tiebreak_order`, which must sort
 the subsets the same way. Test helper only.
@@ -41,6 +42,20 @@ def subset_value_table_loop(realization, users) -> np.ndarray:
         unions[s] = pu | masks[j]
         values[s] = v
     return values
+
+
+def subset_linear_table_loop(per_user) -> np.ndarray:
+    """Sum of per-user terms over every subset, indexed by local bit mask:
+    0.0 plus each member's term, in ascending member order."""
+    m = len(per_user)
+    table = np.zeros(1 << m)
+    for s in range(1 << m):
+        total = 0.0
+        for u in range(m):
+            if (s >> u) & 1:
+                total += float(per_user[u])
+        table[s] = total
+    return table
 
 
 @lru_cache(maxsize=8)

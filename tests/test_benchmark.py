@@ -13,7 +13,7 @@ from sensecourt.benchmark import (
     unconstrained_trace_welfare,
     welfare_tables,
 )
-from sensecourt.solver import RegulatedInstance, solve_exact
+from sensecourt.solver import TIE_TOL, RegulatedInstance, solve_exact, tiebreak_order
 from sensecourt.world import Allocation, evaluate_allocation
 
 from test_world import make_realization
@@ -167,6 +167,31 @@ class TestUnconstrained:
                 total / 30
             ).view(np.int64)
             assert np.array_equal(result.per_user_alloc_prob, selections / 30)
+
+    def test_without_tables_refuses_above_the_table_cap(self):
+        # it builds the whole (T, 2^N) table, so 2^20 * 17 > 2^24 is refused
+        trace = random_trace(np.random.default_rng(13), 20, 17)
+        with pytest.raises(BenchmarkCapacityError, match="welfare table cap"):
+            unconstrained_trace_welfare(trace)
+
+    def test_first_near_max_column_is_the_exact_solve(self):
+        # tie-heavy slots too: equal welfare must resolve as solve_exact resolves it
+        rng = np.random.default_rng(12)
+        slots = list(random_trace(rng, 6, 20).slots)
+        for _ in range(20):
+            regions = [
+                set(rng.choice(8, size=rng.integers(0, 4), replace=False).tolist())
+                for _ in range(6)
+            ]
+            weights = rng.choice([0.0, 0.5, 1.0], 8)
+            slots.append(make_realization(8, regions, weights, rng.choice([0.0, 0.5], 6)))
+        tables = welfare_tables(Trace(tuple(slots), np.zeros(6)))
+        by_rank = tiebreak_order(6)[0]
+        for slot, row in zip(slots, tables):
+            r = int(np.argmax(row >= row.max() - TIE_TOL))
+            res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
+            assert by_rank[r] == int(res.alloc.selected @ (1 << np.arange(6)))
+            assert np.float64(row[r]).view(np.int64) == np.float64(res.objective).view(np.int64)
 
     def test_dominates_constrained(self):
         rng = np.random.default_rng(10)

@@ -391,12 +391,26 @@ class TestFailBeforeWork:
             ("truthcheck", "truthcheck", {"bid_points": 0}, "truthcheck.bid_points"),
             ("truthcheck", "truthcheck", {"phi": 0}, "truthcheck.phi"),
             ("truthcheck", "truthcheck", {"phi": -2.5}, "truthcheck.phi"),
+            ("truthcheck", "truthcheck", {"phi": math.inf}, "truthcheck.phi"),
             ("truthcheck", "truthcheck", {"bid_span": -1.0}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"bid_span": float("nan")}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"bid_span": float("inf")}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"instances": -1}, "truthcheck.instances"),
             ("benchmark", "benchmark", {"step": {"kind": "cubic"}}, "benchmark.step"),
             ("benchmark", "benchmark", {"step": {"coeff": 0}}, "benchmark.step"),
+            ("benchmark", "benchmark", {"step": {"coeff": math.inf}}, "benchmark.step"),
+            ("simulate", "policies", [{"kind": "lyapunov", "phi": 0}], "phi must be"),
+            ("simulate", "policies", [{"kind": "lyapunov", "phi": math.inf}], "phi must be"),
+            ("simulate", "policies", [{"kind": "auction", "phi": math.nan}], "phi must be"),
+            ("simulate", "policies", [{"kind": "radp_vpc", "alpha": -1}], "alpha must be"),
+            ("simulate", "policies", [{"kind": "radp_vpc", "alpha": math.inf}], "alpha must be"),
+            ("simulate", "policies", [{"kind": "radp_vpc", "alpha": math.nan}], "alpha must be"),
+            (
+                "simulate",
+                "policies",
+                [{"kind": "dual", "schedule": {"coeff": math.inf}}],
+                "policies[0].schedule",
+            ),
             ("benchmark", "benchmark", {"bruteforce": "yes"}, "benchmark.bruteforce"),
             ("benchmark", "benchmark", "x", "benchmark must be an object"),
             ("simulate", "thresholds", float("nan"), "thresholds"),
@@ -685,7 +699,7 @@ class TestBenchmarkCommand:
     @pytest.mark.parametrize(
         "overrides, top_level, match",
         [
-            ({"scenario.n_users": 16}, {"t_slots": 300}, "dual table cap"),
+            ({"scenario.n_users": 16}, {"t_slots": 300}, "welfare table cap"),
             ({}, {"t_slots": 30, "benchmark": {"bruteforce": True}}, "N\\*T"),
         ],
     )
@@ -707,6 +721,20 @@ class TestBenchmarkCommand:
             cmd_benchmark(str(path), out=str(out))
         assert built == []
         assert not out.exists()
+
+    def test_incentive_cost_null_without_positive_welfare(self, tmp_path):
+        # at 50 times the weight in cost no subset pays for itself
+        cfg = json.loads((CONFIGS / "welfare_desk.json").read_text())
+        cfg["scenario"]["cost_to_weight_ratio"] = 50
+        cfg.update(t_slots=50, warmup_slots=0)
+        cfg["benchmark"]["iterations"] = 10
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "benchmark.json").read_text())
+        assert report["unconstrained"] <= 0
+        assert report["incentive_cost"] is None
 
     def test_one_table_per_slot_shared_by_all_references(self, tmp_path, monkeypatch):
         built = []

@@ -22,7 +22,7 @@ from sensecourt.benchmark import (
     welfare_tables,
 )
 from sensecourt.policy_dual import StepSchedule
-from sensecourt.solver import TIE_TOL, _BLOCK_CELLS
+from sensecourt.solver import TIE_TOL, _BLOCK_CELLS, tiebreak_order
 
 from oracle_dual import dual_upper_bound_dense, slotwise_optimum_loop
 from test_world import make_realization
@@ -90,7 +90,7 @@ def test_matches_dense_oracle(case, iterations, schedule):
     assert unc.per_user_alloc_prob.tobytes() == probs.tobytes()
 
 
-def test_extra_memory_is_one_ranked_table_plus_one_block():
+def test_extra_memory_is_one_block():
     # 2^10 x 1,024 cells: one 4096-row group, 16 blocks of 64 rows
     n, t = 10, 1024
     rng = np.random.default_rng(3)
@@ -105,4 +105,30 @@ def test_extra_memory_is_one_ranked_table_plus_one_block():
     finally:
         tracemalloc.stop()
     block = _BLOCK_CELLS * (8 + 1)  # float and boolean buffers
-    assert peak < tables.nbytes + block + (1 << 18)
+    assert peak < block + (1 << 18)
+
+
+def test_build_and_references_peak_near_one_table():
+    # 2^16 x 64 cells: a 33.6 MB table, one row per block
+    n, t = 16, 64
+    rng = np.random.default_rng(5)
+    slots = tuple(
+        make_realization(
+            8,
+            [set(rng.choice(8, 3, replace=False).tolist()) for _ in range(n)],
+            rng.random(8),
+            rng.random(n),
+        )
+        for _ in range(t)
+    )
+    trace = Trace(slots, np.full(n, 0.5))
+    tiebreak_order(n)  # warm the cached order
+    tracemalloc.start()
+    try:
+        tables = welfare_tables(trace)
+        unconstrained_trace_welfare(trace, tables)
+        dual_upper_bound(trace, 3, tables=tables)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * tables.nbytes

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sensecourt.auction import ExactPivotsRequiredError
-from sensecourt.benchmark import BenchmarkResult
 from sensecourt.engine import (
     PolicySpec,
     apply_dropping,
@@ -358,10 +357,3 @@ class TestComputeSummary:
     def test_dropping_fraction(self):
         m = self._metrics([1.0] * 10, drops=[(0, 5), (3, 6), (7, 9)])
         assert compute_summary(m)["dropping_fraction"] == pytest.approx(0.3)
-
-    def test_incentive_cost_with_benchmarks(self):
-        m = self._metrics([1.0] * 4)
-        unc = BenchmarkResult(1.0, np.ones(1), True, "unconstrained")
-        con = BenchmarkResult(0.92, np.ones(1), True, "dual_upper_bound")
-        summary = compute_summary(m, (unc, con))
-        assert summary["incentive_cost"] == pytest.approx(0.08)

@@ -28,7 +28,7 @@ from sensecourt.solver import (
 )
 from sensecourt.world import evaluate_allocation
 
-from oracle_subset import subset_value_table_loop
+from oracle_subset import subset_linear_table_loop, subset_value_table_loop
 from test_world import make_realization
 
 
@@ -84,6 +84,18 @@ class TestTableMatchesLoop:
             want = subset_value_table_loop(real, users)
             assert got.shape == want.shape == (1 << users.size,)
             assert np.array_equal(bits(got), bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 1e-9, 2.0**25, 1e300])
+            | st.floats(-1e6, 1e6, allow_nan=False),
+            max_size=9,
+        )
+    )
+    def test_linear_table_bit_for_bit(self, per_user):
+        got = subset_linear_table(np.array(per_user, dtype=float))
+        assert np.array_equal(bits(got), bits(subset_linear_table_loop(per_user)))
 
     def test_blocks_split_the_parent_rows(self, monkeypatch):
         # blocks of a few rows still reproduce the loop
