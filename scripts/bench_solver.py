@@ -5,12 +5,19 @@ truthfulness_sweep at N = 8, 12, 16 and per dual sweep at (N, T) = (8, 800),
 (8, 10,000) and (12, 800), and the dual's peak memory over its table at
 (N, T) = (12, 4,096), (16, 256) and (20, 16).
 
-Slot generation is timed one next() of realization_stream at a time over the
-first --slots slots of configs/dropping_desk.json (100 users, 2,500 grids)
-and configs/welfare_desk.json (8 users, 100 grids), each with its uniform
-weights and again with hotspot weights and temporal noise. The same slots
-are then rebuilt by the per-user loop in tests/oracle_regions.py, whose time
-is recorded too, and every region, cost and weight must equal it bit for bit.
+Slot generation times realization_stream, which builds blocks of slots,
+over the first --slots slots of configs/dropping_desk.json (100 users, 2,500
+grids) and configs/welfare_desk.json (8 users, 100 grids), each with its
+uniform weights and again with hotspot weights and temporal noise: the
+whole stream's time over its slot count, median of --instances runs. The
+same slots are then rebuilt slot by slot by the per-user loop in
+tests/oracle_regions.py, whose time is recorded too, and every region, cost
+and weight must equal it bit for bit.
+
+welfare_tables is timed per slot at (N, T) = (8, 800) and (16, 64) on the
+welfare trace below, median of --instances builds; every row must equal the
+slot's own subset_value_table minus its cost table, in tie-break order, bit
+for bit, and its tracemalloc peak is recorded over the table's bytes.
 
 Each solver instance is the first N users of one dropping-desk slot
 (2,500 grids, disk regions), every user eligible, true costs as charges.
@@ -37,6 +44,9 @@ iterations on prebuilt welfare tables of 2^24 cells (128 MB), divided by the
 table's bytes: what the sweep allocates beyond the table it reads.
 
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
+
+With --baseline, a report the script wrote on another checkout (say, the
+parent commit's src on PYTHONPATH) is kept under "baseline" in the new one.
 """
 
 import argparse
@@ -55,14 +65,21 @@ import numpy as np
 from sensecourt.auction import RegulationState, truthfulness_sweep
 from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
 from sensecourt.cli import load_config
-from sensecourt.scenarios import initial_state, realization_stream, slot_rng, step_mobility
-from sensecourt.solver import RegulatedInstance, slot_value_table, solve_exact, tiebreak_order
+from sensecourt.scenarios import realization_stream
+from sensecourt.solver import (
+    RegulatedInstance,
+    slot_value_table,
+    solve_exact,
+    subset_linear_table,
+    subset_value_table,
+    tiebreak_order,
+)
 from sensecourt.world import SlotRealization
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from oracle_dual import dual_upper_bound_dense  # noqa: E402
-from oracle_regions import build_slot_realization_loop  # noqa: E402
+from oracle_regions import realization_stream_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
 
@@ -76,6 +93,7 @@ DUAL_SHAPES = ((8, 800), (8, 10_000), (12, 800))
 DUAL_ITERATIONS = 50
 DUAL_PEAK_SHAPES = ((12, 4096), (16, 256), (20, 16))
 DUAL_PEAK_ITERATIONS = 3
+TABLE_SHAPES = ((8, 800), (16, 64))
 
 
 def first_users(slot: SlotRealization, n: int) -> SlotRealization:
@@ -88,26 +106,21 @@ def slot_bytes(slot: SlotRealization) -> list[bytes]:
     ]
 
 
-def time_slots(scenario, t_slots: int) -> tuple[float, float]:
-    """Median ms per slot of realization_stream and of the per-user loop."""
-    stream, slots = [], []
-    it = realization_stream(scenario, t_slots)
-    for _ in range(t_slots):
+def time_slots(scenario, t_slots: int, runs: int) -> tuple[float, float]:
+    """Median ms per slot of realization_stream and of the slot-by-slot loop."""
+    stream = []
+    for _ in range(runs):
         start = time.perf_counter()
-        slots.append(next(it))
-        stream.append((time.perf_counter() - start) * 1e3)
+        slots = list(realization_stream(scenario, t_slots))
+        stream.append((time.perf_counter() - start) * 1e3 / t_slots)
 
-    loops = []
-    state = initial_state(scenario)
-    for t, slot in enumerate(slots, start=1):
-        rng = slot_rng(scenario, t)
-        start = time.perf_counter()
-        oracle = build_slot_realization_loop(state, scenario, t, rng)
-        loops.append((time.perf_counter() - start) * 1e3)
-        if slot_bytes(slot) != slot_bytes(oracle):
-            raise AssertionError(f"slot {t} differs from the per-user loop")
-        state = step_mobility(state, scenario, rng)
-    return statistics.median(stream), statistics.median(loops)
+    start = time.perf_counter()
+    oracle = list(realization_stream_loop(scenario, t_slots))
+    loop = (time.perf_counter() - start) * 1e3 / t_slots
+    for t, (slot, ref) in enumerate(zip(slots, oracle), start=1):
+        if slot_bytes(slot) != slot_bytes(ref):
+            raise AssertionError(f"slot {t} differs from the slot-by-slot loop")
+    return statistics.median(stream), loop
 
 
 def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
@@ -161,6 +174,30 @@ def time_dual(n: int, t: int, runs: int) -> tuple[float, float]:
     return statistics.median(fast), statistics.median(dense)
 
 
+def time_tables(n: int, t: int, runs: int) -> tuple[float, float]:
+    """Median ms per slot of welfare_tables, and its tracemalloc peak over the
+    table's bytes; every row is checked against the slot's own table."""
+    trace = welfare_trace(n, t)
+    by_rank = tiebreak_order(n)[0]
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        tables = welfare_tables(trace)
+        times.append((time.perf_counter() - start) * 1e3 / t)
+    for k, (slot, row) in enumerate(zip(trace.slots, tables)):
+        own = subset_value_table(slot, np.arange(n)) - subset_linear_table(slot.true_costs)
+        if row.tobytes() != own[by_rank].tobytes():
+            raise AssertionError(f"welfare_tables row {k} differs at N={n}, T={t}")
+    del tables
+    tracemalloc.start()
+    try:
+        tables = welfare_tables(trace)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return statistics.median(times), peak / tables.nbytes
+
+
 def dual_peak_ratio(n: int, t: int) -> float:
     """tracemalloc peak of dual_upper_bound on a prebuilt table, in table bytes."""
     trace = welfare_trace(n, t)
@@ -180,6 +217,7 @@ def main() -> int:
     parser.add_argument("--out", default="BENCH_solver.json")
     parser.add_argument("--instances", type=int, default=5)
     parser.add_argument("--slots", type=int, default=200)
+    parser.add_argument("--baseline", help="an earlier report to keep under 'baseline'")
     args = parser.parse_args()
     if args.instances < 1:
         parser.error("--instances must be at least 1")
@@ -193,7 +231,9 @@ def main() -> int:
             (name, uniform),
             (f"{name}_hotspot", dataclasses.replace(uniform, **HOTSPOT)),
         ):
-            slot_ms[scale], slot_loop_ms[scale] = time_slots(scenario, args.slots)
+            slot_ms[scale], slot_loop_ms[scale] = time_slots(
+                scenario, args.slots, args.instances
+            )
             slot_shape[scale] = {
                 "users": scenario.n_users,
                 "grids": scenario.map.n_grids,
@@ -202,7 +242,8 @@ def main() -> int:
             print(
                 f"{scale:15s}: realization_stream {slot_ms[scale]:7.3f} ms per slot, oracle "
                 f"loop {slot_loop_ms[scale]:7.3f} ms ({scenario.n_users} users, "
-                f"{scenario.map.n_grids} grids, median of {args.slots})",
+                f"{scenario.map.n_grids} grids, {args.slots} slots, median of "
+                f"{args.instances})",
                 flush=True,
             )
 
@@ -255,6 +296,16 @@ def main() -> int:
             flush=True,
         )
 
+    table_ms, table_peak = {}, {}
+    for n, t in TABLE_SHAPES:
+        key = f"N={n},T={t}"
+        table_ms[key], table_peak[key] = time_tables(n, t, args.instances)
+        print(
+            f"N={n:2d}, T={t:5d}: welfare_tables {table_ms[key]:8.4f} ms per slot, "
+            f"peak {table_peak[key]:.3f} x the table (median of {args.instances})",
+            flush=True,
+        )
+
     dual_peak = {}
     for n, t in DUAL_PEAK_SHAPES:
         key = f"N={n},T={t}"
@@ -289,10 +340,15 @@ def main() -> int:
         "dual_bit_identical_to_oracle": True,
         "dual_peak_iterations": DUAL_PEAK_ITERATIONS,
         "dual_peak_over_table_bytes": dual_peak,
+        "welfare_tables_ms_per_slot_median": table_ms,
+        "welfare_tables_peak_over_table_bytes": table_peak,
+        "welfare_tables_bit_identical_to_per_slot_tables": True,
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),
     }
+    if args.baseline:
+        report["baseline"] = json.loads(Path(args.baseline).read_text())
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

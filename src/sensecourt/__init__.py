@@ -60,10 +60,7 @@ from .baselines import (
 from .scenarios import (
     MobilityState,
     ScenarioConfig,
-    build_slot_realization,
-    generate_weight_field,
     realization_stream,
-    step_mobility,
 )
 from .engine import (
     PolicySpec,

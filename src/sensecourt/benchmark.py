@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .policy_dual import StepSchedule
-from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
+from .solver import solve, subset_value_table  # noqa: F401  (traced by perfbench)
 from .solver import (
     subset_linear_table,
-    subset_value_table,
+    subset_value_rows,
     tiebreak_order,
     TIE_TOL,
     _BLOCK_CELLS,
@@ -41,6 +41,7 @@ BRUTEFORCE_CELL_LIMIT = 24  # joint enumeration bounded by 2^(N*T)
 _TABLE_CELL_CAP = 1 << 24  # slots x subsets cells of the welfare table
 _FEAS_TOL = 1e-12
 _CHUNK = 1 << 20
+_ROW_CELLS = 1 << 15  # cells of welfare_tables' temporaries per block of slots
 
 
 class BenchmarkCapacityError(RuntimeError):
@@ -66,7 +67,7 @@ class Trace:
         d = np.array(self.thresholds, dtype=float, copy=True)
         if d.shape != (n,):
             raise ValueError("thresholds length must match user count")
-        if np.any(d < 0) or np.any(d > 1):
+        if not np.all((d >= 0) & (d <= 1)):  # NaN fails both
             raise ValueError("thresholds must lie in [0, 1]")
         d.flags.writeable = False
         object.__setattr__(self, "slots", slots)
@@ -97,16 +98,19 @@ def welfare_tables(trace: Trace) -> np.ndarray:
     every user eligible, at subset tiebreak_order(N)[0][r], so a row's first
     near-maximum column is that slot's exact optimum. All three references
     read it, so each refuses a trace whose table exceeds _TABLE_CELL_CAP.
+    Blocks of slots, about _ROW_CELLS cells of temporaries each, go through
+    subset_value_rows and one np.take that writes them in tie-break order.
     """
-    n = trace.n_users
-    check_table_capacity(n, trace.t_slots)
-    users = np.arange(n)
+    n, t = trace.n_users, trace.t_slots
+    check_table_capacity(n, t)
     by_rank = tiebreak_order(n)[0]
-    tables = np.empty((trace.t_slots, 1 << n))
-    for slot, row in zip(trace.slots, tables):
-        values = subset_value_table(slot, users)
-        values -= subset_linear_table(slot.true_costs)
-        np.take(values, by_rank, out=row)
+    tables = np.empty((t, 1 << n))
+    step = max(1, _ROW_CELLS // ((1 << n) + trace.slots[0].n_grids))
+    for lo in range(0, t, step):
+        block, rows = trace.slots[lo : lo + step], tables[lo : lo + step]
+        values = subset_value_rows(block)  # the cost rows go through `rows` first
+        values -= subset_linear_table(np.stack([slot.true_costs for slot in block]), rows)
+        np.take(values, by_rank, axis=1, out=rows)
     return tables
 
 

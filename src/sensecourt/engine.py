@@ -268,10 +268,10 @@ def run_policy(
 
     t_slots is the number of slots the sequence yields; it defaults to its
     len(), and an iterable without one is refused unless t_slots is given.
-    A warmup longer than the run, and an auction over more users than
-    solver.exact_limit that runs past the warmup, are rejected before the
-    first slot is drawn; a sequence that yields a different number of slots
-    is an error.
+    A warmup longer than the run, thresholds outside [0, 1] (NaN too), and
+    an auction over more users than solver.exact_limit that runs past the
+    warmup, are rejected before the first slot is drawn; a sequence that
+    yields a different number of slots is an error.
 
     dropping=False keeps every user active regardless of frequency, which
     is the setting policy-level stability statements are about.
@@ -291,6 +291,8 @@ def run_policy(
     if warmup_slots > t_slots:
         raise ValueError("warmup_slots cannot exceed the number of slots")
     thresholds = np.asarray(thresholds, dtype=float)
+    if not np.all((thresholds >= 0) & (thresholds <= 1)):  # NaN fails both
+        raise ValueError("thresholds must lie in [0, 1]")
     n = thresholds.size
     check_exact_pivots(specs, n, solver, t_slots, warmup_slots)
     lanes = [_Lane(spec, thresholds, solver, seed, t_slots) for spec in specs]

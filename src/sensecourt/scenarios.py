@@ -15,16 +15,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .world import GridMap, SensingRegion, SlotRealization, WeightField
+from .world import GridMap, SensingRegion, SlotRealization
 
 __all__ = [
     "ScenarioConfig",
     "MobilityState",
     "slot_rng",
     "initial_state",
-    "generate_weight_field",
-    "step_mobility",
-    "build_slot_realization",
     "realization_stream",
 ]
 
@@ -32,6 +29,10 @@ WEIGHT_MODES = ("uniform_iid", "hotspot")
 
 # distinct SeedSequence stream for the random-baseline policy inside the engine
 RANDOM_POLICY_STREAM = 0x52414E44
+
+# disk-test or weight cells per block of slots, not a setting: larger blocks
+# gained little time and left more freed memory behind in the allocator
+_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -117,25 +118,6 @@ def initial_state(config: ScenarioConfig) -> MobilityState:
     return MobilityState(pos)
 
 
-def generate_weight_field(
-    config: ScenarioConfig, slot: int, rng: np.random.Generator
-) -> WeightField:
-    """Per-grid weights for one slot.
-
-    uniform_iid: each weight is an independent Uniform(0, 2 * mean_weight)
-    draw each slot. hotspot: a static Gaussian bump centered on the map,
-    rescaled so the spatial mean equals mean_weight, optionally multiplied
-    per slot by i.i.d. Uniform(0.5, 1.5) noise.
-    """
-    i = config.map.n_grids
-    if config.weight_mode == "uniform_iid":
-        return WeightField(rng.random(i) * (2.0 * config.mean_weight))
-    profile = _hotspot_profile(config)
-    if config.temporal_noise:
-        profile = profile * rng.uniform(0.5, 1.5, size=i)
-    return WeightField(profile)
-
-
 @lru_cache(maxsize=8)
 def _hotspot_profile(config: ScenarioConfig) -> np.ndarray:
     """The static bump of a hotspot config, built once per config; read-only."""
@@ -149,80 +131,92 @@ def _hotspot_profile(config: ScenarioConfig) -> np.ndarray:
     return profile
 
 
-def step_mobility(
-    state: MobilityState, config: ScenarioConfig, rng: np.random.Generator
-) -> MobilityState:
-    """Jump each user by a uniform-in-disk displacement, reflecting at walls."""
-    n = state.positions.shape[0]
-    radius = config.step_max_m * np.sqrt(rng.random(n))
-    angle = rng.random(n) * (2.0 * np.pi)
-    pos = state.positions + np.column_stack(
-        [radius * np.cos(angle), radius * np.sin(angle)]
-    )
-    pos[:, 0] = _reflect(pos[:, 0], config.map.width_m)
-    pos[:, 1] = _reflect(pos[:, 1], config.map.height_m)
-    return MobilityState(pos)
+def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRealization]:
+    """Yield slots 1..t_slots; mobility advances after each realized slot.
 
+    uniform_iid weights are i.i.d. Uniform(0, 2 * mean_weight); hotspot
+    weights are a static Gaussian bump with spatial mean mean_weight, times
+    i.i.d. Uniform(0.5, 1.5) noise if temporal_noise. A region is every grid
+    whose center lies within the user's radius, drawn from Uniform[
+    radius_min_m, radius_max_m]; a cost is C/W * mean_weight * region size *
+    jitter. Then each user jumps uniformly within step_max_m, reflecting.
 
-def _reflect(coords: np.ndarray, length: float) -> np.ndarray:
-    folded = np.mod(coords, 2.0 * length)
-    return np.where(folded > length, 2.0 * length - folded, folded)
-
-
-def build_slot_realization(
-    state: MobilityState, config: ScenarioConfig, slot: int, rng: np.random.Generator
-) -> SlotRealization:
-    """Realize one slot: weights, disk sensing regions, proportional costs.
-
-    A grid belongs to a region iff its center lies within the user's radius,
-    drawn fresh per slot from Uniform[radius_min_m, radius_max_m]. Only a
-    fixed window of grids around each user is measured: the
-    K = ceil(2 * radius_max_m / edge) + 2 columns from floor((x - r) / edge),
-    shifted to stay inside the map, hold every column whose center can lie
-    within r <= radius_max_m of the user with at least half a grid to spare
-    on each side, and rows likewise. The squared distance to the center at
-    (row, col) is dx2[u, col] + dy2[u, row], the same arithmetic as a test
-    against every center, for all users at once.
+    Slot t draws from slot_rng(config, t): weights (or noise), radii, jitter,
+    step radius, step angle. The walk advances slot by slot; windows, disk
+    tests, counts and costs run once per block of about _BLOCK_CELLS cells,
+    and only the block's slots, read-only views of its arrays validated
+    once, outlive it. A user's window is K = ceil(2 *
+    radius_max_m / edge) + 2 columns from floor((x - r) / edge), shifted
+    into the map: every column whose center can lie within r, with half a
+    grid to spare; rows likewise. dx2[col] + dy2[row] is the squared
+    distance a test against every center computes.
     """
-    weights = generate_weight_field(config, slot, rng)
-    n = config.n_users
     grid = config.map
-    radii = rng.uniform(config.radius_min_m, config.radius_max_m, size=n)
-    jitter = rng.uniform(config.cost_jitter[0], config.cost_jitter[1], size=n)
-    xs, ys = grid.axis_centers()  # the coordinates grid.centers() pairs up
     # the min keeps ceil finite when the radius dwarfs the map
     longest = max(grid.width_grids, grid.height_grids)
-    span = min(2.0 * config.radius_max_m / grid.grid_edge_m, longest)
-    reach = math.ceil(span) + 2
-    cols = _window(state.positions[:, 0], radii, grid.grid_edge_m, grid.width_grids, reach)
-    rows = _window(state.positions[:, 1], radii, grid.grid_edge_m, grid.height_grids, reach)
-    dx2 = (xs[cols] - state.positions[:, 0:1]) ** 2
-    dy2 = (ys[rows] - state.positions[:, 1:2]) ** 2
-    d2 = dx2[:, None, :] + dy2[:, :, None]
-    users, i, j = np.nonzero(d2 <= (radii * radii)[:, None, None])
-    grids = rows[users, i] * grid.width_grids + cols[users, j]
-    counts = np.bincount(users, minlength=n)
-    regions = SensingRegion.split_sorted(grid.n_grids, grids, counts)
+    reach = math.ceil(min(2.0 * config.radius_max_m / grid.grid_edge_m, longest)) + 2
+    cells = config.n_users * min(reach, grid.width_grids) * min(reach, grid.height_grids)
+    block = max(1, _BLOCK_CELLS // max(cells, grid.n_grids))
+    pos = initial_state(config).positions
+    for lo in range(1, t_slots + 1, block):
+        slots, pos = _realize_block(config, pos, lo, min(block, t_slots + 1 - lo), reach)
+        yield from slots  # the block's temporaries are gone; only its slots are held
+
+
+def _realize_block(
+    config: ScenarioConfig, pos: np.ndarray, first: int, b: int, reach: int
+) -> tuple[tuple[SlotRealization, ...], np.ndarray]:
+    """Slots first..first + b - 1 from positions pos, and the positions after."""
+    grid = config.map
+    n, size = config.n_users, grid.n_grids
+    uniform = config.weight_mode == "uniform_iid"
+    weights = np.empty((b, size)) if uniform or config.temporal_noise else None
+    radii, jitter, step, angle = (np.empty((b, n)) for _ in range(4))
+    for k in range(b):
+        rng = slot_rng(config, first + k)
+        if weights is not None:
+            weights[k] = rng.random(size) if uniform else rng.uniform(0.5, 1.5, size)
+        radii[k] = rng.uniform(config.radius_min_m, config.radius_max_m, size=n)
+        jitter[k] = rng.uniform(config.cost_jitter[0], config.cost_jitter[1], size=n)
+        rng.random(out=step[k])
+        rng.random(out=angle[k])
+    step = config.step_max_m * np.sqrt(step)
+    angle *= 2.0 * np.pi
+    jump = np.stack([step * np.cos(angle), step * np.sin(angle)], axis=-1)
+    walls = np.array([grid.width_m, grid.height_m])
+    where, span = np.empty((b, n, 2)), 2.0 * walls
+    for k in range(b):
+        where[k] = pos
+        pos = np.mod(pos + jump[k], span)  # reflect at the walls
+        pos = np.where(pos > walls, span - pos, pos)
+    if uniform:
+        weights *= 2.0 * config.mean_weight
+    elif weights is None:
+        weights = np.broadcast_to(_hotspot_profile(config), (b, size))
+    else:
+        weights *= _hotspot_profile(config)
+    xs, ys = grid.axis_centers()  # the coordinates grid.centers() pairs up
+    cols = _window(where[..., 0], radii, grid.grid_edge_m, grid.width_grids, reach)
+    rows = _window(where[..., 1], radii, grid.grid_edge_m, grid.height_grids, reach)
+    dx2 = (xs[cols] - where[..., 0:1]) ** 2
+    dy2 = (ys[rows] - where[..., 1:2]) ** 2
+    hit = dx2[:, :, None, :] + dy2[:, :, :, None] <= (radii * radii)[:, :, None, None]
+    owner, i, j = np.nonzero(hit.reshape(b * n, rows.shape[-1], cols.shape[-1]))
+    grids = rows.reshape(b * n, -1)[owner, i] * grid.width_grids
+    grids += cols.reshape(b * n, -1)[owner, j]
+    counts = np.bincount(owner, minlength=b * n).reshape(b, n)
+    regions = SensingRegion.split_sorted(size, grids, counts.ravel())
     costs = config.cost_to_weight_ratio * config.mean_weight * counts * jitter
-    return SlotRealization(weights=weights, regions=regions, true_costs=costs)
+    return SlotRealization.split_block(weights, regions, costs), pos
 
 
 def _window(
     coords: np.ndarray, radii: np.ndarray, edge: float, count: int, reach: int
 ) -> np.ndarray:
-    """(n_users, K) indices of the K = min(reach, count) columns (or rows)
+    """(..., K) indices of the K = min(reach, count) columns (or rows)
     measured for each user, starting at floor((coord - radius) / edge) and
     shifted to stay inside the map; NaN starts go to 0."""
     size = min(reach, count)
     start = np.floor((coords - radii) / edge)
     start = np.minimum(np.where(start > 0, start, 0.0), count - size)
-    return start.astype(np.int64)[:, None] + np.arange(size)
-
-
-def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRealization]:
-    """Yield slots 1..t_slots; mobility advances after each realized slot."""
-    state = initial_state(config)
-    for t in range(1, t_slots + 1):
-        rng = slot_rng(config, t)
-        yield build_slot_realization(state, config, t, rng)
-        state = step_mobility(state, config, rng)
+    return start.astype(np.int64)[..., None] + np.arange(size)

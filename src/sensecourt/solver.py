@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "solve",
     "regulated_allocate",
     "subset_value_table",
+    "subset_value_rows",
     "slot_value_table",
     "subset_linear_table",
     "tiebreak_argmax",
@@ -164,6 +166,44 @@ def subset_value_table(realization: SlotRealization, users: np.ndarray) -> np.nd
     return values
 
 
+def subset_value_rows(slots: Sequence[SlotRealization]) -> np.ndarray:
+    """(S, 2^m) rows: subset_value_table(slot, arange(m)) of each of S slots
+    with the same m users and grids, bit for bit, built for all at once.
+
+    The levels run as in subset_value_table. At level j the slots are sorted
+    by the length of user j's region, and grid position l is added, in
+    ascending grid order, to the children of the prefix of slots whose
+    region is longer than l: the same additions in the same order as in each
+    slot's own table. Single-slot solves keep the faster subset_value_table.
+    """
+    s, m = len(slots), slots[0].n_users
+    values = np.zeros((s, 1 << m))
+    weights = np.stack([slot.weights.values for slot in slots])
+    owners = np.zeros(weights.shape, dtype=np.int64)  # local bits above j
+    for j in range(m - 1, -1, -1):
+        regions = [slot.regions[j].indices for slot in slots]
+        sizes = np.array([r.size for r in regions])
+        order = np.argsort(-sizes)
+        sizes = sizes[order]
+        which = np.repeat(order, sizes)  # the slot of each concatenated grid
+        grids = np.concatenate([regions[k] for k in order.tolist()])
+        filled = np.arange(sizes[0]) < sizes[:, None]  # [k, l]: k-th slot has an l-th grid
+        above = np.zeros(filled.shape, dtype=np.int64)
+        above[filled] = owners[which, grids] >> (j + 1)
+        added = np.zeros(filled.shape)
+        added[filled] = weights[which, grids]
+        rows = values.reshape(s, -1, 2 << j)  # [k, p]: slot k's subsets above j spelling p
+        parents = np.arange(rows.shape[1])
+        child = rows[order, :, 0]
+        for l, live in enumerate(np.count_nonzero(filled, axis=0).tolist()):
+            head = child[:live]
+            free = (above[:live, l, None] & parents) == 0  # else the grid adds 0.0
+            np.add(head, added[:live, l, None], out=head, where=free)
+        rows[order, :, 1 << j] = child
+        owners[which, grids] |= 1 << j
+    return values
+
+
 def slot_value_table(realization: SlotRealization, users: np.ndarray) -> np.ndarray:
     """subset_value_table, built once per (slot, users) and kept on the slot.
 
@@ -181,12 +221,15 @@ def slot_value_table(realization: SlotRealization, users: np.ndarray) -> np.ndar
     return table
 
 
-def subset_linear_table(per_user: np.ndarray) -> np.ndarray:
-    """Sum of per-user terms over every subset, indexed by local bit mask."""
+def subset_linear_table(per_user: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum of per-user terms over every subset, indexed by local bit mask
+    along the last axis; leading axes, such as one row per slot, broadcast.
+    Written into `out` if given."""
     terms = np.asarray(per_user, dtype=float)
-    table = np.zeros(1 << terms.size)
-    for j, v in enumerate(terms.tolist()):  # subset s | 2^j, s < 2^j: s plus term j
-        np.add(table[: 1 << j], v, out=table[1 << j : 2 << j])
+    table = np.empty(terms.shape[:-1] + (1 << terms.shape[-1],)) if out is None else out
+    table[..., 0] = 0.0
+    for j, v in enumerate(terms.T[..., None]):  # subset s | 2^j, s < 2^j: s plus term j
+        np.add(table[..., : 1 << j], v, out=table[..., 1 << j : 2 << j])
     return table
 
 

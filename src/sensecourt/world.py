@@ -36,6 +36,14 @@ def _frozen_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields, without __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class GridMap:
     """Rectangular sensing area of width x height square grids.
@@ -188,6 +196,35 @@ class SlotRealization:
             raise ValueError("costs must be non-negative")
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "true_costs", costs)
+
+    @classmethod
+    def split_block(
+        cls, weights: np.ndarray, regions: tuple[SensingRegion, ...], costs: np.ndarray
+    ) -> tuple["SlotRealization", ...]:
+        """Cut a block of B slots of n users into slot realizations.
+
+        Slot k holds weights[k], costs[k] and regions k*n to k*n + n - 1.
+        The checks of WeightField and of a slot run once over the block, and
+        every slot holds read-only views of the block's arrays.
+        """
+        b, n = costs.shape
+        if weights.shape[0] != b or len(regions) != b * n:
+            raise ValueError("a block needs one weight row and n regions per cost row")
+        if any(r.n_grids != weights.shape[1] for r in regions):
+            raise ValueError("region capacity does not match weight field")
+        for name, arr in (("weights", weights), ("costs", costs)):
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise ValueError(f"{name} must be finite and non-negative")
+        weights.flags.writeable = costs.flags.writeable = False
+        return tuple(
+            _unchecked(
+                cls,
+                weights=_unchecked(WeightField, values=w),
+                regions=regions[k * n : k * n + n],
+                true_costs=c,
+            )
+            for k, (w, c) in enumerate(zip(weights, costs))
+        )
 
     @property
     def n_users(self) -> int:

@@ -1,19 +1,33 @@
-"""Per-user disk-region builder, the reference for build_slot_realization.
+"""Slot-by-slot, user-by-user reference for realization_stream.
 
-Walks the users one at a time and measures every grid center against each
-user's disk. Draws from the slot generator in the same order as the
-vectorized builder (weights, radii, cost jitter), so both must return the
-same regions, costs and weights bit for bit. Test helper only.
+Builds one slot at a time, as the stream did before it built blocks of
+slots: the slot's generator draws the weights (or hotspot noise), the radii
+and the cost jitter, every grid center is measured against each user's
+disk, and then the users take their mobility step from the same generator.
+realization_stream must return the same weights, regions and costs bit for
+bit. Test helper only.
 """
 
 import numpy as np
 
-from sensecourt.scenarios import generate_weight_field
-from sensecourt.world import SensingRegion, SlotRealization
+from sensecourt.scenarios import MobilityState, _hotspot_profile, initial_state, slot_rng
+from sensecourt.world import SensingRegion, SlotRealization, WeightField
 
 
-def build_slot_realization_loop(state, config, slot, rng) -> SlotRealization:
-    weights = generate_weight_field(config, slot, rng)
+def weight_field(config, rng) -> WeightField:
+    """uniform_iid: i.i.d. Uniform(0, 2 * mean_weight) per grid; hotspot:
+    the static bump, times i.i.d. Uniform(0.5, 1.5) noise if temporal."""
+    i = config.map.n_grids
+    if config.weight_mode == "uniform_iid":
+        return WeightField(rng.random(i) * (2.0 * config.mean_weight))
+    profile = _hotspot_profile(config)
+    if config.temporal_noise:
+        profile = profile * rng.uniform(0.5, 1.5, size=i)
+    return WeightField(profile)
+
+
+def build_slot_realization_loop(state, config, rng) -> SlotRealization:
+    weights = weight_field(config, rng)
     n = config.n_users
     centers = config.map.centers()
     radii = rng.uniform(config.radius_min_m, config.radius_max_m, size=n)
@@ -34,3 +48,30 @@ def build_slot_realization_loop(state, config, slot, rng) -> SlotRealization:
             * jitter[u]
         )
     return SlotRealization(weights=weights, regions=tuple(regions), true_costs=costs)
+
+
+def step_mobility(state, config, rng) -> MobilityState:
+    """Jump each user by a uniform-in-disk displacement, reflecting at walls."""
+    n = state.positions.shape[0]
+    radius = config.step_max_m * np.sqrt(rng.random(n))
+    angle = rng.random(n) * (2.0 * np.pi)
+    pos = state.positions + np.column_stack(
+        [radius * np.cos(angle), radius * np.sin(angle)]
+    )
+    pos[:, 0] = _reflect(pos[:, 0], config.map.width_m)
+    pos[:, 1] = _reflect(pos[:, 1], config.map.height_m)
+    return MobilityState(pos)
+
+
+def _reflect(coords, length):
+    folded = np.mod(coords, 2.0 * length)
+    return np.where(folded > length, 2.0 * length - folded, folded)
+
+
+def realization_stream_loop(config, t_slots, state=None):
+    """Slots 1..t_slots from `state` (the config's initial state if None)."""
+    state = initial_state(config) if state is None else state
+    for t in range(1, t_slots + 1):
+        rng = slot_rng(config, t)
+        yield build_slot_realization_loop(state, config, rng)
+        state = step_mobility(state, config, rng)

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sensecourt.benchmark as benchmark_mod
 from sensecourt.benchmark import (
     BenchmarkCapacityError,
     BenchmarkResult,
@@ -13,9 +15,18 @@ from sensecourt.benchmark import (
     unconstrained_trace_welfare,
     welfare_tables,
 )
-from sensecourt.solver import TIE_TOL, RegulatedInstance, solve_exact, tiebreak_order
-from sensecourt.world import Allocation, evaluate_allocation
+from sensecourt.scenarios import ScenarioConfig, realization_stream
+from sensecourt.solver import (
+    TIE_TOL,
+    RegulatedInstance,
+    solve_exact,
+    subset_linear_table,
+    subset_value_table,
+    tiebreak_order,
+)
+from sensecourt.world import Allocation, GridMap, evaluate_allocation
 
+from oracle_subset import subset_value_table_loop
 from test_world import make_realization
 
 
@@ -92,6 +103,18 @@ class TestBruteforce:
             solve_complete_bruteforce(trace)
 
 
+class TestTrace:
+    @pytest.mark.parametrize("bad", [np.nan, -0.2, 1.5])
+    def test_out_of_range_threshold_refused(self, bad):
+        slots = random_trace(np.random.default_rng(8), 3, 2).slots
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            Trace(slots, np.array([bad, 0.5, 0.5]))
+
+    def test_thresholds_at_the_bounds_accepted(self):
+        slots = random_trace(np.random.default_rng(8), 3, 2).slots
+        assert Trace(slots, np.array([0.0, 1.0, 0.5])).thresholds.tolist() == [0.0, 1.0, 0.5]
+
+
 class TestDualUpperBound:
     def test_zero_thresholds_equal_unconstrained(self):
         rng = np.random.default_rng(4)
@@ -151,10 +174,18 @@ class TestUnconstrained:
         ) / 3
         assert res.avg_welfare == pytest.approx(expected, abs=1e-9)
 
-    def test_table_rows_equal_per_slot_solves(self):
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_table_rows_equal_per_slot_solves(self, monkeypatch, cells):
         rng = np.random.default_rng(11)
         trace = random_trace(rng, 5, 30)
-        read = unconstrained_trace_welfare(trace, welfare_tables(trace))
+        if cells is not None:  # blocks of 2 slots: 2^5 + 8 grids = 40 cells each
+            monkeypatch.setattr(benchmark_mod, "_BLOCK_CELLS", cells)
+        tables = welfare_tables(trace)
+        by_rank = tiebreak_order(5)[0]
+        for slot, row in zip(trace.slots, tables, strict=True):
+            own = subset_value_table(slot, np.arange(5)) - subset_linear_table(slot.true_costs)
+            assert row.tobytes() == own[by_rank].tobytes()
+        read = unconstrained_trace_welfare(trace, tables)
         solved = unconstrained_trace_welfare(trace)
         total = 0.0
         selections = np.zeros(5)
@@ -167,6 +198,32 @@ class TestUnconstrained:
                 total / 30
             ).view(np.int64)
             assert np.array_equal(result.per_user_alloc_prob, selections / 30)
+
+    def test_rows_at_ten_users_in_blocks_that_do_not_divide_the_trace(self):
+        # 2^10 + 8 cells a slot: 63 slots a block, so 100 slots end in a partial one
+        trace = random_trace(np.random.default_rng(14), 10, 100)
+        tables = welfare_tables(trace)
+        by_rank = tiebreak_order(10)[0]
+        for slot, row in zip(trace.slots, tables, strict=True):
+            own = subset_value_table_loop(slot, np.arange(10)) - subset_linear_table(
+                slot.true_costs
+            )
+            assert row.tobytes() == own[by_rank].tobytes()
+
+    def test_references_peak_within_a_tenth_over_the_table(self):
+        # N = 16, T = 64: a 32 MB table, one slot per block of rows
+        scenario = ScenarioConfig(map=GridMap(10, 10, 200.0), n_users=16, seed=3)
+        trace = Trace(tuple(realization_stream(scenario, 64)), np.full(16, 0.5))
+        tiebreak_order(16)  # cached for the process, not part of the references
+        tracemalloc.start()
+        try:
+            tables = welfare_tables(trace)
+            unconstrained_trace_welfare(trace, tables)
+            dual_upper_bound(trace, 2, tables=tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * tables.nbytes
 
     def test_without_tables_refuses_above_the_table_cap(self):
         # it builds the whole (T, 2^N) table, so 2^20 * 17 > 2^24 is refused

@@ -738,13 +738,17 @@ class TestBenchmarkCommand:
 
     def test_one_table_per_slot_shared_by_all_references(self, tmp_path, monkeypatch):
         built = []
-        original = benchmark_mod.subset_value_table
+        original = benchmark_mod.subset_value_rows
 
-        def counting(realization, users):
-            built.append(len(users))
-            return original(realization, users)
+        def counting(slots):
+            built.extend((id(slot), slot.n_users) for slot in slots)
+            return original(slots)
 
-        monkeypatch.setattr(benchmark_mod, "subset_value_table", counting)
+        def refused(*args):
+            raise AssertionError("the references read the welfare table, not per-slot tables")
+
+        monkeypatch.setattr(benchmark_mod, "subset_value_rows", counting)
+        monkeypatch.setattr(benchmark_mod, "subset_value_table", refused)
         path = write_config(
             tmp_path, {"scenario.n_users": 3}, t_slots=4, warmup_slots=0,
             benchmark={"iterations": 40},
@@ -752,7 +756,9 @@ class TestBenchmarkCommand:
         out = tmp_path / "out"
         assert cmd_benchmark(str(path), out=str(out)) == 0
         assert json.loads((out / "benchmark.json").read_text())["bruteforce"] is not None
-        assert built == [3] * 4
+        # four distinct slots, each built once, all with their three users
+        assert len({slot for slot, _ in built}) == len(built) == 4
+        assert [n for _, n in built] == [3] * 4
 
 
 class TestTruthcheckCommand:

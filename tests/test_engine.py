@@ -255,6 +255,20 @@ class TestFailBeforeWork:
         )
         assert metrics.t_slots == 5
 
+    @pytest.mark.parametrize("kind", ["greedy", "random", "radp_vpc", "lyapunov", "dual"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.2, 1.5])
+    def test_out_of_range_threshold_refused_before_first_slot(self, kind, bad):
+        cfg = desk_config()
+        calls = []
+        thresholds = np.full(cfg.n_users, 0.5)
+        thresholds[2] = bad
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            run_policy(
+                counting_stream(cfg, 5, calls), PolicySpec(kind), thresholds,
+                warmup_slots=0, t_slots=5,
+            )
+        assert calls == []
+
     @pytest.mark.parametrize("actual", [4, 6])
     def test_stream_length_must_match_horizon(self, actual):
         cfg = desk_config()

@@ -1,25 +1,25 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sensecourt.scenarios as scenarios
 from sensecourt.scenarios import (
     WEIGHT_MODES,
     MobilityState,
     ScenarioConfig,
     _hotspot_profile,
-    build_slot_realization,
-    generate_weight_field,
     initial_state,
     realization_stream,
     slot_rng,
-    step_mobility,
 )
 from sensecourt.world import GridMap
 
-from oracle_regions import build_slot_realization_loop
+from oracle_regions import realization_stream_loop, step_mobility
 
 
 def config(**overrides):
@@ -32,6 +32,21 @@ def config(**overrides):
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def stream_from(cfg, positions, t_slots=1, block_cells=None):
+    """realization_stream(cfg, t_slots) as a list, the users starting at
+    positions, in blocks of block_cells cells if given."""
+    with mock.patch.object(scenarios, "initial_state", lambda _: MobilityState(positions)):
+        if block_cells is None:
+            return list(realization_stream(cfg, t_slots))
+        with mock.patch.object(scenarios, "_BLOCK_CELLS", block_cells):
+            return list(realization_stream(cfg, t_slots))
+
+
+def weights_of(cfg, slot):
+    """The weights of slot `slot` of cfg's stream."""
+    return list(realization_stream(cfg, slot))[-1].weights.values
 
 
 class TestConfig:
@@ -87,35 +102,28 @@ class TestConfig:
 class TestWeights:
     def test_uniform_mean_near_target(self):
         cfg = config(map=GridMap(50, 50, 200.0), mean_weight=0.5)
-        field = generate_weight_field(cfg, 1, slot_rng(cfg, 1))
-        assert 0.48 <= field.values.mean() <= 0.52
+        assert 0.48 <= weights_of(cfg, 1).mean() <= 0.52
 
     def test_hotspot_center_beats_corners(self):
         cfg = config(weight_mode="hotspot")
-        field = generate_weight_field(cfg, 1, slot_rng(cfg, 1))
         grid = cfg.map
-        w = field.values.reshape(grid.height_grids, grid.width_grids)
+        w = weights_of(cfg, 1).reshape(grid.height_grids, grid.width_grids)
         center = w[grid.height_grids // 2, grid.width_grids // 2]
         corners = [w[0, 0], w[0, -1], w[-1, 0], w[-1, -1]]
         assert all(center > c for c in corners)
 
     def test_hotspot_spatial_mean_rescaled(self):
         cfg = config(weight_mode="hotspot", mean_weight=0.5)
-        field = generate_weight_field(cfg, 1, slot_rng(cfg, 1))
-        assert field.values.mean() == pytest.approx(0.5, rel=1e-9)
+        assert weights_of(cfg, 1).mean() == pytest.approx(0.5, rel=1e-9)
 
     def test_same_seed_and_slot_identical(self):
         cfg = config()
-        a = generate_weight_field(cfg, 3, slot_rng(cfg, 3))
-        b = generate_weight_field(cfg, 3, slot_rng(cfg, 3))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(weights_of(cfg, 3), weights_of(cfg, 3))
 
     def test_long_run_mean_within_two_percent(self):
         for mode, noise in (("uniform_iid", False), ("hotspot", True)):
             cfg = config(map=GridMap(20, 20, 200.0), weight_mode=mode, temporal_noise=noise)
-            total = 0.0
-            for t in range(1, 61):
-                total += generate_weight_field(cfg, t, slot_rng(cfg, t)).values.mean()
+            total = sum(real.weights.values.mean() for real in realization_stream(cfg, 60))
             assert abs(total / 60 - cfg.mean_weight) <= 0.02 * cfg.mean_weight
 
     @pytest.mark.parametrize("noise", [False, True])
@@ -130,16 +138,26 @@ class TestWeights:
 
 
 class TestMobility:
+    """The walk is the reference step_mobility's, which the stream matches
+    bit for bit (TestStreamOracle); these tests pin that reference."""
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_positions(self, bad):
         with pytest.raises(ValueError, match="finite"):
             MobilityState(np.array([[100.0, 100.0], [50.0, bad]]))
 
-    def test_zero_step_keeps_positions(self):
-        cfg = config(step_max_m=0.0)
-        state = initial_state(cfg)
-        stepped = step_mobility(state, cfg, slot_rng(cfg, 1))
-        assert np.allclose(stepped.positions, state.positions)
+    def test_zero_step_keeps_regions_of_a_fixed_radius(self):
+        cfg = config(step_max_m=0.0, radius_min_m=500.0, radius_max_m=500.0)
+        slots = list(realization_stream(cfg, 40))
+        for real in slots[1:]:
+            for a, b in zip(real.regions, slots[0].regions):
+                assert a.indices.tolist() == b.indices.tolist()
+
+    def test_stream_users_stay_on_the_map(self):
+        # a center lies within edge / sqrt(2) of every point on the map
+        cfg = config(step_max_m=1500.0, radius_min_m=142.0, radius_max_m=142.0)
+        for real in realization_stream(cfg, 2000):
+            assert all(r.size > 0 for r in real.regions)
 
     def test_positions_stay_in_bounds(self):
         cfg = config(step_max_m=1500.0)
@@ -169,7 +187,7 @@ class TestRealization:
     def test_disk_membership_matches_geometry(self):
         cfg = config()
         state = initial_state(cfg)
-        real = build_slot_realization(state, cfg, 1, slot_rng(cfg, 1))
+        real = next(realization_stream(cfg, 1))
         centers = cfg.map.centers()
         # recover each user's radius from the covered set: every center in
         # the region must be within max radius, every center out of it
@@ -189,7 +207,7 @@ class TestRealization:
     def test_center_disk_count_near_analytic(self):
         cfg = config(radius_min_m=400.0, radius_max_m=400.0)
         pos = np.array([[cfg.map.width_m / 2, cfg.map.height_m / 2]] * cfg.n_users)
-        real = build_slot_realization(MobilityState(pos), cfg, 1, slot_rng(cfg, 1))
+        real = stream_from(cfg, pos)[0]
         count = real.regions[0].size
         r_over_e = 400.0 / 200.0
         assert np.pi * (r_over_e - 1) ** 2 <= count <= np.pi * (r_over_e + 1) ** 2
@@ -197,24 +215,22 @@ class TestRealization:
     def test_user_outside_reach_empty_region_zero_cost(self):
         cfg = config(radius_min_m=50.0, radius_max_m=50.0)
         pos = np.zeros((cfg.n_users, 2))  # corners are 70.7m from nearest center
-        real = build_slot_realization(MobilityState(pos), cfg, 1, slot_rng(cfg, 1))
+        real = stream_from(cfg, pos)[0]
         assert real.regions[0].size == 0
         assert real.true_costs[0] == 0.0
 
     def test_zero_ratio_zero_costs(self):
         cfg = config(cost_to_weight_ratio=0.0)
-        state = initial_state(cfg)
-        real = build_slot_realization(state, cfg, 1, slot_rng(cfg, 1))
-        assert np.all(real.true_costs == 0.0)
+        for real in realization_stream(cfg, 5):
+            assert np.all(real.true_costs == 0.0)
 
     def test_cost_proportional_to_region_size(self):
         cfg = config(cost_jitter=(1.0, 1.0), cost_to_weight_ratio=0.3)
-        state = initial_state(cfg)
-        real = build_slot_realization(state, cfg, 1, slot_rng(cfg, 1))
-        for u in range(cfg.n_users):
-            assert real.true_costs[u] == pytest.approx(
-                0.3 * cfg.mean_weight * real.regions[u].size, rel=1e-12
-            )
+        for real in realization_stream(cfg, 5):
+            for u in range(cfg.n_users):
+                assert real.true_costs[u] == pytest.approx(
+                    0.3 * cfg.mean_weight * real.regions[u].size, rel=1e-12
+                )
 
 
 def _nudge(x: float, ulps: int) -> float:
@@ -227,7 +243,8 @@ def _nudge(x: float, ulps: int) -> float:
 @st.composite
 def region_cases(draw):
     """A map, user positions and radii that stress the disk test's edges and
-    the edges of the window of grids measured around each user."""
+    the edges of the window of grids measured around each user, a step
+    length, a stream length and a block budget in cells."""
     edge = draw(st.sampled_from([0.5, 1.0, 137.5, 200.0]))
     sides = st.one_of(st.just(1), st.integers(1, 12))  # 1-wide and 1-tall maps
     grid = GridMap(draw(sides), draw(sides), edge)
@@ -241,6 +258,7 @@ def region_cases(draw):
         st.floats(diag, 8.0 * diag),  # beyond the diagonal
     )
     r_lo, r_hi = sorted((draw(radius), draw(radius)))
+    step = draw(st.one_of(st.just(0.0), st.just(edge), st.floats(0.0, 3.0 * diag)))
     if draw(st.booleans()):
         r_lo = r_hi  # every radius exactly r_hi, so p +- r is known exactly
 
@@ -279,9 +297,12 @@ def region_cases(draw):
         temporal_noise=draw(st.booleans()),
         cost_to_weight_ratio=draw(st.floats(0.0, 3.0)),
         cost_jitter=tuple(jitter),
+        step_max_m=step,
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    return cfg, MobilityState(np.array(positions)), draw(st.integers(1, 50))
+    # blocks of one slot, of a few slots, or the default: one partial block
+    cells = draw(st.one_of(st.just(1), st.integers(1, 3000), st.none()))
+    return cfg, MobilityState(np.array(positions)), draw(st.integers(1, 7)), cells
 
 
 def assert_same_slot(fast, ref):
@@ -292,22 +313,27 @@ def assert_same_slot(fast, ref):
         assert a.indices.tolist() == b.indices.tolist()
 
 
-class TestRegionOracle:
+class TestStreamOracle:
+    """realization_stream, built a block at a time, against the reference
+    that builds slot by slot and user by user."""
+
     @settings(max_examples=500, deadline=None)
     @given(region_cases())
-    def test_matches_per_user_loop_bit_for_bit(self, case):
-        cfg, state, slot = case
-        fast = build_slot_realization(state, cfg, slot, slot_rng(cfg, slot))
-        ref = build_slot_realization_loop(state, cfg, slot, slot_rng(cfg, slot))
-        assert len(fast.regions) == cfg.n_users
-        assert_same_slot(fast, ref)
+    def test_matches_slot_by_slot_loop_bit_for_bit(self, case):
+        cfg, state, t_slots, cells = case
+        fast = stream_from(cfg, state.positions, t_slots, cells)
+        ref = list(realization_stream_loop(cfg, t_slots, state))
+        assert len(fast) == t_slots
+        for a, b in zip(fast, ref):
+            assert len(a.regions) == cfg.n_users
+            assert_same_slot(a, b)
 
     @pytest.mark.parametrize("edge", [0.5, 137.5, 200.0])
     @pytest.mark.parametrize("shape", [(7, 5), (1, 6), (6, 1), (1, 1)])
     @pytest.mark.parametrize("radius_in_edges", [0.0, 0.5, 1.0, 2.0, 3.0, 50.0])
     def test_disk_edges_on_grid_lines(self, edge, shape, radius_in_edges):
-        """Every user sits where p - r or p + r is a multiple of the edge, or
-        one or two floats beside it, in both axes, on and off the map."""
+        """Every user starts where p - r or p + r is a multiple of the edge,
+        or one or two floats beside it, in both axes, on and off the map."""
         grid = GridMap(shape[0], shape[1], edge)
         r = radius_in_edges * edge
 
@@ -325,19 +351,49 @@ class TestRegionOracle:
             [(x, y) for x in xs for y in ys[::7]] + [(x, y) for x in xs[::7] for y in ys]
         )
         cfg = config(map=grid, n_users=len(positions), radius_min_m=r, radius_max_m=r)
-        state = MobilityState(positions)
-        fast = build_slot_realization(state, cfg, 1, slot_rng(cfg, 1))
-        ref = build_slot_realization_loop(state, cfg, 1, slot_rng(cfg, 1))
-        assert_same_slot(fast, ref)
+        fast = stream_from(cfg, positions, 2)
+        ref = realization_stream_loop(cfg, 2, MobilityState(positions))
+        for a, b in zip(fast, ref, strict=True):
+            assert_same_slot(a, b)
 
-    def test_matches_on_desk_scale_stream(self):
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"weight_mode": "hotspot"}, {"weight_mode": "hotspot", "temporal_noise": True}],
+    )
+    @pytest.mark.parametrize("cells", [None, 30_000])
+    def test_matches_on_desk_scale_stream(self, overrides, cells):
+        # a desk slot tests 10,000 cells: one slot a block by default, and
+        # with 30,000 three, so seven slots end in a partial block
+        cfg = config(map=GridMap(50, 50, 200.0), n_users=100, seed=42, **overrides)
+        fast = stream_from(cfg, initial_state(cfg).positions, 7, cells)
+        for a, b in zip(fast, realization_stream_loop(cfg, 7), strict=True):
+            assert_same_slot(a, b)
+
+    def test_slots_are_read_only_views_of_their_block(self):
+        slots = list(realization_stream(config(), 5))
+        for real in slots:
+            assert not real.weights.values.flags.writeable
+            assert not real.true_costs.flags.writeable
+            assert all(not r.indices.flags.writeable for r in real.regions)
+        assert slots[0].true_costs.base is slots[4].true_costs.base
+        assert slots[0].weights.values.base is slots[4].weights.values.base
+
+    def test_streaming_memory_does_not_grow_with_the_stream(self):
+        # a block of desk slots and its buffers take about 1 MB; the trace
+        # of 2,000 slots, if it were kept, about 160 MB
         cfg = config(map=GridMap(50, 50, 200.0), n_users=100, seed=42)
-        state = initial_state(cfg)
-        for t in range(1, 6):
-            fast = build_slot_realization(state, cfg, t, slot_rng(cfg, t))
-            ref = build_slot_realization_loop(state, cfg, t, slot_rng(cfg, t))
-            assert_same_slot(fast, ref)
-            state = step_mobility(state, cfg, slot_rng(cfg, t))
+        list(realization_stream(cfg, 1))  # one-time set-up stays out of the peaks
+        peaks = []
+        for t_slots in (200, 2000):
+            tracemalloc.start()
+            try:
+                for _ in realization_stream(cfg, t_slots):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * 1024 * 1024
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestStream:

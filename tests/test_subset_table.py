@@ -23,6 +23,7 @@ from sensecourt.solver import (
     slot_value_table,
     solve_exact,
     subset_linear_table,
+    subset_value_rows,
     subset_value_table,
     tiebreak_argmax_without,
 )
@@ -36,11 +37,8 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
-@st.composite
-def coverage_instances(draw, m_max=10):
+def draw_slot(draw, n_grids, n_users):
     """Regions drawn to collide: empty, identical, nested and disjoint."""
-    n_grids = draw(st.integers(1, 24))
-    n_users = draw(st.integers(0, m_max))
     regions = []
     for _ in range(n_users):
         kind = draw(st.sampled_from(["random", "empty", "copy", "nested", "disjoint"]))
@@ -68,6 +66,19 @@ def coverage_instances(draw, m_max=10):
         st.lists(st.integers(0, 4).map(float), min_size=n_users, max_size=n_users)
     )
     return make_realization(n_grids, regions, weights, costs)
+
+
+@st.composite
+def coverage_instances(draw, m_max=10):
+    return draw_slot(draw, draw(st.integers(1, 24)), draw(st.integers(0, m_max)))
+
+
+@st.composite
+def coverage_blocks(draw):
+    """One to six slots of the same user and grid counts, so region lengths
+    mix within the block."""
+    n_grids, n_users = draw(st.integers(1, 24)), draw(st.integers(0, 10))
+    return [draw_slot(draw, n_grids, n_users) for _ in range(draw(st.integers(1, 6)))]
 
 
 def user_sets(real):
@@ -111,6 +122,45 @@ class TestTableMatchesLoop:
         real = make_realization(3, [{0}], costs=[1.0])
         table = subset_value_table(real, np.arange(0))
         assert bits(table).tolist() == bits([0.0]).tolist()
+
+
+class TestRowsMatchLoop:
+    """subset_value_rows builds a block of slots at once; every row must be
+    that slot's scalar-loop table, and subset_linear_table's rows likewise."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coverage_blocks())
+    def test_every_row_bit_for_bit(self, slots):
+        users = np.arange(slots[0].n_users)
+        rows = subset_value_rows(slots)
+        assert rows.shape == (len(slots), 1 << users.size)
+        for slot, row in zip(slots, rows):
+            assert np.array_equal(bits(row), bits(subset_value_table_loop(slot, users)))
+
+    def test_mixed_lengths_nested_and_identical_regions(self):
+        # user 1's region is longest in one slot and empty or shortest in the others
+        slots = [
+            make_realization(6, [{0, 1, 2}, set(range(6)), {2}], [1.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
+            make_realization(6, [{5}, set(), {5}], [0.3] * 6),
+            make_realization(6, [{1, 2, 3}, {2}, {1, 2, 3}], np.linspace(0.0, 1.0, 6)),
+        ]
+        for slot, row in zip(slots, subset_value_rows(slots)):
+            assert np.array_equal(bits(row), bits(subset_value_table_loop(slot, np.arange(3))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda m: st.lists(
+                st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=m, max_size=m),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_linear_rows_bit_for_bit(self, per_slot):
+        got = subset_linear_table(np.array(per_slot, dtype=float).reshape(len(per_slot), -1))
+        for terms, row in zip(per_slot, got, strict=True):
+            assert np.array_equal(bits(row), bits(subset_linear_table_loop(terms)))
 
 
 def reduced_solve(real, kappa, eligible, user):
