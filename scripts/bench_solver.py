@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Slot-generation and exact-solver microbenchmark: median ms per generated
-slot at desk and welfare scale, per solve_exact at N = 8, 12, 16, 20, per
-truthfulness_sweep at N = 8, 12, 16 and per dual sweep at (N, T) = (8, 800),
-(8, 10,000) and (12, 800), and the dual's peak memory over its table at
-(N, T) = (12, 4,096), (16, 256) and (20, 16).
+slot at desk and welfare scale, per subset_value_table and per solve_exact
+at N = 8, 12, 16, 20, per truthfulness_sweep at N = 8, 12, 16 and per dual
+sweep at (N, T) = (8, 800), (8, 10,000) and (12, 800), and the dual's peak
+memory over its table at (N, T) = (12, 4,096), (16, 256) and (20, 16).
 
 Slot generation times realization_stream, which builds blocks of slots,
 over the first --slots slots of configs/dropping_desk.json (100 users, 2,500
@@ -21,10 +21,10 @@ for bit, and its tracemalloc peak is recorded over the table's bytes.
 
 Each solver instance is the first N users of one dropping-desk slot
 (2,500 grids, disk regions), every user eligible, true costs as charges.
-Every solve starts on a fresh slot object, so no table is reused between
-timings.
-After each timed solve the subset table it used is compared bit for bit
-with the scalar loop in tests/oracle_subset.py, whose time is recorded too.
+subset_value_table is timed on its own, then solve_exact, which builds the
+table again: every solve starts on a fresh slot object, so no table is
+reused between timings. Both tables are then compared bit for bit with the
+scalar loop in tests/oracle_subset.py, whose time is recorded too.
 
 Each sweep scores 201 bids from 0 to 3x the swept user's cost, with
 regulation factors drawn as `truthcheck` draws them; its time includes its
@@ -249,12 +249,16 @@ def main() -> int:
 
     scenario = load_config(str(CONFIG)).scenario
     slots = list(realization_stream(scenario, args.instances))
-    solve_ms, loop_ms, grids = {}, {}, {}
+    table_only_ms, solve_ms, loop_ms, grids = {}, {}, {}, {}
     for n in SIZES:
         users = np.arange(n)
-        solves, loops = [], []
+        tables, solves, loops = [], [], []
         for slot in slots:
             real = first_users(slot, n)
+            start = time.perf_counter()
+            table_only = subset_value_table(real, users)
+            tables.append((time.perf_counter() - start) * 1e3)
+
             inst = RegulatedInstance.of(real, real.true_costs)
             start = time.perf_counter()
             solve_exact(inst, exact_limit=n)
@@ -263,14 +267,16 @@ def main() -> int:
             start = time.perf_counter()
             oracle = subset_value_table_loop(real, users)
             loops.append((time.perf_counter() - start) * 1e3)
-            table = slot_value_table(real, users)  # the table the solve used
-            if not np.array_equal(table.view(np.int64), oracle.view(np.int64)):
-                raise AssertionError(f"subset table differs from the loop at N={n}")
+            for table in (table_only, slot_value_table(real, users)):  # and the solve's
+                if not np.array_equal(table.view(np.int64), oracle.view(np.int64)):
+                    raise AssertionError(f"subset table differs from the loop at N={n}")
+        table_only_ms[n] = statistics.median(tables)
         solve_ms[n] = statistics.median(solves)
         loop_ms[n] = statistics.median(loops)
         grids[n] = statistics.mean(r.size for s in slots for r in s.regions[:n])
         print(
-            f"N={n:2d}: solve_exact {solve_ms[n]:9.2f} ms, oracle loop "
+            f"N={n:2d}: subset_value_table {table_only_ms[n]:8.2f} ms, solve_exact "
+            f"{solve_ms[n]:9.2f} ms, oracle loop "
             f"{loop_ms[n]:9.2f} ms, {grids[n]:.1f} grids per region (median of "
             f"{len(slots)})",
             flush=True,
@@ -327,6 +333,7 @@ def main() -> int:
         "config": str(CONFIG.relative_to(ROOT)),
         "instances": len(slots),
         "solve_exact_ms_median": {str(n): solve_ms[n] for n in SIZES},
+        "subset_value_table_ms_median": {str(n): table_only_ms[n] for n in SIZES},
         "oracle_loop_table_ms_median": {str(n): loop_ms[n] for n in SIZES},
         "mean_region_grids": {str(n): grids[n] for n in SIZES},
         "tables_bit_identical_to_oracle": True,

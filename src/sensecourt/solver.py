@@ -50,6 +50,7 @@ TIE_TOL = 1e-9
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_NODE_BUDGET = 20_000
 _BLOCK_CELLS = 1 << 16  # per-block temporaries of subset_value_table
+_VIEW_LEVEL_BITS = 8  # subset_value_table levels with 2^8 parents or more go by views
 
 
 class SolverCapacityError(RuntimeError):
@@ -138,11 +139,17 @@ def subset_value_table(realization: SlotRealization, users: np.ndarray) -> np.nd
     weights of j's grids that no higher member covers. The table is filled
     one level per user, from the highest bit down, so every parent is ready
     before its children. At level j the parents are the rows of a
-    (2^(m-j-1), 2^(j+1)) view; a grid already covered by a parent adds 0.0,
-    which leaves the running sum unchanged, and `np.add.accumulate` adds in
-    column order. That repeats the scalar loop's additions in its order, so
-    the table matches it bit for bit. Parent rows go in blocks of about
-    _BLOCK_CELLS cells to keep the temporaries small.
+    (2^(m-j-1), 2^(j+1)) view, and each level repeats the scalar loop's
+    additions in its order, so the table matches it bit for bit:
+
+    - below 2^_VIEW_LEVEL_BITS parents, rows go in blocks of about
+      _BLOCK_CELLS cells, to keep the temporaries small, and
+      `np.add.accumulate` adds j's grids in column order; a grid already
+      covered by a parent adds 0.0, which leaves the running sum unchanged.
+    - from there on, _add_on_views adds j's grids, in ascending grid order,
+      in place to the children of exactly the parents that leave them
+      uncovered, which are the loop's own additions; at small levels its
+      per-grid call overhead would cost more than the masks it saves.
     """
     m = len(users)
     values = np.zeros(1 << m)
@@ -151,19 +158,37 @@ def subset_value_table(realization: SlotRealization, users: np.ndarray) -> np.nd
     for j in range(m - 1, -1, -1):
         grids = realization.regions[int(users[j])].indices
         rows = values.reshape(-1, 2 << j)  # row p: subsets whose bits above j spell p
-        above = (owners[grids] >> (j + 1))[:, None]
-        weights = w[grids][:, None]
-        step = max(1, _BLOCK_CELLS // (grids.size + 1))
-        for lo in range(0, rows.shape[0], step):
-            block = rows[lo : lo + step]
-            acc = np.empty((grids.size + 1, block.shape[0]))
-            acc[0] = block[:, 0]
-            parents = np.arange(lo, lo + block.shape[0])
-            np.copyto(acc[1:], np.where((above & parents) == 0, weights, 0.0))
-            np.add.accumulate(acc, axis=0, out=acc)
-            block[:, 1 << j] = acc[-1]
+        above, weights = owners[grids] >> (j + 1), w[grids]
+        if rows.shape[0] >= 1 << _VIEW_LEVEL_BITS:
+            _add_on_views(rows, above, weights)
+        else:
+            above, weights = above[:, None], weights[:, None]
+            step = max(1, _BLOCK_CELLS // (grids.size + 1))
+            for lo in range(0, rows.shape[0], step):
+                block = rows[lo : lo + step]
+                acc = np.empty((grids.size + 1, block.shape[0]))
+                acc[0] = block[:, 0]
+                parents = np.arange(lo, lo + block.shape[0])
+                np.copyto(acc[1:], np.where((above & parents) == 0, weights, 0.0))
+                np.add.accumulate(acc, axis=0, out=acc)
+                block[:, 1 << j] = acc[-1]
         owners[grids] |= 1 << j
     return values
+
+
+def _add_on_views(rows: np.ndarray, above: np.ndarray, weights: np.ndarray) -> None:
+    """One level of subset_value_table: the children, copied out of their
+    parents and viewed with one length-2 axis per member above the level
+    (at most m axes: numpy 1.x's 32 allow tables up to 2^32 cells), get
+    each grid's weight, in ascending grid order, on the sub-view at index 0
+    on the axes of its owners above the level: the parents leaving it free."""
+    d = rows.shape[0].bit_length() - 1  # members above the level; axis a is bit d-1-a
+    child = rows[:, 0].copy()
+    cube = child.reshape((2,) * d + (1,))
+    for owned, weight in zip(above.tolist(), weights.tolist()):
+        free = cube[tuple(slice(2 - (owned >> k & 1)) for k in range(d - 1, -1, -1))]
+        free += weight
+    rows[:, rows.shape[1] // 2] = child
 
 
 def subset_value_rows(slots: Sequence[SlotRealization]) -> np.ndarray:

@@ -7,8 +7,11 @@ float bits, same tie-break allocation.
 """
 
 import contextlib
+import dataclasses
 import gc
 import weakref
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sensecourt.auction as auction_mod
+import sensecourt.cli as cli_mod
 import sensecourt.solver as solver_mod
 from sensecourt.auction import BidVector, RegulationState, run_auction_slot, truthfulness_sweep
+from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
     slot_value_table,
@@ -30,7 +35,11 @@ from sensecourt.solver import (
 from sensecourt.world import evaluate_allocation
 
 from oracle_subset import subset_linear_table_loop, subset_value_table_loop
+from oracle_sweep import report_differences, truthfulness_sweep_dense
 from test_world import make_realization
+
+ROOT = Path(__file__).resolve().parent.parent
+ALL_VIEWS, NO_VIEWS = 0, 13  # _VIEW_LEVEL_BITS sending every level, or none at m <= 12, to views
 
 
 def bits(x):
@@ -87,14 +96,63 @@ def user_sets(real):
 
 
 class TestTableMatchesLoop:
+    @pytest.mark.parametrize("view_bits", [ALL_VIEWS, NO_VIEWS])
     @settings(max_examples=300, deadline=None)
-    @given(coverage_instances())
-    def test_bit_for_bit(self, real):
-        for users in user_sets(real):
+    @given(real=coverage_instances(m_max=12))
+    def test_bit_for_bit(self, view_bits, real):
+        with mock.patch.object(solver_mod, "_VIEW_LEVEL_BITS", view_bits):
+            for users in user_sets(real):
+                got = subset_value_table(real, users)
+                want = subset_value_table_loop(real, users)
+                assert got.shape == want.shape == (1 << users.size,)
+                assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("view_bits", [ALL_VIEWS, NO_VIEWS])
+    @pytest.mark.parametrize(
+        "case", ["covers_all", "zero_weights", "owned_above", "identical", "nested"]
+    )
+    def test_region_shapes(self, monkeypatch, case, view_bits):
+        rng = np.random.default_rng(11)
+        n_grids, m = 30, 10
+        regions = [set(rng.choice(n_grids, size=8, replace=False).tolist()) for _ in range(m)]
+        weights = rng.random(n_grids)
+        if case == "covers_all":  # a low, a middle and the highest user
+            regions[0] = regions[4] = regions[m - 1] = set(range(n_grids))
+        elif case == "zero_weights":
+            weights = np.zeros(n_grids)
+        elif case == "owned_above":  # every grid of users 0 and 3 has owners above them
+            regions[0] = regions[5] | regions[8]
+            regions[3] = set(sorted(regions[4])[:3]) | set(sorted(regions[9])[:3])
+        elif case == "identical":
+            regions = [regions[0]] * m
+        else:
+            base = sorted(range(n_grids), key=lambda g: rng.random())
+            regions = [set(base[: 3 * (k + 1)]) for k in range(m)]
+            regions[2::3] = [set(base[: 3 * (m - k)]) for k in range(2, m, 3)]
+        real = make_realization(n_grids, regions, weights, np.zeros(m))
+        monkeypatch.setattr(solver_mod, "_VIEW_LEVEL_BITS", view_bits)
+        for users in user_sets(real) + [np.arange(m)[::-1]]:
             got = subset_value_table(real, users)
-            want = subset_value_table_loop(real, users)
-            assert got.shape == want.shape == (1 << users.size,)
-            assert np.array_equal(bits(got), bits(want))
+            assert np.array_equal(bits(got), bits(subset_value_table_loop(real, users)))
+
+    @pytest.mark.parametrize("view_bits", [0, 3, 5, 6])
+    def test_levels_split_at_the_view_threshold(self, monkeypatch, view_bits):
+        # level j has 2^(m-1-j) parents; from 2^view_bits parents on it goes by views
+        rng = np.random.default_rng(12)
+        regions = [set(rng.choice(20, size=7, replace=False).tolist()) for _ in range(6)]
+        real = make_realization(20, regions, rng.random(20), np.zeros(6))
+        parents = []
+        on_views = solver_mod._add_on_views
+
+        def recording(rows, above, weights):
+            parents.append(rows.shape[0])
+            on_views(rows, above, weights)
+
+        monkeypatch.setattr(solver_mod, "_VIEW_LEVEL_BITS", view_bits)
+        monkeypatch.setattr(solver_mod, "_add_on_views", recording)
+        got = subset_value_table(real, np.arange(6))
+        assert parents == [1 << d for d in range(view_bits, 6)]
+        assert np.array_equal(bits(got), bits(subset_value_table_loop(real, np.arange(6))))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -115,6 +173,7 @@ class TestTableMatchesLoop:
         real = make_realization(40, regions, rng.random(40), np.zeros(9))
         users = np.arange(9)
         monkeypatch.setattr(solver_mod, "_BLOCK_CELLS", 40)
+        monkeypatch.setattr(solver_mod, "_VIEW_LEVEL_BITS", NO_VIEWS)
         got = subset_value_table(real, users)
         assert np.array_equal(bits(got), bits(subset_value_table_loop(real, users)))
 
@@ -122,6 +181,29 @@ class TestTableMatchesLoop:
         real = make_realization(3, [{0}], costs=[1.0])
         table = subset_value_table(real, np.arange(0))
         assert bits(table).tolist() == bits([0.0]).tolist()
+
+
+def test_truthcheck_slot_at_fourteen_users():
+    """One slot of configs/truthcheck.json at 14 users, swept as `truthcheck`
+    sweeps it: levels of both strategies at the default threshold."""
+    cfg = cli_mod.load_config(str(ROOT / "configs" / "truthcheck.json"))
+    scenario = dataclasses.replace(cfg.scenario, n_users=14)
+    real = next(iter(realization_stream(scenario, 1)))
+    users = np.arange(14)
+    got = subset_value_table(real, users)
+    assert np.array_equal(bits(got), bits(subset_value_table_loop(real, users)))
+
+    rng = np.random.default_rng([scenario.seed, cli_mod._TRUTHCHECK_STREAM, 1])
+    costs = real.true_costs
+    candidates = np.flatnonzero(costs > 0)
+    rng.choice(candidates)  # truthcheck's swept user; every candidate is swept here
+    check = cfg.truthcheck
+    state = RegulationState(rng.uniform(0.0, 0.5 * float(costs.max()), 14), check.phi)
+    for user in candidates.tolist():
+        grid = np.linspace(0.0, check.bid_span * float(costs[user]), check.bid_points)
+        report = truthfulness_sweep(real, state, costs, user, grid)
+        want = truthfulness_sweep_dense(real, state, costs, user, grid)
+        assert report_differences(report, want) == []
 
 
 class TestRowsMatchLoop:
