@@ -43,6 +43,10 @@ The dual's peak is the tracemalloc peak of dual_upper_bound, DUAL_PEAK_ITERATION
 iterations on prebuilt welfare tables of 2^24 cells (128 MB), divided by the
 table's bytes: what the sweep allocates beyond the table it reads.
 
+tiebreak_order(m) at m = 16 and 20 is built from an empty cache: median ms of
+--instances builds, and the tracemalloc peak and the bytes still held once
+the build returns (the cached order) of one more build.
+
     PYTHONPATH=src python3 scripts/bench_solver.py --out BENCH_solver.json
 
 With --baseline, a report the script wrote on another checkout (say, the
@@ -94,6 +98,7 @@ DUAL_ITERATIONS = 50
 DUAL_PEAK_SHAPES = ((12, 4096), (16, 256), (20, 16))
 DUAL_PEAK_ITERATIONS = 3
 TABLE_SHAPES = ((8, 800), (16, 64))
+ORDER_SIZES = (16, 20)
 
 
 def first_users(slot: SlotRealization, n: int) -> SlotRealization:
@@ -178,7 +183,7 @@ def time_tables(n: int, t: int, runs: int) -> tuple[float, float]:
     """Median ms per slot of welfare_tables, and its tracemalloc peak over the
     table's bytes; every row is checked against the slot's own table."""
     trace = welfare_trace(n, t)
-    by_rank = tiebreak_order(n)[0]
+    by_rank = tiebreak_order(n)
     times = []
     for _ in range(runs):
         start = time.perf_counter()
@@ -210,6 +215,25 @@ def dual_peak_ratio(n: int, t: int) -> float:
     finally:
         tracemalloc.stop()
     return peak / tables.nbytes
+
+
+def time_order(m: int, runs: int) -> tuple[float, int, int]:
+    """Median ms of tiebreak_order(m) from an empty cache, and the tracemalloc
+    peak and retained bytes of one build."""
+    times = []
+    for _ in range(runs):
+        tiebreak_order.cache_clear()
+        start = time.perf_counter()
+        tiebreak_order(m)
+        times.append((time.perf_counter() - start) * 1e3)
+    tiebreak_order.cache_clear()
+    tracemalloc.start()
+    try:
+        tiebreak_order(m)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return statistics.median(times), peak, retained
 
 
 def main() -> int:
@@ -322,6 +346,15 @@ def main() -> int:
             flush=True,
         )
 
+    order_ms, order_peak, order_retained = {}, {}, {}
+    for m in ORDER_SIZES:
+        order_ms[m], order_peak[m], order_retained[m] = time_order(m, args.instances)
+        print(
+            f"m={m:2d}: tiebreak_order {order_ms[m]:8.2f} ms, peak {order_peak[m]} B, "
+            f"retained {order_retained[m]} B (median of {args.instances})",
+            flush=True,
+        )
+
     report = {
         "slot_configs": {k: str(p.relative_to(ROOT)) for k, p in SLOT_CONFIGS.items()},
         "slot_hotspot_overrides": HOTSPOT,
@@ -350,6 +383,9 @@ def main() -> int:
         "welfare_tables_ms_per_slot_median": table_ms,
         "welfare_tables_peak_over_table_bytes": table_peak,
         "welfare_tables_bit_identical_to_per_slot_tables": True,
+        "tiebreak_order_ms_median": {str(m): order_ms[m] for m in ORDER_SIZES},
+        "tiebreak_order_peak_bytes": {str(m): order_peak[m] for m in ORDER_SIZES},
+        "tiebreak_order_retained_bytes": {str(m): order_retained[m] for m in ORDER_SIZES},
         "nproc": len(os.sched_getaffinity(0)),
         "numpy": np.__version__,
         "python": platform.python_version(),

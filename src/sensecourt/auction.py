@@ -4,12 +4,12 @@ Users bid their costs; the platform maximizes coverage value minus
 regulated bids (bid minus regulation factor) and pays each winner its
 pivot: the realized value, minus the other winners' regulated bids, minus
 the best regulated welfare achievable without the winner, plus the
-winner's regulation factor. Payments need exact leave-one-out optima. They
-are read from the allocation's own subset table, as the tie-break maximum
-over the subsets that leave the winner out, which equals an exact solve
-without the winner bit for bit. Auction slots refuse to run when the
-eligible set exceeds the exact solver limit rather than quietly breaking
-truthfulness with approximate pivots.
+winner's regulation factor. Payments need exact leave-one-out optima: the
+allocation's own subset table in tie-break order, with the subsets holding
+the winner at -inf, has the pick of an exact solve without the winner, bit
+for bit. Auction slots refuse to run when the eligible set exceeds the
+exact solver limit rather than quietly breaking truthfulness with
+approximate pivots.
 
 Scaled by phi, the regulation factors follow exactly the virtual-queue
 recursion of the drift-plus-penalty policy, so under truthful bidding the
@@ -30,8 +30,8 @@ from .solver import (
     solve_exact,
     subset_linear_table,
     subset_value_table,
-    tiebreak_argmax_without,
     tiebreak_order,
+    tiebreak_pick,
     TIE_TOL,
 )
 from .world import Allocation, SlotRealization, evaluate_allocation
@@ -165,14 +165,14 @@ def run_auction_slot(
     if winners.size:
         # solve_exact left this table on the slot; costs are rebuilt the same way
         users = np.flatnonzero(inst.eligible)
-        objective = slot_value_table(realization, users) - subset_linear_table(
-            kappa[users]
-        )
+        by_rank = tiebreak_order(users.size)
+        table = slot_value_table(realization, users) - subset_linear_table(kappa[users])
+        objective = table[by_rank]
     for u in winners:
         u = int(u)
         others_cost = float(kappa[winners].sum() - kappa[u])
-        j = int(np.searchsorted(users, u))
-        welfare_without = float(objective[tiebreak_argmax_without(objective, users.size, j)])
+        has_u = (by_rank >> int(np.searchsorted(users, u))) & 1
+        welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
         payments[u] = pivot_payment(
             value_term, others_cost, welfare_without, float(state.factors[u])
         )
@@ -195,18 +195,17 @@ def regulation_update(
     return RegulationState(factors=r, phi=state.phi)
 
 
-def _sorted_group(
-    base: np.ndarray, masks: np.ndarray, rank: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A group's scores in ascending order and the least rank of each suffix.
+def _sorted_group(base: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A group's scores in ascending order and the least column of each suffix.
 
-    Both get a sentinel at the end: score inf and rank 2^m, more than any
-    mask's rank, so an empty suffix never wins the pick.
+    base is in tie-break order, so a column is its subset's rank. Both get a
+    sentinel at the end: score inf and column 2^m, past every column, so an
+    empty suffix never wins the pick.
     """
-    order = masks[np.argsort(base[masks])]
+    order = cols[np.argsort(base[cols])]
     vals = np.append(base[order], np.inf)
-    least = np.minimum.accumulate(rank[order][::-1])[::-1]
-    return vals, np.append(least, rank.size)
+    least = np.minimum.accumulate(order[::-1])[::-1]
+    return vals, np.append(least, base.size)
 
 
 def truthfulness_sweep(
@@ -221,9 +220,10 @@ def truthfulness_sweep(
     """Utility of every bid in the grid, all other bids held at true costs.
 
     The sweep is its own oracle: truthfulness means no grid point beats the
-    truthful bid's utility by more than the tie tolerance. The leave-one-out
-    welfare does not depend on the swept bid; it is read once from the
-    sweep's table.
+    truthful bid's utility by more than the tie tolerance. The sweep's table
+    is taken in tie-break order, so a column is its subset's rank. The
+    leave-one-out welfare does not depend on the swept bid; it is read once,
+    as the pick of the group without the user at its own maximum.
 
     A bid b enters only through d = b - r_n: a subset without the swept
     user scores base[s], one with the user scores fl(base[s] - d). Rounding
@@ -232,7 +232,7 @@ def truthfulness_sweep(
     maximum is exactly max(A, fl(B - d)) for the two groups' maxima A and B.
     The tie set {score >= fl(best - TIE_TOL)} is a suffix of each sorted
     group, so the pick is the smaller of the two groups' suffix-minimum
-    tie-break ranks at their cutoffs. The cutoff without the user is a
+    columns at their cutoffs. The cutoff without the user is a
     searchsorted for the threshold. The cutoff with the user is a bisection
     on the exact predicate fl(base[s] - d) >= threshold: searching base for
     fl(threshold + d) rounds differently and can move a subset across the
@@ -245,13 +245,16 @@ def truthfulness_sweep(
         raise ValueError("true_costs length must match user count")
     if not 0 <= user < n:
         raise IndexError(f"user {user} out of range")
-    if eligible is None:
-        eligible = np.ones(n, dtype=bool)
+    eligible = np.ones(n, dtype=bool) if eligible is None else np.asarray(eligible, bool)
+    if eligible.shape != (n,):
+        raise ValueError(f"eligible must hold {n} flags, one per user, got {eligible.shape}")
     if not eligible[user]:
         raise ValueError("swept user must be eligible")
     bid_grid = np.asarray(bid_grid, dtype=float)
+    if bid_grid.ndim != 1 or bid_grid.size == 0:
+        raise ValueError(f"bid_grid must be a non-empty 1-D array, got {bid_grid.shape}")
     if not np.all(np.isfinite(bid_grid)):
-        raise ValueError("bid grid must be finite")
+        raise ValueError("bid_grid must be finite")
 
     users = np.flatnonzero(eligible)
     m = users.size
@@ -263,16 +266,18 @@ def truthfulness_sweep(
     per_user = kappa[users].copy()
     per_user[pos] = 0.0  # swept user's charge handled per bid
     others_cost = subset_linear_table(per_user)
-    base = values - others_cost
-    member = ((np.arange(1 << m) >> pos) & 1).astype(bool)
+    by_rank = tiebreak_order(m)
+    base = (values - others_cost)[by_rank]
+    member = ((by_rank >> pos) & 1).astype(bool)
     r_n = float(state.factors[user])
     c_n = float(true_costs[user])
-    welfare_without = float(base[tiebreak_argmax_without(base, m, pos)])
 
-    by_rank, rank = tiebreak_order(m)
-    vals_out, ranks_out = _sorted_group(base, np.flatnonzero(~member), rank)
-    vals_in, ranks_in = _sorted_group(base, np.flatnonzero(member), rank)
+    vals_out, ranks_out = _sorted_group(base, np.flatnonzero(~member))
+    vals_in, ranks_in = _sorted_group(base, np.flatnonzero(member))
     n_in = vals_in.size - 1
+    # the pick without the user, which no bid moves
+    without = ranks_out[np.searchsorted(vals_out, vals_out[-2] - TIE_TOL)]
+    welfare_without = float(base[without])
 
     d = np.append(bid_grid, c_n) - r_n  # the truthful bid rides along last
     threshold = np.maximum(vals_out[-2], vals_in[-2] - d) - TIE_TOL
@@ -285,11 +290,12 @@ def truthfulness_sweep(
         ok = vals_in[mid] - d >= threshold
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid + 1)
-    picks = by_rank[np.minimum(ranks_out[cut_out], ranks_in[hi])]
+    picks = np.minimum(ranks_out[cut_out], ranks_in[hi])
     sel = member[picks]
+    masks = by_rank[picks]
     pay = np.where(
         sel,
-        pivot_payment(values[picks], others_cost[picks], welfare_without, r_n),
+        pivot_payment(values[masks], others_cost[masks], welfare_without, r_n),
         0.0,
     )
     util = np.where(sel, pay - c_n, 0.0)

@@ -16,13 +16,7 @@ import numpy as np
 
 from .policy_dual import StepSchedule
 from .solver import solve, subset_value_table  # noqa: F401  (traced by perfbench)
-from .solver import (
-    subset_linear_table,
-    subset_value_rows,
-    tiebreak_order,
-    TIE_TOL,
-    _BLOCK_CELLS,
-)
+from .solver import subset_linear_table, subset_value_rows, tiebreak_order, tiebreak_picks
 from .world import SlotRealization
 
 __all__ = [
@@ -92,18 +86,18 @@ class BenchmarkResult:
 
 def welfare_tables(trace: Trace) -> np.ndarray:
     """(T, 2^N) welfare of every subset in every slot, true costs, with the
-    columns in tiebreak_order(N)[0] order (a permutation: every bit is kept).
+    columns in tiebreak_order(N) (a permutation: every bit is kept).
 
     Column r of row k is the objective solve_exact maximizes for slot k with
-    every user eligible, at subset tiebreak_order(N)[0][r], so a row's first
-    near-maximum column is that slot's exact optimum. All three references
+    every user eligible, at subset tiebreak_order(N)[r], so a row's
+    tiebreak_pick is that slot's exact optimum. All three references
     read it, so each refuses a trace whose table exceeds _TABLE_CELL_CAP.
     Blocks of slots, about _ROW_CELLS cells of temporaries each, go through
     subset_value_rows and one np.take that writes them in tie-break order.
     """
     n, t = trace.n_users, trace.t_slots
     check_table_capacity(n, t)
-    by_rank = tiebreak_order(n)[0]
+    by_rank = tiebreak_order(n)
     tables = np.empty((t, 1 << n))
     step = max(1, _ROW_CELLS // ((1 << n) + trace.slots[0].n_grids))
     for lo in range(0, t, step):
@@ -123,30 +117,6 @@ def check_table_capacity(n_users: int, t_slots: int) -> None:
         )
 
 
-def _near_max_picks(tables: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima of tables + add, and each row's first column within TIE_TOL.
-
-    `tables` is welfare_tables output or rows of it, and `add` is one row in
-    the same column order. The first near-maximum column is the pick
-    tiebreak_argmax makes on the unpermuted row, found by a boolean argmax
-    in place of an int64 rank array. Rows go in blocks of about _BLOCK_CELLS
-    cells through one float and one boolean buffer.
-    """
-    t, size = tables.shape
-    rows = min(t, max(1, _BLOCK_CELLS // size))
-    obj = np.empty((rows, size))
-    hit = np.empty((rows, size), dtype=bool)
-    row_best = np.empty(t)
-    picks = np.empty(t, dtype=np.intp)
-    for lo in range(0, t, rows):
-        hi = min(lo + rows, t)
-        block = np.add(tables[lo:hi], add, out=obj[: hi - lo])
-        best = np.max(block, axis=1, out=row_best[lo:hi])
-        near = np.greater_equal(block, (best - TIE_TOL)[:, None], out=hit[: hi - lo])
-        picks[lo:hi] = near.argmax(axis=1)
-    return row_best, picks
-
-
 def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
     """How many of the subset masks select each of the n users."""
     return ((masks >> np.arange(n)[:, None]) & 1).sum(axis=1)  # row sums: contiguous
@@ -154,11 +124,11 @@ def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
 
 def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
-    _, picks = _near_max_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
+    _, picks = tiebreak_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
     total = 0.0
     for value in tables[np.arange(len(tables)), picks].tolist():
         total += value  # left to right, as the per-slot solves add
-    selections = _user_counts(tiebreak_order(n)[0][picks], n)
+    selections = _user_counts(tiebreak_order(n)[picks], n)
     return total / len(tables), selections / len(tables)
 
 
@@ -182,7 +152,8 @@ def solve_complete_bruteforce(
         tables = welfare_tables(trace)
     d = trace.thresholds
     slot_mask = (1 << n) - 1
-    rank = tiebreak_order(n)[1]
+    rank = np.empty(1 << n, dtype=np.int64)  # rank[s]: subset s's column in the tables
+    rank[tiebreak_order(n)] = np.arange(1 << n)
 
     best_w = -np.inf
     best_j = -1
@@ -244,14 +215,14 @@ def dual_upper_bound(
     if tables is None:
         tables = welfare_tables(trace)
     d = trace.thresholds
-    by_rank = tiebreak_order(n)[0]
+    by_rank = tiebreak_order(n)
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
         add = subset_linear_table(lam)[by_rank]
         ghat_sum = 0.0
         counts = np.zeros(n, dtype=np.int64)
         for lo in range(0, t, 4096):  # the row groups that fix ghat's bits
-            row_best, picks = _near_max_picks(tables[lo : lo + 4096], add)
+            row_best, picks = tiebreak_picks(tables[lo : lo + 4096], add)
             ghat_sum += float(row_best.sum())
             counts += _user_counts(by_rank[picks], n)
         return ghat_sum / t - float(lam @ d), counts / t

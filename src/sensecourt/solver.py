@@ -9,7 +9,7 @@ be negative, in which case selecting the user is always profitable.
 Three solvers share one deterministic tie-breaking rule so traces and
 auction pivots are reproducible: among objectives within TIE_TOL of the
 maximum, prefer fewer selected users, then the lexicographically smallest
-vector of selected user indices.
+vector of selected user indices: the order of tiebreak_key.
 """
 
 from __future__ import annotations
@@ -41,15 +41,16 @@ __all__ = [
     "subset_value_rows",
     "slot_value_table",
     "subset_linear_table",
-    "tiebreak_argmax",
-    "tiebreak_argmax_without",
+    "tiebreak_key",
     "tiebreak_order",
+    "tiebreak_pick",
+    "tiebreak_picks",
 ]
 
 TIE_TOL = 1e-9
 DEFAULT_EXACT_LIMIT = 20
 DEFAULT_NODE_BUDGET = 20_000
-_BLOCK_CELLS = 1 << 16  # per-block temporaries of subset_value_table
+_BLOCK_CELLS = 1 << 16  # per-block temporaries of subset_value_table and tiebreak_picks
 _VIEW_LEVEL_BITS = 8  # subset_value_table levels with 2^8 parents or more go by views
 
 
@@ -258,53 +259,58 @@ def subset_linear_table(per_user: np.ndarray, out: np.ndarray | None = None) -> 
     return table
 
 
-@lru_cache(maxsize=8)
-def tiebreak_order(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(by_rank, rank) of the 2^m local masks under the tie-break rule.
+def tiebreak_key(mask, m: int):
+    """Tie-break key of local masks, smaller for the preferred one:
+    popcount * 2^(m+1) - the mask's m bits reversed.
 
-    by_rank lists the masks from most to least preferred and rank[s] is mask
-    s's place in that list; both are read-only. For equal popcount, the
-    lexicographically smaller selected-index vector has the larger
-    reversed-bit key, so sorting by popcount * 2^(m+1) - revkey realizes
-    the order.
+    For equal popcount, the lexicographically smaller selected-index vector
+    has the larger reversed-bit value. `mask` is an int64 array (m <= 56),
+    whose key is summed in place, or a Python int of any width.
     """
-    masks = np.arange(1 << m, dtype=np.int64)
-    key = np.zeros(1 << m, dtype=np.int64)
+    key = mask & 0
     for j in range(m):
-        key += ((masks >> j) & 1) * ((2 << m) - (1 << (m - 1 - j)))
-    by_rank = np.argsort(key)
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = masks
-    by_rank.flags.writeable = False
-    rank.flags.writeable = False
-    return by_rank, rank
+        key += (mask >> j & 1) * ((2 << m) - (1 << (m - 1 - j)))
+    return key
 
 
-def _argmin_rank_near_max(objective: np.ndarray, rank: np.ndarray, tol: float) -> int:
-    best = objective.max()
-    return int(np.where(objective >= best - tol, rank, np.iinfo(np.int64).max).argmin())
+@lru_cache(maxsize=8)
+def tiebreak_order(m: int) -> np.ndarray:
+    """The 2^m local masks from most to least preferred, read-only.
 
-
-def tiebreak_argmax(objective: np.ndarray, m: int, tol: float = TIE_TOL) -> int:
-    """Index of the tie-break-preferred maximizer of a subset objective."""
-    return _argmin_rank_near_max(objective, tiebreak_order(m)[1], tol)
-
-
-def tiebreak_argmax_without(
-    objective: np.ndarray, m: int, j: int, tol: float = TIE_TOL
-) -> int:
-    """Local mask of the tie-break-preferred maximizer among subsets without bit j.
-
-    A subset without user j has the same table entry, built by the same
-    additions, as in a table over the other m - 1 users, and the tie-break
-    ranks keep their order when restricted. So the mask and its objective
-    equal those of solve_exact on the eligible set without user j.
+    An objective taken in this order, `objective[tiebreak_order(m)]`, has its
+    tie-break pick at its first column within TIE_TOL of the maximum. (np.take
+    would copy this read-only index array on every call.)
     """
-    half = 1 << j
-    rows = objective.reshape(-1, 2 * half)[:, :half]
-    rank = tiebreak_order(m)[1].reshape(-1, 2 * half)[:, :half]
-    row, col = divmod(_argmin_rank_near_max(rows, rank, tol), half)
-    return (row << (j + 1)) | col
+    by_rank = np.argsort(tiebreak_key(np.arange(1 << m, dtype=np.int64), m))
+    by_rank.flags.writeable = False
+    return by_rank
+
+
+def tiebreak_pick(row: np.ndarray) -> int:
+    """First column of a tie-break-ordered objective within TIE_TOL of its maximum."""
+    return int(np.argmax(row >= row.max() - TIE_TOL))
+
+
+def tiebreak_picks(rows: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima of rows + add, and each row's tiebreak_pick.
+
+    `rows` and `add`, one row broadcast to all, are in the same tie-break
+    column order. Rows go in blocks of about _BLOCK_CELLS cells through one
+    float and one boolean buffer.
+    """
+    t, size = rows.shape
+    height = min(t, max(1, _BLOCK_CELLS // size))
+    obj = np.empty((height, size))
+    hit = np.empty((height, size), dtype=bool)
+    row_best = np.empty(t)
+    picks = np.empty(t, dtype=np.intp)
+    for lo in range(0, t, height):
+        hi = min(lo + height, t)
+        block = np.add(rows[lo:hi], add, out=obj[: hi - lo])
+        best = np.max(block, axis=1, out=row_best[lo:hi])
+        near = np.greater_equal(block, (best - TIE_TOL)[:, None], out=hit[: hi - lo])
+        picks[lo:hi] = near.argmax(axis=1)
+    return row_best, picks
 
 
 def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> Allocation:
@@ -337,10 +343,11 @@ def solve_exact(inst: RegulatedInstance, exact_limit: int = DEFAULT_EXACT_LIMIT)
     if m == 0:
         return SolveResult(Allocation.none(n), 0.0, True)
     values = slot_value_table(inst.realization, users)
-    costs = subset_linear_table(inst.effective_costs[users])
-    objective = values - costs
-    s = tiebreak_argmax(objective, m)
-    return SolveResult(_local_mask_to_allocation(s, users, n), float(objective[s]), True)
+    by_rank = tiebreak_order(m)
+    objective = (values - subset_linear_table(inst.effective_costs[users]))[by_rank]
+    r = tiebreak_pick(objective)
+    alloc = _local_mask_to_allocation(int(by_rank[r]), users, n)
+    return SolveResult(alloc, float(objective[r]), True)
 
 
 def solve_greedy(inst: RegulatedInstance) -> SolveResult:
@@ -411,7 +418,6 @@ def branch_and_bound(
     w = real.weights.values.tolist()
     masks = [real.regions[int(u)].mask for u in users]
     kappa = [float(inst.effective_costs[int(u)]) for u in users]
-    revbit = [1 << (m - 1 - j) for j in range(m)]
 
     def new_value(region_mask: int, covered: int) -> float:
         v = 0.0
@@ -428,18 +434,9 @@ def branch_and_bound(
         if seed.alloc.selected[int(users[j])]:
             seed_local |= 1 << j
 
-    def key_of(mask: int) -> tuple[int, int]:
-        rev = 0
-        mm = mask
-        while mm:
-            b = mm & -mm
-            rev |= revbit[b.bit_length() - 1]
-            mm ^= b
-        return (mask.bit_count(), -rev)
-
     inc_mask = seed_local
     inc_obj = seed.objective
-    inc_key = key_of(seed_local)
+    inc_key = tiebreak_key(seed_local, m)
     best_seen = seed.objective
 
     def consider(mask: int, obj: float) -> None:
@@ -447,9 +444,9 @@ def branch_and_bound(
         if obj > best_seen:
             best_seen = obj
         if obj > inc_obj + TIE_TOL:
-            inc_mask, inc_obj, inc_key = mask, obj, key_of(mask)
+            inc_mask, inc_obj, inc_key = mask, obj, tiebreak_key(mask, m)
         elif obj >= inc_obj - TIE_TOL:
-            key = key_of(mask)
+            key = tiebreak_key(mask, m)
             if key < inc_key:
                 inc_mask, inc_obj, inc_key = mask, obj, key
 
@@ -474,7 +471,7 @@ def branch_and_bound(
         bound = obj + sum(g for g in gains if g > 0)
         if bound < best_seen - TIE_TOL:
             continue
-        if bound <= best_seen + TIE_TOL and s_mask.bit_count() >= inc_key[0]:
+        if bound <= best_seen + TIE_TOL and s_mask.bit_count() >= inc_mask.bit_count():
             # every strict superset loses the tie-break on user count
             continue
         pick = max(range(len(undecided)), key=lambda i: (gains[i], -undecided[i]))

@@ -121,7 +121,10 @@ class SensingRegion:
     def __post_init__(self):
         if self.n_grids <= 0:
             raise ValueError("n_grids must be positive")
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        raw = np.asarray(self.indices)
+        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
+            raise ValueError(f"region indices must be finite integers, got {raw.ravel()}")
+        idx = np.unique(raw.astype(np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n_grids):
             raise ValueError("region index out of range")
         idx.flags.writeable = False

@@ -1,12 +1,12 @@
 """Reference dual upper bound: the dense per-chunk tie-break sweep.
 
 Both references take welfare_tables output, whose columns are in
-tie-break order, and first put the columns back in bit-mask order with
-tiebreak_order(n)[1]. Each sweep adds the multiplier term, summed over
-each subset by subset_linear_table as the fast sweep sums it, to 4096-row
-chunks of the table, builds an int64 array that holds each near-maximum's
-tie-break rank and the int64 maximum elsewhere, and takes each row's
-argmin as its pick. `sensecourt.benchmark.dual_upper_bound` must reproduce
+tie-break order, and first put the columns back in bit-mask order by the
+ranks of `oracle_subset.tiebreak_tables`. Each sweep adds the multiplier
+term, summed over each subset by subset_linear_table as the fast sweep
+sums it, to 4096-row chunks of the table, builds an int64 array that holds
+each near-maximum's tie-break rank and the int64 maximum elsewhere, and
+takes each row's argmin as its pick. `sensecourt.benchmark.dual_upper_bound` must reproduce
 its result bit for bit. Test and benchmark helper only: it holds an
 unranked copy of the table and, per chunk, a float and an int64 temporary
 of 4096 x 2^N cells.
@@ -24,9 +24,17 @@ from sensecourt.benchmark import (
     welfare_tables,
 )
 from sensecourt.policy_dual import StepSchedule
-from sensecourt.solver import TIE_TOL, subset_linear_table, tiebreak_order
+from sensecourt.solver import TIE_TOL, subset_linear_table
 
 from oracle_subset import tiebreak_tables
+
+
+def in_mask_order(tables: np.ndarray, n: int) -> np.ndarray:
+    """welfare_tables columns back in bit-mask order: column r is the subset
+    with the r-th smallest combined tie-break rank."""
+    unranked = np.empty_like(tables)
+    unranked[:, np.argsort(tiebreak_tables(n)[2])] = tables
+    return unranked
 
 
 def dual_upper_bound_dense(
@@ -58,7 +66,7 @@ def dual_upper_bound_dense(
     check_table_capacity(n, t)
     if tables is None:
         tables = welfare_tables(trace)
-    tables = tables[:, tiebreak_order(n)[1]]
+    tables = in_mask_order(tables, n)
     d = trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -98,7 +106,7 @@ def dual_upper_bound_dense(
 
 def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
-    tables = tables[:, tiebreak_order(n)[1]]
+    tables = in_mask_order(tables, n)
     _, _, tb = tiebreak_tables(n)
     big = np.iinfo(np.int64).max
     total = 0.0

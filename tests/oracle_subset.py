@@ -5,8 +5,9 @@ scalar lowest-bit loop here bit for bit: same parent per subset, same
 grids added, same order of additions. `subset_linear_table` must
 reproduce `subset_linear_table_loop` the same way. `tiebreak_tables` derives the
 tie-break rank of every subset from its popcount and reversed-bit key, a
-derivation apart from `sensecourt.solver.tiebreak_order`, which must sort
-the subsets the same way. Test helper only.
+derivation apart from `sensecourt.solver.tiebreak_key`, by which
+`sensecourt.solver.tiebreak_order` must sort the subsets the same way. Test
+helper only.
 """
 
 from functools import lru_cache

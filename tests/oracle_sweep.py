@@ -2,7 +2,8 @@
 
 Every bid in the grid is scored against every subset of the eligible
 users at once, and each row's pick is the smallest tie-break rank among
-the subsets within TIE_TOL of the row maximum. The sorted-threshold
+the subsets within TIE_TOL of the row maximum; the leave-one-out pick is
+the same argmin over the subsets without the swept user. The sorted-threshold
 `sensecourt.auction.truthfulness_sweep` must reproduce this report bit for
 bit. Test and benchmark helper only: at m = 16 and 201 bids every
 temporary is about 105 MB.
@@ -11,12 +12,7 @@ temporary is about 105 MB.
 import numpy as np
 
 from sensecourt.auction import TruthfulnessReport, pivot_payment
-from sensecourt.solver import (
-    TIE_TOL,
-    subset_linear_table,
-    subset_value_table,
-    tiebreak_argmax_without,
-)
+from sensecourt.solver import TIE_TOL, subset_linear_table, subset_value_table
 
 from oracle_subset import tiebreak_tables
 
@@ -44,10 +40,12 @@ def truthfulness_sweep_dense(
     member = ((np.arange(1 << m) >> pos) & 1).astype(float)
     r_n = float(state.factors[user])
     c_n = float(true_costs[user])
-    welfare_without = float(base[tiebreak_argmax_without(base, m, pos)])
 
     _, _, tb = tiebreak_tables(m)
     big = np.iinfo(np.int64).max
+    out = member == 0.0
+    near = out & (base >= base[out].max() - TIE_TOL)
+    welfare_without = float(base[np.where(near, tb, big).argmin()])
 
     def evaluate(bid_values):
         obj = base[None, :] - np.outer(bid_values - r_n, member)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sensecourt.benchmark as benchmark_mod
+import sensecourt.solver as solver_mod
 from sensecourt.benchmark import (
     BenchmarkCapacityError,
     BenchmarkResult,
@@ -174,14 +175,30 @@ class TestUnconstrained:
         ) / 3
         assert res.avg_welfare == pytest.approx(expected, abs=1e-9)
 
-    @pytest.mark.parametrize("cells", [None, 100])
-    def test_table_rows_equal_per_slot_solves(self, monkeypatch, cells):
+    @pytest.mark.parametrize(
+        "module, constant, blocks",
+        [
+            (None, None, [30]),
+            # row blocks of 2 slots: 2^5 + 8 grids = 40 cells each
+            (benchmark_mod, "_ROW_CELLS", [2] * 15),
+            # pick blocks of 3 rows of 2^5 cells
+            (solver_mod, "_BLOCK_CELLS", [30]),
+        ],
+        ids=["None", "100", "pick-100"],
+    )
+    def test_table_rows_equal_per_slot_solves(self, monkeypatch, module, constant, blocks):
         rng = np.random.default_rng(11)
         trace = random_trace(rng, 5, 30)
-        if cells is not None:  # blocks of 2 slots: 2^5 + 8 grids = 40 cells each
-            monkeypatch.setattr(benchmark_mod, "_BLOCK_CELLS", cells)
+        if module is not None:
+            monkeypatch.setattr(module, constant, 100)
+        built = []
+        rows = benchmark_mod.subset_value_rows
+        monkeypatch.setattr(
+            benchmark_mod, "subset_value_rows", lambda b: built.append(len(b)) or rows(b)
+        )
         tables = welfare_tables(trace)
-        by_rank = tiebreak_order(5)[0]
+        assert built == blocks
+        by_rank = tiebreak_order(5)
         for slot, row in zip(trace.slots, tables, strict=True):
             own = subset_value_table(slot, np.arange(5)) - subset_linear_table(slot.true_costs)
             assert row.tobytes() == own[by_rank].tobytes()
@@ -203,7 +220,7 @@ class TestUnconstrained:
         # 2^10 + 8 cells a slot: 63 slots a block, so 100 slots end in a partial one
         trace = random_trace(np.random.default_rng(14), 10, 100)
         tables = welfare_tables(trace)
-        by_rank = tiebreak_order(10)[0]
+        by_rank = tiebreak_order(10)
         for slot, row in zip(trace.slots, tables, strict=True):
             own = subset_value_table_loop(slot, np.arange(10)) - subset_linear_table(
                 slot.true_costs
@@ -243,7 +260,7 @@ class TestUnconstrained:
             weights = rng.choice([0.0, 0.5, 1.0], 8)
             slots.append(make_realization(8, regions, weights, rng.choice([0.0, 0.5], 6)))
         tables = welfare_tables(Trace(tuple(slots), np.zeros(6)))
-        by_rank = tiebreak_order(6)[0]
+        by_rank = tiebreak_order(6)
         for slot, row in zip(slots, tables):
             r = int(np.argmax(row >= row.max() - TIE_TOL))
             res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sensecourt.solver import (
     RegulatedInstance,
@@ -11,6 +13,7 @@ from sensecourt.solver import (
     solve,
     solve_exact,
     solve_greedy,
+    tiebreak_key,
     tiebreak_order,
 )
 from sensecourt.world import Allocation, evaluate_allocation
@@ -246,10 +249,9 @@ class TestDispatch:
 class TestTiebreakOrder:
     @pytest.mark.parametrize("m", range(13))
     def test_matches_oracle_ranks(self, m):
-        by_rank, rank = tiebreak_order(m)
+        by_rank = tiebreak_order(m)
         assert by_rank.tolist() == np.argsort(tiebreak_tables(m)[2]).tolist()
-        assert rank[by_rank].tolist() == list(range(1 << m))
-        assert not by_rank.flags.writeable and not rank.flags.writeable
+        assert not by_rank.flags.writeable
 
     @pytest.mark.parametrize("m", range(7))
     def test_fewer_users_then_smaller_index_vector(self, m):
@@ -257,4 +259,34 @@ class TestTiebreakOrder:
             return [j for j in range(m) if (mask >> j) & 1]
 
         want = sorted(range(1 << m), key=lambda mask: (len(users(mask)), users(mask)))
-        assert tiebreak_order(m)[0].tolist() == want
+        assert tiebreak_order(m).tolist() == want
+
+
+def masks_of(m):
+    """Local masks of m users: uniform ones, and few-member ones so that
+    user counts differ."""
+    sparse = st.sets(st.integers(0, m - 1), max_size=4).map(lambda b: sum(1 << j for j in b))
+    return st.lists(st.integers(0, (1 << m) - 1) | sparse, max_size=20)
+
+
+class TestTiebreakKey:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(63, 100).flatmap(lambda m: st.tuples(st.just(m), masks_of(m))))
+    def test_python_ints_past_int64_order_by_count_then_index_vector(self, case):
+        m, masks = case
+
+        def rule(mask):
+            users = [j for j in range(m) if (mask >> j) & 1]
+            return (len(users), users)
+
+        for a, b in itertools.product(masks, repeat=2):
+            assert (tiebreak_key(a, m) < tiebreak_key(b, m)) == (rule(a) < rule(b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 20).flatmap(lambda m: st.tuples(st.just(m), masks_of(max(m, 1)))))
+    def test_int64_arrays_equal_python_ints(self, case):
+        m, masks = case
+        masks = [s & ((1 << m) - 1) for s in masks]
+        keys = tiebreak_key(np.array(masks, dtype=np.int64), m)
+        assert keys.dtype == np.int64
+        assert keys.tolist() == [tiebreak_key(s, m) for s in masks]

@@ -30,7 +30,8 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_rows,
     subset_value_table,
-    tiebreak_argmax_without,
+    tiebreak_order,
+    tiebreak_pick,
 )
 from sensecourt.world import evaluate_allocation
 
@@ -245,6 +246,14 @@ class TestRowsMatchLoop:
             assert np.array_equal(bits(row), bits(subset_linear_table_loop(terms)))
 
 
+def pick_without(objective, m, j):
+    """The pivots' pick: with the table in tie-break order and the subsets
+    holding local user j at -inf, the local mask of its tiebreak_pick."""
+    by_rank = tiebreak_order(m)
+    ranked = objective[by_rank]
+    return int(by_rank[tiebreak_pick(np.where((by_rank >> j) & 1, -np.inf, ranked))])
+
+
 def reduced_solve(real, kappa, eligible, user):
     without = eligible.copy()
     without[user] = False
@@ -288,7 +297,7 @@ class TestLeaveOneOutFromTable:
             eligible[users] = True
             objective = subset_value_table(real, users) - subset_linear_table(kappa[users])
             for j, u in enumerate(users.tolist()):
-                mask = tiebreak_argmax_without(objective, users.size, j)
+                mask = pick_without(objective, users.size, j)
                 assert not (mask >> j) & 1
                 reduced = reduced_solve(real, kappa, eligible, u)
                 assert_same_solve(mask, users, objective, reduced, n)
@@ -300,7 +309,7 @@ class TestLeaveOneOutFromTable:
         kappa = np.array([0.0, 0.0, 0.0, -1.0])
         users = np.arange(4)
         objective = subset_value_table(real, users) - subset_linear_table(kappa)
-        mask = tiebreak_argmax_without(objective, 4, 3)
+        mask = pick_without(objective, 4, 3)
         assert mask == 0b100
         reduced = reduced_solve(real, kappa, np.ones(4, dtype=bool), 3)
         assert_same_solve(mask, users, objective, reduced, 4)

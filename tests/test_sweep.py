@@ -118,6 +118,16 @@ class TestSweepMatchesDenseOracle:
         want = truthfulness_sweep_dense(real, state, real.true_costs, 1, grid)
         assert report_differences(got, want) == []
 
+    def test_pivot_takes_the_preferred_subset_within_tie_tol(self):
+        # without user 2, {1} beats {0} by 5e-10 < TIE_TOL: the pivot is {0}
+        real = make_realization(3, [{0}, {0, 1}, {2}], [1.0, 5e-10, 1.0], [0.25] * 3)
+        state = RegulationState(np.zeros(3), phi=4.0)
+        grid = np.linspace(0.0, 1.0, 11)
+        got = truthfulness_sweep(real, state, real.true_costs, 2, grid)
+        assert got.selected.any()
+        want = truthfulness_sweep_dense(real, state, real.true_costs, 2, grid)
+        assert report_differences(got, want) == []
+
     def test_every_user_of_a_wider_slot(self):
         rng = np.random.default_rng(4)
         n, n_grids = 12, 60
@@ -164,3 +174,21 @@ def test_non_finite_bids_rejected(bad):
     state = RegulationState(np.zeros(2), phi=4.0)
     with pytest.raises(ValueError, match="finite"):
         truthfulness_sweep(real, state, real.true_costs, 0, np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize(
+    "grid, eligible, match",
+    [
+        (np.linspace(0.0, 1.0, 5), np.ones(3, dtype=bool), "eligible"),  # 6 users
+        (np.array([]), None, "bid_grid"),
+        (np.zeros((2, 3)), None, "bid_grid"),
+    ],
+    ids=["short-eligible", "empty-grid", "2d-grid"],
+)
+def test_bad_input_rejected(grid, eligible, match):
+    real = make_realization(
+        4, [{0}, {1}, {2}, {3}, {0, 1}, {2, 3}], costs=[0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
+    )
+    state = RegulationState(np.zeros(6), phi=4.0)
+    with pytest.raises(ValueError, match=match):
+        truthfulness_sweep(real, state, real.true_costs, 0, grid, eligible)

@@ -88,6 +88,11 @@ class TestTypes:
         assert region.mask == 0b101
         assert region.size == 2
 
+    @pytest.mark.parametrize("bad", [[1.7, 2.2], [2.0, 0.5], [np.nan], [1.0, np.inf]])
+    def test_region_refuses_non_integral_indices(self, bad):
+        with pytest.raises(ValueError, match="finite integers"):
+            SensingRegion(10, bad)
+
     def test_sorted_input_kept_as_a_private_copy(self):
         given = np.array([1, 3, 7], dtype=np.int64)
         region = SensingRegion(8, given)
@@ -104,6 +109,7 @@ class TestTypes:
         assert SensingRegion(8, np.array([5, 1, 3])).indices.tolist() == [1, 3, 5]
         assert SensingRegion(8, np.array([1, 3, 3])).indices.tolist() == [1, 3]
         assert SensingRegion(8, np.array([[4, 0]])).indices.tolist() == [0, 4]
+        assert SensingRegion(8, [3.0, 1.0]).indices.tolist() == [1, 3]
         with pytest.raises(ValueError):
             SensingRegion(8, np.array([9, 1]))
 
