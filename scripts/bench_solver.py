@@ -26,6 +26,12 @@ table again: every solve starts on a fresh slot object, so no table is
 reused between timings. Both tables are then compared bit for bit with the
 scalar loop in tests/oracle_subset.py, whose time is recorded too.
 
+regulated_allocate_many is timed with MANY_ROWS charge rows (true costs
+minus random bonuses) at N = 8 and 12 on the same slots, against MANY_ROWS
+calls to solve_exact, one per row, as lanes solved one by one: each side
+starts on a fresh slot object, so each builds the slot's value table once.
+Every row's allocation and objective must equal its own solve bit for bit.
+
 Each sweep scores 201 bids from 0 to 3x the swept user's cost, with
 regulation factors drawn as `truthcheck` draws them; its time includes its
 subset table. The dense bids x 2^N oracle in tests/oracle_sweep.py is timed
@@ -72,6 +78,7 @@ from sensecourt.cli import load_config
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
+    regulated_allocate_many,
     slot_value_table,
     solve_exact,
     subset_linear_table,
@@ -98,6 +105,8 @@ DUAL_ITERATIONS = 50
 DUAL_PEAK_SHAPES = ((12, 4096), (16, 256), (20, 16))
 DUAL_PEAK_ITERATIONS = 3
 TABLE_SHAPES = ((8, 800), (16, 64))
+MANY_SIZES = (8, 12)
+MANY_ROWS = 8
 ORDER_SIZES = (16, 20)
 
 
@@ -148,6 +157,31 @@ def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
         if differ:
             raise AssertionError(f"sweep differs from the dense oracle at N={n}: {differ}")
     return statistics.median(sweeps), statistics.median(dense)
+
+
+def time_many(slots: list[SlotRealization], n: int) -> tuple[float, float]:
+    """Median ms of one regulated_allocate_many over MANY_ROWS charge rows and
+    of MANY_ROWS solve_exact calls; every row is checked against its solve."""
+    many, alone = [], []
+    eligible = np.ones(n, dtype=bool)
+    for k, slot in enumerate(slots):
+        costs = slot.true_costs[:n]
+        charges = costs - np.random.default_rng([n, k]).uniform(0.0, costs.max(), (MANY_ROWS, n))
+        real = first_users(slot, n)
+        start = time.perf_counter()
+        allocs, objective, picks = regulated_allocate_many(real, charges, eligible)
+        many.append((time.perf_counter() - start) * 1e3)
+
+        real = first_users(slot, n)
+        start = time.perf_counter()
+        solves = [solve_exact(RegulatedInstance(real, row, eligible), n) for row in charges]
+        alone.append((time.perf_counter() - start) * 1e3)
+        for alloc, best, solo in zip(allocs, objective[np.arange(MANY_ROWS), picks], solves):
+            if alloc.selected.tobytes() != solo.alloc.selected.tobytes() or (
+                best.hex() != solo.objective.hex()
+            ):
+                raise AssertionError(f"regulated_allocate_many differs from solve_exact at N={n}")
+    return statistics.median(many), statistics.median(alone)
 
 
 def welfare_trace(n: int, t: int) -> Trace:
@@ -306,6 +340,15 @@ def main() -> int:
             flush=True,
         )
 
+    many_ms, many_alone_ms = {}, {}
+    for n in MANY_SIZES:
+        many_ms[n], many_alone_ms[n] = time_many(slots, n)
+        print(
+            f"N={n:2d}: regulated_allocate_many {many_ms[n]:7.3f} ms for {MANY_ROWS} rows, "
+            f"{MANY_ROWS} x solve_exact {many_alone_ms[n]:7.3f} ms (median of {len(slots)})",
+            flush=True,
+        )
+
     sweep_ms, dense_ms = {}, {}
     for n in SWEEP_SIZES:
         sweep_ms[n], dense_ms[n] = time_sweeps(slots, n)
@@ -370,6 +413,10 @@ def main() -> int:
         "oracle_loop_table_ms_median": {str(n): loop_ms[n] for n in SIZES},
         "mean_region_grids": {str(n): grids[n] for n in SIZES},
         "tables_bit_identical_to_oracle": True,
+        "allocate_many_rows": MANY_ROWS,
+        "allocate_many_ms_median": {str(n): many_ms[n] for n in MANY_SIZES},
+        "allocate_many_solve_exact_rows_ms_median": {str(n): many_alone_ms[n] for n in MANY_SIZES},
+        "allocate_many_bit_identical_to_solve_exact": True,
         "sweep_bid_points": BID_POINTS,
         "truthfulness_sweep_ms_median": {str(n): sweep_ms[n] for n in SWEEP_SIZES},
         "dense_sweep_oracle_ms_median": {str(n): dense_ms[n] for n in SWEEP_SIZES},

@@ -24,16 +24,15 @@ import numpy as np
 
 from .solver import (
     DEFAULT_EXACT_LIMIT,
-    RegulatedInstance,
     freeze_ineligible,
-    slot_value_table,
-    solve_exact,
+    regulated_allocate_many,
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
     tiebreak_pick,
     TIE_TOL,
 )
+from .solver import solve_exact  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .world import Allocation, SlotRealization, evaluate_allocation
 
 __all__ = [
@@ -147,29 +146,30 @@ def run_auction_slot(
     bids: BidVector,
     eligible: np.ndarray | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
+    solved: tuple[Allocation, np.ndarray, float] | None = None,
 ) -> AuctionOutcome:
     """Allocate on regulated bids and pay winners their pivots; regulation_update
-    moves the factors."""
+    moves the factors. The allocation and every pivot come from one objective
+    row of regulated_allocate_many; a caller that has solved the slot on these
+    regulated bids passes `solved`: the allocation, that row and its value."""
     n = realization.n_users
     if bids.n_users != n:
         raise ValueError("bid vector length must match user count")
+    eligible = np.ones(n, dtype=bool) if eligible is None else np.asarray(eligible, bool)
+    if eligible.shape != (n,):
+        raise ValueError("eligible length must match user count")
+    users = np.flatnonzero(eligible)
+    require_exact_pivots(users.size, exact_limit)
     kappa = bids.bids - state.bonus
-    inst = RegulatedInstance.of(realization, kappa, eligible)
-    require_exact_pivots(int(inst.eligible.sum()), exact_limit)
-    result = solve_exact(inst, exact_limit)
+    if solved is None:
+        allocs, objective, _ = regulated_allocate_many(realization, kappa[None], eligible)
+        solved = allocs[0], objective[0], evaluate_allocation(realization, allocs[0]).value
+    alloc, objective, value_term = solved
 
-    winners = result.alloc.indices()
-    value_term = evaluate_allocation(realization, result.alloc).value
-
+    winners = alloc.indices()
+    by_rank = tiebreak_order(users.size)
     payments = np.zeros(n)
-    if winners.size:
-        # solve_exact left this table on the slot; costs are rebuilt the same way
-        users = np.flatnonzero(inst.eligible)
-        by_rank = tiebreak_order(users.size)
-        table = slot_value_table(realization, users) - subset_linear_table(kappa[users])
-        objective = table[by_rank]
-    for u in winners:
-        u = int(u)
+    for u in winners.tolist():
         others_cost = float(kappa[winners].sum() - kappa[u])
         has_u = (by_rank >> int(np.searchsorted(users, u))) & 1
         welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
@@ -177,7 +177,7 @@ def run_auction_slot(
             value_term, others_cost, welfare_without, float(state.factors[u])
         )
 
-    return AuctionOutcome(alloc=result.alloc, payments=payments)
+    return AuctionOutcome(alloc=alloc, payments=payments)
 
 
 def regulation_update(

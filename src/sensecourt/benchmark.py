@@ -97,7 +97,7 @@ def welfare_tables(trace: Trace) -> np.ndarray:
     """
     n, t = trace.n_users, trace.t_slots
     check_table_capacity(n, t)
-    by_rank = tiebreak_order(n)
+    by_rank = tiebreak_order(n).copy()  # np.take copies a read-only index on every call
     tables = np.empty((t, 1 << n))
     step = max(1, _ROW_CELLS // ((1 << n) + trace.slots[0].n_grids))
     for lo in range(0, t, step):

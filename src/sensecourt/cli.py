@@ -15,7 +15,6 @@ import os
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +394,8 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
 
     workers = _worker_count(len(jobs))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays its import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_job, jobs))
     else:

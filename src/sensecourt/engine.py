@@ -10,11 +10,13 @@ one such pass per replication, and one replication is its parallel unit.
 The four regulated policies (dual, lyapunov, auction, radp_vpc) share one
 contract: each user is charged its true cost minus the state's `bonus`, and
 the policy's update(state, alloc, thresholds, eligible) advances the state
-from the selection and leaves ineligible users' values unchanged. Dual,
-lyapunov and radp_vpc allocate through `solver.regulated_allocate` on that
-bonus, and greedy is the same allocation with bonus 0 in greedy mode; only
-the allocation branches by kind, since the auction prices and random draws
-an order.
+from the selection and leaves ineligible users' values unchanged. Each slot
+allocates, records and updates every policy. Lanes whose allocation is an
+exact solve (the auction always, the others in exact mode or within auto's
+exact_limit) share one `solver.regulated_allocate_many` per eligible set,
+whose rows also give the auction its pivots; the rest allocate through
+`solver.regulated_allocate` (greedy: bonus 0, greedy mode) or draw an order
+(random). Each distinct selection is evaluated once per slot.
 
 Each policy keeps its state and per-user selection and seen counts. Every
 user is force-selected during the warmup slots (regulation states still
@@ -42,8 +44,8 @@ from .scenarios import (
     ScenarioConfig,
     realization_stream,
 )
-from .solver import SolveOptions, regulated_allocate
-from .world import Allocation, SlotRealization, evaluate_allocation
+from .solver import SolveOptions, regulated_allocate, regulated_allocate_many
+from .world import Allocation, SlotRealization, WelfareBreakdown, evaluate_allocation
 
 __all__ = [
     "POLICY_KINDS",
@@ -154,7 +156,7 @@ class _Lane:
         self.options = options
         # each random policy draws from its own generator, as it would alone
         self.rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
-        self.state, self.update = _regulator(spec, thresholds)
+        self.state, self.advance = _regulator(spec, thresholds)
         self.eligible = np.ones(n, dtype=bool)
         self.selections = np.zeros(n, dtype=np.int64)
         self.seen = np.zeros(n, dtype=np.int64)
@@ -167,43 +169,44 @@ class _Lane:
         # warmup slots pay nothing
         self.payments = np.zeros((t_slots, n)) if spec.kind == "auction" else None
 
-    def step(
-        self, realization: SlotRealization, t: int, warmup_slots: int, dropping: bool
-    ) -> None:
-        """Allocate, record and update for 1-based slot t."""
-        k = t - 1
+    def allocate(self, realization: SlotRealization, t: int, warmup: int, solved) -> Allocation:
+        """Allocation of 1-based slot t, everyone eligible during the warmup; solved is
+        the lane's (allocation, objective row, value) of the grouped exact solve, or None."""
+        if t <= warmup:
+            return Allocation(self.eligible)
+        if self.spec.kind == "auction":
+            bids = _auction.BidVector(realization.true_costs)
+            outcome = _auction.run_auction_slot(
+                self.state, realization, bids, self.eligible, self.options.exact_limit, solved
+            )
+            self.payments[t - 1] = outcome.payments
+            return outcome.alloc
+        if solved is not None:
+            return solved[0]
+        if self.spec.kind == "random":
+            return _baselines.random_baseline_step(realization, self.eligible, self.rng)
+        if self.spec.kind == "greedy":
+            return _baselines.greedy_baseline_step(realization, self.eligible)
+        return regulated_allocate(self.state, realization, self.eligible, self.options)
+
+    def record(self, k: int, alloc: Allocation, welfare: float) -> None:
+        """Write slot index k's row, at the eligibility the slot began with."""
         eligible = self.eligible
         bonus = 0.0 if self.state is None else self.state.bonus
         self.regulation[k] = np.where(eligible, bonus, 0.0)
         self.active[k] = eligible
-
-        if t <= warmup_slots:
-            alloc = Allocation(eligible)
-        elif self.spec.kind == "auction":
-            bids = _auction.BidVector(realization.true_costs)
-            outcome = _auction.run_auction_slot(
-                self.state, realization, bids, eligible, self.options.exact_limit
-            )
-            alloc = outcome.alloc
-            self.payments[k] = outcome.payments
-        elif self.spec.kind == "random":
-            alloc = _baselines.random_baseline_step(realization, eligible, self.rng)
-        elif self.spec.kind == "greedy":
-            alloc = _baselines.greedy_baseline_step(realization, eligible)
-        else:
-            alloc = regulated_allocate(self.state, realization, eligible, self.options)
-
-        self.welfare[k] = evaluate_allocation(realization, alloc).welfare
+        self.welfare[k] = welfare
         self.selected[k] = alloc.selected
         self.seen += eligible
         self.selections += alloc.selected
         np.divide(self.selections, self.seen, out=self.alloc_prob[k])
 
-        if self.update is not None:
-            self.state = self.update(self.state, alloc, self.thresholds, eligible)
-
-        if dropping and t > warmup_slots:
-            dropped = apply_dropping(eligible, self.alloc_prob[k], self.thresholds)
+    def update(self, alloc: Allocation, t: int, drop: bool) -> None:
+        """Advance the state past 1-based slot t, then drop users if asked."""
+        if self.advance is not None:
+            self.state = self.advance(self.state, alloc, self.thresholds, self.eligible)
+        if drop:
+            dropped = apply_dropping(self.eligible, self.alloc_prob[t - 1], self.thresholds)
             self.drop_events.extend((u, t) for u in dropped.tolist())
 
     def metrics(
@@ -229,6 +232,32 @@ class _Lane:
         )
         metrics.summary = compute_summary(metrics)
         return metrics
+
+
+def _solve_exact_lanes(lanes: list[_Lane], realization: SlotRealization, memo: dict) -> dict:
+    """(allocation, objective row, value) of each lane whose allocation is an
+    exact solve: one regulated_allocate_many per eligible set. An auction
+    always solves exactly; check_exact_pivots keeps it within exact_limit."""
+    groups: dict[bytes, list[_Lane]] = {}
+    for lane in lanes:
+        exact = lane.spec.kind == "auction" or lane.options.mode in ("exact", "auto")
+        if lane.state is not None and exact and lane.eligible.sum() <= lane.options.exact_limit:
+            groups.setdefault(lane.eligible.tobytes(), []).append(lane)
+    solved = {}
+    for group in groups.values():
+        charges = np.stack([realization.true_costs - lane.state.bonus for lane in group])
+        allocs, rows, _ = regulated_allocate_many(realization, charges, group[0].eligible)
+        for lane, alloc, row in zip(group, allocs, rows):
+            solved[lane] = alloc, row, _evaluate(realization, alloc, memo).value
+    return solved
+
+
+def _evaluate(realization: SlotRealization, alloc: Allocation, memo: dict) -> WelfareBreakdown:
+    """evaluate_allocation on one slot, made once per distinct selection; memo is the slot's."""
+    key = alloc.selected.tobytes()
+    if key not in memo:
+        memo[key] = evaluate_allocation(realization, alloc)
+    return memo[key]
 
 
 def check_exact_pivots(
@@ -304,8 +333,12 @@ def run_policy(
         if t == t_slots:
             raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
         t += 1
+        post, memo = t > warmup_slots, {}
+        solved = _solve_exact_lanes(lanes, realization, memo) if post else {}
         for lane in lanes:
-            lane.step(realization, t, warmup_slots, dropping)
+            alloc = lane.allocate(realization, t, warmup_slots, solved.get(lane))
+            lane.record(t - 1, alloc, _evaluate(realization, alloc, memo).welfare)
+            lane.update(alloc, t, dropping and post)
     if t < t_slots:
         raise ValueError(f"realizations ended after {t} of t_slots={t_slots} slots")
 

@@ -37,6 +37,7 @@ __all__ = [
     "branch_and_bound",
     "solve",
     "regulated_allocate",
+    "regulated_allocate_many",
     "subset_value_table",
     "subset_value_rows",
     "slot_value_table",
@@ -299,7 +300,7 @@ def tiebreak_picks(rows: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.nd
     float and one boolean buffer.
     """
     t, size = rows.shape
-    height = min(t, max(1, _BLOCK_CELLS // size))
+    height = max(1, min(t, _BLOCK_CELLS // size))  # zero rows give empty results
     obj = np.empty((height, size))
     hit = np.empty((height, size), dtype=bool)
     row_best = np.empty(t)
@@ -328,26 +329,17 @@ def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> All
 
 
 def solve_exact(inst: RegulatedInstance, exact_limit: int = DEFAULT_EXACT_LIMIT) -> SolveResult:
-    """Global maximizer over all subsets of eligible users.
+    """Global maximizer over all subsets of eligible users: regulated_allocate_many's one row.
 
     Raises SolverCapacityError when more than exact_limit users are
     eligible; callers fall back to branch_and_bound or solve_greedy.
     """
-    users = np.flatnonzero(inst.eligible)
-    m = users.size
+    m = int(inst.eligible.sum())
     if m > exact_limit:
-        raise SolverCapacityError(
-            f"{m} eligible users exceed exact_limit={exact_limit}"
-        )
-    n = inst.realization.n_users
-    if m == 0:
-        return SolveResult(Allocation.none(n), 0.0, True)
-    values = slot_value_table(inst.realization, users)
-    by_rank = tiebreak_order(m)
-    objective = (values - subset_linear_table(inst.effective_costs[users]))[by_rank]
-    r = tiebreak_pick(objective)
-    alloc = _local_mask_to_allocation(int(by_rank[r]), users, n)
-    return SolveResult(alloc, float(objective[r]), True)
+        raise SolverCapacityError(f"{m} eligible users exceed exact_limit={exact_limit}")
+    charges = inst.effective_costs[None]
+    allocs, objective, picks = regulated_allocate_many(inst.realization, charges, inst.eligible)
+    return SolveResult(allocs[0], float(objective[0, picks[0]]), True)
 
 
 def solve_greedy(inst: RegulatedInstance) -> SolveResult:
@@ -506,7 +498,24 @@ def regulated_allocate(
 ) -> Allocation:
     """Maximize value - sum((cost - state.bonus) * x) over eligible users.
 
-    The allocation of dual, lyapunov and radp_vpc; a None state is bonus 0 (greedy).
+    A lane that is not solved exactly with the others (regulated_allocate_many)
+    allocates here; a None state is bonus 0 (greedy).
     """
     kappa = realization.true_costs - (0.0 if state is None else state.bonus)
     return solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc
+
+
+def regulated_allocate_many(
+    realization: SlotRealization, charges: np.ndarray, eligible: np.ndarray
+) -> tuple[list[Allocation], np.ndarray, np.ndarray]:
+    """Exact allocations of the L rows of (L, n) charges on one slot and eligible set,
+    each as if solved alone; also the objective, value minus costs with columns in
+    tiebreak_order(m), from which the auction reads its pivots, and each row's pick."""
+    users = np.flatnonzero(eligible)
+    by_rank = tiebreak_order(users.size)
+    costs = subset_linear_table(charges[:, users])
+    objective = (slot_value_table(realization, users) - costs)[:, by_rank]
+    _, picks = tiebreak_picks(objective, 0.0)
+    selected = np.zeros((picks.size, realization.n_users), dtype=bool)
+    selected[:, users] = by_rank[picks, None] >> np.arange(users.size) & 1
+    return [Allocation(row) for row in selected], objective, picks

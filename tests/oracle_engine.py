@@ -1,0 +1,113 @@
+"""Per-lane reference engine: each policy steps over the slots by itself.
+
+This is the engine's slot loop as it was before lanes shared their exact
+solves. Each lane builds its own RegulatedInstance and solves it alone with
+solve_exact_alone, the former body of solver.solve_exact (its own value and
+cost tables, one tie-break pick); an auction lane rebuilds its objective for
+its pivots; every lane evaluates its own allocation. run_policy must match it
+bit for bit (tests/test_engine_oracle.py), and regulated_allocate_many must
+match solve_exact_alone row by row (tests/test_solver.py). Test helper only.
+"""
+
+import numpy as np
+
+from sensecourt import baselines
+from sensecourt.auction import pivot_payment
+from sensecourt.engine import _regulator, apply_dropping
+from sensecourt.scenarios import RANDOM_POLICY_STREAM
+from sensecourt.solver import (
+    RegulatedInstance,
+    SolveResult,
+    solve,
+    subset_linear_table,
+    subset_value_table,
+    tiebreak_order,
+    tiebreak_pick,
+)
+from sensecourt.world import Allocation, evaluate_allocation
+
+
+def objective_alone(realization, kappa, users):
+    """value - charges over every subset of users, columns in tie-break order."""
+    table = subset_value_table(realization, users) - subset_linear_table(kappa[users])
+    return table[tiebreak_order(users.size)]
+
+
+def solve_exact_alone(inst: RegulatedInstance) -> SolveResult:
+    """The exact optimum of one instance, solved on its own."""
+    users = np.flatnonzero(inst.eligible)
+    objective = objective_alone(inst.realization, inst.effective_costs, users)
+    r = tiebreak_pick(objective)
+    selected = np.zeros(inst.realization.n_users, dtype=bool)
+    selected[users] = int(tiebreak_order(users.size)[r]) >> np.arange(users.size) & 1
+    return SolveResult(Allocation(selected), float(objective[r]), True)
+
+
+def auction_slot_alone(state, realization, eligible):
+    """The auction under truthful bids: its own solve, then its objective
+    rebuilt for the pivots. Returns the allocation and the payments."""
+    kappa = realization.true_costs - state.bonus
+    alloc = solve_exact_alone(RegulatedInstance(realization, kappa, eligible)).alloc
+    winners = alloc.indices()
+    value_term = evaluate_allocation(realization, alloc).value
+    users = np.flatnonzero(eligible)
+    by_rank = tiebreak_order(users.size)
+    objective = objective_alone(realization, kappa, users)
+    payments = np.zeros(realization.n_users)
+    for u in winners.tolist():
+        others_cost = float(kappa[winners].sum() - kappa[u])
+        has_u = (by_rank >> int(np.searchsorted(users, u))) & 1
+        welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
+        payments[u] = pivot_payment(value_term, others_cost, welfare_without, state.factors[u])
+    return alloc, payments
+
+
+def _allocate(spec, state, realization, eligible, options, rng):
+    if spec.kind == "random":
+        return baselines.random_baseline_step(realization, eligible, rng)
+    if spec.kind == "greedy":
+        return baselines.greedy_baseline_step(realization, eligible)
+    inst = RegulatedInstance(realization, realization.true_costs - state.bonus, eligible)
+    if options.mode in ("exact", "auto") and eligible.sum() <= options.exact_limit:
+        return solve_exact_alone(inst).alloc
+    return solve(inst, options).alloc  # greedy, bnb, or past exact_limit
+
+
+def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> dict:
+    """One policy's per-slot arrays and drop events, as TraceMetrics names them."""
+    t_slots, n = len(slots), thresholds.size
+    state, update = _regulator(spec, thresholds)
+    rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
+    eligible = np.ones(n, dtype=bool)
+    selections, seen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    out = {
+        "welfare_series": np.empty(t_slots),
+        "alloc_prob_series": np.empty((t_slots, n)),
+        "selected": np.empty((t_slots, n), dtype=bool),
+        "active": np.empty((t_slots, n), dtype=bool),
+        "regulation": np.empty((t_slots, n)),
+        "payments_series": np.zeros((t_slots, n)) if spec.kind == "auction" else None,
+        "drop_events": [],
+    }
+    for k, realization in enumerate(slots):
+        t = k + 1
+        out["regulation"][k] = np.where(eligible, 0.0 if state is None else state.bonus, 0.0)
+        out["active"][k] = eligible
+        if t <= warmup:
+            alloc = Allocation(eligible)
+        elif spec.kind == "auction":
+            alloc, out["payments_series"][k] = auction_slot_alone(state, realization, eligible)
+        else:
+            alloc = _allocate(spec, state, realization, eligible, options, rng)
+        out["welfare_series"][k] = evaluate_allocation(realization, alloc).welfare
+        out["selected"][k] = alloc.selected
+        seen += eligible
+        selections += alloc.selected
+        out["alloc_prob_series"][k] = selections / seen
+        if update is not None:
+            state = update(state, alloc, thresholds, eligible)
+        if dropping and t > warmup:
+            dropped = apply_dropping(eligible, out["alloc_prob_series"][k], thresholds)
+            out["drop_events"] += [(u, t) for u in dropped.tolist()]
+    out["drop_events"] = tuple(out["drop_events"])
+    return out

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensecourt.solver import (
+    TIE_TOL,
     RegulatedInstance,
     SolveOptions,
     SolverCapacityError,
     branch_and_bound,
+    regulated_allocate_many,
     solve,
     solve_exact,
     solve_greedy,
@@ -18,7 +20,9 @@ from sensecourt.solver import (
 )
 from sensecourt.world import Allocation, evaluate_allocation
 
+from oracle_engine import objective_alone, solve_exact_alone
 from oracle_subset import tiebreak_tables
+from test_subset_table import bits, coverage_instances
 from test_world import make_realization
 
 TOL = 1e-9
@@ -290,3 +294,58 @@ class TestTiebreakKey:
         keys = tiebreak_key(np.array(masks, dtype=np.int64), m)
         assert keys.dtype == np.int64
         assert keys.tolist() == [tiebreak_key(s, m) for s in masks]
+
+
+NUDGES = {
+    "same": lambda c: c,
+    "+tol": lambda c: c + TIE_TOL,
+    "-tol": lambda c: c - TIE_TOL,
+    "up": lambda c: np.nextafter(c, np.inf),
+    "down": lambda c: np.nextafter(c, -np.inf),
+}
+
+
+class TestAllocateMany:
+    """regulated_allocate_many row by row against each row solved alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coverage_instances(m_max=10), st.data())
+    def test_each_row_equals_its_own_solve(self, real, data):
+        n = real.n_users
+        eligible = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), bool)
+        levels = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+        base = np.array(data.draw(st.lists(levels, min_size=n, max_size=n)))
+        # rows that tie, or nearly tie, within and across rows: the base
+        # charges moved by +-TIE_TOL or to a float neighbour, user by user
+        rows = [base]
+        for _ in range(data.draw(st.integers(0, 5))):
+            moves = data.draw(st.lists(st.sampled_from(sorted(NUDGES)), min_size=n, max_size=n))
+            rows.append(np.array([NUDGES[how](c) for how, c in zip(moves, base)]))
+        if data.draw(st.booleans()):
+            rows.append(rows[-1].copy())  # identical rows
+        charges = np.array(rows).reshape(len(rows), n)
+        allocs, objective, picks = regulated_allocate_many(real, charges, eligible)
+        users = np.flatnonzero(eligible)
+        assert objective.shape == (len(rows), 1 << users.size) and len(allocs) == len(rows)
+        for i, row in enumerate(charges):
+            alone = objective_alone(real, row, users)
+            assert bits(objective[i]).tobytes() == bits(alone).tobytes()
+            inst = RegulatedInstance(real, row, eligible)
+            for want in (solve_exact_alone(inst), solve_exact(inst)):
+                assert allocs[i].selected.tobytes() == want.alloc.selected.tobytes()
+                assert bits(objective[i, picks[i]]) == bits(want.objective)
+
+    def test_no_rows(self):
+        real = make_realization(3, [{0}, {1, 2}], costs=[0.5, 0.5])
+        allocs, objective, picks = regulated_allocate_many(
+            real, np.empty((0, 2)), np.ones(2, dtype=bool)
+        )
+        assert allocs == [] and objective.shape == (0, 4) and picks.shape == (0,)
+
+    def test_one_row_of_an_empty_eligible_set(self):
+        real = make_realization(3, [{0}, {1, 2}], costs=[0.5, 0.5])
+        allocs, objective, picks = regulated_allocate_many(
+            real, np.array([[0.5, 0.5]]), np.zeros(2, dtype=bool)
+        )
+        assert not allocs[0].selected.any()
+        assert objective.tolist() == [[0.0]] and picks.tolist() == [0]
