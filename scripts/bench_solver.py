@@ -22,15 +22,20 @@ for bit, and its tracemalloc peak is recorded over the table's bytes.
 Each solver instance is the first N users of one dropping-desk slot
 (2,500 grids, disk regions), every user eligible, true costs as charges.
 subset_value_table is timed on its own, then solve_exact, which builds the
-table again: every solve starts on a fresh slot object, so no table is
-reused between timings. Both tables are then compared bit for bit with the
-scalar loop in tests/oracle_subset.py, whose time is recorded too.
+table again. The table is compared bit for bit with the scalar loop in
+tests/oracle_subset.py, whose time is recorded too.
 
-regulated_allocate_many is timed with MANY_ROWS charge rows (true costs
-minus random bonuses) at N = 8 and 12 on the same slots, against MANY_ROWS
-calls to solve_exact, one per row, as lanes solved one by one: each side
-starts on a fresh slot object, so each builds the slot's value table once.
-Every row's allocation and objective must equal its own solve bit for bit.
+allocate_many on the exact route is timed with MANY_ROWS charge rows (true
+costs minus random bonuses) at N = 8 and 12 on the same slots, against
+MANY_ROWS calls to solve_exact, one per row, as lanes solved one by one:
+each side builds the slot's value table once per call. Every row's
+allocation and objective must equal its own solve bit for bit.
+
+allocate_many on the greedy route is timed with GREEDY_ROWS rows at all
+N = 100 users of the same slots (true costs, then true costs minus random
+bonuses: the three greedy-route lanes of dropping_desk, greedy, lyapunov and
+radp_vpc), against GREEDY_ROWS solve_greedy calls; every row's allocation,
+objective and exact flag must equal its own call bit for bit.
 
 Each sweep scores 201 bids from 0 to 3x the swept user's cost, with
 regulation factors drawn as `truthcheck` draws them; its time includes its
@@ -78,9 +83,10 @@ from sensecourt.cli import load_config
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
-    regulated_allocate_many,
-    slot_value_table,
+    SolveOptions,
+    allocate_many,
     solve_exact,
+    solve_greedy,
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
@@ -107,6 +113,7 @@ DUAL_PEAK_ITERATIONS = 3
 TABLE_SHAPES = ((8, 800), (16, 64))
 MANY_SIZES = (8, 12)
 MANY_ROWS = 8
+GREEDY_ROWS = 3
 ORDER_SIZES = (16, 20)
 
 
@@ -159,29 +166,37 @@ def time_sweeps(slots: list[SlotRealization], n: int) -> tuple[float, float]:
     return statistics.median(sweeps), statistics.median(dense)
 
 
-def time_many(slots: list[SlotRealization], n: int) -> tuple[float, float]:
-    """Median ms of one regulated_allocate_many over MANY_ROWS charge rows and
-    of MANY_ROWS solve_exact calls; every row is checked against its solve."""
-    many, alone = [], []
+def time_many(
+    slots: list[SlotRealization], n: int, rows: int, options: SolveOptions, alone
+) -> tuple[float, float]:
+    """Median ms of one allocate_many over `rows` charge rows (the true costs
+    minus random bonuses; the first row with none on the greedy route) at the
+    first n users and of `rows` calls to `alone`, each on one row's instance;
+    every row is checked against its own call."""
+    many, singles = [], []
     eligible = np.ones(n, dtype=bool)
     for k, slot in enumerate(slots):
         costs = slot.true_costs[:n]
-        charges = costs - np.random.default_rng([n, k]).uniform(0.0, costs.max(), (MANY_ROWS, n))
+        bonus = np.random.default_rng([n, k]).uniform(0.0, costs.max(), (rows, n))
+        if options.mode == "greedy":
+            bonus[0] = 0.0
+        charges = costs - bonus
         real = first_users(slot, n)
         start = time.perf_counter()
-        allocs, objective, picks = regulated_allocate_many(real, charges, eligible)
+        results, _ = allocate_many(real, charges, eligible, options)
         many.append((time.perf_counter() - start) * 1e3)
 
-        real = first_users(slot, n)
         start = time.perf_counter()
-        solves = [solve_exact(RegulatedInstance(real, row, eligible), n) for row in charges]
-        alone.append((time.perf_counter() - start) * 1e3)
-        for alloc, best, solo in zip(allocs, objective[np.arange(MANY_ROWS), picks], solves):
-            if alloc.selected.tobytes() != solo.alloc.selected.tobytes() or (
-                best.hex() != solo.objective.hex()
+        solves = [alone(RegulatedInstance(real, row, eligible)) for row in charges]
+        singles.append((time.perf_counter() - start) * 1e3)
+        for got, solo in zip(results, solves):
+            if (
+                got.alloc.selected.tobytes() != solo.alloc.selected.tobytes()
+                or got.objective.hex() != solo.objective.hex()
+                or got.exact != solo.exact
             ):
-                raise AssertionError(f"regulated_allocate_many differs from solve_exact at N={n}")
-    return statistics.median(many), statistics.median(alone)
+                raise AssertionError(f"allocate_many ({options.mode}) differs at N={n}")
+    return statistics.median(many), statistics.median(singles)
 
 
 def welfare_trace(n: int, t: int) -> Trace:
@@ -325,9 +340,8 @@ def main() -> int:
             start = time.perf_counter()
             oracle = subset_value_table_loop(real, users)
             loops.append((time.perf_counter() - start) * 1e3)
-            for table in (table_only, slot_value_table(real, users)):  # and the solve's
-                if not np.array_equal(table.view(np.int64), oracle.view(np.int64)):
-                    raise AssertionError(f"subset table differs from the loop at N={n}")
+            if not np.array_equal(table_only.view(np.int64), oracle.view(np.int64)):
+                raise AssertionError(f"subset table differs from the loop at N={n}")
         table_only_ms[n] = statistics.median(tables)
         solve_ms[n] = statistics.median(solves)
         loop_ms[n] = statistics.median(loops)
@@ -342,12 +356,24 @@ def main() -> int:
 
     many_ms, many_alone_ms = {}, {}
     for n in MANY_SIZES:
-        many_ms[n], many_alone_ms[n] = time_many(slots, n)
+        exact = SolveOptions("exact", exact_limit=n)
+        many_ms[n], many_alone_ms[n] = time_many(
+            slots, n, MANY_ROWS, exact, lambda inst: solve_exact(inst, n)
+        )
         print(
-            f"N={n:2d}: regulated_allocate_many {many_ms[n]:7.3f} ms for {MANY_ROWS} rows, "
+            f"N={n:2d}: allocate_many (exact) {many_ms[n]:7.3f} ms for {MANY_ROWS} rows, "
             f"{MANY_ROWS} x solve_exact {many_alone_ms[n]:7.3f} ms (median of {len(slots)})",
             flush=True,
         )
+    n_desk = scenario.n_users
+    greedy_ms, greedy_alone_ms = time_many(
+        slots, n_desk, GREEDY_ROWS, SolveOptions("greedy"), solve_greedy
+    )
+    print(
+        f"N={n_desk}: allocate_many (greedy) {greedy_ms:7.3f} ms for {GREEDY_ROWS} rows, "
+        f"{GREEDY_ROWS} x solve_greedy {greedy_alone_ms:7.3f} ms (median of {len(slots)})",
+        flush=True,
+    )
 
     sweep_ms, dense_ms = {}, {}
     for n in SWEEP_SIZES:
@@ -417,6 +443,10 @@ def main() -> int:
         "allocate_many_ms_median": {str(n): many_ms[n] for n in MANY_SIZES},
         "allocate_many_solve_exact_rows_ms_median": {str(n): many_alone_ms[n] for n in MANY_SIZES},
         "allocate_many_bit_identical_to_solve_exact": True,
+        "allocate_many_greedy_rows": GREEDY_ROWS,
+        "allocate_many_greedy_ms_median": {str(n_desk): greedy_ms},
+        "allocate_many_greedy_solve_greedy_rows_ms_median": {str(n_desk): greedy_alone_ms},
+        "allocate_many_greedy_bit_identical_to_solve_greedy": True,
         "sweep_bid_points": BID_POINTS,
         "truthfulness_sweep_ms_median": {str(n): sweep_ms[n] for n in SWEEP_SIZES},
         "dense_sweep_oracle_ms_median": {str(n): dense_ms[n] for n in SWEEP_SIZES},

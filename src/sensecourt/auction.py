@@ -24,8 +24,9 @@ import numpy as np
 
 from .solver import (
     DEFAULT_EXACT_LIMIT,
+    SolveOptions,
+    allocate_many,
     freeze_ineligible,
-    regulated_allocate_many,
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
@@ -149,8 +150,8 @@ def run_auction_slot(
     solved: tuple[Allocation, np.ndarray, float] | None = None,
 ) -> AuctionOutcome:
     """Allocate on regulated bids and pay winners their pivots; regulation_update
-    moves the factors. The allocation and every pivot come from one objective
-    row of regulated_allocate_many; a caller that has solved the slot on these
+    moves the factors. The allocation and every pivot come from one exact
+    objective row of allocate_many; a caller that has solved the slot on these
     regulated bids passes `solved`: the allocation, that row and its value."""
     n = realization.n_users
     if bids.n_users != n:
@@ -162,8 +163,9 @@ def run_auction_slot(
     require_exact_pivots(users.size, exact_limit)
     kappa = bids.bids - state.bonus
     if solved is None:
-        allocs, objective, _ = regulated_allocate_many(realization, kappa[None], eligible)
-        solved = allocs[0], objective[0], evaluate_allocation(realization, allocs[0]).value
+        options = SolveOptions("exact", exact_limit)
+        (result,), objective = allocate_many(realization, kappa[None], eligible, options)
+        solved = result.alloc, objective[0], evaluate_allocation(realization, result.alloc).value
     alloc, objective, value_term = solved
 
     winners = alloc.indices()

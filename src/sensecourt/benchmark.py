@@ -139,9 +139,9 @@ def solve_complete_bruteforce(
 
     Maximizes average welfare subject to every user's selection frequency
     meeting its threshold. Among equal-welfare feasible plans, the one with
-    the lowest joint index (slot-major, user-minor bits) is kept. When no
-    plan is feasible the unconstrained per-slot optimum is reported with
-    feasible=False.
+    the lowest joint index (slot-major, user-minor bits) is kept. Trace
+    keeps every threshold in [0, 1], so selecting everyone in every slot is
+    always feasible and the result always has feasible=True.
     """
     n, t = trace.n_users, trace.t_slots
     if n * t > BRUTEFORCE_CELL_LIMIT:
@@ -177,13 +177,8 @@ def solve_complete_bruteforce(
                 best_w = float(fw[k])
                 best_j = int(js[k])
 
-    if best_j >= 0:
-        plan = np.array([(best_j >> (n * k)) & slot_mask for k in range(t)])
-        return BenchmarkResult(best_w / t, _user_counts(plan, n) / t, True, "complete_exact")
-
-    # infeasible: best effort is the slot-wise unconstrained optimum
-    avg, probs = _slotwise_optimum(tables, n)
-    return BenchmarkResult(avg, probs, False, "complete_exact")
+    plan = np.array([(best_j >> (n * k)) & slot_mask for k in range(t)])
+    return BenchmarkResult(best_w / t, _user_counts(plan, n) / t, True, "complete_exact")
 
 
 def dual_upper_bound(

@@ -32,10 +32,10 @@ from .benchmark import (
     unconstrained_trace_welfare,
     welfare_tables,
 )
-from .engine import PolicySpec, TraceMetrics, check_exact_pivots, run_simulation
+from .engine import PolicySpec, TraceMetrics, check_exact_solves, run_simulation
 from .policy_dual import StepSchedule
 from .scenarios import ScenarioConfig, realization_stream
-from .solver import SolveOptions
+from .solver import SolveOptions, SolverCapacityError
 from .world import GridMap
 
 __all__ = ["main", "cmd_simulate", "cmd_benchmark", "cmd_truthcheck"]
@@ -366,7 +366,7 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
     cfg = load_config(config_path)
     if not cfg.policies:
         raise ConfigError("simulate needs at least one entry in policies")
-    check_exact_pivots(
+    check_exact_solves(
         cfg.policies, cfg.scenario.n_users, cfg.solver, cfg.t_slots, cfg.warmup_slots
     )
     scenario = _with_seed(cfg.scenario, seed)
@@ -552,7 +552,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (ConfigError, BenchmarkCapacityError, ExactPivotsRequiredError) as exc:
+    except (
+        ConfigError, BenchmarkCapacityError, ExactPivotsRequiredError, SolverCapacityError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,12 +11,11 @@ The four regulated policies (dual, lyapunov, auction, radp_vpc) share one
 contract: each user is charged its true cost minus the state's `bonus`, and
 the policy's update(state, alloc, thresholds, eligible) advances the state
 from the selection and leaves ineligible users' values unchanged. Each slot
-allocates, records and updates every policy. Lanes whose allocation is an
-exact solve (the auction always, the others in exact mode or within auto's
-exact_limit) share one `solver.regulated_allocate_many` per eligible set,
-whose rows also give the auction its pivots; the rest allocate through
-`solver.regulated_allocate` (greedy: bonus 0, greedy mode) or draw an order
-(random). Each distinct selection is evaluated once per slot.
+allocates, records and updates every policy. Every lane but random, which
+draws an order, gets its row from one `solver.allocate_many` per eligible
+set and solver route (`SolveOptions.route`): greedy is the greedy route at
+bonus 0, and the auction takes the exact route, whose objective rows also
+give it its pivots. Each distinct selection is evaluated once per slot.
 
 Each policy keeps its state and per-user selection and seen counts. Every
 user is force-selected during the warmup slots (regulation states still
@@ -44,7 +43,7 @@ from .scenarios import (
     ScenarioConfig,
     realization_stream,
 )
-from .solver import SolveOptions, regulated_allocate, regulated_allocate_many
+from .solver import SolveOptions, allocate_many
 from .world import Allocation, SlotRealization, WelfareBreakdown, evaluate_allocation
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
     "PolicySpec",
     "TraceMetrics",
     "apply_dropping",
-    "check_exact_pivots",
+    "check_exact_solves",
     "compute_summary",
     "run_policy",
     "run_simulation",
@@ -139,6 +138,14 @@ def _regulator(spec: PolicySpec, thresholds: np.ndarray):
     return None, None
 
 
+def _lane_options(kind: str, solver: SolveOptions) -> SolveOptions:
+    """How a lane of this kind solves: greedy greedily (at bonus 0), an auction
+    exactly within the run's exact_limit, the others as the run says."""
+    if kind == "greedy":
+        return SolveOptions("greedy")
+    return SolveOptions("exact", solver.exact_limit) if kind == "auction" else solver
+
+
 class _Lane:
     """One policy inside a lockstep pass: its state, counts and (T, N) rows."""
 
@@ -153,7 +160,7 @@ class _Lane:
         n = thresholds.size
         self.spec = spec
         self.thresholds = thresholds
-        self.options = options
+        self.options = _lane_options(spec.kind, options)
         # each random policy draws from its own generator, as it would alone
         self.rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
         self.state, self.advance = _regulator(spec, thresholds)
@@ -169,31 +176,30 @@ class _Lane:
         # warmup slots pay nothing
         self.payments = np.zeros((t_slots, n)) if spec.kind == "auction" else None
 
+    @property
+    def bonus(self):
+        """The amount taken off each user's cost: 0.0 for greedy and random."""
+        return 0.0 if self.state is None else self.state.bonus
+
     def allocate(self, realization: SlotRealization, t: int, warmup: int, solved) -> Allocation:
-        """Allocation of 1-based slot t, everyone eligible during the warmup; solved is
-        the lane's (allocation, objective row, value) of the grouped exact solve, or None."""
+        """Allocation of 1-based slot t: everyone eligible during the warmup, then a
+        random order, or the lane's solved (allocation, objective row, value) of its
+        group's allocate_many, on which an auction pays its winners."""
         if t <= warmup:
             return Allocation(self.eligible)
-        if self.spec.kind == "auction":
-            bids = _auction.BidVector(realization.true_costs)
-            outcome = _auction.run_auction_slot(
-                self.state, realization, bids, self.eligible, self.options.exact_limit, solved
-            )
-            self.payments[t - 1] = outcome.payments
-            return outcome.alloc
-        if solved is not None:
-            return solved[0]
         if self.spec.kind == "random":
             return _baselines.random_baseline_step(realization, self.eligible, self.rng)
-        if self.spec.kind == "greedy":
-            return _baselines.greedy_baseline_step(realization, self.eligible)
-        return regulated_allocate(self.state, realization, self.eligible, self.options)
+        if self.spec.kind == "auction":
+            bids = _auction.BidVector(realization.true_costs)
+            self.payments[t - 1] = _auction.run_auction_slot(
+                self.state, realization, bids, self.eligible, self.options.exact_limit, solved
+            ).payments
+        return solved[0]
 
     def record(self, k: int, alloc: Allocation, welfare: float) -> None:
         """Write slot index k's row, at the eligibility the slot began with."""
         eligible = self.eligible
-        bonus = 0.0 if self.state is None else self.state.bonus
-        self.regulation[k] = np.where(eligible, bonus, 0.0)
+        self.regulation[k] = np.where(eligible, self.bonus, 0.0)
         self.active[k] = eligible
         self.welfare[k] = welfare
         self.selected[k] = alloc.selected
@@ -234,21 +240,22 @@ class _Lane:
         return metrics
 
 
-def _solve_exact_lanes(lanes: list[_Lane], realization: SlotRealization, memo: dict) -> dict:
-    """(allocation, objective row, value) of each lane whose allocation is an
-    exact solve: one regulated_allocate_many per eligible set. An auction
-    always solves exactly; check_exact_pivots keeps it within exact_limit."""
-    groups: dict[bytes, list[_Lane]] = {}
+def _solve_lanes(lanes: list[_Lane], realization: SlotRealization, memo: dict) -> dict:
+    """(allocation, objective row, value) of every lane but random: one allocate_many
+    per eligible set and route. The row is None off the exact route."""
+    groups: dict[tuple[bytes, str], list[_Lane]] = {}
     for lane in lanes:
-        exact = lane.spec.kind == "auction" or lane.options.mode in ("exact", "auto")
-        if lane.state is not None and exact and lane.eligible.sum() <= lane.options.exact_limit:
-            groups.setdefault(lane.eligible.tobytes(), []).append(lane)
+        if lane.spec.kind != "random":
+            key = lane.eligible.tobytes(), lane.options.route(int(lane.eligible.sum()))
+            groups.setdefault(key, []).append(lane)
     solved = {}
     for group in groups.values():
-        charges = np.stack([realization.true_costs - lane.state.bonus for lane in group])
-        allocs, rows, _ = regulated_allocate_many(realization, charges, group[0].eligible)
-        for lane, alloc, row in zip(group, allocs, rows):
-            solved[lane] = alloc, row, _evaluate(realization, alloc, memo).value
+        charges = np.stack([realization.true_costs - lane.bonus for lane in group])
+        eligible, options = group[0].eligible, group[0].options
+        results, objective = allocate_many(realization, charges, eligible, options)
+        for i, (lane, result) in enumerate(zip(group, results)):
+            row = None if objective is None else objective[i]
+            solved[lane] = result.alloc, row, _evaluate(realization, result.alloc, memo).value
     return solved
 
 
@@ -260,20 +267,27 @@ def _evaluate(realization: SlotRealization, alloc: Allocation, memo: dict) -> We
     return memo[key]
 
 
-def check_exact_pivots(
+def check_exact_solves(
     specs: Sequence[PolicySpec],
     n_users: int,
     solver: SolveOptions,
     t_slots: int,
     warmup_slots: int,
 ) -> None:
-    """Refuse an auction whose pivots cannot all be solved exactly.
+    """Refuse a run whose exact solves cannot all fit: an auction past
+    exact_limit (ExactPivotsRequiredError), then any lane whose route is
+    exact past it (SolverCapacityError, from SolveOptions.route).
 
-    No user drops before the warmup ends, so the first auction slot after
-    it has all n_users eligible.
+    No user drops before the warmup ends, so the first slot after it has all
+    n_users eligible and no later slot has more.
     """
-    if t_slots > warmup_slots and any(spec.kind == "auction" for spec in specs):
+    if t_slots <= warmup_slots:
+        return
+    if any(spec.kind == "auction" for spec in specs):
         _auction.require_exact_pivots(n_users, solver.exact_limit)
+    for spec in specs:
+        if spec.kind != "random":
+            _lane_options(spec.kind, solver).route(n_users)
 
 
 def run_policy(
@@ -298,9 +312,10 @@ def run_policy(
     t_slots is the number of slots the sequence yields; it defaults to its
     len(), and an iterable without one is refused unless t_slots is given.
     A warmup longer than the run, thresholds outside [0, 1] (NaN too), and
-    an auction over more users than solver.exact_limit that runs past the
-    warmup, are rejected before the first slot is drawn; a sequence that
-    yields a different number of slots is an error.
+    an exact solve (an auction, or exact mode) over more users than
+    solver.exact_limit that runs past the warmup, are rejected before the
+    first slot is drawn; a sequence that yields a different number of slots
+    is an error.
 
     dropping=False keeps every user active regardless of frequency, which
     is the setting policy-level stability statements are about.
@@ -323,7 +338,7 @@ def run_policy(
     if not np.all((thresholds >= 0) & (thresholds <= 1)):  # NaN fails both
         raise ValueError("thresholds must lie in [0, 1]")
     n = thresholds.size
-    check_exact_pivots(specs, n, solver, t_slots, warmup_slots)
+    check_exact_solves(specs, n, solver, t_slots, warmup_slots)
     lanes = [_Lane(spec, thresholds, solver, seed, t_slots) for spec in specs]
 
     t = 0
@@ -334,7 +349,7 @@ def run_policy(
             raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
         t += 1
         post, memo = t > warmup_slots, {}
-        solved = _solve_exact_lanes(lanes, realization, memo) if post else {}
+        solved = _solve_lanes(lanes, realization, memo) if post else {}
         for lane in lanes:
             alloc = lane.allocate(realization, t, warmup_slots, solved.get(lane))
             lane.record(t - 1, alloc, _evaluate(realization, alloc, memo).welfare)

@@ -36,11 +36,10 @@ __all__ = [
     "solve_greedy",
     "branch_and_bound",
     "solve",
+    "allocate_many",
     "regulated_allocate",
-    "regulated_allocate_many",
     "subset_value_table",
     "subset_value_rows",
-    "slot_value_table",
     "subset_linear_table",
     "tiebreak_key",
     "tiebreak_order",
@@ -126,6 +125,17 @@ class SolveOptions:
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "greedy", "bnb"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
+
+    def route(self, m: int) -> str:
+        """The solver for m eligible users, "exact", "greedy" or "bnb": the one
+        place a mode picks one. Exact mode past exact_limit raises
+        SolverCapacityError."""
+        route = self.mode
+        if route == "auto":
+            route = "exact" if m <= self.exact_limit else "bnb"
+        if route == "exact" and m > self.exact_limit:
+            raise SolverCapacityError(f"{m} eligible users exceed exact_limit={self.exact_limit}")
+        return route
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +241,6 @@ def subset_value_rows(slots: Sequence[SlotRealization]) -> np.ndarray:
     return values
 
 
-def slot_value_table(realization: SlotRealization, users: np.ndarray) -> np.ndarray:
-    """subset_value_table, built once per (slot, users) and kept on the slot.
-
-    Lockstep policies that solve one slot over the same eligible users, and
-    an auction's pivots, read the same read-only table; it is dropped with
-    the slot.
-    """
-    memo = realization.table_memo
-    key = np.asarray(users, dtype=np.int64).tobytes()
-    table = memo.get(key)
-    if table is None:
-        table = subset_value_table(realization, users)
-        table.flags.writeable = False
-        memo[key] = table
-    return table
-
-
 def subset_linear_table(per_user: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of per-user terms over every subset, indexed by local bit mask
     along the last axis; leading axes, such as one row per slot, broadcast.
@@ -329,17 +322,12 @@ def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> All
 
 
 def solve_exact(inst: RegulatedInstance, exact_limit: int = DEFAULT_EXACT_LIMIT) -> SolveResult:
-    """Global maximizer over all subsets of eligible users: regulated_allocate_many's one row.
+    """Global maximizer over all subsets of eligible users: solve in exact mode.
 
     Raises SolverCapacityError when more than exact_limit users are
     eligible; callers fall back to branch_and_bound or solve_greedy.
     """
-    m = int(inst.eligible.sum())
-    if m > exact_limit:
-        raise SolverCapacityError(f"{m} eligible users exceed exact_limit={exact_limit}")
-    charges = inst.effective_costs[None]
-    allocs, objective, picks = regulated_allocate_many(inst.realization, charges, inst.eligible)
-    return SolveResult(allocs[0], float(objective[0, picks[0]]), True)
+    return solve(inst, SolveOptions("exact", exact_limit))
 
 
 def solve_greedy(inst: RegulatedInstance) -> SolveResult:
@@ -478,16 +466,8 @@ def branch_and_bound(
 
 
 def solve(inst: RegulatedInstance, options: SolveOptions = SolveOptions()) -> SolveResult:
-    """Dispatch to the solver selected by options (see SolveOptions)."""
-    if options.mode == "exact":
-        return solve_exact(inst, options.exact_limit)
-    if options.mode == "greedy":
-        return solve_greedy(inst)
-    if options.mode == "bnb":
-        return branch_and_bound(inst, options.node_budget)
-    if int(inst.eligible.sum()) <= options.exact_limit:
-        return solve_exact(inst, options.exact_limit)
-    return branch_and_bound(inst, options.node_budget)
+    """The instance as allocate_many's one row."""
+    return allocate_many(inst.realization, inst.effective_costs[None], inst.eligible, options)[0][0]
 
 
 def regulated_allocate(
@@ -496,26 +476,38 @@ def regulated_allocate(
     eligible: np.ndarray | None = None,
     options: SolveOptions = SolveOptions(),
 ) -> Allocation:
-    """Maximize value - sum((cost - state.bonus) * x) over eligible users.
-
-    A lane that is not solved exactly with the others (regulated_allocate_many)
-    allocates here; a None state is bonus 0 (greedy).
-    """
+    """Maximize value - sum((cost - state.bonus) * x) over eligible users, one
+    row of allocate_many (through solve); a None state is bonus 0."""
     kappa = realization.true_costs - (0.0 if state is None else state.bonus)
     return solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc
 
 
-def regulated_allocate_many(
-    realization: SlotRealization, charges: np.ndarray, eligible: np.ndarray
-) -> tuple[list[Allocation], np.ndarray, np.ndarray]:
-    """Exact allocations of the L rows of (L, n) charges on one slot and eligible set,
-    each as if solved alone; also the objective, value minus costs with columns in
-    tiebreak_order(m), from which the auction reads its pivots, and each row's pick."""
+def allocate_many(
+    realization: SlotRealization,
+    charges: np.ndarray,
+    eligible: np.ndarray,
+    options: SolveOptions = SolveOptions(),
+) -> tuple[list[SolveResult], np.ndarray | None]:
+    """One SolveResult for each of the L rows of (L, n) charges on one slot and
+    eligible set, each as if solved alone on the route options.route picks.
+
+    The exact route builds the slot's value table once for all rows. It also
+    returns the objective, value minus costs with columns in tiebreak_order(m),
+    from which the auction reads its pivots; the greedy and bnb routes solve
+    row by row and return None in its place.
+    """
     users = np.flatnonzero(eligible)
+    route = options.route(users.size)
+    if route != "exact":
+        instances = [RegulatedInstance(realization, row, eligible) for row in charges]
+        if route == "greedy":
+            return [solve_greedy(inst) for inst in instances], None
+        return [branch_and_bound(inst, options.node_budget) for inst in instances], None
     by_rank = tiebreak_order(users.size)
     costs = subset_linear_table(charges[:, users])
-    objective = (slot_value_table(realization, users) - costs)[:, by_rank]
+    objective = (subset_value_table(realization, users) - costs)[:, by_rank]
     _, picks = tiebreak_picks(objective, 0.0)
     selected = np.zeros((picks.size, realization.n_users), dtype=bool)
     selected[:, users] = by_rank[picks, None] >> np.arange(users.size) & 1
-    return [Allocation(row) for row in selected], objective, picks
+    best = objective[np.arange(picks.size), picks].tolist()
+    return [SolveResult(Allocation(row), b, True) for row, b in zip(selected, best)], objective

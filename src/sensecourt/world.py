@@ -237,12 +237,6 @@ class SlotRealization:
     def n_grids(self) -> int:
         return self.weights.n_grids
 
-    @cached_property
-    def table_memo(self) -> dict:
-        """Tables derived from this slot, keyed by their users (see
-        solver.slot_value_table); they live and die with the slot."""
-        return {}
-
 
 @dataclass(frozen=True, eq=False)
 class Allocation:

@@ -12,7 +12,7 @@ unranked copy of the table and, per chunk, a float and an int64 temporary
 of 4096 x 2^N cells.
 
 `slotwise_optimum_loop` is the per-row tie-break loop that the unconstrained
-optimum and the infeasible-bruteforce fallback must reproduce.
+optimum must reproduce.
 """
 
 import numpy as np

@@ -1,12 +1,15 @@
 """Per-lane reference engine: each policy steps over the slots by itself.
 
-This is the engine's slot loop as it was before lanes shared their exact
-solves. Each lane builds its own RegulatedInstance and solves it alone with
-solve_exact_alone, the former body of solver.solve_exact (its own value and
-cost tables, one tie-break pick); an auction lane rebuilds its objective for
-its pivots; every lane evaluates its own allocation. run_policy must match it
-bit for bit (tests/test_engine_oracle.py), and regulated_allocate_many must
-match solve_exact_alone row by row (tests/test_solver.py). Test helper only.
+This is the engine's slot loop as it was before lanes shared their solves.
+Each lane builds its own RegulatedInstance and picks its solver by its own
+reading of the modes: exact lanes solve alone with solve_exact_alone, the
+former body of solver.solve_exact (its own value and cost tables, one
+tie-break pick), the others call solve_greedy or branch_and_bound directly,
+never solver.allocate_many; an auction lane rebuilds its objective for its
+pivots; every lane evaluates its own allocation. run_policy must match it
+bit for bit (tests/test_engine_oracle.py on the exact and auto modes,
+tests/test_engine_routes.py on greedy and bnb), and allocate_many must match
+solve_exact_alone row by row (tests/test_solver.py). Test helper only.
 """
 
 import numpy as np
@@ -18,7 +21,8 @@ from sensecourt.scenarios import RANDOM_POLICY_STREAM
 from sensecourt.solver import (
     RegulatedInstance,
     SolveResult,
-    solve,
+    branch_and_bound,
+    solve_greedy,
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
@@ -66,11 +70,13 @@ def _allocate(spec, state, realization, eligible, options, rng):
     if spec.kind == "random":
         return baselines.random_baseline_step(realization, eligible, rng)
     if spec.kind == "greedy":
-        return baselines.greedy_baseline_step(realization, eligible)
+        return solve_greedy(RegulatedInstance(realization, realization.true_costs, eligible)).alloc
     inst = RegulatedInstance(realization, realization.true_costs - state.bonus, eligible)
     if options.mode in ("exact", "auto") and eligible.sum() <= options.exact_limit:
         return solve_exact_alone(inst).alloc
-    return solve(inst, options).alloc  # greedy, bnb, or past exact_limit
+    if options.mode == "greedy":
+        return solve_greedy(inst).alloc
+    return branch_and_bound(inst, options.node_budget).alloc  # bnb, or auto past exact_limit
 
 
 def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> dict:

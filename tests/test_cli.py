@@ -515,6 +515,30 @@ class TestFailBeforeWork:
         assert built == []
         assert not out.exists()
 
+    def test_exact_mode_beyond_exact_limit_refused_before_warmup(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the shipped dropping desk, 100 users, in exact mode
+        built = []
+        original = engine_mod.realization_stream
+
+        def counting(scenario, t_slots):
+            for realization in original(scenario, t_slots):
+                built.append(1)
+                yield realization
+
+        monkeypatch.setattr(engine_mod, "realization_stream", counting)
+        cfg = json.loads((CONFIGS / "dropping_desk.json").read_text())
+        cfg["solver"] = {"mode": "exact"}
+        path = tmp_path / "desk_exact.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 100 eligible users exceed exact_limit=20\n"
+        assert built == []
+        assert not out.exists()
+
     def test_auction_beyond_exact_limit_runs_when_every_slot_is_warmup(self, tmp_path):
         path = write_config(
             tmp_path,

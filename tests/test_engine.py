@@ -10,7 +10,7 @@ from sensecourt.engine import (
     run_simulation,
 )
 from sensecourt.scenarios import ScenarioConfig, realization_stream
-from sensecourt.solver import SolveOptions
+from sensecourt.solver import SolveOptions, SolverCapacityError
 from sensecourt.world import GridMap
 
 
@@ -252,6 +252,43 @@ class TestFailBeforeWork:
         metrics = run_policy(
             slots, PolicySpec("auction", phi=10), np.full(5, 0.5),
             warmup_slots=5, solver=SolveOptions(exact_limit=4),
+        )
+        assert metrics.t_slots == 5
+
+    @pytest.mark.parametrize("kind", ["radp_vpc", "lyapunov", "dual"])
+    def test_exact_mode_beyond_exact_limit_refused_before_first_slot(self, kind):
+        cfg = desk_config(n_users=5)
+        calls = []
+        specs = [PolicySpec("greedy"), PolicySpec(kind)]
+        with pytest.raises(SolverCapacityError, match="5 eligible users exceed exact_limit=4"):
+            run_policy(
+                counting_stream(cfg, 5, calls), specs, np.full(5, 0.5),
+                warmup_slots=4, solver=SolveOptions("exact", exact_limit=4), t_slots=5,
+            )
+        assert calls == []
+
+    def test_exact_mode_beyond_exact_limit_runs_without_exact_lanes(self):
+        # greedy keeps the greedy route, random solves nothing, auto goes to bnb
+        cfg = desk_config(n_users=5)
+        slots = list(realization_stream(cfg, 5))
+        specs = [PolicySpec("greedy"), PolicySpec("random")]
+        metrics = run_policy(
+            slots, specs, np.full(5, 0.5), warmup_slots=1,
+            solver=SolveOptions("exact", exact_limit=4),
+        )
+        assert [m.t_slots for m in metrics] == [5, 5]
+        metrics = run_policy(
+            slots, PolicySpec("dual"), np.full(5, 0.5), warmup_slots=1,
+            solver=SolveOptions("auto", exact_limit=4),
+        )
+        assert metrics.t_slots == 5
+
+    def test_exact_mode_beyond_exact_limit_runs_when_every_slot_is_warmup(self):
+        cfg = desk_config(n_users=5)
+        slots = list(realization_stream(cfg, 5))
+        metrics = run_policy(
+            slots, PolicySpec("dual"), np.full(5, 0.5),
+            warmup_slots=5, solver=SolveOptions("exact", exact_limit=4),
         )
         assert metrics.t_slots == 5
 

@@ -1,9 +1,11 @@
 """run_policy against the per-lane reference engine in oracle_engine.py.
 
-The engine solves every exact lane of a slot in one regulated_allocate_many
-per eligible set and evaluates each distinct selection once; the oracle
-gives each lane its own instance, solve and evaluation. Every per-slot array,
-the drop events and the payments must agree bit for bit.
+The engine solves the lanes of a slot in one solver.allocate_many per
+eligible set and route, and evaluates each distinct selection once; the
+oracle gives each lane its own instance, solve and evaluation. Every
+per-slot array, the drop events and the payments must agree bit for bit.
+These runs use the exact and auto modes; tests/test_engine_routes.py runs
+them in greedy and bnb mode.
 """
 
 import numpy as np

@@ -10,8 +10,8 @@ from sensecourt.solver import (
     RegulatedInstance,
     SolveOptions,
     SolverCapacityError,
+    allocate_many,
     branch_and_bound,
-    regulated_allocate_many,
     solve,
     solve_exact,
     solve_greedy,
@@ -249,6 +249,19 @@ class TestDispatch:
         with pytest.raises(ValueError):
             SolveOptions(mode="magic")
 
+    @pytest.mark.parametrize("m", [0, 3, 4, 5])
+    def test_auto_is_exact_up_to_the_limit_then_bnb(self, m):
+        assert SolveOptions("auto", exact_limit=4).route(m) == ("exact" if m <= 4 else "bnb")
+
+    @pytest.mark.parametrize("mode", ["greedy", "bnb"])
+    def test_other_modes_route_to_themselves_at_any_size(self, mode):
+        assert [SolveOptions(mode, exact_limit=2).route(m) for m in (0, 2, 30)] == [mode] * 3
+
+    def test_exact_past_the_limit_refused(self):
+        assert SolveOptions("exact", exact_limit=4).route(4) == "exact"
+        with pytest.raises(SolverCapacityError, match="5 eligible users exceed exact_limit=4"):
+            SolveOptions("exact", exact_limit=4).route(5)
+
 
 class TestTiebreakOrder:
     @pytest.mark.parametrize("m", range(13))
@@ -305,8 +318,34 @@ NUDGES = {
 }
 
 
+# every route, auto on both sides of exact_limit, and a node budget that
+# stops some searches early
+ROUTES = {
+    "exact": SolveOptions("exact", exact_limit=10),
+    "greedy": SolveOptions("greedy"),
+    "bnb": SolveOptions("bnb", node_budget=4),
+    "auto_exact": SolveOptions("auto", exact_limit=10),
+    "auto_bnb": SolveOptions("auto", exact_limit=0, node_budget=4),
+}
+
+
+def route_solver(route, options):
+    """The solver a route runs, called on one instance."""
+    if route == "exact":
+        return solve_exact_alone
+    if route == "greedy":
+        return solve_greedy
+    return lambda inst: branch_and_bound(inst, options.node_budget)
+
+
+def assert_same_result(got, want):
+    assert got.alloc.selected.tobytes() == want.alloc.selected.tobytes()
+    assert bits(got.objective) == bits(want.objective)
+    assert got.exact is want.exact
+
+
 class TestAllocateMany:
-    """regulated_allocate_many row by row against each row solved alone."""
+    """allocate_many row by row against each row solved alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(coverage_instances(m_max=10), st.data())
@@ -324,28 +363,51 @@ class TestAllocateMany:
         if data.draw(st.booleans()):
             rows.append(rows[-1].copy())  # identical rows
         charges = np.array(rows).reshape(len(rows), n)
-        allocs, objective, picks = regulated_allocate_many(real, charges, eligible)
+        name = data.draw(st.sampled_from(sorted(ROUTES)))
+        options = ROUTES[name]
         users = np.flatnonzero(eligible)
-        assert objective.shape == (len(rows), 1 << users.size) and len(allocs) == len(rows)
+        route = options.route(users.size)
+        results, objective = allocate_many(real, charges, eligible, options)
+        assert len(results) == len(rows)
+        if route == "exact":
+            assert objective.shape == (len(rows), 1 << users.size)
+        else:
+            assert objective is None
         for i, row in enumerate(charges):
-            alone = objective_alone(real, row, users)
-            assert bits(objective[i]).tobytes() == bits(alone).tobytes()
             inst = RegulatedInstance(real, row, eligible)
-            for want in (solve_exact_alone(inst), solve_exact(inst)):
-                assert allocs[i].selected.tobytes() == want.alloc.selected.tobytes()
-                assert bits(objective[i, picks[i]]) == bits(want.objective)
+            assert_same_result(results[i], solve(inst, options))
+            assert_same_result(results[i], route_solver(route, options)(inst))
+            if route == "exact":
+                alone = objective_alone(real, row, users)
+                assert bits(objective[i]).tobytes() == bits(alone).tobytes()
+                assert_same_result(results[i], solve_exact(inst))
 
-    def test_no_rows(self):
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    def test_no_rows(self, name):
         real = make_realization(3, [{0}, {1, 2}], costs=[0.5, 0.5])
-        allocs, objective, picks = regulated_allocate_many(
-            real, np.empty((0, 2)), np.ones(2, dtype=bool)
+        results, objective = allocate_many(
+            real, np.empty((0, 2)), np.ones(2, dtype=bool), ROUTES[name]
         )
-        assert allocs == [] and objective.shape == (0, 4) and picks.shape == (0,)
+        assert results == []
+        if ROUTES[name].route(2) == "exact":
+            assert objective.shape == (0, 4)
+        else:
+            assert objective is None
 
-    def test_one_row_of_an_empty_eligible_set(self):
+    @pytest.mark.parametrize("name", sorted(ROUTES))
+    def test_one_row_of_an_empty_eligible_set(self, name):
         real = make_realization(3, [{0}, {1, 2}], costs=[0.5, 0.5])
-        allocs, objective, picks = regulated_allocate_many(
-            real, np.array([[0.5, 0.5]]), np.zeros(2, dtype=bool)
-        )
-        assert not allocs[0].selected.any()
-        assert objective.tolist() == [[0.0]] and picks.tolist() == [0]
+        eligible = np.zeros(2, dtype=bool)
+        charges = np.array([[0.5, 0.5]])
+        (result,), objective = allocate_many(real, charges, eligible, ROUTES[name])
+        assert not result.alloc.selected.any() and result.objective == 0.0
+        assert_same_result(result, solve(RegulatedInstance(real, charges[0], eligible), ROUTES[name]))
+        if ROUTES[name].route(0) == "exact":
+            assert objective.tolist() == [[0.0]]
+        else:
+            assert objective is None
+
+    def test_exact_mode_past_the_limit_refused(self):
+        real = make_realization(3, [{0}, {1, 2}], costs=[0.5, 0.5])
+        with pytest.raises(SolverCapacityError, match="2 eligible users exceed exact_limit=1"):
+            allocate_many(real, np.zeros((1, 2)), np.ones(2, dtype=bool), SolveOptions("exact", 1))

@@ -8,8 +8,6 @@ float bits, same tie-break allocation.
 
 import contextlib
 import dataclasses
-import gc
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -25,7 +23,6 @@ from sensecourt.auction import BidVector, RegulationState, run_auction_slot, tru
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
-    slot_value_table,
     solve_exact,
     subset_linear_table,
     subset_value_rows,
@@ -367,27 +364,6 @@ class TestSlotMemo:
         regions = [set(rng.choice(12, size=5, replace=False).tolist()) for _ in range(6)]
         return make_realization(12, regions, rng.random(12), rng.uniform(0.5, 2.0, 6))
 
-    def test_same_slot_and_eligible_set_share_one_table(self, monkeypatch):
-        calls = self.counting_tables(monkeypatch)
-        real = self.instance()
-        kappa = real.true_costs - 0.7
-        first = solve_exact(RegulatedInstance.of(real, kappa))
-        solve_exact(RegulatedInstance.of(real, real.true_costs))  # another lane
-        assert len(calls) == 1
-        fewer = np.ones(6, dtype=bool)
-        fewer[2] = False
-        solve_exact(RegulatedInstance(real, kappa, fewer))
-        assert len(calls) == 2
-        # another slot object with the same data builds its own
-        copy = make_realization(
-            12, [set(r.indices.tolist()) for r in real.regions],
-            real.weights.values, real.true_costs,
-        )
-        assert bits(solve_exact(RegulatedInstance.of(copy, kappa)).objective) == bits(
-            first.objective
-        )
-        assert len(calls) == 3
-
     def test_auction_slot_builds_one_table(self, monkeypatch):
         calls = self.counting_tables(monkeypatch)
         real = self.instance()
@@ -395,14 +371,3 @@ class TestSlotMemo:
         outcome = run_auction_slot(state, real, BidVector(real.true_costs))
         assert outcome.alloc.indices().size >= 2
         assert calls == [list(range(6))]
-
-    def test_table_is_read_only_and_dropped_with_the_slot(self):
-        real = self.instance()
-        table = slot_value_table(real, np.arange(6))
-        with pytest.raises(ValueError):
-            table[0] = 1.0
-        assert slot_value_table(real, np.arange(6)) is table
-        ref = weakref.ref(table)
-        del table, real
-        gc.collect()
-        assert ref() is None
