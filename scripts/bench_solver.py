@@ -34,8 +34,13 @@ allocation and objective must equal its own solve bit for bit.
 allocate_many on the greedy route is timed with GREEDY_ROWS rows at all
 N = 100 users of the same slots (true costs, then true costs minus random
 bonuses: the three greedy-route lanes of dropping_desk, greedy, lyapunov and
-radp_vpc), against GREEDY_ROWS solve_greedy calls; every row's allocation,
-objective and exact flag must equal its own call bit for bit.
+radp_vpc), against GREEDY_ROWS calls to the lazy greedy as it was before the
+slot's region values were shared (tests/oracle_greedy.py); every row's
+allocation, objective and exact flag must equal the oracle's bit for bit.
+Each side gets its own fresh copy of the slot, so the allocate_many side
+builds SlotRealization.region_values inside its time and neither side reads
+values the other built. The build of region_values alone is timed on
+another fresh copy at N = 100.
 
 Each sweep scores 201 bids from 0 to 3x the swept user's cost, with
 regulation factors drawn as `truthcheck` draws them; its time includes its
@@ -86,7 +91,6 @@ from sensecourt.solver import (
     SolveOptions,
     allocate_many,
     solve_exact,
-    solve_greedy,
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
@@ -96,6 +100,7 @@ from sensecourt.world import SlotRealization
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 from oracle_dual import dual_upper_bound_dense  # noqa: E402
+from oracle_greedy import solve_greedy_loop  # noqa: E402
 from oracle_regions import realization_stream_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
@@ -172,7 +177,8 @@ def time_many(
     """Median ms of one allocate_many over `rows` charge rows (the true costs
     minus random bonuses; the first row with none on the greedy route) at the
     first n users and of `rows` calls to `alone`, each on one row's instance;
-    every row is checked against its own call."""
+    every row is checked against its own call. Each side has a fresh copy of
+    the slot, so nothing one side caches on it is read by the other."""
     many, singles = [], []
     eligible = np.ones(n, dtype=bool)
     for k, slot in enumerate(slots):
@@ -186,6 +192,7 @@ def time_many(
         results, _ = allocate_many(real, charges, eligible, options)
         many.append((time.perf_counter() - start) * 1e3)
 
+        real = first_users(slot, n)
         start = time.perf_counter()
         solves = [alone(RegulatedInstance(real, row, eligible)) for row in charges]
         singles.append((time.perf_counter() - start) * 1e3)
@@ -197,6 +204,17 @@ def time_many(
             ):
                 raise AssertionError(f"allocate_many ({options.mode}) differs at N={n}")
     return statistics.median(many), statistics.median(singles)
+
+
+def time_region_values(slots: list[SlotRealization], n: int) -> float:
+    """Median ms to build region_values on a fresh copy of the first n users."""
+    times = []
+    for slot in slots:
+        real = first_users(slot, n)
+        start = time.perf_counter()
+        real.region_values
+        times.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(times)
 
 
 def welfare_trace(n: int, t: int) -> Trace:
@@ -367,11 +385,13 @@ def main() -> int:
         )
     n_desk = scenario.n_users
     greedy_ms, greedy_alone_ms = time_many(
-        slots, n_desk, GREEDY_ROWS, SolveOptions("greedy"), solve_greedy
+        slots, n_desk, GREEDY_ROWS, SolveOptions("greedy"), solve_greedy_loop
     )
+    values_ms = time_region_values(slots, n_desk)
     print(
         f"N={n_desk}: allocate_many (greedy) {greedy_ms:7.3f} ms for {GREEDY_ROWS} rows, "
-        f"{GREEDY_ROWS} x solve_greedy {greedy_alone_ms:7.3f} ms (median of {len(slots)})",
+        f"{GREEDY_ROWS} x oracle greedy {greedy_alone_ms:7.3f} ms, region_values "
+        f"{values_ms:7.3f} ms (median of {len(slots)})",
         flush=True,
     )
 
@@ -445,8 +465,9 @@ def main() -> int:
         "allocate_many_bit_identical_to_solve_exact": True,
         "allocate_many_greedy_rows": GREEDY_ROWS,
         "allocate_many_greedy_ms_median": {str(n_desk): greedy_ms},
-        "allocate_many_greedy_solve_greedy_rows_ms_median": {str(n_desk): greedy_alone_ms},
-        "allocate_many_greedy_bit_identical_to_solve_greedy": True,
+        "allocate_many_greedy_oracle_rows_ms_median": {str(n_desk): greedy_alone_ms},
+        "allocate_many_greedy_bit_identical_to_oracle": True,
+        "region_values_ms_median": {str(n_desk): values_ms},
         "sweep_bid_points": BID_POINTS,
         "truthfulness_sweep_ms_median": {str(n): sweep_ms[n] for n in SWEEP_SIZES},
         "dense_sweep_oracle_ms_median": {str(n): dense_ms[n] for n in SWEEP_SIZES},

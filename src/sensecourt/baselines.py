@@ -85,13 +85,13 @@ def random_baseline_step(
         eligible = np.ones(realization.n_users, dtype=bool)
     order = rng.permutation(np.flatnonzero(eligible))
     w_rem = realization.weights.values.copy()
+    regions = [r.indices for r in realization.regions]
+    costs = realization.true_costs.tolist()
     selected = np.zeros(realization.n_users, dtype=bool)
-    for u in order:
-        u = int(u)
-        idx = realization.regions[u].indices
-        gain = float(w_rem[idx].sum()) - float(realization.true_costs[u])
+    for u in order.tolist():
+        gain = float(np.add.reduce(w_rem[regions[u]])) - costs[u]
         if gain <= 0.0:
             break
         selected[u] = True
-        w_rem[idx] = 0.0
+        w_rem[regions[u]] = 0.0
     return Allocation(selected)

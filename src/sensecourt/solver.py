@@ -338,40 +338,52 @@ def solve_greedy(inst: RegulatedInstance) -> SolveResult:
     added by largest marginal coverage value minus charge, lowest index on
     ties, while the best gain is strictly positive. Marginal gains only
     shrink as coverage grows, so stale heap entries are safe to re-check.
+
+    Until the first negative-charge take the remaining weights are the
+    slot's own, so initial marginals come from realization.region_values,
+    built once per slot for every greedy row; after that take, each later
+    user's marginal is summed from the remaining weights. Every sum is
+    np.add.reduce, the routine of ndarray.sum, so the bits do not depend
+    on which of the two a marginal came from. (key, user) is a strict
+    total order, so the heap pops in one order however it was built.
     """
     real = inst.realization
-    n = real.n_users
     w_rem = real.weights.values.copy()
-    selected = np.zeros(n, dtype=bool)
+    regions = [r.indices for r in real.regions]
+    costs = inst.effective_costs.tolist()
+    values = real.region_values
+    add = np.add.reduce
+    selected = np.zeros(real.n_users, dtype=bool)
     objective = 0.0
 
-    def marginal(u: int) -> float:
-        return float(w_rem[real.regions[u].indices].sum())
-
-    def take(u: int, gain: float) -> None:
-        nonlocal objective
-        selected[u] = True
-        objective += gain
-        w_rem[real.regions[u].indices] = 0.0
-
     heap: list[tuple[float, int]] = []
-    for u in np.flatnonzero(inst.eligible):
-        u = int(u)
-        kappa = float(inst.effective_costs[u])
+    untouched = True  # w_rem still equals the slot's weights
+    for u in np.flatnonzero(inst.eligible).tolist():
+        kappa = costs[u]
+        value = values[u] if untouched else float(add(w_rem[regions[u]]))
         if kappa < 0:
-            take(u, marginal(u) - kappa)
+            selected[u] = True
+            objective += value - kappa
+            w_rem[regions[u]] = 0.0
+            untouched = False
         else:
-            heapq.heappush(heap, (-(marginal(u) - kappa), u))
+            heap.append((-(value - kappa), u))
+    heapq.heapify(heap)
 
     while heap:
-        stale_key, u = heapq.heappop(heap)
-        gain = marginal(u) - float(inst.effective_costs[u])
-        if heap and (-gain, u) > heap[0]:
-            heapq.heappush(heap, (-gain, u))
-            continue
+        stale_key, u = heap[0]
+        gain = float(add(w_rem[regions[u]])) - costs[u]
+        if -gain != stale_key:
+            # the top's key fell: put it back and take it only if it still leads
+            heapq.heapreplace(heap, (-gain, u))
+            if heap[0][1] != u:
+                continue
+        heapq.heappop(heap)
         if gain <= 0.0:
             break
-        take(u, gain)
+        selected[u] = True
+        objective += gain
+        w_rem[regions[u]] = 0.0
 
     return SolveResult(Allocation(selected), objective, False)
 

@@ -237,6 +237,14 @@ class SlotRealization:
     def n_grids(self) -> int:
         return self.weights.n_grids
 
+    @cached_property
+    def region_values(self) -> tuple[float, ...]:
+        """Each user's region value alone, np.add.reduce over its grids' weights
+        (the routine of ndarray.sum, so the same bits): built on first use and
+        shared by every greedy solve of the slot."""
+        w = self.weights.values
+        return tuple(float(np.add.reduce(w[r.indices])) for r in self.regions)
+
 
 @dataclass(frozen=True, eq=False)
 class Allocation:

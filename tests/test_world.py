@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,21 @@ def make_realization(n_grids, regions, weights=None, costs=None):
     w = np.ones(n_grids) if weights is None else np.asarray(weights, dtype=float)
     c = np.zeros(len(regions)) if costs is None else np.asarray(costs, dtype=float)
     return SlotRealization(WeightField(w), regs, c)
+
+
+def as_block(slots):
+    """The slots (one user and grid count) rebuilt as one block, the way
+    realization_stream builds them: split_sorted regions, split_block slots."""
+    n_grids = slots[0].n_grids
+    regions = [r.indices for s in slots for r in s.regions]
+    cut = SensingRegion.split_sorted(
+        n_grids, np.concatenate([np.zeros(0, np.int64)] + regions), [r.size for r in regions]
+    )
+    return SlotRealization.split_block(
+        np.array([s.weights.values for s in slots]).reshape(len(slots), n_grids),
+        cut,
+        np.array([s.true_costs for s in slots]).reshape(len(slots), -1),
+    )
 
 
 @st.composite
@@ -307,3 +324,26 @@ class TestProperties:
         assert evaluate_allocation(real, Allocation(grown)).cost == pytest.approx(
             base + real.true_costs[user], rel=1e-12, abs=1e-12
         )
+
+
+class TestRegionValues:
+    @settings(max_examples=100, deadline=None)
+    @given(small_instances(), st.booleans())
+    def test_each_value_has_the_bits_of_its_region_sum(self, real, block):
+        if block:
+            (real,) = as_block([real])
+        w = real.weights.values
+        assert [v.hex() for v in real.region_values] == [
+            float(w[r.indices].sum()).hex() for r in real.regions
+        ]
+
+    def test_immutable_and_built_once(self):
+        real = make_realization(4, [{0, 1}, set(), {1, 2, 3}], weights=[1.0, 2.0, 0.0, 0.5])
+        values = real.region_values
+        assert values == (3.0, 0.0, 2.5) and isinstance(values, tuple)
+        with pytest.raises(TypeError):
+            values[0] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            real.region_values = (0.0, 0.0, 0.0)
+        assert real.region_values is values
+        assert real.__dict__["region_values"] is values
