@@ -31,16 +31,20 @@ MANY_ROWS calls to solve_exact, one per row, as lanes solved one by one:
 each side builds the slot's value table once per call. Every row's
 allocation and objective must equal its own solve bit for bit.
 
-allocate_many on the greedy route is timed with GREEDY_ROWS rows at all
-N = 100 users of the same slots (true costs, then true costs minus random
-bonuses: the three greedy-route lanes of dropping_desk, greedy, lyapunov and
-radp_vpc), against GREEDY_ROWS calls to the lazy greedy as it was before the
-slot's region values were shared (tests/oracle_greedy.py); every row's
-allocation, objective and exact flag must equal the oracle's bit for bit.
-Each side gets its own fresh copy of the slot, so the allocate_many side
-builds SlotRealization.region_values inside its time and neither side reads
-values the other built. The build of region_values alone is timed on
-another fresh copy at N = 100.
+allocate_many on the greedy route is timed on the charge rows a
+configs/dropping_desk.json run gives it: the run goes through its warmup and
+GREEDY_SLOTS slots after it, and a wrapper on sensecourt.engine.allocate_many
+records every greedy-route call (the greedy, lyapunov and radp_vpc lanes,
+one call per eligible set). Each slot's calls are timed together against the
+lazy greedy as it was before the slot's region values were shared
+(tests/oracle_greedy.py), one call per row; every row's allocation,
+objective and exact flag must equal the oracle's bit for bit. Each side gets
+its own fresh copy of the slot, so the allocate_many side builds
+SlotRealization.region_values inside its time and neither side reads values
+the other built. The share of rows with a negative eligible charge, whose
+later marginals cannot come from region_values, is recorded too. The build
+of region_values alone is timed on a fresh copy of each of the first
+--instances slots at N = 100.
 
 Each sweep scores 201 bids from 0 to 3x the swept user's cost, with
 regulation factors drawn as `truthcheck` draws them; its time includes its
@@ -82,9 +86,11 @@ from pathlib import Path
 
 import numpy as np
 
+from sensecourt import engine
 from sensecourt.auction import RegulationState, truthfulness_sweep
 from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
 from sensecourt.cli import load_config
+from sensecourt.engine import run_simulation
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
@@ -118,7 +124,7 @@ DUAL_PEAK_ITERATIONS = 3
 TABLE_SHAPES = ((8, 800), (16, 64))
 MANY_SIZES = (8, 12)
 MANY_ROWS = 8
-GREEDY_ROWS = 3
+GREEDY_SLOTS = 160
 ORDER_SIZES = (16, 20)
 
 
@@ -175,18 +181,15 @@ def time_many(
     slots: list[SlotRealization], n: int, rows: int, options: SolveOptions, alone
 ) -> tuple[float, float]:
     """Median ms of one allocate_many over `rows` charge rows (the true costs
-    minus random bonuses; the first row with none on the greedy route) at the
-    first n users and of `rows` calls to `alone`, each on one row's instance;
-    every row is checked against its own call. Each side has a fresh copy of
-    the slot, so nothing one side caches on it is read by the other."""
+    minus random bonuses) at the first n users and of `rows` calls to `alone`,
+    each on one row's instance; every row is checked against its own call.
+    Each side has a fresh copy of the slot, so nothing one side caches on it is
+    read by the other."""
     many, singles = [], []
     eligible = np.ones(n, dtype=bool)
     for k, slot in enumerate(slots):
         costs = slot.true_costs[:n]
-        bonus = np.random.default_rng([n, k]).uniform(0.0, costs.max(), (rows, n))
-        if options.mode == "greedy":
-            bonus[0] = 0.0
-        charges = costs - bonus
+        charges = costs - np.random.default_rng([n, k]).uniform(0.0, costs.max(), (rows, n))
         real = first_users(slot, n)
         start = time.perf_counter()
         results, _ = allocate_many(real, charges, eligible, options)
@@ -196,14 +199,70 @@ def time_many(
         start = time.perf_counter()
         solves = [alone(RegulatedInstance(real, row, eligible)) for row in charges]
         singles.append((time.perf_counter() - start) * 1e3)
-        for got, solo in zip(results, solves):
-            if (
-                got.alloc.selected.tobytes() != solo.alloc.selected.tobytes()
-                or got.objective.hex() != solo.objective.hex()
-                or got.exact != solo.exact
-            ):
-                raise AssertionError(f"allocate_many ({options.mode}) differs at N={n}")
+        check_rows(results, solves, f"allocate_many ({options.mode}) differs at N={n}")
     return statistics.median(many), statistics.median(singles)
+
+
+def check_rows(results, solves, message: str) -> None:
+    """Each result equal to its own solve: allocation, objective bits, exact flag."""
+    for got, solo in zip(results, solves, strict=True):
+        if (
+            got.alloc.selected.tobytes() != solo.alloc.selected.tobytes()
+            or got.objective.hex() != solo.objective.hex()
+            or got.exact != solo.exact
+        ):
+            raise AssertionError(message)
+
+
+def record_greedy_calls(post_slots: int) -> list[tuple[SlotRealization, list]]:
+    """Each dropping-desk slot's greedy-route allocate_many calls, as
+    (charges, eligible) pairs, over the warmup and post_slots slots after it."""
+    cfg = load_config(str(CONFIG))
+    slots: list[tuple[SlotRealization, list]] = []
+
+    def recording(realization, charges, eligible, options=SolveOptions()):
+        if options.route(int(np.count_nonzero(eligible))) == "greedy":
+            if not slots or slots[-1][0] is not realization:
+                slots.append((realization, []))
+            slots[-1][1].append((np.array(charges), np.array(eligible)))
+        return allocate_many(realization, charges, eligible, options)
+
+    engine.allocate_many = recording
+    try:
+        run_simulation(
+            cfg.scenario, cfg.policies, cfg.warmup_slots + post_slots, cfg.warmup_slots,
+            cfg.thresholds, cfg.solver,
+        )
+    finally:
+        engine.allocate_many = allocate_many
+    return slots
+
+
+def time_greedy(slots: list[tuple[SlotRealization, list]]) -> tuple[float, float, int, float]:
+    """Median ms per slot of its recorded greedy-route calls and of the oracle
+    on each of their rows, every row checked against its own oracle solve;
+    the rows and the share of them with a negative eligible charge."""
+    many, oracle = [], []
+    rows = negative = 0
+    greedy = SolveOptions("greedy")
+    for slot, calls in slots:
+        real = first_users(slot, slot.n_users)
+        start = time.perf_counter()
+        results = [allocate_many(real, charges, eligible, greedy)[0] for charges, eligible in calls]
+        many.append((time.perf_counter() - start) * 1e3)
+
+        real = first_users(slot, slot.n_users)
+        start = time.perf_counter()
+        solves = [
+            [solve_greedy_loop(RegulatedInstance(real, row, eligible)) for row in charges]
+            for charges, eligible in calls
+        ]
+        oracle.append((time.perf_counter() - start) * 1e3)
+        for (charges, eligible), got, want in zip(calls, results, solves):
+            check_rows(got, want, "allocate_many (greedy) differs from the oracle")
+            rows += len(charges)
+            negative += int(np.count_nonzero((charges[:, eligible] < 0).any(axis=1)))
+    return statistics.median(many), statistics.median(oracle), rows, negative / rows
 
 
 def time_region_values(slots: list[SlotRealization], n: int) -> float:
@@ -384,13 +443,13 @@ def main() -> int:
             flush=True,
         )
     n_desk = scenario.n_users
-    greedy_ms, greedy_alone_ms = time_many(
-        slots, n_desk, GREEDY_ROWS, SolveOptions("greedy"), solve_greedy_loop
-    )
+    greedy_calls = record_greedy_calls(GREEDY_SLOTS)
+    greedy_ms, greedy_alone_ms, greedy_rows, negative_share = time_greedy(greedy_calls)
     values_ms = time_region_values(slots, n_desk)
     print(
-        f"N={n_desk}: allocate_many (greedy) {greedy_ms:7.3f} ms for {GREEDY_ROWS} rows, "
-        f"{GREEDY_ROWS} x oracle greedy {greedy_alone_ms:7.3f} ms, region_values "
+        f"N={n_desk}: allocate_many (greedy) {greedy_ms:7.3f} ms per slot, oracle greedy "
+        f"{greedy_alone_ms:7.3f} ms ({greedy_rows} recorded rows over {len(greedy_calls)} "
+        f"slots, {negative_share:.1%} with a negative charge), region_values "
         f"{values_ms:7.3f} ms (median of {len(slots)})",
         flush=True,
     )
@@ -463,9 +522,11 @@ def main() -> int:
         "allocate_many_ms_median": {str(n): many_ms[n] for n in MANY_SIZES},
         "allocate_many_solve_exact_rows_ms_median": {str(n): many_alone_ms[n] for n in MANY_SIZES},
         "allocate_many_bit_identical_to_solve_exact": True,
-        "allocate_many_greedy_rows": GREEDY_ROWS,
-        "allocate_many_greedy_ms_median": {str(n_desk): greedy_ms},
-        "allocate_many_greedy_oracle_rows_ms_median": {str(n_desk): greedy_alone_ms},
+        "allocate_many_greedy_slots": len(greedy_calls),
+        "allocate_many_greedy_rows": greedy_rows,
+        "allocate_many_greedy_negative_row_share": negative_share,
+        "allocate_many_greedy_ms_per_slot_median": {str(n_desk): greedy_ms},
+        "allocate_many_greedy_oracle_ms_per_slot_median": {str(n_desk): greedy_alone_ms},
         "allocate_many_greedy_bit_identical_to_oracle": True,
         "region_values_ms_median": {str(n_desk): values_ms},
         "sweep_bid_points": BID_POINTS,

@@ -34,7 +34,7 @@ from .solver import (
     TIE_TOL,
 )
 from .solver import solve_exact  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation, SlotRealization, evaluate_allocation
+from .world import Allocation, SlotRealization, eligible_mask, evaluate_allocation, frozen_array
 
 __all__ = [
     "ExactPivotsRequiredError",
@@ -70,13 +70,9 @@ class RegulationState:
     phi: float
 
     def __post_init__(self):
-        r = np.array(self.factors, dtype=float, copy=True)
-        if np.any(r < 0):
-            raise ValueError("regulation factors must be non-negative")
         if not 0 < self.phi < np.inf:  # NaN fails both
             raise ValueError("phi must be a finite number > 0")
-        r.flags.writeable = False
-        object.__setattr__(self, "factors", r)
+        object.__setattr__(self, "factors", frozen_array(self.factors, "factors", nonneg=True))
 
     @property
     def bonus(self) -> np.ndarray:
@@ -87,8 +83,7 @@ class RegulationState:
     def initial(cls, thresholds: np.ndarray, phi: float) -> "RegulationState":
         # one virtual arrival pre-loaded: phi * r0 = D, the backlog a zero
         # queue reaches after its first update
-        d = np.asarray(thresholds, dtype=float)
-        return cls(factors=d / phi, phi=phi)
+        return cls(factors=np.divide(thresholds, phi), phi=phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,15 +93,7 @@ class BidVector:
     bids: np.ndarray
 
     def __post_init__(self):
-        b = np.array(self.bids, dtype=float, copy=True)
-        if b.ndim != 1:
-            raise ValueError("bids must be one-dimensional")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("bids must be finite")
-        if np.any(b < 0):
-            raise ValueError("bids must be non-negative")
-        b.flags.writeable = False
-        object.__setattr__(self, "bids", b)
+        object.__setattr__(self, "bids", frozen_array(self.bids, "bids", nonneg=True))
 
     @property
     def n_users(self) -> int:
@@ -156,9 +143,7 @@ def run_auction_slot(
     n = realization.n_users
     if bids.n_users != n:
         raise ValueError("bid vector length must match user count")
-    eligible = np.ones(n, dtype=bool) if eligible is None else np.asarray(eligible, bool)
-    if eligible.shape != (n,):
-        raise ValueError("eligible length must match user count")
+    eligible = eligible_mask(eligible, n)
     users = np.flatnonzero(eligible)
     require_exact_pivots(users.size, exact_limit)
     kappa = bids.bids - state.bonus
@@ -191,8 +176,7 @@ def regulation_update(
     """r <- ([phi r - x]^+ + D) / phi, the virtual-queue recursion over phi;
     ineligible users' factors stay unchanged."""
     x = alloc.selected.astype(float)
-    d = np.asarray(thresholds, dtype=float)
-    r = (np.maximum(state.phi * state.factors - x, 0.0) + d) / state.phi
+    r = (np.maximum(state.phi * state.factors - x, 0.0) + thresholds) / state.phi
     r = freeze_ineligible(r, state.factors, eligible)
     return RegulationState(factors=r, phi=state.phi)
 
@@ -242,21 +226,17 @@ def truthfulness_sweep(
     subsets.
     """
     n = realization.n_users
-    true_costs = np.asarray(true_costs, dtype=float)
-    if true_costs.shape != (n,):
+    true_costs = frozen_array(true_costs, "true_costs", nonneg=True)
+    if true_costs.size != n:
         raise ValueError("true_costs length must match user count")
     if not 0 <= user < n:
         raise IndexError(f"user {user} out of range")
-    eligible = np.ones(n, dtype=bool) if eligible is None else np.asarray(eligible, bool)
-    if eligible.shape != (n,):
-        raise ValueError(f"eligible must hold {n} flags, one per user, got {eligible.shape}")
+    eligible = eligible_mask(eligible, n)
     if not eligible[user]:
         raise ValueError("swept user must be eligible")
-    bid_grid = np.asarray(bid_grid, dtype=float)
-    if bid_grid.ndim != 1 or bid_grid.size == 0:
-        raise ValueError(f"bid_grid must be a non-empty 1-D array, got {bid_grid.shape}")
-    if not np.all(np.isfinite(bid_grid)):
-        raise ValueError("bid_grid must be finite")
+    bid_grid = frozen_array(bid_grid, "bid_grid")
+    if bid_grid.size == 0:
+        raise ValueError("bid_grid must not be empty")
 
     users = np.flatnonzero(eligible)
     m = users.size

@@ -8,7 +8,7 @@ import numpy as np
 
 from .solver import SolveOptions, freeze_ineligible, regulated_allocate
 from .solver import solve, solve_greedy  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation, SlotRealization
+from .world import Allocation, SlotRealization, eligible_mask, frozen_array
 
 __all__ = [
     "VpcState",
@@ -27,13 +27,9 @@ class VpcState:
     alpha: float
 
     def __post_init__(self):
-        v = np.array(self.credits, dtype=float, copy=True)
-        if np.any(v < 0):
-            raise ValueError("credits must be non-negative")
         if not 0 <= self.alpha < np.inf:  # NaN fails both
             raise ValueError("alpha must be a finite number >= 0")
-        v.flags.writeable = False
-        object.__setattr__(self, "credits", v)
+        object.__setattr__(self, "credits", frozen_array(self.credits, "credits", nonneg=True))
 
     @property
     def bonus(self) -> np.ndarray:
@@ -81,9 +77,7 @@ def random_baseline_step(
     rng: np.random.Generator,
 ) -> Allocation:
     """Admit users in a random order, stopping at the first non-positive gain."""
-    if eligible is None:
-        eligible = np.ones(realization.n_users, dtype=bool)
-    order = rng.permutation(np.flatnonzero(eligible))
+    order = rng.permutation(np.flatnonzero(eligible_mask(eligible, realization.n_users)))
     w_rem = realization.weights.values.copy()
     regions = [r.indices for r in realization.regions]
     costs = realization.true_costs.tolist()

@@ -17,7 +17,7 @@ import numpy as np
 from .policy_dual import StepSchedule
 from .solver import solve, subset_value_table  # noqa: F401  (traced by perfbench)
 from .solver import subset_linear_table, subset_value_rows, tiebreak_order, tiebreak_picks
-from .world import SlotRealization
+from .world import SlotRealization, thresholds_array
 
 __all__ = [
     "BenchmarkCapacityError",
@@ -58,12 +58,9 @@ class Trace:
         for s in slots:
             if s.n_users != n or s.n_grids != i:
                 raise ValueError("all slots must share the same users and grids")
-        d = np.array(self.thresholds, dtype=float, copy=True)
-        if d.shape != (n,):
+        d = thresholds_array(self.thresholds)
+        if d.size != n:
             raise ValueError("thresholds length must match user count")
-        if not np.all((d >= 0) & (d <= 1)):  # NaN fails both
-            raise ValueError("thresholds must lie in [0, 1]")
-        d.flags.writeable = False
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "thresholds", d)
 

@@ -36,7 +36,7 @@ from .engine import PolicySpec, TraceMetrics, check_exact_solves, run_simulation
 from .policy_dual import StepSchedule
 from .scenarios import ScenarioConfig, realization_stream
 from .solver import SolveOptions, SolverCapacityError
-from .world import GridMap
+from .world import GridMap, thresholds_array
 
 __all__ = ["main", "cmd_simulate", "cmd_benchmark", "cmd_truthcheck"]
 
@@ -119,12 +119,9 @@ class ExperimentConfig:
     def __post_init__(self):
         n = self.scenario.n_users
         thr = np.asarray(self.thresholds, dtype=float)
-        if thr.ndim == 0:
-            thr = np.full(n, float(thr))
-        elif thr.shape != (n,):
+        thr = thresholds_array(np.full(n, thr) if thr.ndim == 0 else thr)
+        if thr.size != n:
             raise ValueError("thresholds list length must equal scenario.n_users")
-        if not np.all((thr >= 0) & (thr <= 1)):  # NaN fails both
-            raise ValueError("thresholds must lie in [0, 1]")
         object.__setattr__(self, "thresholds", thr)
         if self.t_slots < 1:
             raise ValueError("t_slots must be at least 1")

@@ -45,6 +45,7 @@ from .scenarios import (
 )
 from .solver import SolveOptions, allocate_many
 from .world import Allocation, SlotRealization, WelfareBreakdown, evaluate_allocation
+from .world import thresholds_array
 
 __all__ = [
     "POLICY_KINDS",
@@ -334,9 +335,7 @@ def run_policy(
         raise ValueError("simulation needs at least one slot")
     if warmup_slots > t_slots:
         raise ValueError("warmup_slots cannot exceed the number of slots")
-    thresholds = np.asarray(thresholds, dtype=float)
-    if not np.all((thresholds >= 0) & (thresholds <= 1)):  # NaN fails both
-        raise ValueError("thresholds must lie in [0, 1]")
+    thresholds = thresholds_array(thresholds)
     n = thresholds.size
     check_exact_solves(specs, n, solver, t_slots, warmup_slots)
     lanes = [_Lane(spec, thresholds, solver, seed, t_slots) for spec in specs]
@@ -374,13 +373,10 @@ def run_simulation(
 
     Returns what run_policy returns for the same policy argument.
     """
-    thresholds = np.broadcast_to(
-        np.asarray(thresholds, dtype=float), (config.n_users,)
-    ).copy()
     return run_policy(
         realization_stream(config, t_slots),
         policy,
-        thresholds,
+        np.broadcast_to(np.asarray(thresholds, dtype=float), (config.n_users,)),
         warmup_slots,
         solver=solver,
         replication=replication,

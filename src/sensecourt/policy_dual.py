@@ -15,7 +15,7 @@ import numpy as np
 
 from .solver import freeze_ineligible, regulated_allocate
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation
+from .world import Allocation, frozen_array
 
 __all__ = ["StepSchedule", "DualState", "dual_allocate", "dual_update"]
 
@@ -64,18 +64,14 @@ class DualState:
     schedule: StepSchedule
 
     def __post_init__(self):
-        lam = np.array(self.multipliers, dtype=float, copy=True)
-        cum = np.array(self.cumulative_selected, dtype=np.int64, copy=True)
+        lam = frozen_array(self.multipliers, "multipliers", nonneg=True)
+        cum = frozen_array(self.cumulative_selected, "cumulative_selected", np.int64, nonneg=True)
         if lam.shape != cum.shape:
             raise ValueError("multipliers and counters must have equal length")
-        if np.any(lam < 0):
-            raise ValueError("multipliers must be non-negative")
         if self.slot_index < 1:
             raise ValueError("slot_index starts at 1")
         if np.any(cum > self.slot_index - 1):
             raise ValueError("cumulative selections cannot exceed elapsed slots")
-        lam.flags.writeable = False
-        cum.flags.writeable = False
         object.__setattr__(self, "multipliers", lam)
         object.__setattr__(self, "cumulative_selected", cum)
 
@@ -117,7 +113,7 @@ def dual_update(
     cum = state.cumulative_selected + x
     dbar = cum / t
     eps = state.schedule.step(t)
-    lam = np.maximum(state.multipliers - eps * (dbar - np.asarray(thresholds, dtype=float)), 0.0)
+    lam = np.maximum(state.multipliers - eps * (dbar - thresholds), 0.0)
     return DualState(
         multipliers=freeze_ineligible(lam, state.multipliers, eligible),
         cumulative_selected=cum,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .solver import freeze_ineligible, regulated_allocate
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation
+from .world import Allocation, frozen_array, thresholds_array
 
 __all__ = [
     "QueueState",
@@ -33,13 +33,9 @@ class QueueState:
     phi: float
 
     def __post_init__(self):
-        q = np.array(self.backlogs, dtype=float, copy=True)
-        if np.any(q < 0):
-            raise ValueError("backlogs must be non-negative")
         if not 0 < self.phi < np.inf:  # NaN fails both
             raise ValueError("phi must be a finite number > 0")
-        q.flags.writeable = False
-        object.__setattr__(self, "backlogs", q)
+        object.__setattr__(self, "backlogs", frozen_array(self.backlogs, "backlogs", nonneg=True))
 
     @property
     def bonus(self) -> np.ndarray:
@@ -63,14 +59,12 @@ def queue_update(
 ) -> QueueState:
     """q <- [q - x]^+ + D, one virtual arrival per slot; ineligible users' q stay unchanged."""
     x = alloc.selected.astype(float)
-    q = np.maximum(state.backlogs - x, 0.0) + np.asarray(thresholds, dtype=float)
+    q = np.maximum(state.backlogs - x, 0.0) + thresholds
     q = freeze_ineligible(q, state.backlogs, eligible)
     return QueueState(backlogs=q, phi=state.phi)
 
 
 def penalty_bound_B(thresholds: np.ndarray) -> float:
     """The constant B = sum((1 + D_n^2) / 2) of the drift bound."""
-    d = np.asarray(thresholds, dtype=float)
-    if d.size and (np.any(d < 0) or np.any(d > 1)):
-        raise ValueError("thresholds must lie in [0, 1]")
+    d = thresholds_array(thresholds)
     return float(((1.0 + d * d) / 2.0).sum())

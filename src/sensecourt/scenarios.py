@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .world import GridMap, SensingRegion, SlotRealization
+from .world import GridMap, SensingRegion, SlotRealization, frozen_array
 
 __all__ = [
     "ScenarioConfig",
@@ -96,12 +96,9 @@ class MobilityState:
     positions: np.ndarray
 
     def __post_init__(self):
-        pos = np.array(self.positions, dtype=float, copy=True)
-        if pos.ndim != 2 or pos.shape[1] != 2:
+        pos = frozen_array(self.positions, "positions", ndim=2)
+        if pos.shape[1] != 2:
             raise ValueError("positions must have shape (n_users, 2)")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        pos.flags.writeable = False
         object.__setattr__(self, "positions", pos)
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .world import Allocation, SlotRealization
+from .world import Allocation, SlotRealization, _unchecked, eligible_mask, frozen_array
 
 __all__ = [
     "TIE_TOL",
@@ -71,18 +71,12 @@ class RegulatedInstance:
     eligible: np.ndarray
 
     def __post_init__(self):
-        costs = np.array(self.effective_costs, dtype=float, copy=True)
-        if costs.shape != (self.realization.n_users,):
+        n = self.realization.n_users
+        costs = frozen_array(self.effective_costs, "effective_costs")
+        if costs.size != n:
             raise ValueError("effective_costs length must match user count")
-        if not np.all(np.isfinite(costs)):
-            raise ValueError("effective_costs must be finite")
-        elig = np.array(self.eligible, dtype=bool, copy=True)
-        if elig.shape != costs.shape:
-            raise ValueError("eligible length must match user count")
-        costs.flags.writeable = False
-        elig.flags.writeable = False
         object.__setattr__(self, "effective_costs", costs)
-        object.__setattr__(self, "eligible", elig)
+        object.__setattr__(self, "eligible", eligible_mask(self.eligible, n))
 
     @classmethod
     def of(
@@ -91,8 +85,6 @@ class RegulatedInstance:
         effective_costs: np.ndarray,
         eligible: np.ndarray | None = None,
     ) -> "RegulatedInstance":
-        if eligible is None:
-            eligible = np.ones(realization.n_users, dtype=bool)
         return cls(realization, effective_costs, eligible)
 
 
@@ -497,7 +489,7 @@ def regulated_allocate(
 def allocate_many(
     realization: SlotRealization,
     charges: np.ndarray,
-    eligible: np.ndarray,
+    eligible: np.ndarray | None,
     options: SolveOptions = SolveOptions(),
 ) -> tuple[list[SolveResult], np.ndarray | None]:
     """One SolveResult for each of the L rows of (L, n) charges on one slot and
@@ -506,12 +498,19 @@ def allocate_many(
     The exact route builds the slot's value table once for all rows. It also
     returns the objective, value minus costs with columns in tiebreak_order(m),
     from which the auction reads its pivots; the greedy and bnb routes solve
-    row by row and return None in its place.
+    row by row and return None in its place. The charges and the mask are
+    checked once, whatever the route: a None mask is everyone.
     """
+    n = realization.n_users
+    charges = frozen_array(charges, "charges", ndim=2)
+    if charges.shape[1] != n:
+        raise ValueError(f"charges must have one column per user, {n}, got {charges.shape}")
+    eligible = eligible_mask(eligible, n)
     users = np.flatnonzero(eligible)
     route = options.route(users.size)
     if route != "exact":
-        instances = [RegulatedInstance(realization, row, eligible) for row in charges]
+        checked = dict(realization=realization, eligible=eligible)
+        instances = [_unchecked(RegulatedInstance, effective_costs=row, **checked) for row in charges]
         if route == "greedy":
             return [solve_greedy(inst) for inst in instances], None
         return [branch_and_bound(inst, options.node_budget) for inst in instances], None
@@ -519,7 +518,7 @@ def allocate_many(
     costs = subset_linear_table(charges[:, users])
     objective = (subset_value_table(realization, users) - costs)[:, by_rank]
     _, picks = tiebreak_picks(objective, 0.0)
-    selected = np.zeros((picks.size, realization.n_users), dtype=bool)
+    selected = np.zeros((picks.size, n), dtype=bool)
     selected[:, users] = by_rank[picks, None] >> np.arange(users.size) & 1
     best = objective[np.arange(picks.size), picks].tolist()
     return [SolveResult(Allocation(row), b, True) for row, b in zip(selected, best)], objective

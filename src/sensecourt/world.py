@@ -25,15 +25,50 @@ __all__ = [
     "Allocation",
     "WelfareBreakdown",
     "evaluate_allocation",
+    "frozen_array",
+    "thresholds_array",
+    "eligible_mask",
 ]
 
 
-def _frozen_float_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
+def frozen_array(
+    values, name: str, dtype=float, *, ndim: int = 1, nonneg: bool = False
+) -> np.ndarray:
+    """A read-only copy of values as dtype with ndim axes, the one way in for
+    every per-user array: floats must be finite (one min and one max test
+    them) and, with nonneg, no entry may be negative. Errors name the field."""
+    arr = np.array(values, dtype=dtype)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    floats = arr.dtype.kind == "f"
+    if arr.size and (floats or nonneg):
+        lo = np.minimum.reduce(arr, axis=None)
+        if floats and not (-np.inf < lo and np.maximum.reduce(arr, axis=None) < np.inf):
+            raise ValueError(f"{name} must be finite")
+        if nonneg and lo < 0:
+            raise ValueError(f"{name} must be non-negative")
     arr.flags.writeable = False
     return arr
+
+
+def thresholds_array(values) -> np.ndarray:
+    """The participation thresholds D_n as a read-only float array, each in
+    [0, 1]; NaN is refused."""
+    d = np.asarray(values, dtype=float)
+    if d.size and not (0 <= d.min() and d.max() <= 1):  # NaN fails both
+        raise ValueError("thresholds must lie in [0, 1]")
+    return frozen_array(d, "thresholds")
+
+
+def eligible_mask(eligible, n_users: int) -> np.ndarray:
+    """The eligibility flags as a read-only bool array of n_users; None is
+    everyone."""
+    if eligible is None:
+        eligible = np.ones(n_users, dtype=bool)
+    mask = frozen_array(eligible, "eligible", bool)
+    if mask.size != n_users:
+        raise ValueError(f"eligible must hold {n_users} flags, one per user, got {mask.size}")
+    return mask
 
 
 def _unchecked(cls, **fields):
@@ -94,12 +129,7 @@ class WeightField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_float_array(self.values, "weights")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("weights must be finite")
-        if np.any(arr < 0):
-            raise ValueError("weights must be non-negative")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen_array(self.values, "weights", nonneg=True))
 
     @property
     def n_grids(self) -> int:
@@ -187,16 +217,12 @@ class SlotRealization:
 
     def __post_init__(self):
         regions = tuple(self.regions)
-        costs = _frozen_float_array(self.true_costs, "true_costs")
+        costs = frozen_array(self.true_costs, "true_costs", nonneg=True)
         if len(regions) != costs.size:
             raise ValueError("regions and true_costs must have the same length")
         for r in regions:
             if r.n_grids != self.weights.n_grids:
                 raise ValueError("region capacity does not match weight field")
-        if not np.all(np.isfinite(costs)):
-            raise ValueError("costs must be finite")
-        if np.any(costs < 0):
-            raise ValueError("costs must be non-negative")
         object.__setattr__(self, "regions", regions)
         object.__setattr__(self, "true_costs", costs)
 
@@ -253,11 +279,7 @@ class Allocation:
     selected: np.ndarray
 
     def __post_init__(self):
-        sel = np.array(self.selected, dtype=bool, copy=True)
-        if sel.ndim != 1:
-            raise ValueError("selection vector must be one-dimensional")
-        sel.flags.writeable = False
-        object.__setattr__(self, "selected", sel)
+        object.__setattr__(self, "selected", frozen_array(self.selected, "selected", bool))
 
     @classmethod
     def none(cls, n_users: int) -> "Allocation":

@@ -2,7 +2,7 @@
 the slot's region values were shared: every initial marginal summed afresh
 from the remaining weights, through closures and heappush.
 
-tests/test_greedy_oracle.py checks the package's solve_greedy (every
+tests/test_greedy.py checks the package's solve_greedy (every
 greedy-route row of allocate_many) and random_baseline_step against these
 bit for bit.
 """
