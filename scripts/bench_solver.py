@@ -2,8 +2,10 @@
 """Slot-generation and exact-solver microbenchmark: median ms per generated
 slot at desk and welfare scale, per subset_value_table and per solve_exact
 at N = 8, 12, 16, 20, per truthfulness_sweep at N = 8, 12, 16 and per dual
-sweep at (N, T) = (8, 800), (8, 10,000) and (12, 800), and the dual's peak
-memory over its table at (N, T) = (12, 4,096), (16, 256) and (20, 16).
+sweep at (N, T) = (8, 800), (8, 10,000) and (12, 800) with the default
+harmonic steps and at (8, 800) with constant steps of 50, with the share of
+rows each dual case scores again, and the dual's peak memory over its table
+at (N, T) = (12, 4,096), (16, 256) and (20, 16).
 
 Slot generation times realization_stream, which builds blocks of slots,
 over the first --slots slots of configs/dropping_desk.json (100 users, 2,500
@@ -57,7 +59,11 @@ DUAL_ITERATIONS iterations (one sweep each, plus one at the averaged
 multipliers) on the prebuilt welfare tables; its ms per sweep is the run's
 time over its sweep count, median of --instances runs. The dense per-chunk
 oracle in tests/oracle_dual.py is timed the same way on the same tables, and
-its bound and frequencies must equal the fast ones bit for bit.
+its bound and frequencies must equal the fast ones bit for bit. A wrapper on
+sensecourt.benchmark.tiebreak_picks counts the rows one more run scores:
+their share of T times the sweep count. The constant-step case moves the
+multipliers so far each sweep that few rows keep their picks: the sweep's
+worst case.
 
 The dual's peak is the tracemalloc peak of dual_upper_bound, DUAL_PEAK_ITERATIONS
 iterations on prebuilt welfare tables of 2^24 cells (128 MB), divided by the
@@ -86,11 +92,12 @@ from pathlib import Path
 
 import numpy as np
 
-from sensecourt import engine
+from sensecourt import benchmark, engine
 from sensecourt.auction import RegulationState, truthfulness_sweep
 from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
 from sensecourt.cli import load_config
 from sensecourt.engine import run_simulation
+from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
@@ -117,7 +124,12 @@ HOTSPOT = {"weight_mode": "hotspot", "temporal_noise": True}
 SIZES = (8, 12, 16, 20)
 SWEEP_SIZES = (8, 12, 16)
 BID_POINTS = 201
-DUAL_SHAPES = ((8, 800), (8, 10_000), (12, 800))
+DUAL_CASES = (  # (N, T, schedule), None the default harmonic steps
+    (8, 800, None),
+    (8, 10_000, None),
+    (12, 800, None),
+    (8, 800, StepSchedule.constant(50.0)),
+)
 DUAL_ITERATIONS = 50
 DUAL_PEAK_SHAPES = ((12, 4096), (16, 256), (20, 16))
 DUAL_PEAK_ITERATIONS = 3
@@ -283,26 +295,41 @@ def welfare_trace(n: int, t: int) -> Trace:
     return Trace(tuple(realization_stream(scenario, t)), np.full(n, 0.5))
 
 
-def time_dual(n: int, t: int, runs: int) -> tuple[float, float]:
-    """Median ms per dual sweep, fast and dense oracle, on one welfare trace."""
+def time_dual(n: int, t: int, schedule, runs: int) -> tuple[float, float, float]:
+    """Median ms per dual sweep, fast and dense oracle, on one welfare trace,
+    and the share of the T x sweeps rows that the fast sweep scores."""
     trace = welfare_trace(n, t)
     tables = welfare_tables(trace)
     sweeps = DUAL_ITERATIONS + 1
     fast, dense = [], []
     for _ in range(runs):
         start = time.perf_counter()
-        got = dual_upper_bound(trace, DUAL_ITERATIONS, tables=tables)
+        got = dual_upper_bound(trace, DUAL_ITERATIONS, schedule, tables)
         fast.append((time.perf_counter() - start) * 1e3 / sweeps)
 
         start = time.perf_counter()
-        want = dual_upper_bound_dense(trace, DUAL_ITERATIONS, tables=tables)
+        want = dual_upper_bound_dense(trace, DUAL_ITERATIONS, schedule, tables)
         dense.append((time.perf_counter() - start) * 1e3 / sweeps)
         if (
             got.avg_welfare.hex() != want.avg_welfare.hex()
             or got.per_user_alloc_prob.tobytes() != want.per_user_alloc_prob.tobytes()
         ):
             raise AssertionError(f"dual bound differs from the dense oracle at N={n}, T={t}")
-    return statistics.median(fast), statistics.median(dense)
+
+    scored = 0
+    original = benchmark.tiebreak_picks
+
+    def counting(rows, add, which=None):
+        nonlocal scored
+        scored += len(rows) if which is None else len(which)
+        return original(rows, add, which)
+
+    benchmark.tiebreak_picks = counting
+    try:
+        dual_upper_bound(trace, DUAL_ITERATIONS, schedule, tables)
+    finally:
+        benchmark.tiebreak_picks = original
+    return statistics.median(fast), statistics.median(dense), scored / (t * sweeps)
 
 
 def time_tables(n: int, t: int, runs: int) -> tuple[float, float]:
@@ -463,14 +490,18 @@ def main() -> int:
             flush=True,
         )
 
-    dual_ms, dual_dense_ms = {}, {}
-    for n, t in DUAL_SHAPES:
+    dual_ms, dual_dense_ms, dual_share = {}, {}, {}
+    for n, t, schedule in DUAL_CASES:
         key = f"N={n},T={t}"
-        dual_ms[key], dual_dense_ms[key] = time_dual(n, t, args.instances)
+        if schedule is not None:
+            key += f",{schedule.kind}={schedule.coeff}"
+        dual_ms[key], dual_dense_ms[key], dual_share[key] = time_dual(
+            n, t, schedule, args.instances
+        )
         print(
-            f"N={n:2d}, T={t:5d}: dual sweep {dual_ms[key]:8.3f} ms, dense oracle "
-            f"{dual_dense_ms[key]:8.3f} ms ({DUAL_ITERATIONS + 1} sweeps, median of "
-            f"{args.instances})",
+            f"{key:26s}: dual sweep {dual_ms[key]:8.3f} ms, dense oracle "
+            f"{dual_dense_ms[key]:8.3f} ms, {dual_share[key]:.1%} of rows scored "
+            f"({DUAL_ITERATIONS + 1} sweeps, median of {args.instances})",
             flush=True,
         )
 
@@ -536,6 +567,7 @@ def main() -> int:
         "dual_iterations": DUAL_ITERATIONS,
         "dual_sweep_ms_median": dual_ms,
         "dense_dual_oracle_ms_median": dual_dense_ms,
+        "dual_rescored_row_share": dual_share,
         "dual_bit_identical_to_oracle": True,
         "dual_peak_iterations": DUAL_PEAK_ITERATIONS,
         "dual_peak_over_table_bytes": dual_peak,

@@ -234,7 +234,7 @@ def truthfulness_sweep(
     eligible = eligible_mask(eligible, n)
     if not eligible[user]:
         raise ValueError("swept user must be eligible")
-    bid_grid = frozen_array(bid_grid, "bid_grid")
+    bid_grid = frozen_array(bid_grid, "bid_grid", nonneg=True)
     if bid_grid.size == 0:
         raise ValueError("bid_grid must not be empty")
 

@@ -16,7 +16,13 @@ import numpy as np
 
 from .policy_dual import StepSchedule
 from .solver import solve, subset_value_table  # noqa: F401  (traced by perfbench)
-from .solver import subset_linear_table, subset_value_rows, tiebreak_order, tiebreak_picks
+from .solver import (
+    TIE_TOL,
+    subset_linear_table,
+    subset_value_rows,
+    tiebreak_order,
+    tiebreak_picks,
+)
 from .world import SlotRealization, thresholds_array
 
 __all__ = [
@@ -36,6 +42,7 @@ _TABLE_CELL_CAP = 1 << 24  # slots x subsets cells of the welfare table
 _FEAS_TOL = 1e-12
 _CHUNK = 1 << 20
 _ROW_CELLS = 1 << 15  # cells of welfare_tables' temporaries per block of slots
+_SLACK = 1e-12  # dual certificate slack per unit of max|W| + max|add|
 
 
 class BenchmarkCapacityError(RuntimeError):
@@ -114,6 +121,24 @@ def check_table_capacity(n_users: int, t_slots: int) -> None:
         )
 
 
+def _checked_tables(tables: np.ndarray | None, trace: Trace) -> tuple[np.ndarray, float]:
+    """`tables`, or welfare_tables(trace) if None, and its largest |entry|.
+
+    Refuses, with a ValueError naming `tables`, any shape but (T, 2^N) and
+    any NaN or infinite entry, found by one max and one min of the table.
+    """
+    if tables is None:
+        tables = welfare_tables(trace)
+    shape = (trace.t_slots, 1 << trace.n_users)
+    if np.shape(tables) != shape:
+        raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
+    tables = np.asarray(tables)
+    top, low = float(tables.max()), float(tables.min())
+    if not (np.isfinite(top) and np.isfinite(low)):
+        raise ValueError("tables must hold no NaN or infinite entries")
+    return tables, max(top, -low)
+
+
 def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
     """How many of the subset masks select each of the n users."""
     return ((masks >> np.arange(n)[:, None]) & 1).sum(axis=1)  # row sums: contiguous
@@ -121,7 +146,7 @@ def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
 
 def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
-    _, picks = tiebreak_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
+    _, picks, _ = tiebreak_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
     total = 0.0
     for value in tables[np.arange(len(tables)), picks].tolist():
         total += value  # left to right, as the per-slot solves add
@@ -145,8 +170,7 @@ def solve_complete_bruteforce(
         raise BenchmarkCapacityError(
             f"N*T = {n * t} exceeds {BRUTEFORCE_CELL_LIMIT}; joint enumeration refused"
         )
-    if tables is None:
-        tables = welfare_tables(trace)
+    tables, _ = _checked_tables(tables, trace)
     d = trace.thresholds
     slot_mask = (1 << n) - 1
     rank = np.empty(1 << n, dtype=np.int64)  # rank[s]: subset s's column in the tables
@@ -196,7 +220,33 @@ def dual_upper_bound(
     The default schedule is harmonic with a coefficient matched to the
     trace's mean cost: the optimal multipliers live on the cost scale, and
     a unit step cannot reach them on expensive instances. `tables` is
-    welfare_tables(trace), built here if absent.
+    welfare_tables(trace), built here if absent; see _checked_tables for
+    what it must be.
+
+    A sweep re-scores only the rows whose pick may have moved; every other
+    row keeps its pick p, and its maximum is W[p] + add[p], with W the
+    row of `tables` and add the multiplier term of the sweep. Each sweep has
+    a slack, _SLACK (1 + max|W| + max|add|). When a row is scored, with
+    maximum b at its first maximum p and runner-up r, it stores its margin
+    b - r - TIE_TOL - slack and the drift D of that sweep. D adds up, over
+    the sweeps, the largest move of any subset's multiplier sum: the larger
+    of the summed rises and the summed falls of lambda, rounded up. So
+    D - D_row bounds how far any column of the row has moved since. A later
+    sweep keeps p while margin > 2 (D - D_row) + slack: no column has come
+    within TIE_TOL of p, so p is the only column of the tie set and the
+    strict maximum. Each slack, a few dozen ulps of its scale with at most
+    24 users, covers its sweep's roundings: add's subset sums, fl(W + add),
+    fl(b - TIE_TOL) and the margin or the bound. The scoring sweep's slack
+    also covers the rounding of the summed moves, which stay below its
+    scale while the row is kept. A near tie has margin < 0 and is always
+    re-scored, so a kept pick is always a first maximum. If an entry can
+    overflow to inf, the slack is inf: every row is scored and none is
+    kept. The bits are those of a dense sweep: a kept row's maximum is the
+    same IEEE addition the dense block makes, the only entry of that value
+    in its row, and the re-scored rows go through tiebreak_picks as every
+    row did. The row maxima are summed in the same 4096-row groups as
+    before. Besides tiebreak_picks' block, the sweep keeps four numbers per
+    row (index, pick, margin, drift) and makes a few row-length temporaries.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -204,19 +254,35 @@ def dual_upper_bound(
         scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    if tables is None:
-        tables = welfare_tables(trace)
+    tables, w_max = _checked_tables(tables, trace)
     d = trace.thresholds
     by_rank = tiebreak_order(n)
+    rows = np.arange(t)
+    picks = np.zeros(t, dtype=np.intp)
+    margin = np.full(t, -np.inf)  # every row is scored by the first sweep
+    drift_at = np.zeros(t)
+    drift, last = 0.0, None
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal drift, last
+        if last is not None:  # the largest move of a subset sum of lam - last
+            step = lam - last
+            moved = max(float(step[step > 0].sum()), -float(step[step < 0].sum()))
+            drift = float(np.nextafter(drift + np.nextafter(moved, np.inf), np.inf))
+        last = lam
         add = subset_linear_table(lam)[by_rank]
+        slack = _SLACK * (1.0 + w_max + max(float(add.max()), -float(add.min())))
+        stale = np.flatnonzero(~(margin > 2.0 * (drift - drift_at) + slack))
+        row_best = tables[rows, picks] + add[picks]
+        scored, picks[stale], runner = tiebreak_picks(tables, add, stale)
+        row_best[stale] = scored
+        margin[stale] = scored - runner - TIE_TOL - slack
+        drift_at[stale] = drift
         ghat_sum = 0.0
         counts = np.zeros(n, dtype=np.int64)
         for lo in range(0, t, 4096):  # the row groups that fix ghat's bits
-            row_best, picks = tiebreak_picks(tables[lo : lo + 4096], add)
-            ghat_sum += float(row_best.sum())
-            counts += _user_counts(by_rank[picks], n)
+            ghat_sum += float(row_best[lo : lo + 4096].sum())
+            counts += _user_counts(by_rank[picks[lo : lo + 4096]], n)
         return ghat_sum / t - float(lam @ d), counts / t
 
     lam = np.zeros(n)
@@ -243,8 +309,7 @@ def unconstrained_trace_welfare(
     read from the rows of `tables`, welfare_tables(trace), built here if
     absent: the whole (T, 2^N) table, refused above _TABLE_CELL_CAP cells.
     """
-    if tables is None:
-        tables = welfare_tables(trace)
+    tables, _ = _checked_tables(tables, trace)
     avg, selections = _slotwise_optimum(tables, trace.n_users)
     return BenchmarkResult(avg, selections, True, "unconstrained")
 

@@ -277,26 +277,53 @@ def tiebreak_pick(row: np.ndarray) -> int:
     return int(np.argmax(row >= row.max() - TIE_TOL))
 
 
-def tiebreak_picks(rows: np.ndarray, add: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima of rows + add, and each row's tiebreak_pick.
+def tiebreak_picks(
+    rows: np.ndarray, add: np.ndarray, which: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row maxima of rows + add, each row's tiebreak_pick, and each row's
+    runner-up: the largest column other than its first maximum (-inf for a
+    row of one column).
 
     `rows` and `add`, one row broadcast to all, are in the same tie-break
-    column order. Rows go in blocks of about _BLOCK_CELLS cells through one
-    float and one boolean buffer.
+    column order. With `which`, only rows[which] are scored, in that order.
+    Rows go in blocks of about _BLOCK_CELLS cells through one float and one
+    boolean buffer. A row's first maximum is its pick unless the runner-up
+    is within TIE_TOL. The rows from a block's first such near tie to its
+    last take the full rule, the first column >= np.max - TIE_TOL, so a
+    -0.0/0.0 tie keeps np.max's zero and a maximum where max - TIE_TOL
+    rounds back to max keeps its rounding.
     """
-    t, size = rows.shape
+    t = rows.shape[0] if which is None else len(which)
+    size = rows.shape[1]
     height = max(1, min(t, _BLOCK_CELLS // size))  # zero rows give empty results
     obj = np.empty((height, size))
     hit = np.empty((height, size), dtype=bool)
     row_best = np.empty(t)
     picks = np.empty(t, dtype=np.intp)
+    runner = np.empty(t)
     for lo in range(0, t, height):
         hi = min(lo + height, t)
-        block = np.add(rows[lo:hi], add, out=obj[: hi - lo])
-        best = np.max(block, axis=1, out=row_best[lo:hi])
-        near = np.greater_equal(block, (best - TIE_TOL)[:, None], out=hit[: hi - lo])
-        picks[lo:hi] = near.argmax(axis=1)
-    return row_best, picks
+        block = obj[: hi - lo]
+        if which is None:
+            np.add(rows[lo:hi], add, out=block)
+        else:  # mode="raise" would buffer a copy of the whole block
+            np.take(rows, which[lo:hi], axis=0, out=block, mode="clip")
+            block += add
+        top = np.argmax(block, axis=1, out=picks[lo:hi])
+        at = (np.arange(hi - lo), top)
+        row_best[lo:hi] = block[at]
+        best = row_best[lo:hi]
+        block[at] = -np.inf
+        np.max(block, axis=1, out=runner[lo:hi])
+        block[at] = best
+        near = np.flatnonzero(runner[lo:hi] >= best - TIE_TOL)
+        if near.size:
+            span = slice(near[0], near[-1] + 1)
+            tied = block[span]
+            top_best = np.max(tied, axis=1, out=best[span])
+            near_hit = np.greater_equal(tied, (top_best - TIE_TOL)[:, None], out=hit[span])
+            top[span] = near_hit.argmax(axis=1)
+    return row_best, picks, runner
 
 
 def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> Allocation:
@@ -517,7 +544,7 @@ def allocate_many(
     by_rank = tiebreak_order(users.size)
     costs = subset_linear_table(charges[:, users])
     objective = (subset_value_table(realization, users) - costs)[:, by_rank]
-    _, picks = tiebreak_picks(objective, 0.0)
+    _, picks, _ = tiebreak_picks(objective, 0.0)
     selected = np.zeros((picks.size, n), dtype=bool)
     selected[:, users] = by_rank[picks, None] >> np.arange(users.size) & 1
     best = objective[np.arange(picks.size), picks].tolist()

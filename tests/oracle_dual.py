@@ -12,7 +12,9 @@ unranked copy of the table and, per chunk, a float and an int64 temporary
 of 4096 x 2^N cells.
 
 `slotwise_optimum_loop` is the per-row tie-break loop that the unconstrained
-optimum must reproduce.
+optimum must reproduce. `tiebreak_picks_dense` is the former body of
+`sensecourt.solver.tiebreak_picks`, the full rule on every row, which the
+argmax and runner-up routine must reproduce.
 """
 
 import numpy as np
@@ -116,3 +118,11 @@ def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray
         total += float(row[s])
         selections += (s >> np.arange(n)) & 1
     return total / len(tables), selections / len(tables)
+
+
+def tiebreak_picks_dense(rows: np.ndarray, add) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima of rows + add, by np.max, and each row's first column
+    within TIE_TOL of its maximum, for every row."""
+    obj = rows + add
+    best = obj.max(axis=1)
+    return best, (obj >= (best - TIE_TOL)[:, None]).argmax(axis=1)

@@ -116,6 +116,50 @@ class TestTrace:
         assert Trace(slots, np.array([0.0, 1.0, 0.5])).thresholds.tolist() == [0.0, 1.0, 0.5]
 
 
+REFERENCES = {
+    "dual_upper_bound": lambda trace, tables: dual_upper_bound(trace, 3, tables=tables),
+    "unconstrained_trace_welfare": unconstrained_trace_welfare,
+    "solve_complete_bruteforce": solve_complete_bruteforce,
+}
+
+
+class TestTablesRefused:
+    # 3 users, 5 slots: small enough for joint enumeration
+    TRACE = random_trace(np.random.default_rng(15), 3, 5)
+    TABLES = welfare_tables(TRACE)
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            TABLES[:3],
+            TABLES[:, :4],
+            np.vstack([TABLES, TABLES[:1]]),
+            TABLES[None],
+            TABLES.ravel(),
+        ],
+        ids=["too-few-rows", "too-narrow", "too-many-rows", "3d", "1d"],
+    )
+    def test_wrong_shape(self, reference, bad):
+        with pytest.raises(ValueError, match=r"tables must have shape \(5, 8\)"):
+            REFERENCES[reference](self.TRACE, bad)
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, reference, value):
+        bad = self.TABLES.copy()
+        bad[4, 6] = value
+        with pytest.raises(ValueError, match="tables must hold no NaN or infinite"):
+            REFERENCES[reference](self.TRACE, bad)
+
+    @pytest.mark.parametrize("reference", REFERENCES)
+    def test_good_tables_accepted_as_built(self, reference):
+        got = REFERENCES[reference](self.TRACE, self.TABLES)
+        want = REFERENCES[reference](self.TRACE, None)
+        assert got.avg_welfare.hex() == want.avg_welfare.hex()
+        assert got.per_user_alloc_prob.tobytes() == want.per_user_alloc_prob.tobytes()
+
+
 class TestDualUpperBound:
     def test_zero_thresholds_equal_unconstrained(self):
         rng = np.random.default_rng(4)

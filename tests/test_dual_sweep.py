@@ -1,4 +1,4 @@
-"""The rank-ordered dual sweep against the dense oracle, bit for bit.
+"""The certified dual sweep against the dense oracle, bit for bit.
 
 Weights and costs are drawn from integers, halves, tenths (whose sums round
 differently in different orders), zero, TIE_TOL itself and 2^25 (where
@@ -6,26 +6,36 @@ differently in different orders), zero, TIE_TOL itself and 2^25 (where
 TIE_TOL and ties exactly at the TIE_TOL edge all occur. Trace lengths
 include 1, the sweep's block height and its neighbours, two and three
 blocks, and 4097 rows, so the block edges and the 4096-row groups of the
-ghat sum are crossed.
+ghat sum are crossed. Long traces run hundreds of iterations, so the late
+sweeps keep most rows' picks and the certificate decides which rows are
+scored again. The argmax and runner-up pick routine is checked against the
+full rule on every row.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sensecourt.benchmark as benchmark_mod
 from sensecourt.benchmark import (
     Trace,
     dual_upper_bound,
     unconstrained_trace_welfare,
     welfare_tables,
 )
+from sensecourt.cli import load_config
 from sensecourt.policy_dual import StepSchedule
-from sensecourt.solver import TIE_TOL, _BLOCK_CELLS, tiebreak_order
+from sensecourt.scenarios import realization_stream
+from sensecourt.solver import TIE_TOL, _BLOCK_CELLS, tiebreak_order, tiebreak_picks
 
-from oracle_dual import dual_upper_bound_dense, slotwise_optimum_loop
+from oracle_dual import dual_upper_bound_dense, slotwise_optimum_loop, tiebreak_picks_dense
 from test_world import make_realization
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 WEIGHTS = (0.0, 0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, TIE_TOL, 2.0**25)
 COSTS = (0.0, 0.1, 0.2, 0.5, 1.0, 1.5, 2.0, 2.0**25)
@@ -39,9 +49,10 @@ SCHEDULES = (
 
 
 @st.composite
-def tie_traces(draw):
-    """(trace, tables): a few distinct tie-heavy slots repeated over T rows."""
-    n = draw(st.integers(1, 10))
+def tie_traces(draw, n_max=10, long=False):
+    """(trace, tables): a few distinct tie-heavy slots repeated over T rows;
+    `long` draws T from 100 to 400."""
+    n = draw(st.integers(1, n_max))
     n_grids = draw(st.integers(1, 6))
     distinct = []
     for _ in range(draw(st.integers(1, 3))):
@@ -57,7 +68,7 @@ def tie_traces(draw):
         lengths.append(4097)
     if rows < 4096:  # several blocks per 4096-row group
         lengths += [2 * rows + 1, 3 * rows - 1]
-    t = draw(st.sampled_from(lengths) | st.integers(1, 40))
+    t = draw(st.integers(100, 400) if long else st.sampled_from(lengths) | st.integers(1, 40))
     pattern = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
         0, len(distinct), t
     )
@@ -74,15 +85,18 @@ def tie_traces(draw):
     return trace, tables
 
 
+def assert_same_bound(got, want):
+    assert got.avg_welfare.hex() == want.avg_welfare.hex()
+    assert got.per_user_alloc_prob.tobytes() == want.per_user_alloc_prob.tobytes()
+    assert (got.feasible, got.kind) == (want.feasible, want.kind)
+
+
 @settings(max_examples=150, deadline=None)
 @given(tie_traces(), st.integers(1, 30), st.sampled_from(SCHEDULES))
 def test_matches_dense_oracle(case, iterations, schedule):
     trace, tables = case
     got = dual_upper_bound(trace, iterations, schedule, tables)
-    want = dual_upper_bound_dense(trace, iterations, schedule, tables)
-    assert got.avg_welfare.hex() == want.avg_welfare.hex()
-    assert got.per_user_alloc_prob.tobytes() == want.per_user_alloc_prob.tobytes()
-    assert (got.feasible, got.kind) == (want.feasible, want.kind)
+    assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule, tables))
 
     unc = unconstrained_trace_welfare(trace, tables=tables)
     avg, probs = slotwise_optimum_loop(tables, trace.n_users)
@@ -132,3 +146,141 @@ def test_build_and_references_peak_near_one_table():
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * tables.nbytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(tie_traces(n_max=8, long=True), st.integers(100, 300), st.sampled_from(SCHEDULES))
+def test_long_traces_match_dense_oracle(case, iterations, schedule):
+    trace, tables = case
+    got = dual_upper_bound(trace, iterations, schedule, tables)
+    assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule, tables))
+
+
+GRID_SCHEDULES = (
+    StepSchedule.constant(0.01),
+    StepSchedule.constant(0.1),
+    StepSchedule.harmonic(0.5),
+)
+
+
+def certificate_case(regime: str, seed: int):
+    """(trace, tables, schedule, iterations) where a weak certificate shows.
+
+    "grid": entries on a 1/64 grid, where columns often swap places by
+    about twice the drift since a row was scored; "2^25": entries a few
+    ulps (2^-27, about 7.5 TIE_TOL) above 2^25 and steps of 1e-9, so each
+    fl(W + add) rounds across ulps as the multipliers creep; "near": columns
+    TIE_TOL / 2 apart and steps of 1e-12, so near ties persist for many
+    sweeps. The trace's slots only carry N, T and the thresholds.
+    """
+    rng = np.random.default_rng([seed, len(regime)])
+    n, t = int(rng.integers(2, 6)), int(rng.integers(50, 300))
+    if regime == "grid":
+        tables = np.round(rng.random((t, 1 << n)) * 64) / 64
+        schedule = GRID_SCHEDULES[int(rng.integers(0, 3))]
+    elif regime == "2^25":
+        tables = 2.0**25 + np.spacing(2.0**25) * rng.integers(0, 16, (t, 1 << n))
+        schedule = StepSchedule.constant(1e-9)
+    else:
+        tables = rng.integers(0, 3, (t, 1 << n)) + 0.5 * TIE_TOL * rng.integers(0, 3, (t, 1 << n))
+        schedule = StepSchedule.constant(1e-12)
+    slot = make_realization(2, [{0}] * n, [1.0, 1.0], [0.5] * n)
+    trace = Trace((slot,) * t, rng.uniform(0.0, 1.0, n))
+    return trace, tables, schedule, int(rng.integers(50, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["grid", "2^25", "near"]), st.integers(0, 2**32 - 1))
+@example("grid", 1)  # margin > D - D_row instead of 2 (D - D_row) keeps a stale pick
+@example("2^25", 2)  # a margin without slack keeps a pick that rounding moved
+@example("near", 0)  # a margin without TIE_TOL keeps a near tie's first maximum
+def test_certificate_edges_match_dense_oracle(regime, seed):
+    trace, tables, schedule, iterations = certificate_case(regime, seed)
+    got = dual_upper_bound(trace, iterations, schedule, tables)
+    assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule, tables))
+
+
+def test_welfare_desk_rescores_few_rows(monkeypatch):
+    # the benchmark workload's trace: 800 slots, 300 iterations, harmonic steps
+    cfg = load_config(str(CONFIGS / "welfare_desk.json"))
+    trace = Trace(tuple(realization_stream(cfg.scenario, 800)), cfg.thresholds)
+    tables = welfare_tables(trace)
+    scored = []
+
+    def counting(rows, add, which=None):
+        scored.append(len(rows) if which is None else len(which))
+        return tiebreak_picks(rows, add, which)
+
+    monkeypatch.setattr(benchmark_mod, "tiebreak_picks", counting)
+    got = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step, tables)
+    assert len(scored) == 301 and scored[0] == 800
+    assert sum(scored) < 0.15 * 800 * 301
+    want = dual_upper_bound_dense(trace, cfg.benchmark.iterations, cfg.benchmark.step, tables)
+    assert_same_bound(got, want)
+
+
+PICK_VALUES = (
+    0.0,
+    -0.0,
+    TIE_TOL,
+    -TIE_TOL,
+    0.5 * TIE_TOL,
+    2.0 * TIE_TOL,
+    1.0,
+    1.0 - TIE_TOL,
+    np.nextafter(1.0 - TIE_TOL, 0.0),
+    np.nextafter(1.0 - TIE_TOL, 2.0),
+    2.0**25,
+    np.nextafter(2.0**25, 0.0),
+    np.nextafter(2.0**25, np.inf),
+    2.0**25 - TIE_TOL,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10),
+    st.integers(1, 150),
+    st.lists(st.sampled_from(PICK_VALUES), min_size=1, max_size=4, unique_by=float.hex),
+    st.sampled_from(["zero", "negative zero", "row"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_picks_match_the_full_rule(log_width, height, palette, add_kind, take, seed):
+    # a palette of a few edge values makes exact ties and TIE_TOL edges common
+    rng = np.random.default_rng(seed)
+    size = 1 << log_width
+    rows = rng.choice(np.array(palette), (height, size))
+    add = {"zero": 0.0, "negative zero": -0.0}.get(add_kind)
+    if add is None:
+        add = rng.choice(np.array(palette), size)
+    which = rng.integers(0, height, rng.integers(0, 2 * height + 1)) if take else None
+
+    best, picks, runner = tiebreak_picks(rows, add, which)
+    scored = rows if which is None else rows[which]
+    want_best, want_picks = tiebreak_picks_dense(scored, add)
+    assert best.tobytes() == want_best.tobytes()
+    assert picks.tolist() == want_picks.tolist()
+    obj = scored + add
+    for row, top, second in zip(obj, obj.argmax(axis=1), runner):
+        others = np.delete(row, top)
+        assert second == (others.max() if others.size else -np.inf)
+
+
+@pytest.mark.parametrize(
+    "row, pick",
+    [
+        ([-0.0, 0.0], 0),
+        ([0.0, -0.0], 0),
+        ([-TIE_TOL, 0.0], 0),
+        ([np.nextafter(-TIE_TOL, -1.0), 0.0], 1),
+        ([np.nextafter(2.0**25, 0.0), 2.0**25], 1),
+        ([2.0**25 - TIE_TOL, 2.0**25], 0),  # 2^25 - TIE_TOL rounds to 2^25
+    ],
+)
+def test_picks_at_the_edges(row, pick):
+    rows = np.array([row])
+    best, picks, _ = tiebreak_picks(rows, 0.0)
+    want_best, want_picks = tiebreak_picks_dense(rows, 0.0)
+    assert picks.tolist() == want_picks.tolist() == [pick]
+    assert best.tobytes() == want_best.tobytes()

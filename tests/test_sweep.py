@@ -67,7 +67,7 @@ def boundary_bids(base, pos, r_n):
             bids += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
             bids += [edge - 2 * np.spacing(edge), edge + 2 * np.spacing(edge)]
         bids += [c + f * TIE_TOL for f in (-2.0, -0.5, 0.5, 2.0)]
-    return bids
+    return [b for b in bids if b >= 0.0]  # the sweep refuses negative bids, as BidVector does
 
 
 class TestSweepMatchesDenseOracle:

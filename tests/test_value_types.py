@@ -137,9 +137,10 @@ CASES = {
     ),
     "truthfulness_sweep.bid_grid": Case(
         "bid_grid",
-        np.linspace(-0.5, 1.0, 5),
+        np.linspace(0.0, 1.5, 5),
         lambda b: truthfulness_sweep(REAL, STATE, COSTS, 0, b),
         lambda o: o.bid_grid,
+        nonneg=True,
     ),
     "truthfulness_sweep.eligible": Case(
         "eligible",
