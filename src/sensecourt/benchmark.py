@@ -251,7 +251,7 @@ def dual_upper_bound(
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if schedule is None:
-        scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
+        scale = float(np.array([s.true_costs for s in trace.slots]).mean(axis=1).mean())
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
     tables, w_max = _checked_tables(tables, trace)

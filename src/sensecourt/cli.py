@@ -35,13 +35,12 @@ from .benchmark import (
 from .engine import PolicySpec, TraceMetrics, check_exact_solves, run_simulation
 from .policy_dual import StepSchedule
 from .scenarios import ScenarioConfig, realization_stream
-from .solver import SolveOptions, SolverCapacityError
+from .solver import TIE_TOL, SolveOptions, SolverCapacityError
 from .world import GridMap, thresholds_array
 
 __all__ = ["main", "cmd_simulate", "cmd_benchmark", "cmd_truthcheck"]
 
 THREADS_ENV = "SENSECOURT_THREADS"
-REGRET_TOL = 1e-9
 _TRUTHCHECK_STREAM = 0x545254
 
 
@@ -491,7 +490,7 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
         swept += 1
         if report.regret > max_regret:
             max_regret = report.regret
-        if report.regret > REGRET_TOL and counterexample is None:
+        if not report.truthful and counterexample is None:
             counterexample = {
                 "instance": k,
                 "user": user,
@@ -507,7 +506,7 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
         "swept": swept,
         "vacuous": swept == 0,
         "max_regret": max_regret,
-        "regret_tolerance": REGRET_TOL,
+        "regret_tolerance": TIE_TOL,
         "counterexample": counterexample,
     }
     (out_dir / "truthfulness.json").write_text(_canonical_json(result))

@@ -28,7 +28,7 @@ frozen and leave the eligibility set for good.
 from __future__ import annotations
 
 from collections.abc import Sized
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,13 +59,15 @@ __all__ = [
 ]
 
 POLICY_KINDS = ("dual", "lyapunov", "auction", "radp_vpc", "greedy", "random")
+_READS = {"dual": "schedule", "lyapunov": "phi", "auction": "phi", "radp_vpc": "alpha"}
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """A policy choice plus its parameters.
 
-    phi applies to lyapunov and auction, alpha to radp_vpc, schedule to dual.
+    phi applies to lyapunov and auction, alpha to radp_vpc, schedule to dual;
+    a kind refuses any other parameter that is not at its default.
     """
 
     kind: str
@@ -76,17 +78,17 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        for f in fields(self):
+            if f.name not in ("kind", _READS.get(self.kind)) and getattr(self, f.name) != f.default:
+                raise ValueError(f"policy {self.kind} does not read {f.name}")
         _regulator(self, np.zeros(0))  # the kind's state refuses the phi or alpha it reads
 
     @property
     def label(self) -> str:
-        if self.kind in ("lyapunov", "auction"):
-            return f"{self.kind}_phi{self.phi:g}"
-        if self.kind == "radp_vpc":
-            return f"radp_vpc_alpha{self.alpha:g}"
-        if self.kind == "dual":
+        read = _READS.get(self.kind)
+        if read == "schedule":
             return f"dual_{self.schedule.kind}{self.schedule.coeff:g}"
-        return self.kind
+        return self.kind if read is None else f"{self.kind}_{read}{getattr(self, read):g}"
 
 
 @dataclass

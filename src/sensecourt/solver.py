@@ -117,6 +117,10 @@ class SolveOptions:
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "greedy", "bnb"):
             raise ValueError(f"unknown solver mode {self.mode!r}")
+        if self.exact_limit < 0:
+            raise ValueError(f"exact_limit must be at least 0, got {self.exact_limit}")
+        if self.node_budget < 1:
+            raise ValueError(f"node_budget must be at least 1, got {self.node_budget}")
 
     def route(self, m: int) -> str:
         """The solver for m eligible users, "exact", "greedy" or "bnb": the one
@@ -344,7 +348,8 @@ def solve_exact(inst: RegulatedInstance, exact_limit: int = DEFAULT_EXACT_LIMIT)
     """Global maximizer over all subsets of eligible users: solve in exact mode.
 
     Raises SolverCapacityError when more than exact_limit users are
-    eligible; callers fall back to branch_and_bound or solve_greedy.
+    eligible. Nothing falls back to another solver: SolveOptions.route
+    decides which one a run uses.
     """
     return solve(inst, SolveOptions("exact", exact_limit))
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensecourt.benchmark as benchmark_mod
 import sensecourt.solver as solver_mod
@@ -16,6 +18,7 @@ from sensecourt.benchmark import (
     unconstrained_trace_welfare,
     welfare_tables,
 )
+from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import (
     TIE_TOL,
@@ -181,6 +184,29 @@ class TestDualUpperBound:
         trace = random_trace(rng, 2, 2)
         with pytest.raises(ValueError):
             dual_upper_bound(trace, iterations=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), t=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_default_step_scale_is_the_mean_of_slot_means(self, n, t, seed):
+        # the scale sets every step, so its bits must stay those of the mean
+        # of each slot's mean cost, whatever form computes it; costs span
+        # nine decades, so a sum in another order would round differently
+        rng = np.random.default_rng(seed)
+        costs = rng.uniform(0.0, 1.0, (t, n)) * 10.0 ** rng.integers(-3, 7, (t, n))
+        slots = tuple(make_realization(1, [()] * n, [1.0], row) for row in costs)
+        coeffs = []
+
+        class Recording(StepSchedule):
+            @classmethod
+            def harmonic(cls, c=1.0):
+                coeffs.append(c)
+                return StepSchedule.harmonic(c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(benchmark_mod, "StepSchedule", Recording)
+            dual_upper_bound(Trace(slots, np.zeros(n)), 1, tables=np.zeros((t, 1 << n)))
+        scale = float(np.mean([s.true_costs.mean() for s in slots]))
+        assert [c.hex() for c in coeffs] == [max(1.0, 2.0 * scale).hex()]
 
     def test_probs_in_unit_interval(self):
         rng = np.random.default_rng(7)

@@ -22,6 +22,7 @@ from sensecourt.cli import (
     write_trace_csv,
 )
 from sensecourt.engine import TraceMetrics
+from sensecourt.solver import TIE_TOL
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -418,6 +419,16 @@ class TestFailBeforeWork:
             ("simulate", "t_slots", "abc", "t_slots"),
             ("simulate", "t_slots", 20.9, "t_slots"),
             ("simulate", "solver", "fast", "solver must be an object"),
+            ("simulate", "solver", {"mode": "bnb", "node_budget": 0}, "node_budget"),
+            ("simulate", "solver", {"exact_limit": -1}, "exact_limit"),
+            (
+                "simulate",
+                "policies",
+                [{"kind": "lyapunov", "phi": 20, "alpha": -5}],
+                "policy lyapunov does not read alpha",
+            ),
+            ("simulate", "policies", [{"kind": "greedy", "phi": 3}], "does not read phi"),
+            ("simulate", "policies", [{"kind": "dual", "phi": 3}], "does not read phi"),
         ],
     )
     def test_refused_with_error_line(
@@ -821,6 +832,22 @@ class TestTruthcheckCommand:
         report = json.loads((out / "truthfulness.json").read_text())
         assert report["counterexample"] is not None
         assert report["max_regret"] > 1e-9
+
+    def test_counterexample_is_the_sweeps_own_verdict(self, tmp_path, monkeypatch):
+        # the command keeps no tolerance of its own: a sweep that reports
+        # untruthful is a counterexample whatever its regret reads
+        original = auction_mod.truthfulness_sweep
+
+        def untruthful(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs), truthful=False)
+
+        monkeypatch.setattr(auction_mod, "truthfulness_sweep", untruthful)
+        path = write_config(tmp_path, truthcheck={"instances": 2, "bid_points": 11})
+        out = tmp_path / "out"
+        assert cmd_truthcheck(str(path), out=str(out)) == 1
+        report = json.loads((out / "truthfulness.json").read_text())
+        assert report["counterexample"]["instance"] == 1
+        assert report["max_regret"] <= report["regret_tolerance"] == TIE_TOL
 
     def test_configured_exact_limit_reaches_the_sweep(self, tmp_path):
         # 21 users pass a limit of 21, above the sweep's default of 20

@@ -9,6 +9,7 @@ from sensecourt.engine import (
     run_policy,
     run_simulation,
 )
+from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import SolveOptions, SolverCapacityError
 from sensecourt.world import GridMap
@@ -143,6 +144,20 @@ class TestRunSimulation:
     def test_unknown_policy_kind_rejected(self):
         with pytest.raises(ValueError):
             PolicySpec("simulated_annealing")
+
+    @pytest.mark.parametrize(
+        "kind, unread",
+        [("lyapunov", {"alpha": -5.0}), ("auction", {"alpha": 2.0}),
+         ("radp_vpc", {"phi": 20.0}), ("dual", {"phi": 20.0}), ("greedy", {"phi": 3.0}),
+         ("random", {"schedule": StepSchedule.constant(0.5)})],
+    )
+    def test_parameter_the_kind_does_not_read_refused(self, kind, unread):
+        with pytest.raises(ValueError, match=f"policy {kind} does not read {next(iter(unread))}"):
+            PolicySpec(kind, **unread)
+
+    def test_unread_parameters_at_their_defaults_accepted(self):
+        spec = PolicySpec("greedy", phi=10.0, alpha=1.0, schedule=StepSchedule())
+        assert spec == PolicySpec("greedy") and spec.label == "greedy"
 
 
 def assert_same_run(a, b):

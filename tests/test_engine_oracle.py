@@ -35,6 +35,8 @@ def spec_of(kind: str, knob: float) -> PolicySpec:
         return PolicySpec(kind, schedule=StepSchedule.harmonic(knob))
     if kind == "radp_vpc":
         return PolicySpec(kind, alpha=knob / 4)
+    if kind in ("greedy", "random"):
+        return PolicySpec(kind)
     return PolicySpec(kind, phi=knob)
 
 

@@ -249,6 +249,19 @@ class TestDispatch:
         with pytest.raises(ValueError):
             SolveOptions(mode="magic")
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"node_budget": 0}, "node_budget"), ({"node_budget": -1}, "node_budget"),
+         ({"exact_limit": -1}, "exact_limit")],
+    )
+    def test_limits_no_solve_can_use_refused(self, kwargs, field):
+        # a zero budget would turn every bnb solve into its greedy incumbent
+        with pytest.raises(ValueError, match=field):
+            SolveOptions("bnb", **kwargs)
+
+    def test_smallest_usable_limits_accepted(self):
+        assert SolveOptions("auto", exact_limit=0, node_budget=1).route(0) == "exact"
+
     @pytest.mark.parametrize("m", [0, 3, 4, 5])
     def test_auto_is_exact_up_to_the_limit_then_bnb(self, m):
         assert SolveOptions("auto", exact_limit=4).route(m) == ("exact" if m <= 4 else "bnb")
