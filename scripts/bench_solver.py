@@ -71,7 +71,8 @@ table's bytes: what the sweep allocates beyond the table it reads.
 
 tiebreak_order(m) at m = 16 and 20 is built from an empty cache: median ms of
 --instances builds, and the tracemalloc peak and the bytes still held once
-the build returns (the cached order) of one more build.
+the build returns (the cached order) of one more build. It runs first: after
+the other sections its time depends on the state of the heap they leave.
 
 Each measurement is one function in SECTIONS. It takes the flags and the first
 --instances dropping-desk slots, prints a line per case and returns its report
@@ -468,9 +469,9 @@ def order_section(args, _slots) -> dict:
     }
 
 
-SECTIONS = (
-    slot_section, exact_section, many_section, greedy_section, sweep_section, dual_section,
-    tables_section, dual_peak_section, order_section,
+SECTIONS = (  # the order builds first, before the other sections have grown the heap
+    order_section, slot_section, exact_section, many_section, greedy_section, sweep_section,
+    dual_section, tables_section, dual_peak_section,
 )
 
 

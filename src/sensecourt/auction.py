@@ -45,6 +45,7 @@ __all__ = [
     "pivot_payment",
     "require_exact_pivots",
     "run_auction_slot",
+    "regulation_step",
     "regulation_update",
     "truthfulness_sweep",
 ]
@@ -129,24 +130,26 @@ def pivot_payment(value_term, others_cost, welfare_without, regulation):
 
 
 def run_auction_slot(
-    state: RegulationState,
+    factors: np.ndarray,
     realization: SlotRealization,
     bids: BidVector,
     eligible: np.ndarray | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     solved: tuple[Allocation, np.ndarray, float] | None = None,
 ) -> AuctionOutcome:
-    """Allocate on regulated bids and pay winners their pivots; regulation_update
-    moves the factors. The allocation and every pivot come from one exact
-    objective row of allocate_many; a caller that has solved the slot on these
+    """Allocate on bids regulated by the factors r_n (a RegulationState's
+    `factors`) and pay winners their pivots; regulation_step moves the
+    factors. The allocation and every pivot come from one exact objective
+    row of allocate_many; a caller that has solved the slot on these
     regulated bids passes `solved`: the allocation, that row and its value."""
     n = realization.n_users
-    if bids.n_users != n:
-        raise ValueError("bid vector length must match user count")
+    factors = frozen_array(factors, "factors", nonneg=True)
+    if bids.n_users != n or factors.size != n:
+        raise ValueError("bid vector and factors length must match user count")
     eligible = eligible_mask(eligible, n)
     users = np.flatnonzero(eligible)
     require_exact_pivots(users.size, exact_limit)
-    kappa = bids.bids - state.bonus
+    kappa = bids.bids - factors
     if solved is None:
         options = SolveOptions("exact", exact_limit)
         (result,), objective = allocate_many(realization, kappa[None], eligible, options)
@@ -160,11 +163,14 @@ def run_auction_slot(
         others_cost = float(kappa[winners].sum() - kappa[u])
         has_u = (by_rank >> int(np.searchsorted(users, u))) & 1
         welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
-        payments[u] = pivot_payment(
-            value_term, others_cost, welfare_without, float(state.factors[u])
-        )
+        payments[u] = pivot_payment(value_term, others_cost, welfare_without, float(factors[u]))
 
     return AuctionOutcome(alloc=alloc, payments=payments)
+
+
+def regulation_step(r: np.ndarray, x: np.ndarray, d: np.ndarray, phi) -> np.ndarray:
+    """r <- ([phi r - x]^+ + D) / phi elementwise, the virtual-queue recursion over phi."""
+    return (np.maximum(phi * r - x, 0.0) + d) / phi
 
 
 def regulation_update(
@@ -173,12 +179,9 @@ def regulation_update(
     thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
 ) -> RegulationState:
-    """r <- ([phi r - x]^+ + D) / phi, the virtual-queue recursion over phi;
-    ineligible users' factors stay unchanged."""
-    x = alloc.selected.astype(float)
-    r = (np.maximum(state.phi * state.factors - x, 0.0) + thresholds) / state.phi
-    r = freeze_ineligible(r, state.factors, eligible)
-    return RegulationState(factors=r, phi=state.phi)
+    """regulation_step on one state; ineligible users' factors stay unchanged."""
+    r = regulation_step(state.factors, alloc.selected, thresholds, state.phi)
+    return RegulationState(factors=freeze_ineligible(r, state.factors, eligible), phi=state.phi)
 
 
 def _sorted_group(base: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from .world import Allocation, SlotRealization, eligible_mask, frozen_array
 
 __all__ = [
     "VpcState",
+    "vpc_step",
     "vpc_update",
     "radp_vpc_step",
     "greedy_baseline_step",
@@ -41,15 +42,20 @@ class VpcState:
         return cls(credits=np.zeros(n_users), alpha=alpha)
 
 
+def vpc_step(credits: np.ndarray, x: np.ndarray, alpha) -> np.ndarray:
+    """Winners' credits reset to 0 and the others' grow by alpha, elementwise."""
+    return np.where(x, 0.0, credits + alpha)
+
+
 def vpc_update(
     state: VpcState,
     alloc: Allocation,
     thresholds: np.ndarray | None = None,
     eligible: np.ndarray | None = None,
 ) -> VpcState:
-    """Reset winners' credits to 0 and grow losers' by alpha; ineligible users
-    keep theirs. thresholds is unused; it keeps the common update signature."""
-    credits = np.where(alloc.selected, 0.0, state.credits + state.alpha)
+    """vpc_step on one state; ineligible users keep their credits. thresholds
+    is unused; it keeps the common update signature."""
+    credits = vpc_step(state.credits, alloc.selected, state.alpha)
     return VpcState(freeze_ineligible(credits, state.credits, eligible), state.alpha)
 
 

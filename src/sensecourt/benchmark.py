@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy_dual import StepSchedule
+from .policy_dual import StepSchedule, dual_step
 from .solver import solve, subset_value_table  # noqa: F401  (traced by perfbench)
 from .solver import (
     TIE_TOL,
@@ -140,8 +140,11 @@ def _checked_tables(tables: np.ndarray | None, trace: Trace) -> tuple[np.ndarray
 
 
 def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
-    """How many of the subset masks select each of the n users."""
-    return ((masks >> np.arange(n)[:, None]) & 1).sum(axis=1)  # row sums: contiguous
+    """How many of the subset masks select each of the n users, 4096 masks at a time."""
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, masks.size, 4096):
+        counts += ((masks[lo : lo + 4096] >> np.arange(n)[:, None]) & 1).sum(axis=1)
+    return counts
 
 
 def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
@@ -245,8 +248,10 @@ def dual_upper_bound(
     same IEEE addition the dense block makes, the only entry of that value
     in its row, and the re-scored rows go through tiebreak_picks as every
     row did. The row maxima are summed in the same 4096-row groups as
-    before. Besides tiebreak_picks' block, the sweep keeps four numbers per
-    row (index, pick, margin, drift) and makes a few row-length temporaries.
+    before. The per-user counts of the picks are integers kept between
+    sweeps: only the rows whose pick moved change them. Besides
+    tiebreak_picks' block, the sweep keeps four numbers per row (index,
+    pick, margin, drift) and makes a few row-length temporaries.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -262,9 +267,10 @@ def dual_upper_bound(
     margin = np.full(t, -np.inf)  # every row is scored by the first sweep
     drift_at = np.zeros(t)
     drift, last = 0.0, None
+    counts = _user_counts(by_rank[picks], n)  # how many picks hold each user
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal drift, last
+        nonlocal drift, last, counts
         if last is not None:  # the largest move of a subset sum of lam - last
             step = lam - last
             moved = max(float(step[step > 0].sum()), -float(step[step < 0].sum()))
@@ -274,15 +280,17 @@ def dual_upper_bound(
         slack = _SLACK * (1.0 + w_max + max(float(add.max()), -float(add.min())))
         stale = np.flatnonzero(~(margin > 2.0 * (drift - drift_at) + slack))
         row_best = tables[rows, picks] + add[picks]
+        was = picks[stale]
         scored, picks[stale], runner = tiebreak_picks(tables, add, stale)
+        moved = picks[stale] != was  # the counts follow the picks that changed
+        counts += _user_counts(by_rank[picks[stale[moved]]], n)
+        counts -= _user_counts(by_rank[was[moved]], n)
         row_best[stale] = scored
         margin[stale] = scored - runner - TIE_TOL - slack
         drift_at[stale] = drift
         ghat_sum = 0.0
-        counts = np.zeros(n, dtype=np.int64)
         for lo in range(0, t, 4096):  # the row groups that fix ghat's bits
             ghat_sum += float(row_best[lo : lo + 4096].sum())
-            counts += _user_counts(by_rank[picks[lo : lo + 4096]], n)
         return ghat_sum / t - float(lam @ d), counts / t
 
     lam = np.zeros(n)
@@ -293,7 +301,7 @@ def dual_upper_bound(
         if ghat < best[0]:
             best = (ghat, lam, dbar)
         lam_sum += lam
-        lam = np.maximum(lam - schedule.step(k) * (dbar - d), 0.0)
+        lam = dual_step(lam, dbar, d, schedule.step(k))
     lam_avg = lam_sum / iterations
     ghat, dbar = sweep(lam_avg)
     if ghat < best[0]:

@@ -7,22 +7,27 @@ the same slots (common random numbers) and only one slot is in memory at a
 time. A single-policy run is the same pass with one policy. The CLI runs
 one such pass per replication, and one replication is its parallel unit.
 
-The four regulated policies (dual, lyapunov, auction, radp_vpc) share one
-contract: each user is charged its true cost minus the state's `bonus`, and
-the policy's update(state, alloc, thresholds, eligible) advances the state
-from the selection and leaves ineligible users' values unchanged. Each slot
-allocates, records and updates every policy. Every lane but random, which
+The four regulated policies (dual, lyapunov, auction, radp_vpc) charge each
+user its true cost minus a bonus, then move the bonus with the selection.
+One ledger keeps each policy (lane) as a row of (L, n) arrays: its level
+(dual lambda, lyapunov q, auction r, RADP-VPC credits; 0 for greedy and
+random), eligibility and counts, beside (L, T, n) series. A slot allocates,
+records, updates and drops over all lanes at once. Charges are costs -
+level / scale (phi for lyapunov, else 1.0); every lane but random, which
 draws an order, gets its row from one `solver.allocate_many` per eligible
-set and solver route (`SolveOptions.route`): greedy is the greedy route at
-bonus 0, and the auction takes the exact route, whose objective rows also
-give it its pivots. Each distinct selection is evaluated once per slot.
+set and `SolveOptions.route`: greedy takes the greedy route, the auction the
+exact one, whose objective rows also give its pivots. Each distinct
+selection is evaluated once per slot. Each kind's elementwise step moves its
+rows, with phi, alpha or eps_t as a per-row column, and one
+`freeze_ineligible` keeps the dropped users' levels.
 
-Each policy keeps its state and per-user selection and seen counts. Every
-user is force-selected during the warmup slots (regulation states still
-update as if selected); afterwards the policy allocates among active users
-only, and any active user whose running selection frequency falls strictly
-below its threshold drops permanently. Dropped users keep their regulation
-frozen and leave the eligibility set for good.
+Every user is force-selected during the warmup slots (levels still update
+as if selected); afterwards a lane allocates among its active users, and an
+active user whose running selection frequency falls strictly below its
+threshold drops for good. A lane's state (`DualState`, `QueueState`,
+`RegulationState`, `VpcState`) is built from its row after the run. Inputs
+are checked before the first slot and each level is a step's output on
+checked values, so no slot checks one.
 """
 
 from __future__ import annotations
@@ -38,12 +43,8 @@ from . import baselines as _baselines
 from . import policy_dual as _dual
 from . import policy_lyapunov as _lyap
 from .policy_dual import StepSchedule
-from .scenarios import (
-    RANDOM_POLICY_STREAM,
-    ScenarioConfig,
-    realization_stream,
-)
-from .solver import SolveOptions, allocate_many
+from .scenarios import RANDOM_POLICY_STREAM, ScenarioConfig, realization_stream
+from .solver import SolveOptions, allocate_many, freeze_ineligible
 from .world import Allocation, SlotRealization, WelfareBreakdown, evaluate_allocation
 from .world import thresholds_array
 
@@ -58,8 +59,22 @@ __all__ = [
     "run_simulation",
 ]
 
-POLICY_KINDS = ("dual", "lyapunov", "auction", "radp_vpc", "greedy", "random")
-_READS = {"dual": "schedule", "lyapunov": "phi", "auction": "phi", "radp_vpc": "alpha"}
+# kind -> (the PolicySpec field it reads, its step over (k, n) ledger rows,
+# step(level, x, prob, d, knob) with knob the column of phi, alpha or eps_t,
+# and its state from a ledger row, state(spec, level, selections, t))
+_KINDS = {
+    "dual": ("schedule", lambda lam, x, p, d, eps: _dual.dual_step(lam, p, d, eps),
+             lambda spec, lam, sel, t: _dual.DualState(lam, sel, t + 1, spec.schedule)),
+    "lyapunov": ("phi", lambda q, x, p, d, phi: _lyap.queue_step(q, x, d),
+                 lambda spec, q, sel, t: _lyap.QueueState(q, spec.phi)),
+    "auction": ("phi", lambda r, x, p, d, phi: _auction.regulation_step(r, x, d, phi),
+                lambda spec, r, sel, t: _auction.RegulationState(r, spec.phi)),
+    "radp_vpc": ("alpha", lambda c, x, p, d, alpha: _baselines.vpc_step(c, x, alpha),
+                 lambda spec, c, sel, t: _baselines.VpcState(c, spec.alpha)),
+    "greedy": (None, None, lambda spec, level, sel, t: None),
+    "random": (None, None, lambda spec, level, sel, t: None),
+}
+POLICY_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -78,17 +93,24 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
+        reads, _, state = _KINDS[self.kind]
         for f in fields(self):
-            if f.name not in ("kind", _READS.get(self.kind)) and getattr(self, f.name) != f.default:
+            if f.name not in ("kind", reads) and getattr(self, f.name) != f.default:
                 raise ValueError(f"policy {self.kind} does not read {f.name}")
-        _regulator(self, np.zeros(0))  # the kind's state refuses the phi or alpha it reads
+        state(self, np.zeros(0), np.zeros(0, dtype=np.int64), 0)  # refuses a bad phi or alpha
 
     @property
     def label(self) -> str:
-        read = _READS.get(self.kind)
+        read = _KINDS[self.kind][0]
         if read == "schedule":
             return f"dual_{self.schedule.kind}{self.schedule.coeff:g}"
         return self.kind if read is None else f"{self.kind}_{read}{getattr(self, read):g}"
+
+
+def _knob(spec: PolicySpec, t: int) -> float:
+    """What a kind's step reads at 1-based slot t: phi, alpha or eps_t."""
+    read = _KINDS[spec.kind][0]
+    return spec.schedule.step(t) if read == "schedule" else getattr(spec, read)
 
 
 @dataclass
@@ -118,27 +140,13 @@ def apply_dropping(
 ) -> np.ndarray:
     """Drop every active user whose frequency is strictly below its threshold.
 
-    Clears the dropped users in `active` in place and returns their indices.
-    Drops are permanent: an inactive user is never dropped again.
+    active is one row of users, or one row per lane. Clears the dropped
+    entries in place and returns their flat indices, row-major. Drops are
+    permanent: an inactive user is never dropped again.
     """
-    dropped = np.flatnonzero(active & (alloc_prob < thresholds))
+    dropped = active & (alloc_prob < thresholds)
     active[dropped] = False
-    return dropped
-
-
-def _regulator(spec: PolicySpec, thresholds: np.ndarray):
-    """A policy's initial state and its update(state, alloc, thresholds,
-    eligible), or (None, None) for greedy and random, which carry no state."""
-    n = thresholds.size
-    if spec.kind == "dual":
-        return _dual.DualState.initial(n, spec.schedule), _dual.dual_update
-    if spec.kind == "lyapunov":
-        return _lyap.QueueState.initial(n, spec.phi), _lyap.queue_update
-    if spec.kind == "auction":
-        return _auction.RegulationState.initial(thresholds, spec.phi), _auction.regulation_update
-    if spec.kind == "radp_vpc":
-        return _baselines.VpcState.initial(n, spec.alpha), _baselines.vpc_update
-    return None, None
+    return np.flatnonzero(dropped)
 
 
 def _lane_options(kind: str, solver: SolveOptions) -> SolveOptions:
@@ -149,81 +157,90 @@ def _lane_options(kind: str, solver: SolveOptions) -> SolveOptions:
     return SolveOptions("exact", solver.exact_limit) if kind == "auction" else solver
 
 
-class _Lane:
-    """One policy inside a lockstep pass: its state, counts and (T, N) rows."""
+class _Ledger:
+    """Every lane of a lockstep pass as one row of (L, n) arrays, and its
+    series as (L, T, n) arrays, so each lane's series is one contiguous block."""
 
-    def __init__(
-        self,
-        spec: PolicySpec,
-        thresholds: np.ndarray,
-        options: SolveOptions,
-        seed: int,
-        t_slots: int,
-    ):
-        n = thresholds.size
-        self.spec = spec
-        self.thresholds = thresholds
-        self.options = _lane_options(spec.kind, options)
+    def __init__(self, specs, thresholds: np.ndarray, solver: SolveOptions, seed: int, t_slots):
+        lanes, n = len(specs), thresholds.size
+        rows = {kind: [lane for lane, s in enumerate(specs) if s.kind == kind] for kind in _KINDS}
+        self.specs, self.thresholds = specs, thresholds
+        self.options = [_lane_options(spec.kind, solver) for spec in specs]
         # each random policy draws from its own generator, as it would alone
-        self.rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
-        self.state, self.advance = _regulator(spec, thresholds)
-        self.eligible = np.ones(n, dtype=bool)
-        self.selections = np.zeros(n, dtype=np.int64)
-        self.seen = np.zeros(n, dtype=np.int64)
-        self.drop_events: list[tuple[int, int]] = []
-        self.welfare = np.empty(t_slots)
-        self.alloc_prob = np.empty((t_slots, n))
-        self.selected = np.empty((t_slots, n), dtype=bool)
-        self.active = np.empty((t_slots, n), dtype=bool)
-        self.regulation = np.empty((t_slots, n))
-        # warmup slots pay nothing
-        self.payments = np.zeros((t_slots, n)) if spec.kind == "auction" else None
+        self.rngs = [np.random.default_rng([seed, RANDOM_POLICY_STREAM]) for _ in specs]
+        # auction lanes only; warmup slots pay nothing
+        self.payments = {lane: np.zeros((t_slots, n)) for lane in rows["auction"]}
+        self.level = np.zeros((lanes, n))
+        for lane in self.payments:
+            self.level[lane] = _auction.RegulationState.initial(thresholds, specs[lane].phi).factors
+        self.scale = np.array([[s.phi if s.kind == "lyapunov" else 1.0] for s in specs])
+        self.steps = [(_KINDS[kind][1], r) for kind, r in rows.items() if r and _KINDS[kind][1]]
+        self.eligible = np.ones((lanes, n), dtype=bool)
+        self.selections = np.zeros((lanes, n), dtype=np.int64)
+        self.seen = np.zeros((lanes, n), dtype=np.int64)
+        self.drop_events: list[list[tuple[int, int]]] = [[] for _ in specs]
+        self.welfare = np.empty((lanes, t_slots))
+        shape = lanes, t_slots, n
+        self.alloc_prob, self.regulation = np.empty(shape), np.empty(shape)
+        self.selected, self.active = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
 
-    @property
-    def bonus(self):
-        """The amount taken off each user's cost: 0.0 for greedy and random."""
-        return 0.0 if self.state is None else self.state.bonus
+    def allocate(self, realization: SlotRealization, k: int, memo: dict) -> list[Allocation]:
+        """Every lane's allocation of post-warmup slot index k: a random order, or
+        its row of one allocate_many per eligible set and route, on which an
+        auction pays its winners."""
+        allocs, groups, bonus = [None] * len(self.specs), {}, self.level / self.scale
+        for lane, spec in enumerate(self.specs):
+            eligible = self.eligible[lane]
+            if spec.kind == "random":
+                rng = self.rngs[lane]
+                allocs[lane] = _baselines.random_baseline_step(realization, eligible, rng)
+            else:
+                key = eligible.tobytes(), self.options[lane].route(int(eligible.sum()))
+                groups.setdefault(key, []).append(lane)
+        for rows in groups.values():
+            eligible, options = self.eligible[rows[0]], self.options[rows[0]]
+            charges = realization.true_costs - bonus[rows]
+            results, objective = allocate_many(realization, charges, eligible, options)
+            for i, (lane, result) in enumerate(zip(rows, results)):
+                allocs[lane] = result.alloc
+                if lane in self.payments:
+                    value = _evaluate(realization, result.alloc, memo).value
+                    self.payments[lane][k] = _auction.run_auction_slot(
+                        self.level[lane], realization, _auction.BidVector(realization.true_costs),
+                        eligible, options.exact_limit, (result.alloc, objective[i], value),
+                    ).payments
+        return allocs
 
-    def allocate(self, realization: SlotRealization, t: int, warmup: int, solved) -> Allocation:
-        """Allocation of 1-based slot t: everyone eligible during the warmup, then a
-        random order, or the lane's solved (allocation, objective row, value) of its
-        group's allocate_many, on which an auction pays its winners."""
-        if t <= warmup:
-            return Allocation(self.eligible)
-        if self.spec.kind == "random":
-            return _baselines.random_baseline_step(realization, self.eligible, self.rng)
-        if self.spec.kind == "auction":
-            bids = _auction.BidVector(realization.true_costs)
-            self.payments[t - 1] = _auction.run_auction_slot(
-                self.state, realization, bids, self.eligible, self.options.exact_limit, solved
-            ).payments
-        return solved[0]
-
-    def record(self, k: int, alloc: Allocation, welfare: float) -> None:
-        """Write slot index k's row, at the eligibility the slot began with."""
+    def record(self, k: int, x: np.ndarray) -> None:
+        """Write slot index k of every lane, at the eligibility the slot began with."""
         eligible = self.eligible
-        self.regulation[k] = np.where(eligible, self.bonus, 0.0)
-        self.active[k] = eligible
-        self.welfare[k] = welfare
-        self.selected[k] = alloc.selected
+        self.regulation[:, k] = np.where(eligible, self.level / self.scale, 0.0)
+        self.active[:, k] = eligible
+        self.selected[:, k] = x
         self.seen += eligible
-        self.selections += alloc.selected
-        np.divide(self.selections, self.seen, out=self.alloc_prob[k])
+        self.selections += x
+        np.divide(self.selections, self.seen, out=self.alloc_prob[:, k])
 
-    def update(self, alloc: Allocation, t: int, drop: bool) -> None:
-        """Advance the state past 1-based slot t, then drop users if asked."""
-        if self.advance is not None:
-            self.state = self.advance(self.state, alloc, self.thresholds, self.eligible)
+    def update(self, k: int, x: np.ndarray, drop: bool) -> None:
+        """Step every lane's level past slot index k, keep the ineligible users'
+        levels, then drop users if asked. An eligible user's seen is k + 1, so
+        the dual step reads its frequency from the row just recorded."""
+        t, prob = k + 1, self.alloc_prob[:, k]
+        level = self.level.copy()
+        for step, rows in self.steps:
+            knob = np.array([[_knob(self.specs[lane], t)] for lane in rows], dtype=float)
+            level[rows] = step(self.level[rows], x[rows], prob[rows], self.thresholds, knob)
+        self.level = freeze_ineligible(level, self.level, self.eligible)
         if drop:
-            dropped = apply_dropping(self.eligible, self.alloc_prob[t - 1], self.thresholds)
-            self.drop_events.extend((u, t) for u in dropped.tolist())
+            n = self.thresholds.size
+            for i in apply_dropping(self.eligible, prob, self.thresholds).tolist():
+                self.drop_events[i // n].append((i % n, t))
 
-    def metrics(
-        self, t: int, warmup_slots: int, replication: int, seed: int
-    ) -> TraceMetrics:
-        welfare = self.welfare[:t]
+    def metrics(self, lane: int, t: int, warmup_slots: int, replication: int, seed: int):
+        spec, welfare, payments = self.specs[lane], self.welfare[lane, :t], self.payments.get(lane)
+        state = _KINDS[spec.kind][2](spec, self.level[lane], self.selections[lane], t)
         metrics = TraceMetrics(
-            policy_label=self.spec.label,
+            policy_label=spec.label,
             replication=replication,
             seed=seed,
             t_slots=t,
@@ -231,35 +248,16 @@ class _Lane:
             thresholds=self.thresholds,
             welfare_series=welfare,
             running_avg_welfare=np.cumsum(welfare) / np.arange(1, t + 1),
-            alloc_prob_series=self.alloc_prob[:t],
-            selected=self.selected[:t],
-            active=self.active[:t],
-            regulation=self.regulation[:t],
-            payments_series=None if self.payments is None else self.payments[:t],
-            drop_events=tuple(self.drop_events),
-            final_policy_state=self.state,
+            alloc_prob_series=self.alloc_prob[lane, :t],
+            selected=self.selected[lane, :t],
+            active=self.active[lane, :t],
+            regulation=self.regulation[lane, :t],
+            payments_series=None if payments is None else payments[:t],
+            drop_events=tuple(self.drop_events[lane]),
+            final_policy_state=state,
         )
         metrics.summary = compute_summary(metrics)
         return metrics
-
-
-def _solve_lanes(lanes: list[_Lane], realization: SlotRealization, memo: dict) -> dict:
-    """(allocation, objective row, value) of every lane but random: one allocate_many
-    per eligible set and route. The row is None off the exact route."""
-    groups: dict[tuple[bytes, str], list[_Lane]] = {}
-    for lane in lanes:
-        if lane.spec.kind != "random":
-            key = lane.eligible.tobytes(), lane.options.route(int(lane.eligible.sum()))
-            groups.setdefault(key, []).append(lane)
-    solved = {}
-    for group in groups.values():
-        charges = np.stack([realization.true_costs - lane.bonus for lane in group])
-        eligible, options = group[0].eligible, group[0].options
-        results, objective = allocate_many(realization, charges, eligible, options)
-        for i, (lane, result) in enumerate(zip(group, results)):
-            row = None if objective is None else objective[i]
-            solved[lane] = result.alloc, row, _evaluate(realization, result.alloc, memo).value
-    return solved
 
 
 def _evaluate(realization: SlotRealization, alloc: Allocation, memo: dict) -> WelfareBreakdown:
@@ -340,7 +338,9 @@ def run_policy(
     thresholds = thresholds_array(thresholds)
     n = thresholds.size
     check_exact_solves(specs, n, solver, t_slots, warmup_slots)
-    lanes = [_Lane(spec, thresholds, solver, seed, t_slots) for spec in specs]
+    ledger = _Ledger(specs, thresholds, solver, seed, t_slots)
+    everyone = Allocation(np.ones(n, dtype=bool))  # no user drops during the warmup
+    x = np.empty((len(specs), n), dtype=bool)
 
     t = 0
     for realization in realizations:
@@ -348,17 +348,20 @@ def run_policy(
             raise ValueError("realization user count does not match thresholds")
         if t == t_slots:
             raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
-        t += 1
+        k, t = t, t + 1
         post, memo = t > warmup_slots, {}
-        solved = _solve_lanes(lanes, realization, memo) if post else {}
-        for lane in lanes:
-            alloc = lane.allocate(realization, t, warmup_slots, solved.get(lane))
-            lane.record(t - 1, alloc, _evaluate(realization, alloc, memo).welfare)
-            lane.update(alloc, t, dropping and post)
+        allocs = ledger.allocate(realization, k, memo) if post else [everyone] * len(specs)
+        for lane, alloc in enumerate(allocs):
+            x[lane] = alloc.selected
+            ledger.welfare[lane, k] = _evaluate(realization, alloc, memo).welfare
+        ledger.record(k, x)
+        ledger.update(k, x, dropping and post)
     if t < t_slots:
         raise ValueError(f"realizations ended after {t} of t_slots={t_slots} slots")
 
-    results = [lane.metrics(t, warmup_slots, replication, seed) for lane in lanes]
+    results = [
+        ledger.metrics(lane, t, warmup_slots, replication, seed) for lane in range(len(specs))
+    ]
     return results[0] if single else results
 
 

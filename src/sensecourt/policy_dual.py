@@ -17,7 +17,7 @@ from .solver import freeze_ineligible, regulated_allocate
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .world import Allocation, frozen_array
 
-__all__ = ["StepSchedule", "DualState", "dual_allocate", "dual_update"]
+__all__ = ["StepSchedule", "DualState", "dual_allocate", "dual_step", "dual_update"]
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,11 @@ class DualState:
 dual_allocate = regulated_allocate
 
 
+def dual_step(lam: np.ndarray, xbar: np.ndarray, d: np.ndarray, eps) -> np.ndarray:
+    """lambda <- [lambda - eps (xbar - D)]^+ elementwise: the projected subgradient step."""
+    return np.maximum(lam - eps * (xbar - d), 0.0)
+
+
 def dual_update(
     state: DualState,
     alloc: Allocation,
@@ -109,14 +114,7 @@ def dual_update(
     multipliers stay unchanged.
     """
     t = state.slot_index
-    x = alloc.selected.astype(np.int64)
-    cum = state.cumulative_selected + x
-    dbar = cum / t
-    eps = state.schedule.step(t)
-    lam = np.maximum(state.multipliers - eps * (dbar - thresholds), 0.0)
-    return DualState(
-        multipliers=freeze_ineligible(lam, state.multipliers, eligible),
-        cumulative_selected=cum,
-        slot_index=t + 1,
-        schedule=state.schedule,
-    )
+    cum = state.cumulative_selected + alloc.selected
+    lam = dual_step(state.multipliers, cum / t, thresholds, state.schedule.step(t))
+    lam = freeze_ineligible(lam, state.multipliers, eligible)
+    return DualState(lam, cum, t + 1, state.schedule)

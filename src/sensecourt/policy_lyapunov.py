@@ -20,6 +20,7 @@ from .world import Allocation, frozen_array, thresholds_array
 __all__ = [
     "QueueState",
     "lyapunov_allocate",
+    "queue_step",
     "queue_update",
     "penalty_bound_B",
 ]
@@ -51,17 +52,20 @@ class QueueState:
 lyapunov_allocate = regulated_allocate
 
 
+def queue_step(q: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """q <- [q - x]^+ + D elementwise, x the selection flags: one arrival per slot."""
+    return np.maximum(q - x, 0.0) + d
+
+
 def queue_update(
     state: QueueState,
     alloc: Allocation,
     thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
 ) -> QueueState:
-    """q <- [q - x]^+ + D, one virtual arrival per slot; ineligible users' q stay unchanged."""
-    x = alloc.selected.astype(float)
-    q = np.maximum(state.backlogs - x, 0.0) + thresholds
-    q = freeze_ineligible(q, state.backlogs, eligible)
-    return QueueState(backlogs=q, phi=state.phi)
+    """queue_step on one state; ineligible users' q stay unchanged."""
+    q = queue_step(state.backlogs, alloc.selected, thresholds)
+    return QueueState(backlogs=freeze_ineligible(q, state.backlogs, eligible), phi=state.phi)
 
 
 def penalty_bound_B(thresholds: np.ndarray) -> float:

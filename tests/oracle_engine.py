@@ -15,8 +15,11 @@ solve_exact_alone row by row (tests/test_solver.py). Test helper only.
 import numpy as np
 
 from sensecourt import baselines
-from sensecourt.auction import pivot_payment
-from sensecourt.engine import _regulator, apply_dropping
+from sensecourt.auction import RegulationState, pivot_payment, regulation_update
+from sensecourt.baselines import VpcState, vpc_update
+from sensecourt.engine import apply_dropping
+from sensecourt.policy_dual import DualState, dual_update
+from sensecourt.policy_lyapunov import QueueState, queue_update
 from sensecourt.scenarios import RANDOM_POLICY_STREAM
 from sensecourt.solver import (
     RegulatedInstance,
@@ -29,6 +32,15 @@ from sensecourt.solver import (
     tiebreak_pick,
 )
 from sensecourt.world import Allocation, evaluate_allocation
+
+
+# a regulated lane's initial state and its update(state, alloc, thresholds, eligible)
+REGULATORS = {
+    "dual": lambda spec, d: (DualState.initial(d.size, spec.schedule), dual_update),
+    "lyapunov": lambda spec, d: (QueueState.initial(d.size, spec.phi), queue_update),
+    "auction": lambda spec, d: (RegulationState.initial(d, spec.phi), regulation_update),
+    "radp_vpc": lambda spec, d: (VpcState.initial(d.size, spec.alpha), vpc_update),
+}
 
 
 def objective_alone(realization, kappa, users):
@@ -80,9 +92,10 @@ def _allocate(spec, state, realization, eligible, options, rng):
 
 
 def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> dict:
-    """One policy's per-slot arrays and drop events, as TraceMetrics names them."""
+    """One policy's per-slot arrays, drop events and final state, as
+    TraceMetrics names them; greedy and random carry no state."""
     t_slots, n = len(slots), thresholds.size
-    state, update = _regulator(spec, thresholds)
+    state, update = REGULATORS.get(spec.kind, lambda spec, d: (None, None))(spec, thresholds)
     rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
     eligible = np.ones(n, dtype=bool)
     selections, seen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -116,4 +129,5 @@ def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> 
             dropped = apply_dropping(eligible, out["alloc_prob_series"][k], thresholds)
             out["drop_events"] += [(u, t) for u in dropped.tolist()]
     out["drop_events"] = tuple(out["drop_events"])
+    out["final_policy_state"] = state
     return out

@@ -225,7 +225,7 @@ def test_c5_truthfulness():
         grid = np.linspace(0.0, 3.0 * costs[user], 201)
         rep = truthfulness_sweep(real, state, costs, user, grid)
         max_regret = max(max_regret, rep.regret)
-        outcome = run_auction_slot(state, real, BidVector(costs))
+        outcome = run_auction_slot(state.factors, real, BidVector(costs))
         for u in outcome.alloc.indices():
             min_ir_margin = min(min_ir_margin, outcome.payments[u] - costs[u])
         winning = rep.payments[rep.selected]

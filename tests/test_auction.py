@@ -41,7 +41,7 @@ def random_auction_instance(rng, n_max=6, grids_max=16):
 class TestSingleBidder:
     def test_profitable_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[2.0])
-        outcome = run_auction_slot(zero_state(1), real, BidVector(np.array([2.0])))
+        outcome = run_auction_slot(zero_state(1).factors, real, BidVector(np.array([2.0])))
         assert outcome.alloc.selected[0]
         assert outcome.payments[0] == pytest.approx(5.0, abs=TOL)
         # utility against the true cost of 2 is +3
@@ -49,7 +49,7 @@ class TestSingleBidder:
 
     def test_loss_making_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[6.0])
-        outcome = run_auction_slot(zero_state(1), real, BidVector(np.array([6.0])))
+        outcome = run_auction_slot(zero_state(1).factors, real, BidVector(np.array([6.0])))
         assert not outcome.alloc.selected[0]
         assert outcome.payments[0] == 0.0
 
@@ -57,7 +57,7 @@ class TestSingleBidder:
 class TestPivots:
     def test_two_disjoint_users_marginal_payment(self):
         real = make_realization(8, [{0, 1, 2}, {3, 4, 5, 6}], costs=[1.0, 1.0])
-        outcome = run_auction_slot(zero_state(2), real, BidVector(real.true_costs))
+        outcome = run_auction_slot(zero_state(2).factors, real, BidVector(real.true_costs))
         assert outcome.alloc.selected.tolist() == [True, True]
         # payment to user 0: value 7 - others' cost 1 - welfare without (3) = 3
         assert outcome.payments[0] == pytest.approx(3.0, abs=TOL)
@@ -69,7 +69,7 @@ class TestPivots:
             real, state = random_auction_instance(rng, n_max=5)
             n = real.n_users
             bids = BidVector(real.true_costs)
-            outcome = run_auction_slot(state, real, bids)
+            outcome = run_auction_slot(state.factors, real, bids)
             kappa = bids.bids - state.factors
             weights = real.weights.values
             winners = outcome.alloc.indices()
@@ -95,7 +95,7 @@ class TestPivots:
         rng = np.random.default_rng(1)
         for _ in range(20):
             real, state = random_auction_instance(rng)
-            outcome = run_auction_slot(state, real, BidVector(real.true_costs))
+            outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs))
             assert np.all(np.isfinite(outcome.payments))
             assert np.all(outcome.payments[~outcome.alloc.selected] == 0.0)
 
@@ -103,14 +103,14 @@ class TestPivots:
         rng = np.random.default_rng(2)
         for _ in range(40):
             real, state = random_auction_instance(rng)
-            outcome = run_auction_slot(state, real, BidVector(real.true_costs))
+            outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs))
             for u in outcome.alloc.indices():
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
 
     def test_refuses_oversized_instances(self):
         real = make_realization(4, [{0}] * 5, costs=[0.1] * 5)
         with pytest.raises(ExactPivotsRequiredError):
-            run_auction_slot(zero_state(5), real, BidVector(real.true_costs), exact_limit=4)
+            run_auction_slot(zero_state(5).factors, real, BidVector(real.true_costs), exact_limit=4)
 
 
 class TestLeaveOneOutAssert:
@@ -203,7 +203,7 @@ class TestTruthfulnessSweep:
         for i, bid in enumerate(grid):
             bids = real.true_costs.copy()
             bids[user] = bid
-            outcome = run_auction_slot(state, real, BidVector(bids))
+            outcome = run_auction_slot(state.factors, real, BidVector(bids))
             assert bool(outcome.alloc.selected[user]) == bool(report.selected[i])
             assert outcome.payments[user] == pytest.approx(
                 report.payments[i] if report.selected[i] else 0.0, abs=TOL

@@ -8,12 +8,14 @@ include 1, the sweep's block height and its neighbours, two and three
 blocks, and 4097 rows, so the block edges and the 4096-row groups of the
 ghat sum are crossed. Long traces run hundreds of iterations, so the late
 sweeps keep most rows' picks and the certificate decides which rows are
-scored again. The argmax and runner-up pick routine is checked against the
-full rule on every row.
+scored again. The per-user counts the sweep keeps between sweeps are checked
+against a count of every row's pick. The argmax and runner-up pick routine
+is checked against the full rule on every row.
 """
 
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,9 +30,15 @@ from sensecourt.benchmark import (
     welfare_tables,
 )
 from sensecourt.cli import load_config
-from sensecourt.policy_dual import StepSchedule
+from sensecourt.policy_dual import StepSchedule, dual_step
 from sensecourt.scenarios import realization_stream
-from sensecourt.solver import TIE_TOL, _BLOCK_CELLS, tiebreak_order, tiebreak_picks
+from sensecourt.solver import (
+    TIE_TOL,
+    _BLOCK_CELLS,
+    subset_linear_table,
+    tiebreak_order,
+    tiebreak_picks,
+)
 
 from oracle_dual import dual_upper_bound_dense, slotwise_optimum_loop, tiebreak_picks_dense
 from test_world import make_realization
@@ -154,6 +162,26 @@ def test_long_traces_match_dense_oracle(case, iterations, schedule):
     trace, tables = case
     got = dual_upper_bound(trace, iterations, schedule, tables)
     assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule, tables))
+
+
+@settings(max_examples=20, deadline=None)
+@given(tie_traces(n_max=8, long=True), st.integers(100, 200), st.sampled_from(SCHEDULES))
+def test_kept_counts_equal_a_full_count_every_sweep(case, iterations, schedule):
+    # each sweep's frequencies reach the step as dbar; count every pick afresh
+    trace, tables = case
+    n, t = trace.n_users, trace.t_slots
+    by_rank = tiebreak_order(n)
+    steps = []
+
+    def full_count(lam, dbar, d, eps):
+        _, picks, _ = tiebreak_picks(tables, subset_linear_table(lam)[by_rank])
+        counts = benchmark_mod._user_counts(by_rank[picks], n)
+        steps.append(dbar.tobytes() == (counts / t).tobytes())
+        return dual_step(lam, dbar, d, eps)
+
+    with mock.patch.object(benchmark_mod, "dual_step", full_count):
+        dual_upper_bound(trace, iterations, schedule, tables)
+    assert len(steps) == iterations and all(steps)
 
 
 GRID_SCHEDULES = (

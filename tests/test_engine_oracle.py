@@ -3,10 +3,13 @@
 The engine solves the lanes of a slot in one solver.allocate_many per
 eligible set and route, and evaluates each distinct selection once; the
 oracle gives each lane its own instance, solve and evaluation. Every
-per-slot array, the drop events and the payments must agree bit for bit.
+per-slot array, the drop events, the payments and every field of the
+final state must agree bit for bit.
 These runs use the exact and auto modes; tests/test_engine_routes.py runs
 them in greedy and bnb mode.
 """
+
+from dataclasses import fields
 
 import numpy as np
 from hypothesis import given, settings
@@ -101,6 +104,21 @@ def assert_matches_oracle(run):
             else:
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (spec.label, name)
         assert metrics.drop_events == want["drop_events"], spec.label
+        assert_same_state(metrics.final_policy_state, want["final_policy_state"], spec.label)
+
+
+def assert_same_state(got, want, label):
+    """Equal final states: the same type, and every field equal, arrays in
+    dtype and bytes."""
+    assert type(got) is type(want), label
+    if want is None:
+        return
+    for f in fields(want):
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (label, f.name)
+        else:
+            assert x == y, (label, f.name)
 
 
 class TestEngineOracle:

@@ -325,7 +325,7 @@ class TestLeaveOneOutFromTable:
         kappa = real.true_costs - factors
 
         with recorded_pivots() as seen:
-            outcome = run_auction_slot(state, real, BidVector(real.true_costs), eligible)
+            outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs), eligible)
         winners = outcome.alloc.indices()
         value = evaluate_allocation(real, outcome.alloc).value
         assert len(seen) == winners.size
@@ -368,6 +368,6 @@ class TestSlotMemo:
         calls = self.counting_tables(monkeypatch)
         real = self.instance()
         state = RegulationState(np.full(6, 0.4), phi=5.0)
-        outcome = run_auction_slot(state, real, BidVector(real.true_costs))
+        outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs))
         assert outcome.alloc.indices().size >= 2
         assert calls == [list(range(6))]

@@ -126,8 +126,11 @@ CASES = {
     "allocate_many.eligible": Case(
         "eligible", MASK, lambda e: allocate_many(REAL, COSTS[None], e)
     ),
+    "run_auction_slot.factors": Case(
+        "factors", COSTS, lambda r: run_auction_slot(r, REAL, BidVector(COSTS)), nonneg=True
+    ),
     "run_auction_slot.eligible": Case(
-        "eligible", MASK, lambda e: run_auction_slot(STATE, REAL, BidVector(COSTS), e)
+        "eligible", MASK, lambda e: run_auction_slot(STATE.factors, REAL, BidVector(COSTS), e)
     ),
     "truthfulness_sweep.true_costs": Case(
         "true_costs",
