@@ -142,7 +142,7 @@ def _checked_tables(tables: np.ndarray | None, trace: Trace) -> tuple[np.ndarray
 def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
     """How many of the subset masks select each of the n users, 4096 masks at a time."""
     counts = np.zeros(n, dtype=np.int64)
-    for lo in range(0, masks.size, 4096):
+    for lo in range(0, masks.size, 4096):  # (n, k) bits: each row sum reads contiguous memory
         counts += ((masks[lo : lo + 4096] >> np.arange(n)[:, None]) & 1).sum(axis=1)
     return counts
 
@@ -282,9 +282,9 @@ def dual_upper_bound(
         row_best = tables[rows, picks] + add[picks]
         was = picks[stale]
         scored, picks[stale], runner = tiebreak_picks(tables, add, stale)
-        moved = picks[stale] != was  # the counts follow the picks that changed
-        counts += _user_counts(by_rank[picks[stale[moved]]], n)
-        counts -= _user_counts(by_rank[was[moved]], n)
+        changed = picks[stale] != was  # the counts follow the picks that changed
+        counts += _user_counts(by_rank[picks[stale[changed]]], n)
+        counts -= _user_counts(by_rank[was[changed]], n)
         row_best[stale] = scored
         margin[stale] = scored - runner - TIE_TOL - slack
         drift_at[stale] = drift
