@@ -99,7 +99,7 @@ from statistics import mean, median
 import numpy as np
 
 from sensecourt import benchmark, engine
-from sensecourt.auction import RegulationState, truthfulness_sweep
+from sensecourt.auction import truthfulness_sweep
 from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
 from sensecourt.cli import load_config
 from sensecourt.engine import run_simulation
@@ -343,9 +343,9 @@ def sweep_section(_args, slots) -> dict:
         sweeps, dense = [], []
         for k, slot in enumerate(slots):
             real, rng, user = first_users(slot, n), np.random.default_rng([n, k]), k % n
-            state = RegulationState(rng.uniform(0.0, 0.5 * real.true_costs.max(), n), 10.0)
+            factors = rng.uniform(0.0, 0.5 * real.true_costs.max(), n)
             grid = np.linspace(0.0, 3.0 * real.true_costs[user], BID_POINTS)
-            inputs = (real, state, real.true_costs, user, grid)
+            inputs = (real, factors, real.true_costs, user, grid)
             got, ms = timed(lambda: truthfulness_sweep(*inputs))
             sweeps.append(ms)
             want, ms = timed(lambda: truthfulness_sweep_dense(*inputs))

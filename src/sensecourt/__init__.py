@@ -43,7 +43,6 @@ from .policy_lyapunov import (
 )
 from .auction import (
     AuctionOutcome,
-    BidVector,
     ExactPivotsRequiredError,
     RegulationState,
     regulation_update,
@@ -57,11 +56,7 @@ from .baselines import (
     random_baseline_step,
     vpc_update,
 )
-from .scenarios import (
-    MobilityState,
-    ScenarioConfig,
-    realization_stream,
-)
+from .scenarios import ScenarioConfig, realization_stream
 from .engine import (
     PolicySpec,
     TraceMetrics,

@@ -1,6 +1,8 @@
 """Regulated reverse VCG auction for slots with private sensing costs.
 
-Users bid their costs; the platform maximizes coverage value minus
+Users bid their costs, one entry per user in a plain array, and each user's
+regulation factor r_n comes in an array of the same length; both are
+checked where they are read. The platform maximizes coverage value minus
 regulated bids (bid minus regulation factor) and pays each winner its
 pivot: the realized value, minus the other winners' regulated bids, minus
 the best regulated welfare achievable without the winner, plus the
@@ -39,7 +41,6 @@ from .world import Allocation, SlotRealization, eligible_mask, evaluate_allocati
 __all__ = [
     "ExactPivotsRequiredError",
     "RegulationState",
-    "BidVector",
     "AuctionOutcome",
     "TruthfulnessReport",
     "pivot_payment",
@@ -71,8 +72,8 @@ class RegulationState:
     phi: float
 
     def __post_init__(self):
-        if not 0 < self.phi < np.inf:  # NaN fails both
-            raise ValueError("phi must be a finite number > 0")
+        if not (0 < self.phi < np.inf and 1 / float(self.phi) < np.inf):  # NaN fails
+            raise ValueError("phi must be a finite number > 0 whose inverse is finite")
         object.__setattr__(self, "factors", frozen_array(self.factors, "factors", nonneg=True))
 
     @property
@@ -85,20 +86,6 @@ class RegulationState:
         # one virtual arrival pre-loaded: phi * r0 = D, the backlog a zero
         # queue reaches after its first update
         return cls(factors=np.divide(thresholds, phi), phi=phi)
-
-
-@dataclass(frozen=True, eq=False)
-class BidVector:
-    """Reported per-user costs for one slot."""
-
-    bids: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bids", frozen_array(self.bids, "bids", nonneg=True))
-
-    @property
-    def n_users(self) -> int:
-        return self.bids.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,24 +119,23 @@ def pivot_payment(value_term, others_cost, welfare_without, regulation):
 def run_auction_slot(
     factors: np.ndarray,
     realization: SlotRealization,
-    bids: BidVector,
+    bids: np.ndarray,
     eligible: np.ndarray | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     solved: tuple[Allocation, np.ndarray, float] | None = None,
 ) -> AuctionOutcome:
-    """Allocate on bids regulated by the factors r_n (a RegulationState's
+    """Allocate on the bids regulated by the factors r_n (a RegulationState's
     `factors`) and pay winners their pivots; regulation_step moves the
-    factors. The allocation and every pivot come from one exact objective
-    row of allocate_many; a caller that has solved the slot on these
-    regulated bids passes `solved`: the allocation, that row and its value."""
+    factors. Bids and factors are finite, non-negative, one per user. The
+    allocation and every pivot come from one exact objective row of
+    allocate_many; a caller that has solved the slot on these regulated
+    bids passes `solved`: the allocation, that row and its value."""
     n = realization.n_users
-    factors = frozen_array(factors, "factors", nonneg=True)
-    if bids.n_users != n or factors.size != n:
-        raise ValueError("bid vector and factors length must match user count")
+    factors = frozen_array(factors, "factors", nonneg=True, size=n)
+    kappa = frozen_array(bids, "bids", nonneg=True, size=n) - factors
     eligible = eligible_mask(eligible, n)
     users = np.flatnonzero(eligible)
     require_exact_pivots(users.size, exact_limit)
-    kappa = bids.bids - factors
     if solved is None:
         options = SolveOptions("exact", exact_limit)
         (result,), objective = allocate_many(realization, kappa[None], eligible, options)
@@ -199,14 +185,15 @@ def _sorted_group(base: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def truthfulness_sweep(
     realization: SlotRealization,
-    state: RegulationState,
+    factors: np.ndarray,
     true_costs: np.ndarray,
     user: int,
     bid_grid: np.ndarray,
     eligible: np.ndarray | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> TruthfulnessReport:
-    """Utility of every bid in the grid, all other bids held at true costs.
+    """Utility of every bid in the grid, all other bids held at true costs,
+    with the regulation factors r_n: finite, non-negative, one per user.
 
     The sweep is its own oracle: truthfulness means no grid point beats the
     truthful bid's utility by more than the tie tolerance. The sweep's table
@@ -229,9 +216,8 @@ def truthfulness_sweep(
     subsets.
     """
     n = realization.n_users
-    true_costs = frozen_array(true_costs, "true_costs", nonneg=True)
-    if true_costs.size != n:
-        raise ValueError("true_costs length must match user count")
+    factors = frozen_array(factors, "factors", nonneg=True, size=n)
+    true_costs = frozen_array(true_costs, "true_costs", nonneg=True, size=n)
     if not 0 <= user < n:
         raise IndexError(f"user {user} out of range")
     eligible = eligible_mask(eligible, n)
@@ -246,7 +232,7 @@ def truthfulness_sweep(
     require_exact_pivots(m, exact_limit)
     pos = int(np.flatnonzero(users == user)[0])
 
-    kappa = true_costs - state.factors
+    kappa = true_costs - factors
     values = subset_value_table(realization, users)
     per_user = kappa[users].copy()
     per_user[pos] = 0.0  # swept user's charge handled per bid
@@ -254,7 +240,7 @@ def truthfulness_sweep(
     by_rank = tiebreak_order(m)
     base = (values - others_cost)[by_rank]
     member = ((by_rank >> pos) & 1).astype(bool)
-    r_n = float(state.factors[user])
+    r_n = float(factors[user])
     c_n = float(true_costs[user])
 
     vals_out, ranks_out = _sorted_group(base, np.flatnonzero(~member))

@@ -94,4 +94,4 @@ def random_baseline_step(
             break
         selected[u] = True
         w_rem[regions[u]] = 0.0
-    return Allocation(selected)
+    return Allocation.built(selected)

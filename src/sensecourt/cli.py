@@ -77,13 +77,13 @@ class BenchmarkSettings:
 
 @dataclasses.dataclass(frozen=True)
 class TruthcheckSettings:
-    """The `truthcheck` section: instances swept, bids per sweep, the bid
-    range as a multiple of the swept user's cost, and the auction's phi."""
+    """The `truthcheck` section: instances swept, bids per sweep and the bid
+    range as a multiple of the swept user's cost. Each instance draws its
+    regulation factors uniformly from [0, half the slot's largest cost]."""
 
     instances: int = 100
     bid_points: int = 201
     bid_span: float = 3.0
-    phi: float = 10.0
 
     def __post_init__(self):
         # NaN fails every comparison below, so each check also rejects it
@@ -93,8 +93,6 @@ class TruthcheckSettings:
             raise ValueError("truthcheck.bid_points must be at least 1")
         if not 0 <= self.bid_span < math.inf:
             raise ValueError("truthcheck.bid_span must be a finite number >= 0")
-        if not 0 < self.phi < math.inf:  # as RegulationState requires
-            raise ValueError("truthcheck.phi must be a finite number > 0")
 
 
 @dataclasses.dataclass(frozen=True, kw_only=True)
@@ -482,10 +480,10 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
             continue
         user = int(rng.choice(candidates))
         cap = float(costs.max())
-        state = _auction.RegulationState(rng.uniform(0.0, 0.5 * cap, costs.size), settings.phi)
+        factors = rng.uniform(0.0, 0.5 * cap, costs.size)
         grid = np.linspace(0.0, settings.bid_span * float(costs[user]), settings.bid_points)
         report = _auction.truthfulness_sweep(
-            realization, state, costs, user, grid, exact_limit=cfg.solver.exact_limit
+            realization, factors, costs, user, grid, exact_limit=cfg.solver.exact_limit
         )
         swept += 1
         if report.regret > max_regret:

@@ -206,8 +206,8 @@ class _Ledger:
                 if lane in self.payments:
                     value = _evaluate(realization, result.alloc, memo).value
                     self.payments[lane][k] = _auction.run_auction_slot(
-                        self.level[lane], realization, _auction.BidVector(realization.true_costs),
-                        eligible, options.exact_limit, (result.alloc, objective[i], value),
+                        self.level[lane], realization, realization.true_costs, eligible,
+                        options.exact_limit, (result.alloc, objective[i], value),
                     ).payments
         return allocs
 

@@ -34,8 +34,8 @@ class QueueState:
     phi: float
 
     def __post_init__(self):
-        if not 0 < self.phi < np.inf:  # NaN fails both
-            raise ValueError("phi must be a finite number > 0")
+        if not (0 < self.phi < np.inf and 1 / float(self.phi) < np.inf):  # NaN fails
+            raise ValueError("phi must be a finite number > 0 whose inverse is finite")
         object.__setattr__(self, "backlogs", frozen_array(self.backlogs, "backlogs", nonneg=True))
 
     @property

@@ -1,9 +1,10 @@
 """Stochastic instance generation: mobility, regions, weight fields, costs.
 
 Every random draw comes from a generator keyed by (seed, slot), so a slot
-realization is a pure function of the configuration and the mobility state,
-and replays are bit-identical. Slot indices are 1-based; stream 0 is
-reserved for the initial user placement.
+realization is a pure function of the configuration and the users'
+positions, an (n_users, 2) array in meters, and replays are bit-identical.
+Slot indices are 1-based; stream 0 is reserved for the initial user
+placement.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .world import GridMap, SensingRegion, SlotRealization, frozen_array
+from .world import GridMap, SensingRegion, SlotRealization
 
 __all__ = [
     "ScenarioConfig",
-    "MobilityState",
     "slot_rng",
     "initial_state",
     "realization_stream",
@@ -89,30 +89,18 @@ class ScenarioConfig:
                 raise ValueError("hotspot_sigma_fraction is too small for this map")
 
 
-@dataclass(frozen=True, eq=False)
-class MobilityState:
-    """Continuous user positions in meters inside the map rectangle."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = frozen_array(self.positions, "positions", ndim=2)
-        if pos.shape[1] != 2:
-            raise ValueError("positions must have shape (n_users, 2)")
-        object.__setattr__(self, "positions", pos)
-
-
 def slot_rng(config: ScenarioConfig, stream: int) -> np.random.Generator:
     """Deterministic generator for one slot (stream = slot index, 1-based)."""
     return np.random.default_rng([config.seed, stream])
 
 
-def initial_state(config: ScenarioConfig) -> MobilityState:
+def initial_state(config: ScenarioConfig) -> np.ndarray:
+    """The (n_users, 2) starting positions in meters, uniform on the map."""
     rng = slot_rng(config, 0)
     pos = rng.random((config.n_users, 2))
     pos[:, 0] *= config.map.width_m
     pos[:, 1] *= config.map.height_m
-    return MobilityState(pos)
+    return pos
 
 
 @lru_cache(maxsize=8)
@@ -154,7 +142,7 @@ def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRea
     reach = math.ceil(min(2.0 * config.radius_max_m / grid.grid_edge_m, longest)) + 2
     cells = config.n_users * min(reach, grid.width_grids) * min(reach, grid.height_grids)
     block = max(1, _BLOCK_CELLS // max(cells, grid.n_grids))
-    pos = initial_state(config).positions
+    pos = initial_state(config)
     for lo in range(1, t_slots + 1, block):
         slots, pos = _realize_block(config, pos, lo, min(block, t_slots + 1 - lo), reach)
         yield from slots  # the block's temporaries are gone; only its slots are held

@@ -72,9 +72,7 @@ class RegulatedInstance:
 
     def __post_init__(self):
         n = self.realization.n_users
-        costs = frozen_array(self.effective_costs, "effective_costs")
-        if costs.size != n:
-            raise ValueError("effective_costs length must match user count")
+        costs = frozen_array(self.effective_costs, "effective_costs", size=n)
         object.__setattr__(self, "effective_costs", costs)
         object.__setattr__(self, "eligible", eligible_mask(self.eligible, n))
 
@@ -336,7 +334,7 @@ def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> All
         low = mask & -mask
         sel[int(users[low.bit_length() - 1])] = True
         mask ^= low
-    return Allocation(sel)
+    return Allocation.built(sel)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +407,7 @@ def solve_greedy(inst: RegulatedInstance) -> SolveResult:
         objective += gain
         w_rem[regions[u]] = 0.0
 
-    return SolveResult(Allocation(selected), objective, False)
+    return SolveResult(Allocation.built(selected), objective, False)
 
 
 def branch_and_bound(
@@ -553,4 +551,5 @@ def allocate_many(
     selected = np.zeros((picks.size, n), dtype=bool)
     selected[:, users] = by_rank[picks, None] >> np.arange(users.size) & 1
     best = objective[np.arange(picks.size), picks].tolist()
-    return [SolveResult(Allocation(row), b, True) for row, b in zip(selected, best)], objective
+    results = [SolveResult(Allocation.built(row), b, True) for row, b in zip(selected, best)]
+    return results, objective

@@ -32,14 +32,17 @@ __all__ = [
 
 
 def frozen_array(
-    values, name: str, dtype=float, *, ndim: int = 1, nonneg: bool = False
+    values, name: str, dtype=float, *, ndim: int = 1, nonneg: bool = False, size: int | None = None
 ) -> np.ndarray:
     """A read-only copy of values as dtype with ndim axes, the one way in for
-    every per-user array: floats must be finite (one min and one max test
-    them) and, with nonneg, no entry may be negative. Errors name the field."""
+    every per-user array: with size it must hold size entries, one per user;
+    floats must be finite (one min and one max test them) and, with nonneg,
+    no entry may be negative. Errors name the field."""
     arr = np.array(values, dtype=dtype)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")
+    if size is not None and arr.size != size:
+        raise ValueError(f"{name} must hold {size} entries, one per user, got {arr.size}")
     floats = arr.dtype.kind == "f"
     if arr.size and (floats or nonneg):
         lo = np.minimum.reduce(arr, axis=None)
@@ -65,10 +68,7 @@ def eligible_mask(eligible, n_users: int) -> np.ndarray:
     everyone."""
     if eligible is None:
         eligible = np.ones(n_users, dtype=bool)
-    mask = frozen_array(eligible, "eligible", bool)
-    if mask.size != n_users:
-        raise ValueError(f"eligible must hold {n_users} flags, one per user, got {mask.size}")
-    return mask
+    return frozen_array(eligible, "eligible", bool, size=n_users)
 
 
 def _unchecked(cls, **fields):
@@ -280,6 +280,13 @@ class Allocation:
 
     def __post_init__(self):
         object.__setattr__(self, "selected", frozen_array(self.selected, "selected", bool))
+
+    @classmethod
+    def built(cls, selected: np.ndarray) -> "Allocation":
+        """An allocation over a bool array of n that a solver has just built:
+        made read-only and kept, without a checked one's copy and scan."""
+        selected.flags.writeable = False
+        return _unchecked(cls, selected=selected)
 
     @classmethod
     def none(cls, n_users: int) -> "Allocation":

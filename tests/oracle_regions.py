@@ -10,7 +10,7 @@ bit. Test helper only.
 
 import numpy as np
 
-from sensecourt.scenarios import MobilityState, _hotspot_profile, initial_state, slot_rng
+from sensecourt.scenarios import _hotspot_profile, initial_state, slot_rng
 from sensecourt.world import SensingRegion, SlotRealization, WeightField
 
 
@@ -26,7 +26,7 @@ def weight_field(config, rng) -> WeightField:
     return WeightField(profile)
 
 
-def build_slot_realization_loop(state, config, rng) -> SlotRealization:
+def build_slot_realization_loop(positions, config, rng) -> SlotRealization:
     weights = weight_field(config, rng)
     n = config.n_users
     centers = config.map.centers()
@@ -36,9 +36,7 @@ def build_slot_realization_loop(state, config, rng) -> SlotRealization:
     costs = np.zeros(n)
     i = config.map.n_grids
     for u in range(n):
-        d2 = (centers[:, 0] - state.positions[u, 0]) ** 2 + (
-            centers[:, 1] - state.positions[u, 1]
-        ) ** 2
+        d2 = (centers[:, 0] - positions[u, 0]) ** 2 + (centers[:, 1] - positions[u, 1]) ** 2
         idx = np.flatnonzero(d2 <= radii[u] * radii[u])
         regions.append(SensingRegion(i, idx))
         costs[u] = (
@@ -50,17 +48,18 @@ def build_slot_realization_loop(state, config, rng) -> SlotRealization:
     return SlotRealization(weights=weights, regions=tuple(regions), true_costs=costs)
 
 
-def step_mobility(state, config, rng) -> MobilityState:
-    """Jump each user by a uniform-in-disk displacement, reflecting at walls."""
-    n = state.positions.shape[0]
+def step_mobility(positions, config, rng) -> np.ndarray:
+    """The (n_users, 2) positions after each user jumps by a uniform-in-disk
+    displacement, reflecting at walls."""
+    n = positions.shape[0]
     radius = config.step_max_m * np.sqrt(rng.random(n))
     angle = rng.random(n) * (2.0 * np.pi)
-    pos = state.positions + np.column_stack(
+    pos = positions + np.column_stack(
         [radius * np.cos(angle), radius * np.sin(angle)]
     )
     pos[:, 0] = _reflect(pos[:, 0], config.map.width_m)
     pos[:, 1] = _reflect(pos[:, 1], config.map.height_m)
-    return MobilityState(pos)
+    return pos
 
 
 def _reflect(coords, length):
@@ -68,10 +67,11 @@ def _reflect(coords, length):
     return np.where(folded > length, 2.0 * length - folded, folded)
 
 
-def realization_stream_loop(config, t_slots, state=None):
-    """Slots 1..t_slots from `state` (the config's initial state if None)."""
-    state = initial_state(config) if state is None else state
+def realization_stream_loop(config, t_slots, positions=None):
+    """Slots 1..t_slots from the (n_users, 2) positions (the config's initial
+    positions if None)."""
+    positions = initial_state(config) if positions is None else positions
     for t in range(1, t_slots + 1):
         rng = slot_rng(config, t)
-        yield build_slot_realization_loop(state, config, rng)
-        state = step_mobility(state, config, rng)
+        yield build_slot_realization_loop(positions, config, rng)
+        positions = step_mobility(positions, config, rng)

@@ -18,10 +18,12 @@ from oracle_subset import tiebreak_tables
 
 
 def truthfulness_sweep_dense(
-    realization, state, true_costs, user, bid_grid, eligible=None
+    realization, factors, true_costs, user, bid_grid, eligible=None
 ) -> TruthfulnessReport:
-    """Utility of every bid in the grid, all other bids held at true costs."""
+    """Utility of every bid in the grid, all other bids held at true costs,
+    with the regulation factors r_n, one per user."""
     n = realization.n_users
+    factors = np.asarray(factors, dtype=float)
     true_costs = np.asarray(true_costs, dtype=float)
     if eligible is None:
         eligible = np.ones(n, dtype=bool)
@@ -31,14 +33,14 @@ def truthfulness_sweep_dense(
     m = users.size
     pos = int(np.flatnonzero(users == user)[0])
 
-    kappa = true_costs - state.factors
+    kappa = true_costs - factors
     values = subset_value_table(realization, users)
     per_user = kappa[users].copy()
     per_user[pos] = 0.0  # swept user's charge handled per bid
     others_cost = subset_linear_table(per_user)
     base = values - others_cost
     member = ((np.arange(1 << m) >> pos) & 1).astype(float)
-    r_n = float(state.factors[user])
+    r_n = float(factors[user])
     c_n = float(true_costs[user])
 
     _, _, tb = tiebreak_tables(m)

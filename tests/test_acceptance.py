@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from sensecourt.auction import RegulationState, run_auction_slot, truthfulness_sweep
-from sensecourt.auction import BidVector
+from sensecourt.auction import run_auction_slot, truthfulness_sweep
 from sensecourt.benchmark import (
     Trace,
     dual_upper_bound,
@@ -216,16 +215,16 @@ def test_c5_truthfulness():
         elif force == "expensive":
             costs[user] = 40.0
         real = make_realization(n_grids, regions, weights, costs)
-        state = RegulationState(rng.uniform(0, 0.4, size=n_users), phi=10.0)
-        return real, state, costs, user
+        factors = rng.uniform(0, 0.4, size=n_users)
+        return real, factors, costs, user
 
     plans = ["random"] * 460 + ["cheap"] * 20 + ["expensive"] * 20
     for plan in plans:
-        real, state, costs, user = random_instance(None if plan == "random" else plan)
+        real, factors, costs, user = random_instance(None if plan == "random" else plan)
         grid = np.linspace(0.0, 3.0 * costs[user], 201)
-        rep = truthfulness_sweep(real, state, costs, user, grid)
+        rep = truthfulness_sweep(real, factors, costs, user, grid)
         max_regret = max(max_regret, rep.regret)
-        outcome = run_auction_slot(state.factors, real, BidVector(costs))
+        outcome = run_auction_slot(factors, real, costs)
         for u in outcome.alloc.indices():
             min_ir_margin = min(min_ir_margin, outcome.payments[u] - costs[u])
         winning = rep.payments[rep.selected]

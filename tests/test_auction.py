@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sensecourt.auction import (
-    BidVector,
     ExactPivotsRequiredError,
     RegulationState,
     regulation_update,
@@ -20,10 +19,6 @@ from test_world import make_realization
 TOL = 1e-9
 
 
-def zero_state(n, phi=10.0):
-    return RegulationState(np.zeros(n), phi=phi)
-
-
 def random_auction_instance(rng, n_max=6, grids_max=16):
     n_grids = int(rng.integers(4, grids_max + 1))
     n_users = int(rng.integers(2, n_max + 1))
@@ -34,14 +29,14 @@ def random_auction_instance(rng, n_max=6, grids_max=16):
     weights = rng.random(n_grids) * 2
     costs = rng.uniform(0.1, 2.0, size=n_users)
     real = make_realization(n_grids, regions, weights, costs)
-    state = RegulationState(rng.uniform(0, 0.5, size=n_users), phi=10.0)
-    return real, state
+    factors = rng.uniform(0, 0.5, size=n_users)
+    return real, factors
 
 
 class TestSingleBidder:
     def test_profitable_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[2.0])
-        outcome = run_auction_slot(zero_state(1).factors, real, BidVector(np.array([2.0])))
+        outcome = run_auction_slot(np.zeros(1), real, np.array([2.0]))
         assert outcome.alloc.selected[0]
         assert outcome.payments[0] == pytest.approx(5.0, abs=TOL)
         # utility against the true cost of 2 is +3
@@ -49,7 +44,7 @@ class TestSingleBidder:
 
     def test_loss_making_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[6.0])
-        outcome = run_auction_slot(zero_state(1).factors, real, BidVector(np.array([6.0])))
+        outcome = run_auction_slot(np.zeros(1), real, np.array([6.0]))
         assert not outcome.alloc.selected[0]
         assert outcome.payments[0] == 0.0
 
@@ -57,7 +52,7 @@ class TestSingleBidder:
 class TestPivots:
     def test_two_disjoint_users_marginal_payment(self):
         real = make_realization(8, [{0, 1, 2}, {3, 4, 5, 6}], costs=[1.0, 1.0])
-        outcome = run_auction_slot(zero_state(2).factors, real, BidVector(real.true_costs))
+        outcome = run_auction_slot(np.zeros(2), real, real.true_costs)
         assert outcome.alloc.selected.tolist() == [True, True]
         # payment to user 0: value 7 - others' cost 1 - welfare without (3) = 3
         assert outcome.payments[0] == pytest.approx(3.0, abs=TOL)
@@ -66,11 +61,10 @@ class TestPivots:
     def test_pivot_matches_exhaustive_subset_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            real, state = random_auction_instance(rng, n_max=5)
+            real, factors = random_auction_instance(rng, n_max=5)
             n = real.n_users
-            bids = BidVector(real.true_costs)
-            outcome = run_auction_slot(state.factors, real, bids)
-            kappa = bids.bids - state.factors
+            outcome = run_auction_slot(factors, real, real.true_costs)
+            kappa = real.true_costs - factors
             weights = real.weights.values
             winners = outcome.alloc.indices()
             value = evaluate_allocation(real, outcome.alloc).value
@@ -88,29 +82,29 @@ class TestPivots:
                         )
                         best = max(best, obj)
                 others_cost = kappa[winners].sum() - kappa[u]
-                expected = value - others_cost - best + state.factors[u]
+                expected = value - others_cost - best + factors[u]
                 assert outcome.payments[u] == pytest.approx(expected, abs=TOL)
 
     def test_losers_paid_zero_and_payments_finite(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            real, state = random_auction_instance(rng)
-            outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs))
+            real, factors = random_auction_instance(rng)
+            outcome = run_auction_slot(factors, real, real.true_costs)
             assert np.all(np.isfinite(outcome.payments))
             assert np.all(outcome.payments[~outcome.alloc.selected] == 0.0)
 
     def test_individual_rationality_under_truthful_bids(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
-            real, state = random_auction_instance(rng)
-            outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs))
+            real, factors = random_auction_instance(rng)
+            outcome = run_auction_slot(factors, real, real.true_costs)
             for u in outcome.alloc.indices():
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
 
     def test_refuses_oversized_instances(self):
         real = make_realization(4, [{0}] * 5, costs=[0.1] * 5)
         with pytest.raises(ExactPivotsRequiredError):
-            run_auction_slot(zero_state(5).factors, real, BidVector(real.true_costs), exact_limit=4)
+            run_auction_slot(np.zeros(5), real, real.true_costs, exact_limit=4)
 
 
 class TestLeaveOneOutAssert:
@@ -119,9 +113,9 @@ class TestLeaveOneOutAssert:
         rng = np.random.default_rng(4)
         checked = 0
         for _ in range(30):
-            real, state = random_auction_instance(rng, n_max=6)
+            real, factors = random_auction_instance(rng, n_max=6)
             n = real.n_users
-            kappa = real.true_costs - state.factors
+            kappa = real.true_costs - factors
             res = solve_exact(RegulatedInstance.of(real, kappa))
             for u in res.alloc.indices():
                 u = int(u)
@@ -185,25 +179,25 @@ class TestTruthfulnessSweep:
     def test_truthful_bid_is_optimal_on_random_instances(self):
         rng = np.random.default_rng(6)
         for _ in range(60):
-            real, state = random_auction_instance(rng)
+            real, factors = random_auction_instance(rng)
             user = int(rng.integers(0, real.n_users))
             grid = np.linspace(0, 3 * real.true_costs[user], 101)
             report = truthfulness_sweep(
-                real, state, real.true_costs, user, grid
+                real, factors, real.true_costs, user, grid
             )
             assert report.regret <= TOL
             assert report.truthful
 
     def test_sweep_matches_slotwise_auction(self):
         rng = np.random.default_rng(7)
-        real, state = random_auction_instance(rng, n_max=5)
+        real, factors = random_auction_instance(rng, n_max=5)
         user = 1
         grid = np.linspace(0, 2.5 * real.true_costs[user], 11)
-        report = truthfulness_sweep(real, state, real.true_costs, user, grid)
+        report = truthfulness_sweep(real, factors, real.true_costs, user, grid)
         for i, bid in enumerate(grid):
             bids = real.true_costs.copy()
             bids[user] = bid
-            outcome = run_auction_slot(state.factors, real, BidVector(bids))
+            outcome = run_auction_slot(factors, real, bids)
             assert bool(outcome.alloc.selected[user]) == bool(report.selected[i])
             assert outcome.payments[user] == pytest.approx(
                 report.payments[i] if report.selected[i] else 0.0, abs=TOL
@@ -214,12 +208,12 @@ class TestTruthfulnessSweep:
         rng = np.random.default_rng(8)
         witnessed = 0
         for _ in range(40):
-            real, state = random_auction_instance(rng)
+            real, factors = random_auction_instance(rng)
             user = int(rng.integers(0, real.n_users))
             costs = real.true_costs.copy()
             costs[user] = 0.05  # cheap enough to win at many bids
             grid = np.linspace(0, 1.0, 51)
-            report = truthfulness_sweep(real, state, costs, user, grid)
+            report = truthfulness_sweep(real, factors, costs, user, grid)
             winning = report.payments[report.selected]
             if winning.size >= 2:
                 assert np.ptp(winning) <= TOL
@@ -231,12 +225,12 @@ class TestTruthfulnessSweep:
         rng = np.random.default_rng(9)
         witnessed = 0
         for _ in range(60):
-            real, state = random_auction_instance(rng)
+            real, factors = random_auction_instance(rng)
             user = int(rng.integers(0, real.n_users))
             costs = real.true_costs.copy()
             costs[user] = 50.0  # hopelessly expensive at truth
             grid = np.linspace(0.0, 5.0, 51)
-            report = truthfulness_sweep(real, state, costs, user, grid)
+            report = truthfulness_sweep(real, factors, costs, user, grid)
             if report.truthful_utility == 0.0 and report.selected.any():
                 assert np.all(report.utilities[report.selected] <= TOL)
                 witnessed += 1
@@ -244,10 +238,10 @@ class TestTruthfulnessSweep:
 
     def test_requires_eligible_user(self):
         rng = np.random.default_rng(10)
-        real, state = random_auction_instance(rng)
+        real, factors = random_auction_instance(rng)
         eligible = np.ones(real.n_users, dtype=bool)
         eligible[0] = False
         with pytest.raises(ValueError):
             truthfulness_sweep(
-                real, state, real.true_costs, 0, np.array([0.5]), eligible
+                real, factors, real.true_costs, 0, np.array([0.5]), eligible
             )

@@ -121,6 +121,9 @@ class TestRandomBaseline:
         a = random_baseline_step(real, None, np.random.default_rng(77))
         b = random_baseline_step(real, None, np.random.default_rng(77))
         assert a.selected.tolist() == b.selected.tolist()
+        # kept as built, without a checked copy: still a read-only bool array of n
+        assert a.selected.dtype == bool and a.selected.shape == (real.n_users,)
+        assert not a.selected.flags.writeable
 
     def test_nonnegative_welfare_and_dominated_by_greedy(self):
         rng = np.random.default_rng(5)

@@ -113,7 +113,7 @@ class TestConfigDefaults:
     TOP = {"policies": (), "warmup_slots": 0, "replications": 1, "output_dir": "out"}
     SOLVER = {"mode": "greedy", "exact_limit": 20, "node_budget": 20000}
     BENCHMARK = {"iterations": 150, "bruteforce": "auto", "step": None}
-    TRUTHCHECK = {"instances": 100, "bid_points": 201, "bid_span": 3.0, "phi": 10.0}
+    TRUTHCHECK = {"instances": 100, "bid_points": 201, "bid_span": 3.0}
     POLICY = {"phi": 10.0, "alpha": 1.0}
     SCHEDULE = {"kind": "harmonic", "coeff": 1.0}
     REQUIRED = {
@@ -244,6 +244,17 @@ class TestSimulate:
             "radp_vpc_alpha0.5_rep0",
             "radp_vpc_alpha0.2_rep0",
         }
+
+    def test_tiny_phi_with_a_finite_inverse_runs(self, tmp_path):
+        # 1 / 1e-306 is finite, so every bonus D / phi is; 1e-320 is refused
+        policies = [{"kind": "lyapunov", "phi": 1e-306}, {"kind": "auction", "phi": 1e-306}]
+        path = write_config(tmp_path, policies=policies)
+        out = tmp_path / "out"
+        assert cmd_simulate(str(path), out=str(out)) == 0
+        for run in ("lyapunov_phi1e-306_rep0", "auction_phi1e-306_rep0"):
+            rows = (out / run / "trace.csv").read_text().splitlines()[1:]
+            cells = [float(v) for row in rows for v in row.split(",")[5:7]]
+            assert len(cells) == 2 * 25 * 5 and all(math.isfinite(v) for v in cells)
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path)
@@ -390,9 +401,7 @@ class TestFailBeforeWork:
             ("benchmark", "benchmark", {"iterations": float("inf")}, "benchmark.iterations"),
             ("truthcheck", "truthcheck", {"bid_points": "many"}, "truthcheck.bid_points"),
             ("truthcheck", "truthcheck", {"bid_points": 0}, "truthcheck.bid_points"),
-            ("truthcheck", "truthcheck", {"phi": 0}, "truthcheck.phi"),
-            ("truthcheck", "truthcheck", {"phi": -2.5}, "truthcheck.phi"),
-            ("truthcheck", "truthcheck", {"phi": math.inf}, "truthcheck.phi"),
+            ("truthcheck", "truthcheck", {"phi": 10}, "unknown key truthcheck.phi"),
             ("truthcheck", "truthcheck", {"bid_span": -1.0}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"bid_span": float("nan")}, "truthcheck.bid_span"),
             ("truthcheck", "truthcheck", {"bid_span": float("inf")}, "truthcheck.bid_span"),
@@ -403,6 +412,8 @@ class TestFailBeforeWork:
             ("simulate", "policies", [{"kind": "lyapunov", "phi": 0}], "phi must be"),
             ("simulate", "policies", [{"kind": "lyapunov", "phi": math.inf}], "phi must be"),
             ("simulate", "policies", [{"kind": "auction", "phi": math.nan}], "phi must be"),
+            ("simulate", "policies", [{"kind": "lyapunov", "phi": 1e-320}], "phi must be"),
+            ("simulate", "policies", [{"kind": "auction", "phi": 1e-320}], "phi must be"),
             ("simulate", "policies", [{"kind": "radp_vpc", "alpha": -1}], "alpha must be"),
             ("simulate", "policies", [{"kind": "radp_vpc", "alpha": math.inf}], "alpha must be"),
             ("simulate", "policies", [{"kind": "radp_vpc", "alpha": math.nan}], "alpha must be"),

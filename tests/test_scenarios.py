@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import sensecourt.scenarios as scenarios
 from sensecourt.scenarios import (
     WEIGHT_MODES,
-    MobilityState,
     ScenarioConfig,
     _hotspot_profile,
     initial_state,
@@ -37,7 +36,7 @@ def config(**overrides):
 def stream_from(cfg, positions, t_slots=1, block_cells=None):
     """realization_stream(cfg, t_slots) as a list, the users starting at
     positions, in blocks of block_cells cells if given."""
-    with mock.patch.object(scenarios, "initial_state", lambda _: MobilityState(positions)):
+    with mock.patch.object(scenarios, "initial_state", lambda _: np.array(positions, float)):
         if block_cells is None:
             return list(realization_stream(cfg, t_slots))
         with mock.patch.object(scenarios, "_BLOCK_CELLS", block_cells):
@@ -141,10 +140,11 @@ class TestMobility:
     """The walk is the reference step_mobility's, which the stream matches
     bit for bit (TestStreamOracle); these tests pin that reference."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_rejects_non_finite_positions(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            MobilityState(np.array([[100.0, 100.0], [50.0, bad]]))
+    def test_initial_positions_lie_on_the_map(self):
+        cfg = config(map=GridMap(7, 3, 150.0), n_users=50)
+        pos = initial_state(cfg)
+        assert pos.shape == (50, 2) and pos.dtype == float
+        assert np.all((0.0 <= pos) & (pos <= [cfg.map.width_m, cfg.map.height_m]))
 
     def test_zero_step_keeps_regions_of_a_fixed_radius(self):
         cfg = config(step_max_m=0.0, radius_min_m=500.0, radius_max_m=500.0)
@@ -161,32 +161,31 @@ class TestMobility:
 
     def test_positions_stay_in_bounds(self):
         cfg = config(step_max_m=1500.0)
-        state = initial_state(cfg)
+        pos = initial_state(cfg)
         rng = slot_rng(cfg, 1)
         for _ in range(2000):
-            state = step_mobility(state, cfg, rng)
-            assert np.all(state.positions[:, 0] >= 0)
-            assert np.all(state.positions[:, 0] <= cfg.map.width_m)
-            assert np.all(state.positions[:, 1] >= 0)
-            assert np.all(state.positions[:, 1] <= cfg.map.height_m)
+            pos = step_mobility(pos, cfg, rng)
+            assert np.all(pos[:, 0] >= 0)
+            assert np.all(pos[:, 0] <= cfg.map.width_m)
+            assert np.all(pos[:, 1] >= 0)
+            assert np.all(pos[:, 1] <= cfg.map.height_m)
 
     def test_displacement_magnitude_bounded(self):
         # wide map so no reflection interferes with the measurement
         cfg = config(map=GridMap(100, 100, 200.0), step_max_m=700.0)
         pos = np.full((cfg.n_users, 2), 10_000.0)
-        state = MobilityState(pos)
         rng = slot_rng(cfg, 1)
         for _ in range(200):
-            new = step_mobility(state, cfg, rng)
-            d = np.hypot(*(new.positions - state.positions).T)
+            new = step_mobility(pos, cfg, rng)
+            d = np.hypot(*(new - pos).T)
             assert np.all(d <= cfg.step_max_m + 1e-9)
-            state = new
+            pos = new
 
 
 class TestRealization:
     def test_disk_membership_matches_geometry(self):
         cfg = config()
-        state = initial_state(cfg)
+        pos = initial_state(cfg)
         real = next(realization_stream(cfg, 1))
         centers = cfg.map.centers()
         # recover each user's radius from the covered set: every center in
@@ -198,8 +197,8 @@ class TestRealization:
         radii = rng.uniform(cfg.radius_min_m, cfg.radius_max_m, size=cfg.n_users)
         for u in range(cfg.n_users):
             d = np.hypot(
-                centers[:, 0] - state.positions[u, 0],
-                centers[:, 1] - state.positions[u, 1],
+                centers[:, 0] - pos[u, 0],
+                centers[:, 1] - pos[u, 1],
             )
             expected = set(np.flatnonzero(d <= radii[u]).tolist())
             assert set(real.regions[u].indices.tolist()) == expected
@@ -276,7 +275,7 @@ def region_cases(draw):
                 st.sampled_from([0.0, length]),
                 st.integers(0, count - 1).map(lambda k: (k + 0.5) * edge),
                 st.floats(0.0, length),
-                # off the map, which MobilityState accepts
+                # off the map, which the stream accepts
                 st.floats(-3.0 * length - 4.0 * edge, -1e-9),
                 st.floats(length + 1e-9, 4.0 * length + 4.0 * edge),
                 on_line,
@@ -302,7 +301,7 @@ def region_cases(draw):
     )
     # blocks of one slot, of a few slots, or the default: one partial block
     cells = draw(st.one_of(st.just(1), st.integers(1, 3000), st.none()))
-    return cfg, MobilityState(np.array(positions)), draw(st.integers(1, 7)), cells
+    return cfg, np.array(positions), draw(st.integers(1, 7)), cells
 
 
 def assert_same_slot(fast, ref):
@@ -320,9 +319,9 @@ class TestStreamOracle:
     @settings(max_examples=500, deadline=None)
     @given(region_cases())
     def test_matches_slot_by_slot_loop_bit_for_bit(self, case):
-        cfg, state, t_slots, cells = case
-        fast = stream_from(cfg, state.positions, t_slots, cells)
-        ref = list(realization_stream_loop(cfg, t_slots, state))
+        cfg, positions, t_slots, cells = case
+        fast = stream_from(cfg, positions, t_slots, cells)
+        ref = list(realization_stream_loop(cfg, t_slots, positions))
         assert len(fast) == t_slots
         for a, b in zip(fast, ref):
             assert len(a.regions) == cfg.n_users
@@ -352,7 +351,7 @@ class TestStreamOracle:
         )
         cfg = config(map=grid, n_users=len(positions), radius_min_m=r, radius_max_m=r)
         fast = stream_from(cfg, positions, 2)
-        ref = realization_stream_loop(cfg, 2, MobilityState(positions))
+        ref = realization_stream_loop(cfg, 2, positions)
         for a, b in zip(fast, ref, strict=True):
             assert_same_slot(a, b)
 
@@ -365,7 +364,7 @@ class TestStreamOracle:
         # a desk slot tests 10,000 cells: one slot a block by default, and
         # with 30,000 three, so seven slots end in a partial block
         cfg = config(map=GridMap(50, 50, 200.0), n_users=100, seed=42, **overrides)
-        fast = stream_from(cfg, initial_state(cfg).positions, 7, cells)
+        fast = stream_from(cfg, initial_state(cfg), 7, cells)
         for a, b in zip(fast, realization_stream_loop(cfg, 7), strict=True):
             assert_same_slot(a, b)
 

@@ -357,6 +357,14 @@ def assert_same_result(got, want):
     assert got.exact is want.exact
 
 
+def assert_read_only_selection(result, n):
+    """A solver keeps the selection it built without a checked copy; it must
+    still be a read-only bool array of n."""
+    selected = result.alloc.selected
+    assert selected.dtype == bool and selected.shape == (n,)
+    assert not selected.flags.writeable
+
+
 class TestAllocateMany:
     """allocate_many row by row against each row solved alone."""
 
@@ -388,8 +396,11 @@ class TestAllocateMany:
             assert objective is None
         for i, row in enumerate(charges):
             inst = RegulatedInstance(real, row, eligible)
+            alone = route_solver(route, options)(inst)
+            assert_read_only_selection(results[i], n)
+            assert_read_only_selection(alone, n)
             assert_same_result(results[i], solve(inst, options))
-            assert_same_result(results[i], route_solver(route, options)(inst))
+            assert_same_result(results[i], alone)
             if route == "exact":
                 alone = objective_alone(real, row, users)
                 assert bits(objective[i]).tobytes() == bits(alone).tobytes()
@@ -413,6 +424,7 @@ class TestAllocateMany:
         eligible = np.zeros(2, dtype=bool)
         charges = np.array([[0.5, 0.5]])
         (result,), objective = allocate_many(real, charges, eligible, ROUTES[name])
+        assert_read_only_selection(result, 2)
         assert not result.alloc.selected.any() and result.objective == 0.0
         assert_same_result(result, solve(RegulatedInstance(real, charges[0], eligible), ROUTES[name]))
         if ROUTES[name].route(0) == "exact":

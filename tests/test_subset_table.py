@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import sensecourt.auction as auction_mod
 import sensecourt.cli as cli_mod
 import sensecourt.solver as solver_mod
-from sensecourt.auction import BidVector, RegulationState, run_auction_slot, truthfulness_sweep
+from sensecourt.auction import run_auction_slot, truthfulness_sweep
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
@@ -196,11 +196,11 @@ def test_truthcheck_slot_at_fourteen_users():
     candidates = np.flatnonzero(costs > 0)
     rng.choice(candidates)  # truthcheck's swept user; every candidate is swept here
     check = cfg.truthcheck
-    state = RegulationState(rng.uniform(0.0, 0.5 * float(costs.max()), 14), check.phi)
+    factors = rng.uniform(0.0, 0.5 * float(costs.max()), 14)
     for user in candidates.tolist():
         grid = np.linspace(0.0, check.bid_span * float(costs[user]), check.bid_points)
-        report = truthfulness_sweep(real, state, costs, user, grid)
-        want = truthfulness_sweep_dense(real, state, costs, user, grid)
+        report = truthfulness_sweep(real, factors, costs, user, grid)
+        want = truthfulness_sweep_dense(real, factors, costs, user, grid)
         assert report_differences(report, want) == []
 
 
@@ -320,12 +320,11 @@ class TestLeaveOneOutFromTable:
         factors = np.array(
             data.draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
         )
-        state = RegulationState(factors, phi=4.0)
         eligible = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         kappa = real.true_costs - factors
 
         with recorded_pivots() as seen:
-            outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs), eligible)
+            outcome = run_auction_slot(factors, real, real.true_costs, eligible)
         winners = outcome.alloc.indices()
         value = evaluate_allocation(real, outcome.alloc).value
         assert len(seen) == winners.size
@@ -341,7 +340,7 @@ class TestLeaveOneOutFromTable:
         for user in np.flatnonzero(eligible).tolist():
             with recorded_pivots() as seen:
                 truthfulness_sweep(
-                    real, state, real.true_costs, user, np.linspace(0.0, 5.0, 7), eligible
+                    real, factors, real.true_costs, user, np.linspace(0.0, 5.0, 7), eligible
                 )
             reduced = reduced_solve(real, kappa, eligible, user)
             assert seen and all(bits(w) == bits(reduced.objective) for w in seen)
@@ -367,7 +366,6 @@ class TestSlotMemo:
     def test_auction_slot_builds_one_table(self, monkeypatch):
         calls = self.counting_tables(monkeypatch)
         real = self.instance()
-        state = RegulationState(np.full(6, 0.4), phi=5.0)
-        outcome = run_auction_slot(state.factors, real, BidVector(real.true_costs))
+        outcome = run_auction_slot(np.full(6, 0.4), real, real.true_costs)
         assert outcome.alloc.indices().size >= 2
         assert calls == [list(range(6))]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sensecourt.auction import RegulationState, truthfulness_sweep
+from sensecourt.auction import truthfulness_sweep
 from sensecourt.solver import (
     TIE_TOL,
     subset_linear_table,
@@ -27,9 +27,9 @@ from test_subset_table import coverage_instances
 from test_world import make_realization
 
 
-def sweep_base(real, state, costs, users, pos):
+def sweep_base(real, factors, costs, users, pos):
     """The sweep's per-subset score without the swept user's charge."""
-    per_user = (costs - state.factors)[users]
+    per_user = (costs - factors)[users]
     per_user[pos] = 0.0
     return subset_value_table(real, users) - subset_linear_table(per_user)
 
@@ -67,7 +67,7 @@ def boundary_bids(base, pos, r_n):
             bids += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
             bids += [edge - 2 * np.spacing(edge), edge + 2 * np.spacing(edge)]
         bids += [c + f * TIE_TOL for f in (-2.0, -0.5, 0.5, 2.0)]
-    return [b for b in bids if b >= 0.0]  # the sweep refuses negative bids, as BidVector does
+    return [b for b in bids if b >= 0.0]  # the sweep refuses negative bids, as the auction does
 
 
 class TestSweepMatchesDenseOracle:
@@ -83,7 +83,6 @@ class TestSweepMatchesDenseOracle:
         else:
             elems = st.floats(0, 8, allow_nan=False, allow_infinity=False)
         factors = np.array(data.draw(st.lists(elems, min_size=n, max_size=n)))
-        state = RegulationState(factors, phi=4.0)
         eligible = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         eligible[data.draw(st.integers(0, n - 1))] = True
         users = np.flatnonzero(eligible)
@@ -92,7 +91,7 @@ class TestSweepMatchesDenseOracle:
         costs = real.true_costs
 
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        base = sweep_base(real, state, costs, users, pos)
+        base = sweep_base(real, factors, costs, users, pos)
         span = data.draw(st.sampled_from([0.0, 1.0, 3.0])) * (float(costs[user]) + 1.0)
         grid = np.concatenate(
             [
@@ -103,29 +102,29 @@ class TestSweepMatchesDenseOracle:
         if data.draw(st.booleans()):
             grid = rng.permutation(grid)
 
-        got = truthfulness_sweep(real, state, costs, user, grid, eligible)
-        want = truthfulness_sweep_dense(real, state, costs, user, grid, eligible)
+        got = truthfulness_sweep(real, factors, costs, user, grid, eligible)
+        want = truthfulness_sweep_dense(real, factors, costs, user, grid, eligible)
         assert report_differences(got, want) == []
 
     def test_tie_prefers_fewer_users_over_lower_mask(self):
         # at bid 0 the swept user 1 ties with user 0 against user 2 alone;
         # {2} (mask 4) has fewer users than {0, 1} (mask 3) and wins
         real = make_realization(2, [{0}, {1}, {0, 1}], costs=[0.0, 0.0, 0.0])
-        state = RegulationState(np.zeros(3), phi=4.0)
+        factors = np.zeros(3)
         grid = np.array([0.0, 0.5])
-        got = truthfulness_sweep(real, state, real.true_costs, 1, grid)
+        got = truthfulness_sweep(real, factors, real.true_costs, 1, grid)
         assert got.selected.tolist() == [False, False]
-        want = truthfulness_sweep_dense(real, state, real.true_costs, 1, grid)
+        want = truthfulness_sweep_dense(real, factors, real.true_costs, 1, grid)
         assert report_differences(got, want) == []
 
     def test_pivot_takes_the_preferred_subset_within_tie_tol(self):
         # without user 2, {1} beats {0} by 5e-10 < TIE_TOL: the pivot is {0}
         real = make_realization(3, [{0}, {0, 1}, {2}], [1.0, 5e-10, 1.0], [0.25] * 3)
-        state = RegulationState(np.zeros(3), phi=4.0)
+        factors = np.zeros(3)
         grid = np.linspace(0.0, 1.0, 11)
-        got = truthfulness_sweep(real, state, real.true_costs, 2, grid)
+        got = truthfulness_sweep(real, factors, real.true_costs, 2, grid)
         assert got.selected.any()
-        want = truthfulness_sweep_dense(real, state, real.true_costs, 2, grid)
+        want = truthfulness_sweep_dense(real, factors, real.true_costs, 2, grid)
         assert report_differences(got, want) == []
 
     def test_every_user_of_a_wider_slot(self):
@@ -135,18 +134,18 @@ class TestSweepMatchesDenseOracle:
         real = make_realization(
             n_grids, regions, rng.integers(0, 3, n_grids), rng.integers(0, 3, n)
         )
-        state = RegulationState(rng.integers(0, 4, n).astype(float), phi=4.0)
+        factors = rng.integers(0, 4, n).astype(float)
         users = np.arange(n)
         for user in range(n):
-            base = sweep_base(real, state, real.true_costs, users, user)
+            base = sweep_base(real, factors, real.true_costs, users, user)
             grid = np.concatenate(
                 [
                     np.linspace(0.0, 6.0, 201),
-                    boundary_bids(base, user, float(state.factors[user])),
+                    boundary_bids(base, user, float(factors[user])),
                 ]
             )
-            got = truthfulness_sweep(real, state, real.true_costs, user, grid)
-            want = truthfulness_sweep_dense(real, state, real.true_costs, user, grid)
+            got = truthfulness_sweep(real, factors, real.true_costs, user, grid)
+            want = truthfulness_sweep_dense(real, factors, real.true_costs, user, grid)
             assert report_differences(got, want) == []
 
 
@@ -156,12 +155,12 @@ def test_no_bids_by_subsets_temporary():
     n, n_grids = 14, 80
     regions = [set(rng.choice(n_grids, size=10, replace=False).tolist()) for _ in range(n)]
     real = make_realization(n_grids, regions, rng.random(n_grids), rng.random(n))
-    state = RegulationState(rng.random(n), phi=4.0)
+    factors = rng.random(n)
     grid = np.linspace(0.0, 3.0, 201)
-    truthfulness_sweep(real, state, real.true_costs, 3, grid)  # warm caches
+    truthfulness_sweep(real, factors, real.true_costs, 3, grid)  # warm caches
     tracemalloc.start()
     try:
-        truthfulness_sweep(real, state, real.true_costs, 3, grid)
+        truthfulness_sweep(real, factors, real.true_costs, 3, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -171,9 +170,9 @@ def test_no_bids_by_subsets_temporary():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_bids_rejected(bad):
     real = make_realization(2, [{0}, {1}], costs=[0.5, 0.5])
-    state = RegulationState(np.zeros(2), phi=4.0)
+    factors = np.zeros(2)
     with pytest.raises(ValueError, match="finite"):
-        truthfulness_sweep(real, state, real.true_costs, 0, np.array([0.0, bad]))
+        truthfulness_sweep(real, factors, real.true_costs, 0, np.array([0.0, bad]))
 
 
 @pytest.mark.parametrize(
@@ -189,6 +188,6 @@ def test_bad_input_rejected(grid, eligible, match):
     real = make_realization(
         4, [{0}, {1}, {2}, {3}, {0, 1}, {2, 3}], costs=[0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
     )
-    state = RegulationState(np.zeros(6), phi=4.0)
+    factors = np.zeros(6)
     with pytest.raises(ValueError, match=match):
-        truthfulness_sweep(real, state, real.true_costs, 0, grid, eligible)
+        truthfulness_sweep(real, factors, real.true_costs, 0, grid, eligible)

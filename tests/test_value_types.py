@@ -13,14 +13,14 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sensecourt.auction import BidVector, RegulationState, run_auction_slot, truthfulness_sweep
+from sensecourt.auction import RegulationState, run_auction_slot, truthfulness_sweep
 from sensecourt.baselines import VpcState, random_baseline_step
 from sensecourt.benchmark import Trace
 from sensecourt.cli import ExperimentConfig, load_config
 from sensecourt.engine import PolicySpec, run_policy
 from sensecourt.policy_dual import DualState, StepSchedule
 from sensecourt.policy_lyapunov import QueueState, penalty_bound_B
-from sensecourt.scenarios import MobilityState, ScenarioConfig, realization_stream
+from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many
 from sensecourt.world import Allocation, GridMap, SlotRealization, WeightField
 
@@ -29,7 +29,7 @@ from test_world import make_realization
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 REAL = make_realization(4, [{0}, {1, 2}, {2, 3}, set()], costs=[0.5, 0.25, 1.0, 0.0])
-STATE = RegulationState(np.zeros(4), phi=4.0)
+FACTORS = np.zeros(4)
 SCENARIO = ScenarioConfig(map=GridMap(2, 2, 100.0), n_users=4)
 COSTS = np.array([0.5, 0.25, 1.0, 0.0])
 MASK = np.array([True, False, True, True])
@@ -47,6 +47,7 @@ class Case:
     kept: Callable | None = None
     nonneg: bool = False
     scalar_ok: bool = False  # a 0-D value is broadcast, not refused
+    per_user: bool = False  # one entry per user of REAL, as every eligible mask holds
 
 
 CASES = {
@@ -66,6 +67,7 @@ CASES = {
         COSTS - 0.75,
         lambda c: RegulatedInstance(REAL, c, MASK),
         lambda o: o.effective_costs,
+        per_user=True,
     ),
     "RegulatedInstance.eligible": Case(
         "eligible", MASK, lambda e: RegulatedInstance(REAL, COSTS, e), lambda o: o.eligible
@@ -92,10 +94,6 @@ CASES = {
         lambda cum: DualState(np.zeros(4), cum, 10, StepSchedule()),
         lambda o: o.cumulative_selected,
         nonneg=True,
-    ),
-    "BidVector.bids": Case("bids", COSTS, BidVector, lambda o: o.bids, nonneg=True),
-    "MobilityState.positions": Case(
-        "positions", np.array([[0.0, 10.0], [-5.0, 2.5]]), MobilityState, lambda o: o.positions
     ),
     "Trace.thresholds": Case(
         "thresholds",
@@ -127,28 +125,39 @@ CASES = {
         "eligible", MASK, lambda e: allocate_many(REAL, COSTS[None], e)
     ),
     "run_auction_slot.factors": Case(
-        "factors", COSTS, lambda r: run_auction_slot(r, REAL, BidVector(COSTS)), nonneg=True
+        "factors", COSTS, lambda r: run_auction_slot(r, REAL, COSTS), nonneg=True, per_user=True
+    ),
+    "run_auction_slot.bids": Case(
+        "bids", COSTS, lambda b: run_auction_slot(FACTORS, REAL, b), nonneg=True, per_user=True
     ),
     "run_auction_slot.eligible": Case(
-        "eligible", MASK, lambda e: run_auction_slot(STATE.factors, REAL, BidVector(COSTS), e)
+        "eligible", MASK, lambda e: run_auction_slot(FACTORS, REAL, COSTS, e)
+    ),
+    "truthfulness_sweep.factors": Case(
+        "factors",
+        COSTS,
+        lambda r: truthfulness_sweep(REAL, r, COSTS, 0, np.linspace(0.0, 1.0, 5)),
+        nonneg=True,
+        per_user=True,
     ),
     "truthfulness_sweep.true_costs": Case(
         "true_costs",
         COSTS,
-        lambda c: truthfulness_sweep(REAL, STATE, c, 0, np.linspace(0.0, 1.0, 5)),
+        lambda c: truthfulness_sweep(REAL, FACTORS, c, 0, np.linspace(0.0, 1.0, 5)),
         nonneg=True,
+        per_user=True,
     ),
     "truthfulness_sweep.bid_grid": Case(
         "bid_grid",
         np.linspace(0.0, 1.5, 5),
-        lambda b: truthfulness_sweep(REAL, STATE, COSTS, 0, b),
+        lambda b: truthfulness_sweep(REAL, FACTORS, COSTS, 0, b),
         lambda o: o.bid_grid,
         nonneg=True,
     ),
     "truthfulness_sweep.eligible": Case(
         "eligible",
         MASK,
-        lambda e: truthfulness_sweep(REAL, STATE, COSTS, 0, np.linspace(0.0, 1.0, 5), e),
+        lambda e: truthfulness_sweep(REAL, FACTORS, COSTS, 0, np.linspace(0.0, 1.0, 5), e),
     ),
     "random_baseline_step.eligible": Case(
         "eligible", MASK, lambda e: random_baseline_step(REAL, e, np.random.default_rng(0))
@@ -159,6 +168,7 @@ FLOAT_CASES = [name for name, case in CASES.items() if case.good.dtype.kind == "
 NONNEG_CASES = [name for name, case in CASES.items() if case.nonneg]
 SIGNED_CASES = [name for name in FLOAT_CASES if not CASES[name].nonneg]
 KEPT_CASES = [name for name, case in CASES.items() if case.kept is not None]
+LENGTH_CASES = [name for name, case in CASES.items() if case.per_user or case.field == "eligible"]
 
 
 def refused(case: Case, values) -> None:
@@ -183,10 +193,12 @@ def test_wrong_ndim_refused(name):
         refused(case, case.good.flat[0] if case.good.ndim == 1 else case.good[0, 0])
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if CASES[name].field == "eligible"])
-@pytest.mark.parametrize("size", [3, 5])
-def test_mask_of_another_length_refused(name, size):
-    refused(CASES[name], np.ones(size, dtype=bool))
+@pytest.mark.parametrize("name", LENGTH_CASES)
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_per_user_array_of_another_length_refused(name, size):
+    # one entry would broadcast against the four users if let through
+    case = CASES[name]
+    refused(case, np.resize(case.good, size))
 
 
 @pytest.mark.parametrize("name", NONNEG_CASES)
