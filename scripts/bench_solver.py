@@ -16,10 +16,11 @@ same slots are then rebuilt slot by slot by the per-user loop in
 tests/oracle_regions.py, whose time is recorded too, and every region, cost
 and weight must equal it bit for bit.
 
-welfare_tables is timed per slot at (N, T) = (8, 800) and (16, 64) on the
-welfare trace below, median of --instances builds; every row must equal the
-slot's own subset_value_table minus its cost table, in tie-break order, bit
-for bit, and its tracemalloc peak is recorded over the table's bytes.
+welfare_tables, the build a Trace runs once for its `tables`, is timed per
+slot at (N, T) = (8, 800) and (16, 64) on the welfare trace below, median
+of --instances builds; every row must equal the slot's own
+subset_value_table minus its cost table, in tie-break order, bit for bit,
+and its tracemalloc peak is recorded over the table's bytes.
 
 Each solver instance is the first N users of one dropping-desk slot
 (2,500 grids, disk regions), every user eligible, true costs as charges.
@@ -56,9 +57,9 @@ on the same inputs, and every report must equal it bit for bit.
 Each dual trace is the first T slots of configs/welfare_desk.json at N users
 with thresholds 0.5, as `benchmark` builds it. dual_upper_bound runs
 DUAL_ITERATIONS iterations (one sweep each, plus one at the averaged
-multipliers) on the prebuilt welfare tables; its ms per sweep is the run's
+multipliers) on the trace's welfare table, built with the trace; its ms per sweep is the run's
 time over its sweep count, median of --instances runs. The dense per-chunk
-oracle in tests/oracle_dual.py is timed the same way on the same tables, and
+oracle in tests/oracle_dual.py is timed the same way on the same table, and
 its bound and frequencies must equal the fast ones bit for bit. A wrapper on
 sensecourt.benchmark.tiebreak_picks counts the rows one more run scores:
 their share of T times the sweep count. The constant-step case moves the
@@ -66,8 +67,8 @@ multipliers so far each sweep that few rows keep their picks: the sweep's
 worst case.
 
 The dual's peak is the tracemalloc peak of dual_upper_bound, DUAL_PEAK_ITERATIONS
-iterations on prebuilt welfare tables of 2^24 cells (128 MB), divided by the
-table's bytes: what the sweep allocates beyond the table it reads.
+iterations on traces whose welfare tables hold 2^24 cells (128 MB), divided
+by the table's bytes: what the sweep allocates beyond the table it reads.
 
 tiebreak_order(m) at m = 16 and 20 is built from an empty cache: median ms of
 --instances builds, and the tracemalloc peak and the bytes still held once
@@ -372,7 +373,7 @@ def dual_section(args, _slots) -> dict:
     for n, t, schedule in DUAL_CASES:
         key = f"N={n},T={t}" + (f",{schedule.kind}={schedule.coeff}" if schedule else "")
         trace = welfare_trace(n, t)
-        inputs = (trace, DUAL_ITERATIONS, schedule, welfare_tables(trace))
+        inputs = (trace, DUAL_ITERATIONS, schedule)
         fast, dense = [], []
         for _ in range(args.instances):
             got, ms = timed(lambda: dual_upper_bound(*inputs))
@@ -415,12 +416,12 @@ def tables_section(args, _slots) -> dict:
     ms_per_slot, peak = {}, {}
     for n, t in TABLE_SHAPES:
         key, trace, by_rank = f"N={n},T={t}", welfare_trace(n, t), tiebreak_order(n)
-        tables, ms = timed(lambda: welfare_tables(trace), args.instances)
+        tables, ms = timed(lambda: welfare_tables(trace.slots), args.instances)
         for k, (slot, row) in enumerate(zip(trace.slots, tables)):
             own = subset_value_table(slot, np.arange(n)) - subset_linear_table(slot.true_costs)
             check(row.tobytes() == own[by_rank].tobytes(), f"welfare_tables row {k} at {key}")
         del tables
-        tables, bytes_peak, _ = traced(lambda: welfare_tables(trace))
+        tables, bytes_peak, _ = traced(lambda: welfare_tables(trace.slots))
         ms_per_slot[key], peak[key] = ms / t, bytes_peak / tables.nbytes
         print(f"N={n:2d}, T={t:5d}: welfare_tables {ms_per_slot[key]:8.4f} ms per slot, "
               f"peak {peak[key]:.3f} x the table (median of {args.instances})", flush=True)
@@ -432,16 +433,15 @@ def tables_section(args, _slots) -> dict:
 
 
 def dual_peak_section(_args, _slots) -> dict:
-    """tracemalloc peak of dual_upper_bound on a prebuilt table, in table bytes."""
+    """tracemalloc peak of dual_upper_bound on a built trace, in table bytes."""
     ratio = {}
     for n, t in DUAL_PEAK_SHAPES:
         trace = welfare_trace(n, t)
-        tables = welfare_tables(trace)
         tiebreak_order(n)  # cached once per process, not part of the sweep
-        _, peak, _ = traced(lambda: dual_upper_bound(trace, DUAL_PEAK_ITERATIONS, tables=tables))
+        _, peak, _ = traced(lambda: dual_upper_bound(trace, DUAL_PEAK_ITERATIONS))
         key = f"N={n},T={t}"
-        ratio[key] = peak / tables.nbytes
-        del trace, tables
+        ratio[key] = peak / trace.tables.nbytes
+        del trace
         print(f"N={n:2d}, T={t:5d}: dual peak {ratio[key]:.3f} x the table "
               f"({DUAL_PEAK_ITERATIONS} iterations)", flush=True)
     return {"dual_peak_iterations": DUAL_PEAK_ITERATIONS, "dual_peak_over_table_bytes": ratio}

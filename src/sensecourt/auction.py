@@ -32,7 +32,7 @@ from .solver import (
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
-    tiebreak_pick,
+    tiebreak_picks,
     TIE_TOL,
 )
 from .solver import solve_exact  # noqa: F401  (instrumented by perfbench/tracer.py)
@@ -142,15 +142,15 @@ def run_auction_slot(
         solved = result.alloc, objective[0], evaluate_allocation(realization, result.alloc).value
     alloc, objective, value_term = solved
 
+    # row i: the objective with the subsets holding winner i at -inf
     winners = alloc.indices()
-    by_rank = tiebreak_order(users.size)
+    bits = np.left_shift(1, np.searchsorted(users, winners))
+    has = np.bitwise_and.outer(bits, tiebreak_order(users.size)) != 0
+    _, picks, _ = tiebreak_picks(np.where(has, -np.inf, objective), 0.0)
     payments = np.zeros(n)
-    for u in winners.tolist():
-        others_cost = float(kappa[winners].sum() - kappa[u])
-        has_u = (by_rank >> int(np.searchsorted(users, u))) & 1
-        welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
-        payments[u] = pivot_payment(value_term, others_cost, welfare_without, float(factors[u]))
-
+    payments[winners] = pivot_payment(
+        value_term, kappa[winners].sum() - kappa[winners], objective[picks], factors[winners]
+    )
     return AuctionOutcome(alloc=alloc, payments=payments)
 
 

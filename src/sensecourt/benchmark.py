@@ -5,12 +5,13 @@ the unconstrained per-slot optimum, the complete-information constrained
 optimum (joint enumeration, tiny instances only), and a Lagrangian dual
 upper bound on the constrained optimum that stands in for the stochastic
 benchmark on traces too large to enumerate. The relative gap between the
-unconstrained and constrained values is the incentive cost.
+unconstrained and constrained values is the incentive cost. A Trace builds
+and checks its (T, 2^N) welfare table once, and all three read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "BenchmarkResult",
     "welfare_tables",
     "check_table_capacity",
+    "check_bruteforce_capacity",
     "solve_complete_bruteforce",
     "dual_upper_bound",
     "unconstrained_trace_welfare",
@@ -51,10 +53,13 @@ class BenchmarkCapacityError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A fixed sequence of slot realizations plus per-user thresholds."""
+    """A fixed sequence of slot realizations plus per-user thresholds, and
+    the welfare table every reference reads: `tables` = welfare_tables(slots),
+    built once, after the thresholds are checked."""
 
     slots: tuple[SlotRealization, ...]
     thresholds: np.ndarray
+    tables: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         slots = tuple(self.slots)
@@ -70,6 +75,7 @@ class Trace:
             raise ValueError("thresholds length must match user count")
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "thresholds", d)
+        object.__setattr__(self, "tables", welfare_tables(slots))
 
     @property
     def n_users(self) -> int:
@@ -84,31 +90,34 @@ class Trace:
 class BenchmarkResult:
     avg_welfare: float
     per_user_alloc_prob: np.ndarray
-    feasible: bool
-    kind: str
 
 
-def welfare_tables(trace: Trace) -> np.ndarray:
+def welfare_tables(slots: tuple[SlotRealization, ...]) -> np.ndarray:
     """(T, 2^N) welfare of every subset in every slot, true costs, with the
     columns in tiebreak_order(N) (a permutation: every bit is kept).
 
     Column r of row k is the objective solve_exact maximizes for slot k with
-    every user eligible, at subset tiebreak_order(N)[r], so a row's
-    tiebreak_pick is that slot's exact optimum. All three references
-    read it, so each refuses a trace whose table exceeds _TABLE_CELL_CAP.
-    Blocks of slots, about _ROW_CELLS cells of temporaries each, go through
+    every user eligible, at subset tiebreak_order(N)[r], so a row's first
+    column within TIE_TOL of its maximum is that slot's exact optimum. A
+    table above _TABLE_CELL_CAP cells is refused before it is built. Blocks
+    of slots, about _ROW_CELLS cells of temporaries each, go through
     subset_value_rows and one np.take that writes them in tie-break order.
+    Overflow is not warned about: one max and one min of the built table
+    refuse any NaN or infinite entry, with a ValueError naming `tables`.
     """
-    n, t = trace.n_users, trace.t_slots
+    n, t = slots[0].n_users, len(slots)
     check_table_capacity(n, t)
     by_rank = tiebreak_order(n).copy()  # np.take copies a read-only index on every call
     tables = np.empty((t, 1 << n))
-    step = max(1, _ROW_CELLS // ((1 << n) + trace.slots[0].n_grids))
-    for lo in range(0, t, step):
-        block, rows = trace.slots[lo : lo + step], tables[lo : lo + step]
-        values = subset_value_rows(block)  # the cost rows go through `rows` first
-        values -= subset_linear_table(np.stack([slot.true_costs for slot in block]), rows)
-        np.take(values, by_rank, axis=1, out=rows)
+    step = max(1, _ROW_CELLS // ((1 << n) + slots[0].n_grids))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, t, step):
+            block, rows = slots[lo : lo + step], tables[lo : lo + step]
+            values = subset_value_rows(block)  # the cost rows go through `rows` first
+            values -= subset_linear_table(np.stack([slot.true_costs for slot in block]), rows)
+            np.take(values, by_rank, axis=1, out=rows)
+    if not (np.isfinite(tables.max()) and np.isfinite(tables.min())):
+        raise ValueError("tables must hold no NaN or infinite entries")
     return tables
 
 
@@ -121,22 +130,13 @@ def check_table_capacity(n_users: int, t_slots: int) -> None:
         )
 
 
-def _checked_tables(tables: np.ndarray | None, trace: Trace) -> tuple[np.ndarray, float]:
-    """`tables`, or welfare_tables(trace) if None, and its largest |entry|.
-
-    Refuses, with a ValueError naming `tables`, any shape but (T, 2^N) and
-    any NaN or infinite entry, found by one max and one min of the table.
-    """
-    if tables is None:
-        tables = welfare_tables(trace)
-    shape = (trace.t_slots, 1 << trace.n_users)
-    if np.shape(tables) != shape:
-        raise ValueError(f"tables must have shape {shape}, got {np.shape(tables)}")
-    tables = np.asarray(tables)
-    top, low = float(tables.max()), float(tables.min())
-    if not (np.isfinite(top) and np.isfinite(low)):
-        raise ValueError("tables must hold no NaN or infinite entries")
-    return tables, max(top, -low)
+def check_bruteforce_capacity(n_users: int, t_slots: int) -> None:
+    """Refuse a joint enumeration of more than 2^BRUTEFORCE_CELL_LIMIT plans."""
+    if n_users * t_slots > BRUTEFORCE_CELL_LIMIT:
+        raise BenchmarkCapacityError(
+            f"N*T = {n_users * t_slots} exceeds {BRUTEFORCE_CELL_LIMIT}, the joint "
+            'enumeration limit; shrink n_users or t_slots, or set bruteforce to "auto" or false'
+        )
 
 
 def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
@@ -147,34 +147,19 @@ def _user_counts(masks: np.ndarray, n: int) -> np.ndarray:
     return counts
 
 
-def _slotwise_optimum(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Average welfare and per-user selection frequency of each row's optimum."""
-    _, picks, _ = tiebreak_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
-    total = 0.0
-    for value in tables[np.arange(len(tables)), picks].tolist():
-        total += value  # left to right, as the per-slot solves add
-    selections = _user_counts(tiebreak_order(n)[picks], n)
-    return total / len(tables), selections / len(tables)
-
-
-def solve_complete_bruteforce(
-    trace: Trace, tables: np.ndarray | None = None
-) -> BenchmarkResult:
-    """Joint enumeration of all allocations over the whole trace.
+def solve_complete_bruteforce(trace: Trace) -> BenchmarkResult:
+    """Joint enumeration of all allocations over the whole trace, read from
+    trace.tables; check_bruteforce_capacity refuses a long trace.
 
     Maximizes average welfare subject to every user's selection frequency
     meeting its threshold. Among equal-welfare feasible plans, the one with
     the lowest joint index (slot-major, user-minor bits) is kept. Trace
     keeps every threshold in [0, 1], so selecting everyone in every slot is
-    always feasible and the result always has feasible=True.
+    always feasible and some plan is always found.
     """
     n, t = trace.n_users, trace.t_slots
-    if n * t > BRUTEFORCE_CELL_LIMIT:
-        raise BenchmarkCapacityError(
-            f"N*T = {n * t} exceeds {BRUTEFORCE_CELL_LIMIT}; joint enumeration refused"
-        )
-    tables, _ = _checked_tables(tables, trace)
-    d = trace.thresholds
+    check_bruteforce_capacity(n, t)
+    tables, d = trace.tables, trace.thresholds
     slot_mask = (1 << n) - 1
     rank = np.empty(1 << n, dtype=np.int64)  # rank[s]: subset s's column in the tables
     rank[tiebreak_order(n)] = np.arange(1 << n)
@@ -202,14 +187,11 @@ def solve_complete_bruteforce(
                 best_j = int(js[k])
 
     plan = np.array([(best_j >> (n * k)) & slot_mask for k in range(t)])
-    return BenchmarkResult(best_w / t, _user_counts(plan, n) / t, True, "complete_exact")
+    return BenchmarkResult(best_w / t, _user_counts(plan, n) / t)
 
 
 def dual_upper_bound(
-    trace: Trace,
-    iterations: int,
-    schedule: StepSchedule | None = None,
-    tables: np.ndarray | None = None,
+    trace: Trace, iterations: int, schedule: StepSchedule | None = None
 ) -> BenchmarkResult:
     """Subgradient descent on the trace-empirical dual objective.
 
@@ -222,13 +204,11 @@ def dual_upper_bound(
 
     The default schedule is harmonic with a coefficient matched to the
     trace's mean cost: the optimal multipliers live on the cost scale, and
-    a unit step cannot reach them on expensive instances. `tables` is
-    welfare_tables(trace), built here if absent; see _checked_tables for
-    what it must be.
+    a unit step cannot reach them on expensive instances.
 
     A sweep re-scores only the rows whose pick may have moved; every other
     row keeps its pick p, and its maximum is W[p] + add[p], with W the
-    row of `tables` and add the multiplier term of the sweep. Each sweep has
+    row of trace.tables and add the multiplier term of the sweep. Each sweep has
     a slack, _SLACK (1 + max|W| + max|add|). When a row is scored, with
     maximum b at its first maximum p and runner-up r, it stores its margin
     b - r - TIE_TOL - slack and the drift D of that sweep. D adds up, over
@@ -259,8 +239,8 @@ def dual_upper_bound(
         scale = float(np.array([s.true_costs for s in trace.slots]).mean(axis=1).mean())
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    tables, w_max = _checked_tables(tables, trace)
-    d = trace.thresholds
+    tables, d = trace.tables, trace.thresholds
+    w_max = max(float(tables.max()), -float(tables.min()))
     by_rank = tiebreak_order(n)
     rows = np.arange(t)
     picks = np.zeros(t, dtype=np.intp)
@@ -307,19 +287,19 @@ def dual_upper_bound(
     if ghat < best[0]:
         best = (ghat, lam_avg, dbar)
 
-    return BenchmarkResult(best[0], best[2], True, "dual_upper_bound")
+    return BenchmarkResult(best[0], best[2])
 
 
-def unconstrained_trace_welfare(
-    trace: Trace, tables: np.ndarray | None = None
-) -> BenchmarkResult:
-    """Slot-wise optimum with true costs and no participatory constraint,
-    read from the rows of `tables`, welfare_tables(trace), built here if
-    absent: the whole (T, 2^N) table, refused above _TABLE_CELL_CAP cells.
-    """
-    tables, _ = _checked_tables(tables, trace)
-    avg, selections = _slotwise_optimum(tables, trace.n_users)
-    return BenchmarkResult(avg, selections, True, "unconstrained")
+def unconstrained_trace_welfare(trace: Trace) -> BenchmarkResult:
+    """Slot-wise optimum with true costs and no participatory constraint:
+    the average welfare and per-user selection frequency of each row's pick
+    in trace.tables."""
+    tables, n, t = trace.tables, trace.n_users, trace.t_slots
+    _, picks, _ = tiebreak_picks(tables, np.zeros(1 << n))  # + 0.0 keeps every pick
+    total = 0.0
+    for value in tables[np.arange(t), picks].tolist():
+        total += value  # left to right, as the per-slot solves add
+    return BenchmarkResult(total / t, _user_counts(tiebreak_order(n)[picks], n) / t)
 
 
 def incentive_cost(unconstrained: BenchmarkResult, constrained: BenchmarkResult) -> float:

@@ -22,17 +22,17 @@ import numpy as np
 from . import auction as _auction
 from .auction import ExactPivotsRequiredError
 from .benchmark import (
-    BRUTEFORCE_CELL_LIMIT,
     BenchmarkCapacityError,
     Trace,
+    check_bruteforce_capacity,
     check_table_capacity,
     dual_upper_bound,
     incentive_cost,
     solve_complete_bruteforce,
     unconstrained_trace_welfare,
-    welfare_tables,
 )
-from .engine import PolicySpec, TraceMetrics, check_exact_solves, run_simulation
+from .engine import PolicySpec, TraceMetrics, check_exact_solves, check_finite_bonuses
+from .engine import run_simulation
 from .policy_dual import StepSchedule
 from .scenarios import ScenarioConfig, realization_stream
 from .solver import TIE_TOL, SolveOptions, SolverCapacityError
@@ -126,6 +126,7 @@ class ExperimentConfig:
             raise ValueError("warmup_slots must lie in [0, t_slots]")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        check_finite_bonuses(self.policies, thr, self.t_slots)
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +413,25 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
 def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = None) -> int:
     cfg = load_config(config_path)
     scenario = _with_seed(cfg.scenario, seed)
-    # refuse oversized tables before the first slot is built
+    # refuse oversized tables and enumerations before the first slot is built
     n, t = scenario.n_users, cfg.t_slots
     check_table_capacity(n, t)
-    bf_mode = cfg.benchmark.bruteforce
-    within = n * t <= BRUTEFORCE_CELL_LIMIT
-    if bf_mode is True and not within:
-        raise BenchmarkCapacityError(
-            f"N*T = {n * t} exceeds "
-            f"{BRUTEFORCE_CELL_LIMIT}; shrink n_users or t_slots, or set "
-            'benchmark.bruteforce to "auto" or false'
-        )
+    run_bruteforce = cfg.benchmark.bruteforce is not False
+    if run_bruteforce:
+        try:
+            check_bruteforce_capacity(n, t)
+        except BenchmarkCapacityError:
+            if cfg.benchmark.bruteforce is True:
+                raise
+            run_bruteforce = False  # "auto" skips a trace too long to enumerate
 
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    slots = tuple(realization_stream(scenario, t))
-    trace = Trace(slots, cfg.thresholds)
-    tables = welfare_tables(trace)
-
-    unconstrained = unconstrained_trace_welfare(trace, tables=tables)
-    bound = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step, tables)
-
-    bruteforce = None
-    if bf_mode is True or (bf_mode == "auto" and within):
-        bruteforce = solve_complete_bruteforce(trace, tables)
+    trace = Trace(tuple(realization_stream(scenario, t)), cfg.thresholds)
+    unconstrained = unconstrained_trace_welfare(trace)
+    bound = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step)
+    bruteforce = solve_complete_bruteforce(trace) if run_bruteforce else None
 
     constrained = bruteforce if bruteforce is not None else bound
     try:
@@ -450,7 +445,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
         "unconstrained": unconstrained.avg_welfare,
         "dual_upper_bound": bound.avg_welfare,
         "bruteforce": None if bruteforce is None else bruteforce.avg_welfare,
-        "bruteforce_feasible": None if bruteforce is None else bruteforce.feasible,
+        "bruteforce_feasible": None if bruteforce is None else True,  # always feasible
         "incentive_cost": cost,
         "iterations": cfg.benchmark.iterations,
     }

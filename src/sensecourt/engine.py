@@ -54,6 +54,7 @@ __all__ = [
     "TraceMetrics",
     "apply_dropping",
     "check_exact_solves",
+    "check_finite_bonuses",
     "compute_summary",
     "run_policy",
     "run_simulation",
@@ -291,6 +292,28 @@ def check_exact_solves(
             _lane_options(spec.kind, solver).route(n_users)
 
 
+def check_finite_bonuses(
+    specs: Sequence[PolicySpec], thresholds: np.ndarray, t_slots: int
+) -> None:
+    """Refuse a lyapunov or auction phi whose bonuses can overflow in t_slots
+    slots; thresholds are the checked D, one per user.
+
+    A backlog gains at most max D a slot: q_t <= t max D, and phi r_t <=
+    (t + 1) max D from phi r_0 = D. So no bonus, q / phi or r, exceeds
+    B = (T + 1) max D / phi. A charge sum, an objective or a pivot payment
+    adds at most n bonuses to values and costs, so n B is kept to half the
+    largest float: phi >= 2 n (T + 1) max D / float max.
+    """
+    d_max = float(thresholds.max(initial=0.0))
+    phi_min = 2 * thresholds.size * (t_slots + 1) * d_max / np.finfo(float).max
+    for spec in specs:
+        if spec.kind in ("lyapunov", "auction") and spec.phi < phi_min:
+            raise ValueError(
+                f"policy {spec.kind}: phi = {spec.phi:g} lets its bonuses overflow over "
+                f"{t_slots} slots; phi must be at least {phi_min:.17g}"
+            )
+
+
 def run_policy(
     realizations: Iterable[SlotRealization],
     policy: PolicySpec | Sequence[PolicySpec],
@@ -312,10 +335,11 @@ def run_policy(
 
     t_slots is the number of slots the sequence yields; it defaults to its
     len(), and an iterable without one is refused unless t_slots is given.
-    A warmup longer than the run, thresholds outside [0, 1] (NaN too), and
-    an exact solve (an auction, or exact mode) over more users than
-    solver.exact_limit that runs past the warmup, are rejected before the
-    first slot is drawn; a sequence that yields a different number of slots
+    A warmup longer than the run, thresholds outside [0, 1] (NaN too), an
+    exact solve (an auction, or exact mode) over more users than
+    solver.exact_limit that runs past the warmup, and a phi whose bonuses
+    can overflow (check_finite_bonuses), are rejected before the first slot
+    is drawn; a sequence that yields a different number of slots
     is an error.
 
     dropping=False keeps every user active regardless of frequency, which
@@ -338,6 +362,7 @@ def run_policy(
     thresholds = thresholds_array(thresholds)
     n = thresholds.size
     check_exact_solves(specs, n, solver, t_slots, warmup_slots)
+    check_finite_bonuses(specs, thresholds, t_slots)
     ledger = _Ledger(specs, thresholds, solver, seed, t_slots)
     everyone = Allocation(np.ones(n, dtype=bool))  # no user drops during the warmup
     x = np.empty((len(specs), n), dtype=bool)

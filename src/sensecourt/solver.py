@@ -43,7 +43,6 @@ __all__ = [
     "subset_linear_table",
     "tiebreak_key",
     "tiebreak_order",
-    "tiebreak_pick",
     "tiebreak_picks",
 ]
 
@@ -274,17 +273,12 @@ def tiebreak_order(m: int) -> np.ndarray:
     return by_rank
 
 
-def tiebreak_pick(row: np.ndarray) -> int:
-    """First column of a tie-break-ordered objective within TIE_TOL of its maximum."""
-    return int(np.argmax(row >= row.max() - TIE_TOL))
-
-
 def tiebreak_picks(
     rows: np.ndarray, add: np.ndarray, which: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row maxima of rows + add, each row's tiebreak_pick, and each row's
-    runner-up: the largest column other than its first maximum (-inf for a
-    row of one column).
+    """Row maxima of rows + add, each row's pick, its first column within
+    TIE_TOL of the row maximum, and each row's runner-up: the largest column
+    other than its first maximum (-inf for a row of one column).
 
     `rows` and `add`, one row broadcast to all, are in the same tie-break
     column order. With `which`, only rows[which] are scored, in that order.

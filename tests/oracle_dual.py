@@ -1,6 +1,6 @@
 """Reference dual upper bound: the dense per-chunk tie-break sweep.
 
-Both references take welfare_tables output, whose columns are in
+Both references read a trace's welfare table, whose columns are in
 tie-break order, and first put the columns back in bit-mask order by the
 ranks of `oracle_subset.tiebreak_tables`. Each sweep adds the multiplier
 term, summed over each subset by subset_linear_table as the fast sweep
@@ -19,12 +19,7 @@ argmax and runner-up routine must reproduce.
 
 import numpy as np
 
-from sensecourt.benchmark import (
-    BenchmarkResult,
-    Trace,
-    check_table_capacity,
-    welfare_tables,
-)
+from sensecourt.benchmark import BenchmarkResult, Trace
 from sensecourt.policy_dual import StepSchedule
 from sensecourt.solver import TIE_TOL, subset_linear_table
 
@@ -32,7 +27,7 @@ from oracle_subset import tiebreak_tables
 
 
 def in_mask_order(tables: np.ndarray, n: int) -> np.ndarray:
-    """welfare_tables columns back in bit-mask order: column r is the subset
+    """Welfare table columns back in bit-mask order: column r is the subset
     with the r-th smallest combined tie-break rank."""
     unranked = np.empty_like(tables)
     unranked[:, np.argsort(tiebreak_tables(n)[2])] = tables
@@ -40,10 +35,7 @@ def in_mask_order(tables: np.ndarray, n: int) -> np.ndarray:
 
 
 def dual_upper_bound_dense(
-    trace: Trace,
-    iterations: int,
-    schedule: StepSchedule | None = None,
-    tables: np.ndarray | None = None,
+    trace: Trace, iterations: int, schedule: StepSchedule | None = None
 ) -> BenchmarkResult:
     """Subgradient descent on the trace-empirical dual objective.
 
@@ -56,8 +48,8 @@ def dual_upper_bound_dense(
 
     The default schedule is harmonic with a coefficient matched to the
     trace's mean cost: the optimal multipliers live on the cost scale, and
-    a unit step cannot reach them on expensive instances. `tables` is
-    welfare_tables(trace), built here if absent.
+    a unit step cannot reach them on expensive instances. The table is
+    trace.tables.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
@@ -65,10 +57,7 @@ def dual_upper_bound_dense(
         scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    check_table_capacity(n, t)
-    if tables is None:
-        tables = welfare_tables(trace)
-    tables = in_mask_order(tables, n)
+    tables = in_mask_order(trace.tables, n)
     d = trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
@@ -103,7 +92,7 @@ def dual_upper_bound_dense(
     if ghat < best[0]:
         best = (ghat, lam_avg, dbar)
 
-    return BenchmarkResult(best[0], best[2], True, "dual_upper_bound")
+    return BenchmarkResult(best[0], best[2])
 
 
 def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:

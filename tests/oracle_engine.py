@@ -10,6 +10,11 @@ pivots; every lane evaluates its own allocation. run_policy must match it
 bit for bit (tests/test_engine_oracle.py on the exact and auto modes,
 tests/test_engine_routes.py on greedy and bnb), and allocate_many must match
 solve_exact_alone row by row (tests/test_solver.py). Test helper only.
+
+`tiebreak_pick` is the pick rule on one row, the former
+solver.tiebreak_pick: the exact solves and each winner's pivot here take
+it row by row, where the engine's auction takes every winner's pivot from
+one solver.tiebreak_picks call.
 """
 
 import numpy as np
@@ -22,6 +27,7 @@ from sensecourt.policy_dual import DualState, dual_update
 from sensecourt.policy_lyapunov import QueueState, queue_update
 from sensecourt.scenarios import RANDOM_POLICY_STREAM
 from sensecourt.solver import (
+    TIE_TOL,
     RegulatedInstance,
     SolveResult,
     branch_and_bound,
@@ -29,7 +35,6 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_table,
     tiebreak_order,
-    tiebreak_pick,
 )
 from sensecourt.world import Allocation, evaluate_allocation
 
@@ -41,6 +46,11 @@ REGULATORS = {
     "auction": lambda spec, d: (RegulationState.initial(d, spec.phi), regulation_update),
     "radp_vpc": lambda spec, d: (VpcState.initial(d.size, spec.alpha), vpc_update),
 }
+
+
+def tiebreak_pick(row: np.ndarray) -> int:
+    """First column of a tie-break-ordered objective within TIE_TOL of its maximum."""
+    return int(np.argmax(row >= row.max() - TIE_TOL))
 
 
 def objective_alone(realization, kappa, users):

@@ -12,11 +12,11 @@ from sensecourt.benchmark import (
     BenchmarkCapacityError,
     BenchmarkResult,
     Trace,
+    check_bruteforce_capacity,
     dual_upper_bound,
     incentive_cost,
     solve_complete_bruteforce,
     unconstrained_trace_welfare,
-    welfare_tables,
 )
 from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import ScenarioConfig, realization_stream
@@ -75,14 +75,12 @@ class TestBruteforce:
         res = solve_complete_bruteforce(trace)
         slot = trace.slots[0]
         per_slot = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
-        assert res.feasible
         assert res.avg_welfare == pytest.approx(per_slot.objective, abs=1e-9)
 
     def test_full_threshold_forces_everyone(self):
         rng = np.random.default_rng(1)
         trace = random_trace(rng, 2, 2, thresholds=[1.0, 1.0])
         res = solve_complete_bruteforce(trace)
-        assert res.feasible
         assert np.allclose(res.per_user_alloc_prob, 1.0)
         expected = sum(
             evaluate_allocation(s, Allocation(np.ones(2, dtype=bool))).welfare
@@ -96,15 +94,21 @@ class TestBruteforce:
             trace = random_trace(rng, 3, 4)
             res = solve_complete_bruteforce(trace)
             oracle = oracle_joint_enumerate(trace)
-            assert res.feasible and oracle is not None
+            assert oracle is not None
             assert res.avg_welfare == pytest.approx(oracle, abs=1e-9)
             assert np.all(res.per_user_alloc_prob >= trace.thresholds - 1e-12)
 
     def test_capacity_error(self):
         rng = np.random.default_rng(3)
         trace = random_trace(rng, 5, 5)
-        with pytest.raises(BenchmarkCapacityError):
+        with pytest.raises(BenchmarkCapacityError, match=r"N\*T = 25 exceeds 24"):
             solve_complete_bruteforce(trace)
+
+    def test_capacity_rule_at_its_edge(self):
+        check_bruteforce_capacity(4, 6)
+        check_bruteforce_capacity(24, 1)
+        with pytest.raises(BenchmarkCapacityError, match=r"N\*T = 25 exceeds 24.*shrink"):
+            check_bruteforce_capacity(1, 25)
 
 
 class TestTrace:
@@ -119,48 +123,56 @@ class TestTrace:
         assert Trace(slots, np.array([0.0, 1.0, 0.5])).thresholds.tolist() == [0.0, 1.0, 0.5]
 
 
-REFERENCES = {
-    "dual_upper_bound": lambda trace, tables: dual_upper_bound(trace, 3, tables=tables),
-    "unconstrained_trace_welfare": unconstrained_trace_welfare,
-    "solve_complete_bruteforce": solve_complete_bruteforce,
-}
+def overflowing_slot(weights, costs):
+    """Two users on two grids: user 0 covers both, user 1 only grid 0."""
+    return make_realization(2, [{0, 1}, {0}], weights, costs)
 
 
-class TestTablesRefused:
-    # 3 users, 5 slots: small enough for joint enumeration
-    TRACE = random_trace(np.random.default_rng(15), 3, 5)
-    TABLES = welfare_tables(TRACE)
-
-    @pytest.mark.parametrize("reference", REFERENCES)
+class TestTraceTable:
+    # user 0's value sums both weights and the pair's cost sums both costs,
+    # so each passes the largest float, and the pair holds both
     @pytest.mark.parametrize(
-        "bad",
+        "weights, costs",
         [
-            TABLES[:3],
-            TABLES[:, :4],
-            np.vstack([TABLES, TABLES[:1]]),
-            TABLES[None],
-            TABLES.ravel(),
+            ([1e308, 1e308], [0.5, 0.5]),  # value inf
+            ([1.0, 1.0], [1e308, 1e308]),  # cost sum inf, welfare -inf
+            ([1e308, 1e308], [1e308, 1e308]),  # inf - inf is NaN
         ],
-        ids=["too-few-rows", "too-narrow", "too-many-rows", "3d", "1d"],
+        ids=["inf", "-inf", "nan"],
     )
-    def test_wrong_shape(self, reference, bad):
-        with pytest.raises(ValueError, match=r"tables must have shape \(5, 8\)"):
-            REFERENCES[reference](self.TRACE, bad)
+    def test_overflowing_table_refused(self, weights, costs):
+        slot = overflowing_slot(weights, costs)
+        with np.errstate(all="raise"):  # no overflow warning reaches the caller
+            with pytest.raises(ValueError, match="tables must hold no NaN or infinite"):
+                Trace((slot, slot), np.array([0.5, 0.5]))
 
-    @pytest.mark.parametrize("reference", REFERENCES)
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry(self, reference, value):
-        bad = self.TABLES.copy()
-        bad[4, 6] = value
-        with pytest.raises(ValueError, match="tables must hold no NaN or infinite"):
-            REFERENCES[reference](self.TRACE, bad)
+    def test_thresholds_checked_before_the_table(self):
+        slot = overflowing_slot([1e308, 1e308], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
+            Trace((slot,), np.array([0.5, 2.0]))
 
-    @pytest.mark.parametrize("reference", REFERENCES)
-    def test_good_tables_accepted_as_built(self, reference):
-        got = REFERENCES[reference](self.TRACE, self.TABLES)
-        want = REFERENCES[reference](self.TRACE, None)
-        assert got.avg_welfare.hex() == want.avg_welfare.hex()
-        assert got.per_user_alloc_prob.tobytes() == want.per_user_alloc_prob.tobytes()
+    @pytest.mark.parametrize(
+        "reference",
+        [unconstrained_trace_welfare, lambda trace: dual_upper_bound(trace, 3),
+         solve_complete_bruteforce],
+        ids=["unconstrained", "dual", "bruteforce"],
+    )
+    def test_references_build_no_rows(self, monkeypatch, reference):
+        # 3 users, 5 slots: each slot's rows are built once, by the Trace
+        built = []
+        rows = benchmark_mod.subset_value_rows
+        monkeypatch.setattr(
+            benchmark_mod, "subset_value_rows", lambda b: built.extend(map(id, b)) or rows(b)
+        )
+        trace = random_trace(np.random.default_rng(15), 3, 5)
+        assert built == [id(slot) for slot in trace.slots]
+
+        def refused(*args):
+            raise AssertionError("a reference built welfare rows")
+
+        monkeypatch.setattr(benchmark_mod, "subset_value_rows", refused)
+        monkeypatch.setattr(benchmark_mod, "subset_value_table", refused)
+        reference(trace)
 
 
 class TestDualUpperBound:
@@ -204,7 +216,7 @@ class TestDualUpperBound:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(benchmark_mod, "StepSchedule", Recording)
-            dual_upper_bound(Trace(slots, np.zeros(n)), 1, tables=np.zeros((t, 1 << n)))
+            dual_upper_bound(Trace(slots, np.zeros(n)), 1)
         scale = float(np.mean([s.true_costs.mean() for s in slots]))
         assert [c.hex() for c in coeffs] == [max(1.0, 2.0 * scale).hex()]
 
@@ -257,8 +269,6 @@ class TestUnconstrained:
         ids=["None", "100", "pick-100"],
     )
     def test_table_rows_equal_per_slot_solves(self, monkeypatch, module, constant, blocks):
-        rng = np.random.default_rng(11)
-        trace = random_trace(rng, 5, 30)
         if module is not None:
             monkeypatch.setattr(module, constant, 100)
         built = []
@@ -266,32 +276,29 @@ class TestUnconstrained:
         monkeypatch.setattr(
             benchmark_mod, "subset_value_rows", lambda b: built.append(len(b)) or rows(b)
         )
-        tables = welfare_tables(trace)
+        trace = random_trace(np.random.default_rng(11), 5, 30)
         assert built == blocks
         by_rank = tiebreak_order(5)
-        for slot, row in zip(trace.slots, tables, strict=True):
+        for slot, row in zip(trace.slots, trace.tables, strict=True):
             own = subset_value_table(slot, np.arange(5)) - subset_linear_table(slot.true_costs)
             assert row.tobytes() == own[by_rank].tobytes()
-        read = unconstrained_trace_welfare(trace, tables)
-        solved = unconstrained_trace_welfare(trace)
+        result = unconstrained_trace_welfare(trace)
         total = 0.0
         selections = np.zeros(5)
         for slot in trace.slots:
             res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
             total += res.objective
             selections += res.alloc.selected
-        for result in (read, solved):
-            assert np.float64(result.avg_welfare).view(np.int64) == np.float64(
-                total / 30
-            ).view(np.int64)
-            assert np.array_equal(result.per_user_alloc_prob, selections / 30)
+        assert np.float64(result.avg_welfare).view(np.int64) == np.float64(
+            total / 30
+        ).view(np.int64)
+        assert np.array_equal(result.per_user_alloc_prob, selections / 30)
 
     def test_rows_at_ten_users_in_blocks_that_do_not_divide_the_trace(self):
         # 2^10 + 8 cells a slot: 63 slots a block, so 100 slots end in a partial one
         trace = random_trace(np.random.default_rng(14), 10, 100)
-        tables = welfare_tables(trace)
         by_rank = tiebreak_order(10)
-        for slot, row in zip(trace.slots, tables, strict=True):
+        for slot, row in zip(trace.slots, trace.tables, strict=True):
             own = subset_value_table_loop(slot, np.arange(10)) - subset_linear_table(
                 slot.true_costs
             )
@@ -300,23 +307,22 @@ class TestUnconstrained:
     def test_references_peak_within_a_tenth_over_the_table(self):
         # N = 16, T = 64: a 32 MB table, one slot per block of rows
         scenario = ScenarioConfig(map=GridMap(10, 10, 200.0), n_users=16, seed=3)
-        trace = Trace(tuple(realization_stream(scenario, 64)), np.full(16, 0.5))
+        slots = tuple(realization_stream(scenario, 64))
         tiebreak_order(16)  # cached for the process, not part of the references
         tracemalloc.start()
         try:
-            tables = welfare_tables(trace)
-            unconstrained_trace_welfare(trace, tables)
-            dual_upper_bound(trace, 2, tables=tables)
+            trace = Trace(slots, np.full(16, 0.5))
+            unconstrained_trace_welfare(trace)
+            dual_upper_bound(trace, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * tables.nbytes
+        assert peak <= 1.1 * trace.tables.nbytes
 
-    def test_without_tables_refuses_above_the_table_cap(self):
-        # it builds the whole (T, 2^N) table, so 2^20 * 17 > 2^24 is refused
-        trace = random_trace(np.random.default_rng(13), 20, 17)
+    def test_trace_above_the_table_cap_refused(self):
+        # the trace builds the whole (T, 2^N) table, so 2^20 * 17 > 2^24 is refused
         with pytest.raises(BenchmarkCapacityError, match="welfare table cap"):
-            unconstrained_trace_welfare(trace)
+            random_trace(np.random.default_rng(13), 20, 17)
 
     def test_first_near_max_column_is_the_exact_solve(self):
         # tie-heavy slots too: equal welfare must resolve as solve_exact resolves it
@@ -329,7 +335,7 @@ class TestUnconstrained:
             ]
             weights = rng.choice([0.0, 0.5, 1.0], 8)
             slots.append(make_realization(8, regions, weights, rng.choice([0.0, 0.5], 6)))
-        tables = welfare_tables(Trace(tuple(slots), np.zeros(6)))
+        tables = Trace(tuple(slots), np.zeros(6)).tables
         by_rank = tiebreak_order(6)
         for slot, row in zip(slots, tables):
             r = int(np.argmax(row >= row.max() - TIE_TOL))
@@ -348,7 +354,7 @@ class TestUnconstrained:
 
 class TestIncentiveCost:
     def _result(self, value):
-        return BenchmarkResult(value, np.zeros(1), True, "unconstrained")
+        return BenchmarkResult(value, np.zeros(1))
 
     def test_identical_inputs_zero(self):
         assert incentive_cost(self._result(2.0), self._result(2.0)) == 0.0

@@ -246,7 +246,8 @@ class TestSimulate:
         }
 
     def test_tiny_phi_with_a_finite_inverse_runs(self, tmp_path):
-        # 1 / 1e-306 is finite, so every bonus D / phi is; 1e-320 is refused
+        # 1e-306 is above 2 n (T + 1) max D / float max = 7.2e-307, so no
+        # bonus can overflow; 1e-320 is refused
         policies = [{"kind": "lyapunov", "phi": 1e-306}, {"kind": "auction", "phi": 1e-306}]
         path = write_config(tmp_path, policies=policies)
         out = tmp_path / "out"
@@ -440,6 +441,9 @@ class TestFailBeforeWork:
             ),
             ("simulate", "policies", [{"kind": "greedy", "phi": 3}], "does not read phi"),
             ("simulate", "policies", [{"kind": "dual", "phi": 3}], "does not read phi"),
+            # 25 slots of 5 users at D = 0.5 take phi >= 7.2e-307
+            ("simulate", "policies", [{"kind": "lyapunov", "phi": 1e-308}], "phi = 1e-308"),
+            ("simulate", "policies", [{"kind": "auction", "phi": 1e-308}], "phi = 1e-308"),
         ],
     )
     def test_refused_with_error_line(
@@ -719,7 +723,7 @@ class TestBenchmarkCommand:
         out = tmp_path / "out"
         assert cmd_benchmark(str(path), out=str(out)) == 0
         report = json.loads((out / "benchmark.json").read_text())
-        assert report["bruteforce"] is None
+        assert report["bruteforce"] is None and report["bruteforce_feasible"] is None
         assert report["dual_upper_bound"] <= report["unconstrained"] + 1e-9
         assert report["incentive_cost"] >= 0.0
 
@@ -731,8 +735,18 @@ class TestBenchmarkCommand:
         out = tmp_path / "out"
         cmd_benchmark(str(path), out=str(out))
         report = json.loads((out / "benchmark.json").read_text())
-        assert report["bruteforce"] is not None
+        assert report["bruteforce"] is not None and report["bruteforce_feasible"] is True
         assert report["dual_upper_bound"] >= report["bruteforce"] - 1e-9
+
+    def test_bruteforce_auto_above_limits_skipped(self, tmp_path):
+        # N*T = 25 is one past the joint enumeration limit
+        path = write_config(
+            tmp_path, t_slots=5, warmup_slots=0, benchmark={"iterations": 10, "bruteforce": "auto"}
+        )
+        out = tmp_path / "out"
+        assert cmd_benchmark(str(path), out=str(out)) == 0
+        report = json.loads((out / "benchmark.json").read_text())
+        assert report["bruteforce"] is None and report["bruteforce_feasible"] is None
 
     def test_capacity_guidance(self, tmp_path, capsys):
         path = write_config(

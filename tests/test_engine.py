@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,10 @@ class TestLockstep:
             run_simulation(desk_config(), [], 10, 0, 0.5)
 
 
+# 2 n (T + 1) max D / float max at 5 users, 25 slots and thresholds 0.5
+SMALLEST_PHI = 2 * 5 * 26 * 0.5 / np.finfo(float).max
+
+
 def counting_stream(cfg, t_slots, calls):
     for realization in realization_stream(cfg, t_slots):
         calls.append(1)
@@ -320,6 +326,31 @@ class TestFailBeforeWork:
                 warmup_slots=0, t_slots=5,
             )
         assert calls == []
+
+    @pytest.mark.parametrize("phi", [1e-308, np.nextafter(SMALLEST_PHI, 0.0)])
+    @pytest.mark.parametrize("kind", ["auction", "lyapunov"])
+    def test_phi_whose_bonuses_can_overflow_refused_before_first_slot(self, kind, phi):
+        # 1e-308 used to let this run write non-finite auction payments and
+        # overflow in the lyapunov lane
+        cfg = desk_config(n_users=5, seed=0)
+        calls = []
+        with pytest.raises(ValueError, match=f"policy {kind}: phi = {phi:g} lets its bonuses"):
+            run_policy(
+                counting_stream(cfg, 25, calls), [PolicySpec("greedy"), PolicySpec(kind, phi=phi)],
+                np.full(5, 0.5), warmup_slots=0, solver=SolveOptions("exact"), t_slots=25,
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy", "bnb"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_smallest_accepted_phi_runs_without_overflow(self, seed, mode):
+        cfg = desk_config(n_users=5, seed=seed)
+        specs = [PolicySpec("auction", phi=SMALLEST_PHI), PolicySpec("lyapunov", phi=SMALLEST_PHI)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            auction, lyapunov = run_simulation(cfg, specs, 25, 0, 0.5, SolveOptions(mode))
+        assert np.isfinite(auction.payments_series).all()
+        assert np.isfinite(auction.regulation).all() and np.isfinite(lyapunov.regulation).all()
 
     @pytest.mark.parametrize("actual", [4, 6])
     def test_stream_length_must_match_horizon(self, actual):

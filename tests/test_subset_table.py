@@ -28,10 +28,10 @@ from sensecourt.solver import (
     subset_value_rows,
     subset_value_table,
     tiebreak_order,
-    tiebreak_pick,
 )
 from sensecourt.world import evaluate_allocation
 
+from oracle_engine import tiebreak_pick
 from oracle_subset import subset_linear_table_loop, subset_value_table_loop
 from oracle_sweep import report_differences, truthfulness_sweep_dense
 from test_world import make_realization
@@ -266,12 +266,13 @@ def assert_same_solve(mask, users, objective, reduced, n_users):
 
 @contextlib.contextmanager
 def recorded_pivots():
-    """Record every welfare_without handed to the payment rule."""
+    """Record every welfare_without handed to the payment rule, one per
+    winner whether it comes alone or in an array of every winner's."""
     seen = []
     original = auction_mod.pivot_payment
 
     def recording(value_term, others_cost, welfare_without, regulation):
-        seen.append(welfare_without)
+        seen.extend(np.atleast_1d(welfare_without).tolist())
         return original(value_term, others_cost, welfare_without, regulation)
 
     auction_mod.pivot_payment = recording
