@@ -180,7 +180,7 @@ def first_users(slot: SlotRealization, n: int) -> SlotRealization:
 
 
 def slot_bytes(slot: SlotRealization) -> list[bytes]:
-    arrays = [slot.weights.values, slot.true_costs, *(r.indices for r in slot.regions)]
+    arrays = [slot.weights.values, slot.true_costs, *slot.regions]
     return [a.tobytes() for a in arrays]
 
 

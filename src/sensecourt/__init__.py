@@ -9,7 +9,6 @@ stochastic scenario generator, and a discrete-time simulation engine.
 from .world import (
     Allocation,
     GridMap,
-    SensingRegion,
     SlotRealization,
     WeightField,
     WelfareBreakdown,

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import (
+    _BLOCK_CELLS,
     DEFAULT_EXACT_LIMIT,
     SolveOptions,
     allocate_many,
@@ -142,11 +143,16 @@ def run_auction_slot(
         solved = result.alloc, objective[0], evaluate_allocation(realization, result.alloc).value
     alloc, objective, value_term = solved
 
-    # row i: the objective with the subsets holding winner i at -inf
+    # winner i's pivot row: the objective with the subsets holding i at -inf,
+    # built for groups of winners of about _BLOCK_CELLS cells at a time
     winners = alloc.indices()
     bits = np.left_shift(1, np.searchsorted(users, winners))
-    has = np.bitwise_and.outer(bits, tiebreak_order(users.size)) != 0
-    _, picks, _ = tiebreak_picks(np.where(has, -np.inf, objective), 0.0)
+    order = tiebreak_order(users.size)
+    step = max(1, _BLOCK_CELLS // order.size)
+    picks = np.empty(winners.size, dtype=np.intp)
+    for lo in range(0, winners.size, step):
+        has = np.bitwise_and.outer(bits[lo : lo + step], order) != 0
+        picks[lo : lo + step] = tiebreak_picks(np.where(has, -np.inf, objective), 0.0)[1]
     payments = np.zeros(n)
     payments[winners] = pivot_payment(
         value_term, kappa[winners].sum() - kappa[winners], objective[picks], factors[winners]

@@ -85,7 +85,7 @@ def random_baseline_step(
     """Admit users in a random order, stopping at the first non-positive gain."""
     order = rng.permutation(np.flatnonzero(eligible_mask(eligible, realization.n_users)))
     w_rem = realization.weights.values.copy()
-    regions = [r.indices for r in realization.regions]
+    regions = realization.regions
     costs = realization.true_costs.tolist()
     selected = np.zeros(realization.n_users, dtype=bool)
     for u in order.tolist():

@@ -295,22 +295,31 @@ def check_exact_solves(
 def check_finite_bonuses(
     specs: Sequence[PolicySpec], thresholds: np.ndarray, t_slots: int
 ) -> None:
-    """Refuse a lyapunov or auction phi whose bonuses can overflow in t_slots
-    slots; thresholds are the checked D, one per user.
+    """Refuse a lyapunov or auction phi, or a radp_vpc alpha, whose bonuses
+    can overflow in t_slots slots; thresholds are the checked D, one per user.
 
     A backlog gains at most max D a slot: q_t <= t max D, and phi r_t <=
     (t + 1) max D from phi r_0 = D. So no bonus, q / phi or r, exceeds
-    B = (T + 1) max D / phi. A charge sum, an objective or a pivot payment
-    adds at most n bonuses to values and costs, so n B is kept to half the
-    largest float: phi >= 2 n (T + 1) max D / float max.
+    B = (T + 1) max D / phi. A credit grows by alpha a slot from 0 and resets
+    on selection, so it never exceeds B = T alpha. A charge sum, an objective
+    or a pivot payment adds at most n bonuses to values and costs, so n B is
+    kept to half the largest float: phi >= 2 n (T + 1) max D / float max and
+    alpha <= float max / (2 n T).
     """
+    n, big = thresholds.size, np.finfo(float).max
     d_max = float(thresholds.max(initial=0.0))
-    phi_min = 2 * thresholds.size * (t_slots + 1) * d_max / np.finfo(float).max
+    phi_min = 2 * n * (t_slots + 1) * d_max / big
+    alpha_max = big / (2 * max(1, n * t_slots))
     for spec in specs:
         if spec.kind in ("lyapunov", "auction") and spec.phi < phi_min:
             raise ValueError(
                 f"policy {spec.kind}: phi = {spec.phi:g} lets its bonuses overflow over "
                 f"{t_slots} slots; phi must be at least {phi_min:.17g}"
+            )
+        if spec.kind == "radp_vpc" and spec.alpha > alpha_max:
+            raise ValueError(
+                f"policy radp_vpc: alpha = {spec.alpha:g} lets its credits overflow over "
+                f"{t_slots} slots; alpha must be at most {alpha_max:.17g}"
             )
 
 
@@ -337,8 +346,8 @@ def run_policy(
     len(), and an iterable without one is refused unless t_slots is given.
     A warmup longer than the run, thresholds outside [0, 1] (NaN too), an
     exact solve (an auction, or exact mode) over more users than
-    solver.exact_limit that runs past the warmup, and a phi whose bonuses
-    can overflow (check_finite_bonuses), are rejected before the first slot
+    solver.exact_limit that runs past the warmup, and a phi or alpha whose
+    bonuses can overflow (check_finite_bonuses), are rejected before the first slot
     is drawn; a sequence that yields a different number of slots
     is an error.
 

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .world import GridMap, SensingRegion, SlotRealization
+from .world import GridMap, SlotRealization
 
 __all__ = [
     "ScenarioConfig",
@@ -190,9 +190,8 @@ def _realize_block(
     grids = rows.reshape(b * n, -1)[owner, i] * grid.width_grids
     grids += cols.reshape(b * n, -1)[owner, j]
     counts = np.bincount(owner, minlength=b * n).reshape(b, n)
-    regions = SensingRegion.split_sorted(size, grids, counts.ravel())
     costs = config.cost_to_weight_ratio * config.mean_weight * counts * jitter
-    return SlotRealization.split_block(weights, regions, costs), pos
+    return SlotRealization.split_block(weights, grids, counts, costs), pos
 
 
 def _window(

@@ -161,7 +161,7 @@ def subset_value_table(realization: SlotRealization, users: np.ndarray) -> np.nd
     w = realization.weights.values
     owners = np.zeros(realization.n_grids, dtype=np.int64)  # local bits above j
     for j in range(m - 1, -1, -1):
-        grids = realization.regions[int(users[j])].indices
+        grids = realization.regions[int(users[j])]
         rows = values.reshape(-1, 2 << j)  # row p: subsets whose bits above j spell p
         above, weights = owners[grids] >> (j + 1), w[grids]
         if rows.shape[0] >= 1 << _VIEW_LEVEL_BITS:
@@ -211,7 +211,7 @@ def subset_value_rows(slots: Sequence[SlotRealization]) -> np.ndarray:
     weights = np.stack([slot.weights.values for slot in slots])
     owners = np.zeros(weights.shape, dtype=np.int64)  # local bits above j
     for j in range(m - 1, -1, -1):
-        regions = [slot.regions[j].indices for slot in slots]
+        regions = [slot.regions[j] for slot in slots]
         sizes = np.array([r.size for r in regions])
         order = np.argsort(-sizes)
         sizes = sizes[order]
@@ -365,7 +365,7 @@ def solve_greedy(inst: RegulatedInstance) -> SolveResult:
     """
     real = inst.realization
     w_rem = real.weights.values.copy()
-    regions = [r.indices for r in real.regions]
+    regions = real.regions
     costs = inst.effective_costs.tolist()
     values = real.region_values
     add = np.add.reduce
@@ -424,7 +424,8 @@ def branch_and_bound(
         return SolveResult(Allocation.none(n), 0.0, True)
 
     w = real.weights.values.tolist()
-    masks = [real.regions[int(u)].mask for u in users]
+    # one bit per grid; a region's grids are distinct, so the sum is their union
+    masks = [sum(1 << g for g in real.regions[int(u)].tolist()) for u in users]
     kappa = [float(inst.effective_costs[int(u)]) for u in users]
 
     def new_value(region_mask: int, covered: int) -> float:

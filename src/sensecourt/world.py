@@ -1,8 +1,9 @@
-"""Grid world primitives: sensing regions, slot realizations, welfare accounting.
+"""Grid world primitives: the grid map, slot realizations, welfare accounting.
 
 The sensing area is a rectangle of square grids indexed row-major. A slot
 realization bundles everything a selection policy sees in one time slot:
-per-grid data values, per-user sensing regions, per-user true sensing costs.
+per-grid data values, per-user sensing regions (each a sorted array of the
+grid indices the user can sense), per-user true sensing costs.
 Coverage value counts every grid once no matter how many selected users
 sense it, which is what makes the per-slot selection problem a weighted
 set-cover style profit maximization rather than a plain sum.
@@ -20,7 +21,6 @@ import numpy as np
 __all__ = [
     "GridMap",
     "WeightField",
-    "SensingRegion",
     "SlotRealization",
     "Allocation",
     "WelfareBreakdown",
@@ -136,49 +136,66 @@ class WeightField:
         return self.values.size
 
 
-@dataclass(frozen=True, eq=False)
-class SensingRegion:
-    """Set of grid indices a user can sense in one slot.
+def _region(indices, n_grids: int) -> np.ndarray:
+    """A hand-given region as a read-only, sorted, distinct int64 copy of its
+    indices, each in [0, n_grids); integral floats are accepted."""
+    raw = np.asarray(indices)
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
+        raise ValueError(f"region indices must be finite integers, got {raw.ravel()}")
+    idx = np.unique(raw.astype(np.int64))
+    if idx.size and (idx[0] < 0 or idx[-1] >= n_grids):
+        raise ValueError("region index out of range")
+    idx.flags.writeable = False
+    return idx
 
-    Stored as a sorted index array plus a lazily built bit mask (one bit per
-    grid), so set unions in the solvers are single big-int ORs. An empty
-    region is legal: it models a user outside the sensing area.
+
+@dataclass(frozen=True, eq=False)
+class SlotRealization:
+    """One slot's network information: weights, regions, true costs.
+
+    User u's sensing region, regions[u], is the set of grids u can sense in
+    the slot: a read-only, sorted int64 array of distinct grid indices below
+    n_grids. An empty region is legal: it models a user outside the sensing
+    area. A hand-built slot's regions are checked and normalised here
+    (sorted, de-duplicated, integral floats taken as integers).
     """
 
-    n_grids: int
-    indices: np.ndarray
+    weights: WeightField
+    regions: tuple[np.ndarray, ...]
+    true_costs: np.ndarray
 
     def __post_init__(self):
-        if self.n_grids <= 0:
-            raise ValueError("n_grids must be positive")
-        raw = np.asarray(self.indices)
-        if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
-            raise ValueError(f"region indices must be finite integers, got {raw.ravel()}")
-        idx = np.unique(raw.astype(np.int64))
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.n_grids):
-            raise ValueError("region index out of range")
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
+        regions = tuple(_region(r, self.weights.n_grids) for r in self.regions)
+        costs = frozen_array(self.true_costs, "true_costs", nonneg=True)
+        if len(regions) != costs.size:
+            raise ValueError("regions and true_costs must have the same length")
+        object.__setattr__(self, "regions", regions)
+        object.__setattr__(self, "true_costs", costs)
 
     @classmethod
-    def split_sorted(
-        cls, n_grids: int, grids: np.ndarray, counts: np.ndarray
-    ) -> tuple["SensingRegion", ...]:
-        """Cut one concatenated index array into consecutive regions.
+    def split_block(
+        cls, weights: np.ndarray, grids: np.ndarray, counts: np.ndarray, costs: np.ndarray
+    ) -> tuple["SlotRealization", ...]:
+        """Cut a block of B slots of n users into slot realizations.
 
-        Region k holds the next counts[k] entries of grids, which must be in
-        range and strictly increasing within each region; unsorted or
-        duplicated input raises instead of being normalised. The checks run
-        once over the whole array, and every region is a read-only slice of
-        one private copy, so no per-region validation is repeated.
+        Slot k holds weights[k] and costs[k]; its user u's region is the next
+        counts[k, u] entries of grids, which must be in range and strictly
+        increasing within each region: unsorted or repeated input raises
+        instead of being normalised. The checks run once over the block, and
+        every slot holds read-only views of the block's arrays and of one
+        private copy of grids.
         """
-        if n_grids <= 0:
-            raise ValueError("n_grids must be positive")
-        idx = np.array(grids, dtype=np.int64).ravel()
+        b, n = costs.shape
+        idx = np.asarray(grids).ravel()
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"block grids must be integers, got {idx.dtype}")
+        idx = idx.astype(np.int64)  # the slots' private copy
         counts = np.asarray(counts, dtype=np.int64).ravel().tolist()
+        if weights.shape[0] != b or len(counts) != b * n:
+            raise ValueError("a block needs one weight row and n region counts per cost row")
         if min(counts, default=0) < 0 or sum(counts) != idx.size:
             raise ValueError("counts must be non-negative and sum to the number of grids")
-        if idx.size and (idx.min() < 0 or idx.max() >= n_grids):
+        if idx.size and (idx.min() < 0 or idx.max() >= weights.shape[1]):
             raise ValueError("region index out of range")
         ends = list(accumulate(counts))
         # pairs straddling two regions may drop; all others must rise
@@ -186,65 +203,11 @@ class SensingRegion:
         rising[[end - 1 for end in ends if 0 < end < idx.size]] = True
         if not rising.all():
             raise ValueError("region indices must be strictly increasing within each region")
-        idx.flags.writeable = False
-        regions = []
-        for start, end in zip([0] + ends, ends):
-            region = object.__new__(cls)
-            object.__setattr__(region, "n_grids", n_grids)
-            object.__setattr__(region, "indices", idx[start:end])
-            regions.append(region)
-        return tuple(regions)
-
-    @cached_property
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices.tolist():
-            m |= 1 << i
-        return m
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-
-@dataclass(frozen=True, eq=False)
-class SlotRealization:
-    """One slot's network information: weights, regions, true costs."""
-
-    weights: WeightField
-    regions: tuple[SensingRegion, ...]
-    true_costs: np.ndarray
-
-    def __post_init__(self):
-        regions = tuple(self.regions)
-        costs = frozen_array(self.true_costs, "true_costs", nonneg=True)
-        if len(regions) != costs.size:
-            raise ValueError("regions and true_costs must have the same length")
-        for r in regions:
-            if r.n_grids != self.weights.n_grids:
-                raise ValueError("region capacity does not match weight field")
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "true_costs", costs)
-
-    @classmethod
-    def split_block(
-        cls, weights: np.ndarray, regions: tuple[SensingRegion, ...], costs: np.ndarray
-    ) -> tuple["SlotRealization", ...]:
-        """Cut a block of B slots of n users into slot realizations.
-
-        Slot k holds weights[k], costs[k] and regions k*n to k*n + n - 1.
-        The checks of WeightField and of a slot run once over the block, and
-        every slot holds read-only views of the block's arrays.
-        """
-        b, n = costs.shape
-        if weights.shape[0] != b or len(regions) != b * n:
-            raise ValueError("a block needs one weight row and n regions per cost row")
-        if any(r.n_grids != weights.shape[1] for r in regions):
-            raise ValueError("region capacity does not match weight field")
         for name, arr in (("weights", weights), ("costs", costs)):
             if not np.all(np.isfinite(arr)) or np.any(arr < 0):
                 raise ValueError(f"{name} must be finite and non-negative")
-        weights.flags.writeable = costs.flags.writeable = False
+        idx.flags.writeable = weights.flags.writeable = costs.flags.writeable = False
+        regions = tuple(idx[start:end] for start, end in zip([0] + ends, ends))
         return tuple(
             _unchecked(
                 cls,
@@ -269,7 +232,7 @@ class SlotRealization:
         (the routine of ndarray.sum, so the same bits): built on first use and
         shared by every greedy solve of the slot."""
         w = self.weights.values
-        return tuple(float(np.add.reduce(w[r.indices])) for r in self.regions)
+        return tuple(float(np.add.reduce(w[r])) for r in self.regions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +287,7 @@ def _covered(realization: SlotRealization, alloc: Allocation) -> np.ndarray:
         )
     cov = np.zeros(realization.n_grids, dtype=bool)
     for u in alloc.indices():
-        cov[realization.regions[u].indices] = True
+        cov[realization.regions[u]] = True
     return cov
 
 

@@ -33,13 +33,13 @@ def solve_greedy_loop(inst: RegulatedInstance) -> SolveResult:
     objective = 0.0
 
     def marginal(u: int) -> float:
-        return float(w_rem[real.regions[u].indices].sum())
+        return float(w_rem[real.regions[u]].sum())
 
     def take(u: int, gain: float) -> None:
         nonlocal objective
         selected[u] = True
         objective += gain
-        w_rem[real.regions[u].indices] = 0.0
+        w_rem[real.regions[u]] = 0.0
 
     heap: list[tuple[float, int]] = []
     for u in np.flatnonzero(inst.eligible):
@@ -76,7 +76,7 @@ def random_baseline_loop(
     selected = np.zeros(realization.n_users, dtype=bool)
     for u in order:
         u = int(u)
-        idx = realization.regions[u].indices
+        idx = realization.regions[u]
         gain = float(w_rem[idx].sum()) - float(realization.true_costs[u])
         if gain <= 0.0:
             break

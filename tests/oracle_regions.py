@@ -11,7 +11,7 @@ bit. Test helper only.
 import numpy as np
 
 from sensecourt.scenarios import _hotspot_profile, initial_state, slot_rng
-from sensecourt.world import SensingRegion, SlotRealization, WeightField
+from sensecourt.world import SlotRealization, WeightField
 
 
 def weight_field(config, rng) -> WeightField:
@@ -34,11 +34,10 @@ def build_slot_realization_loop(positions, config, rng) -> SlotRealization:
     jitter = rng.uniform(config.cost_jitter[0], config.cost_jitter[1], size=n)
     regions = []
     costs = np.zeros(n)
-    i = config.map.n_grids
     for u in range(n):
         d2 = (centers[:, 0] - positions[u, 0]) ** 2 + (centers[:, 1] - positions[u, 1]) ** 2
         idx = np.flatnonzero(d2 <= radii[u] * radii[u])
-        regions.append(SensingRegion(i, idx))
+        regions.append(idx)
         costs[u] = (
             config.cost_to_weight_ratio
             * config.mean_weight

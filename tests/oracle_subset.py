@@ -27,7 +27,7 @@ def subset_value_table_loop(realization, users) -> np.ndarray:
     if m == 0:
         return values
     w = realization.weights.values.tolist()
-    masks = [realization.regions[int(u)].mask for u in users]
+    masks = [sum(1 << g for g in realization.regions[int(u)].tolist()) for u in users]
     unions = [0] * size
     for s in range(1, size):
         low = s & -s

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from sensecourt.auction import (
     truthfulness_sweep,
 )
 from sensecourt.policy_lyapunov import QueueState, queue_update
-from sensecourt.solver import RegulatedInstance, solve_exact
+from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many, solve_exact
 from sensecourt.world import Allocation, evaluate_allocation
 
+from oracle_engine import auction_slot_alone
 from test_world import make_realization
 
 TOL = 1e-9
@@ -76,7 +78,7 @@ class TestPivots:
                     for combo in itertools.combinations(others, size):
                         covered = set()
                         for v in combo:
-                            covered |= set(real.regions[v].indices.tolist())
+                            covered |= set(real.regions[v].tolist())
                         obj = sum(weights[g] for g in covered) - sum(
                             kappa[v] for v in combo
                         )
@@ -101,6 +103,30 @@ class TestPivots:
             for u in outcome.alloc.indices():
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
 
+    def test_pivot_rows_built_a_group_at_a_time(self):
+        # at m = 16 a group is one masked row; the winners' rows built all at
+        # once held 9 bytes a cell per winner
+        m = 16
+        rng = np.random.default_rng(3)
+        regions = [{u, (u + 1) % m, m + u} for u in range(m)]  # overlapping neighbours
+        real = make_realization(2 * m, regions, rng.uniform(1, 2, 2 * m), rng.uniform(0, 1, m))
+        factors = rng.uniform(0, 0.5, m)
+        kappa = real.true_costs - factors
+        (result,), objective = allocate_many(real, kappa[None], None, SolveOptions("exact", m))
+        solved = result.alloc, objective[0], evaluate_allocation(real, result.alloc).value
+        assert result.alloc.selected.sum() >= 8
+        run_auction_slot(factors, real, real.true_costs, None, m, solved)  # warm caches
+        tracemalloc.start()
+        try:
+            outcome = run_auction_slot(factors, real, real.true_costs, None, m, solved)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * objective[0].nbytes
+        alloc, payments = auction_slot_alone(RegulationState(factors, 10.0), real, np.ones(m, bool))
+        assert outcome.alloc.selected.tobytes() == alloc.selected.tobytes()
+        assert outcome.payments.tobytes() == payments.tobytes()
+
     def test_refuses_oversized_instances(self):
         real = make_realization(4, [{0}] * 5, costs=[0.1] * 5)
         with pytest.raises(ExactPivotsRequiredError):
@@ -119,9 +145,9 @@ class TestLeaveOneOutAssert:
             res = solve_exact(RegulatedInstance.of(real, kappa))
             for u in res.alloc.indices():
                 u = int(u)
-                removed = set(real.regions[u].indices.tolist())
+                removed = set(real.regions[u].tolist())
                 rest_regions = [
-                    set(real.regions[v].indices.tolist()) - removed for v in range(n)
+                    set(real.regions[v].tolist()) - removed for v in range(n)
                 ]
                 weights = real.weights.values.copy()
                 for g in removed:

@@ -98,7 +98,7 @@ class TestGreedyBaseline:
             alloc = greedy_baseline_step(real)
             for u in range(real.n_users):
                 singleton = (
-                    real.weights.values[real.regions[u].indices].sum()
+                    real.weights.values[real.regions[u]].sum()
                     - real.true_costs[u]
                 )
                 if singleton < 0:

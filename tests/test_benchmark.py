@@ -245,7 +245,7 @@ class TestUnconstrained:
             slot = random_slot(rng, 3, 6)
             slots.append(make_realization(
                 6,
-                [set(r.indices.tolist()) for r in slot.regions],
+                [set(r.tolist()) for r in slot.regions],
                 slot.weights.values,
                 np.zeros(3),
             ))

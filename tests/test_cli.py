@@ -444,6 +444,8 @@ class TestFailBeforeWork:
             # 25 slots of 5 users at D = 0.5 take phi >= 7.2e-307
             ("simulate", "policies", [{"kind": "lyapunov", "phi": 1e-308}], "phi = 1e-308"),
             ("simulate", "policies", [{"kind": "auction", "phi": 1e-308}], "phi = 1e-308"),
+            # and alpha <= 7.2e305
+            ("simulate", "policies", [{"kind": "radp_vpc", "alpha": 1e308}], "alpha = 1e+308"),
         ],
     )
     def test_refused_with_error_line(

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -221,6 +222,8 @@ class TestLockstep:
 
 # 2 n (T + 1) max D / float max at 5 users, 25 slots and thresholds 0.5
 SMALLEST_PHI = 2 * 5 * 26 * 0.5 / np.finfo(float).max
+# the largest radp_vpc alpha whose credits cannot overflow: 25 slots of 5 users
+LARGEST_ALPHA = np.finfo(float).max / (2 * 5 * 25)
 
 
 def counting_stream(cfg, t_slots, calls):
@@ -351,6 +354,34 @@ class TestFailBeforeWork:
             auction, lyapunov = run_simulation(cfg, specs, 25, 0, 0.5, SolveOptions(mode))
         assert np.isfinite(auction.payments_series).all()
         assert np.isfinite(auction.regulation).all() and np.isfinite(lyapunov.regulation).all()
+
+    @pytest.mark.parametrize("alpha", [1e308, np.nextafter(LARGEST_ALPHA, np.inf)])
+    def test_alpha_whose_credits_can_overflow_refused_before_first_slot(self, alpha):
+        # 1e308 used to overflow in both the exact and the greedy route
+        cfg = desk_config(n_users=5, seed=0)
+        calls = []
+        match = re.escape(
+            f"policy radp_vpc: alpha = {alpha:g} lets its credits overflow over 25 slots; "
+            f"alpha must be at most {LARGEST_ALPHA:.17g}"
+        )
+        with pytest.raises(ValueError, match=match):
+            run_policy(
+                counting_stream(cfg, 25, calls),
+                [PolicySpec("greedy"), PolicySpec("radp_vpc", alpha=alpha)],
+                np.full(5, 0.5), warmup_slots=0, solver=SolveOptions("exact"), t_slots=25,
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy", "bnb"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_largest_accepted_alpha_runs_without_overflow(self, seed, mode):
+        cfg = desk_config(n_users=5, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vpc = run_simulation(
+                cfg, PolicySpec("radp_vpc", alpha=LARGEST_ALPHA), 25, 0, 0.5, SolveOptions(mode)
+            )
+        assert np.isfinite(vpc.regulation).all() and np.isfinite(vpc.welfare_series).all()
 
     @pytest.mark.parametrize("actual", [4, 6])
     def test_stream_length_must_match_horizon(self, actual):

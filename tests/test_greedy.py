@@ -20,7 +20,7 @@ from sensecourt.baselines import random_baseline_step
 from sensecourt.engine import PolicySpec, run_policy
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many
-from sensecourt.world import GridMap, SensingRegion, SlotRealization, WeightField
+from sensecourt.world import GridMap, SlotRealization, WeightField
 
 from oracle_greedy import random_baseline_loop, solve_greedy_loop
 from test_subset_table import draw_slot
@@ -137,9 +137,8 @@ class TestGreedyMetamorphic:
     def test_an_idle_user_changes_nothing(self, case, idle_eligible):
         slots, charges, eligible = case
         for real in slots:
-            idle = SensingRegion(real.n_grids, [])
             grown = SlotRealization(
-                real.weights, real.regions + (idle,), np.append(real.true_costs, 0.0)
+                real.weights, real.regions + ([],), np.append(real.true_costs, 0.0)
             )
             base, _ = allocate_many(real, charges, eligible, GREEDY)
             more, _ = allocate_many(

@@ -74,7 +74,7 @@ class TestDualAllocate:
 
         real2 = make_realization(
             real.n_grids,
-            [set()] + [set(r.indices.tolist()) for r in regions[1:]],
+            [set()] + [set(r.tolist()) for r in regions[1:]],
             real.weights.values,
             real.true_costs,
         )

@@ -151,7 +151,7 @@ class TestMobility:
         slots = list(realization_stream(cfg, 40))
         for real in slots[1:]:
             for a, b in zip(real.regions, slots[0].regions):
-                assert a.indices.tolist() == b.indices.tolist()
+                assert a.tolist() == b.tolist()
 
     def test_stream_users_stay_on_the_map(self):
         # a center lies within edge / sqrt(2) of every point on the map
@@ -201,7 +201,7 @@ class TestRealization:
                 centers[:, 1] - pos[u, 1],
             )
             expected = set(np.flatnonzero(d <= radii[u]).tolist())
-            assert set(real.regions[u].indices.tolist()) == expected
+            assert set(real.regions[u].tolist()) == expected
 
     def test_center_disk_count_near_analytic(self):
         cfg = config(radius_min_m=400.0, radius_max_m=400.0)
@@ -309,7 +309,7 @@ def assert_same_slot(fast, ref):
     assert fast.true_costs.tobytes() == ref.true_costs.tobytes()
     assert len(fast.regions) == len(ref.regions)
     for a, b in zip(fast.regions, ref.regions):
-        assert a.indices.tolist() == b.indices.tolist()
+        assert a.tolist() == b.tolist()
 
 
 class TestStreamOracle:
@@ -373,7 +373,7 @@ class TestStreamOracle:
         for real in slots:
             assert not real.weights.values.flags.writeable
             assert not real.true_costs.flags.writeable
-            assert all(not r.indices.flags.writeable for r in real.regions)
+            assert all(not r.flags.writeable for r in real.regions)
         assert slots[0].true_costs.base is slots[4].true_costs.base
         assert slots[0].weights.values.base is slots[4].weights.values.base
 
@@ -404,7 +404,7 @@ class TestStream:
             assert np.array_equal(ra.weights.values, rb.weights.values)
             assert np.array_equal(ra.true_costs, rb.true_costs)
             for u in range(cfg.n_users):
-                assert np.array_equal(ra.regions[u].indices, rb.regions[u].indices)
+                assert np.array_equal(ra.regions[u], rb.regions[u])
 
     def test_different_seeds_differ(self):
         a = next(iter(realization_stream(config(seed=1), 1)))

@@ -43,7 +43,7 @@ def oracle_enumerate(inst):
         for combo in itertools.combinations(eligible, size):
             covered = set()
             for u in combo:
-                covered |= set(real.regions[u].indices.tolist())
+                covered |= set(real.regions[u].tolist())
             obj = sum(weights[g] for g in sorted(covered)) - sum(
                 inst.effective_costs[u] for u in combo
             )

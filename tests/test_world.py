@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sensecourt.world import (
     Allocation,
     GridMap,
-    SensingRegion,
     SlotRealization,
     WeightField,
     evaluate_allocation,
@@ -16,25 +15,37 @@ from sensecourt.world import (
 
 
 def make_realization(n_grids, regions, weights=None, costs=None):
-    regs = tuple(SensingRegion(n_grids, sorted(r)) for r in regions)
     w = np.ones(n_grids) if weights is None else np.asarray(weights, dtype=float)
     c = np.zeros(len(regions)) if costs is None else np.asarray(costs, dtype=float)
-    return SlotRealization(WeightField(w), regs, c)
+    return SlotRealization(WeightField(w), [sorted(r) for r in regions], c)
 
 
 def as_block(slots):
     """The slots (one user and grid count) rebuilt as one block, the way
-    realization_stream builds them: split_sorted regions, split_block slots."""
+    realization_stream builds them, by split_block."""
     n_grids = slots[0].n_grids
-    regions = [r.indices for s in slots for r in s.regions]
-    cut = SensingRegion.split_sorted(
-        n_grids, np.concatenate([np.zeros(0, np.int64)] + regions), [r.size for r in regions]
-    )
+    regions = [r for s in slots for r in s.regions]
     return SlotRealization.split_block(
         np.array([s.weights.values for s in slots]).reshape(len(slots), n_grids),
-        cut,
+        np.concatenate([np.zeros(0, np.int64)] + regions),
+        [r.size for r in regions],
         np.array([s.true_costs for s in slots]).reshape(len(slots), -1),
     )
+
+
+def hand_built(*regions, n_grids=8):
+    """A slot of len(regions) users on n_grids unit-weight grids, built by the
+    constructor."""
+    return SlotRealization(WeightField(np.ones(n_grids)), regions, np.zeros(len(regions)))
+
+
+def one_block(grids, counts, n_grids=8):
+    """One slot of len(counts) users on n_grids unit-weight grids, cut by
+    split_block from grids."""
+    (slot,) = SlotRealization.split_block(
+        np.ones((1, n_grids)), grids, counts, np.zeros((1, len(counts)))
+    )
+    return slot
 
 
 @st.composite
@@ -97,80 +108,73 @@ class TestTypes:
         with pytest.raises(ValueError):
             WeightField([np.inf, 1.0])
 
-    def test_region_validates_indices(self):
-        with pytest.raises(ValueError):
-            SensingRegion(4, [4])
-        region = SensingRegion(4, [2, 0, 2])
-        assert region.indices.tolist() == [0, 2]
-        assert region.mask == 0b101
-        assert region.size == 2
-
-    @pytest.mark.parametrize("bad", [[1.7, 2.2], [2.0, 0.5], [np.nan], [1.0, np.inf]])
-    def test_region_refuses_non_integral_indices(self, bad):
-        with pytest.raises(ValueError, match="finite integers"):
-            SensingRegion(10, bad)
-
-    def test_sorted_input_kept_as_a_private_copy(self):
-        given = np.array([1, 3, 7], dtype=np.int64)
-        region = SensingRegion(8, given)
-        given[0] = 5
-        assert region.indices.tolist() == [1, 3, 7]
-        assert not region.indices.flags.writeable
-        assert given.flags.writeable
-        with pytest.raises(ValueError):
-            SensingRegion(8, np.array([1, 3, 8]))
-        with pytest.raises(ValueError):
-            SensingRegion(8, np.array([-1, 3]))
-
-    def test_unsorted_or_repeated_input_normalised(self):
-        assert SensingRegion(8, np.array([5, 1, 3])).indices.tolist() == [1, 3, 5]
-        assert SensingRegion(8, np.array([1, 3, 3])).indices.tolist() == [1, 3]
-        assert SensingRegion(8, np.array([[4, 0]])).indices.tolist() == [0, 4]
-        assert SensingRegion(8, [3.0, 1.0]).indices.tolist() == [1, 3]
-        with pytest.raises(ValueError):
-            SensingRegion(8, np.array([9, 1]))
-
-    def test_split_sorted_cuts_read_only_disjoint_slices(self):
-        grids = np.array([3, 7, 1, 2, 5, 0], dtype=np.int64)
-        regions = SensingRegion.split_sorted(8, grids, [0, 2, 3, 0, 1, 0])
-        assert [r.indices.tolist() for r in regions] == [[], [3, 7], [1, 2, 5], [], [0], []]
-        assert all(r.n_grids == 8 for r in regions)
-        assert regions[2].mask == 0b100110
-        grids[0] = 6  # the regions hold a private copy
-        assert regions[1].indices.tolist() == [3, 7]
-        for k, a in enumerate(regions):
-            assert not a.indices.flags.writeable
-            with pytest.raises(ValueError):
-                a.indices[...] = 0
-            for b in regions[k + 1 :]:
-                assert not np.shares_memory(a.indices, b.indices)
-
-    def test_split_sorted_empty_input(self):
-        regions = SensingRegion.split_sorted(4, np.empty(0, dtype=np.int64), [0, 0])
-        assert [r.size for r in regions] == [0, 0]
-        assert SensingRegion.split_sorted(4, [], []) == ()
-        with pytest.raises(ValueError):
-            SensingRegion.split_sorted(0, [], [])
-
     @pytest.mark.parametrize(
-        "grids, counts",
+        "build, match",
         [
-            ([1, 8], [2]),  # past the end
-            ([-1, 3], [2]),  # negative
-            ([3, 1], [2]),  # unsorted within a region
-            ([1, 4, 4], [1, 2]),  # duplicate within a region
-            ([2, 5, 1, 0], [2, 2]),  # second region unsorted
-            ([1, 2], [1]),  # counts too short
-            ([1, 2], [3, -1]),  # negative count
+            (lambda: hand_built([4], n_grids=4), "out of range"),
+            (lambda: hand_built([1, 3, 8]), "out of range"),
+            (lambda: hand_built([9, 1]), "out of range"),  # unsorted and past the end
+            (lambda: hand_built([-1, 3]), "out of range"),
+            (lambda: hand_built([0], [1.7, 2.2]), "finite integers"),
+            (lambda: hand_built([2.0, 0.5]), "finite integers"),
+            (lambda: hand_built([np.nan]), "finite integers"),
+            (lambda: hand_built([1.0, np.inf]), "finite integers"),
+            (lambda: one_block([1, 8], [2]), "out of range"),
+            (lambda: one_block([-1, 3], [2]), "out of range"),
+            (lambda: one_block([1.0, 2.5], [2]), "integers"),
+            (lambda: one_block([np.nan], [1]), "integers"),
+            (lambda: one_block([3, 1], [2]), "strictly increasing"),
+            (lambda: one_block([1, 4, 4], [1, 2]), "strictly increasing"),  # duplicate
+            (lambda: one_block([2, 5, 1, 0], [2, 2]), "strictly increasing"),  # second region
+            (lambda: one_block([1, 2], [1]), "sum to the number"),  # counts too short
+            (lambda: one_block([1, 2], [3, -1]), "non-negative"),
+            (  # three counts for two users
+                lambda: SlotRealization.split_block(
+                    np.ones((1, 8)), [1, 2], [1, 1, 0], np.zeros((1, 2))
+                ),
+                "n region counts",
+            ),
+            (  # one weight row for two cost rows
+                lambda: SlotRealization.split_block(np.ones((1, 8)), [], [0, 0], np.zeros((2, 1))),
+                "one weight row",
+            ),
         ],
     )
-    def test_split_sorted_rejects_bad_input(self, grids, counts):
-        with pytest.raises(ValueError):
-            SensingRegion.split_sorted(8, np.array(grids), counts)
+    def test_bad_region_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
-    def test_empty_region_permitted(self):
-        region = SensingRegion(8, [])
-        assert region.size == 0 and region.mask == 0
+    def test_hand_built_regions_normalised_into_private_copies(self):
+        given = np.array([1, 3, 7], dtype=np.int64)
+        slot = hand_built(given, [5, 1, 3], [1, 3, 3], np.array([[4, 0]]), [3.0, 1.0], [])
+        given[0] = 5
+        assert [r.tolist() for r in slot.regions] == [
+            [1, 3, 7], [1, 3, 5], [1, 3], [0, 4], [1, 3], []
+        ]
+        assert given.flags.writeable
+        for r in slot.regions:
+            assert r.dtype == np.int64 and not r.flags.writeable
+
+    def test_block_regions_are_read_only_disjoint_slices(self):
+        grids = np.array([3, 7, 1, 2, 5, 0], dtype=np.int64)
+        slots = SlotRealization.split_block(
+            np.ones((2, 8)), grids, [[0, 2, 3], [0, 1, 0]], np.zeros((2, 3))
+        )
+        regions = [r for s in slots for r in s.regions]
+        assert [r.tolist() for r in regions] == [[], [3, 7], [1, 2, 5], [], [0], []]
+        grids[0] = 6  # the slots hold a private copy
+        assert regions[1].tolist() == [3, 7]
+        for k, a in enumerate(regions):
+            assert a.dtype == np.int64 and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+            for b in regions[k + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_empty_block_input(self):
+        assert [r.size for r in one_block(np.empty(0, dtype=np.int64), [0, 0]).regions] == [0, 0]
+        assert [r.size for r in one_block([], [0]).regions] == [0]
+        assert SlotRealization.split_block(np.ones((0, 4)), [], [], np.zeros((0, 3))) == ()
 
     def test_realization_validates(self):
         with pytest.raises(ValueError):
@@ -334,7 +338,7 @@ class TestRegionValues:
             (real,) = as_block([real])
         w = real.weights.values
         assert [v.hex() for v in real.region_values] == [
-            float(w[r.indices].sum()).hex() for r in real.regions
+            float(w[r].sum()).hex() for r in real.regions
         ]
 
     def test_immutable_and_built_once(self):
