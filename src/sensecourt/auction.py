@@ -32,6 +32,7 @@ from .solver import (
     freeze_ineligible,
     subset_linear_table,
     subset_value_table,
+    tiebreak_key,
     tiebreak_order,
     tiebreak_picks,
     TIE_TOL,
@@ -109,6 +110,7 @@ class TruthfulnessReport:
     best_utility: float
     regret: float
     truthful: bool
+    critical_bid: float  # r_n + B - A: wins below it, loses above it
 
 
 def pivot_payment(value_term, others_cost, welfare_without, regulation):
@@ -176,17 +178,27 @@ def regulation_update(
     return RegulationState(factors=freeze_ineligible(r, state.factors, eligible), phi=state.phi)
 
 
-def _sorted_group(base: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A group's scores in ascending order and the least column of each suffix.
+def _tie_bands(base: np.ndarray, pos: int, floors: np.ndarray):
+    """The subsets that can reach a tie set, and each group's order.
 
-    base is in tie-break order, so a column is its subset's rank. Both get a
-    sentinel at the end: score inf and column 2^m, past every column, so an
-    empty suffix never wins the pick.
+    base is in mask order. The band of the subsets without user pos holds
+    those scoring at least floors[0], the band of those with it those
+    scoring at least floors[1]. Returns the bands' local masks sorted by
+    tiebreak_key, so an index into them is a subset's rank, and for each
+    group, the one without the user first, its scores in ascending order and
+    the least rank of each suffix. Both get a sentinel at the end: score inf
+    and a rank past every rank, so an empty suffix never wins the pick.
     """
-    order = cols[np.argsort(base[cols])]
-    vals = np.append(base[order], np.inf)
-    least = np.minimum.accumulate(order[::-1])[::-1]
-    return vals, np.append(least, base.size)
+    band = np.flatnonzero(base.reshape(-1, 2, 1 << pos) >= floors[:, None])
+    band = band[np.argsort(tiebreak_key(band, base.size.bit_length() - 1))]
+    scores = base[band]
+    member = (band >> pos & 1).astype(bool)
+    groups = []
+    for cols in np.flatnonzero(~member), np.flatnonzero(member):
+        order = cols[np.argsort(scores[cols])]
+        least = np.minimum.accumulate(order[::-1])[::-1]
+        groups += [np.append(scores[order], np.inf), np.append(least, band.size)]
+    return band, *groups
 
 
 def truthfulness_sweep(
@@ -202,24 +214,37 @@ def truthfulness_sweep(
     with the regulation factors r_n: finite, non-negative, one per user.
 
     The sweep is its own oracle: truthfulness means no grid point beats the
-    truthful bid's utility by more than the tie tolerance. The sweep's table
-    is taken in tie-break order, so a column is its subset's rank. The
-    leave-one-out welfare does not depend on the swept bid; it is read once,
-    as the pick of the group without the user at its own maximum.
+    truthful bid's utility by more than the tie tolerance. The report also
+    carries the critical bid r_n + B - A, where B and A are the best scores
+    of the subsets with and without the swept user: below it the user wins,
+    above it the user loses, up to TIE_TOL and rounding.
 
     A bid b enters only through d = b - r_n: a subset without the swept
     user scores base[s], one with the user scores fl(base[s] - d). Rounding
-    keeps order, so fl(x - d) never falls as x grows. Each group is
-    therefore sorted by base once, its best score sits last, and the row
-    maximum is exactly max(A, fl(B - d)) for the two groups' maxima A and B.
-    The tie set {score >= fl(best - TIE_TOL)} is a suffix of each sorted
-    group, so the pick is the smaller of the two groups' suffix-minimum
-    columns at their cutoffs. The cutoff without the user is a
-    searchsorted for the threshold. The cutoff with the user is a bisection
-    on the exact predicate fl(base[s] - d) >= threshold: searching base for
-    fl(threshold + d) rounds differently and can move a subset across the
-    tie boundary. Each bid costs O(m) instead of a pass over all 2^m
-    subsets.
+    keeps order, so fl(x - d) never falls as x grows, and the row maximum is
+    exactly max(A, fl(B - d)). A subset ties when its score is at least
+    threshold(d) = fl(max(A, fl(B - d)) - TIE_TOL), so the tie set is a
+    suffix of each group sorted by base, and the pick is the subset of least
+    tiebreak_key over the two groups' suffixes at their cutoffs. A cutoff
+    never splits equal scores, so their order does not matter.
+
+    Only each group's tie band is sorted; the table is read in mask order
+    and no tie-break order is built. Every threshold is at least
+    fl(A - TIE_TOL), since rounding is monotone, so no subset without the
+    user scoring below that ever ties: the band without the user, cut
+    there, is exact, and its least rank is the leave-one-out pick, which no
+    bid moves. The band with the user starts at fl(B - TIE_TOL). One check
+    over the bids certifies it: the best score with the user below the
+    band, x', must have fl(x' - d) < threshold(d) for every d, and then so
+    does every lower score. Where rounding lets x' reach a threshold (|d|
+    far above TIE_TOL / eps), the band is the whole group.
+
+    The cutoff without the user is a searchsorted for the threshold. The
+    cutoff with the user is a bisection on the exact predicate
+    fl(base[s] - d) >= threshold: searching base for fl(threshold + d)
+    rounds differently and can move a subset across the tie boundary. The
+    sweep costs O(2^m) for the table passes, O(k log k) for bands of k
+    subsets and O(log k) per bid.
     """
     n = realization.n_users
     factors = frozen_array(factors, "factors", nonneg=True, size=n)
@@ -243,23 +268,26 @@ def truthfulness_sweep(
     per_user = kappa[users].copy()
     per_user[pos] = 0.0  # swept user's charge handled per bid
     others_cost = subset_linear_table(per_user)
-    by_rank = tiebreak_order(m)
-    base = (values - others_cost)[by_rank]
-    member = ((by_rank >> pos) & 1).astype(bool)
+    base = values - others_cost
+    outs, ins = base.reshape(-1, 2, 1 << pos).swapaxes(0, 1)  # without, with the user
+    best_out, best_in = outs.max(), ins.max()
     r_n = float(factors[user])
     c_n = float(true_costs[user])
 
-    vals_out, ranks_out = _sorted_group(base, np.flatnonzero(~member))
-    vals_in, ranks_in = _sorted_group(base, np.flatnonzero(member))
-    n_in = vals_in.size - 1
-    # the pick without the user, which no bid moves
-    without = ranks_out[np.searchsorted(vals_out, vals_out[-2] - TIE_TOL)]
-    welfare_without = float(base[without])
-
     d = np.append(bid_grid, c_n) - r_n  # the truthful bid rides along last
-    threshold = np.maximum(vals_out[-2], vals_in[-2] - d) - TIE_TOL
+    threshold = np.maximum(best_out, best_in - d) - TIE_TOL
+    # the band with the user holds if its best score below the band ties at no bid
+    floors = np.array([best_out, best_in]) - TIE_TOL
+    below = np.max(ins, where=ins < floors[1], initial=-np.inf)
+    if np.any(below - d >= threshold):
+        floors[1] = -np.inf
+    band, vals_out, ranks_out, vals_in, ranks_in = _tie_bands(base, pos, floors)
+    # the pick without the user, which no bid moves: its whole band ties
+    welfare_without = float(base[band[ranks_out[0]]])
+
     cut_out = np.searchsorted(vals_out, threshold)
     # first k with vals_in[k] - d >= threshold; the inf sentinel always passes
+    n_in = vals_in.size - 1
     lo = np.zeros(d.shape, dtype=np.intp)
     hi = np.full(d.shape, n_in, dtype=np.intp)
     for _ in range(n_in.bit_length()):
@@ -267,9 +295,8 @@ def truthfulness_sweep(
         ok = vals_in[mid] - d >= threshold
         hi = np.where(ok, mid, hi)
         lo = np.where(ok, lo, mid + 1)
-    picks = np.minimum(ranks_out[cut_out], ranks_in[hi])
-    sel = member[picks]
-    masks = by_rank[picks]
+    masks = band[np.minimum(ranks_out[cut_out], ranks_in[hi])]
+    sel = (masks >> pos & 1).astype(bool)
     pay = np.where(
         sel,
         pivot_payment(values[masks], others_cost[masks], welfare_without, r_n),
@@ -293,4 +320,5 @@ def truthfulness_sweep(
         best_utility=best_utility,
         regret=float(regret),
         truthful=bool(regret <= TIE_TOL),
+        critical_bid=r_n + float(best_in - best_out),
     )

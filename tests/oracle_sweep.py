@@ -3,10 +3,11 @@
 Every bid in the grid is scored against every subset of the eligible
 users at once, and each row's pick is the smallest tie-break rank among
 the subsets within TIE_TOL of the row maximum; the leave-one-out pick is
-the same argmin over the subsets without the swept user. The sorted-threshold
-`sensecourt.auction.truthfulness_sweep` must reproduce this report bit for
-bit. Test and benchmark helper only: at m = 16 and 201 bids every
-temporary is about 105 MB.
+the same argmin over the subsets without the swept user; the critical bid
+r_n + B - A takes B and A as the maxima over all subsets with and without
+the swept user. The tie-band `sensecourt.auction.truthfulness_sweep` must
+reproduce this report bit for bit. Test and benchmark helper only: at
+m = 16 and 201 bids every temporary is about 105 MB.
 """
 
 import numpy as np
@@ -46,7 +47,8 @@ def truthfulness_sweep_dense(
     _, _, tb = tiebreak_tables(m)
     big = np.iinfo(np.int64).max
     out = member == 0.0
-    near = out & (base >= base[out].max() - TIE_TOL)
+    best_out, best_in = base[out].max(), base[~out].max()
+    near = out & (base >= best_out - TIE_TOL)
     welfare_without = float(base[np.where(near, tb, big).argmin()])
 
     def evaluate(bid_values):
@@ -82,6 +84,7 @@ def truthfulness_sweep_dense(
         best_utility=best_utility,
         regret=float(regret),
         truthful=bool(regret <= TIE_TOL),
+        critical_bid=r_n + float(best_in - best_out),
     )
 
 
@@ -96,7 +99,11 @@ def report_differences(got, want) -> list[str]:
         a, b = getattr(got, name), getattr(want, name)
         if a.dtype != b.dtype or not np.array_equal(a.view(np.uint8), b.view(np.uint8)):
             differ.append(name)
-    for name in ("user", "truthful_utility", "best_bid", "best_utility", "regret", "truthful"):
+    scalars = (
+        "user", "truthful_utility", "best_bid", "best_utility", "regret", "truthful",
+        "critical_bid",
+    )
+    for name in scalars:
         if repr(getattr(got, name)) != repr(getattr(want, name)):
             differ.append(name)
     return differ

@@ -354,8 +354,9 @@ class TestShippedConfigDigests:
 class TestTruthcheckDigest:
     """The shipped truthcheck config at 16 users and 4 instances writes fixed bytes.
 
-    The digest was recorded from the dense bids x 2^m sweep; the
-    sorted-threshold sweep must not change a byte.
+    The digest was recorded from the dense bids x 2^m sweep; the sweeps
+    that replaced it, sorted-threshold and then tie-band, must not change
+    a byte.
     """
 
     GOLDEN = "0020e5f36d728a817aa3aaec7c47f7b34258058816cce7ce4b81619899182475"

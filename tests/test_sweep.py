@@ -1,24 +1,29 @@
-"""The sorted-threshold truthfulness sweep against the dense oracle, bit for bit.
+"""The tie-band truthfulness sweep against the dense oracle, bit for bit, and
+against the paper's critical point.
 
 Grids include the bids where the swept user's best subset meets the best
-subset without it (the switch bid r_n + B - A), their float neighbours and
+subset without it (the critical bid r_n + B - A), their float neighbours and
 points within TIE_TOL of them, and the bids where single subsets with the
 user cross the tie threshold, so a cutoff that rounds differently from the
 dense comparison, or a pick that ignores the tie-break rank, shows up.
+Near ties are forced by a twin of one user whose cost is shifted by a gap
+about TIE_TOL, so that subsets sit on the tie threshold.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sensecourt.auction as auction_mod
 from sensecourt.auction import truthfulness_sweep
 from sensecourt.solver import (
     TIE_TOL,
     subset_linear_table,
     subset_value_table,
+    tiebreak_order,
 )
 
 from oracle_subset import tiebreak_tables
@@ -148,6 +153,191 @@ class TestSweepMatchesDenseOracle:
             want = truthfulness_sweep_dense(real, factors, real.true_costs, user, grid)
             assert report_differences(got, want) == []
 
+
+
+GAPS = (
+    0.0, 0.5 * TIE_TOL, np.nextafter(TIE_TOL, 0.0), TIE_TOL, np.nextafter(TIE_TOL, 1.0),
+    2 * TIE_TOL, 5e-9,
+)
+
+
+@st.composite
+def near_tie_sweeps(draw):
+    """A slot with a twin of one user, the factors and the swept user.
+
+    The twin has its original's region and factor, and its cost shifted by
+    a gap in GAPS either way, so that subsets holding one or the other sit
+    on or near each other's tie threshold; it is inserted at a drawn index,
+    before or after its original in the tie-break order. The swept user's
+    factor is sometimes 1e8, where a float step is far above TIE_TOL.
+    """
+    real = draw(coverage_instances(m_max=7).filter(lambda r: r.n_users > 0))
+    n = real.n_users
+    factors = np.array(draw(st.lists(st.integers(0, 6).map(float), min_size=n, max_size=n)))
+    j, at = draw(st.integers(0, n - 1)), draw(st.integers(0, n))
+    gap = draw(st.sampled_from(GAPS)) * draw(st.sampled_from([1.0, -1.0]))
+    regions = [r.tolist() for r in real.regions]
+    regions.insert(at, regions[j])
+    costs = np.insert(real.true_costs, at, max(float(real.true_costs[j]) + gap, 0.0))
+    factors = np.insert(factors, at, factors[j])
+    user = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        factors[user] = 1e8
+    return make_realization(real.n_grids, regions, real.weights.values, costs), factors, user
+
+
+def group_bests(base, pos):
+    """A and B: the best scores of the subsets without and with user pos."""
+    member = ((np.arange(base.size) >> pos) & 1).astype(bool)
+    return base[~member].max(), base[member].max()
+
+
+def rounding_bound(base, pos, r_n, max_bid):
+    """How far float rounding can move a payment or a verdict off the
+    critical bid: 16 eps S, with S = |A| + |B| + r_n + max_bid + TIE_TOL.
+
+    Between the scores and a payment or a verdict lie eight float
+    operations: d = b - r_n, fl(B - d), the threshold's - TIE_TOL,
+    fl(base[s] - d), the leave-one-out cut fl(A - TIE_TOL), the payment's
+    two and the critical bid's two. No result exceeds 3 S in magnitude and
+    each rounds by at most eps / 2 of it, so together they stay within
+    8 * (eps / 2) * 3 S < 16 eps S.
+    """
+    a, b = group_bests(base, pos)
+    scale = abs(a) + abs(b) + r_n + max_bid + TIE_TOL
+    return 16 * np.finfo(float).eps * scale
+
+
+def near_tie_sweep(real, factors, user, grid):
+    """The sweep of a near-tie case, checked bit for bit against the oracle."""
+    got = truthfulness_sweep(real, factors, real.true_costs, user, grid)
+    want = truthfulness_sweep_dense(real, factors, real.true_costs, user, grid)
+    assert report_differences(got, want) == []
+    return got
+
+
+class TestCriticalBid:
+    """The paper's critical point (case c): the swept user wins below
+    r_n + B - A and loses above it, and every win pays it, up to TIE_TOL
+    and rounding_bound."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_sweeps(), st.integers(2, 25))
+    @example(  # a twin of user 1 costs 4 - 0.999...e-9: {0, 3, 4} sits on the edge
+        (
+            make_realization(
+                7,
+                [[], [], [], [], range(6), []],
+                [0.0, 0.0, 0.0, 1.0, 3.0, 3.0, 0.0],
+                [0.0, 4.0 - np.nextafter(TIE_TOL, 0.0), 0.0, 0.0, 0.0, 4.0],
+            ),
+            np.array([5.0, 4.0, 0.0, 3.0, 6.0, 4.0]),
+            0,
+        ),
+        2,
+    )
+    def test_selection_turns_back_on_only_on_the_tie_edge(self, case, points):
+        # in exact arithmetic a win never comes back as the bid rises (case
+        # b). In floats a subset with the user whose score sits within
+        # rounding of B - TIE_TOL can leave the tie set at one bid and rejoin
+        # it at a higher one, within TIE_TOL and rounding of the critical bid
+        real, factors, user = case
+        r_n = float(factors[user])
+        base = sweep_base(real, factors, real.true_costs, np.arange(real.n_users), user)
+        grid = np.sort(
+            np.concatenate(
+                [
+                    np.linspace(0.0, 3.0 * (float(real.true_costs[user]) + 1.0), points),
+                    boundary_bids(base, user, r_n),
+                ]
+            )
+        )
+        report = near_tie_sweep(real, factors, user, grid)
+        turns = np.flatnonzero(report.selected[1:] & ~report.selected[:-1])
+        if turns.size:
+            rounding = rounding_bound(base, user, r_n, grid.max())
+            ins = base[((np.arange(base.size) >> user) & 1).astype(bool)]
+            edge = np.abs(ins - (group_bests(base, user)[1] - TIE_TOL)) <= rounding
+            assert edge.any()
+            near = np.abs(grid[np.append(turns, turns + 1)] - report.critical_bid)
+            assert np.all(near <= TIE_TOL + rounding)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_sweeps())
+    def test_every_winning_payment_is_the_critical_bid(self, case):
+        real, factors, user = case
+        r_n = float(factors[user])
+        base = sweep_base(real, factors, real.true_costs, np.arange(real.n_users), user)
+        grid = np.array(boundary_bids(base, user, r_n) + [0.0])
+        report = near_tie_sweep(real, factors, user, grid)
+        # payment - critical bid = (base[pick] - B) - (base[pivot] - A), and
+        # each term lies in [-TIE_TOL, 0], so TIE_TOL bounds it, not 2 TIE_TOL
+        bound = TIE_TOL + rounding_bound(base, user, r_n, grid.max())
+        gaps = np.abs(report.payments[report.selected] - report.critical_bid)
+        assert np.all(gaps <= bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_sweeps(), st.sampled_from([1.5, 4.0, 1e3]))
+    def test_clear_bids_win_below_and_lose_above(self, case, k):
+        real, factors, user = case
+        r_n = float(factors[user])
+        base = sweep_base(real, factors, real.true_costs, np.arange(real.n_users), user)
+        critical = truthfulness_sweep(real, factors, real.true_costs, user, [0.0]).critical_bid
+        # both bids lie within 1.0 of the critical bid
+        step = k * (TIE_TOL + rounding_bound(base, user, r_n, abs(critical) + 1.0))
+        below = [critical - step] if critical - step >= 0.0 else []
+        above = [max(critical + step, 0.0)]
+        report = near_tie_sweep(real, factors, user, np.array(below + above))
+        assert report.selected.tolist() == [True] * len(below) + [False]
+
+
+def test_band_widens_to_the_whole_group_when_rounding_reaches_the_threshold(monkeypatch):
+    # with r_n = 1e8 a float step near -d is 1.5e-8, so {0, 2}, 5e-9 below
+    # B = {0, 1}, rounds onto the threshold though it is outside B - TIE_TOL
+    real = make_realization(2, [{0}, {1}, {1}], [1.0, 1.0], [0.5, 0.25, 0.25 + 5e-9])
+    factors = np.array([1e8, 0.0, 0.0])
+    sizes, tie_bands = [], auction_mod._tie_bands
+
+    def recorded(base, pos, floors):
+        _, vals_out, _, vals_in, _ = bands = tie_bands(base, pos, floors)
+        sizes.append((vals_out.size - 1, vals_in.size - 1))  # inf sentinels are no subsets
+        return bands
+
+    monkeypatch.setattr(auction_mod, "_tie_bands", recorded)
+    grid = np.linspace(0.0, 3.0, 31)
+    got = truthfulness_sweep(real, factors, real.true_costs, 0, grid)
+    assert sizes == [(1, 4)]  # without user 0 only {1} ties; with it, all 4 subsets
+    want = truthfulness_sweep_dense(real, factors, real.true_costs, 0, grid)
+    assert report_differences(got, want) == []
+
+
+def test_sweep_builds_no_tiebreak_order():
+    rng = np.random.default_rng(6)
+    n, n_grids = 12, 60
+    regions = [set(rng.choice(n_grids, size=9, replace=False).tolist()) for _ in range(n)]
+    real = make_realization(n_grids, regions, rng.random(n_grids), rng.random(n))
+    tiebreak_order.cache_clear()
+    truthfulness_sweep(real, rng.random(n), real.true_costs, 5, np.linspace(0.0, 2.0, 51))
+    assert tiebreak_order.cache_info().currsize == 0
+
+
+def test_sweep_peak_is_a_few_tables():
+    # value, cost and score tables at m = 16 are 512 KiB each; the bands
+    # and the per-bid arrays are small next to them
+    rng = np.random.default_rng(7)
+    n, n_grids = 16, 80
+    regions = [set(rng.choice(n_grids, size=10, replace=False).tolist()) for _ in range(n)]
+    real = make_realization(n_grids, regions, rng.random(n_grids), rng.random(n))
+    factors = rng.random(n)
+    grid = np.linspace(0.0, 3.0, 201)
+    truthfulness_sweep(real, factors, real.true_costs, 9, grid)  # warm caches
+    tracemalloc.start()
+    try:
+        truthfulness_sweep(real, factors, real.true_costs, 9, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * 2**16  # four tables; 1.6 MiB measured
 
 def test_no_bids_by_subsets_temporary():
     # the dense matrix at m = 14 and 201 bids is 26 MB per temporary
