@@ -6,12 +6,18 @@ checked where they are read. The platform maximizes coverage value minus
 regulated bids (bid minus regulation factor) and pays each winner its
 pivot: the realized value, minus the other winners' regulated bids, minus
 the best regulated welfare achievable without the winner, plus the
-winner's regulation factor. Payments need exact leave-one-out optima: the
-allocation's own subset table in tie-break order, with the subsets holding
-the winner at -inf, has the pick of an exact solve without the winner, bit
-for bit. Auction slots refuse to run when the eligible set exceeds the
-exact solver limit rather than quietly breaking truthfulness with
-approximate pivots.
+winner's regulation factor. Payments need exact leave-one-out optima. The
+allocation's own objective is indexed by local bit mask. With the winner
+at bit b, the objective's half at bit b = 0,
+`objective.reshape(-1, 2, 1 << b)[:, 0]` read in C order, is the objective
+of the users without the winner, indexed by their own local masks: the
+masks with bit b dropped. Dropping a bit that no mask of the half holds
+keeps each popcount, and it renumbers the members above b down by one,
+which keeps the order of selected-index vectors; so tiebreak_key orders
+the half as it orders the masks the half came from, and the half's pick
+is that of an exact solve without the winner, bit for bit. Auction slots
+refuse to run when the eligible set exceeds the exact solver limit rather
+than quietly breaking truthfulness with approximate pivots.
 
 Scaled by phi, the regulation factors follow exactly the virtual-queue
 recursion of the drift-plus-penalty policy, so under truthful bidding the
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .solver import (
-    _BLOCK_CELLS,
     DEFAULT_EXACT_LIMIT,
     SolveOptions,
     allocate_many,
@@ -33,7 +38,6 @@ from .solver import (
     subset_linear_table,
     subset_value_table,
     tiebreak_key,
-    tiebreak_order,
     tiebreak_picks,
     TIE_TOL,
 )
@@ -145,19 +149,16 @@ def run_auction_slot(
         solved = result.alloc, objective[0], evaluate_allocation(realization, result.alloc).value
     alloc, objective, value_term = solved
 
-    # winner i's pivot row: the objective with the subsets holding i at -inf,
-    # built for groups of winners of about _BLOCK_CELLS cells at a time
+    # winner i's pivot: the pick among the subsets without i, the half of the
+    # objective at i's bit 0, copied out one winner at a time
     winners = alloc.indices()
-    bits = np.left_shift(1, np.searchsorted(users, winners))
-    order = tiebreak_order(users.size)
-    step = max(1, _BLOCK_CELLS // order.size)
-    picks = np.empty(winners.size, dtype=np.intp)
-    for lo in range(0, winners.size, step):
-        has = np.bitwise_and.outer(bits[lo : lo + step], order) != 0
-        picks[lo : lo + step] = tiebreak_picks(np.where(has, -np.inf, objective), 0.0)[1]
+    welfare_without = np.empty(winners.size)
+    for i, b in enumerate(np.searchsorted(users, winners).tolist()):
+        half = objective.reshape(-1, 2, 1 << b)[:, 0].reshape(1, -1)
+        welfare_without[i] = half[0, tiebreak_picks(half, 0.0)[1][0]]
     payments = np.zeros(n)
     payments[winners] = pivot_payment(
-        value_term, kappa[winners].sum() - kappa[winners], objective[picks], factors[winners]
+        value_term, kappa[winners].sum() - kappa[winners], welfare_without, factors[winners]
     )
     return AuctionOutcome(alloc=alloc, payments=payments)
 

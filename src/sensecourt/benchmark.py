@@ -21,7 +21,6 @@ from .solver import (
     TIE_TOL,
     subset_linear_table,
     subset_value_rows,
-    tiebreak_order,
     tiebreak_picks,
 )
 from .world import SlotRealization, thresholds_array
@@ -93,29 +92,27 @@ class BenchmarkResult:
 
 
 def welfare_tables(slots: tuple[SlotRealization, ...]) -> np.ndarray:
-    """(T, 2^N) welfare of every subset in every slot, true costs, with the
-    columns in tiebreak_order(N) (a permutation: every bit is kept).
+    """(T, 2^N) welfare of every subset in every slot, true costs, indexed
+    by bit mask.
 
-    Column r of row k is the objective solve_exact maximizes for slot k with
-    every user eligible, at subset tiebreak_order(N)[r], so a row's first
-    column within TIE_TOL of its maximum is that slot's exact optimum. A
-    table above _TABLE_CELL_CAP cells is refused before it is built. Blocks
-    of slots, about _ROW_CELLS cells of temporaries each, go through
-    subset_value_rows and one np.take that writes them in tie-break order.
-    Overflow is not warned about: one max and one min of the built table
-    refuse any NaN or infinite entry, with a ValueError naming `tables`.
+    Column s of row k is the objective solve_exact maximizes for slot k with
+    every user eligible, at subset s, so a row's tiebreak_picks pick is that
+    slot's exact optimum. A table above _TABLE_CELL_CAP cells is refused
+    before it is built. Blocks of slots, about _ROW_CELLS cells of
+    temporaries each, go through subset_value_rows, and values minus costs
+    is written straight into the table. Overflow is not warned about: one
+    max and one min of the built table refuse any NaN or infinite entry,
+    with a ValueError naming `tables`.
     """
     n, t = slots[0].n_users, len(slots)
     check_table_capacity(n, t)
-    by_rank = tiebreak_order(n).copy()  # np.take copies a read-only index on every call
     tables = np.empty((t, 1 << n))
     step = max(1, _ROW_CELLS // ((1 << n) + slots[0].n_grids))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, t, step):
             block, rows = slots[lo : lo + step], tables[lo : lo + step]
-            values = subset_value_rows(block)  # the cost rows go through `rows` first
-            values -= subset_linear_table(np.stack([slot.true_costs for slot in block]), rows)
-            np.take(values, by_rank, axis=1, out=rows)
+            subset_linear_table(np.stack([slot.true_costs for slot in block]), rows)
+            np.subtract(subset_value_rows(block), rows, out=rows)
     if not (np.isfinite(tables.max()) and np.isfinite(tables.min())):
         raise ValueError("tables must hold no NaN or infinite entries")
     return tables
@@ -161,8 +158,6 @@ def solve_complete_bruteforce(trace: Trace) -> BenchmarkResult:
     check_bruteforce_capacity(n, t)
     tables, d = trace.tables, trace.thresholds
     slot_mask = (1 << n) - 1
-    rank = np.empty(1 << n, dtype=np.int64)  # rank[s]: subset s's column in the tables
-    rank[tiebreak_order(n)] = np.arange(1 << n)
 
     best_w = -np.inf
     best_j = -1
@@ -174,7 +169,7 @@ def solve_complete_bruteforce(trace: Trace) -> BenchmarkResult:
         counts = np.zeros((n, js.size), dtype=np.int8)
         for k in range(t):
             sub = (js >> (n * k)) & slot_mask
-            welf += tables[k][rank[sub]]
+            welf += tables[k][sub]
             for u in range(n):
                 counts[u] += ((sub >> u) & 1).astype(np.int8)
         for u in range(n):
@@ -241,13 +236,12 @@ def dual_upper_bound(
     n, t = trace.n_users, trace.t_slots
     tables, d = trace.tables, trace.thresholds
     w_max = max(float(tables.max()), -float(tables.min()))
-    by_rank = tiebreak_order(n)
     rows = np.arange(t)
     picks = np.zeros(t, dtype=np.intp)
     margin = np.full(t, -np.inf)  # every row is scored by the first sweep
     drift_at = np.zeros(t)
     drift, last = 0.0, None
-    counts = _user_counts(by_rank[picks], n)  # how many picks hold each user
+    counts = _user_counts(picks, n)  # how many picks hold each user
 
     def sweep(lam: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal drift, last, counts
@@ -256,15 +250,15 @@ def dual_upper_bound(
             moved = max(float(step[step > 0].sum()), -float(step[step < 0].sum()))
             drift = float(np.nextafter(drift + np.nextafter(moved, np.inf), np.inf))
         last = lam
-        add = subset_linear_table(lam)[by_rank]
+        add = subset_linear_table(lam)
         slack = _SLACK * (1.0 + w_max + max(float(add.max()), -float(add.min())))
         stale = np.flatnonzero(~(margin > 2.0 * (drift - drift_at) + slack))
         row_best = tables[rows, picks] + add[picks]
         was = picks[stale]
         scored, picks[stale], runner = tiebreak_picks(tables, add, stale)
         changed = picks[stale] != was  # the counts follow the picks that changed
-        counts += _user_counts(by_rank[picks[stale[changed]]], n)
-        counts -= _user_counts(by_rank[was[changed]], n)
+        counts += _user_counts(picks[stale[changed]], n)
+        counts -= _user_counts(was[changed], n)
         row_best[stale] = scored
         margin[stale] = scored - runner - TIE_TOL - slack
         drift_at[stale] = drift
@@ -299,7 +293,7 @@ def unconstrained_trace_welfare(trace: Trace) -> BenchmarkResult:
     total = 0.0
     for value in tables[np.arange(t), picks].tolist():
         total += value  # left to right, as the per-slot solves add
-    return BenchmarkResult(total / t, _user_counts(tiebreak_order(n)[picks], n) / t)
+    return BenchmarkResult(total / t, _user_counts(picks, n) / t)
 
 
 def incentive_cost(unconstrained: BenchmarkResult, constrained: BenchmarkResult) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ __all__ = [
     "subset_value_rows",
     "subset_linear_table",
     "tiebreak_key",
-    "tiebreak_order",
     "tiebreak_picks",
 ]
 
@@ -260,34 +258,30 @@ def tiebreak_key(mask, m: int):
     return key
 
 
-@lru_cache(maxsize=8)
-def tiebreak_order(m: int) -> np.ndarray:
-    """The 2^m local masks from most to least preferred, read-only.
-
-    An objective taken in this order, `objective[tiebreak_order(m)]`, has its
-    tie-break pick at its first column within TIE_TOL of the maximum. (np.take
-    would copy this read-only index array on every call.)
-    """
-    by_rank = np.argsort(tiebreak_key(np.arange(1 << m, dtype=np.int64), m))
-    by_rank.flags.writeable = False
-    return by_rank
-
-
 def tiebreak_picks(
     rows: np.ndarray, add: np.ndarray, which: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row maxima of rows + add, each row's pick, its first column within
-    TIE_TOL of the row maximum, and each row's runner-up: the largest column
-    other than its first maximum (-inf for a row of one column).
+    """Row maxima of rows + add, each row's pick, the local mask of least
+    tiebreak_key among its columns within TIE_TOL of the row maximum, and
+    each row's runner-up: the largest column other than its first maximum
+    (-inf for a row of one column).
 
-    `rows` and `add`, one row broadcast to all, are in the same tie-break
-    column order. With `which`, only rows[which] are scored, in that order.
-    Rows go in blocks of about _BLOCK_CELLS cells through one float and one
-    boolean buffer. A row's first maximum is its pick unless the runner-up
-    is within TIE_TOL. The rows from a block's first such near tie to its
-    last take the full rule, the first column >= np.max - TIE_TOL, so a
-    -0.0/0.0 tie keeps np.max's zero and a maximum where max - TIE_TOL
-    rounds back to max keeps its rounding.
+    `rows` and `add`, one row broadcast to all, have 2^m columns indexed by
+    local bit mask. With `which`, only rows[which] are scored, in that
+    order. Rows go in blocks of about _BLOCK_CELLS cells through one float
+    and one boolean buffer. A row's first maximum is its pick unless the
+    runner-up is within TIE_TOL; an exact duplicate maximum always is. The
+    rows from a block's first such near tie to its last take the full rule:
+    their maximum by np.max, and among the columns >= fl(max - TIE_TOL) the
+    one of least tiebreak_key, in O(k) for k such columns.
+
+    On a -0.0/0.0 tie, the zero sign of np.max depends on the order it reads
+    the columns in. No output reads it: the solvers and the unconstrained
+    optimum read the entry at the pick, and the dual sweep sums maxima onto
+    0.0 and subtracts TIE_TOL from a maximum less its runner-up, where a
+    zero's sign never shows. Nor does any caller's row + add hold a -0.0:
+    a table entry is a coverage value, at least +0.0, less a cost, and
+    x - y or x + y is -0.0 only when x is.
     """
     t = rows.shape[0] if which is None else len(which)
     size = rows.shape[1]
@@ -318,7 +312,12 @@ def tiebreak_picks(
             tied = block[span]
             top_best = np.max(tied, axis=1, out=best[span])
             near_hit = np.greater_equal(tied, (top_best - TIE_TOL)[:, None], out=hit[span])
-            top[span] = near_hit.argmax(axis=1)
+            counts = np.count_nonzero(near_hit, axis=1)  # each row holds its maximum
+            c = np.flatnonzero(near_hit)
+            c &= size - 1  # flat index to column
+            key = tiebreak_key(c, size.bit_length() - 1)
+            least = np.minimum.reduceat(key, np.cumsum(counts) - counts)
+            top[span] = c[key == np.repeat(least, counts)]  # a row's keys are distinct
     return row_best, picks, runner
 
 
@@ -521,8 +520,8 @@ def allocate_many(
     eligible set, each as if solved alone on the route options.route picks.
 
     The exact route builds the slot's value table once for all rows. It also
-    returns the objective, value minus costs with columns in tiebreak_order(m),
-    from which the auction reads its pivots; the greedy and bnb routes solve
+    returns the objective, value minus costs indexed by local bit mask, from
+    which the auction reads its pivots; the greedy and bnb routes solve
     row by row and return None in its place. The charges and the mask are
     checked once, whatever the route: a None mask is everyone.
     """
@@ -539,12 +538,11 @@ def allocate_many(
         if route == "greedy":
             return [solve_greedy(inst) for inst in instances], None
         return [branch_and_bound(inst, options.node_budget) for inst in instances], None
-    by_rank = tiebreak_order(users.size)
     costs = subset_linear_table(charges[:, users])
-    objective = (subset_value_table(realization, users) - costs)[:, by_rank]
+    objective = np.subtract(subset_value_table(realization, users), costs, out=costs)
     _, picks, _ = tiebreak_picks(objective, 0.0)
     selected = np.zeros((picks.size, n), dtype=bool)
-    selected[:, users] = by_rank[picks, None] >> np.arange(users.size) & 1
+    selected[:, users] = picks[:, None] >> np.arange(users.size) & 1
     best = objective[np.arange(picks.size), picks].tolist()
     results = [SolveResult(Allocation.built(row), b, True) for row, b in zip(selected, best)]
     return results, objective

@@ -1,20 +1,20 @@
 """Reference dual upper bound: the dense per-chunk tie-break sweep.
 
 Both references read a trace's welfare table, whose columns are in
-tie-break order, and first put the columns back in bit-mask order by the
-ranks of `oracle_subset.tiebreak_tables`. Each sweep adds the multiplier
-term, summed over each subset by subset_linear_table as the fast sweep
-sums it, to 4096-row chunks of the table, builds an int64 array that holds
-each near-maximum's tie-break rank and the int64 maximum elsewhere, and
-takes each row's argmin as its pick. `sensecourt.benchmark.dual_upper_bound` must reproduce
-its result bit for bit. Test and benchmark helper only: it holds an
-unranked copy of the table and, per chunk, a float and an int64 temporary
-of 4096 x 2^N cells.
+bit-mask order, and rank its subsets by `oracle_subset.tiebreak_tables`.
+Each sweep adds the multiplier term, summed over each subset by
+subset_linear_table as the fast sweep sums it, to 4096-row chunks of the
+table, builds an int64 array that holds each near-maximum's tie-break rank
+and the int64 maximum elsewhere, and takes each row's argmin as its pick.
+`sensecourt.benchmark.dual_upper_bound` must reproduce its result bit for
+bit. Test and benchmark helper only: per chunk it holds a float and an
+int64 temporary of 4096 x 2^N cells.
 
 `slotwise_optimum_loop` is the per-row tie-break loop that the unconstrained
 optimum must reproduce. `tiebreak_picks_dense` is the former body of
-`sensecourt.solver.tiebreak_picks`, the full rule on every row, which the
-argmax and runner-up routine must reproduce.
+`sensecourt.solver.tiebreak_picks`, the full rule on every row with the
+columns put in tie-break order by `oracle_subset.ranked_masks`, which the
+mask-order argmax and runner-up routine must reproduce.
 """
 
 import numpy as np
@@ -23,15 +23,7 @@ from sensecourt.benchmark import BenchmarkResult, Trace
 from sensecourt.policy_dual import StepSchedule
 from sensecourt.solver import TIE_TOL, subset_linear_table
 
-from oracle_subset import tiebreak_tables
-
-
-def in_mask_order(tables: np.ndarray, n: int) -> np.ndarray:
-    """Welfare table columns back in bit-mask order: column r is the subset
-    with the r-th smallest combined tie-break rank."""
-    unranked = np.empty_like(tables)
-    unranked[:, np.argsort(tiebreak_tables(n)[2])] = tables
-    return unranked
+from oracle_subset import ranked_masks, tiebreak_tables
 
 
 def dual_upper_bound_dense(
@@ -57,8 +49,7 @@ def dual_upper_bound_dense(
         scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
-    tables = in_mask_order(trace.tables, n)
-    d = trace.thresholds
+    tables, d = trace.tables, trace.thresholds
     size = 1 << n
     member = ((np.arange(size)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
     _, _, tb = tiebreak_tables(n)
@@ -97,7 +88,6 @@ def dual_upper_bound_dense(
 
 def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     """Average welfare and per-user selection frequency of each row's optimum."""
-    tables = in_mask_order(tables, n)
     _, _, tb = tiebreak_tables(n)
     big = np.iinfo(np.int64).max
     total = 0.0
@@ -110,8 +100,10 @@ def slotwise_optimum_loop(tables: np.ndarray, n: int) -> tuple[float, np.ndarray
 
 
 def tiebreak_picks_dense(rows: np.ndarray, add) -> tuple[np.ndarray, np.ndarray]:
-    """Row maxima of rows + add, by np.max, and each row's first column
-    within TIE_TOL of its maximum, for every row."""
+    """Row maxima of rows + add, by np.max over mask order, and each row's
+    pick for every row: the local mask of its first column within TIE_TOL
+    of its maximum once the columns are in tie-break order."""
     obj = rows + add
     best = obj.max(axis=1)
-    return best, (obj >= (best - TIE_TOL)[:, None]).argmax(axis=1)
+    by_rank = ranked_masks(obj.shape[1].bit_length() - 1)
+    return best, by_rank[(obj[:, by_rank] >= (best - TIE_TOL)[:, None]).argmax(axis=1)]

@@ -12,9 +12,12 @@ tests/test_engine_routes.py on greedy and bnb), and allocate_many must match
 solve_exact_alone row by row (tests/test_solver.py). Test helper only.
 
 `tiebreak_pick` is the pick rule on one row, the former
-solver.tiebreak_pick: the exact solves and each winner's pivot here take
-it row by row, where the engine's auction takes every winner's pivot from
-one solver.tiebreak_picks call.
+solver.tiebreak_pick: it puts a mask-order objective in tie-break order by
+`oracle_subset.ranked_masks` and takes the first column within TIE_TOL of
+the maximum. The exact solves and each winner's pivot here take it row by
+row, the pivot on the whole objective with the subsets holding the winner
+at -inf, where the engine's auction calls solver.tiebreak_picks on each
+winner's half of the objective.
 """
 
 import numpy as np
@@ -34,9 +37,10 @@ from sensecourt.solver import (
     solve_greedy,
     subset_linear_table,
     subset_value_table,
-    tiebreak_order,
 )
 from sensecourt.world import Allocation, evaluate_allocation
+
+from oracle_subset import ranked_masks
 
 
 # a regulated lane's initial state and its update(state, alloc, thresholds, eligible)
@@ -49,24 +53,26 @@ REGULATORS = {
 
 
 def tiebreak_pick(row: np.ndarray) -> int:
-    """First column of a tie-break-ordered objective within TIE_TOL of its maximum."""
-    return int(np.argmax(row >= row.max() - TIE_TOL))
+    """The local mask picked from a mask-order objective: its first column
+    within TIE_TOL of the maximum once the columns are in tie-break order."""
+    by_rank = ranked_masks(row.size.bit_length() - 1)
+    ranked = row[by_rank]
+    return int(by_rank[np.argmax(ranked >= ranked.max() - TIE_TOL)])
 
 
 def objective_alone(realization, kappa, users):
-    """value - charges over every subset of users, columns in tie-break order."""
-    table = subset_value_table(realization, users) - subset_linear_table(kappa[users])
-    return table[tiebreak_order(users.size)]
+    """value - charges over every subset of users, indexed by local bit mask."""
+    return subset_value_table(realization, users) - subset_linear_table(kappa[users])
 
 
 def solve_exact_alone(inst: RegulatedInstance) -> SolveResult:
     """The exact optimum of one instance, solved on its own."""
     users = np.flatnonzero(inst.eligible)
     objective = objective_alone(inst.realization, inst.effective_costs, users)
-    r = tiebreak_pick(objective)
+    mask = tiebreak_pick(objective)
     selected = np.zeros(inst.realization.n_users, dtype=bool)
-    selected[users] = int(tiebreak_order(users.size)[r]) >> np.arange(users.size) & 1
-    return SolveResult(Allocation(selected), float(objective[r]), True)
+    selected[users] = mask >> np.arange(users.size) & 1
+    return SolveResult(Allocation(selected), float(objective[mask]), True)
 
 
 def auction_slot_alone(state, realization, eligible):
@@ -77,12 +83,12 @@ def auction_slot_alone(state, realization, eligible):
     winners = alloc.indices()
     value_term = evaluate_allocation(realization, alloc).value
     users = np.flatnonzero(eligible)
-    by_rank = tiebreak_order(users.size)
     objective = objective_alone(realization, kappa, users)
+    masks = np.arange(objective.size)
     payments = np.zeros(realization.n_users)
     for u in winners.tolist():
         others_cost = float(kappa[winners].sum() - kappa[u])
-        has_u = (by_rank >> int(np.searchsorted(users, u))) & 1
+        has_u = (masks >> int(np.searchsorted(users, u))) & 1
         welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
         payments[u] = pivot_payment(value_term, others_cost, welfare_without, state.factors[u])
     return alloc, payments

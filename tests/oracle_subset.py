@@ -5,8 +5,9 @@ scalar lowest-bit loop here bit for bit: same parent per subset, same
 grids added, same order of additions. `subset_linear_table` must
 reproduce `subset_linear_table_loop` the same way. `tiebreak_tables` derives the
 tie-break rank of every subset from its popcount and reversed-bit key, a
-derivation apart from `sensecourt.solver.tiebreak_key`, by which
-`sensecourt.solver.tiebreak_order` must sort the subsets the same way. Test
+derivation apart from `sensecourt.solver.tiebreak_key`, which must sort the
+subsets the same way. `ranked_masks` lists the masks in that order; the
+oracles that pick by position take their tie-break order from it. Test
 helper only.
 """
 
@@ -77,3 +78,11 @@ def tiebreak_tables(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rev += bit << (m - 1 - j)
     tb = pc * (1 << (m + 1)) + ((1 << m) - 1 - rev)
     return pc, rev, tb
+
+
+@lru_cache(maxsize=8)
+def ranked_masks(m: int) -> np.ndarray:
+    """The 2^m local masks from most to least preferred, by tiebreak_tables'
+    combined rank: `row[ranked_masks(m)]` puts a mask-order row in
+    tie-break order, and position r of it is mask ranked_masks(m)[r]."""
+    return np.argsort(tiebreak_tables(m)[2])

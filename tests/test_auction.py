@@ -103,9 +103,10 @@ class TestPivots:
             for u in outcome.alloc.indices():
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
 
-    def test_pivot_rows_built_a_group_at_a_time(self):
-        # at m = 16 a group is one masked row; the winners' rows built all at
-        # once held 9 bytes a cell per winner
+    def test_pivot_rows_built_one_winner_at_a_time(self):
+        # each winner's half of the objective is copied and scored alone: a
+        # half and a block of half a table, about one table in all, where
+        # every winner's half built at once would hold half a table each
         m = 16
         rng = np.random.default_rng(3)
         regions = [{u, (u + 1) % m, m + u} for u in range(m)]  # overlapping neighbours
@@ -122,7 +123,7 @@ class TestPivots:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * objective[0].nbytes
+        assert peak < 2 * objective[0].nbytes
         alloc, payments = auction_slot_alone(RegulationState(factors, 10.0), real, np.ones(m, bool))
         assert outcome.alloc.selected.tobytes() == alloc.selected.tobytes()
         assert outcome.payments.tobytes() == payments.tobytes()

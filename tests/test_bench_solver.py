@@ -3,7 +3,8 @@
 The harness imports package names and the oracles in tests/, so a rename in
 either breaks it; this runs it, loaded by path, with its size tuples cut
 down, and checks that it writes every top-level key of the committed
-BENCH_solver.json and restores the two call sites it wraps.
+BENCH_solver.json, an *_iqr key beside each *_median key, and restores the
+two call sites it wraps.
 """
 
 import importlib.util
@@ -23,7 +24,6 @@ TINY = {
     "DUAL_CASES": ((4, 6, None), (3, 5, StepSchedule.constant(50.0))),
     "DUAL_PEAK_SHAPES": ((4, 4),),
     "TABLE_SHAPES": ((4, 3),),
-    "ORDER_SIZES": (4,),
     "GREEDY_SLOTS": 1,
 }
 
@@ -46,6 +46,8 @@ def test_every_section_writes_its_keys_and_restores_what_it_wraps(tmp_path):
     report = json.loads(out.read_text())
     committed = json.loads((ROOT / "BENCH_solver.json").read_text())
     assert sorted(report) == sorted(set(committed) - {"baseline"})
+    medians = {key.removesuffix("_median") for key in report if key.endswith("_median")}
+    assert {key.removesuffix("_iqr") for key in report if key.endswith("_iqr")} == medians
     assert report["allocate_many_greedy_rows"] > 0
     assert engine.allocate_many is allocate_many
     assert benchmark.tiebreak_picks is tiebreak_picks

@@ -21,15 +21,14 @@ from sensecourt.benchmark import (
 from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import (
-    TIE_TOL,
     RegulatedInstance,
     solve_exact,
     subset_linear_table,
     subset_value_table,
-    tiebreak_order,
 )
 from sensecourt.world import Allocation, GridMap, evaluate_allocation
 
+from oracle_engine import tiebreak_pick
 from oracle_subset import subset_value_table_loop
 from test_world import make_realization
 
@@ -278,10 +277,9 @@ class TestUnconstrained:
         )
         trace = random_trace(np.random.default_rng(11), 5, 30)
         assert built == blocks
-        by_rank = tiebreak_order(5)
         for slot, row in zip(trace.slots, trace.tables, strict=True):
             own = subset_value_table(slot, np.arange(5)) - subset_linear_table(slot.true_costs)
-            assert row.tobytes() == own[by_rank].tobytes()
+            assert row.tobytes() == own.tobytes()
         result = unconstrained_trace_welfare(trace)
         total = 0.0
         selections = np.zeros(5)
@@ -297,18 +295,16 @@ class TestUnconstrained:
     def test_rows_at_ten_users_in_blocks_that_do_not_divide_the_trace(self):
         # 2^10 + 8 cells a slot: 63 slots a block, so 100 slots end in a partial one
         trace = random_trace(np.random.default_rng(14), 10, 100)
-        by_rank = tiebreak_order(10)
         for slot, row in zip(trace.slots, trace.tables, strict=True):
             own = subset_value_table_loop(slot, np.arange(10)) - subset_linear_table(
                 slot.true_costs
             )
-            assert row.tobytes() == own[by_rank].tobytes()
+            assert row.tobytes() == own.tobytes()
 
     def test_references_peak_within_a_tenth_over_the_table(self):
         # N = 16, T = 64: a 32 MB table, one slot per block of rows
         scenario = ScenarioConfig(map=GridMap(10, 10, 200.0), n_users=16, seed=3)
         slots = tuple(realization_stream(scenario, 64))
-        tiebreak_order(16)  # cached for the process, not part of the references
         tracemalloc.start()
         try:
             trace = Trace(slots, np.full(16, 0.5))
@@ -336,12 +332,11 @@ class TestUnconstrained:
             weights = rng.choice([0.0, 0.5, 1.0], 8)
             slots.append(make_realization(8, regions, weights, rng.choice([0.0, 0.5], 6)))
         tables = Trace(tuple(slots), np.zeros(6)).tables
-        by_rank = tiebreak_order(6)
         for slot, row in zip(slots, tables):
-            r = int(np.argmax(row >= row.max() - TIE_TOL))
+            s = tiebreak_pick(row)  # the first near-max column in tie-break order
             res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
-            assert by_rank[r] == int(res.alloc.selected @ (1 << np.arange(6)))
-            assert np.float64(row[r]).view(np.int64) == np.float64(res.objective).view(np.int64)
+            assert s == int(res.alloc.selected @ (1 << np.arange(6)))
+            assert np.float64(row[s]).view(np.int64) == np.float64(res.objective).view(np.int64)
 
     def test_dominates_constrained(self):
         rng = np.random.default_rng(10)

@@ -376,8 +376,8 @@ class TestBenchmarkDigest:
     """The shipped welfare config's benchmark at 200 slots writes fixed bytes.
 
     The digest was recorded from the dense per-chunk dual sweep and the
-    per-row tie-break loop of the unconstrained optimum; the rank-ordered
-    sweep must not change a byte.
+    per-row tie-break loop of the unconstrained optimum; the fast sweep
+    must not change a byte.
     """
 
     GOLDEN = "5ab3a3a677927bc5cfce1365e360e55f9e277004192b71cc03611e18729e8b0f"

@@ -31,7 +31,6 @@ from sensecourt.solver import (
     TIE_TOL,
     _BLOCK_CELLS,
     subset_linear_table,
-    tiebreak_order,
     tiebreak_picks,
 )
 
@@ -133,7 +132,6 @@ def test_build_and_references_peak_near_one_table():
         )
         for _ in range(t)
     )
-    tiebreak_order(n)  # warm the cached order
     tracemalloc.start()
     try:
         trace = Trace(slots, np.full(n, 0.5))
@@ -157,12 +155,11 @@ def test_long_traces_match_dense_oracle(trace, iterations, schedule):
 def test_kept_counts_equal_a_full_count_every_sweep(trace, iterations, schedule):
     # each sweep's frequencies reach the step as dbar; count every pick afresh
     n, t = trace.n_users, trace.t_slots
-    by_rank = tiebreak_order(n)
     steps = []
 
     def full_count(lam, dbar, d, eps):
-        _, picks, _ = tiebreak_picks(trace.tables, subset_linear_table(lam)[by_rank])
-        counts = benchmark_mod._user_counts(by_rank[picks], n)
+        _, picks, _ = tiebreak_picks(trace.tables, subset_linear_table(lam))
+        counts = benchmark_mod._user_counts(picks, n)
         steps.append(dbar.tobytes() == (counts / t).tobytes())
         return dual_step(lam, dbar, d, eps)
 

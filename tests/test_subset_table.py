@@ -27,7 +27,6 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_rows,
     subset_value_table,
-    tiebreak_order,
 )
 from sensecourt.world import evaluate_allocation
 
@@ -244,11 +243,9 @@ class TestRowsMatchLoop:
 
 
 def pick_without(objective, m, j):
-    """The pivots' pick: with the table in tie-break order and the subsets
-    holding local user j at -inf, the local mask of its tiebreak_pick."""
-    by_rank = tiebreak_order(m)
-    ranked = objective[by_rank]
-    return int(by_rank[tiebreak_pick(np.where((by_rank >> j) & 1, -np.inf, ranked))])
+    """The leave-one-out pick: the tiebreak_pick of the table with the
+    subsets holding local user j at -inf."""
+    return tiebreak_pick(np.where((np.arange(1 << m) >> j) & 1, -np.inf, objective))
 
 
 def reduced_solve(real, kappa, eligible, user):

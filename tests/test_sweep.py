@@ -23,7 +23,6 @@ from sensecourt.solver import (
     TIE_TOL,
     subset_linear_table,
     subset_value_table,
-    tiebreak_order,
 )
 
 from oracle_subset import tiebreak_tables
@@ -309,16 +308,6 @@ def test_band_widens_to_the_whole_group_when_rounding_reaches_the_threshold(monk
     assert sizes == [(1, 4)]  # without user 0 only {1} ties; with it, all 4 subsets
     want = truthfulness_sweep_dense(real, factors, real.true_costs, 0, grid)
     assert report_differences(got, want) == []
-
-
-def test_sweep_builds_no_tiebreak_order():
-    rng = np.random.default_rng(6)
-    n, n_grids = 12, 60
-    regions = [set(rng.choice(n_grids, size=9, replace=False).tolist()) for _ in range(n)]
-    real = make_realization(n_grids, regions, rng.random(n_grids), rng.random(n))
-    tiebreak_order.cache_clear()
-    truthfulness_sweep(real, rng.random(n), real.true_costs, 5, np.linspace(0.0, 2.0, 51))
-    assert tiebreak_order.cache_info().currsize == 0
 
 
 def test_sweep_peak_is_a_few_tables():
