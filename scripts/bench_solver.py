@@ -4,8 +4,10 @@ slot at desk and welfare scale, per subset_value_table and per solve_exact
 at N = 8, 12, 16, 20, per truthfulness_sweep at N = 8, 12, 16 and per dual
 sweep at (N, T) = (8, 800), (8, 10,000) and (12, 800) with the default
 harmonic steps and at (8, 800) with constant steps of 50, with the share of
-rows each dual case scores again, and the dual's peak memory over its table
-at (N, T) = (12, 4,096), (16, 256) and (20, 16).
+rows each dual case scores again, the dual's peak memory over its table
+at (N, T) = (12, 4,096), (16, 256) and (20, 16), and the peak memory of a
+streamed trace and its references over its table at (4, 16,384), (8, 800)
+and (16, 256).
 
 Slot generation times realization_stream, which builds blocks of slots,
 over the first --slots slots of configs/dropping_desk.json (100 users, 2,500
@@ -15,16 +17,18 @@ whole stream's time over its slot count. The same slots are then rebuilt
 slot by slot by the per-user loop in tests/oracle_regions.py, whose time is
 recorded too, and every region, cost and weight must equal it bit for bit.
 
-welfare_tables, the build a Trace runs once for its `tables`, is timed per
-slot at (N, T) = (8, 800) and (16, 64) on the welfare trace below; every
-row must equal the slot's own subset_value_table minus its cost table bit
-for bit, and its tracemalloc peak is recorded over the table's bytes.
+The welfare table build, Trace(slots, thresholds) on slots the section
+holds, is timed per slot at (N, T) = (8, 800) and (16, 64) on the welfare
+trace below (the welfare_tables_* keys); every row must equal the slot's
+own subset_value_table minus its cost table bit for bit, and its
+tracemalloc peak is recorded over the table's bytes.
 
 Each solver instance is the first N users of one dropping-desk slot
 (2,500 grids, disk regions), every user eligible, true costs as charges.
 subset_value_table is timed on its own, then solve_exact, which builds the
 table again. The table is compared bit for bit with the scalar loop in
-tests/oracle_subset.py, whose time is recorded too.
+tests/oracle_subset.py, called once per instance and not timed: at N = 20
+it takes several seconds a call, and no figure reads its time.
 
 allocate_many on the exact route is timed with MANY_ROWS charge rows (true
 costs minus random bonuses) at N = 8 and 12 on the same slots, against
@@ -68,6 +72,14 @@ The dual's peak is the tracemalloc peak of dual_upper_bound, DUAL_PEAK_ITERATION
 iterations on traces whose welfare tables hold 2^24 cells (128 MB), divided
 by the table's bytes: what the sweep allocates beyond the table it reads.
 
+The streamed peak is the tracemalloc peak of what `sensecourt benchmark`
+holds: Trace(realization_stream(...), thresholds, T) on the welfare desk at
+N users, then unconstrained_trace_welfare, dual_upper_bound
+(DUAL_PEAK_ITERATIONS iterations) and solve_complete_bruteforce where
+check_bruteforce_capacity allows it (never at the shipped shapes), divided
+by the table's bytes: the slot stream, one block of slots and its
+temporaries, and the references, beyond the table.
+
 Each measurement is one function in SECTIONS. It takes the flags and the first
 --instances dropping-desk slots, prints a line per case and returns its report
 entries. It times through timed(), reads tracemalloc through traced() and
@@ -84,6 +96,7 @@ parent commit's src on PYTHONPATH) is kept under "baseline" in the new one.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -99,7 +112,10 @@ import numpy as np
 
 from sensecourt import benchmark, engine
 from sensecourt.auction import truthfulness_sweep
-from sensecourt.benchmark import Trace, dual_upper_bound, welfare_tables
+from sensecourt.benchmark import (
+    BenchmarkCapacityError, Trace, dual_upper_bound, solve_complete_bruteforce,
+    unconstrained_trace_welfare,
+)
 from sensecourt.cli import load_config
 from sensecourt.engine import run_simulation
 from sensecourt.policy_dual import StepSchedule
@@ -130,6 +146,7 @@ DUAL_CASES = (  # (N, T, schedule), None the default harmonic steps
 DUAL_ITERATIONS = 50
 DUAL_PEAK_SHAPES = ((12, 4096), (16, 256), (20, 16))
 DUAL_PEAK_ITERATIONS = 3
+STREAM_PEAK_SHAPES = ((4, 16_384), (8, 800), (16, 256))
 TABLE_SHAPES = ((8, 800), (16, 64))
 MANY_SIZES = (8, 12)
 MANY_ROWS = 8
@@ -198,10 +215,15 @@ def report_times(prefix: str, cases: dict) -> dict:
     }
 
 
-def welfare_trace(n: int, t: int) -> Trace:
-    """The first t welfare-desk slots at n users, thresholds 0.5."""
-    scenario = dataclasses.replace(load_config(str(SLOT_CONFIGS["welfare"])).scenario, n_users=n)
-    return Trace(tuple(realization_stream(scenario, t)), np.full(n, 0.5))
+def welfare_scenario(n: int):
+    """The welfare desk's scenario at n users."""
+    return dataclasses.replace(load_config(str(SLOT_CONFIGS["welfare"])).scenario, n_users=n)
+
+
+def welfare_trace(n: int, t: int) -> tuple[tuple[SlotRealization, ...], Trace]:
+    """The first t welfare-desk slots at n users and their trace, thresholds 0.5."""
+    slots = tuple(realization_stream(welfare_scenario(n), t))
+    return slots, Trace(slots, np.full(n, 0.5))
 
 
 def slot_section(args, _slots) -> dict:
@@ -234,31 +256,31 @@ def slot_section(args, _slots) -> dict:
 
 
 def exact_section(_args, slots) -> dict:
-    """subset_value_table, then solve_exact, against the scalar table loop."""
-    table, solve, loop, grids = {}, {}, {}, {}
+    """subset_value_table, then solve_exact, each table checked against one
+    untimed call of the scalar table loop."""
+    table, solve, grids = {}, {}, {}
     for n in SIZES:
-        users, times = np.arange(n), ([], [], [])
+        users, times = np.arange(n), ([], [])
         for slot in slots:
             real = first_users(slot, n)
             got, table_t = timed(lambda: subset_value_table(real, users))
             inst = RegulatedInstance.of(real, real.true_costs)
             _, solve_t = timed(lambda: solve_exact(inst, exact_limit=n))
-            want, loop_t = timed(lambda: subset_value_table_loop(real, users))
+            want = subset_value_table_loop(real, users)
             check(np.array_equal(got.view(np.int64), want.view(np.int64)), f"table at N={n}")
-            for samples, ms in zip(times, (table_t, solve_t, loop_t)):
+            for samples, ms in zip(times, (table_t, solve_t)):
                 samples += ms
         key = str(n)
-        table[key], solve[key], loop[key] = map(spread, times)
+        table[key], solve[key] = map(spread, times)
         grids[key] = mean(r.size for s in slots for r in s.regions[:n])
         print(f"N={n:2d}: subset_value_table {table[key][0]:8.2f} ms, solve_exact "
-              f"{solve[key][0]:9.2f} ms, oracle loop {loop[key][0]:9.2f} ms, {grids[key]:.1f} "
-              f"grids per region (median of {REPEATS} x {len(slots)})", flush=True)
+              f"{solve[key][0]:9.2f} ms, {grids[key]:.1f} grids per region (median of "
+              f"{REPEATS} x {len(slots)})", flush=True)
     return {
         "config": str(CONFIG.relative_to(ROOT)),
         "instances": len(slots),
         **report_times("solve_exact_ms", solve),
         **report_times("subset_value_table_ms", table),
-        **report_times("oracle_loop_table_ms", loop),
         "mean_region_grids": grids,
         "tables_bit_identical_to_oracle": True,
     }
@@ -388,11 +410,11 @@ def dual_section(_args, _slots) -> dict:
     sweeps = DUAL_ITERATIONS + 1
     for n, t, schedule in DUAL_CASES:
         key = f"N={n},T={t}" + (f",{schedule.kind}={schedule.coeff}" if schedule else "")
-        trace = welfare_trace(n, t)
+        slots, trace = welfare_trace(n, t)
         inputs = (trace, DUAL_ITERATIONS, schedule)
         got, ms = timed(lambda: dual_upper_bound(*inputs))
         fast[key] = spread(ms, sweeps)
-        want, ms = timed(lambda: dual_upper_bound_dense(*inputs))
+        want, ms = timed(lambda: dual_upper_bound_dense(trace, slots, DUAL_ITERATIONS, schedule))
         dense[key] = spread(ms, sweeps)
         bits = [(b.avg_welfare.hex(), b.per_user_alloc_prob.tobytes()) for b in (got, want)]
         check(bits[0] == bits[1], f"dual bound at {key}")
@@ -409,7 +431,7 @@ def dual_section(_args, _slots) -> dict:
             dual_upper_bound(*inputs)
         finally:
             benchmark.tiebreak_picks = original
-        del trace, inputs
+        del slots, trace, inputs
         share[key] = scored / (t * sweeps)
         print(f"{key:26s}: dual sweep {fast[key][0]:8.3f} ms, dense oracle {dense[key][0]:8.3f} "
               f"ms, {share[key]:.1%} of rows scored ({sweeps} sweeps, median of {REPEATS})",
@@ -424,19 +446,21 @@ def dual_section(_args, _slots) -> dict:
 
 
 def tables_section(_args, _slots) -> dict:
-    """welfare_tables per slot, every row checked against the slot's own
-    table, and its tracemalloc peak over the table's bytes."""
+    """The welfare table build per slot, every row checked against the
+    slot's own table, and its tracemalloc peak over the table's bytes."""
     per_slot, peak = {}, {}
     for n, t in TABLE_SHAPES:
-        key, trace = f"N={n},T={t}", welfare_trace(n, t)
-        tables, ms = timed(lambda: welfare_tables(trace.slots))
-        for k, (slot, row) in enumerate(zip(trace.slots, tables)):
+        key, d = f"N={n},T={t}", np.full(n, 0.5)
+        slots = tuple(realization_stream(welfare_scenario(n), t))
+        trace, ms = timed(lambda: Trace(slots, d))
+        for k, (slot, row) in enumerate(zip(slots, trace.tables, strict=True)):
             own = subset_value_table(slot, np.arange(n)) - subset_linear_table(slot.true_costs)
-            check(row.tobytes() == own.tobytes(), f"welfare_tables row {k} at {key}")
-        del tables
-        tables, bytes_peak, _ = traced(lambda: welfare_tables(trace.slots))
-        per_slot[key], peak[key] = spread(ms, t), bytes_peak / tables.nbytes
-        print(f"N={n:2d}, T={t:5d}: welfare_tables {per_slot[key][0]:8.4f} ms per slot, "
+            check(row.tobytes() == own.tobytes(), f"welfare table row {k} at {key}")
+        del trace
+        trace, bytes_peak, _ = traced(lambda: Trace(slots, d))
+        per_slot[key], peak[key] = spread(ms, t), bytes_peak / trace.tables.nbytes
+        del slots, trace
+        print(f"N={n:2d}, T={t:5d}: welfare table {per_slot[key][0]:8.4f} ms per slot, "
               f"peak {peak[key]:.3f} x the table (median of {REPEATS})", flush=True)
     return {
         **report_times("welfare_tables_ms_per_slot", per_slot),
@@ -449,7 +473,7 @@ def dual_peak_section(_args, _slots) -> dict:
     """tracemalloc peak of dual_upper_bound on a built trace, in table bytes."""
     ratio = {}
     for n, t in DUAL_PEAK_SHAPES:
-        trace = welfare_trace(n, t)
+        trace = Trace(realization_stream(welfare_scenario(n), t), np.full(n, 0.5), t)
         _, peak, _ = traced(lambda: dual_upper_bound(trace, DUAL_PEAK_ITERATIONS))
         key = f"N={n},T={t}"
         ratio[key] = peak / trace.tables.nbytes
@@ -459,9 +483,32 @@ def dual_peak_section(_args, _slots) -> dict:
     return {"dual_peak_iterations": DUAL_PEAK_ITERATIONS, "dual_peak_over_table_bytes": ratio}
 
 
+def stream_peak_section(_args, _slots) -> dict:
+    """tracemalloc peak of a streamed trace and the references `benchmark`
+    runs on it, in table bytes."""
+    ratio = {}
+    for n, t in STREAM_PEAK_SHAPES:
+        scenario = welfare_scenario(n)
+
+        def run() -> int:
+            trace = Trace(realization_stream(scenario, t), np.full(n, 0.5), t)
+            unconstrained_trace_welfare(trace)
+            dual_upper_bound(trace, DUAL_PEAK_ITERATIONS)
+            with contextlib.suppress(BenchmarkCapacityError):  # as bruteforce "auto"
+                solve_complete_bruteforce(trace)
+            return trace.tables.nbytes
+
+        table_bytes, peak, _ = traced(run)
+        key = f"N={n},T={t}"
+        ratio[key] = peak / table_bytes
+        print(f"N={n:2d}, T={t:5d}: streamed trace and references peak {ratio[key]:.3f} x the "
+              f"{table_bytes / 1e6:.1f} MB table", flush=True)
+    return {"stream_trace_peak_over_table_bytes": ratio}
+
+
 SECTIONS = (
     slot_section, exact_section, many_section, greedy_section, sweep_section, dual_section,
-    tables_section, dual_peak_section,
+    tables_section, dual_peak_section, stream_peak_section,
 )
 
 

@@ -5,13 +5,17 @@ the unconstrained per-slot optimum, the complete-information constrained
 optimum (joint enumeration, tiny instances only), and a Lagrangian dual
 upper bound on the constrained optimum that stands in for the stochastic
 benchmark on traces too large to enumerate. The relative gap between the
-unconstrained and constrained values is the incentive cost. A Trace builds
-and checks its (T, 2^N) welfare table once, and all three read it.
+unconstrained and constrained values is the incentive cost. A Trace draws
+its slots once, a block at a time, into its checked (T, 2^N) welfare table,
+and keeps that table, the thresholds and the mean true cost, not the slots;
+all three references read it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +33,6 @@ __all__ = [
     "BenchmarkCapacityError",
     "Trace",
     "BenchmarkResult",
-    "welfare_tables",
     "check_table_capacity",
     "check_bruteforce_capacity",
     "solve_complete_bruteforce",
@@ -42,7 +45,7 @@ BRUTEFORCE_CELL_LIMIT = 24  # joint enumeration bounded by 2^(N*T)
 _TABLE_CELL_CAP = 1 << 24  # slots x subsets cells of the welfare table
 _FEAS_TOL = 1e-12
 _CHUNK = 1 << 20
-_ROW_CELLS = 1 << 15  # cells of welfare_tables' temporaries per block of slots
+_ROW_CELLS = 1 << 15  # cells of a Trace build's temporaries per block of slots
 _SLACK = 1e-12  # dual certificate slack per unit of max|W| + max|add|
 
 
@@ -50,72 +53,101 @@ class BenchmarkCapacityError(RuntimeError):
     """Instance too large for the requested exhaustive benchmark."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Trace:
-    """A fixed sequence of slot realizations plus per-user thresholds, and
-    the welfare table every reference reads: `tables` = welfare_tables(slots),
-    built once, after the thresholds are checked."""
+    """The welfare table every reference reads, the per-user thresholds and
+    the mean true cost of a fixed sequence of slot realizations; the slots
+    themselves are not kept.
 
-    slots: tuple[SlotRealization, ...]
+    `slots` is any iterable of slots, a generator included, that yields
+    t_slots of them; t_slots defaults to its len(), and an iterable without
+    one is refused unless t_slots is given. The thresholds (one per user,
+    each in [0, 1]) and the table's size (check_table_capacity) are checked
+    before the first slot is drawn, and a sequence that yields a different
+    number of slots is an error.
+
+    `tables` is the (T, 2^N) welfare of every subset in every slot, true
+    costs, indexed by bit mask. Column s of row k is the objective
+    solve_exact maximizes for slot k with every user eligible, at subset s,
+    so a row's tiebreak_picks pick is that slot's exact optimum. The table
+    is allocated once and filled a block of slots at a time, about
+    _ROW_CELLS cells of temporaries each (2^N plus the first slot's grids
+    per slot). Each block's slots must have N users and the first slot's
+    grids; its subset_value_rows less its cost rows are written straight
+    into the table, and its slots are dropped before the next block is
+    drawn. Overflow is not warned about: one max and one min of the built
+    table refuse any NaN or infinite entry, with a ValueError naming
+    `tables`.
+
+    `mean_cost` is the mean over the slots of each slot's mean true cost,
+    with the bits of that mean over the whole (T, N) cost array: each
+    block's row means fill one T-length array, whose mean it is.
+    """
+
+    tables: np.ndarray = field(repr=False)
     thresholds: np.ndarray
-    tables: np.ndarray = field(init=False, repr=False)
+    mean_cost: float
 
-    def __post_init__(self):
-        slots = tuple(self.slots)
-        if not slots:
+    def __init__(
+        self,
+        slots: Iterable[SlotRealization],
+        thresholds,
+        t_slots: int | None = None,
+    ):
+        if t_slots is None:
+            if not isinstance(slots, Sized):
+                raise ValueError("Trace needs t_slots for slots without a len()")
+            t_slots = len(slots)
+        if t_slots < 1:
             raise ValueError("trace must contain at least one slot")
-        n = slots[0].n_users
-        i = slots[0].n_grids
-        for s in slots:
-            if s.n_users != n or s.n_grids != i:
-                raise ValueError("all slots must share the same users and grids")
-        d = thresholds_array(self.thresholds)
-        if d.size != n:
-            raise ValueError("thresholds length must match user count")
-        object.__setattr__(self, "slots", slots)
+        d = thresholds_array(thresholds)
+        n = d.size
+        check_table_capacity(n, t_slots)
+        tables, means = np.empty((t_slots, 1 << n)), np.empty(t_slots)
+        slots = iter(slots)
+        block = tuple(islice(slots, 1))  # the first slot's grids set the block length
+        grids = block[0].n_grids if block else 0
+        step = max(1, _ROW_CELLS // ((1 << n) + grids))
+        lo = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while lo < t_slots:
+                block += tuple(islice(slots, min(step, t_slots - lo) - len(block)))
+                hi = lo + len(block)
+                if hi < min(lo + step, t_slots):
+                    raise ValueError(f"slots ended after {hi} of t_slots={t_slots} slots")
+                if any(s.n_users != n or s.n_grids != grids for s in block):
+                    raise ValueError(
+                        f"every slot must have {n} users, one per threshold, and the "
+                        f"first slot's {grids} grids"
+                    )
+                rows, costs = tables[lo:hi], np.stack([s.true_costs for s in block])
+                means[lo:hi] = costs.mean(axis=1)
+                subset_linear_table(costs, rows)
+                np.subtract(subset_value_rows(block), rows, out=rows)
+                lo, block = hi, ()  # the block's slots go before the next are drawn
+        if next(slots, None) is not None:
+            raise ValueError(
+                f"slots yielded at least {t_slots + 1} slots, more than t_slots={t_slots}"
+            )
+        if not (np.isfinite(tables.max()) and np.isfinite(tables.min())):
+            raise ValueError("tables must hold no NaN or infinite entries")
+        object.__setattr__(self, "tables", tables)
         object.__setattr__(self, "thresholds", d)
-        object.__setattr__(self, "tables", welfare_tables(slots))
+        object.__setattr__(self, "mean_cost", float(means.mean()))
 
     @property
     def n_users(self) -> int:
-        return self.slots[0].n_users
+        return self.thresholds.size
 
     @property
     def t_slots(self) -> int:
-        return len(self.slots)
+        return len(self.tables)
 
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkResult:
     avg_welfare: float
     per_user_alloc_prob: np.ndarray
-
-
-def welfare_tables(slots: tuple[SlotRealization, ...]) -> np.ndarray:
-    """(T, 2^N) welfare of every subset in every slot, true costs, indexed
-    by bit mask.
-
-    Column s of row k is the objective solve_exact maximizes for slot k with
-    every user eligible, at subset s, so a row's tiebreak_picks pick is that
-    slot's exact optimum. A table above _TABLE_CELL_CAP cells is refused
-    before it is built. Blocks of slots, about _ROW_CELLS cells of
-    temporaries each, go through subset_value_rows, and values minus costs
-    is written straight into the table. Overflow is not warned about: one
-    max and one min of the built table refuse any NaN or infinite entry,
-    with a ValueError naming `tables`.
-    """
-    n, t = slots[0].n_users, len(slots)
-    check_table_capacity(n, t)
-    tables = np.empty((t, 1 << n))
-    step = max(1, _ROW_CELLS // ((1 << n) + slots[0].n_grids))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, t, step):
-            block, rows = slots[lo : lo + step], tables[lo : lo + step]
-            subset_linear_table(np.stack([slot.true_costs for slot in block]), rows)
-            np.subtract(subset_value_rows(block), rows, out=rows)
-    if not (np.isfinite(tables.max()) and np.isfinite(tables.min())):
-        raise ValueError("tables must hold no NaN or infinite entries")
-    return tables
 
 
 def check_table_capacity(n_users: int, t_slots: int) -> None:
@@ -231,8 +263,7 @@ def dual_upper_bound(
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if schedule is None:
-        scale = float(np.array([s.true_costs for s in trace.slots]).mean(axis=1).mean())
-        schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
+        schedule = StepSchedule.harmonic(max(1.0, 2.0 * trace.mean_cost))
     n, t = trace.n_users, trace.t_slots
     tables, d = trace.tables, trace.thresholds
     w_max = max(float(tables.max()), -float(tables.min()))

@@ -428,7 +428,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
     out_dir = Path(out if out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    trace = Trace(tuple(realization_stream(scenario, t)), cfg.thresholds)
+    trace = Trace(realization_stream(scenario, t), cfg.thresholds, t)
     unconstrained = unconstrained_trace_welfare(trace)
     bound = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step)
     bruteforce = solve_complete_bruteforce(trace) if run_bruteforce else None

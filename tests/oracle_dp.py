@@ -13,14 +13,15 @@ import numpy as np
 from sensecourt.solver import subset_linear_table, subset_value_table
 
 
-def constrained_optimum_dp(trace) -> float:
-    """Max average welfare subject to per-user selection counts >= ceil(T*D)."""
-    n, t = trace.n_users, trace.t_slots
-    needs = [math.ceil(t * d - 1e-12) for d in trace.thresholds]
+def constrained_optimum_dp(slots, thresholds) -> float:
+    """Max average welfare over the slots subject to per-user selection
+    counts >= ceil(T*D), D the thresholds."""
+    n, t = len(thresholds), len(slots)
+    needs = [math.ceil(t * d - 1e-12) for d in thresholds]
     users = np.arange(n)
     tables = [
         subset_value_table(slot, users) - subset_linear_table(slot.true_costs)
-        for slot in trace.slots
+        for slot in slots
     ]
     shape = tuple(nd + 1 for nd in needs)
     g = np.full(shape, -np.inf)

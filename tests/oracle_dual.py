@@ -27,7 +27,7 @@ from oracle_subset import ranked_masks, tiebreak_tables
 
 
 def dual_upper_bound_dense(
-    trace: Trace, iterations: int, schedule: StepSchedule | None = None
+    trace: Trace, slots, iterations: int, schedule: StepSchedule | None = None
 ) -> BenchmarkResult:
     """Subgradient descent on the trace-empirical dual objective.
 
@@ -40,13 +40,14 @@ def dual_upper_bound_dense(
 
     The default schedule is harmonic with a coefficient matched to the
     trace's mean cost: the optimal multipliers live on the cost scale, and
-    a unit step cannot reach them on expensive instances. The table is
+    a unit step cannot reach them on expensive instances; that mean is taken
+    over `slots`, the slots the trace was built from. The table is
     trace.tables.
     """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     if schedule is None:
-        scale = float(np.mean([s.true_costs.mean() for s in trace.slots]))
+        scale = float(np.mean([s.true_costs.mean() for s in slots]))
         schedule = StepSchedule.harmonic(max(1.0, 2.0 * scale))
     n, t = trace.n_users, trace.t_slots
     tables, d = trace.tables, trace.thresholds

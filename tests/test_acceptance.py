@@ -247,6 +247,7 @@ def test_c5_truthfulness():
 
 
 def _binding_tiny_trace(gen, t_slots):
+    """The slots drawn, three costly users on 8 grids, and their trace at D = 0.6."""
     slots = []
     for _ in range(t_slots):
         n_grids = 8
@@ -257,7 +258,7 @@ def _binding_tiny_trace(gen, t_slots):
         weights = gen.random(n_grids) * 2
         costs = gen.uniform(0.3, 2.5, size=3)
         slots.append(make_realization(n_grids, regions, weights, costs))
-    return Trace(tuple(slots), np.full(3, 0.6))
+    return slots, Trace(tuple(slots), np.full(3, 0.6))
 
 
 def test_c6_weak_duality_and_lemma1_trend():
@@ -265,7 +266,7 @@ def test_c6_weak_duality_and_lemma1_trend():
     violations = 0
     for _ in range(100):
         gen = np.random.default_rng(int(rng.integers(0, 2**31)))
-        trace = _binding_tiny_trace(gen, 4)
+        _, trace = _binding_tiny_trace(gen, 4)
         bound = dual_upper_bound(trace, iterations=60)
         exact = solve_complete_bruteforce(trace)
         if bound.avg_welfare < exact.avg_welfare - TOL:
@@ -277,9 +278,9 @@ def test_c6_weak_duality_and_lemma1_trend():
         gaps = []
         for t_slots in (4, 64):
             gen = np.random.default_rng(7000 + p)
-            trace = _binding_tiny_trace(gen, t_slots)
+            slots, trace = _binding_tiny_trace(gen, t_slots)
             bound = dual_upper_bound(trace, iterations=200)
-            opt = constrained_optimum_dp(trace)
+            opt = constrained_optimum_dp(slots, trace.thresholds)
             gaps.append(bound.avg_welfare - opt)
         if gaps[1] <= gaps[0] + TOL:
             shrunk += 1

@@ -24,6 +24,7 @@ TINY = {
     "DUAL_CASES": ((4, 6, None), (3, 5, StepSchedule.constant(50.0))),
     "DUAL_PEAK_SHAPES": ((4, 4),),
     "TABLE_SHAPES": ((4, 3),),
+    "STREAM_PEAK_SHAPES": ((4, 3), (3, 20)),
     "GREEDY_SLOTS": 1,
 }
 

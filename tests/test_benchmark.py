@@ -1,5 +1,7 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_table,
 )
-from sensecourt.world import Allocation, GridMap, evaluate_allocation
+from sensecourt.world import Allocation, GridMap, SlotRealization, evaluate_allocation
 
 from oracle_engine import tiebreak_pick
 from oracle_subset import subset_value_table_loop
@@ -44,13 +46,14 @@ def random_slot(rng, n_users, n_grids):
 
 
 def random_trace(rng, n_users, t_slots, n_grids=8, thresholds=None):
+    """The slots drawn and the trace built from them."""
     slots = tuple(random_slot(rng, n_users, n_grids) for _ in range(t_slots))
     if thresholds is None:
         thresholds = rng.uniform(0.0, 0.8, size=n_users)
-    return Trace(slots, np.asarray(thresholds, dtype=float))
+    return slots, Trace(slots, np.asarray(thresholds, dtype=float))
 
 
-def oracle_joint_enumerate(trace):
+def oracle_joint_enumerate(slots, trace):
     """Second independent brute force: product of per-slot subsets."""
     n, t = trace.n_users, trace.t_slots
     best = None
@@ -59,7 +62,7 @@ def oracle_joint_enumerate(trace):
         welfare = 0.0
         for k, s in enumerate(plan):
             sel = np.array([(s >> u) & 1 for u in range(n)], dtype=bool)
-            welfare += evaluate_allocation(trace.slots[k], Allocation(sel)).welfare
+            welfare += evaluate_allocation(slots[k], Allocation(sel)).welfare
             counts += sel
         if np.all(counts / t >= trace.thresholds - 1e-12):
             if best is None or welfare > best + 1e-15:
@@ -70,36 +73,35 @@ def oracle_joint_enumerate(trace):
 class TestBruteforce:
     def test_vacuous_constraint_decouples(self):
         rng = np.random.default_rng(0)
-        trace = random_trace(rng, 3, 1, thresholds=[0.0, 0.0, 0.0])
+        (slot,), trace = random_trace(rng, 3, 1, thresholds=[0.0, 0.0, 0.0])
         res = solve_complete_bruteforce(trace)
-        slot = trace.slots[0]
         per_slot = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
         assert res.avg_welfare == pytest.approx(per_slot.objective, abs=1e-9)
 
     def test_full_threshold_forces_everyone(self):
         rng = np.random.default_rng(1)
-        trace = random_trace(rng, 2, 2, thresholds=[1.0, 1.0])
+        slots, trace = random_trace(rng, 2, 2, thresholds=[1.0, 1.0])
         res = solve_complete_bruteforce(trace)
         assert np.allclose(res.per_user_alloc_prob, 1.0)
         expected = sum(
             evaluate_allocation(s, Allocation(np.ones(2, dtype=bool))).welfare
-            for s in trace.slots
+            for s in slots
         ) / 2
         assert res.avg_welfare == pytest.approx(expected, abs=1e-9)
 
     def test_matches_independent_joint_enumerator(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            trace = random_trace(rng, 3, 4)
+            slots, trace = random_trace(rng, 3, 4)
             res = solve_complete_bruteforce(trace)
-            oracle = oracle_joint_enumerate(trace)
+            oracle = oracle_joint_enumerate(slots, trace)
             assert oracle is not None
             assert res.avg_welfare == pytest.approx(oracle, abs=1e-9)
             assert np.all(res.per_user_alloc_prob >= trace.thresholds - 1e-12)
 
     def test_capacity_error(self):
         rng = np.random.default_rng(3)
-        trace = random_trace(rng, 5, 5)
+        _, trace = random_trace(rng, 5, 5)
         with pytest.raises(BenchmarkCapacityError, match=r"N\*T = 25 exceeds 24"):
             solve_complete_bruteforce(trace)
 
@@ -113,13 +115,114 @@ class TestBruteforce:
 class TestTrace:
     @pytest.mark.parametrize("bad", [np.nan, -0.2, 1.5])
     def test_out_of_range_threshold_refused(self, bad):
-        slots = random_trace(np.random.default_rng(8), 3, 2).slots
+        slots, _ = random_trace(np.random.default_rng(8), 3, 2)
         with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
             Trace(slots, np.array([bad, 0.5, 0.5]))
 
     def test_thresholds_at_the_bounds_accepted(self):
-        slots = random_trace(np.random.default_rng(8), 3, 2).slots
+        slots, _ = random_trace(np.random.default_rng(8), 3, 2)
         assert Trace(slots, np.array([0.0, 1.0, 0.5])).thresholds.tolist() == [0.0, 1.0, 0.5]
+
+
+def costly_slots(rng, n_users, t_slots, n_grids=8):
+    """Random slots whose costs span nine decades, so a sum of them in
+    another order would round differently."""
+    slots = []
+    for _ in range(t_slots):
+        slot = random_slot(rng, n_users, n_grids)
+        scale = 10.0 ** rng.integers(-3, 7, n_users)
+        slots.append(SlotRealization(slot.weights, slot.regions, slot.true_costs * scale))
+    return tuple(slots)
+
+
+def untouchable():
+    """A slot stream that fails if a slot is drawn."""
+    raise AssertionError("a slot was drawn")
+    yield
+
+
+class TestStreamedTrace:
+    # _ROW_CELLS = 400: 2^5 + 8 = 40 cells a random slot, blocks of 10, so 31
+    # slots end in a block of 1; 2^6 + 100 = 164 cells a stream slot, blocks
+    # of 2, so 151 slots end in a block of 1
+    @pytest.mark.parametrize("row_cells", [None, 400])
+    def test_generator_build_equals_tuple_build(self, monkeypatch, row_cells):
+        if row_cells is not None:
+            monkeypatch.setattr(benchmark_mod, "_ROW_CELLS", row_cells)
+        slots = costly_slots(np.random.default_rng(16), 5, 31)
+        d = np.full(5, 0.5)
+        want = Trace(slots, d)
+        got = Trace((slot for slot in slots), d, 31)
+        assert got.tables.tobytes() == want.tables.tobytes()
+        assert got.mean_cost.hex() == want.mean_cost.hex()
+        costs = np.array([slot.true_costs for slot in slots])
+        assert want.mean_cost.hex() == float(costs.mean(axis=1).mean()).hex()
+
+        scenario = ScenarioConfig(map=GridMap(10, 10, 200.0), n_users=6, seed=5)
+        want = Trace(tuple(realization_stream(scenario, 151)), np.zeros(6))
+        got = Trace(realization_stream(scenario, 151), np.zeros(6), 151)
+        assert got.tables.tobytes() == want.tables.tobytes()
+        assert got.mean_cost.hex() == want.mean_cost.hex()
+
+    def test_holds_one_block_of_slots_at_most(self, monkeypatch):
+        monkeypatch.setattr(benchmark_mod, "_ROW_CELLS", 400)  # blocks of 10 slots
+        rng = np.random.default_rng(17)
+        refs, alive = [], []
+
+        def stream():
+            for _ in range(35):
+                slot = random_slot(rng, 5, 8)
+                refs.append(weakref.ref(slot))
+                alive.append(sum(ref() is not None for ref in refs))
+                yield slot
+
+        trace = Trace(stream(), np.zeros(5), 35)
+        gc.collect()
+        assert max(alive) == 10 and len(alive) == 35
+        assert [ref() for ref in refs] == [None] * 35
+        assert trace.t_slots == 35 and trace.n_users == 5
+
+    @pytest.mark.parametrize(
+        "thresholds, t_slots, error, match",
+        [
+            (np.array([0.5, 2.0]), 3, ValueError, r"thresholds must lie in \[0, 1\]"),
+            (np.zeros(20), 17, BenchmarkCapacityError, "welfare table cap"),
+            (np.zeros(3), None, ValueError, "Trace needs t_slots for slots without a len"),
+            (np.zeros(3), 0, ValueError, "at least one slot"),
+        ],
+        ids=["thresholds", "capacity", "unsized", "empty"],
+    )
+    def test_refused_before_a_slot_is_drawn(self, thresholds, t_slots, error, match):
+        with pytest.raises(error, match=match):
+            Trace(untouchable(), thresholds, t_slots)
+
+    @pytest.mark.parametrize(
+        "drawn, t_slots, match",
+        [
+            (9, 10, "slots ended after 9 of t_slots=10 slots"),  # inside the first block
+            (10, 11, "slots ended after 10 of t_slots=11 slots"),  # at a block's edge
+            (0, 3, "slots ended after 0 of t_slots=3 slots"),
+            (12, 11, "slots yielded at least 12 slots, more than t_slots=11"),
+        ],
+    )
+    def test_stream_of_another_length_refused(self, monkeypatch, drawn, t_slots, match):
+        monkeypatch.setattr(benchmark_mod, "_ROW_CELLS", 400)  # blocks of 10 slots
+        slots = costly_slots(np.random.default_rng(18), 5, drawn)
+        with pytest.raises(ValueError, match=match):
+            Trace(iter(slots), np.zeros(5), t_slots)
+        with pytest.raises(ValueError, match=match):
+            Trace(slots, np.zeros(5), t_slots)
+
+    @pytest.mark.parametrize("odd", ["users", "grids"])
+    def test_slot_of_other_users_or_grids_refused(self, odd):
+        rng = np.random.default_rng(19)
+        slots = list(costly_slots(rng, 3, 5))
+        slots[3] = random_slot(rng, 4, 8) if odd == "users" else random_slot(rng, 3, 9)
+        with pytest.raises(ValueError, match="every slot must have 3 users, one per threshold, "
+                                             "and the first slot's 8 grids"):
+            Trace(slots, np.zeros(3))
+        with pytest.raises(ValueError, match="every slot must have 2 users"):
+            Trace(slots[:3], np.zeros(2))
 
 
 def overflowing_slot(weights, costs):
@@ -163,8 +266,8 @@ class TestTraceTable:
         monkeypatch.setattr(
             benchmark_mod, "subset_value_rows", lambda b: built.extend(map(id, b)) or rows(b)
         )
-        trace = random_trace(np.random.default_rng(15), 3, 5)
-        assert built == [id(slot) for slot in trace.slots]
+        slots, trace = random_trace(np.random.default_rng(15), 3, 5)
+        assert built == [id(slot) for slot in slots]
 
         def refused(*args):
             raise AssertionError("a reference built welfare rows")
@@ -177,7 +280,7 @@ class TestTraceTable:
 class TestDualUpperBound:
     def test_zero_thresholds_equal_unconstrained(self):
         rng = np.random.default_rng(4)
-        trace = random_trace(rng, 3, 6, thresholds=[0.0, 0.0, 0.0])
+        _, trace = random_trace(rng, 3, 6, thresholds=[0.0, 0.0, 0.0])
         bound = dual_upper_bound(trace, iterations=30)
         unconstrained = unconstrained_trace_welfare(trace)
         assert bound.avg_welfare == pytest.approx(unconstrained.avg_welfare, abs=1e-9)
@@ -185,14 +288,14 @@ class TestDualUpperBound:
     def test_weak_duality_on_tiny_traces(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            trace = random_trace(rng, 3, 4)
+            _, trace = random_trace(rng, 3, 4)
             bound = dual_upper_bound(trace, iterations=40)
             exact = solve_complete_bruteforce(trace)
             assert bound.avg_welfare >= exact.avg_welfare - 1e-9
 
     def test_iterations_validated(self):
         rng = np.random.default_rng(6)
-        trace = random_trace(rng, 2, 2)
+        _, trace = random_trace(rng, 2, 2)
         with pytest.raises(ValueError):
             dual_upper_bound(trace, iterations=0)
 
@@ -221,7 +324,7 @@ class TestDualUpperBound:
 
     def test_probs_in_unit_interval(self):
         rng = np.random.default_rng(7)
-        trace = random_trace(rng, 3, 5)
+        _, trace = random_trace(rng, 3, 5)
         bound = dual_upper_bound(trace, iterations=25)
         assert np.all(bound.per_user_alloc_prob >= 0)
         assert np.all(bound.per_user_alloc_prob <= 1)
@@ -230,9 +333,8 @@ class TestDualUpperBound:
 class TestUnconstrained:
     def test_single_slot_equals_exact(self):
         rng = np.random.default_rng(8)
-        trace = random_trace(rng, 4, 1)
+        (slot,), trace = random_trace(rng, 4, 1)
         res = unconstrained_trace_welfare(trace)
-        slot = trace.slots[0]
         assert res.avg_welfare == pytest.approx(
             solve_exact(RegulatedInstance.of(slot, slot.true_costs)).objective, abs=1e-9
         )
@@ -275,15 +377,15 @@ class TestUnconstrained:
         monkeypatch.setattr(
             benchmark_mod, "subset_value_rows", lambda b: built.append(len(b)) or rows(b)
         )
-        trace = random_trace(np.random.default_rng(11), 5, 30)
+        slots, trace = random_trace(np.random.default_rng(11), 5, 30)
         assert built == blocks
-        for slot, row in zip(trace.slots, trace.tables, strict=True):
+        for slot, row in zip(slots, trace.tables, strict=True):
             own = subset_value_table(slot, np.arange(5)) - subset_linear_table(slot.true_costs)
             assert row.tobytes() == own.tobytes()
         result = unconstrained_trace_welfare(trace)
         total = 0.0
         selections = np.zeros(5)
-        for slot in trace.slots:
+        for slot in slots:
             res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
             total += res.objective
             selections += res.alloc.selected
@@ -294,8 +396,8 @@ class TestUnconstrained:
 
     def test_rows_at_ten_users_in_blocks_that_do_not_divide_the_trace(self):
         # 2^10 + 8 cells a slot: 63 slots a block, so 100 slots end in a partial one
-        trace = random_trace(np.random.default_rng(14), 10, 100)
-        for slot, row in zip(trace.slots, trace.tables, strict=True):
+        slots, trace = random_trace(np.random.default_rng(14), 10, 100)
+        for slot, row in zip(slots, trace.tables, strict=True):
             own = subset_value_table_loop(slot, np.arange(10)) - subset_linear_table(
                 slot.true_costs
             )
@@ -323,7 +425,7 @@ class TestUnconstrained:
     def test_first_near_max_column_is_the_exact_solve(self):
         # tie-heavy slots too: equal welfare must resolve as solve_exact resolves it
         rng = np.random.default_rng(12)
-        slots = list(random_trace(rng, 6, 20).slots)
+        slots = list(random_trace(rng, 6, 20)[0])
         for _ in range(20):
             regions = [
                 set(rng.choice(8, size=rng.integers(0, 4), replace=False).tolist())
@@ -341,7 +443,7 @@ class TestUnconstrained:
     def test_dominates_constrained(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            trace = random_trace(rng, 3, 4)
+            _, trace = random_trace(rng, 3, 4)
             unc = unconstrained_trace_welfare(trace)
             con = solve_complete_bruteforce(trace)
             assert unc.avg_welfare >= con.avg_welfare - 1e-9
@@ -359,7 +461,7 @@ class TestIncentiveCost:
 
     def test_vacuous_constraint_zero(self):
         rng = np.random.default_rng(11)
-        trace = random_trace(rng, 3, 4, thresholds=[0.0, 0.0, 0.0])
+        _, trace = random_trace(rng, 3, 4, thresholds=[0.0, 0.0, 0.0])
         unc = unconstrained_trace_welfare(trace)
         con = solve_complete_bruteforce(trace)
         assert incentive_cost(unc, con) == 0.0
@@ -373,7 +475,8 @@ class TestIncentiveCost:
 
 
 def binding_trace(rng, n_users, t_slots, n_grids=8, threshold=0.6):
-    """Trace whose participatory constraint genuinely binds (costly users)."""
+    """Slots and the trace built from them, whose participatory constraint
+    genuinely binds (costly users)."""
     slots = []
     for _ in range(t_slots):
         regions = [
@@ -383,7 +486,7 @@ def binding_trace(rng, n_users, t_slots, n_grids=8, threshold=0.6):
         weights = rng.random(n_grids) * 2
         costs = rng.uniform(0.3, 2.5, size=n_users)
         slots.append(make_realization(n_grids, regions, weights, costs))
-    return Trace(tuple(slots), np.full(n_users, threshold))
+    return slots, Trace(tuple(slots), np.full(n_users, threshold))
 
 
 class TestLemmaOneTrend:
@@ -398,9 +501,9 @@ class TestLemmaOneTrend:
             gaps = []
             for t_slots in (4, 32):
                 gen = np.random.default_rng(3000 + p)
-                trace = binding_trace(gen, 3, t_slots)
+                slots, trace = binding_trace(gen, 3, t_slots)
                 bound = dual_upper_bound(trace, iterations=150)
-                opt = constrained_optimum_dp(trace)
+                opt = constrained_optimum_dp(slots, trace.thresholds)
                 assert bound.avg_welfare >= opt - 1e-9
                 gaps.append(bound.avg_welfare - opt)
             if gaps[1] <= gaps[0] + 1e-9:
@@ -412,8 +515,8 @@ class TestLemmaOneTrend:
 
         rng = np.random.default_rng(13)
         for _ in range(6):
-            trace = random_trace(rng, 3, 4, thresholds=[0.5, 0.5, 0.5])
+            slots, trace = random_trace(rng, 3, 4, thresholds=[0.5, 0.5, 0.5])
             bf = solve_complete_bruteforce(trace)
-            assert constrained_optimum_dp(trace) == pytest.approx(
+            assert constrained_optimum_dp(slots, trace.thresholds) == pytest.approx(
                 bf.avg_welfare, abs=1e-9
             )

@@ -52,8 +52,8 @@ SCHEDULES = (
 
 @st.composite
 def tie_traces(draw, n_max=10, long=False):
-    """A trace of a few distinct tie-heavy slots repeated over T rows;
-    `long` draws T from 100 to 400."""
+    """The slots, a few distinct tie-heavy ones repeated over T rows, and
+    their trace; `long` draws T from 100 to 400."""
     n = draw(st.integers(1, n_max))
     n_grids = draw(st.integers(1, 6))
     distinct = []
@@ -82,7 +82,8 @@ def tie_traces(draw, n_max=10, long=False):
             max_size=n,
         )
     )
-    return Trace(tuple(distinct[i] for i in pattern), np.array(thresholds))
+    slots = tuple(distinct[i] for i in pattern)
+    return slots, Trace(slots, np.array(thresholds))
 
 
 def assert_same_bound(got, want):
@@ -92,9 +93,10 @@ def assert_same_bound(got, want):
 
 @settings(max_examples=150, deadline=None)
 @given(tie_traces(), st.integers(1, 30), st.sampled_from(SCHEDULES))
-def test_matches_dense_oracle(trace, iterations, schedule):
+def test_matches_dense_oracle(drawn, iterations, schedule):
+    slots, trace = drawn
     got = dual_upper_bound(trace, iterations, schedule)
-    assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule))
+    assert_same_bound(got, dual_upper_bound_dense(trace, slots, iterations, schedule))
 
     unc = unconstrained_trace_welfare(trace)
     avg, probs = slotwise_optimum_loop(trace.tables, trace.n_users)
@@ -145,15 +147,17 @@ def test_build_and_references_peak_near_one_table():
 
 @settings(max_examples=30, deadline=None)
 @given(tie_traces(n_max=8, long=True), st.integers(100, 300), st.sampled_from(SCHEDULES))
-def test_long_traces_match_dense_oracle(trace, iterations, schedule):
+def test_long_traces_match_dense_oracle(drawn, iterations, schedule):
+    slots, trace = drawn
     got = dual_upper_bound(trace, iterations, schedule)
-    assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule))
+    assert_same_bound(got, dual_upper_bound_dense(trace, slots, iterations, schedule))
 
 
 @settings(max_examples=20, deadline=None)
 @given(tie_traces(n_max=8, long=True), st.integers(100, 200), st.sampled_from(SCHEDULES))
-def test_kept_counts_equal_a_full_count_every_sweep(trace, iterations, schedule):
+def test_kept_counts_equal_a_full_count_every_sweep(drawn, iterations, schedule):
     # each sweep's frequencies reach the step as dbar; count every pick afresh
+    _, trace = drawn
     n, t = trace.n_users, trace.t_slots
     steps = []
 
@@ -176,7 +180,7 @@ GRID_SCHEDULES = (
 
 
 def certificate_case(regime: str, seed: int):
-    """(trace, schedule, iterations) where a weak certificate shows.
+    """(slots, trace, schedule, iterations) where a weak certificate shows.
 
     "grid": entries on a 1/64 grid, where columns often swap places by
     about twice the drift since a row was scored; "2^25": entries a few
@@ -198,10 +202,10 @@ def certificate_case(regime: str, seed: int):
     else:
         tables = rng.integers(0, 3, (t, 1 << n)) + 0.5 * TIE_TOL * rng.integers(0, 3, (t, 1 << n))
         schedule = StepSchedule.constant(1e-12)
-    slot = make_realization(2, [{0}] * n, [1.0, 1.0], [0.5] * n)
-    trace = Trace((slot,) * t, rng.uniform(0.0, 1.0, n))
+    slots = (make_realization(2, [{0}] * n, [1.0, 1.0], [0.5] * n),) * t
+    trace = Trace(slots, rng.uniform(0.0, 1.0, n))
     object.__setattr__(trace, "tables", tables)
-    return trace, schedule, int(rng.integers(50, 200))
+    return slots, trace, schedule, int(rng.integers(50, 200))
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,15 +214,16 @@ def certificate_case(regime: str, seed: int):
 @example("2^25", 2)  # a margin without slack keeps a pick that rounding moved
 @example("near", 0)  # a margin without TIE_TOL keeps a near tie's first maximum
 def test_certificate_edges_match_dense_oracle(regime, seed):
-    trace, schedule, iterations = certificate_case(regime, seed)
+    slots, trace, schedule, iterations = certificate_case(regime, seed)
     got = dual_upper_bound(trace, iterations, schedule)
-    assert_same_bound(got, dual_upper_bound_dense(trace, iterations, schedule))
+    assert_same_bound(got, dual_upper_bound_dense(trace, slots, iterations, schedule))
 
 
 def test_welfare_desk_rescores_few_rows(monkeypatch):
     # the benchmark workload's trace: 800 slots, 300 iterations, harmonic steps
     cfg = load_config(str(CONFIGS / "welfare_desk.json"))
-    trace = Trace(tuple(realization_stream(cfg.scenario, 800)), cfg.thresholds)
+    slots = tuple(realization_stream(cfg.scenario, 800))
+    trace = Trace(slots, cfg.thresholds)
     scored = []
 
     def counting(rows, add, which=None):
@@ -229,7 +234,7 @@ def test_welfare_desk_rescores_few_rows(monkeypatch):
     got = dual_upper_bound(trace, cfg.benchmark.iterations, cfg.benchmark.step)
     assert len(scored) == 301 and scored[0] == 800
     assert sum(scored) < 0.15 * 800 * 301
-    want = dual_upper_bound_dense(trace, cfg.benchmark.iterations, cfg.benchmark.step)
+    want = dual_upper_bound_dense(trace, slots, cfg.benchmark.iterations, cfg.benchmark.step)
     assert_same_bound(got, want)
 
 

@@ -164,10 +164,11 @@ def run_callers(slots, data):
     pattern = data.draw(st.lists(st.integers(0, len(slots) - 1), min_size=t, max_size=t))
     levels = st.sampled_from([0.0, 0.25, 0.5, 1.0])
     thresholds = data.draw(st.lists(levels, min_size=n, max_size=n))
-    trace = Trace(tuple(slots[i] for i in pattern), np.array(thresholds))
+    picked = tuple(slots[i] for i in pattern)
+    trace = Trace(picked, np.array(thresholds))
     iterations = data.draw(st.integers(1, 12))
     got = dual_upper_bound(trace, iterations)
-    want = dual_upper_bound_dense(trace, iterations)
+    want = dual_upper_bound_dense(trace, picked, iterations)
     assert got.avg_welfare.hex() == want.avg_welfare.hex()
     assert got.per_user_alloc_prob.tobytes() == want.per_user_alloc_prob.tobytes()
     unc = unconstrained_trace_welfare(trace)
