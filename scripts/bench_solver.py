@@ -7,7 +7,8 @@ harmonic steps and at (8, 800) with constant steps of 50, with the share of
 rows each dual case scores again, the dual's peak memory over its table
 at (N, T) = (12, 4,096), (16, 256) and (20, 16), and the peak memory of a
 streamed trace and its references over its table at (4, 16,384), (8, 800)
-and (16, 256).
+and (16, 256), and the CSV writers' ms per row and peak memory over one
+series at (T, N) = (200, 100), (2,000, 100) and (200, 8).
 
 Slot generation times realization_stream, which builds blocks of slots,
 over the first --slots slots of configs/dropping_desk.json (100 users, 2,500
@@ -80,6 +81,14 @@ check_bruteforce_capacity allows it (never at the shipped shapes), divided
 by the table's bytes: the slot stream, one block of slots and its
 temporaries, and the references, beyond the table.
 
+The writers are timed on every lane of a `simulate` run of
+configs/dropping_desk.json (N = 100) or configs/welfare_desk.json (N = 8)
+at T slots: write_trace_csv and write_plotdata together, over the T x N
+rows of trace.csv. Their tracemalloc peak is divided by the bytes of one
+(T, N) float64 series, the largest over the lanes: what writing holds
+beyond the run's own series. Every file must equal the one-format()-a-cell
+writer in tests/oracle_writers.py byte for byte.
+
 Each measurement is one function in SECTIONS. It takes the flags and the first
 --instances dropping-desk slots, prints a line per case and returns its report
 entries. It times through timed(), reads tracemalloc through traced() and
@@ -103,6 +112,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -116,7 +126,7 @@ from sensecourt.benchmark import (
     BenchmarkCapacityError, Trace, dual_upper_bound, solve_complete_bruteforce,
     unconstrained_trace_welfare,
 )
-from sensecourt.cli import load_config
+from sensecourt.cli import load_config, write_plotdata, write_trace_csv
 from sensecourt.engine import run_simulation
 from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import realization_stream
@@ -133,6 +143,7 @@ from oracle_greedy import solve_greedy_loop  # noqa: E402
 from oracle_regions import realization_stream_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
+from oracle_writers import write_per_cell  # noqa: E402
 
 CONFIG = ROOT / "configs" / "dropping_desk.json"
 SLOT_CONFIGS = {"desk": CONFIG, "welfare": ROOT / "configs" / "welfare_desk.json"}
@@ -151,6 +162,7 @@ TABLE_SHAPES = ((8, 800), (16, 64))
 MANY_SIZES = (8, 12)
 MANY_ROWS = 8
 GREEDY_SLOTS = 160
+WRITER_RUNS = (("desk", 200), ("desk", 2_000), ("welfare", 200))  # (config, T)
 REPEATS = 5  # timed calls of each case on each instance
 
 
@@ -506,9 +518,50 @@ def stream_peak_section(_args, _slots) -> dict:
     return {"stream_trace_peak_over_table_bytes": ratio}
 
 
+def writers_section(_args, _slots) -> dict:
+    """write_trace_csv and write_plotdata on every lane of a simulate run:
+    ms per trace row, tracemalloc peak over one series' bytes, and every
+    file checked against the per-cell oracle."""
+    per_row, peak, runs = {}, {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, ref = Path(tmp, "fast"), Path(tmp, "ref")
+        fast.mkdir()
+        ref.mkdir()
+
+        def write(metrics) -> None:
+            write_trace_csv(fast / "trace.csv", metrics)
+            write_plotdata(fast, metrics)
+
+        for name, t in WRITER_RUNS:
+            cfg = load_config(str(SLOT_CONFIGS[name]))
+            lanes = run_simulation(
+                cfg.scenario, cfg.policies, t, cfg.warmup_slots, cfg.thresholds, cfg.solver
+            )
+            n, ms, ratios = cfg.scenario.n_users, [], []
+            key = f"N={n},T={t}"
+            runs[key] = str(SLOT_CONFIGS[name].relative_to(ROOT))
+            for metrics in lanes:
+                ms += timed(lambda: write(metrics))[1]
+                ratios.append(traced(lambda: write(metrics))[1] / metrics.alloc_prob_series.nbytes)
+                write_per_cell(ref, metrics)
+                same = all(f.read_bytes() == (ref / f.name).read_bytes() for f in fast.iterdir())
+                check(same, f"writers on {metrics.policy_label} at {key}")
+            del lanes
+            per_row[key], peak[key] = spread(ms, t * n), max(ratios)
+            print(f"{name:7s} N={n:3d}, T={t:5d}: writers {per_row[key][0] * 1e3:7.3f} us per row, "
+                  f"peak {peak[key]:.3f} x one series (median of {REPEATS} x {len(ratios)} lanes)",
+                  flush=True)
+    return {
+        "writer_runs": runs,
+        **report_times("writers_ms_per_row", per_row),
+        "writers_peak_over_series_bytes": peak,
+        "writers_bit_identical_to_per_cell_oracle": True,
+    }
+
+
 SECTIONS = (
     slot_section, exact_section, many_section, greedy_section, sweep_section, dual_section,
-    tables_section, dual_peak_section, stream_peak_section,
+    tables_section, dual_peak_section, stream_peak_section, writers_section,
 )
 
 

@@ -268,8 +268,8 @@ def truthfulness_sweep(
     values = subset_value_table(realization, users)
     per_user = kappa[users].copy()
     per_user[pos] = 0.0  # swept user's charge handled per bid
-    others_cost = subset_linear_table(per_user)
-    base = values - others_cost
+    # one 2^m table: base[s] is the payment's first step, fl(value - others)
+    base = np.subtract(values, subset_linear_table(per_user), out=values)
     outs, ins = base.reshape(-1, 2, 1 << pos).swapaxes(0, 1)  # without, with the user
     best_out, best_in = outs.max(), ins.max()
     r_n = float(factors[user])
@@ -300,7 +300,7 @@ def truthfulness_sweep(
     sel = (masks >> pos & 1).astype(bool)
     pay = np.where(
         sel,
-        pivot_payment(values[masks], others_cost[masks], welfare_without, r_n),
+        pivot_payment(base[masks], 0.0, welfare_without, r_n),
         0.0,
     )
     util = np.where(sel, pay - c_n, 0.0)

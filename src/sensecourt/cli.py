@@ -9,9 +9,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import operator
 import os
+import struct
 import sys
 import types
 import typing
@@ -42,6 +45,10 @@ __all__ = ["main", "cmd_simulate", "cmd_benchmark", "cmd_truthcheck"]
 
 THREADS_ENV = "SENSECOURT_THREADS"
 _TRUTHCHECK_STREAM = 0x545254
+_PLOT_BLOCK_CELLS = 4096
+# trace cells kept per lane; an auction lane's payments seldom repeat
+_TRACE_CACHE_CELLS = 1024
+_BITS, _FLOAT = struct.Struct("=q"), struct.Struct("=d")
 
 
 class ConfigError(ValueError):
@@ -262,44 +269,50 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Format each distinct value of a float array once.
+def _float_of(bits: int) -> float:
+    """The float64 whose int64 bit pattern is `bits`."""
+    return _FLOAT.unpack(_BITS.pack(bits))[0]
 
-    Values are keyed by their int64 bit pattern, not compared as floats:
-    -0.0 and 0.0 print differently, and float keys would merge them.
-    Returns the strings and, per element, the index of its string.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    keys, inverse = np.unique(arr.view(np.int64), return_inverse=True)
-    return [_fmt(v) for v in keys.view(np.float64)], inverse.reshape(arr.shape)
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    """A float64 array's int64 bit patterns, the writers' cache keys: -0.0
+    and 0.0 print differently, and float keys would merge them."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class _CellText(dict):
+    """A trace cell's text "sel,reg,pay,act,", keyed on (selected, regulation
+    bits, payment bits, active) and formatted the first time it is read."""
+
+    def __missing__(self, key):
+        sel, reg, pay, act = key
+        text = self[key] = f"{sel},{_fmt(_float_of(reg))},{_fmt(_float_of(pay))},{act},"
+        return text
 
 
 def write_trace_csv(path: Path, metrics: TraceMetrics) -> None:
-    n = metrics.thresholds.size
-    payments = metrics.payments_series
-    if payments is None:
-        payments = np.zeros_like(metrics.regulation)
-    regs, reg_idx = _formatted(metrics.regulation)
-    pays, pay_idx = _formatted(payments)
-    users = range(n)
-    # one slot's rows at a time, so the whole file is never held in memory
+    """One slot's rows at a time, each distinct cell formatted once: no
+    (T, n) temporary and no sort."""
+    users = [f"{u}," for u in range(metrics.thresholds.size)]
+    regulation = _bits(metrics.regulation)
+    payments = None if metrics.payments_series is None else _bits(metrics.payments_series)
+    unpaid = itertools.repeat(0)  # the bits of 0.0
+    cells = _CellText()
     with path.open("w") as f:
         f.write("slot,policy,replication,user,selected,regulation,payment,active,welfare_slot\n")
-        for t in range(metrics.t_slots):
+        for t, welfare in enumerate(metrics.welfare_series.tolist()):
+            if len(cells) > _TRACE_CACHE_CELLS:
+                cells.clear()
             head = f"{t + 1},{metrics.policy_label},{metrics.replication},"
-            welfare = _fmt(metrics.welfare_series[t])
-            f.write(
-                "".join(
-                    f"{head}{u},{sel},{regs[r]},{pays[p]},{act},{welfare}\n"
-                    for u, sel, r, p, act in zip(
-                        users,
-                        metrics.selected[t].astype(np.int8).tolist(),
-                        reg_idx[t].tolist(),
-                        pay_idx[t].tolist(),
-                        metrics.active[t].astype(np.int8).tolist(),
-                    )
-                )
+            tail = f"{_fmt(welfare)}\n"
+            keys = zip(
+                metrics.selected[t].astype(np.int8).tolist(),
+                regulation[t].tolist(),
+                unpaid if payments is None else payments[t].tolist(),
+                metrics.active[t].astype(np.int8).tolist(),
             )
+            rows = map(operator.add, users, map(cells.__getitem__, keys))
+            f.write(head + (tail + head).join(rows) + tail)
 
 
 def write_plotdata(run_dir: Path, metrics: TraceMetrics) -> None:
@@ -313,13 +326,21 @@ def write_plotdata(run_dir: Path, metrics: TraceMetrics) -> None:
         )
     (run_dir / "plotdata_welfare.csv").write_text("\n".join(lines) + "\n")
 
-    header = "slot," + ",".join(f"u{u}" for u in range(n))
-    lines = [header]
-    probs, prob_idx = _formatted(metrics.alloc_prob_series)
-    for k in range(t):
-        row = ",".join([probs[i] for i in prob_idx[k].tolist()])
-        lines.append(f"{k + 1},{row}")
-    (run_dir / "plotdata_alloc_prob.csv").write_text("\n".join(lines) + "\n")
+    # blocks of about _PLOT_BLOCK_CELLS cells, each distinct value in a block
+    # formatted once; a running frequency seldom repeats a value across blocks
+    probs, step = _bits(metrics.alloc_prob_series), max(1, _PLOT_BLOCK_CELLS // n)
+    with (run_dir / "plotdata_alloc_prob.csv").open("w") as f:
+        f.write("slot," + ",".join(f"u{u}" for u in range(n)) + "\n")
+        for lo in range(0, t, step):
+            keys = probs[lo : lo + step].ravel().tolist()
+            distinct = list(set(keys))
+            values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+            texts = dict(zip(distinct, map(format, values, itertools.repeat(".9g"))))
+            cells = list(map(texts.__getitem__, keys))
+            # a row's last cell also ends it and starts the next one
+            ends = cells[n - 1 : -1 : n]
+            cells[n - 1 : -1 : n] = [f"{c}\n{k}" for k, c in enumerate(ends, start=lo + 2)]
+            f.write(f"{lo + 1}," + ",".join(cells) + "\n")
 
     dropped = np.zeros(t)
     for _, slot in metrics.drop_events:

@@ -142,7 +142,10 @@ def _region(indices, n_grids: int) -> np.ndarray:
     raw = np.asarray(indices)
     if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.trunc(raw) == raw)):
         raise ValueError(f"region indices must be finite integers, got {raw.ravel()}")
-    idx = np.unique(raw.astype(np.int64))
+    idx = np.sort(raw.astype(np.int64, copy=False), axis=None)
+    keep = np.ones(idx.size, dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=keep[1:])
+    idx = idx[keep]
     if idx.size and (idx[0] < 0 or idx[-1] >= n_grids):
         raise ValueError("region index out of range")
     idx.flags.writeable = False
@@ -285,9 +288,10 @@ def _covered(realization: SlotRealization, alloc: Allocation) -> np.ndarray:
         raise ValueError(
             f"allocation has {alloc.n_users} users, realization has {realization.n_users}"
         )
+    regions = [realization.regions[u] for u in alloc.indices().tolist()]
     cov = np.zeros(realization.n_grids, dtype=bool)
-    for u in alloc.indices():
-        cov[realization.regions[u]] = True
+    if regions:
+        cov[np.concatenate(regions)] = True
     return cov
 
 

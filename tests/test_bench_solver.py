@@ -26,6 +26,7 @@ TINY = {
     "TABLE_SHAPES": ((4, 3),),
     "STREAM_PEAK_SHAPES": ((4, 3), (3, 20)),
     "GREEDY_SLOTS": 1,
+    "WRITER_RUNS": (("welfare", 42),),
 }
 
 

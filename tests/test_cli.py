@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from sensecourt.cli import (
 )
 from sensecourt.engine import TraceMetrics
 from sensecourt.solver import TIE_TOL
+
+from oracle_writers import write_per_cell
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -594,46 +597,6 @@ class TestFailBeforeWork:
         assert json.loads((out / "truthfulness.json").read_text())["vacuous"] is True
 
 
-def _fmt_cell(x) -> str:
-    return format(float(x), ".9g")
-
-
-def write_per_cell(run_dir: Path, metrics: TraceMetrics) -> None:
-    """The writers as they were before per-value formatting: one format()
-    call per cell. The reference for write_trace_csv and write_plotdata."""
-    n, t = metrics.thresholds.size, metrics.t_slots
-    payments = metrics.payments_series
-    lines = ["slot,policy,replication,user,selected,regulation,payment,active,welfare_slot"]
-    for k in range(t):
-        welfare = _fmt_cell(metrics.welfare_series[k])
-        for u in range(n):
-            pay = payments[k, u] if payments is not None else 0.0
-            lines.append(
-                f"{k + 1},{metrics.policy_label},{metrics.replication},{u},"
-                f"{int(metrics.selected[k, u])},{_fmt_cell(metrics.regulation[k, u])},"
-                f"{_fmt_cell(pay)},{int(metrics.active[k, u])},{welfare}"
-            )
-    (run_dir / "trace.csv").write_text("\n".join(lines) + "\n")
-    lines = ["slot,welfare,running_avg"] + [
-        f"{k + 1},{_fmt_cell(metrics.welfare_series[k])},"
-        f"{_fmt_cell(metrics.running_avg_welfare[k])}"
-        for k in range(t)
-    ]
-    (run_dir / "plotdata_welfare.csv").write_text("\n".join(lines) + "\n")
-    lines = ["slot," + ",".join(f"u{u}" for u in range(n))] + [
-        f"{k + 1}," + ",".join(_fmt_cell(v) for v in metrics.alloc_prob_series[k])
-        for k in range(t)
-    ]
-    (run_dir / "plotdata_alloc_prob.csv").write_text("\n".join(lines) + "\n")
-    dropped = np.zeros(t)
-    for _, slot in metrics.drop_events:
-        dropped[slot - 1 :] += 1
-    lines = ["slot,dropped_fraction"] + [
-        f"{k + 1},{_fmt_cell(dropped[k] / n)}" for k in range(t)
-    ]
-    (run_dir / "plotdata_dropping.csv").write_text("\n".join(lines) + "\n")
-
-
 # values whose text is easy to get wrong when formatting by distinct value
 AWKWARD = np.array(
     [
@@ -682,20 +645,76 @@ def awkward_metrics(payments: bool) -> TraceMetrics:
     )
 
 
+def cycled_metrics(t: int, n: int, pool: np.ndarray, payments: bool) -> TraceMetrics:
+    """A run of t slots and n users whose float series each hold the first
+    t * n values of pool, repeated as needed, in a shuffled order."""
+    rng = np.random.default_rng(7)
+    grid = lambda: rng.permutation(np.resize(pool, t * n)).reshape(t, n)  # noqa: E731
+    return TraceMetrics(
+        policy_label="cycled",
+        replication=0,
+        seed=0,
+        t_slots=t,
+        warmup_slots=0,
+        thresholds=np.full(n, 0.5),
+        welfare_series=rng.permutation(np.resize(pool, t)),
+        running_avg_welfare=rng.permutation(np.resize(pool, t)),
+        alloc_prob_series=grid(),
+        selected=rng.random((t, n)) < 0.5,
+        active=rng.random((t, n)) < 0.5,
+        regulation=grid(),
+        payments_series=grid() if payments else None,
+        drop_events=((0, 1), (n - 1, t)),
+        final_policy_state=None,
+    )
+
+
+def assert_writers_match_oracle(tmp_path, metrics: TraceMetrics) -> None:
+    fast, ref = tmp_path / "fast", tmp_path / "ref"
+    fast.mkdir()
+    ref.mkdir()
+    write_trace_csv(fast / "trace.csv", metrics)
+    write_plotdata(fast, metrics)
+    write_per_cell(ref, metrics)
+    assert tree_digest(fast) == tree_digest(ref)
+
+
 class TestWriters:
     @pytest.mark.parametrize("payments", [True, False])
     def test_same_bytes_as_formatting_each_cell(self, tmp_path, payments):
-        metrics = awkward_metrics(payments)
-        fast, ref = tmp_path / "fast", tmp_path / "ref"
-        fast.mkdir()
-        ref.mkdir()
-        write_trace_csv(fast / "trace.csv", metrics)
-        write_plotdata(fast, metrics)
-        write_per_cell(ref, metrics)
-        assert tree_digest(fast) == tree_digest(ref)
-        text = (fast / "trace.csv").read_text()
+        assert_writers_match_oracle(tmp_path, awkward_metrics(payments))
+        text = (tmp_path / "fast" / "trace.csv").read_text()
         for token in (",-0,", ",0,", ",nan,", ",inf,", ",-inf,", ",4.94065646e-324,", ",1e+16,"):
             assert token in text
+
+    # one user: each row is one cell, so the row joins have nothing between
+    # cells; one slot: one row per file; and with 100 users the plotdata
+    # blocks of 40 rows end in a part block. Each shape runs on the awkward
+    # values and on series whose every value is distinct, where 5,000
+    # distinct cells fill the trace's cell cache past its 1,024 more than once.
+    @pytest.mark.parametrize("t, n", [(AWKWARD.size, 1), (1, AWKWARD.size), (50, 100)])
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("payments", [True, False])
+    def test_edge_shapes_match_oracle(self, tmp_path, t, n, distinct, payments):
+        pool = np.random.default_rng(11).standard_normal(t * n) if distinct else AWKWARD
+        if distinct:
+            assert np.unique(pool).size == t * n
+        assert_writers_match_oracle(tmp_path, cycled_metrics(t, n, pool, payments))
+
+    @pytest.mark.parametrize("payments", [True, False])
+    def test_peak_below_one_series(self, tmp_path, payments):
+        # a few distinct values, as most cells of a long run: the writers
+        # hold a slot or a block of rows, never a (T, n) temporary
+        pool = np.array([0.0, -0.0, 0.25, 0.5, 1.0, 1.0 / 3.0])
+        metrics = cycled_metrics(2_000, 100, pool, payments)
+        tracemalloc.start()
+        try:
+            write_trace_csv(tmp_path / "trace.csv", metrics)
+            write_plotdata(tmp_path, metrics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < metrics.alloc_prob_series.nbytes
 
 
 class TestWorkerCount:
