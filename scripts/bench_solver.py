@@ -83,11 +83,20 @@ temporaries, and the references, beyond the table.
 
 The writers are timed on every lane of a `simulate` run of
 configs/dropping_desk.json (N = 100) or configs/welfare_desk.json (N = 8)
-at T slots: write_trace_csv and write_plotdata together, over the T x N
-rows of trace.csv. Their tracemalloc peak is divided by the bytes of one
-(T, N) float64 series, the largest over the lanes: what writing holds
-beyond the run's own series. Every file must equal the one-format()-a-cell
-writer in tests/oracle_writers.py byte for byte.
+at T slots: write_run in tests/oracle_writers.py, which feeds the
+collected run slot by slot through simulate's recorder and writers, over
+the T x N rows of trace.csv. Its
+tracemalloc peak is divided by the bytes of one (T, N) float64 series, the
+largest over the lanes: what writing holds beyond the run's own series.
+Every file must equal the one-format()-a-cell writer in
+tests/oracle_writers.py byte for byte.
+
+The simulate peak is the tracemalloc peak of cmd_simulate on
+configs/dropping_desk.json at T slots, in bytes and over the bytes of one
+(L, T, N) float64 series of its L policies: what a run holds while it
+writes its run files as it goes, which should not grow with T. It is read
+on a second run of the config, since the first run in a process also
+makes one-time allocations.
 
 Each measurement is one function in SECTIONS. It takes the flags and the first
 --instances dropping-desk slots, prints a line per case and returns its report
@@ -126,7 +135,7 @@ from sensecourt.benchmark import (
     BenchmarkCapacityError, Trace, dual_upper_bound, solve_complete_bruteforce,
     unconstrained_trace_welfare,
 )
-from sensecourt.cli import load_config, write_plotdata, write_trace_csv
+from sensecourt.cli import cmd_simulate, load_config
 from sensecourt.engine import run_simulation
 from sensecourt.policy_dual import StepSchedule
 from sensecourt.scenarios import realization_stream
@@ -143,7 +152,7 @@ from oracle_greedy import solve_greedy_loop  # noqa: E402
 from oracle_regions import realization_stream_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
-from oracle_writers import write_per_cell  # noqa: E402
+from oracle_writers import write_per_cell, write_run  # noqa: E402
 
 CONFIG = ROOT / "configs" / "dropping_desk.json"
 SLOT_CONFIGS = {"desk": CONFIG, "welfare": ROOT / "configs" / "welfare_desk.json"}
@@ -163,6 +172,7 @@ MANY_SIZES = (8, 12)
 MANY_ROWS = 8
 GREEDY_SLOTS = 160
 WRITER_RUNS = (("desk", 200), ("desk", 2_000), ("welfare", 200))  # (config, T)
+SIMULATE_PEAK_RUNS = (("desk", 200), ("desk", 2_000))  # (config, T)
 REPEATS = 5  # timed calls of each case on each instance
 
 
@@ -519,18 +529,14 @@ def stream_peak_section(_args, _slots) -> dict:
 
 
 def writers_section(_args, _slots) -> dict:
-    """write_trace_csv and write_plotdata on every lane of a simulate run:
-    ms per trace row, tracemalloc peak over one series' bytes, and every
-    file checked against the per-cell oracle."""
+    """write_run on every lane of a simulate run: ms per trace row,
+    tracemalloc peak over one series' bytes, and every file checked against
+    the per-cell oracle."""
     per_row, peak, runs = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         fast, ref = Path(tmp, "fast"), Path(tmp, "ref")
         fast.mkdir()
         ref.mkdir()
-
-        def write(metrics) -> None:
-            write_trace_csv(fast / "trace.csv", metrics)
-            write_plotdata(fast, metrics)
 
         for name, t in WRITER_RUNS:
             cfg = load_config(str(SLOT_CONFIGS[name]))
@@ -541,8 +547,9 @@ def writers_section(_args, _slots) -> dict:
             key = f"N={n},T={t}"
             runs[key] = str(SLOT_CONFIGS[name].relative_to(ROOT))
             for metrics in lanes:
-                ms += timed(lambda: write(metrics))[1]
-                ratios.append(traced(lambda: write(metrics))[1] / metrics.alloc_prob_series.nbytes)
+                ms += timed(lambda: write_run(fast, metrics))[1]
+                peak_bytes = traced(lambda: write_run(fast, metrics))[1]
+                ratios.append(peak_bytes / metrics.alloc_prob_series.nbytes)
                 write_per_cell(ref, metrics)
                 same = all(f.read_bytes() == (ref / f.name).read_bytes() for f in fast.iterdir())
                 check(same, f"writers on {metrics.policy_label} at {key}")
@@ -559,9 +566,36 @@ def writers_section(_args, _slots) -> dict:
     }
 
 
+def simulate_peak_section(_args, _slots) -> dict:
+    """The tracemalloc peak of cmd_simulate at T slots, in bytes and over
+    one (L, T, N) float64 series."""
+    runs, peak, ratio = {}, {}, {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, t in SIMULATE_PEAK_RUNS:
+            raw = json.loads(SLOT_CONFIGS[name].read_text()) | {"t_slots": t}
+            config = Path(tmp, f"{name}_{t}.json")
+            config.write_text(json.dumps(raw))
+            cfg = load_config(str(config))
+            key = f"N={cfg.scenario.n_users},T={t}"
+            runs[key] = str(SLOT_CONFIGS[name].relative_to(ROOT))
+            run = functools.partial(cmd_simulate, str(config), out=str(Path(tmp, "out")))
+            run()  # the first run in a process also makes one-time allocations
+            _, peak[key], _ = traced(run)
+            series = len(cfg.policies) * t * cfg.scenario.n_users * 8
+            ratio[key] = peak[key] / series
+            print(f"{name:7s} N={cfg.scenario.n_users:3d}, T={t:5d}: simulate peak "
+                  f"{peak[key] / 1e6:.3f} MB, {ratio[key]:.3f} x one (L, T, N) series", flush=True)
+    return {
+        "simulate_peak_runs": runs,
+        "simulate_peak_bytes": peak,
+        "simulate_peak_over_series_bytes": ratio,
+    }
+
+
 SECTIONS = (
     slot_section, exact_section, many_section, greedy_section, sweep_section, dual_section,
     tables_section, dual_peak_section, stream_peak_section, writers_section,
+    simulate_peak_section,
 )
 
 

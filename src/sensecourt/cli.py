@@ -2,6 +2,13 @@
 
 Configs are JSON; outputs are deterministic CSV/JSON keyed by config+seed,
 so reruns are byte-identical. Floats in CSVs carry 9 significant digits.
+
+`simulate` writes each replication's run files while it runs: the engine
+hands every slot to a `runfiles.RunFiles` recorder that keeps a block of
+slots and writes it to each lane's trace.csv and plotdata_alloc_prob.csv,
+so only one slot, one block of rows and each lane's (T,) welfare series
+are in memory. Each replication job writes its own run directories and
+returns only its summaries.
 """
 
 from __future__ import annotations
@@ -9,12 +16,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
-import operator
 import os
-import struct
 import sys
 import types
 import typing
@@ -34,9 +38,10 @@ from .benchmark import (
     solve_complete_bruteforce,
     unconstrained_trace_welfare,
 )
-from .engine import PolicySpec, TraceMetrics, check_exact_solves, check_finite_bonuses
+from .engine import PolicySpec, check_exact_solves, check_finite_bonuses
 from .engine import run_simulation
 from .policy_dual import StepSchedule
+from .runfiles import RunFiles, write_plotdata, write_trace_csv
 from .scenarios import ScenarioConfig, realization_stream
 from .solver import TIE_TOL, SolveOptions, SolverCapacityError
 from .world import GridMap, thresholds_array
@@ -45,18 +50,10 @@ __all__ = ["main", "cmd_simulate", "cmd_benchmark", "cmd_truthcheck"]
 
 THREADS_ENV = "SENSECOURT_THREADS"
 _TRUTHCHECK_STREAM = 0x545254
-_PLOT_BLOCK_CELLS = 4096
-# trace cells kept per lane; an auction lane's payments seldom repeat
-_TRACE_CACHE_CELLS = 1024
-_BITS, _FLOAT = struct.Struct("=q"), struct.Struct("=d")
 
 
 class ConfigError(ValueError):
     pass
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
 
 
 def _canonical_json(obj) -> str:
@@ -269,86 +266,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _float_of(bits: int) -> float:
-    """The float64 whose int64 bit pattern is `bits`."""
-    return _FLOAT.unpack(_BITS.pack(bits))[0]
+class _RunFiles(RunFiles):
+    """RunFiles that writes each block through this module's write_trace_csv
+    and write_plotdata: perfbench's tracer wraps those names, so its
+    cli.write span covers the writes, nested in engine.run_simulation."""
 
-
-def _bits(values: np.ndarray) -> np.ndarray:
-    """A float64 array's int64 bit patterns, the writers' cache keys: -0.0
-    and 0.0 print differently, and float keys would merge them."""
-    return np.asarray(values, dtype=np.float64).view(np.int64)
-
-
-class _CellText(dict):
-    """A trace cell's text "sel,reg,pay,act,", keyed on (selected, regulation
-    bits, payment bits, active) and formatted the first time it is read."""
-
-    def __missing__(self, key):
-        sel, reg, pay, act = key
-        text = self[key] = f"{sel},{_fmt(_float_of(reg))},{_fmt(_float_of(pay))},{act},"
-        return text
-
-
-def write_trace_csv(path: Path, metrics: TraceMetrics) -> None:
-    """One slot's rows at a time, each distinct cell formatted once: no
-    (T, n) temporary and no sort."""
-    users = [f"{u}," for u in range(metrics.thresholds.size)]
-    regulation = _bits(metrics.regulation)
-    payments = None if metrics.payments_series is None else _bits(metrics.payments_series)
-    unpaid = itertools.repeat(0)  # the bits of 0.0
-    cells = _CellText()
-    with path.open("w") as f:
-        f.write("slot,policy,replication,user,selected,regulation,payment,active,welfare_slot\n")
-        for t, welfare in enumerate(metrics.welfare_series.tolist()):
-            if len(cells) > _TRACE_CACHE_CELLS:
-                cells.clear()
-            head = f"{t + 1},{metrics.policy_label},{metrics.replication},"
-            tail = f"{_fmt(welfare)}\n"
-            keys = zip(
-                metrics.selected[t].astype(np.int8).tolist(),
-                regulation[t].tolist(),
-                unpaid if payments is None else payments[t].tolist(),
-                metrics.active[t].astype(np.int8).tolist(),
-            )
-            rows = map(operator.add, users, map(cells.__getitem__, keys))
-            f.write(head + (tail + head).join(rows) + tail)
-
-
-def write_plotdata(run_dir: Path, metrics: TraceMetrics) -> None:
-    n = metrics.thresholds.size
-    t = metrics.t_slots
-
-    lines = ["slot,welfare,running_avg"]
-    for k in range(t):
-        lines.append(
-            f"{k + 1},{_fmt(metrics.welfare_series[k])},{_fmt(metrics.running_avg_welfare[k])}"
-        )
-    (run_dir / "plotdata_welfare.csv").write_text("\n".join(lines) + "\n")
-
-    # blocks of about _PLOT_BLOCK_CELLS cells, each distinct value in a block
-    # formatted once; a running frequency seldom repeats a value across blocks
-    probs, step = _bits(metrics.alloc_prob_series), max(1, _PLOT_BLOCK_CELLS // n)
-    with (run_dir / "plotdata_alloc_prob.csv").open("w") as f:
-        f.write("slot," + ",".join(f"u{u}" for u in range(n)) + "\n")
-        for lo in range(0, t, step):
-            keys = probs[lo : lo + step].ravel().tolist()
-            distinct = list(set(keys))
-            values = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-            texts = dict(zip(distinct, map(format, values, itertools.repeat(".9g"))))
-            cells = list(map(texts.__getitem__, keys))
-            # a row's last cell also ends it and starts the next one
-            ends = cells[n - 1 : -1 : n]
-            cells[n - 1 : -1 : n] = [f"{c}\n{k}" for k, c in enumerate(ends, start=lo + 2)]
-            f.write(f"{lo + 1}," + ",".join(cells) + "\n")
-
-    dropped = np.zeros(t)
-    for _, slot in metrics.drop_events:
-        dropped[slot - 1 :] += 1
-    lines = ["slot,dropped_fraction"]
-    for k in range(t):
-        lines.append(f"{k + 1},{_fmt(dropped[k] / n)}")
-    (run_dir / "plotdata_dropping.csv").write_text("\n".join(lines) + "\n")
+    def write_block(self) -> None:
+        write_trace_csv(self)
+        write_plotdata(self)
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +296,18 @@ def _worker_count(n_jobs: int) -> int:
     return min(cap, n_jobs)
 
 
-def _simulate_job(args) -> list[TraceMetrics]:
-    scenario, policies, t_slots, warmup, thresholds, solver, rep = args
-    return run_simulation(
-        scenario, policies, t_slots, warmup, thresholds, solver=solver, replication=rep
-    )
+def _simulate_job(args) -> list[dict]:
+    """One replication: every policy steps over its stream in lockstep and
+    writes its run directory as it goes. Returns each lane's summary."""
+    scenario, policies, labels, t_slots, warmup, thresholds, solver, out_dir, rep = args
+    with _RunFiles([out_dir / f"{label}_rep{rep}" for label in labels], labels, rep) as run:
+        run_simulation(
+            scenario, policies, t_slots, warmup, thresholds, solver=solver, replication=rep,
+            recorder=run,
+        )
+    return [
+        run.summary(lane, label, rep, scenario.seed, warmup) for lane, label in enumerate(labels)
+    ]
 
 
 def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = None) -> int:
@@ -400,11 +332,11 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
             seen[label] = 0
         labels.append(label)
 
-    # one job per replication: its stream is built once and every policy
-    # steps over it in lockstep
+    # one job per replication; it writes its own run directories and returns
+    # only its summaries, so a parallel run moves no series between processes
     jobs = [
-        (dataclasses.replace(scenario, seed=scenario.seed + rep), cfg.policies,
-         cfg.t_slots, cfg.warmup_slots, cfg.thresholds, cfg.solver, rep)
+        (dataclasses.replace(scenario, seed=scenario.seed + rep), cfg.policies, labels,
+         cfg.t_slots, cfg.warmup_slots, cfg.thresholds, cfg.solver, out_dir, rep)
         for rep in range(cfg.replications)
     ]
 
@@ -417,16 +349,11 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
     else:
         results = [_simulate_job(job) for job in jobs]
 
-    summaries: dict[str, dict] = {}
-    for i, label in enumerate(labels):
-        for rep in range(cfg.replications):
-            metrics = results[rep][i]
-            run_dir = out_dir / f"{label}_rep{rep}"
-            run_dir.mkdir(parents=True, exist_ok=True)
-            metrics.policy_label = label
-            write_trace_csv(run_dir / "trace.csv", metrics)
-            write_plotdata(run_dir, metrics)
-            summaries[f"{label}_rep{rep}"] = metrics.summary | {"policy": label}
+    summaries = {
+        f"{label}_rep{rep}": lanes[lane]
+        for rep, lanes in enumerate(results)
+        for lane, label in enumerate(labels)
+    }
     (out_dir / "summary.json").write_text(_canonical_json({"runs": summaries}))
     return 0
 

@@ -7,12 +7,20 @@ the same slots (common random numbers) and only one slot is in memory at a
 time. A single-policy run is the same pass with one policy. The CLI runs
 one such pass per replication, and one replication is its parallel unit.
 
+Each slot's rows go to a `Recorder` once the slot is stepped. By default
+the recorder keeps every lane's (T, n) series, which run_policy returns as
+TraceMetrics. The CLI's recorder writes them to the run files a block of
+slots at a time instead, so under `simulate` one slot (and one block of
+output rows) is in memory for the outputs too: a run holds each lane's
+(T,) welfare series, its drop events and its latest frequencies, and
+nothing else grows with T.
+
 The four regulated policies (dual, lyapunov, auction, radp_vpc) charge each
 user its true cost minus a bonus, then move the bonus with the selection.
 One ledger keeps each policy (lane) as a row of (L, n) arrays: its level
 (dual lambda, lyapunov q, auction r, RADP-VPC credits; 0 for greedy and
-random), eligibility and counts, beside (L, T, n) series. A slot allocates,
-records, updates and drops over all lanes at once. Charges are costs -
+random), eligibility and counts. A slot allocates, records, updates and
+drops over all lanes at once. Charges are costs -
 level / scale (phi for lyapunov, else 1.0); every lane but random, which
 draws an order, gets its row from one `solver.allocate_many` per eligible
 set and `SolveOptions.route`: greedy takes the greedy route, the auction the
@@ -51,6 +59,7 @@ from .world import thresholds_array
 __all__ = [
     "POLICY_KINDS",
     "PolicySpec",
+    "Recorder",
     "TraceMetrics",
     "apply_dropping",
     "check_exact_solves",
@@ -158,35 +167,87 @@ def _lane_options(kind: str, solver: SolveOptions) -> SolveOptions:
     return SolveOptions("exact", solver.exact_limit) if kind == "auction" else solver
 
 
-class _Ledger:
-    """Every lane of a lockstep pass as one row of (L, n) arrays, and its
-    series as (L, T, n) arrays, so each lane's series is one contiguous block."""
+class Recorder:
+    """Takes each slot of a lockstep run as the ledger records it.
 
-    def __init__(self, specs, thresholds: np.ndarray, solver: SolveOptions, seed: int, t_slots):
+    This base keeps what a lane's summary reads: its (T,) welfare series,
+    its drop events and its latest selection frequencies. A subclass keeps
+    or writes the (L, n) rows as well, and extends start and record.
+    """
+
+    def start(self, lanes: int, n: int, t_slots: int, paying: tuple[int, ...]) -> None:
+        """Called once run_policy's checks pass, before the first slot;
+        paying names the auction lanes."""
+        self.t_slots, self.paying = t_slots, paying
+        self.welfare = np.empty((lanes, t_slots))
+        self.drop_events: list[list[tuple[int, int]]] = [[] for _ in range(lanes)]
+        self.last_prob = np.empty((lanes, n))
+
+    def record(self, k, welfare, selected, regulation, payments, active, alloc_prob, dropped):
+        """Slot index k of every lane, at the eligibility the slot began with:
+        welfare is (L,), the other arrays (L, n). payments are 0 outside
+        auction lanes and in warmup slots; dropped holds the (lane, user)
+        pairs that drop once the slot is stepped. The arrays are the
+        ledger's own and change with the next slot: copy what is kept."""
+        self.welfare[:, k] = welfare
+        self.last_prob[...] = alloc_prob
+        for lane, user in dropped:
+            self.drop_events[lane].append((user, k + 1))
+
+    def summary(self, lane: int, label: str, replication: int, seed: int, warmup_slots: int):
+        """compute_summary of the lane's run, under label."""
+        return _summary(
+            label, replication, seed, warmup_slots, self.welfare[lane],
+            len(self.drop_events[lane]), self.last_prob[lane],
+        )
+
+
+class _Series(Recorder):
+    """Every lane's (T, n) series too, each lane's one contiguous block: what
+    run_policy returns as TraceMetrics."""
+
+    def start(self, lanes: int, n: int, t_slots: int, paying: tuple[int, ...]) -> None:
+        super().start(lanes, n, t_slots, paying)
+        shape = lanes, t_slots, n
+        self.alloc_prob, self.regulation = np.empty(shape), np.empty(shape)
+        self.selected, self.active = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.payments = {lane: np.empty((t_slots, n)) for lane in paying}
+
+    def record(self, k, welfare, selected, regulation, payments, active, alloc_prob, dropped):
+        super().record(k, welfare, selected, regulation, payments, active, alloc_prob, dropped)
+        self.alloc_prob[:, k] = alloc_prob
+        self.regulation[:, k] = regulation
+        self.selected[:, k] = selected
+        self.active[:, k] = active
+        for lane, series in self.payments.items():
+            series[k] = payments[lane]
+
+
+class _Ledger:
+    """Every lane of a lockstep pass as one row of (L, n) arrays; each
+    recorded slot goes to the recorder."""
+
+    def __init__(self, specs, thresholds: np.ndarray, solver: SolveOptions, seed: int, recorder):
         lanes, n = len(specs), thresholds.size
         rows = {kind: [lane for lane, s in enumerate(specs) if s.kind == kind] for kind in _KINDS}
-        self.specs, self.thresholds = specs, thresholds
+        self.specs, self.thresholds, self.recorder = specs, thresholds, recorder
         self.options = [_lane_options(spec.kind, solver) for spec in specs]
         # each random policy draws from its own generator, as it would alone
         self.rngs = [np.random.default_rng([seed, RANDOM_POLICY_STREAM]) for _ in specs]
-        # auction lanes only; warmup slots pay nothing
-        self.payments = {lane: np.zeros((t_slots, n)) for lane in rows["auction"]}
+        self.paying = tuple(rows["auction"])
+        self.paid = np.zeros((lanes, n))  # warmup slots pay nothing
         self.level = np.zeros((lanes, n))
-        for lane in self.payments:
+        for lane in self.paying:
             self.level[lane] = _auction.RegulationState.initial(thresholds, specs[lane].phi).factors
         self.scale = np.array([[s.phi if s.kind == "lyapunov" else 1.0] for s in specs])
         self.steps = [(_KINDS[kind][1], r) for kind, r in rows.items() if r and _KINDS[kind][1]]
         self.eligible = np.ones((lanes, n), dtype=bool)
         self.selections = np.zeros((lanes, n), dtype=np.int64)
         self.seen = np.zeros((lanes, n), dtype=np.int64)
-        self.drop_events: list[list[tuple[int, int]]] = [[] for _ in specs]
-        self.welfare = np.empty((lanes, t_slots))
-        shape = lanes, t_slots, n
-        self.alloc_prob, self.regulation = np.empty(shape), np.empty(shape)
-        self.selected, self.active = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.prob = np.empty((lanes, n))
 
-    def allocate(self, realization: SlotRealization, k: int, memo: dict) -> list[Allocation]:
-        """Every lane's allocation of post-warmup slot index k: a random order, or
+    def allocate(self, realization: SlotRealization, memo: dict) -> list[Allocation]:
+        """Every lane's allocation of a post-warmup slot: a random order, or
         its row of one allocate_many per eligible set and route, on which an
         auction pays its winners."""
         allocs, groups, bonus = [None] * len(self.specs), {}, self.level / self.scale
@@ -204,41 +265,39 @@ class _Ledger:
             results, objective = allocate_many(realization, charges, eligible, options)
             for i, (lane, result) in enumerate(zip(rows, results)):
                 allocs[lane] = result.alloc
-                if lane in self.payments:
+                if lane in self.paying:
                     value = _evaluate(realization, result.alloc, memo).value
-                    self.payments[lane][k] = _auction.run_auction_slot(
+                    self.paid[lane] = _auction.run_auction_slot(
                         self.level[lane], realization, realization.true_costs, eligible,
                         options.exact_limit, (result.alloc, objective[i], value),
                     ).payments
         return allocs
 
-    def record(self, k: int, x: np.ndarray) -> None:
-        """Write slot index k of every lane, at the eligibility the slot began with."""
-        eligible = self.eligible
-        self.regulation[:, k] = np.where(eligible, self.level / self.scale, 0.0)
-        self.active[:, k] = eligible
-        self.selected[:, k] = x
+    def step(self, k: int, x: np.ndarray, welfare: np.ndarray, drop: bool) -> None:
+        """Record slot index k of every lane at the eligibility the slot began
+        with, step every level past it, keep the ineligible users' levels,
+        drop users if asked, and hand the slot to the recorder. An eligible
+        user's seen is k + 1, so the dual step reads its frequency from the
+        row just recorded."""
+        t, eligible = k + 1, self.eligible.copy()
+        regulation = np.where(eligible, self.level / self.scale, 0.0)
         self.seen += eligible
         self.selections += x
-        np.divide(self.selections, self.seen, out=self.alloc_prob[:, k])
-
-    def update(self, k: int, x: np.ndarray, drop: bool) -> None:
-        """Step every lane's level past slot index k, keep the ineligible users'
-        levels, then drop users if asked. An eligible user's seen is k + 1, so
-        the dual step reads its frequency from the row just recorded."""
-        t, prob = k + 1, self.alloc_prob[:, k]
+        prob = np.divide(self.selections, self.seen, out=self.prob)
         level = self.level.copy()
         for step, rows in self.steps:
             knob = np.array([[_knob(self.specs[lane], t)] for lane in rows], dtype=float)
             level[rows] = step(self.level[rows], x[rows], prob[rows], self.thresholds, knob)
         self.level = freeze_ineligible(level, self.level, self.eligible)
+        dropped = []
         if drop:
-            n = self.thresholds.size
-            for i in apply_dropping(self.eligible, prob, self.thresholds).tolist():
-                self.drop_events[i // n].append((i % n, t))
+            flat = apply_dropping(self.eligible, prob, self.thresholds)
+            dropped = [divmod(i, self.thresholds.size) for i in flat.tolist()]
+        self.recorder.record(k, welfare, x, regulation, self.paid, eligible, prob, dropped)
 
-    def metrics(self, lane: int, t: int, warmup_slots: int, replication: int, seed: int):
-        spec, welfare, payments = self.specs[lane], self.welfare[lane, :t], self.payments.get(lane)
+    def metrics(self, lane: int, warmup_slots: int, replication: int, seed: int):
+        spec, series = self.specs[lane], self.recorder
+        t, welfare, payments = series.t_slots, series.welfare[lane], series.payments.get(lane)
         state = _KINDS[spec.kind][2](spec, self.level[lane], self.selections[lane], t)
         metrics = TraceMetrics(
             policy_label=spec.label,
@@ -249,12 +308,12 @@ class _Ledger:
             thresholds=self.thresholds,
             welfare_series=welfare,
             running_avg_welfare=np.cumsum(welfare) / np.arange(1, t + 1),
-            alloc_prob_series=self.alloc_prob[lane, :t],
-            selected=self.selected[lane, :t],
-            active=self.active[lane, :t],
-            regulation=self.regulation[lane, :t],
-            payments_series=None if payments is None else payments[:t],
-            drop_events=tuple(self.drop_events[lane]),
+            alloc_prob_series=series.alloc_prob[lane],
+            selected=series.selected[lane],
+            active=series.active[lane],
+            regulation=series.regulation[lane],
+            payments_series=payments,
+            drop_events=tuple(series.drop_events[lane]),
             final_policy_state=state,
         )
         metrics.summary = compute_summary(metrics)
@@ -333,7 +392,8 @@ def run_policy(
     seed: int = 0,
     dropping: bool = True,
     t_slots: int | None = None,
-) -> TraceMetrics | list[TraceMetrics]:
+    recorder: Recorder | None = None,
+) -> TraceMetrics | list[TraceMetrics] | None:
     """Run one policy, or several in lockstep, over a realization sequence.
 
     Each slot is drawn once and stepped through every policy in order. Given
@@ -353,6 +413,10 @@ def run_policy(
 
     dropping=False keeps every user active regardless of frequency, which
     is the setting policy-level stability statements are about.
+
+    Given a recorder, each slot's rows go to it (Recorder.start is called
+    once the checks above pass) and run_policy returns None: nothing of the
+    run is kept here.
     """
     single = isinstance(policy, PolicySpec)
     specs = (policy,) if single else tuple(policy)
@@ -372,9 +436,12 @@ def run_policy(
     n = thresholds.size
     check_exact_solves(specs, n, solver, t_slots, warmup_slots)
     check_finite_bonuses(specs, thresholds, t_slots)
-    ledger = _Ledger(specs, thresholds, solver, seed, t_slots)
+    series = _Series() if recorder is None else recorder
+    ledger = _Ledger(specs, thresholds, solver, seed, series)
+    series.start(len(specs), n, t_slots, ledger.paying)
     everyone = Allocation(np.ones(n, dtype=bool))  # no user drops during the warmup
     x = np.empty((len(specs), n), dtype=bool)
+    welfare = np.empty(len(specs))
 
     t = 0
     for realization in realizations:
@@ -384,18 +451,17 @@ def run_policy(
             raise ValueError(f"realizations yielded more than t_slots={t_slots} slots")
         k, t = t, t + 1
         post, memo = t > warmup_slots, {}
-        allocs = ledger.allocate(realization, k, memo) if post else [everyone] * len(specs)
+        allocs = ledger.allocate(realization, memo) if post else [everyone] * len(specs)
         for lane, alloc in enumerate(allocs):
             x[lane] = alloc.selected
-            ledger.welfare[lane, k] = _evaluate(realization, alloc, memo).welfare
-        ledger.record(k, x)
-        ledger.update(k, x, dropping and post)
+            welfare[lane] = _evaluate(realization, alloc, memo).welfare
+        ledger.step(k, x, welfare, dropping and post)
     if t < t_slots:
         raise ValueError(f"realizations ended after {t} of t_slots={t_slots} slots")
+    if recorder is not None:
+        return None
 
-    results = [
-        ledger.metrics(lane, t, warmup_slots, replication, seed) for lane in range(len(specs))
-    ]
+    results = [ledger.metrics(lane, warmup_slots, replication, seed) for lane in range(len(specs))]
     return results[0] if single else results
 
 
@@ -407,10 +473,11 @@ def run_simulation(
     thresholds,
     solver: SolveOptions = SolveOptions(mode="greedy"),
     replication: int = 0,
-) -> TraceMetrics | list[TraceMetrics]:
+    recorder: Recorder | None = None,
+) -> TraceMetrics | list[TraceMetrics] | None:
     """Generate the scenario stream once and run the policy or policies over it.
 
-    Returns what run_policy returns for the same policy argument.
+    Returns what run_policy returns for the same policy and recorder arguments.
     """
     return run_policy(
         realization_stream(config, t_slots),
@@ -421,6 +488,7 @@ def run_simulation(
         replication=replication,
         seed=config.seed,
         t_slots=t_slots,
+        recorder=recorder,
     )
 
 
@@ -430,17 +498,23 @@ def compute_summary(metrics: TraceMetrics) -> dict:
     avg_welfare averages the post-warmup slots (all slots when the whole run
     is warmup).
     """
-    t, w = metrics.t_slots, metrics.warmup_slots
-    post = metrics.welfare_series[w:] if t > w else metrics.welfare_series
-    n = metrics.thresholds.size
+    return _summary(
+        metrics.policy_label, metrics.replication, metrics.seed, metrics.warmup_slots,
+        metrics.welfare_series, len(metrics.drop_events), metrics.alloc_prob_series[-1],
+    )
+
+
+def _summary(label, replication, seed, warmup_slots, welfare, drops, last_prob) -> dict:
+    t, w, n = welfare.size, warmup_slots, last_prob.size
+    post = welfare[w:] if t > w else welfare
     return {
-        "policy": metrics.policy_label,
-        "replication": metrics.replication,
-        "seed": metrics.seed,
+        "policy": label,
+        "replication": replication,
+        "seed": seed,
         "t_slots": t,
         "warmup_slots": w,
         "n_users": n,
         "avg_welfare": float(post.mean()),
-        "dropping_fraction": len(metrics.drop_events) / n,
-        "min_alloc_prob": float(metrics.alloc_prob_series[-1].min()),
+        "dropping_fraction": drops / n,
+        "min_alloc_prob": float(last_prob.min()),
     }

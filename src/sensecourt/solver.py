@@ -354,13 +354,18 @@ def solve_greedy(inst: RegulatedInstance) -> SolveResult:
     ties, while the best gain is strictly positive. Marginal gains only
     shrink as coverage grows, so stale heap entries are safe to re-check.
 
-    Until the first negative-charge take the remaining weights are the
-    slot's own, so initial marginals come from realization.region_values,
-    built once per slot for every greedy row; after that take, each later
-    user's marginal is summed from the remaining weights. Every sum is
-    np.add.reduce, the routine of ndarray.sum, so the bits do not depend
-    on which of the two a marginal came from. (key, user) is a strict
-    total order, so the heap pops in one order however it was built.
+    Every heap key starts from realization.region_values, built once per
+    slot for every greedy row, even after a negative-charge take has zeroed
+    some grids: weights are non-negative and rounding is monotone, so a
+    region's value on the slot's own weights bounds its marginal on any
+    remaining weights, and a lazy key need only be an upper bound. The top
+    is taken only once its key is its fresh marginal and it still leads,
+    so the picks, and the order their gains are added in, do not depend on
+    how loose the keys were. A negative-charge take adds its marginal on
+    the remaining weights. Every sum is np.add.reduce, the routine of
+    ndarray.sum, so the bits do not depend on which of the two a marginal
+    came from. (key, user) is a strict total order, so the heap pops in
+    one order however it was built.
     """
     real = inst.realization
     w_rem = real.weights.values.copy()
@@ -372,17 +377,14 @@ def solve_greedy(inst: RegulatedInstance) -> SolveResult:
     objective = 0.0
 
     heap: list[tuple[float, int]] = []
-    untouched = True  # w_rem still equals the slot's weights
     for u in np.flatnonzero(inst.eligible).tolist():
         kappa = costs[u]
-        value = values[u] if untouched else float(add(w_rem[regions[u]]))
         if kappa < 0:
             selected[u] = True
-            objective += value - kappa
+            objective += float(add(w_rem[regions[u]])) - kappa
             w_rem[regions[u]] = 0.0
-            untouched = False
         else:
-            heap.append((-(value - kappa), u))
+            heap.append((-(values[u] - kappa), u))
     heapq.heapify(heap)
 
     while heap:

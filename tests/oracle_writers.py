@@ -1,8 +1,9 @@
 """Reference CSV writers: one format() call per cell.
 
-`sensecourt.cli.write_trace_csv` and `write_plotdata` format each distinct
-value once, from caches keyed on its int64 bit pattern; every byte they
-write must equal what this writes. Test and benchmark helper only: it
+`sensecourt.runfiles.write_trace_csv` and `write_plotdata` format each
+distinct value once, from caches keyed on its int64 bit pattern; every byte
+they write must equal what write_per_cell writes. write_run feeds a
+collected run through them. Test and benchmark helpers only: write_per_cell
 holds each whole file in memory.
 """
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from sensecourt.engine import TraceMetrics
+from sensecourt.runfiles import RunFiles
 
 
 def _fmt_cell(x) -> str:
@@ -51,3 +53,24 @@ def write_per_cell(run_dir: Path, metrics: TraceMetrics) -> None:
         f"{k + 1},{_fmt_cell(dropped[k] / n)}" for k in range(t)
     ]
     (run_dir / "plotdata_dropping.csv").write_text("\n".join(lines) + "\n")
+
+
+def write_run(run_dir: Path, metrics: TraceMetrics) -> None:
+    """The run files of one collected run, fed slot by slot through the
+    recorder and writers simulate uses. The running average written is the
+    welfare series' own, as simulate writes it, whatever
+    running_avg_welfare holds."""
+    n, paid = metrics.thresholds.size, metrics.payments_series
+    unpaid = np.zeros((1, n))
+    dropped = [[] for _ in range(metrics.t_slots)]
+    for user, slot in metrics.drop_events:
+        dropped[slot - 1].append((0, user))
+    with RunFiles([run_dir], [metrics.policy_label], metrics.replication) as run:
+        run.start(1, n, metrics.t_slots, () if paid is None else (0,))
+        for k, drops in enumerate(dropped):
+            row = slice(k, k + 1)
+            run.record(
+                k, metrics.welfare_series[row], metrics.selected[row], metrics.regulation[row],
+                unpaid if paid is None else paid[row], metrics.active[row],
+                metrics.alloc_prob_series[row], drops,
+            )

@@ -27,6 +27,7 @@ TINY = {
     "STREAM_PEAK_SHAPES": ((4, 3), (3, 20)),
     "GREEDY_SLOTS": 1,
     "WRITER_RUNS": (("welfare", 42),),
+    "SIMULATE_PEAK_RUNS": (("welfare", 42),),
 }
 
 

@@ -19,13 +19,11 @@ from sensecourt.cli import (
     cmd_simulate,
     cmd_truthcheck,
     main,
-    write_plotdata,
-    write_trace_csv,
 )
 from sensecourt.engine import TraceMetrics
 from sensecourt.solver import TIE_TOL
 
-from oracle_writers import write_per_cell
+from oracle_writers import write_per_cell, write_run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -622,10 +620,17 @@ AWKWARD = np.array(
 )
 
 
+def running_average(welfare: np.ndarray) -> np.ndarray:
+    """What a run records as running_avg_welfare, and write_run writes."""
+    with np.errstate(invalid="ignore"):
+        return np.cumsum(welfare) / np.arange(1, welfare.size + 1)
+
+
 def awkward_metrics(payments: bool) -> TraceMetrics:
     rng = np.random.default_rng(5)
     t, n = 6, AWKWARD.size
     grid = lambda: rng.permutation(np.tile(AWKWARD, t)).reshape(t, n)  # noqa: E731
+    welfare = AWKWARD[:t][::-1].copy()
     return TraceMetrics(
         policy_label="probe",
         replication=3,
@@ -633,8 +638,8 @@ def awkward_metrics(payments: bool) -> TraceMetrics:
         t_slots=t,
         warmup_slots=0,
         thresholds=np.full(n, 0.5),
-        welfare_series=AWKWARD[:t][::-1].copy(),
-        running_avg_welfare=AWKWARD[-t:].copy(),
+        welfare_series=welfare,
+        running_avg_welfare=running_average(welfare),
         alloc_prob_series=grid(),
         selected=rng.random((t, n)) < 0.5,
         active=rng.random((t, n)) < 0.5,
@@ -650,6 +655,7 @@ def cycled_metrics(t: int, n: int, pool: np.ndarray, payments: bool) -> TraceMet
     t * n values of pool, repeated as needed, in a shuffled order."""
     rng = np.random.default_rng(7)
     grid = lambda: rng.permutation(np.resize(pool, t * n)).reshape(t, n)  # noqa: E731
+    welfare = rng.permutation(np.resize(pool, t))
     return TraceMetrics(
         policy_label="cycled",
         replication=0,
@@ -657,8 +663,8 @@ def cycled_metrics(t: int, n: int, pool: np.ndarray, payments: bool) -> TraceMet
         t_slots=t,
         warmup_slots=0,
         thresholds=np.full(n, 0.5),
-        welfare_series=rng.permutation(np.resize(pool, t)),
-        running_avg_welfare=rng.permutation(np.resize(pool, t)),
+        welfare_series=welfare,
+        running_avg_welfare=running_average(welfare),
         alloc_prob_series=grid(),
         selected=rng.random((t, n)) < 0.5,
         active=rng.random((t, n)) < 0.5,
@@ -673,8 +679,7 @@ def assert_writers_match_oracle(tmp_path, metrics: TraceMetrics) -> None:
     fast, ref = tmp_path / "fast", tmp_path / "ref"
     fast.mkdir()
     ref.mkdir()
-    write_trace_csv(fast / "trace.csv", metrics)
-    write_plotdata(fast, metrics)
+    write_run(fast, metrics)
     write_per_cell(ref, metrics)
     assert tree_digest(fast) == tree_digest(ref)
 
@@ -709,8 +714,7 @@ class TestWriters:
         metrics = cycled_metrics(2_000, 100, pool, payments)
         tracemalloc.start()
         try:
-            write_trace_csv(tmp_path / "trace.csv", metrics)
-            write_plotdata(tmp_path, metrics)
+            write_run(tmp_path, metrics)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -47,6 +47,22 @@ def greedy_cases(draw):
     return slots, charges.reshape(rows, n_users), eligible
 
 
+@st.composite
+def negative_charge_cases(draw):
+    """greedy_cases with at least one eligible user per row charged below
+    zero, so every row takes at negative charge before its heap runs."""
+    slots, charges, eligible = draw(greedy_cases().filter(lambda case: case[2].any()))
+    users = np.flatnonzero(eligible)
+    negative = st.one_of(
+        st.sampled_from([c for c in LEVELS if c < 0]),
+        st.floats(-3, 0, exclude_max=True, allow_nan=False),
+    )
+    for row in charges:
+        for u in draw(st.lists(st.sampled_from(users.tolist()), min_size=1, unique=True)):
+            row[u] = draw(negative)
+    return slots, charges, eligible
+
+
 def assert_rows_match_oracle(real, charges, eligible):
     results, objective = allocate_many(real, charges, eligible, GREEDY)
     assert objective is None and len(results) == len(charges)
@@ -85,6 +101,16 @@ class TestGreedyRouteMatchesOracle:
     @given(greedy_cases())
     def test_each_row_equals_the_loop(self, case):
         slots, charges, eligible = case
+        for real in slots:
+            assert_rows_match_oracle(real, charges, eligible)
+
+    @settings(max_examples=300, deadline=None)
+    @given(negative_charge_cases())
+    def test_rows_with_negative_charges_equal_the_loop(self, case):
+        # later heap keys are region values, above the marginals the loop
+        # sums after the negative takes: picks and objective bits still agree
+        slots, charges, eligible = case
+        assert (charges[:, eligible] < 0).any(axis=1).all()
         for real in slots:
             assert_rows_match_oracle(real, charges, eligible)
 
