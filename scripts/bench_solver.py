@@ -81,13 +81,13 @@ check_bruteforce_capacity allows it (never at the shipped shapes), divided
 by the table's bytes: the slot stream, one block of slots and its
 temporaries, and the references, beyond the table.
 
-The writers are timed on every lane of a `simulate` run of
-configs/dropping_desk.json (N = 100) or configs/welfare_desk.json (N = 8)
-at T slots: write_run in tests/oracle_writers.py, which feeds the
-collected run slot by slot through simulate's recorder and writers, over
-the T x N rows of trace.csv. Its
-tracemalloc peak is divided by the bytes of one (T, N) float64 series, the
-largest over the lanes: what writing holds beyond the run's own series.
+The writers are timed in a `simulate` run of configs/dropping_desk.json
+(N = 100) or configs/welfare_desk.json (N = 8) at T slots, all its lanes
+in lockstep: the flushes of the RunFiles recorder passed to
+run_simulation, each of which writes one block of slots of every lane,
+over the L x T x N rows of trace.csv. The largest tracemalloc peak of one
+flush, beyond what the run held as it began, is divided by the bytes of
+one (T, N) float64 series: what writing holds beyond the run itself.
 Every file must equal the one-format()-a-cell writer in
 tests/oracle_writers.py byte for byte.
 
@@ -138,6 +138,7 @@ from sensecourt.benchmark import (
 from sensecourt.cli import cmd_simulate, load_config
 from sensecourt.engine import run_simulation
 from sensecourt.policy_dual import StepSchedule
+from sensecourt.runfiles import RunFiles
 from sensecourt.scenarios import realization_stream
 from sensecourt.solver import (
     RegulatedInstance, SolveOptions, allocate_many, solve_exact, subset_linear_table,
@@ -152,7 +153,7 @@ from oracle_greedy import solve_greedy_loop  # noqa: E402
 from oracle_regions import realization_stream_loop  # noqa: E402
 from oracle_subset import subset_value_table_loop  # noqa: E402
 from oracle_sweep import report_differences, truthfulness_sweep_dense  # noqa: E402
-from oracle_writers import write_per_cell, write_run  # noqa: E402
+from oracle_writers import write_per_cell  # noqa: E402
 
 CONFIG = ROOT / "configs" / "dropping_desk.json"
 SLOT_CONFIGS = {"desk": CONFIG, "welfare": ROOT / "configs" / "welfare_desk.json"}
@@ -528,36 +529,59 @@ def stream_peak_section(_args, _slots) -> dict:
     return {"stream_trace_peak_over_table_bytes": ratio}
 
 
+class FlushTimer(RunFiles):
+    """simulate's recorder, timing each flush (its writers' share of a run)
+    and, while tracemalloc traces, keeping the most any flush allocated
+    beyond what the run held when the flush began."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.ms, self.peak = 0.0, 0
+
+    def flush(self) -> None:
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        start = time.perf_counter()
+        super().flush()
+        self.ms += (time.perf_counter() - start) * 1e3
+        if tracing:
+            self.peak = max(self.peak, tracemalloc.get_traced_memory()[1] - held)
+
+
 def writers_section(_args, _slots) -> dict:
-    """write_run on every lane of a simulate run: ms per trace row,
-    tracemalloc peak over one series' bytes, and every file checked against
-    the per-cell oracle."""
+    """The flushes of a simulate run over all its lanes: ms per trace row,
+    the largest flush's tracemalloc peak over one series' bytes, and every
+    file checked against the per-cell oracle."""
     per_row, peak, runs = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
-        fast, ref = Path(tmp, "fast"), Path(tmp, "ref")
-        fast.mkdir()
+        ref = Path(tmp, "ref")
         ref.mkdir()
 
         for name, t in WRITER_RUNS:
             cfg = load_config(str(SLOT_CONFIGS[name]))
-            lanes = run_simulation(
-                cfg.scenario, cfg.policies, t, cfg.warmup_slots, cfg.thresholds, cfg.solver
-            )
-            n, ms, ratios = cfg.scenario.n_users, [], []
+            n, labels = cfg.scenario.n_users, [spec.label for spec in cfg.policies]
+            dirs = [Path(tmp, f"lane{lane}") for lane in range(len(labels))]
+            args = cfg.scenario, cfg.policies, t, cfg.warmup_slots, cfg.thresholds, cfg.solver
+
+            def simulate() -> FlushTimer:
+                with FlushTimer(dirs, labels, 0) as run:
+                    run_simulation(*args, recorder=run)
+                return run
+
+            ms = [simulate().ms for _ in range(REPEATS)]
             key = f"N={n},T={t}"
             runs[key] = str(SLOT_CONFIGS[name].relative_to(ROOT))
-            for metrics in lanes:
-                ms += timed(lambda: write_run(fast, metrics))[1]
-                peak_bytes = traced(lambda: write_run(fast, metrics))[1]
-                ratios.append(peak_bytes / metrics.alloc_prob_series.nbytes)
+            per_row[key] = spread(ms, len(labels) * t * n)
+            peak[key] = traced(simulate)[0].peak / (t * n * 8)
+            for run_dir, metrics in zip(dirs, run_simulation(*args)):
                 write_per_cell(ref, metrics)
-                same = all(f.read_bytes() == (ref / f.name).read_bytes() for f in fast.iterdir())
+                same = all(f.read_bytes() == (ref / f.name).read_bytes() for f in run_dir.iterdir())
                 check(same, f"writers on {metrics.policy_label} at {key}")
-            del lanes
-            per_row[key], peak[key] = spread(ms, t * n), max(ratios)
             print(f"{name:7s} N={n:3d}, T={t:5d}: writers {per_row[key][0] * 1e3:7.3f} us per row, "
-                  f"peak {peak[key]:.3f} x one series (median of {REPEATS} x {len(ratios)} lanes)",
-                  flush=True)
+                  f"flush peak {peak[key]:.3f} x one (T, N) series (median of {REPEATS} runs "
+                  f"of {len(labels)} lanes)", flush=True)
     return {
         "writer_runs": runs,
         **report_times("writers_ms_per_row", per_row),

@@ -4,11 +4,12 @@ Configs are JSON; outputs are deterministic CSV/JSON keyed by config+seed,
 so reruns are byte-identical. Floats in CSVs carry 9 significant digits.
 
 `simulate` writes each replication's run files while it runs: the engine
-hands every slot to a `runfiles.RunFiles` recorder that keeps a block of
-slots and writes it to each lane's trace.csv and plotdata_alloc_prob.csv,
-so only one slot, one block of rows and each lane's (T,) welfare series
-are in memory. Each replication job writes its own run directories and
-returns only its summaries.
+hands every slot to a `runfiles.RunFiles`, the engine's recorder with a
+buffer one block of slots high, whose every flush writes the block to each
+lane's trace.csv and plotdata_alloc_prob.csv, so only one slot, one block
+of rows and each lane's (T,) welfare series are in memory. Each
+replication job writes its own run directories and returns only its
+summaries.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ _TRUTHCHECK_STREAM = 0x545254
 
 
 class ConfigError(ValueError):
-    pass
+    """A config, or a command-line override, that the command cannot run: exit 1."""
+
+
+class ConfigPathError(OSError):
+    """A config path that exists but cannot be read, such as a directory: exit 2."""
 
 
 def _canonical_json(obj) -> str:
@@ -249,9 +254,13 @@ def _with_seed(scenario: ScenarioConfig, seed: int | None = None) -> ScenarioCon
 
 def load_config(path: str | Path) -> ExperimentConfig:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise FileNotFoundError(f"config not found: {path}") from None
+    except OSError as exc:  # a directory, or not readable
+        raise ConfigPathError(f"cannot read config {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -261,17 +270,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return _section(ExperimentConfig, raw, "config")
 
 
+def _make_out_dir(out: str | None, cfg: ExperimentConfig) -> Path:
+    """The output directory, --out or the config's, made if missing."""
+    out_dir = Path(out if out is not None else cfg.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc.strerror}") from None
+    return out_dir
+
+
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------
 
 
 class _RunFiles(RunFiles):
-    """RunFiles that writes each block through this module's write_trace_csv
+    """RunFiles that flushes each block through this module's write_trace_csv
     and write_plotdata: perfbench's tracer wraps those names, so its
     cli.write span covers the writes, nested in engine.run_simulation."""
 
-    def write_block(self) -> None:
+    def flush(self) -> None:
         write_trace_csv(self)
         write_plotdata(self)
 
@@ -318,8 +337,7 @@ def cmd_simulate(config_path: str, seed: int | None = None, out: str | None = No
         cfg.policies, cfg.scenario.n_users, cfg.solver, cfg.t_slots, cfg.warmup_slots
     )
     scenario = _with_seed(cfg.scenario, seed)
-    out_dir = Path(out if out is not None else cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out, cfg)
 
     labels = []
     seen: dict[str, int] = {}
@@ -373,8 +391,7 @@ def cmd_benchmark(config_path: str, seed: int | None = None, out: str | None = N
                 raise
             run_bruteforce = False  # "auto" skips a trace too long to enumerate
 
-    out_dir = Path(out if out is not None else cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out, cfg)
 
     trace = Trace(realization_stream(scenario, t), cfg.thresholds, t)
     unconstrained = unconstrained_trace_welfare(trace)
@@ -405,8 +422,7 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
     cfg = load_config(config_path)
     scenario = _with_seed(cfg.scenario, seed)
     _auction.require_exact_pivots(scenario.n_users, cfg.solver.exact_limit)
-    out_dir = Path(out if out is not None else cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out, cfg)
 
     settings = cfg.truthcheck
 
@@ -486,8 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args.config, seed=args.seed, out=args.out)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    except (FileNotFoundError, ConfigPathError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (
         ConfigError, BenchmarkCapacityError, ExactPivotsRequiredError, SolverCapacityError

@@ -7,12 +7,12 @@ the same slots (common random numbers) and only one slot is in memory at a
 time. A single-policy run is the same pass with one policy. The CLI runs
 one such pass per replication, and one replication is its parallel unit.
 
-Each slot's rows go to a `Recorder` once the slot is stepped. By default
-the recorder keeps every lane's (T, n) series, which run_policy returns as
-TraceMetrics. The CLI's recorder writes them to the run files a block of
-slots at a time instead, so under `simulate` one slot (and one block of
-output rows) is in memory for the outputs too: a run holds each lane's
-(T,) welfare series, its drop events and its latest frequencies, and
+Each slot's rows go to a `Recorder` once the slot is stepped, into a
+buffer that it flushes when full. By default the buffer holds the whole
+run, which run_policy returns as TraceMetrics. The CLI's recorder holds
+one block of slots and writes each to the run files, so under `simulate`
+one slot (and one block of output rows) is in memory for the outputs too:
+a run holds each lane's (T,) welfare series and its drop events, and
 nothing else grows with T.
 
 The four regulated policies (dual, lyapunov, auction, radp_vpc) charge each
@@ -168,59 +168,58 @@ def _lane_options(kind: str, solver: SolveOptions) -> SolveOptions:
 
 
 class Recorder:
-    """Takes each slot of a lockstep run as the ledger records it.
+    """Takes each slot of a lockstep run as the ledger records it: every
+    lane's (T,) welfare series and drop events, and a buffer of height()
+    rows, (L, rows, n) arrays and (P, rows, n) payments of the paying lanes
+    in `paying` order. Slot k goes to row k % rows; flush() is called when
+    the buffer is full and after the last slot. This base holds the whole
+    run and flushes nothing: run_policy returns its rows as TraceMetrics."""
 
-    This base keeps what a lane's summary reads: its (T,) welfare series,
-    its drop events and its latest selection frequencies. A subclass keeps
-    or writes the (L, n) rows as well, and extends start and record.
-    """
+    def height(self, lanes: int, n: int, t_slots: int) -> int:
+        """The buffer's rows: slots held before a flush."""
+        return t_slots
 
     def start(self, lanes: int, n: int, t_slots: int, paying: tuple[int, ...]) -> None:
         """Called once run_policy's checks pass, before the first slot;
         paying names the auction lanes."""
         self.t_slots, self.paying = t_slots, paying
+        self.rows = self.height(lanes, n, t_slots)
         self.welfare = np.empty((lanes, t_slots))
         self.drop_events: list[list[tuple[int, int]]] = [[] for _ in range(lanes)]
-        self.last_prob = np.empty((lanes, n))
+        shape = lanes, self.rows, n
+        self.prob, self.regulation = np.empty(shape), np.empty(shape)
+        self.selected, self.active = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+        self.payments = np.empty((len(paying), self.rows, n))
 
     def record(self, k, welfare, selected, regulation, payments, active, alloc_prob, dropped):
         """Slot index k of every lane, at the eligibility the slot began with:
-        welfare is (L,), the other arrays (L, n). payments are 0 outside
-        auction lanes and in warmup slots; dropped holds the (lane, user)
-        pairs that drop once the slot is stepped. The arrays are the
-        ledger's own and change with the next slot: copy what is kept."""
+        welfare is (L,), payments (P, n), 0 in warmup slots, and the other
+        arrays (L, n); dropped holds the (lane, user) pairs that drop once
+        the slot is stepped. The arrays are the ledger's own and change with
+        the next slot, so each is copied in; rows 0 to filled - 1 hold slot
+        lo on."""
+        i = k % self.rows
+        self.lo, self.filled = k - i, i + 1
         self.welfare[:, k] = welfare
-        self.last_prob[...] = alloc_prob
+        self.prob[:, i] = alloc_prob
+        self.regulation[:, i] = regulation
+        self.selected[:, i] = selected
+        self.active[:, i] = active
+        self.payments[:, i] = payments
         for lane, user in dropped:
             self.drop_events[lane].append((user, k + 1))
+        if self.filled == self.rows or k + 1 == self.t_slots:
+            self.flush()
+
+    def flush(self) -> None:
+        """Called with the buffer full and after the last slot."""
 
     def summary(self, lane: int, label: str, replication: int, seed: int, warmup_slots: int):
-        """compute_summary of the lane's run, under label."""
+        """compute_summary of the lane's run, under label, once the run ends."""
         return _summary(
             label, replication, seed, warmup_slots, self.welfare[lane],
-            len(self.drop_events[lane]), self.last_prob[lane],
+            len(self.drop_events[lane]), self.prob[lane, (self.t_slots - 1) % self.rows],
         )
-
-
-class _Series(Recorder):
-    """Every lane's (T, n) series too, each lane's one contiguous block: what
-    run_policy returns as TraceMetrics."""
-
-    def start(self, lanes: int, n: int, t_slots: int, paying: tuple[int, ...]) -> None:
-        super().start(lanes, n, t_slots, paying)
-        shape = lanes, t_slots, n
-        self.alloc_prob, self.regulation = np.empty(shape), np.empty(shape)
-        self.selected, self.active = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        self.payments = {lane: np.empty((t_slots, n)) for lane in paying}
-
-    def record(self, k, welfare, selected, regulation, payments, active, alloc_prob, dropped):
-        super().record(k, welfare, selected, regulation, payments, active, alloc_prob, dropped)
-        self.alloc_prob[:, k] = alloc_prob
-        self.regulation[:, k] = regulation
-        self.selected[:, k] = selected
-        self.active[:, k] = active
-        for lane, series in self.payments.items():
-            series[k] = payments[lane]
 
 
 class _Ledger:
@@ -235,7 +234,7 @@ class _Ledger:
         # each random policy draws from its own generator, as it would alone
         self.rngs = [np.random.default_rng([seed, RANDOM_POLICY_STREAM]) for _ in specs]
         self.paying = tuple(rows["auction"])
-        self.paid = np.zeros((lanes, n))  # warmup slots pay nothing
+        self.paid = np.zeros((len(self.paying), n))  # warmup slots pay nothing
         self.level = np.zeros((lanes, n))
         for lane in self.paying:
             self.level[lane] = _auction.RegulationState.initial(thresholds, specs[lane].phi).factors
@@ -267,7 +266,7 @@ class _Ledger:
                 allocs[lane] = result.alloc
                 if lane in self.paying:
                     value = _evaluate(realization, result.alloc, memo).value
-                    self.paid[lane] = _auction.run_auction_slot(
+                    self.paid[self.paying.index(lane)] = _auction.run_auction_slot(
                         self.level[lane], realization, realization.true_costs, eligible,
                         options.exact_limit, (result.alloc, objective[i], value),
                     ).payments
@@ -297,7 +296,7 @@ class _Ledger:
 
     def metrics(self, lane: int, warmup_slots: int, replication: int, seed: int):
         spec, series = self.specs[lane], self.recorder
-        t, welfare, payments = series.t_slots, series.welfare[lane], series.payments.get(lane)
+        t, welfare = series.t_slots, series.welfare[lane]
         state = _KINDS[spec.kind][2](spec, self.level[lane], self.selections[lane], t)
         metrics = TraceMetrics(
             policy_label=spec.label,
@@ -308,11 +307,11 @@ class _Ledger:
             thresholds=self.thresholds,
             welfare_series=welfare,
             running_avg_welfare=np.cumsum(welfare) / np.arange(1, t + 1),
-            alloc_prob_series=series.alloc_prob[lane],
+            alloc_prob_series=series.prob[lane],
             selected=series.selected[lane],
             active=series.active[lane],
             regulation=series.regulation[lane],
-            payments_series=payments,
+            payments_series=dict(zip(self.paying, series.payments)).get(lane),
             drop_events=tuple(series.drop_events[lane]),
             final_policy_state=state,
         )
@@ -436,7 +435,7 @@ def run_policy(
     n = thresholds.size
     check_exact_solves(specs, n, solver, t_slots, warmup_slots)
     check_finite_bonuses(specs, thresholds, t_slots)
-    series = _Series() if recorder is None else recorder
+    series = Recorder() if recorder is None else recorder
     ledger = _Ledger(specs, thresholds, solver, seed, series)
     series.start(len(specs), n, t_slots, ledger.paying)
     everyone = Allocation(np.ones(n, dtype=bool))  # no user drops during the warmup

@@ -1,14 +1,14 @@
 """simulate's run files, written while a replication runs.
 
-A RunFiles recorder takes each slot of a lockstep run from the engine and
-holds a block of about _BLOCK_CELLS (slot, user) cells over all lanes.
-Each full block goes to every lane's trace.csv and plotdata_alloc_prob.csv;
-the last one also writes plotdata_welfare.csv and plotdata_dropping.csv
-from the (T,) welfare series and drop events the recorder keeps. So only
-one slot, one block of rows and each lane's welfare series are in memory,
-whatever T is. Floats carry 9 significant digits, formatted once per
-distinct value through caches keyed on each float's int64 bit pattern, so
--0.0 still prints -0 and NaN payloads keep keys of their own.
+RunFiles is the engine's Recorder with a buffer of about _BLOCK_CELLS
+(slot, user) cells over all lanes. Each flush writes its block to every
+lane's trace.csv and plotdata_alloc_prob.csv; the last also writes
+plotdata_welfare.csv and plotdata_dropping.csv from the (T,) welfare
+series and drop events the recorder keeps. So only one slot, one block of
+rows and each lane's welfare series are in memory, whatever T is. Floats
+carry 9 significant digits, formatted once per distinct value through
+caches keyed on each float's int64 bit pattern, so -0.0 still prints -0
+and NaN payloads keep keys of their own.
 """
 
 from __future__ import annotations
@@ -80,15 +80,11 @@ class RunFiles(Recorder):
         self.parts.append(path)
         return path
 
+    def height(self, lanes: int, n: int, t_slots: int) -> int:
+        return max(1, _BLOCK_CELLS // (lanes * n))
+
     def start(self, lanes: int, n: int, t_slots: int, paying: tuple[int, ...]) -> None:
         super().start(lanes, n, t_slots, paying)
-        self.block = max(1, _BLOCK_CELLS // (lanes * n))
-        shape = lanes, self.block, n
-        self.prob, self.regulation, self.payments = np.empty(shape), np.empty(shape), None
-        if paying:
-            self.payments = np.empty(shape)
-        self.selected, self.active = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-        self.lo = self.filled = 0
         self.users = [f"{u}," for u in range(n)]
         header = "slot," + ",".join(f"u{u}" for u in range(n)) + "\n"
         for run_dir in self.run_dirs:
@@ -103,21 +99,7 @@ class RunFiles(Recorder):
             )
             self.alloc_prob[-1].write(header.encode())
 
-    def record(self, k, welfare, selected, regulation, payments, active, alloc_prob, dropped):
-        super().record(k, welfare, selected, regulation, payments, active, alloc_prob, dropped)
-        i = self.filled
-        self.prob[:, i] = alloc_prob
-        self.regulation[:, i] = regulation
-        self.selected[:, i] = selected
-        self.active[:, i] = active
-        if self.payments is not None:
-            self.payments[:, i] = payments
-        self.filled = i + 1
-        if self.filled == self.block or k + 1 == self.t_slots:
-            self.write_block()
-            self.lo, self.filled = self.lo + self.filled, 0
-
-    def write_block(self) -> None:
+    def flush(self) -> None:
         """Write the block's rows, and with the last block the whole files."""
         write_trace_csv(self)
         write_plotdata(self)
@@ -133,15 +115,15 @@ def write_trace_csv(run: RunFiles) -> None:
     engine's per-slot temporaries and raised welfare_simulate's peak RSS."""
     b, lo, users, cells = run.filled, run.lo, run.users, _CellText()
     unpaid = itertools.repeat(itertools.repeat(0))  # the bits of 0.0, every row
+    paid = dict(zip(run.paying, run.payments[:, :b].view(np.int64).tolist()))
     for lane, f in enumerate(run.trace):
         head = f"{run.labels[lane]},{run.replication},"
-        pays = unpaid if lane not in run.paying else run.payments[lane, :b].view(np.int64).tolist()
         slots = zip(
             itertools.count(lo + 1),
             run.welfare[lane, lo : lo + b].tolist(),
             run.selected[lane, :b].view(np.int8).tolist(),
             run.regulation[lane, :b].view(np.int64).tolist(),
-            pays,
+            paid.get(lane, unpaid),
             run.active[lane, :b].view(np.int8).tolist(),
         )
         parts = []

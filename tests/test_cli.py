@@ -94,6 +94,47 @@ class TestConfigErrors:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "thresholds" in capsys.readouterr().err
 
+    @staticmethod
+    def assert_one_error_line(capsys, *words):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert all(word in err for word in words), err
+
+    @pytest.fixture
+    def no_slots(self, monkeypatch):
+        """Each case must fail before a slot is built."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a slot was built")
+
+        monkeypatch.setattr(engine_mod, "realization_stream", refuse)
+        monkeypatch.setattr(cli_mod, "realization_stream", refuse)
+
+    def test_config_directory_exit_2(self, tmp_path, capsys, no_slots):
+        assert main(["simulate", "--config", str(tmp_path)]) == 2
+        self.assert_one_error_line(capsys, "cannot read config", str(tmp_path))
+
+    def test_config_not_utf8(self, tmp_path, capsys, no_slots):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"output_dir": "café"}'.encode("latin-1"))
+        assert main(["benchmark", "--config", str(path)]) == 1
+        self.assert_one_error_line(capsys, "UTF-8")
+
+    def test_out_is_a_file(self, tmp_path, capsys, no_slots):
+        out = tmp_path / "taken"
+        out.write_text("")
+        path = write_config(tmp_path)
+        assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys, "output directory", str(out))
+        assert out.read_text() == ""
+
+    def test_out_under_a_file(self, tmp_path, capsys, no_slots):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out"
+        path = write_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+        self.assert_one_error_line(capsys, "output directory", str(out))
+
 
 class TestConfigDefaults:
     """A config with only the required keys takes these values, copied from

@@ -3,10 +3,11 @@
 Every file must equal what the one-format()-a-cell writer in
 tests/oracle_writers.py makes of the TraceMetrics that run_simulation
 collects for the same config: all six policy kinds, blocks that end part
-way or hold one slot, one user, one slot, and two replications run in one
-process or in worker processes. What a run holds must not grow with T by
-as much as the series it no longer keeps, a run that raises leaves no run
-file, and no command imports numpy.ma (about 12 ms and 1.5 MB on first use).
+way, end full or hold one slot, one user, one slot, two auction lanes
+apart, and two replications run in one process or in worker processes.
+What a run holds must not grow with T by as much as the series it no
+longer keeps, a run that raises leaves no run file, and no command imports
+numpy.ma (about 12 ms and 1.5 MB on first use).
 """
 
 import dataclasses
@@ -78,13 +79,14 @@ def assert_simulate_matches_oracle(tmp_path, config: Path) -> dict:
 
 class TestStreamedMatchesCollected:
     # block_cells 64 over 6 lanes of 5 users is 2 slots a block, so 25 slots
-    # end in a part block; 1 makes every slot its own block; one user at 64
-    # is 10 slots a block, 25 slots again ending part way
+    # end in a part block and 24 in a full one; 1 makes every slot its own
+    # block; one user at 64 is 10 slots a block, 25 slots again ending part way
     @pytest.mark.parametrize(
         "block_cells, overrides, top",
         [
             (4096, {}, {}),
             (64, {}, {}),
+            (64, {}, {"t_slots": 24}),
             (1, {}, {}),
             (64, {"scenario.n_users": 1}, {}),
             (4096, {}, {"t_slots": 1, "warmup_slots": 0}),
@@ -105,6 +107,31 @@ class TestStreamedMatchesCollected:
         assert sum(run["dropping_fraction"] > 0 for run in runs.values()) >= 4
         rows = (tmp_path / "got" / "auction_phi10_rep0" / "trace.csv").read_text().splitlines()
         assert any(row.split(",")[6] not in ("0", "-0") for row in rows[1:])
+
+    def test_two_auction_lanes_apart(self, tmp_path, monkeypatch):
+        """Auctions at lanes 1 and 4, at different phi: each lane's trace.csv,
+        payments included, is what that auction writes alone."""
+        monkeypatch.setattr(runfiles_mod, "_BLOCK_CELLS", 64)
+        policies = [
+            {"kind": "greedy"}, {"kind": "auction", "phi": 10}, {"kind": "dual"},
+            {"kind": "lyapunov", "phi": 10}, {"kind": "auction", "phi": 2},
+        ]
+        config = write_config(tmp_path, policies=policies, thresholds=0.8)
+        assert_simulate_matches_oracle(tmp_path, config)
+        cfg, paid = load_config(str(config)), []
+        for lane in (1, 4):
+            alone = run_simulation(
+                cfg.scenario, cfg.policies[lane], cfg.t_slots, cfg.warmup_slots, cfg.thresholds,
+                cfg.solver,
+            )
+            (tmp_path / "alone").mkdir(exist_ok=True)
+            write_per_cell(tmp_path / "alone", alone)
+            name = f"{alone.policy_label}_rep0/trace.csv"
+            got = (tmp_path / "got" / name).read_bytes()
+            assert got == (tmp_path / "alone" / "trace.csv").read_bytes(), name
+            paid.append([row.split(",")[6] for row in got.decode().splitlines()[1:]])
+        assert paid[0] != paid[1]
+        assert all(set(column) - {"0", "-0"} for column in paid)
 
     @pytest.mark.parametrize("threads", ["1", "4"])
     def test_two_replications(self, tmp_path, monkeypatch, threads):
