@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Slot-generation and exact-solver microbenchmark: median ms per generated
-slot at desk and welfare scale, per subset_value_table and per solve_exact
-at N = 8, 12, 16, 20, per truthfulness_sweep at N = 8, 12, 16 and per dual
+slot at desk and welfare scale, us of slot draws per slot at three shapes,
+per subset_value_table and per solve_exact at N = 8, 12, 16, 20, per
+truthfulness_sweep at N = 8, 12, 16 and per dual
 sweep at (N, T) = (8, 800), (8, 10,000) and (12, 800) with the default
 harmonic steps and at (8, 800) with constant steps of 50, with the share of
 rows each dual case scores again, the dual's peak memory over its table
@@ -9,6 +10,13 @@ at (N, T) = (12, 4,096), (16, 256) and (20, 16), and the peak memory of a
 streamed trace and its references over its table at (4, 16,384), (8, 800)
 and (16, 256), and the CSV writers' ms per row and peak memory over one
 series at (T, N) = (200, 100), (2,000, 100) and (200, 8).
+
+The slot draws are the G + 4n doubles of each of the first --slots slots
+at (G grids, n users) = (2,500, 100), (100, 8) and (64, 16):
+streams.block_doubles, seeded with seed_blocks in the blocks
+realization_stream makes at those shapes (1, 10 and 8 slots), against one
+numpy.random.default_rng([seed, slot]).random(G + 4n) per slot, in us per
+slot; every double must be equal bit for bit.
 
 Slot generation times realization_stream, which builds blocks of slots,
 over the first --slots slots of configs/dropping_desk.json (100 users, 2,500
@@ -144,6 +152,7 @@ from sensecourt.solver import (
     RegulatedInstance, SolveOptions, allocate_many, solve_exact, subset_linear_table,
     subset_value_table,
 )
+from sensecourt.streams import block_doubles, seed_blocks
 from sensecourt.world import SlotRealization
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,6 +183,8 @@ MANY_ROWS = 8
 GREEDY_SLOTS = 160
 WRITER_RUNS = (("desk", 200), ("desk", 2_000), ("welfare", 200))  # (config, T)
 SIMULATE_PEAK_RUNS = (("desk", 200), ("desk", 2_000))  # (config, T)
+DRAW_SHAPES = ((2500, 100, 1), (100, 8, 10), (64, 16, 8))  # (grids, users, slots a block)
+DRAW_SEED = 42
 REPEATS = 5  # timed calls of each case on each instance
 
 
@@ -275,6 +286,32 @@ def slot_section(args, _slots) -> dict:
         **report_times("slot_stream_ms", stream),
         **report_times("slot_oracle_loop_ms", loop),
         "slots_bit_identical_to_oracle": True,
+    }
+
+
+def draws_section(args, _slots) -> dict:
+    """Each slot's G + 4n doubles: streams.block_doubles, seeded and drawn in
+    realization_stream's blocks, against one default_rng per slot."""
+    kernel, generator = {}, {}
+    for grids, users, block in DRAW_SHAPES:
+        width, key = grids + 4 * users, f"{grids}x{users}"
+        got, ms = timed(lambda: [
+            block_doubles(seeds, width) for seeds in seed_blocks((DRAW_SEED,), 1, args.slots, block)
+        ])
+        kernel[key] = spread(ms, args.slots / 1e3)
+        want, ms = timed(lambda: [
+            np.random.default_rng([DRAW_SEED, t]).random(width) for t in range(1, args.slots + 1)
+        ])
+        generator[key] = spread(ms, args.slots / 1e3)
+        check(np.concatenate(got).tobytes() == np.concatenate(want).tobytes(), f"draws at {key}")
+        print(f"draws {key:8s}: kernel {kernel[key][0]:7.1f} us per slot "
+              f"({kernel[key][0] * 1e3 / width:5.1f} ns a word, {block} slots a block), "
+              f"default_rng {generator[key][0]:7.1f} us (median of {REPEATS})", flush=True)
+    return {
+        "draw_shapes": [list(shape) for shape in DRAW_SHAPES],
+        **report_times("draws_kernel_us_per_slot", kernel),
+        **report_times("draws_default_rng_us_per_slot", generator),
+        "draws_bit_identical_to_default_rng": True,
     }
 
 
@@ -617,8 +654,8 @@ def simulate_peak_section(_args, _slots) -> dict:
 
 
 SECTIONS = (
-    slot_section, exact_section, many_section, greedy_section, sweep_section, dual_section,
-    tables_section, dual_peak_section, stream_peak_section, writers_section,
+    slot_section, draws_section, exact_section, many_section, greedy_section, sweep_section,
+    dual_section, tables_section, dual_peak_section, stream_peak_section, writers_section,
     simulate_peak_section,
 )
 

@@ -8,6 +8,7 @@ import numpy as np
 
 from .solver import SolveOptions, freeze_ineligible, regulated_allocate
 from .solver import solve, solve_greedy  # noqa: F401  (instrumented by perfbench/tracer.py)
+from .streams import Stream
 from .world import Allocation, SlotRealization, eligible_mask, frozen_array
 
 __all__ = [
@@ -80,7 +81,7 @@ def greedy_baseline_step(
 def random_baseline_step(
     realization: SlotRealization,
     eligible: np.ndarray | None,
-    rng: np.random.Generator,
+    rng: Stream,
 ) -> Allocation:
     """Admit users in a random order, stopping at the first non-positive gain."""
     order = rng.permutation(np.flatnonzero(eligible_mask(eligible, realization.n_users)))

@@ -45,6 +45,7 @@ from .policy_dual import StepSchedule
 from .runfiles import RunFiles, write_plotdata, write_trace_csv
 from .scenarios import ScenarioConfig, realization_stream
 from .solver import TIE_TOL, SolveOptions, SolverCapacityError
+from .streams import Stream, seed_blocks
 from .world import GridMap, thresholds_array
 
 __all__ = ["main", "cmd_simulate", "cmd_benchmark", "cmd_truthcheck"]
@@ -429,10 +430,11 @@ def cmd_truthcheck(config_path: str, seed: int | None = None, out: str | None = 
     max_regret = 0.0
     swept = 0
     counterexample = None
-    for k, realization in enumerate(
-        realization_stream(scenario, settings.instances), start=1
+    seeds = seed_blocks((scenario.seed, _TRUTHCHECK_STREAM), 1, settings.instances, 1)
+    for k, (realization, seed) in enumerate(
+        zip(realization_stream(scenario, settings.instances), seeds), start=1
     ):
-        rng = np.random.default_rng([scenario.seed, _TRUTHCHECK_STREAM, k])
+        rng = Stream(seed[0])
         costs = realization.true_costs
         candidates = np.flatnonzero(costs > 0)
         if candidates.size == 0:

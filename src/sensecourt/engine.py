@@ -53,6 +53,7 @@ from . import policy_lyapunov as _lyap
 from .policy_dual import StepSchedule
 from .scenarios import RANDOM_POLICY_STREAM, ScenarioConfig, realization_stream
 from .solver import SolveOptions, allocate_many, freeze_ineligible
+from .streams import Stream
 from .world import Allocation, SlotRealization, WelfareBreakdown, evaluate_allocation
 from .world import thresholds_array
 
@@ -231,8 +232,8 @@ class _Ledger:
         rows = {kind: [lane for lane, s in enumerate(specs) if s.kind == kind] for kind in _KINDS}
         self.specs, self.thresholds, self.recorder = specs, thresholds, recorder
         self.options = [_lane_options(spec.kind, solver) for spec in specs]
-        # each random policy draws from its own generator, as it would alone
-        self.rngs = [np.random.default_rng([seed, RANDOM_POLICY_STREAM]) for _ in specs]
+        # each random policy draws from its own stream, as it would alone
+        self.streams = {lane: Stream.of(seed, RANDOM_POLICY_STREAM) for lane in rows["random"]}
         self.paying = tuple(rows["auction"])
         self.paid = np.zeros((len(self.paying), n))  # warmup slots pay nothing
         self.level = np.zeros((lanes, n))
@@ -253,8 +254,8 @@ class _Ledger:
         for lane, spec in enumerate(self.specs):
             eligible = self.eligible[lane]
             if spec.kind == "random":
-                rng = self.rngs[lane]
-                allocs[lane] = _baselines.random_baseline_step(realization, eligible, rng)
+                stream = self.streams[lane]
+                allocs[lane] = _baselines.random_baseline_step(realization, eligible, stream)
             else:
                 key = eligible.tobytes(), self.options[lane].route(int(eligible.sum()))
                 groups.setdefault(key, []).append(lane)
@@ -399,7 +400,7 @@ def run_policy(
     one PolicySpec this returns its TraceMetrics; given a sequence it returns
     one TraceMetrics per entry, each equal to what that policy gives alone.
     seed is the scenario seed recorded in the metrics; every random policy
-    draws from its own generator keyed by (seed, RANDOM_POLICY_STREAM).
+    draws from its own stream keyed by (seed, RANDOM_POLICY_STREAM).
 
     t_slots is the number of slots the sequence yields; it defaults to its
     len(), and an iterable without one is refused unless t_slots is given.

@@ -1,10 +1,14 @@
 """Stochastic instance generation: mobility, regions, weight fields, costs.
 
-Every random draw comes from a generator keyed by (seed, slot), so a slot
+Every random draw comes from the stream keyed by (seed, slot), so a slot
 realization is a pure function of the configuration and the users'
 positions, an (n_users, 2) array in meters, and replays are bit-identical.
 Slot indices are 1-based; stream 0 is reserved for the initial user
-placement.
+placement. A stream is `numpy.random.default_rng([seed, slot])`'s, bit for
+bit: `streams` makes its `SeedSequence` hash, its PCG64 words and its
+`random` and `uniform` doubles with integer arithmetic and numpy's own
+formulas, so no command imports numpy.random and the outputs do not depend
+on the installed numpy.random.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from typing import Iterator
 
 import numpy as np
 
+from .streams import Stream, block_doubles, seed_blocks, uniform
 from .world import GridMap, SlotRealization
 
 __all__ = [
     "ScenarioConfig",
-    "slot_rng",
     "initial_state",
     "realization_stream",
 ]
@@ -89,15 +93,9 @@ class ScenarioConfig:
                 raise ValueError("hotspot_sigma_fraction is too small for this map")
 
 
-def slot_rng(config: ScenarioConfig, stream: int) -> np.random.Generator:
-    """Deterministic generator for one slot (stream = slot index, 1-based)."""
-    return np.random.default_rng([config.seed, stream])
-
-
 def initial_state(config: ScenarioConfig) -> np.ndarray:
     """The (n_users, 2) starting positions in meters, uniform on the map."""
-    rng = slot_rng(config, 0)
-    pos = rng.random((config.n_users, 2))
+    pos = Stream.of(config.seed, 0).random((config.n_users, 2))
     pos[:, 0] *= config.map.width_m
     pos[:, 1] *= config.map.height_m
     return pos
@@ -126,15 +124,15 @@ def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRea
     radius_min_m, radius_max_m]; a cost is C/W * mean_weight * region size *
     jitter. Then each user jumps uniformly within step_max_m, reflecting.
 
-    Slot t draws from slot_rng(config, t): weights (or noise), radii, jitter,
-    step radius, step angle. The walk advances slot by slot; windows, disk
-    tests, counts and costs run once per block of about _BLOCK_CELLS cells,
-    and only the block's slots, read-only views of its arrays validated
-    once, outlive it. A user's window is K = ceil(2 *
-    radius_max_m / edge) + 2 columns from floor((x - r) / edge), shifted
-    into the map: every column whose center can lie within r, with half a
-    grid to spare; rows likewise. dx2[col] + dy2[row] is the squared
-    distance a test against every center computes.
+    Slot t draws from stream (seed, t): weights (or noise), radii, jitter,
+    step radius, step angle, all of a block's slots in one call. The walk
+    advances slot by slot; windows, disk tests, counts and costs run once
+    per block of about _BLOCK_CELLS cells, and only the block's slots,
+    read-only views of its arrays validated once, outlive it. A user's
+    window is K = ceil(2 * radius_max_m / edge) + 2 columns from
+    floor((x - r) / edge), shifted into the map: every column whose center
+    can lie within r, with half a grid to spare; rows likewise. dx2[col] +
+    dy2[row] is the squared distance a test against every center computes.
     """
     grid = config.map
     # the min keeps ceil finite when the radius dwarfs the map
@@ -143,30 +141,25 @@ def realization_stream(config: ScenarioConfig, t_slots: int) -> Iterator[SlotRea
     cells = config.n_users * min(reach, grid.width_grids) * min(reach, grid.height_grids)
     block = max(1, _BLOCK_CELLS // max(cells, grid.n_grids))
     pos = initial_state(config)
-    for lo in range(1, t_slots + 1, block):
-        slots, pos = _realize_block(config, pos, lo, min(block, t_slots + 1 - lo), reach)
+    for seeds in seed_blocks((config.seed,), 1, t_slots, block):
+        slots, pos = _realize_block(config, pos, seeds, reach)
         yield from slots  # the block's temporaries are gone; only its slots are held
 
 
 def _realize_block(
-    config: ScenarioConfig, pos: np.ndarray, first: int, b: int, reach: int
+    config: ScenarioConfig, pos: np.ndarray, seeds: np.ndarray, reach: int
 ) -> tuple[tuple[SlotRealization, ...], np.ndarray]:
-    """Slots first..first + b - 1 from positions pos, and the positions after."""
+    """The slots of the streams of the seed rows from positions pos, and
+    the positions after."""
     grid = config.map
-    n, size = config.n_users, grid.n_grids
-    uniform = config.weight_mode == "uniform_iid"
-    weights = np.empty((b, size)) if uniform or config.temporal_noise else None
-    radii, jitter, step, angle = (np.empty((b, n)) for _ in range(4))
-    for k in range(b):
-        rng = slot_rng(config, first + k)
-        if weights is not None:
-            weights[k] = rng.random(size) if uniform else rng.uniform(0.5, 1.5, size)
-        radii[k] = rng.uniform(config.radius_min_m, config.radius_max_m, size=n)
-        jitter[k] = rng.uniform(config.cost_jitter[0], config.cost_jitter[1], size=n)
-        rng.random(out=step[k])
-        rng.random(out=angle[k])
+    n, size, b = config.n_users, grid.n_grids, seeds.shape[0]
+    drawn = size if config.weight_mode == "uniform_iid" or config.temporal_noise else 0
+    doubles = block_doubles(seeds, drawn + 4 * n)
+    radii, jitter, step, angle = (doubles[:, drawn + k * n : drawn + k * n + n] for k in range(4))
+    radii = uniform(config.radius_min_m, config.radius_max_m, radii)
+    jitter = uniform(*config.cost_jitter, jitter)
     step = config.step_max_m * np.sqrt(step)
-    angle *= 2.0 * np.pi
+    angle = angle * (2.0 * np.pi)
     jump = np.stack([step * np.cos(angle), step * np.sin(angle)], axis=-1)
     walls = np.array([grid.width_m, grid.height_m])
     where, span = np.empty((b, n, 2)), 2.0 * walls
@@ -174,12 +167,12 @@ def _realize_block(
         where[k] = pos
         pos = np.mod(pos + jump[k], span)  # reflect at the walls
         pos = np.where(pos > walls, span - pos, pos)
-    if uniform:
-        weights *= 2.0 * config.mean_weight
-    elif weights is None:
-        weights = np.broadcast_to(_hotspot_profile(config), (b, size))
+    if config.weight_mode == "uniform_iid":
+        weights = doubles[:, :size] * (2.0 * config.mean_weight)
+    elif drawn:
+        weights = uniform(0.5, 1.5, doubles[:, :size]) * _hotspot_profile(config)
     else:
-        weights *= _hotspot_profile(config)
+        weights = np.broadcast_to(_hotspot_profile(config), (b, size))
     xs, ys = grid.axis_centers()  # the coordinates grid.centers() pairs up
     cols = _window(where[..., 0], radii, grid.grid_edge_m, grid.width_grids, reach)
     rows = _window(where[..., 1], radii, grid.grid_edge_m, grid.height_grids, reach)

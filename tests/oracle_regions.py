@@ -4,14 +4,28 @@ Builds one slot at a time, as the stream did before it built blocks of
 slots: the slot's generator draws the weights (or hotspot noise), the radii
 and the cost jitter, every grid center is measured against each user's
 disk, and then the users take their mobility step from the same generator.
-realization_stream must return the same weights, regions and costs bit for
-bit. Test helper only.
+The generators are numpy.random's own, keyed as the stream's are, so the
+reference shares no code with sensecourt.streams. realization_stream must
+return the same weights, regions and costs bit for bit. Test helper only.
 """
 
 import numpy as np
 
-from sensecourt.scenarios import _hotspot_profile, initial_state, slot_rng
+from sensecourt.scenarios import _hotspot_profile
 from sensecourt.world import SlotRealization, WeightField
+
+
+def slot_rng(config, t: int) -> np.random.Generator:
+    """numpy's generator for stream t of config (t = slot, 1-based; 0 the
+    initial placement)."""
+    return np.random.default_rng([config.seed, t])
+
+
+def initial_positions(config) -> np.ndarray:
+    """The (n_users, 2) starting positions, uniform on the map."""
+    return slot_rng(config, 0).random((config.n_users, 2)) * [
+        config.map.width_m, config.map.height_m
+    ]
 
 
 def weight_field(config, rng) -> WeightField:
@@ -69,7 +83,7 @@ def _reflect(coords, length):
 def realization_stream_loop(config, t_slots, positions=None):
     """Slots 1..t_slots from the (n_users, 2) positions (the config's initial
     positions if None)."""
-    positions = initial_state(config) if positions is None else positions
+    positions = initial_positions(config) if positions is None else positions
     for t in range(1, t_slots + 1):
         rng = slot_rng(config, t)
         yield build_slot_realization_loop(positions, config, rng)

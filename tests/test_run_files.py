@@ -202,8 +202,9 @@ class TestNoPartialFiles:
 
 
 def test_no_command_imports_numpy_ma(tmp_path):
-    """np.unique without return_* imports numpy.ma on numpy 2.4; no command
-    may reach it. Each command runs on a tiny config in a fresh process."""
+    """np.unique without return_* imports numpy.ma on numpy 2.4, and
+    default_rng all of numpy.random; no command may reach either. Each
+    command runs on a tiny config in a fresh process."""
     welfare = json.loads((CONFIGS / "welfare_desk.json").read_text())
     welfare.update(t_slots=30, warmup_slots=10)
     welfare["benchmark"] = {"iterations": 5}
@@ -220,7 +221,7 @@ def test_no_command_imports_numpy_ma(tmp_path):
             out = {str(tmp_path)!r} + "/" + command
             code = main([command, "--config", {str(tmp_path)!r} + f"/{{config}}.json",
                          "--out", out])
-            print(command, code, "numpy.ma" in sys.modules)
+            print(command, code, "numpy.ma" in sys.modules, "numpy.random" in sys.modules)
         """
     )
     src = str(Path(sensecourt.__file__).resolve().parents[1])
@@ -230,5 +231,5 @@ def test_no_command_imports_numpy_ma(tmp_path):
         env=os.environ | {"PYTHONPATH": path, "SENSECOURT_THREADS": "1"}, check=True,
     )
     assert done.stdout.split("\n")[:3] == [
-        "simulate 0 False", "benchmark 0 False", "truthcheck 0 False"
+        "simulate 0 False False", "benchmark 0 False False", "truthcheck 0 False False"
     ]

@@ -14,11 +14,10 @@ from sensecourt.scenarios import (
     _hotspot_profile,
     initial_state,
     realization_stream,
-    slot_rng,
 )
 from sensecourt.world import GridMap
 
-from oracle_regions import realization_stream_loop, step_mobility
+from oracle_regions import realization_stream_loop, slot_rng, step_mobility
 
 
 def config(**overrides):
