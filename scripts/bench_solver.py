@@ -226,8 +226,8 @@ def check(ok: bool, case: str) -> None:
 def same_solves(results, solves) -> bool:
     """Each result equal to its own solve: allocation, objective bits, exact flag."""
     return all(
-        (got.alloc.selected.tobytes(), got.objective.hex(), got.exact)
-        == (solo.alloc.selected.tobytes(), solo.objective.hex(), solo.exact)
+        (got.selected.tobytes(), got.objective.hex(), got.exact)
+        == (solo.selected.tobytes(), solo.objective.hex(), solo.exact)
         for got, solo in zip(results, solves, strict=True)
     )
 

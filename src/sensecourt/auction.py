@@ -42,7 +42,7 @@ from .solver import (
     TIE_TOL,
 )
 from .solver import solve_exact  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation, SlotRealization, eligible_mask, evaluate_allocation, frozen_array
+from .world import SlotRealization, eligible_mask, evaluate_allocation, frozen_array
 
 __all__ = [
     "ExactPivotsRequiredError",
@@ -96,7 +96,7 @@ class RegulationState:
 
 @dataclass(frozen=True, eq=False)
 class AuctionOutcome:
-    alloc: Allocation
+    selected: np.ndarray
     payments: np.ndarray
 
 
@@ -129,14 +129,15 @@ def run_auction_slot(
     bids: np.ndarray,
     eligible: np.ndarray | None = None,
     exact_limit: int = DEFAULT_EXACT_LIMIT,
-    solved: tuple[Allocation, np.ndarray, float] | None = None,
+    solved: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> AuctionOutcome:
-    """Allocate on the bids regulated by the factors r_n (a RegulationState's
+    """Select on the bids regulated by the factors r_n (a RegulationState's
     `factors`) and pay winners their pivots; regulation_step moves the
     factors. Bids and factors are finite, non-negative, one per user. The
-    allocation and every pivot come from one exact objective row of
-    allocate_many; a caller that has solved the slot on these regulated
-    bids passes `solved`: the allocation, that row and its value."""
+    selection, a read-only bool array of one flag per user, and every pivot
+    come from one exact objective row of allocate_many; a caller that has
+    solved the slot on these regulated bids passes `solved`: the selection,
+    that row and the selection's value."""
     n = realization.n_users
     factors = frozen_array(factors, "factors", nonneg=True, size=n)
     kappa = frozen_array(bids, "bids", nonneg=True, size=n) - factors
@@ -146,12 +147,14 @@ def run_auction_slot(
     if solved is None:
         options = SolveOptions("exact", exact_limit)
         (result,), objective = allocate_many(realization, kappa[None], eligible, options)
-        solved = result.alloc, objective[0], evaluate_allocation(realization, result.alloc).value
-    alloc, objective, value_term = solved
+        value = evaluate_allocation(realization, result.selected).value
+        solved = result.selected, objective[0], value
+    selected, objective, value_term = solved
+    selected = frozen_array(selected, "selected", bool, size=n)
 
     # winner i's pivot: the pick among the subsets without i, the half of the
     # objective at i's bit 0, copied out one winner at a time
-    winners = alloc.indices()
+    winners = np.flatnonzero(selected)
     welfare_without = np.empty(winners.size)
     for i, b in enumerate(np.searchsorted(users, winners).tolist()):
         half = objective.reshape(-1, 2, 1 << b)[:, 0].reshape(1, -1)
@@ -160,7 +163,7 @@ def run_auction_slot(
     payments[winners] = pivot_payment(
         value_term, kappa[winners].sum() - kappa[winners], welfare_without, factors[winners]
     )
-    return AuctionOutcome(alloc=alloc, payments=payments)
+    return AuctionOutcome(selected=selected, payments=payments)
 
 
 def regulation_step(r: np.ndarray, x: np.ndarray, d: np.ndarray, phi) -> np.ndarray:
@@ -170,12 +173,13 @@ def regulation_step(r: np.ndarray, x: np.ndarray, d: np.ndarray, phi) -> np.ndar
 
 def regulation_update(
     state: RegulationState,
-    alloc: Allocation,
+    selected: np.ndarray,
     thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
 ) -> RegulationState:
     """regulation_step on one state; ineligible users' factors stay unchanged."""
-    r = regulation_step(state.factors, alloc.selected, thresholds, state.phi)
+    selected = frozen_array(selected, "selected", bool, size=state.factors.size)
+    r = regulation_step(state.factors, selected, thresholds, state.phi)
     return RegulationState(factors=freeze_ineligible(r, state.factors, eligible), phi=state.phi)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 from .solver import SolveOptions, freeze_ineligible, regulated_allocate
 from .solver import solve, solve_greedy  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .streams import Stream
-from .world import Allocation, SlotRealization, eligible_mask, frozen_array
+from .world import SlotRealization, eligible_mask, frozen_array
 
 __all__ = [
     "VpcState",
@@ -50,13 +50,14 @@ def vpc_step(credits: np.ndarray, x: np.ndarray, alpha) -> np.ndarray:
 
 def vpc_update(
     state: VpcState,
-    alloc: Allocation,
+    selected: np.ndarray,
     thresholds: np.ndarray | None = None,
     eligible: np.ndarray | None = None,
 ) -> VpcState:
     """vpc_step on one state; ineligible users keep their credits. thresholds
     is unused; it keeps the common update signature."""
-    credits = vpc_step(state.credits, alloc.selected, state.alpha)
+    selected = frozen_array(selected, "selected", bool, size=state.credits.size)
+    credits = vpc_step(state.credits, selected, state.alpha)
     return VpcState(freeze_ineligible(credits, state.credits, eligible), state.alpha)
 
 
@@ -65,15 +66,15 @@ def radp_vpc_step(
     realization: SlotRealization,
     eligible: np.ndarray | None = None,
     options: SolveOptions = SolveOptions(),
-) -> tuple[Allocation, VpcState]:
-    """Allocate with credit-discounted costs, then update the credits."""
-    alloc = regulated_allocate(state, realization, eligible, options)
-    return alloc, vpc_update(state, alloc, eligible=eligible)
+) -> tuple[np.ndarray, VpcState]:
+    """Select with credit-discounted costs, then update the credits."""
+    selected = regulated_allocate(state, realization, eligible, options)
+    return selected, vpc_update(state, selected, eligible=eligible)
 
 
 def greedy_baseline_step(
     realization: SlotRealization, eligible: np.ndarray | None = None
-) -> Allocation:
+) -> np.ndarray:
     """Admit users in descending marginal-welfare order while the gain is positive."""
     return regulated_allocate(None, realization, eligible, SolveOptions(mode="greedy"))
 
@@ -82,7 +83,7 @@ def random_baseline_step(
     realization: SlotRealization,
     eligible: np.ndarray | None,
     rng: Stream,
-) -> Allocation:
+) -> np.ndarray:
     """Admit users in a random order, stopping at the first non-positive gain."""
     order = rng.permutation(np.flatnonzero(eligible_mask(eligible, realization.n_users)))
     w_rem = realization.weights.values.copy()
@@ -95,4 +96,5 @@ def random_baseline_step(
             break
         selected[u] = True
         w_rem[regions[u]] = 0.0
-    return Allocation.built(selected)
+    selected.flags.writeable = False
+    return selected

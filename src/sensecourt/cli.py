@@ -41,7 +41,7 @@ from .benchmark import (
 )
 from .engine import PolicySpec, check_exact_solves, check_finite_bonuses
 from .engine import run_simulation
-from .policy_dual import StepSchedule
+from .policy_dual import StepSchedule, largest_step_coeff
 from .runfiles import RunFiles, write_plotdata, write_trace_csv
 from .scenarios import ScenarioConfig, realization_stream
 from .solver import TIE_TOL, SolveOptions, SolverCapacityError
@@ -137,6 +137,24 @@ class ExperimentConfig:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         check_finite_bonuses(self.policies, thr, self.t_slots)
+        # the benchmark sums `iterations` iterates, n multipliers to a subset,
+        # t_slots row maxima of such sums, and moves of at most 6 n multipliers
+        step, iterations = self.benchmark.step, self.benchmark.iterations
+        if step is not None:
+            terms = max(iterations, n * max(6, self.t_slots))
+            limit = sys.float_info.max / (2 * terms)
+            coeff_max = largest_step_coeff(step.kind, float(thr.max()), iterations, limit)
+            if step.coeff > coeff_max:
+                raise ValueError(
+                    f"benchmark.step coeff = {step.coeff:g} lets the multipliers overflow over "
+                    f"{iterations} iterations; coeff must be at most {coeff_max:.17g}"
+                )
+        span, top = self.truthcheck.bid_span, self.scenario.max_cost
+        if not span * top < math.inf:
+            raise ValueError(
+                f"truthcheck.bid_span = {span:g} overflows the bid grid: the largest cost a "
+                f"slot can draw is {top:g}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +263,7 @@ def _scenario(raw: dict) -> ScenarioConfig:
 
 
 def _with_seed(scenario: ScenarioConfig, seed: int | None = None) -> ScenarioConfig:
-    # numpy refuses a negative seed only once the output directory exists
+    # streams._uint32_words refuses a negative seed only once the output directory exists
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     if scenario.seed < 0:

@@ -54,7 +54,7 @@ from .policy_dual import StepSchedule
 from .scenarios import RANDOM_POLICY_STREAM, ScenarioConfig, realization_stream
 from .solver import SolveOptions, allocate_many, freeze_ineligible
 from .streams import Stream
-from .world import Allocation, SlotRealization, WelfareBreakdown, evaluate_allocation
+from .world import SlotRealization, WelfareBreakdown, evaluate_allocation
 from .world import thresholds_array
 
 __all__ = [
@@ -246,8 +246,8 @@ class _Ledger:
         self.seen = np.zeros((lanes, n), dtype=np.int64)
         self.prob = np.empty((lanes, n))
 
-    def allocate(self, realization: SlotRealization, memo: dict) -> list[Allocation]:
-        """Every lane's allocation of a post-warmup slot: a random order, or
+    def allocate(self, realization: SlotRealization, memo: dict) -> list[np.ndarray]:
+        """Every lane's selection of a post-warmup slot: a random order, or
         its row of one allocate_many per eligible set and route, on which an
         auction pays its winners."""
         allocs, groups, bonus = [None] * len(self.specs), {}, self.level / self.scale
@@ -264,12 +264,12 @@ class _Ledger:
             charges = realization.true_costs - bonus[rows]
             results, objective = allocate_many(realization, charges, eligible, options)
             for i, (lane, result) in enumerate(zip(rows, results)):
-                allocs[lane] = result.alloc
+                allocs[lane] = result.selected
                 if lane in self.paying:
-                    value = _evaluate(realization, result.alloc, memo).value
+                    value = _evaluate(realization, result.selected, memo).value
                     self.paid[self.paying.index(lane)] = _auction.run_auction_slot(
                         self.level[lane], realization, realization.true_costs, eligible,
-                        options.exact_limit, (result.alloc, objective[i], value),
+                        options.exact_limit, (result.selected, objective[i], value),
                     ).payments
         return allocs
 
@@ -320,11 +320,11 @@ class _Ledger:
         return metrics
 
 
-def _evaluate(realization: SlotRealization, alloc: Allocation, memo: dict) -> WelfareBreakdown:
+def _evaluate(realization: SlotRealization, selected: np.ndarray, memo: dict) -> WelfareBreakdown:
     """evaluate_allocation on one slot, made once per distinct selection; memo is the slot's."""
-    key = alloc.selected.tobytes()
+    key = selected.tobytes()
     if key not in memo:
-        memo[key] = evaluate_allocation(realization, alloc)
+        memo[key] = evaluate_allocation(realization, selected)
     return memo[key]
 
 
@@ -354,22 +354,33 @@ def check_exact_solves(
 def check_finite_bonuses(
     specs: Sequence[PolicySpec], thresholds: np.ndarray, t_slots: int
 ) -> None:
-    """Refuse a lyapunov or auction phi, or a radp_vpc alpha, whose bonuses
-    can overflow in t_slots slots; thresholds are the checked D, one per user.
+    """Refuse a lyapunov or auction phi, a radp_vpc alpha or a dual step
+    coefficient whose bonuses can overflow in t_slots slots; thresholds are
+    the checked D, one per user.
 
     A backlog gains at most max D a slot: q_t <= t max D, and phi r_t <=
     (t + 1) max D from phi r_0 = D. So no bonus, q / phi or r, exceeds
     B = (T + 1) max D / phi. A credit grows by alpha a slot from 0 and resets
-    on selection, so it never exceeds B = T alpha. A charge sum, an objective
-    or a pivot payment adds at most n bonuses to values and costs, so n B is
-    kept to half the largest float: phi >= 2 n (T + 1) max D / float max and
-    alpha <= float max / (2 n T).
+    on selection, so it never exceeds B = T alpha. A multiplier never
+    exceeds B = max D (eps_1 + ... + eps_T) (policy_dual.largest_step_coeff).
+    A charge sum, an objective or a pivot payment adds at most n bonuses to
+    values and costs, so n B is kept to half the largest float:
+    phi >= 2 n (T + 1) max D / float max, alpha <= float max / (2 n T) and
+    the step coefficient at most largest_step_coeff at float max / (2 n).
     """
     n, big = thresholds.size, np.finfo(float).max
     d_max = float(thresholds.max(initial=0.0))
     phi_min = 2 * n * (t_slots + 1) * d_max / big
     alpha_max = big / (2 * max(1, n * t_slots))
     for spec in specs:
+        if spec.kind == "dual":
+            step = spec.schedule
+            coeff_max = _dual.largest_step_coeff(step.kind, d_max, t_slots, big / (2 * max(1, n)))
+            if step.coeff > coeff_max:
+                raise ValueError(
+                    f"policy dual: step coeff = {step.coeff:g} lets its multipliers overflow "
+                    f"over {t_slots} slots; coeff must be at most {coeff_max:.17g}"
+                )
         if spec.kind in ("lyapunov", "auction") and spec.phi < phi_min:
             raise ValueError(
                 f"policy {spec.kind}: phi = {spec.phi:g} lets its bonuses overflow over "
@@ -406,8 +417,8 @@ def run_policy(
     len(), and an iterable without one is refused unless t_slots is given.
     A warmup longer than the run, thresholds outside [0, 1] (NaN too), an
     exact solve (an auction, or exact mode) over more users than
-    solver.exact_limit that runs past the warmup, and a phi or alpha whose
-    bonuses can overflow (check_finite_bonuses), are rejected before the first slot
+    solver.exact_limit that runs past the warmup, and a phi, alpha or dual
+    step whose bonuses can overflow (check_finite_bonuses), are rejected before the first slot
     is drawn; a sequence that yields a different number of slots
     is an error.
 
@@ -439,7 +450,7 @@ def run_policy(
     series = Recorder() if recorder is None else recorder
     ledger = _Ledger(specs, thresholds, solver, seed, series)
     series.start(len(specs), n, t_slots, ledger.paying)
-    everyone = Allocation(np.ones(n, dtype=bool))  # no user drops during the warmup
+    everyone = np.ones(n, dtype=bool)  # no user drops during the warmup
     x = np.empty((len(specs), n), dtype=bool)
     welfare = np.empty(len(specs))
 
@@ -452,9 +463,9 @@ def run_policy(
         k, t = t, t + 1
         post, memo = t > warmup_slots, {}
         allocs = ledger.allocate(realization, memo) if post else [everyone] * len(specs)
-        for lane, alloc in enumerate(allocs):
-            x[lane] = alloc.selected
-            welfare[lane] = _evaluate(realization, alloc, memo).welfare
+        for lane, selected in enumerate(allocs):
+            x[lane] = selected
+            welfare[lane] = _evaluate(realization, selected, memo).welfare
         ledger.step(k, x, welfare, dropping and post)
     if t < t_slots:
         raise ValueError(f"realizations ended after {t} of t_slots={t_slots} slots")

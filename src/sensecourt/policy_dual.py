@@ -15,9 +15,16 @@ import numpy as np
 
 from .solver import freeze_ineligible, regulated_allocate
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation, frozen_array
+from .world import frozen_array
 
-__all__ = ["StepSchedule", "DualState", "dual_allocate", "dual_step", "dual_update"]
+__all__ = [
+    "StepSchedule",
+    "DualState",
+    "dual_allocate",
+    "dual_step",
+    "dual_update",
+    "largest_step_coeff",
+]
 
 
 @dataclass(frozen=True)
@@ -96,6 +103,19 @@ class DualState:
 dual_allocate = regulated_allocate
 
 
+def largest_step_coeff(kind: str, d_max: float, steps: int, limit: float) -> float:
+    """The largest coefficient of a `kind` step schedule that keeps every
+    multiplier at most `limit` over `steps` dual steps from 0 against
+    thresholds at most d_max (inf if d_max is 0).
+
+    xbar >= 0, so a step adds at most eps_t d_max to a multiplier, and the
+    steps sum to steps * eps for a constant step and to at most
+    c (1 + ln steps) for a harmonic one.
+    """
+    growth = d_max * (steps if kind == "constant" else 1.0 + math.log(steps))
+    return float(limit) / growth if growth else math.inf
+
+
 def dual_step(lam: np.ndarray, xbar: np.ndarray, d: np.ndarray, eps) -> np.ndarray:
     """lambda <- [lambda - eps (xbar - D)]^+ elementwise: the projected subgradient step."""
     return np.maximum(lam - eps * (xbar - d), 0.0)
@@ -103,7 +123,7 @@ def dual_step(lam: np.ndarray, xbar: np.ndarray, d: np.ndarray, eps) -> np.ndarr
 
 def dual_update(
     state: DualState,
-    alloc: Allocation,
+    selected: np.ndarray,
     thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
 ) -> DualState:
@@ -114,7 +134,8 @@ def dual_update(
     multipliers stay unchanged.
     """
     t = state.slot_index
-    cum = state.cumulative_selected + alloc.selected
+    selected = frozen_array(selected, "selected", bool, size=state.multipliers.size)
+    cum = state.cumulative_selected + selected
     lam = dual_step(state.multipliers, cum / t, thresholds, state.schedule.step(t))
     lam = freeze_ineligible(lam, state.multipliers, eligible)
     return DualState(lam, cum, t + 1, state.schedule)

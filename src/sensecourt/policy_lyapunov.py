@@ -15,7 +15,7 @@ import numpy as np
 
 from .solver import freeze_ineligible, regulated_allocate
 from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
-from .world import Allocation, frozen_array, thresholds_array
+from .world import frozen_array, thresholds_array
 
 __all__ = [
     "QueueState",
@@ -59,12 +59,13 @@ def queue_step(q: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def queue_update(
     state: QueueState,
-    alloc: Allocation,
+    selected: np.ndarray,
     thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
 ) -> QueueState:
     """queue_step on one state; ineligible users' q stay unchanged."""
-    q = queue_step(state.backlogs, alloc.selected, thresholds)
+    selected = frozen_array(selected, "selected", bool, size=state.backlogs.size)
+    q = queue_step(state.backlogs, selected, thresholds)
     return QueueState(backlogs=freeze_ineligible(q, state.backlogs, eligible), phi=state.phi)
 
 

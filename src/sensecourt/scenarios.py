@@ -81,9 +81,7 @@ class ScenarioConfig:
         if not 0 <= self.step_max_m < math.inf:
             raise ValueError("step_max_m must be non-negative and finite")
         object.__setattr__(self, "cost_jitter", (float(lo), float(hi)))
-        # the largest cost any slot can draw: every grid, the top jitter
-        top = self.cost_to_weight_ratio * self.mean_weight * self.map.n_grids * hi
-        if not top < math.inf:
+        if not self.max_cost < math.inf:
             raise ValueError("cost_to_weight_ratio * mean_weight * n_grids * jitter overflows")
         if self.weight_mode == "hotspot":
             # a narrow bump can underflow to all zeros, and its rescale to inf
@@ -91,6 +89,11 @@ class ScenarioConfig:
                 peak = _hotspot_profile(self).max() * 1.5  # top temporal noise
             if not peak < math.inf:
                 raise ValueError("hotspot_sigma_fraction is too small for this map")
+
+    @property
+    def max_cost(self) -> float:
+        """The largest cost any slot can draw: every grid, the top jitter."""
+        return self.cost_to_weight_ratio * self.mean_weight * self.map.n_grids * self.cost_jitter[1]
 
 
 def initial_state(config: ScenarioConfig) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .world import Allocation, SlotRealization, _unchecked, eligible_mask, frozen_array
+from .world import SlotRealization, _unchecked, eligible_mask, frozen_array
 
 __all__ = [
     "TIE_TOL",
@@ -92,7 +92,10 @@ def freeze_ineligible(
 
 @dataclass(frozen=True)
 class SolveResult:
-    alloc: Allocation
+    """A solver's selection, a read-only bool array of one flag per user, its
+    objective and whether it is a proven optimum."""
+
+    selected: np.ndarray
     objective: float
     exact: bool
 
@@ -321,13 +324,15 @@ def tiebreak_picks(
     return row_best, picks, runner
 
 
-def _local_mask_to_allocation(mask: int, users: np.ndarray, n_users: int) -> Allocation:
-    sel = np.zeros(n_users, dtype=bool)
+def _local_mask_to_selected(mask: int, users: np.ndarray, n_users: int) -> np.ndarray:
+    """The read-only selection of the users at the set bits of a local mask."""
+    selected = np.zeros(n_users, dtype=bool)
     while mask:
         low = mask & -mask
-        sel[int(users[low.bit_length() - 1])] = True
+        selected[int(users[low.bit_length() - 1])] = True
         mask ^= low
-    return Allocation.built(sel)
+    selected.flags.writeable = False
+    return selected
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +407,8 @@ def solve_greedy(inst: RegulatedInstance) -> SolveResult:
         objective += gain
         w_rem[regions[u]] = 0.0
 
-    return SolveResult(Allocation.built(selected), objective, False)
+    selected.flags.writeable = False
+    return SolveResult(selected, objective, False)
 
 
 def branch_and_bound(
@@ -422,7 +428,7 @@ def branch_and_bound(
     users = np.flatnonzero(inst.eligible)
     m = users.size
     if m == 0:
-        return SolveResult(Allocation.none(n), 0.0, True)
+        return SolveResult(_local_mask_to_selected(0, users, n), 0.0, True)
 
     w = real.weights.values.tolist()
     # one bit per grid; a region's grids are distinct, so the sum is their union
@@ -441,7 +447,7 @@ def branch_and_bound(
     seed = solve_greedy(inst)
     seed_local = 0
     for j in range(m):
-        if seed.alloc.selected[int(users[j])]:
+        if seed.selected[int(users[j])]:
             seed_local |= 1 << j
 
     inc_mask = seed_local
@@ -491,7 +497,7 @@ def branch_and_bound(
         stack.append((s_mask | (1 << j), covered | masks[j], obj + gains[pick], rest))
 
     return SolveResult(
-        _local_mask_to_allocation(inc_mask, users, n), inc_obj, complete
+        _local_mask_to_selected(inc_mask, users, n), inc_obj, complete
     )
 
 
@@ -505,11 +511,11 @@ def regulated_allocate(
     realization: SlotRealization,
     eligible: np.ndarray | None = None,
     options: SolveOptions = SolveOptions(),
-) -> Allocation:
+) -> np.ndarray:
     """Maximize value - sum((cost - state.bonus) * x) over eligible users, one
     row of allocate_many (through solve); a None state is bonus 0."""
     kappa = realization.true_costs - (0.0 if state is None else state.bonus)
-    return solve(RegulatedInstance.of(realization, kappa, eligible), options).alloc
+    return solve(RegulatedInstance.of(realization, kappa, eligible), options).selected
 
 
 def allocate_many(
@@ -545,6 +551,7 @@ def allocate_many(
     _, picks, _ = tiebreak_picks(objective, 0.0)
     selected = np.zeros((picks.size, n), dtype=bool)
     selected[:, users] = picks[:, None] >> np.arange(users.size) & 1
+    selected.flags.writeable = False  # and so each row
     best = objective[np.arange(picks.size), picks].tolist()
-    results = [SolveResult(Allocation.built(row), b, True) for row, b in zip(selected, best)]
+    results = [SolveResult(row, b, True) for row, b in zip(selected, best)]
     return results, objective

@@ -14,15 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable
-
 import numpy as np
 
 __all__ = [
     "GridMap",
     "WeightField",
     "SlotRealization",
-    "Allocation",
     "WelfareBreakdown",
     "evaluate_allocation",
     "frozen_array",
@@ -238,41 +235,6 @@ class SlotRealization:
         return tuple(float(np.add.reduce(w[r])) for r in self.regions)
 
 
-@dataclass(frozen=True, eq=False)
-class Allocation:
-    """Boolean selection vector over users for one slot."""
-
-    selected: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "selected", frozen_array(self.selected, "selected", bool))
-
-    @classmethod
-    def built(cls, selected: np.ndarray) -> "Allocation":
-        """An allocation over a bool array of n that a solver has just built:
-        made read-only and kept, without a checked one's copy and scan."""
-        selected.flags.writeable = False
-        return _unchecked(cls, selected=selected)
-
-    @classmethod
-    def none(cls, n_users: int) -> "Allocation":
-        return cls(np.zeros(n_users, dtype=bool))
-
-    @classmethod
-    def of(cls, n_users: int, users: Iterable[int]) -> "Allocation":
-        sel = np.zeros(n_users, dtype=bool)
-        for u in users:
-            sel[u] = True
-        return cls(sel)
-
-    @property
-    def n_users(self) -> int:
-        return self.selected.size
-
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.selected)
-
-
 @dataclass(frozen=True)
 class WelfareBreakdown:
     """Per-slot welfare decomposition: value minus cost."""
@@ -282,25 +244,18 @@ class WelfareBreakdown:
     welfare: float
 
 
-def _covered(realization: SlotRealization, alloc: Allocation) -> np.ndarray:
-    """Boolean mask of the grids in the union of the selected users' regions."""
-    if alloc.n_users != realization.n_users:
-        raise ValueError(
-            f"allocation has {alloc.n_users} users, realization has {realization.n_users}"
-        )
-    regions = [realization.regions[u] for u in alloc.indices().tolist()]
-    cov = np.zeros(realization.n_grids, dtype=bool)
-    if regions:
-        cov[np.concatenate(regions)] = True
-    return cov
-
-
-def evaluate_allocation(realization: SlotRealization, alloc: Allocation) -> WelfareBreakdown:
-    """Value, cost, and welfare of an allocation against true costs.
+def evaluate_allocation(realization: SlotRealization, selected) -> WelfareBreakdown:
+    """Value, cost, and welfare of a selection, one bool flag per user,
+    against true costs.
 
     Value counts each covered grid once; cost is the plain sum of selected
     users' costs; welfare is their difference.
     """
-    value = float(realization.weights.values[_covered(realization, alloc)].sum())
-    cost = float(realization.true_costs[alloc.selected].sum())
+    selected = frozen_array(selected, "selected", bool, size=realization.n_users)
+    regions = [realization.regions[u] for u in np.flatnonzero(selected).tolist()]
+    covered = np.zeros(realization.n_grids, dtype=bool)
+    if regions:
+        covered[np.concatenate(regions)] = True
+    value = float(realization.weights.values[covered].sum())
+    cost = float(realization.true_costs[selected].sum())
     return WelfareBreakdown(value=value, cost=cost, welfare=value - cost)

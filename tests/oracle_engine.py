@@ -38,7 +38,7 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_table,
 )
-from sensecourt.world import Allocation, evaluate_allocation
+from sensecourt.world import evaluate_allocation
 
 from oracle_subset import ranked_masks
 
@@ -72,15 +72,16 @@ def solve_exact_alone(inst: RegulatedInstance) -> SolveResult:
     mask = tiebreak_pick(objective)
     selected = np.zeros(inst.realization.n_users, dtype=bool)
     selected[users] = mask >> np.arange(users.size) & 1
-    return SolveResult(Allocation(selected), float(objective[mask]), True)
+    selected.flags.writeable = False
+    return SolveResult(selected, float(objective[mask]), True)
 
 
 def auction_slot_alone(state, realization, eligible):
     """The auction under truthful bids: its own solve, then its objective
     rebuilt for the pivots. Returns the allocation and the payments."""
     kappa = realization.true_costs - state.bonus
-    alloc = solve_exact_alone(RegulatedInstance(realization, kappa, eligible)).alloc
-    winners = alloc.indices()
+    alloc = solve_exact_alone(RegulatedInstance(realization, kappa, eligible)).selected
+    winners = np.flatnonzero(alloc)
     value_term = evaluate_allocation(realization, alloc).value
     users = np.flatnonzero(eligible)
     objective = objective_alone(realization, kappa, users)
@@ -98,13 +99,14 @@ def _allocate(spec, state, realization, eligible, options, rng):
     if spec.kind == "random":
         return baselines.random_baseline_step(realization, eligible, rng)
     if spec.kind == "greedy":
-        return solve_greedy(RegulatedInstance(realization, realization.true_costs, eligible)).alloc
+        inst = RegulatedInstance(realization, realization.true_costs, eligible)
+        return solve_greedy(inst).selected
     inst = RegulatedInstance(realization, realization.true_costs - state.bonus, eligible)
     if options.mode in ("exact", "auto") and eligible.sum() <= options.exact_limit:
-        return solve_exact_alone(inst).alloc
+        return solve_exact_alone(inst).selected
     if options.mode == "greedy":
-        return solve_greedy(inst).alloc
-    return branch_and_bound(inst, options.node_budget).alloc  # bnb, or auto past exact_limit
+        return solve_greedy(inst).selected
+    return branch_and_bound(inst, options.node_budget).selected  # bnb, or auto past exact_limit
 
 
 def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> dict:
@@ -129,15 +131,15 @@ def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> 
         out["regulation"][k] = np.where(eligible, 0.0 if state is None else state.bonus, 0.0)
         out["active"][k] = eligible
         if t <= warmup:
-            alloc = Allocation(eligible)
+            alloc = eligible
         elif spec.kind == "auction":
             alloc, out["payments_series"][k] = auction_slot_alone(state, realization, eligible)
         else:
             alloc = _allocate(spec, state, realization, eligible, options, rng)
         out["welfare_series"][k] = evaluate_allocation(realization, alloc).welfare
-        out["selected"][k] = alloc.selected
+        out["selected"][k] = alloc
         seen += eligible
-        selections += alloc.selected
+        selections += alloc
         out["alloc_prob_series"][k] = selections / seen
         if update is not None:
             state = update(state, alloc, thresholds, eligible)

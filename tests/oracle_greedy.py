@@ -14,7 +14,7 @@ import heapq
 import numpy as np
 
 from sensecourt.solver import RegulatedInstance, SolveResult
-from sensecourt.world import Allocation, SlotRealization
+from sensecourt.world import SlotRealization
 
 
 def solve_greedy_loop(inst: RegulatedInstance) -> SolveResult:
@@ -60,14 +60,14 @@ def solve_greedy_loop(inst: RegulatedInstance) -> SolveResult:
             break
         take(u, gain)
 
-    return SolveResult(Allocation(selected), objective, False)
+    return SolveResult(selected, objective, False)
 
 
 def random_baseline_loop(
     realization: SlotRealization,
     eligible: np.ndarray | None,
     rng: np.random.Generator,
-) -> Allocation:
+) -> np.ndarray:
     """Admit users in a random order, stopping at the first non-positive gain."""
     if eligible is None:
         eligible = np.ones(realization.n_users, dtype=bool)
@@ -82,4 +82,4 @@ def random_baseline_loop(
             break
         selected[u] = True
         w_rem[idx] = 0.0
-    return Allocation(selected)
+    return selected

@@ -12,12 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from sensecourt.policy_lyapunov import QueueState, penalty_bound_B
-from sensecourt.world import Allocation, SlotRealization, evaluate_allocation
+from sensecourt.world import SlotRealization, evaluate_allocation
 
 
 def drift_plus_penalty_diag(
     state: QueueState,
-    alloc: Allocation,
+    alloc: np.ndarray,
     realization: SlotRealization,
     thresholds: np.ndarray,
 ) -> float:
@@ -27,7 +27,7 @@ def drift_plus_penalty_diag(
     all allocations of the slot.
     """
     d = np.asarray(thresholds, dtype=float)
-    x = alloc.selected.astype(float)
+    x = alloc.astype(float)
     wb = evaluate_allocation(realization, alloc)
     return float(
         penalty_bound_B(d)

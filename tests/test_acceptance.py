@@ -70,7 +70,7 @@ def test_c1_solver_oracle_equivalence():
         for res in (solve_exact(inst), branch_and_bound(inst, node_budget=1 << 16)):
             if abs(res.objective - oracle_obj) > TOL:
                 mismatches += 1
-            if res.alloc.selected.tolist() != oracle_alloc.selected.tolist():
+            if res.selected.tolist() != oracle_alloc.tolist():
                 mismatches += 1
             if not res.exact:
                 mismatches += 1
@@ -169,7 +169,7 @@ def test_c4_policy_equivalences():
         queue_state = QueueState(phi * lam, phi=phi)
         a = dual_allocate(dual_state, realization, options=SolveOptions(mode="exact"))
         b = lyapunov_allocate(queue_state, realization, options=SolveOptions(mode="exact"))
-        agree += a.selected.tolist() == b.selected.tolist()
+        agree += a.tolist() == b.tolist()
 
     # (b) the truthful auction reproduces the queue policy's trace
     slots = list(realization_stream(cfg, 500))
@@ -225,7 +225,7 @@ def test_c5_truthfulness():
         rep = truthfulness_sweep(real, factors, costs, user, grid)
         max_regret = max(max_regret, rep.regret)
         outcome = run_auction_slot(factors, real, costs)
-        for u in outcome.alloc.indices():
+        for u in np.flatnonzero(outcome.selected):
             min_ir_margin = min(min_ir_margin, outcome.payments[u] - costs[u])
         winning = rep.payments[rep.selected]
         if plan == "cheap" and winning.size >= 2 and np.ptp(winning) <= TOL:

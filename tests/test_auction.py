@@ -13,7 +13,7 @@ from sensecourt.auction import (
 )
 from sensecourt.policy_lyapunov import QueueState, queue_update
 from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many, solve_exact
-from sensecourt.world import Allocation, evaluate_allocation
+from sensecourt.world import evaluate_allocation
 
 from oracle_engine import auction_slot_alone
 from test_world import make_realization
@@ -39,7 +39,7 @@ class TestSingleBidder:
     def test_profitable_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[2.0])
         outcome = run_auction_slot(np.zeros(1), real, np.array([2.0]))
-        assert outcome.alloc.selected[0]
+        assert outcome.selected[0]
         assert outcome.payments[0] == pytest.approx(5.0, abs=TOL)
         # utility against the true cost of 2 is +3
         assert outcome.payments[0] - 2.0 == pytest.approx(3.0, abs=TOL)
@@ -47,7 +47,7 @@ class TestSingleBidder:
     def test_loss_making_single_user(self):
         real = make_realization(6, [set(range(5))], costs=[6.0])
         outcome = run_auction_slot(np.zeros(1), real, np.array([6.0]))
-        assert not outcome.alloc.selected[0]
+        assert not outcome.selected[0]
         assert outcome.payments[0] == 0.0
 
 
@@ -55,7 +55,7 @@ class TestPivots:
     def test_two_disjoint_users_marginal_payment(self):
         real = make_realization(8, [{0, 1, 2}, {3, 4, 5, 6}], costs=[1.0, 1.0])
         outcome = run_auction_slot(np.zeros(2), real, real.true_costs)
-        assert outcome.alloc.selected.tolist() == [True, True]
+        assert outcome.selected.tolist() == [True, True]
         # payment to user 0: value 7 - others' cost 1 - welfare without (3) = 3
         assert outcome.payments[0] == pytest.approx(3.0, abs=TOL)
         assert outcome.payments[1] == pytest.approx(4.0, abs=TOL)
@@ -68,8 +68,8 @@ class TestPivots:
             outcome = run_auction_slot(factors, real, real.true_costs)
             kappa = real.true_costs - factors
             weights = real.weights.values
-            winners = outcome.alloc.indices()
-            value = evaluate_allocation(real, outcome.alloc).value
+            winners = np.flatnonzero(outcome.selected)
+            value = evaluate_allocation(real, outcome.selected).value
             for u in winners.tolist():
                 # independent leave-one-out optimum over all subsets
                 best = 0.0
@@ -93,14 +93,14 @@ class TestPivots:
             real, factors = random_auction_instance(rng)
             outcome = run_auction_slot(factors, real, real.true_costs)
             assert np.all(np.isfinite(outcome.payments))
-            assert np.all(outcome.payments[~outcome.alloc.selected] == 0.0)
+            assert np.all(outcome.payments[~outcome.selected] == 0.0)
 
     def test_individual_rationality_under_truthful_bids(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
             real, factors = random_auction_instance(rng)
             outcome = run_auction_slot(factors, real, real.true_costs)
-            for u in outcome.alloc.indices():
+            for u in np.flatnonzero(outcome.selected):
                 assert outcome.payments[u] - real.true_costs[u] >= -TOL
 
     def test_pivot_rows_built_one_winner_at_a_time(self):
@@ -114,8 +114,8 @@ class TestPivots:
         factors = rng.uniform(0, 0.5, m)
         kappa = real.true_costs - factors
         (result,), objective = allocate_many(real, kappa[None], None, SolveOptions("exact", m))
-        solved = result.alloc, objective[0], evaluate_allocation(real, result.alloc).value
-        assert result.alloc.selected.sum() >= 8
+        solved = result.selected, objective[0], evaluate_allocation(real, result.selected).value
+        assert result.selected.sum() >= 8
         run_auction_slot(factors, real, real.true_costs, None, m, solved)  # warm caches
         tracemalloc.start()
         try:
@@ -125,7 +125,7 @@ class TestPivots:
             tracemalloc.stop()
         assert peak < 2 * objective[0].nbytes
         alloc, payments = auction_slot_alone(RegulationState(factors, 10.0), real, np.ones(m, bool))
-        assert outcome.alloc.selected.tobytes() == alloc.selected.tobytes()
+        assert outcome.selected.tobytes() == alloc.tobytes()
         assert outcome.payments.tobytes() == payments.tobytes()
 
     def test_refuses_oversized_instances(self):
@@ -144,7 +144,7 @@ class TestLeaveOneOutAssert:
             n = real.n_users
             kappa = real.true_costs - factors
             res = solve_exact(RegulatedInstance.of(real, kappa))
-            for u in res.alloc.indices():
+            for u in np.flatnonzero(res.selected):
                 u = int(u)
                 removed = set(real.regions[u].tolist())
                 rest_regions = [
@@ -159,7 +159,7 @@ class TestLeaveOneOutAssert:
                 eligible = np.ones(n, dtype=bool)
                 eligible[u] = False
                 best = solve_exact(RegulatedInstance(restricted, kappa, eligible))
-                rest_sel = res.alloc.selected.copy()
+                rest_sel = res.selected.copy()
                 rest_sel[u] = False
                 achieved = sum(
                     weights[g]
@@ -175,12 +175,12 @@ class TestLeaveOneOutAssert:
 class TestRegulationUpdate:
     def test_one_step_formula(self):
         state = RegulationState(np.array([0.2]), phi=10.0)
-        new = regulation_update(state, Allocation(np.array([True])), np.array([0.5]))
+        new = regulation_update(state, np.array([True]), np.array([0.5]))
         assert new.factors[0] == pytest.approx(0.15, abs=1e-12)
 
     def test_zero_fixed_point(self):
         state = RegulationState(np.array([0.0]), phi=10.0)
-        new = regulation_update(state, Allocation(np.array([False])), np.array([0.0]))
+        new = regulation_update(state, np.array([False]), np.array([0.0]))
         assert new.factors[0] == 0.0
 
     def test_scaled_trace_equals_queue_trace(self):
@@ -191,7 +191,7 @@ class TestRegulationUpdate:
         reg = RegulationState(np.zeros(n), phi=phi)
         queue = QueueState(np.zeros(n), phi=phi)
         for _ in range(60):
-            alloc = Allocation(rng.random(n) < 0.5)
+            alloc = rng.random(n) < 0.5
             reg = regulation_update(reg, alloc, d)
             queue = queue_update(queue, alloc, d)
             assert np.allclose(phi * reg.factors, queue.backlogs, atol=1e-12)
@@ -225,7 +225,7 @@ class TestTruthfulnessSweep:
             bids = real.true_costs.copy()
             bids[user] = bid
             outcome = run_auction_slot(factors, real, bids)
-            assert bool(outcome.alloc.selected[user]) == bool(report.selected[i])
+            assert bool(outcome.selected[user]) == bool(report.selected[i])
             assert outcome.payments[user] == pytest.approx(
                 report.payments[i] if report.selected[i] else 0.0, abs=TOL
             )

@@ -28,7 +28,7 @@ from sensecourt.solver import (
     subset_linear_table,
     subset_value_table,
 )
-from sensecourt.world import Allocation, GridMap, SlotRealization, evaluate_allocation
+from sensecourt.world import GridMap, SlotRealization, evaluate_allocation
 
 from oracle_engine import tiebreak_pick
 from oracle_subset import subset_value_table_loop
@@ -62,7 +62,7 @@ def oracle_joint_enumerate(slots, trace):
         welfare = 0.0
         for k, s in enumerate(plan):
             sel = np.array([(s >> u) & 1 for u in range(n)], dtype=bool)
-            welfare += evaluate_allocation(slots[k], Allocation(sel)).welfare
+            welfare += evaluate_allocation(slots[k], sel).welfare
             counts += sel
         if np.all(counts / t >= trace.thresholds - 1e-12):
             if best is None or welfare > best + 1e-15:
@@ -84,7 +84,7 @@ class TestBruteforce:
         res = solve_complete_bruteforce(trace)
         assert np.allclose(res.per_user_alloc_prob, 1.0)
         expected = sum(
-            evaluate_allocation(s, Allocation(np.ones(2, dtype=bool))).welfare
+            evaluate_allocation(s, np.ones(2, dtype=bool)).welfare
             for s in slots
         ) / 2
         assert res.avg_welfare == pytest.approx(expected, abs=1e-9)
@@ -353,7 +353,7 @@ class TestUnconstrained:
         trace = Trace(tuple(slots), np.zeros(3))
         res = unconstrained_trace_welfare(trace)
         expected = sum(
-            evaluate_allocation(s, Allocation(np.ones(3, dtype=bool))).value
+            evaluate_allocation(s, np.ones(3, dtype=bool)).value
             for s in slots
         ) / 3
         assert res.avg_welfare == pytest.approx(expected, abs=1e-9)
@@ -388,7 +388,7 @@ class TestUnconstrained:
         for slot in slots:
             res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
             total += res.objective
-            selections += res.alloc.selected
+            selections += res.selected
         assert np.float64(result.avg_welfare).view(np.int64) == np.float64(
             total / 30
         ).view(np.int64)
@@ -437,7 +437,7 @@ class TestUnconstrained:
         for slot, row in zip(slots, tables):
             s = tiebreak_pick(row)  # the first near-max column in tie-break order
             res = solve_exact(RegulatedInstance.of(slot, slot.true_costs))
-            assert s == int(res.alloc.selected @ (1 << np.arange(6)))
+            assert s == int(res.selected @ (1 << np.arange(6)))
             assert np.float64(row[s]).view(np.int64) == np.float64(res.objective).view(np.int64)
 
     def test_dominates_constrained(self):

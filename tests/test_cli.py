@@ -489,6 +489,15 @@ class TestFailBeforeWork:
             ("simulate", "policies", [{"kind": "auction", "phi": 1e-308}], "phi = 1e-308"),
             # and alpha <= 7.2e305
             ("simulate", "policies", [{"kind": "radp_vpc", "alpha": 1e308}], "alpha = 1e+308"),
+            # 150 iterations of 5 users over 25 slots at D = 0.5 take a step coeff <= 8e303
+            (
+                "benchmark",
+                "benchmark",
+                {"step": {"kind": "constant", "coeff": 1e308}},
+                "benchmark.step coeff = 1e+308",
+            ),
+            # a slot here costs at most 0.4 * 0.5 * 64 * 1.2 = 15.36
+            ("truthcheck", "truthcheck", {"bid_span": 1e308}, "truthcheck.bid_span = 1e+308"),
         ],
     )
     def test_refused_with_error_line(

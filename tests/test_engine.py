@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -224,6 +225,24 @@ class TestLockstep:
 SMALLEST_PHI = 2 * 5 * 26 * 0.5 / np.finfo(float).max
 # the largest radp_vpc alpha whose credits cannot overflow: 25 slots of 5 users
 LARGEST_ALPHA = np.finfo(float).max / (2 * 5 * 25)
+# the largest dual step coefficients whose multipliers cannot overflow: 400
+# slots of 3 users at D = 0.9, so float max / (2 n) over max D times the
+# steps' sum, T or 1 + ln T
+LARGEST_STEP = {
+    "constant": np.finfo(float).max / 6 / (0.9 * 400),
+    "harmonic": np.finfo(float).max / 6 / (0.9 * (1.0 + math.log(400))),
+}
+
+
+def dual_run(kind, coeff, mode, stream=None):
+    """The dual policy of the given step on 400 slots of 3 users at D = 0.9,
+    nobody dropping: the setting where a multiplier rises furthest."""
+    cfg = ScenarioConfig(map=GridMap(4, 4, 200.0), n_users=3, seed=1)
+    return run_policy(
+        realization_stream(cfg, 400) if stream is None else stream(cfg, 400),
+        PolicySpec("dual", schedule=StepSchedule(kind, coeff)), np.full(3, 0.9), 1,
+        solver=SolveOptions(mode), dropping=False, t_slots=400,
+    )
 
 
 def counting_stream(cfg, t_slots, calls):
@@ -382,6 +401,42 @@ class TestFailBeforeWork:
                 cfg, PolicySpec("radp_vpc", alpha=LARGEST_ALPHA), 25, 0, 0.5, SolveOptions(mode)
             )
         assert np.isfinite(vpc.regulation).all() and np.isfinite(vpc.welfare_series).all()
+
+    @pytest.mark.parametrize(
+        "kind, coeff",
+        [
+            ("constant", 1e308),  # used to overflow in exact mode
+            ("constant", np.nextafter(LARGEST_STEP["constant"], np.inf)),
+            ("harmonic", np.nextafter(LARGEST_STEP["harmonic"], np.inf)),
+        ],
+    )
+    def test_step_whose_multipliers_can_overflow_refused_before_first_slot(self, kind, coeff):
+        calls = []
+        match = re.escape(
+            f"policy dual: step coeff = {coeff:g} lets its multipliers overflow over 400 slots; "
+            f"coeff must be at most {LARGEST_STEP[kind]:.17g}"
+        )
+        with pytest.raises(ValueError, match=match):
+            dual_run(kind, coeff, "exact", lambda cfg, t: counting_stream(cfg, t, calls))
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["exact", "greedy", "bnb"])
+    @pytest.mark.parametrize("kind", ["constant", "harmonic"])
+    def test_largest_accepted_step_runs_without_overflow(self, kind, mode):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dual = dual_run(kind, LARGEST_STEP[kind], mode)
+        assert np.isfinite(dual.regulation).all() and np.isfinite(dual.welfare_series).all()
+
+    def test_step_bound_past_float_max_refuses_no_finite_step(self):
+        # one slot of one user at D = 0.2: the largest coefficient, float max / 2
+        # over 0.2, is past float max, and 1e308 keeps the multiplier finite
+        cfg = desk_config(n_users=1)
+        spec = PolicySpec("dual", schedule=StepSchedule.harmonic(1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            dual = run_policy(realization_stream(cfg, 1), spec, [0.2], 0, t_slots=1)
+        assert np.isfinite(dual.final_policy_state.multipliers).all()
 
     @pytest.mark.parametrize("actual", [4, 6])
     def test_stream_length_must_match_horizon(self, actual):

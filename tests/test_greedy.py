@@ -68,7 +68,7 @@ def assert_rows_match_oracle(real, charges, eligible):
     assert objective is None and len(results) == len(charges)
     for row, got in zip(charges, results):
         want = solve_greedy_loop(RegulatedInstance(real, row, eligible))
-        assert got.alloc.selected.tobytes() == want.alloc.selected.tobytes()
+        assert got.selected.tobytes() == want.selected.tobytes()
         assert got.objective.hex() == want.objective.hex()
         assert got.exact is False
     return results
@@ -131,13 +131,13 @@ class TestGreedyRouteMatchesOracle:
         (got,) = assert_rows_match_oracle(real, charges, np.ones(4, dtype=bool))
         # user 0: 6 + 1; user 2: grid 3 only, 0.5 + 0.5; user 3: grids 4 and
         # 5, 1.75 - 0.25; user 1: nothing left, 0 - 0.5, not taken
-        assert got.alloc.selected.tolist() == [True, False, True, True]
+        assert got.selected.tolist() == [True, False, True, True]
         assert got.objective == 7.0 + 1.0 + 1.5
 
     def test_equal_gains_go_to_the_lowest_index(self):
         real, charges = fixed_case("equal_gains")
         results = assert_rows_match_oracle(real, charges, np.ones(4, dtype=bool))
-        assert [r.alloc.selected.tolist() for r in results] == [[True, True, True, False]] * 2
+        assert [r.selected.tolist() for r in results] == [[True, True, True, False]] * 2
 
 
 class TestGreedyMetamorphic:
@@ -155,7 +155,7 @@ class TestGreedyMetamorphic:
             once, _ = allocate_many(real, charges, eligible, GREEDY)
             twice, _ = allocate_many(double, 2.0 * charges, eligible, GREEDY)
             for a, b in zip(once, twice):
-                assert a.alloc.selected.tobytes() == b.alloc.selected.tobytes()
+                assert a.selected.tobytes() == b.selected.tobytes()
                 assert b.objective.hex() == (2.0 * a.objective).hex()
 
     @settings(max_examples=100, deadline=None)
@@ -174,7 +174,7 @@ class TestGreedyMetamorphic:
                 GREEDY,
             )
             for a, b in zip(base, more):
-                assert b.alloc.selected.tolist() == a.alloc.selected.tolist() + [False]
+                assert b.selected.tolist() == a.selected.tolist() + [False]
                 assert b.objective.hex() == a.objective.hex()
 
 
@@ -188,7 +188,7 @@ class TestRandomBaselineMatchesOracle:
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = random_baseline_step(real, mask, got_rng)
             want = random_baseline_loop(real, mask, want_rng)
-            assert got.selected.tobytes() == want.selected.tobytes()
+            assert got.tobytes() == want.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

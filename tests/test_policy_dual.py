@@ -4,7 +4,6 @@ import pytest
 from sensecourt.policy_dual import DualState, StepSchedule, dual_allocate, dual_update
 from sensecourt.policy_lyapunov import QueueState, lyapunov_allocate
 from sensecourt.solver import RegulatedInstance, SolveOptions, solve_exact
-from sensecourt.world import Allocation
 
 from test_solver import random_instance
 
@@ -59,7 +58,7 @@ class TestDualAllocate:
             state = DualState.initial(real.n_users)
             alloc = dual_allocate(state, real, options=SolveOptions(mode="exact"))
             plain = solve_exact(RegulatedInstance.of(real, real.true_costs))
-            assert alloc.selected.tolist() == plain.alloc.selected.tolist()
+            assert alloc.tolist() == plain.selected.tolist()
 
     def test_negative_regulated_cost_selects_empty_region_user(self):
         rng = np.random.default_rng(1)
@@ -79,7 +78,7 @@ class TestDualAllocate:
             real.true_costs,
         )
         alloc = dual_allocate(state, real2, options=SolveOptions(mode="exact"))
-        assert alloc.selected[0]
+        assert alloc[0]
 
     def test_matches_lyapunov_at_scaled_queues(self):
         rng = np.random.default_rng(2)
@@ -92,7 +91,7 @@ class TestDualAllocate:
             queue_state = QueueState(backlogs=phi * lam, phi=phi)
             a = dual_allocate(dual_state, real, options=SolveOptions(mode="exact"))
             b = lyapunov_allocate(queue_state, real, options=SolveOptions(mode="exact"))
-            assert a.selected.tolist() == b.selected.tolist()
+            assert a.tolist() == b.tolist()
 
 
 class TestDualUpdate:
@@ -102,7 +101,7 @@ class TestDualUpdate:
         state = state_with(
             [0.3], slot_index=5, cum=np.array([1]), schedule=StepSchedule.constant(0.1)
         )
-        alloc = Allocation(np.array([True]))
+        alloc = np.array([True])
         new = dual_update(state, alloc, np.array([0.5]))
         assert new.multipliers[0] == pytest.approx(0.31, abs=1e-12)
         assert new.slot_index == 6
@@ -112,7 +111,7 @@ class TestDualUpdate:
         state = state_with(
             [0.05], slot_index=1, schedule=StepSchedule.constant(0.1)
         )
-        new = dual_update(state, Allocation(np.array([True])), np.array([0.0]))
+        new = dual_update(state, np.array([True]), np.array([0.0]))
         assert new.multipliers[0] == 0.0
 
     def test_zero_thresholds_keep_lambda_zero(self):
@@ -120,7 +119,7 @@ class TestDualUpdate:
         state = DualState.initial(4)
         thresholds = np.zeros(4)
         for t in range(50):
-            alloc = Allocation(rng.random(4) < 0.5)
+            alloc = rng.random(4) < 0.5
             state = dual_update(state, alloc, thresholds)
             assert np.all(state.multipliers == 0.0)
 
@@ -129,6 +128,6 @@ class TestDualUpdate:
         state = DualState.initial(5, StepSchedule.constant(0.7))
         thresholds = rng.random(5)
         for t in range(200):
-            alloc = Allocation(rng.random(5) < 0.3)
+            alloc = rng.random(5) < 0.3
             state = dual_update(state, alloc, thresholds)
             assert np.all(state.multipliers >= 0.0)

@@ -10,7 +10,6 @@ from sensecourt.policy_lyapunov import (
     queue_update,
 )
 from sensecourt.solver import RegulatedInstance, SolveOptions, solve_exact
-from sensecourt.world import Allocation
 
 from oracle_lyapunov import drift_plus_penalty_diag, lyapunov_drift, lyapunov_function
 from test_solver import random_instance
@@ -31,18 +30,18 @@ class TestQueueState:
 class TestQueueUpdate:
     def test_one_step_formula(self):
         state = QueueState(np.array([2.0]), phi=1.0)
-        new = queue_update(state, Allocation(np.array([True])), np.array([0.5]))
+        new = queue_update(state, np.array([True]), np.array([0.5]))
         assert new.backlogs[0] == pytest.approx(1.5)
 
     def test_projection_active(self):
         state = QueueState(np.array([0.3]), phi=1.0)
-        new = queue_update(state, Allocation(np.array([True])), np.array([0.5]))
+        new = queue_update(state, np.array([True]), np.array([0.5]))
         assert new.backlogs[0] == pytest.approx(0.5)
 
     def test_zero_fixed_point(self):
         state = QueueState(np.array([0.0]), phi=1.0)
         for _ in range(10):
-            state = queue_update(state, Allocation(np.array([False])), np.array([0.0]))
+            state = queue_update(state, np.array([False]), np.array([0.0]))
         assert state.backlogs[0] == 0.0
 
     def test_backlogs_stay_nonnegative(self):
@@ -50,7 +49,7 @@ class TestQueueUpdate:
         state = QueueState.initial(4, phi=5.0)
         d = rng.random(4)
         for _ in range(100):
-            state = queue_update(state, Allocation(rng.random(4) < 0.5), d)
+            state = queue_update(state, rng.random(4) < 0.5, d)
             assert np.all(state.backlogs >= 0)
 
 
@@ -73,7 +72,7 @@ class TestAllocate:
         state = QueueState.initial(real.n_users, phi=3.0)
         alloc = lyapunov_allocate(state, real, options=SolveOptions(mode="exact"))
         plain = solve_exact(RegulatedInstance.of(real, real.true_costs))
-        assert alloc.selected.tolist() == plain.alloc.selected.tolist()
+        assert alloc.tolist() == plain.selected.tolist()
 
     def test_large_backlog_selects_empty_region_user(self):
         from test_world import make_realization
@@ -81,7 +80,7 @@ class TestAllocate:
         real = make_realization(4, [set(), {0, 1}], costs=[0.5, 0.2])
         state = QueueState(np.array([10.0, 0.0]), phi=2.0)
         alloc = lyapunov_allocate(state, real, options=SolveOptions(mode="exact"))
-        assert alloc.selected[0]
+        assert alloc[0]
 
 
 class TestDriftPlusPenalty:
@@ -91,7 +90,7 @@ class TestDriftPlusPenalty:
         real = make_realization(2, [], weights=[1.0, 1.0], costs=[])
         state = QueueState(np.zeros(0), phi=1.0)
         value = drift_plus_penalty_diag(
-            state, Allocation(np.zeros(0, dtype=bool)), real, np.zeros(0)
+            state, np.zeros(0, dtype=bool), real, np.zeros(0)
         )
         assert value == 0.0
 
@@ -106,7 +105,7 @@ class TestDriftPlusPenalty:
             chosen = lyapunov_allocate(state, real, options=SolveOptions(mode="exact"))
             bound_at = drift_plus_penalty_diag(state, chosen, real, d)
             for bits in itertools.product([False, True], repeat=n):
-                other = Allocation(np.array(bits))
+                other = np.array(bits)
                 assert bound_at <= drift_plus_penalty_diag(
                     state, other, real, d
                 ) + 1e-9
@@ -118,7 +117,7 @@ class TestDriftPlusPenalty:
         n = real.n_users
         d = rng.random(n)
         state = QueueState(np.zeros(n), phi=1.0)
-        alloc = Allocation(rng.random(n) < 0.5)
+        alloc = rng.random(n) < 0.5
         from sensecourt.world import evaluate_allocation
 
         expected = penalty_bound_B(d) - evaluate_allocation(real, alloc).welfare

@@ -17,7 +17,7 @@ from sensecourt.solver import (
     solve_greedy,
     tiebreak_key,
 )
-from sensecourt.world import Allocation, evaluate_allocation
+from sensecourt.world import evaluate_allocation
 
 from oracle_engine import objective_alone, solve_exact_alone
 from oracle_subset import tiebreak_tables
@@ -54,7 +54,7 @@ def oracle_enumerate(inst):
     sel = np.zeros(real.n_users, dtype=bool)
     for u in winner[2]:
         sel[u] = True
-    return Allocation(sel), winner[0]
+    return sel, winner[0]
 
 
 def random_instance(rng, n_max=6, grids_max=20, tie_prone=False):
@@ -86,20 +86,20 @@ class TestSolveExact:
         res = solve_exact(inst)
         assert res.exact
         assert res.objective == pytest.approx(0.5, abs=TOL)
-        assert res.alloc.indices().tolist() == [0]  # lexicographic tie-break
+        assert np.flatnonzero(res.selected).tolist() == [0]  # lexicographic tie-break
 
     def test_negative_charge_forces_selection(self):
         real = make_realization(6, [set(range(5))])
         inst = RegulatedInstance.of(real, np.array([-1.0]))
         res = solve_exact(inst)
-        assert res.alloc.selected[0]
+        assert res.selected[0]
         assert res.objective == pytest.approx(6.0, abs=TOL)
 
     def test_all_loss_making_disjoint_users(self):
         real = make_realization(6, [{0, 1}, {2, 3}], costs=[5.0, 5.0])
         inst = RegulatedInstance.of(real, real.true_costs)
         res = solve_exact(inst)
-        assert res.alloc.indices().size == 0
+        assert not res.selected.any()
         assert res.objective == 0.0
 
     def test_capacity_error(self):
@@ -113,7 +113,7 @@ class TestSolveExact:
         real = make_realization(4, [{0, 1}, {2, 3}])
         inst = RegulatedInstance(real, np.array([-1.0, -1.0]), np.array([False, True]))
         res = solve_exact(inst)
-        assert res.alloc.selected.tolist() == [False, True]
+        assert res.selected.tolist() == [False, True]
 
 
 class TestSolveGreedy:
@@ -123,7 +123,7 @@ class TestSolveGreedy:
         real = make_realization(12, regions)
         inst = RegulatedInstance.of(real, np.array([0.0, 0.1, 0.1]))
         res = solve_greedy(inst)
-        assert res.alloc.indices().tolist() == [0, 2]
+        assert np.flatnonzero(res.selected).tolist() == [0, 2]
         assert res.objective == pytest.approx(11.9, abs=TOL)
         assert not res.exact
 
@@ -131,7 +131,7 @@ class TestSolveGreedy:
         real = make_realization(3, [{0}])
         inst = RegulatedInstance(real, np.zeros(1), np.zeros(1, dtype=bool))
         res = solve_greedy(real and inst)
-        assert res.alloc.indices().size == 0
+        assert not res.selected.any()
         assert res.objective == 0.0
 
     def test_never_beats_exact(self):
@@ -147,8 +147,8 @@ class TestSolveGreedy:
         real = make_realization(4, [set(), {0}], costs=[0.0, 0.0])
         inst = RegulatedInstance.of(real, np.array([-0.2, 3.0]))
         res = solve_greedy(inst)
-        assert res.alloc.selected[0]  # empty region, still profitable
-        assert not res.alloc.selected[1]
+        assert res.selected[0]  # empty region, still profitable
+        assert not res.selected[1]
 
     def test_at_least_best_singleton_and_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -159,9 +159,8 @@ class TestSolveGreedy:
             res = solve_greedy(inst)
             assert res.objective >= -TOL
             for u in np.flatnonzero(inst.eligible):
-                singleton = evaluate_allocation(
-                    inst.realization, Allocation.of(inst.realization.n_users, [u])
-                ).value - kappa[u]
+                alone = np.arange(inst.realization.n_users) == u
+                singleton = evaluate_allocation(inst.realization, alone).value - kappa[u]
                 assert res.objective >= singleton - TOL
 
 
@@ -174,7 +173,7 @@ class TestBranchAndBound:
             bnb = branch_and_bound(inst, node_budget=1 << 14)
             assert bnb.exact
             assert bnb.objective == pytest.approx(exact.objective, abs=TOL)
-            assert bnb.alloc.selected.tolist() == exact.alloc.selected.tolist()
+            assert bnb.selected.tolist() == exact.selected.tolist()
 
     def test_budget_exhaustion_returns_greedy_incumbent(self):
         rng = np.random.default_rng(3)
@@ -189,7 +188,7 @@ class TestBranchAndBound:
         inst = RegulatedInstance.of(real, real.true_costs)
         res = branch_and_bound(inst, node_budget=1)
         assert res.exact
-        assert res.alloc.indices().size == 0
+        assert not res.selected.any()
         assert res.objective == 0.0
 
 
@@ -201,15 +200,15 @@ class TestOracleEquivalence:
             res = solve_exact(inst)
             oracle_alloc, oracle_obj = oracle_enumerate(inst)
             assert res.objective == pytest.approx(oracle_obj, abs=TOL)
-            assert res.alloc.selected.tolist() == oracle_alloc.selected.tolist()
+            assert res.selected.tolist() == oracle_alloc.tolist()
 
     def test_objective_consistency_with_world(self):
         rng = np.random.default_rng(9)
         for _ in range(40):
             inst = random_instance(rng)
             res = solve_exact(inst)
-            wb = evaluate_allocation(inst.realization, res.alloc)
-            recomputed = wb.value - inst.effective_costs[res.alloc.selected].sum()
+            wb = evaluate_allocation(inst.realization, res.selected)
+            recomputed = wb.value - inst.effective_costs[res.selected].sum()
             assert res.objective == pytest.approx(recomputed, abs=TOL)
 
     def test_regulation_monotonicity_at_argmax(self):
@@ -218,14 +217,14 @@ class TestOracleEquivalence:
         for _ in range(80):
             inst = random_instance(rng)
             res = solve_exact(inst)
-            selected = res.alloc.indices()
+            selected = np.flatnonzero(res.selected)
             if selected.size == 0:
                 continue
             u = int(rng.choice(selected))
             kappa = inst.effective_costs.copy()
             kappa[u] -= rng.random() * 2 + 1e-3
             lowered = solve_exact(RegulatedInstance(inst.realization, kappa, inst.eligible))
-            assert lowered.alloc.selected[u]
+            assert lowered.selected[u]
             checked += 1
         assert checked > 20
 
@@ -352,7 +351,7 @@ def route_solver(route, options):
 
 
 def assert_same_result(got, want):
-    assert got.alloc.selected.tobytes() == want.alloc.selected.tobytes()
+    assert got.selected.tobytes() == want.selected.tobytes()
     assert bits(got.objective) == bits(want.objective)
     assert got.exact is want.exact
 
@@ -360,7 +359,7 @@ def assert_same_result(got, want):
 def assert_read_only_selection(result, n):
     """A solver keeps the selection it built without a checked copy; it must
     still be a read-only bool array of n."""
-    selected = result.alloc.selected
+    selected = result.selected
     assert selected.dtype == bool and selected.shape == (n,)
     assert not selected.flags.writeable
 
@@ -425,7 +424,7 @@ class TestAllocateMany:
         charges = np.array([[0.5, 0.5]])
         (result,), objective = allocate_many(real, charges, eligible, ROUTES[name])
         assert_read_only_selection(result, 2)
-        assert not result.alloc.selected.any() and result.objective == 0.0
+        assert not result.selected.any() and result.objective == 0.0
         assert_same_result(result, solve(RegulatedInstance(real, charges[0], eligible), ROUTES[name]))
         if ROUTES[name].route(0) == "exact":
             assert objective.tolist() == [[0.0]]

@@ -124,7 +124,7 @@ def test_every_caller_picks_as_the_tie_ordered_oracle(slots, data):
         outcome = run_callers(slots, data)
     callers = {caller for caller, *_ in calls}
     assert {"solver", "benchmark"} <= callers
-    assert "auction" in callers or not outcome.alloc.selected.any()
+    assert "auction" in callers or not outcome.selected.any()
     for caller, scored, add, (best, picks, runner) in calls:
         obj = scored + add
         assert not np.any((obj == 0.0) & np.signbit(obj)), caller
@@ -149,7 +149,7 @@ def run_callers(slots, data):
     results, _ = allocate_many(slots[0], charges, eligible, SolveOptions("exact", n))
     for row, got in zip(charges, results):
         want = solve_exact_alone(RegulatedInstance(slots[0], row, eligible))
-        assert got.alloc.selected.tobytes() == want.alloc.selected.tobytes()
+        assert got.selected.tobytes() == want.selected.tobytes()
         assert got.objective.hex() == want.objective.hex()
 
     factors = np.array(data.draw(st.lists(st.sampled_from(FACTORS), min_size=n, max_size=n)))
@@ -157,7 +157,7 @@ def run_callers(slots, data):
         factors = np.abs(slots[0].true_costs)
     outcome = run_auction_slot(factors, slots[0], slots[0].true_costs, eligible, n)
     alloc, payments = auction_slot_alone(RegulationState(factors, 1.0), slots[0], eligible)
-    assert outcome.alloc.selected.tobytes() == alloc.selected.tobytes()
+    assert outcome.selected.tobytes() == alloc.tobytes()
     assert outcome.payments.tobytes() == payments.tobytes()
 
     t = data.draw(st.integers(1, 12))

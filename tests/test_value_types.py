@@ -13,16 +13,21 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sensecourt.auction import RegulationState, run_auction_slot, truthfulness_sweep
-from sensecourt.baselines import VpcState, random_baseline_step
+from sensecourt.auction import (
+    RegulationState,
+    regulation_update,
+    run_auction_slot,
+    truthfulness_sweep,
+)
+from sensecourt.baselines import VpcState, random_baseline_step, vpc_update
 from sensecourt.benchmark import Trace
 from sensecourt.cli import ExperimentConfig, load_config
 from sensecourt.engine import PolicySpec, run_policy
-from sensecourt.policy_dual import DualState, StepSchedule
-from sensecourt.policy_lyapunov import QueueState, penalty_bound_B
+from sensecourt.policy_dual import DualState, StepSchedule, dual_update
+from sensecourt.policy_lyapunov import QueueState, penalty_bound_B, queue_update
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many
-from sensecourt.world import Allocation, GridMap, SlotRealization, WeightField
+from sensecourt.world import GridMap, SlotRealization, WeightField, evaluate_allocation
 
 from test_world import make_realization
 
@@ -34,6 +39,9 @@ SCENARIO = ScenarioConfig(map=GridMap(2, 2, 100.0), n_users=4)
 COSTS = np.array([0.5, 0.25, 1.0, 0.0])
 MASK = np.array([True, False, True, True])
 THRESHOLDS = np.array([0.0, 0.5, 1.0, 0.25])
+# REAL's exact objective row at FACTORS and the value of MASK, for a solved auction slot
+OBJECTIVE = allocate_many(REAL, COSTS[None], None, SolveOptions("exact"))[1][0]
+VALUE = evaluate_allocation(REAL, MASK).value
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,32 @@ CASES = {
         lambda o: o.true_costs,
         nonneg=True,
     ),
-    "Allocation.selected": Case("selected", MASK, Allocation, lambda o: o.selected),
+    "evaluate_allocation.selected": Case(
+        "selected", MASK, lambda s: evaluate_allocation(REAL, s), per_user=True
+    ),
+    "run_auction_slot.solved": Case(
+        "selected",
+        MASK,
+        lambda s: run_auction_slot(FACTORS, REAL, COSTS, solved=(s, OBJECTIVE, VALUE)),
+        lambda o: o.selected,
+        per_user=True,
+    ),
+    "dual_update.selected": Case(
+        "selected", MASK, lambda s: dual_update(DualState.initial(4), s, THRESHOLDS), per_user=True
+    ),
+    "queue_update.selected": Case(
+        "selected", MASK, lambda s: queue_update(QueueState.initial(4, 2.0), s, THRESHOLDS),
+        per_user=True,
+    ),
+    "regulation_update.selected": Case(
+        "selected",
+        MASK,
+        lambda s: regulation_update(RegulationState(FACTORS, 2.0), s, THRESHOLDS),
+        per_user=True,
+    ),
+    "vpc_update.selected": Case(
+        "selected", MASK, lambda s: vpc_update(VpcState.initial(4, 1.0), s), per_user=True
+    ),
     "RegulatedInstance.effective_costs": Case(
         "effective_costs",
         COSTS - 0.75,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sensecourt.world import (
-    Allocation,
     GridMap,
     SlotRealization,
     WeightField,
@@ -18,6 +17,13 @@ def make_realization(n_grids, regions, weights=None, costs=None):
     w = np.ones(n_grids) if weights is None else np.asarray(weights, dtype=float)
     c = np.zeros(len(regions)) if costs is None else np.asarray(costs, dtype=float)
     return SlotRealization(WeightField(w), [sorted(r) for r in regions], c)
+
+
+def selection(n_users, users=()):
+    """A selection of n_users flags with the given users selected."""
+    selected = np.zeros(n_users, dtype=bool)
+    selected[list(users)] = True
+    return selected
 
 
 def as_block(slots):
@@ -182,22 +188,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             make_realization(4, [{0}], costs=[-1.0])
 
-    def test_allocation_helpers(self):
-        alloc = Allocation.of(4, [1, 3])
-        assert alloc.indices().tolist() == [1, 3]
-        assert Allocation.none(3).indices().size == 0
-
 
 class TestCoverage:
     """With unit weights, the value of an allocation counts its covered grids."""
 
     def test_no_user_selected_empty(self):
         real = make_realization(5, [{0, 1}, {2}])
-        assert evaluate_allocation(real, Allocation.none(2)).value == 0.0
+        assert evaluate_allocation(real, selection(2)).value == 0.0
 
     def test_union(self):
         real = make_realization(5, [{1, 2}, {2, 3}])
-        assert evaluate_allocation(real, Allocation.of(2, [0, 1])).value == 3.0
+        assert evaluate_allocation(real, selection(2, [0, 1])).value == 3.0
 
     def test_overlap_vector_from_worked_example(self):
         # 20-grid and 9-grid regions sharing 3 grids cover 26 grids together
@@ -205,25 +206,25 @@ class TestCoverage:
         b = set(range(17, 26))
         assert len(a & b) == 3
         real = make_realization(30, [a, b])
-        assert evaluate_allocation(real, Allocation.of(2, [0, 1])).value == 26.0
+        assert evaluate_allocation(real, selection(2, [0, 1])).value == 26.0
 
     def test_dimension_mismatch(self):
         real = make_realization(5, [{0}])
         with pytest.raises(ValueError):
-            evaluate_allocation(real, Allocation.none(2))
+            evaluate_allocation(real, selection(2))
 
 
 class TestEvaluateAllocation:
     def test_empty_allocation(self):
         real = make_realization(5, [{0, 1}], costs=[3.0])
-        wb = evaluate_allocation(real, Allocation.none(1))
+        wb = evaluate_allocation(real, selection(1))
         assert (wb.value, wb.cost, wb.welfare) == (0.0, 0.0, 0.0)
 
     def test_overlap_instance_welfare(self):
         a = set(range(20))
         b = set(range(17, 26))
         real = make_realization(30, [a, b], costs=[4.0, 4.0])
-        wb = evaluate_allocation(real, Allocation.of(2, [0, 1]))
+        wb = evaluate_allocation(real, selection(2, [0, 1]))
         assert wb.value == 26.0
         assert wb.cost == 8.0
         assert wb.welfare == 18.0
@@ -241,7 +242,7 @@ class TestEvaluateAllocation:
             costs = rng.random(n_users) * 3
             real = make_realization(n_grids, regions, weights, costs)
             sel = rng.random(n_users) < 0.5
-            wb = evaluate_allocation(real, Allocation(sel))
+            wb = evaluate_allocation(real, sel)
             # independent recomputation straight from the definitions
             covered = set()
             for u in range(n_users):
@@ -261,10 +262,10 @@ class TestProperties:
         n = real.n_users
         sel = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         extra = data.draw(st.integers(0, n - 1))
-        base = evaluate_allocation(real, Allocation(sel)).value
+        base = evaluate_allocation(real, sel).value
         grown = sel.copy()
         grown[extra] = True
-        assert evaluate_allocation(real, Allocation(grown)).value >= base - 1e-12
+        assert evaluate_allocation(real, grown).value >= base - 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(small_instances(), st.data())
@@ -283,8 +284,8 @@ class TestProperties:
             with_u = sel.copy()
             with_u[user] = True
             return (
-                evaluate_allocation(real, Allocation(with_u)).value
-                - evaluate_allocation(real, Allocation(sel)).value
+                evaluate_allocation(real, with_u).value
+                - evaluate_allocation(real, sel).value
             )
 
         assert marginal(small) >= marginal(big) - 1e-9
@@ -304,11 +305,10 @@ class TestProperties:
             st.lists(st.floats(0, 5, allow_nan=False), min_size=n_grids, max_size=n_grids)
         )
         real = make_realization(n_grids, regions, weights)
-        alloc = Allocation(np.ones(n_users, dtype=bool))
-        total = evaluate_allocation(real, alloc).value
+        total = evaluate_allocation(real, np.ones(n_users, dtype=bool)).value
         assert total == pytest.approx(
             sum(
-                evaluate_allocation(real, Allocation.of(n_users, [u])).value
+                evaluate_allocation(real, selection(n_users, [u])).value
                 for u in range(n_users)
             ),
             rel=1e-12,
@@ -322,10 +322,10 @@ class TestProperties:
         sel = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         user = data.draw(st.integers(0, n - 1))
         sel[user] = False
-        base = evaluate_allocation(real, Allocation(sel)).cost
+        base = evaluate_allocation(real, sel).cost
         grown = sel.copy()
         grown[user] = True
-        assert evaluate_allocation(real, Allocation(grown)).cost == pytest.approx(
+        assert evaluate_allocation(real, grown).cost == pytest.approx(
             base + real.true_costs[user], rel=1e-12, abs=1e-12
         )
 
