@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -519,6 +520,20 @@ class TestFailBeforeWork:
         assert err.startswith("error: ") and key in err
         assert built == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["constant", "harmonic"])
+    def test_largest_accepted_benchmark_step_runs_without_overflow(self, tmp_path, kind):
+        # 150 iterations of 5 users over 25 slots at D = 0.5: float max over
+        # 2 max(150, 5 * 25) terms, over max D times the steps' sum
+        steps = 150 if kind == "constant" else 1.0 + math.log(150)
+        coeff = np.finfo(float).max / (2 * 150) / (0.5 * steps)
+        step = {"kind": kind, "coeff": coeff}
+        path = write_config(tmp_path, benchmark={"bruteforce": False, "step": step})
+        assert cmd_benchmark(str(path), out=str(tmp_path / "out")) == 0
+        step["coeff"] = np.nextafter(coeff, np.inf)
+        path = write_config(tmp_path, benchmark={"bruteforce": False, "step": step})
+        with pytest.raises(cli_mod.ConfigError, match=re.escape(f"at most {coeff:.17g}")):
+            cli_mod.load_config(path)
 
     @pytest.mark.parametrize("command", ["simulate", "benchmark", "truthcheck"])
     @pytest.mark.parametrize(

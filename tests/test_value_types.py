@@ -83,7 +83,9 @@ CASES = {
         "selected", MASK, lambda s: dual_update(DualState.initial(4), s, THRESHOLDS), per_user=True
     ),
     "queue_update.selected": Case(
-        "selected", MASK, lambda s: queue_update(QueueState.initial(4, 2.0), s, THRESHOLDS),
+        "selected",
+        MASK,
+        lambda s: queue_update(QueueState.initial(4, 2.0), s, THRESHOLDS),
         per_user=True,
     ),
     "regulation_update.selected": Case(
