@@ -46,7 +46,7 @@ from .world import SlotRealization, eligible_mask, evaluate_allocation, frozen_a
 
 __all__ = [
     "ExactPivotsRequiredError",
-    "RegulationState",
+    "check_phi",
     "AuctionOutcome",
     "TruthfulnessReport",
     "pivot_payment",
@@ -70,28 +70,12 @@ def require_exact_pivots(m: int, exact_limit: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class RegulationState:
-    """Per-user regulation factors r_n; phi * r_n evolves like a virtual queue."""
-
-    factors: np.ndarray
-    phi: float
-
-    def __post_init__(self):
-        if not (0 < self.phi < np.inf and 1 / float(self.phi) < np.inf):  # NaN fails
-            raise ValueError("phi must be a finite number > 0 whose inverse is finite")
-        object.__setattr__(self, "factors", frozen_array(self.factors, "factors", nonneg=True))
-
-    @property
-    def bonus(self) -> np.ndarray:
-        """The amount taken off each user's bid: its factor r_n."""
-        return self.factors
-
-    @classmethod
-    def initial(cls, thresholds: np.ndarray, phi: float) -> "RegulationState":
-        # one virtual arrival pre-loaded: phi * r0 = D, the backlog a zero
-        # queue reaches after its first update
-        return cls(factors=np.divide(thresholds, phi), phi=phi)
+def check_phi(phi) -> float:
+    """phi as a float, refused unless it is a finite number > 0 whose inverse
+    is finite; the lyapunov and auction policies divide by it."""
+    if not (0 < phi < np.inf and 1 / float(phi) < np.inf):  # NaN fails
+        raise ValueError("phi must be a finite number > 0 whose inverse is finite")
+    return float(phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,13 +115,12 @@ def run_auction_slot(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     solved: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> AuctionOutcome:
-    """Select on the bids regulated by the factors r_n (a RegulationState's
-    `factors`) and pay winners their pivots; regulation_step moves the
-    factors. Bids and factors are finite, non-negative, one per user. The
-    selection, a read-only bool array of one flag per user, and every pivot
-    come from one exact objective row of allocate_many; a caller that has
-    solved the slot on these regulated bids passes `solved`: the selection,
-    that row and the selection's value."""
+    """Select on the bids regulated by the factors r_n and pay winners their
+    pivots; regulation_step moves the factors. Bids and factors are finite,
+    non-negative, one per user. The selection, a read-only bool array of one
+    flag per user, and every pivot come from one exact objective row of
+    allocate_many; a caller that has solved the slot on these regulated bids
+    passes `solved`: the selection, that row and the selection's value."""
     n = realization.n_users
     factors = frozen_array(factors, "factors", nonneg=True, size=n)
     kappa = frozen_array(bids, "bids", nonneg=True, size=n) - factors
@@ -172,15 +155,17 @@ def regulation_step(r: np.ndarray, x: np.ndarray, d: np.ndarray, phi) -> np.ndar
 
 
 def regulation_update(
-    state: RegulationState,
+    factors: np.ndarray,
     selected: np.ndarray,
     thresholds: np.ndarray,
+    phi: float,
     eligible: np.ndarray | None = None,
-) -> RegulationState:
-    """regulation_step on one state; ineligible users' factors stay unchanged."""
-    selected = frozen_array(selected, "selected", bool, size=state.factors.size)
-    r = regulation_step(state.factors, selected, thresholds, state.phi)
-    return RegulationState(factors=freeze_ineligible(r, state.factors, eligible), phi=state.phi)
+) -> np.ndarray:
+    """regulation_step on one factor row; ineligible users' factors stay unchanged."""
+    r = frozen_array(factors, "factors", nonneg=True)
+    selected = frozen_array(selected, "selected", bool, size=r.size)
+    r_next = regulation_step(r, selected, thresholds, check_phi(phi))
+    return freeze_ineligible(r_next, r, eligible)
 
 
 def _tie_bands(base: np.ndarray, pos: int, floors: np.ndarray):

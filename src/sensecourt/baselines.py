@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .solver import SolveOptions, freeze_ineligible, regulated_allocate
@@ -12,7 +10,7 @@ from .streams import Stream
 from .world import SlotRealization, eligible_mask, frozen_array
 
 __all__ = [
-    "VpcState",
+    "check_alpha",
     "vpc_step",
     "vpc_update",
     "radp_vpc_step",
@@ -21,26 +19,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class VpcState:
-    """RADP-VPC virtual credits: losers gain alpha per slot, winners reset to 0."""
-
-    credits: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        if not 0 <= self.alpha < np.inf:  # NaN fails both
-            raise ValueError("alpha must be a finite number >= 0")
-        object.__setattr__(self, "credits", frozen_array(self.credits, "credits", nonneg=True))
-
-    @property
-    def bonus(self) -> np.ndarray:
-        """The amount taken off each user's cost: its credit."""
-        return self.credits
-
-    @classmethod
-    def initial(cls, n_users: int, alpha: float) -> "VpcState":
-        return cls(credits=np.zeros(n_users), alpha=alpha)
+def check_alpha(alpha) -> float:
+    """alpha, the credit a loser gains per slot, as a float: a finite number >= 0."""
+    if not 0 <= alpha < np.inf:  # NaN fails both
+        raise ValueError("alpha must be a finite number >= 0")
+    return float(alpha)
 
 
 def vpc_step(credits: np.ndarray, x: np.ndarray, alpha) -> np.ndarray:
@@ -49,34 +32,36 @@ def vpc_step(credits: np.ndarray, x: np.ndarray, alpha) -> np.ndarray:
 
 
 def vpc_update(
-    state: VpcState,
+    credits: np.ndarray,
     selected: np.ndarray,
-    thresholds: np.ndarray | None = None,
+    alpha: float,
     eligible: np.ndarray | None = None,
-) -> VpcState:
-    """vpc_step on one state; ineligible users keep their credits. thresholds
-    is unused; it keeps the common update signature."""
-    selected = frozen_array(selected, "selected", bool, size=state.credits.size)
-    credits = vpc_step(state.credits, selected, state.alpha)
-    return VpcState(freeze_ineligible(credits, state.credits, eligible), state.alpha)
+) -> np.ndarray:
+    """vpc_step on one credit row; ineligible users keep their credits."""
+    c = frozen_array(credits, "credits", nonneg=True)
+    selected = frozen_array(selected, "selected", bool, size=c.size)
+    return freeze_ineligible(vpc_step(c, selected, check_alpha(alpha)), c, eligible)
 
 
 def radp_vpc_step(
-    state: VpcState,
+    credits: np.ndarray,
+    alpha: float,
     realization: SlotRealization,
     eligible: np.ndarray | None = None,
     options: SolveOptions = SolveOptions(),
-) -> tuple[np.ndarray, VpcState]:
-    """Select with credit-discounted costs, then update the credits."""
-    selected = regulated_allocate(state, realization, eligible, options)
-    return selected, vpc_update(state, selected, eligible=eligible)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Select with credit-discounted costs, then update the credits: the
+    selection and the new credits."""
+    credits = frozen_array(credits, "credits", nonneg=True, size=realization.n_users)
+    selected = regulated_allocate(credits, realization, eligible, options)
+    return selected, vpc_update(credits, selected, alpha, eligible)
 
 
 def greedy_baseline_step(
     realization: SlotRealization, eligible: np.ndarray | None = None
 ) -> np.ndarray:
     """Admit users in descending marginal-welfare order while the gain is positive."""
-    return regulated_allocate(None, realization, eligible, SolveOptions(mode="greedy"))
+    return regulated_allocate(0.0, realization, eligible, SolveOptions(mode="greedy"))
 
 
 def random_baseline_step(

@@ -140,15 +140,19 @@ class ExperimentConfig:
         # the benchmark sums `iterations` iterates, n multipliers to a subset,
         # t_slots row maxima of such sums, and moves of at most 6 n multipliers
         step, iterations = self.benchmark.step, self.benchmark.iterations
-        if step is not None:
-            terms = max(iterations, n * max(6, self.t_slots))
-            limit = sys.float_info.max / (2 * terms)
-            coeff_max = largest_step_coeff(step.kind, float(thr.max()), iterations, limit)
-            if step.coeff > coeff_max:
-                raise ValueError(
-                    f"benchmark.step coeff = {step.coeff:g} lets the multipliers overflow over "
-                    f"{iterations} iterations; coeff must be at most {coeff_max:.17g}"
-                )
+        terms = max(iterations, n * max(6, self.t_slots))
+        limit = sys.float_info.max / (2 * terms)
+        if step is None:  # the default is harmonic(2 mean_cost), mean_cost <= max_cost
+            kind, coeff = "harmonic", max(1.0, 2.0 * self.scenario.max_cost)
+            what = f"the default benchmark step, coeff 2 * scenario.max_cost = {coeff:g},"
+        else:
+            kind, coeff, what = step.kind, step.coeff, f"benchmark.step coeff = {step.coeff:g}"
+        coeff_max = largest_step_coeff(kind, float(thr.max()), iterations, limit)
+        if coeff > coeff_max:
+            raise ValueError(
+                f"{what} lets the multipliers overflow over {iterations} iterations; "
+                f"coeff must be at most {coeff_max:.17g}"
+            )
         span, top = self.truthcheck.bid_span, self.scenario.max_cost
         if not span * top < math.inf:
             raise ValueError(

@@ -32,10 +32,9 @@ rows, with phi, alpha or eps_t as a per-row column, and one
 Every user is force-selected during the warmup slots (levels still update
 as if selected); afterwards a lane allocates among its active users, and an
 active user whose running selection frequency falls strictly below its
-threshold drops for good. A lane's state (`DualState`, `QueueState`,
-`RegulationState`, `VpcState`) is built from its row after the run. Inputs
-are checked before the first slot and each level is a step's output on
-checked values, so no slot checks one.
+threshold drops for good. A lane's final level is a copy of its row after
+the run. Inputs are checked before the first slot and each level is a
+step's output on checked values, so no slot checks one.
 """
 
 from __future__ import annotations
@@ -65,25 +64,19 @@ __all__ = [
     "apply_dropping",
     "check_exact_solves",
     "check_finite_bonuses",
-    "compute_summary",
     "run_policy",
     "run_simulation",
 ]
 
 # kind -> (the PolicySpec field it reads, its step over (k, n) ledger rows,
-# step(level, x, prob, d, knob) with knob the column of phi, alpha or eps_t,
-# and its state from a ledger row, state(spec, level, selections, t))
+# step(level, x, prob, d, knob) with knob the column of phi, alpha or eps_t)
 _KINDS = {
-    "dual": ("schedule", lambda lam, x, p, d, eps: _dual.dual_step(lam, p, d, eps),
-             lambda spec, lam, sel, t: _dual.DualState(lam, sel, t + 1, spec.schedule)),
-    "lyapunov": ("phi", lambda q, x, p, d, phi: _lyap.queue_step(q, x, d),
-                 lambda spec, q, sel, t: _lyap.QueueState(q, spec.phi)),
-    "auction": ("phi", lambda r, x, p, d, phi: _auction.regulation_step(r, x, d, phi),
-                lambda spec, r, sel, t: _auction.RegulationState(r, spec.phi)),
-    "radp_vpc": ("alpha", lambda c, x, p, d, alpha: _baselines.vpc_step(c, x, alpha),
-                 lambda spec, c, sel, t: _baselines.VpcState(c, spec.alpha)),
-    "greedy": (None, None, lambda spec, level, sel, t: None),
-    "random": (None, None, lambda spec, level, sel, t: None),
+    "dual": ("schedule", lambda lam, x, p, d, eps: _dual.dual_step(lam, p, d, eps)),
+    "lyapunov": ("phi", lambda q, x, p, d, phi: _lyap.queue_step(q, x, d)),
+    "auction": ("phi", lambda r, x, p, d, phi: _auction.regulation_step(r, x, d, phi)),
+    "radp_vpc": ("alpha", lambda c, x, p, d, alpha: _baselines.vpc_step(c, x, alpha)),
+    "greedy": (None, None),
+    "random": (None, None),
 }
 POLICY_KINDS = tuple(_KINDS)
 
@@ -104,11 +97,12 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        reads, _, state = _KINDS[self.kind]
+        reads = _KINDS[self.kind][0]
         for f in fields(self):
             if f.name not in ("kind", reads) and getattr(self, f.name) != f.default:
                 raise ValueError(f"policy {self.kind} does not read {f.name}")
-        state(self, np.zeros(0), np.zeros(0, dtype=np.int64), 0)  # refuses a bad phi or alpha
+        _auction.check_phi(self.phi)
+        _baselines.check_alpha(self.alpha)
 
     @property
     def label(self) -> str:
@@ -142,7 +136,7 @@ class TraceMetrics:
     regulation: np.ndarray  # (T, N) bonus applied to each user's cost
     payments_series: np.ndarray | None  # (T, N), auction runs only
     drop_events: tuple[tuple[int, int], ...]  # (user, slot)
-    final_policy_state: object
+    final_level: np.ndarray  # (N,) level row after the last slot, 0 for greedy and random
     summary: dict = field(default_factory=dict)
 
 
@@ -216,11 +210,26 @@ class Recorder:
         """Called with the buffer full and after the last slot."""
 
     def summary(self, lane: int, label: str, replication: int, seed: int, warmup_slots: int):
-        """compute_summary of the lane's run, under label, once the run ends."""
-        return _summary(
-            label, replication, seed, warmup_slots, self.welfare[lane],
-            len(self.drop_events[lane]), self.prob[lane, (self.t_slots - 1) % self.rows],
-        )
+        """Headline numbers of the lane's run, under label, once the run ends.
+
+        avg_welfare averages the post-warmup slots (all slots when the whole
+        run is warmup); min_alloc_prob reads the last slot's frequencies.
+        """
+        t, w, welfare = self.t_slots, warmup_slots, self.welfare[lane]
+        last_prob = self.prob[lane, (t - 1) % self.rows]
+        n = last_prob.size
+        post = welfare[w:] if t > w else welfare
+        return {
+            "policy": label,
+            "replication": replication,
+            "seed": seed,
+            "t_slots": t,
+            "warmup_slots": w,
+            "n_users": n,
+            "avg_welfare": float(post.mean()),
+            "dropping_fraction": len(self.drop_events[lane]) / n,
+            "min_alloc_prob": float(last_prob.min()),
+        }
 
 
 class _Ledger:
@@ -238,7 +247,9 @@ class _Ledger:
         self.paid = np.zeros((len(self.paying), n))  # warmup slots pay nothing
         self.level = np.zeros((lanes, n))
         for lane in self.paying:
-            self.level[lane] = _auction.RegulationState.initial(thresholds, specs[lane].phi).factors
+            # one virtual arrival pre-loaded: phi * r0 = D, the backlog a zero
+            # queue reaches after its first update
+            self.level[lane] = np.divide(thresholds, specs[lane].phi)
         self.scale = np.array([[s.phi if s.kind == "lyapunov" else 1.0] for s in specs])
         self.steps = [(_KINDS[kind][1], r) for kind, r in rows.items() if r and _KINDS[kind][1]]
         self.eligible = np.ones((lanes, n), dtype=bool)
@@ -298,8 +309,7 @@ class _Ledger:
     def metrics(self, lane: int, warmup_slots: int, replication: int, seed: int):
         spec, series = self.specs[lane], self.recorder
         t, welfare = series.t_slots, series.welfare[lane]
-        state = _KINDS[spec.kind][2](spec, self.level[lane], self.selections[lane], t)
-        metrics = TraceMetrics(
+        return TraceMetrics(
             policy_label=spec.label,
             replication=replication,
             seed=seed,
@@ -314,10 +324,9 @@ class _Ledger:
             regulation=series.regulation[lane],
             payments_series=dict(zip(self.paying, series.payments)).get(lane),
             drop_events=tuple(series.drop_events[lane]),
-            final_policy_state=state,
+            final_level=self.level[lane].copy(),
+            summary=series.summary(lane, spec.label, replication, seed, warmup_slots),
         )
-        metrics.summary = compute_summary(metrics)
-        return metrics
 
 
 def _evaluate(realization: SlotRealization, selected: np.ndarray, memo: dict) -> WelfareBreakdown:
@@ -501,31 +510,3 @@ def run_simulation(
         t_slots=t_slots,
         recorder=recorder,
     )
-
-
-def compute_summary(metrics: TraceMetrics) -> dict:
-    """Headline numbers of one run.
-
-    avg_welfare averages the post-warmup slots (all slots when the whole run
-    is warmup).
-    """
-    return _summary(
-        metrics.policy_label, metrics.replication, metrics.seed, metrics.warmup_slots,
-        metrics.welfare_series, len(metrics.drop_events), metrics.alloc_prob_series[-1],
-    )
-
-
-def _summary(label, replication, seed, warmup_slots, welfare, drops, last_prob) -> dict:
-    t, w, n = welfare.size, warmup_slots, last_prob.size
-    post = welfare[w:] if t > w else welfare
-    return {
-        "policy": label,
-        "replication": replication,
-        "seed": seed,
-        "t_slots": t,
-        "warmup_slots": w,
-        "n_users": n,
-        "avg_welfare": float(post.mean()),
-        "dropping_fraction": drops / n,
-        "min_alloc_prob": float(last_prob.min()),
-    }

@@ -19,7 +19,6 @@ from .world import frozen_array
 
 __all__ = [
     "StepSchedule",
-    "DualState",
     "dual_allocate",
     "dual_step",
     "dual_update",
@@ -61,44 +60,6 @@ class StepSchedule:
         return self.coeff
 
 
-@dataclass(frozen=True, eq=False)
-class DualState:
-    """Multipliers plus the selection history that feeds their updates."""
-
-    multipliers: np.ndarray
-    cumulative_selected: np.ndarray
-    slot_index: int
-    schedule: StepSchedule
-
-    def __post_init__(self):
-        lam = frozen_array(self.multipliers, "multipliers", nonneg=True)
-        cum = frozen_array(self.cumulative_selected, "cumulative_selected", np.int64, nonneg=True)
-        if lam.shape != cum.shape:
-            raise ValueError("multipliers and counters must have equal length")
-        if self.slot_index < 1:
-            raise ValueError("slot_index starts at 1")
-        if np.any(cum > self.slot_index - 1):
-            raise ValueError("cumulative selections cannot exceed elapsed slots")
-        object.__setattr__(self, "multipliers", lam)
-        object.__setattr__(self, "cumulative_selected", cum)
-
-    @property
-    def bonus(self) -> np.ndarray:
-        """The amount taken off each user's cost: its multiplier."""
-        return self.multipliers
-
-    @classmethod
-    def initial(cls, n_users: int, schedule: StepSchedule | None = None) -> "DualState":
-        if schedule is None:
-            schedule = StepSchedule()
-        return cls(
-            multipliers=np.zeros(n_users),
-            cumulative_selected=np.zeros(n_users, dtype=np.int64),
-            slot_index=1,
-            schedule=schedule,
-        )
-
-
 # maximize value - cost + sum(multiplier * x) over eligible users
 dual_allocate = regulated_allocate
 
@@ -122,20 +83,17 @@ def dual_step(lam: np.ndarray, xbar: np.ndarray, d: np.ndarray, eps) -> np.ndarr
 
 
 def dual_update(
-    state: DualState,
-    selected: np.ndarray,
+    multipliers: np.ndarray,
+    xbar: np.ndarray,
     thresholds: np.ndarray,
+    eps: float,
     eligible: np.ndarray | None = None,
-) -> DualState:
-    """Projected subgradient step against the running allocation frequency.
-
-    The frequency includes the slot just allocated, so at slot t the noisy
-    subgradient is (1/t) * selections(1..t) - threshold. Ineligible users'
-    multipliers stay unchanged.
-    """
-    t = state.slot_index
-    selected = frozen_array(selected, "selected", bool, size=state.multipliers.size)
-    cum = state.cumulative_selected + selected
-    lam = dual_step(state.multipliers, cum / t, thresholds, state.schedule.step(t))
-    lam = freeze_ineligible(lam, state.multipliers, eligible)
-    return DualState(lam, cum, t + 1, state.schedule)
+) -> np.ndarray:
+    """dual_step on one multiplier row at step size eps against the running
+    allocation frequency xbar, which the caller keeps; ineligible users'
+    multipliers stay unchanged."""
+    lam = frozen_array(multipliers, "multipliers", nonneg=True)
+    xbar = frozen_array(xbar, "xbar", nonneg=True, size=lam.size)
+    if not 0 < eps < math.inf:  # NaN fails both
+        raise ValueError("eps must be a finite number > 0")
+    return freeze_ineligible(dual_step(lam, xbar, thresholds, eps), lam, eligible)

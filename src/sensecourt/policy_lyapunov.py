@@ -9,8 +9,6 @@ bound on drift plus phi-weighted negative welfare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .solver import freeze_ineligible, regulated_allocate
@@ -18,7 +16,6 @@ from .solver import solve  # noqa: F401  (instrumented by perfbench/tracer.py)
 from .world import frozen_array, thresholds_array
 
 __all__ = [
-    "QueueState",
     "lyapunov_allocate",
     "queue_step",
     "queue_update",
@@ -26,29 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class QueueState:
-    """Virtual queue backlogs and the stability/welfare trade-off knob phi."""
-
-    backlogs: np.ndarray
-    phi: float
-
-    def __post_init__(self):
-        if not (0 < self.phi < np.inf and 1 / float(self.phi) < np.inf):  # NaN fails
-            raise ValueError("phi must be a finite number > 0 whose inverse is finite")
-        object.__setattr__(self, "backlogs", frozen_array(self.backlogs, "backlogs", nonneg=True))
-
-    @property
-    def bonus(self) -> np.ndarray:
-        """The amount taken off each user's cost: q_n / phi."""
-        return self.backlogs / self.phi
-
-    @classmethod
-    def initial(cls, n_users: int, phi: float) -> "QueueState":
-        return cls(backlogs=np.zeros(n_users), phi=phi)
-
-
-# maximize value - cost + sum(q_n / phi * x_n) over eligible users
+# maximize value - cost + sum(q_n / phi * x_n) over eligible users: bonus q / phi
 lyapunov_allocate = regulated_allocate
 
 
@@ -58,15 +33,15 @@ def queue_step(q: np.ndarray, x: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def queue_update(
-    state: QueueState,
+    backlogs: np.ndarray,
     selected: np.ndarray,
     thresholds: np.ndarray,
     eligible: np.ndarray | None = None,
-) -> QueueState:
-    """queue_step on one state; ineligible users' q stay unchanged."""
-    selected = frozen_array(selected, "selected", bool, size=state.backlogs.size)
-    q = queue_step(state.backlogs, selected, thresholds)
-    return QueueState(backlogs=freeze_ineligible(q, state.backlogs, eligible), phi=state.phi)
+) -> np.ndarray:
+    """queue_step on one backlog row; ineligible users' q stay unchanged."""
+    q = frozen_array(backlogs, "backlogs", nonneg=True)
+    selected = frozen_array(selected, "selected", bool, size=q.size)
+    return freeze_ineligible(queue_step(q, selected, thresholds), q, eligible)
 
 
 def penalty_bound_B(thresholds: np.ndarray) -> float:

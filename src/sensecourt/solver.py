@@ -507,14 +507,15 @@ def solve(inst: RegulatedInstance, options: SolveOptions = SolveOptions()) -> So
 
 
 def regulated_allocate(
-    state,
+    bonus,
     realization: SlotRealization,
     eligible: np.ndarray | None = None,
     options: SolveOptions = SolveOptions(),
 ) -> np.ndarray:
-    """Maximize value - sum((cost - state.bonus) * x) over eligible users, one
-    row of allocate_many (through solve); a None state is bonus 0."""
-    kappa = realization.true_costs - (0.0 if state is None else state.bonus)
+    """Maximize value - sum((cost - bonus) * x) over eligible users, one row
+    of allocate_many (through solve); bonus is one per user, or a number
+    taken off every cost, such as 0.0."""
+    kappa = realization.true_costs - bonus
     return solve(RegulatedInstance.of(realization, kappa, eligible), options).selected
 
 

@@ -34,7 +34,12 @@ def frozen_array(
     """A read-only copy of values as dtype with ndim axes, the one way in for
     every per-user array: with size it must hold size entries, one per user;
     floats must be finite (one min and one max test them) and, with nonneg,
-    no entry may be negative. Errors name the field."""
+    no entry may be negative; flags (dtype bool) given as anything but bool
+    must each be 0 or 1. Errors name the field."""
+    if dtype is bool:
+        flags = np.asarray(values)
+        if flags.dtype != bool and not np.all((flags == 0) | (flags == 1)):  # NaN fails both
+            raise ValueError(f"{name} must hold flags of 0 or 1")
     arr = np.array(values, dtype=dtype)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be a {ndim}-D array, got shape {arr.shape}")

@@ -23,11 +23,11 @@ winner's half of the objective.
 import numpy as np
 
 from sensecourt import baselines
-from sensecourt.auction import RegulationState, pivot_payment, regulation_update
-from sensecourt.baselines import VpcState, vpc_update
+from sensecourt.auction import pivot_payment, regulation_update
+from sensecourt.baselines import vpc_update
 from sensecourt.engine import apply_dropping
-from sensecourt.policy_dual import DualState, dual_update
-from sensecourt.policy_lyapunov import QueueState, queue_update
+from sensecourt.policy_dual import dual_update
+from sensecourt.policy_lyapunov import queue_update
 from sensecourt.scenarios import RANDOM_POLICY_STREAM
 from sensecourt.solver import (
     TIE_TOL,
@@ -43,13 +43,18 @@ from sensecourt.world import evaluate_allocation
 from oracle_subset import ranked_masks
 
 
-# a regulated lane's initial state and its update(state, alloc, thresholds, eligible)
-REGULATORS = {
-    "dual": lambda spec, d: (DualState.initial(d.size, spec.schedule), dual_update),
-    "lyapunov": lambda spec, d: (QueueState.initial(d.size, spec.phi), queue_update),
-    "auction": lambda spec, d: (RegulationState.initial(d, spec.phi), regulation_update),
-    "radp_vpc": lambda spec, d: (VpcState.initial(d.size, spec.alpha), vpc_update),
-}
+def _update(spec, level, alloc, xbar, d, eligible, t):
+    """A lane's level after slot t through its kind's public update; xbar is
+    the running frequency. Greedy and random keep their zero level."""
+    if spec.kind == "dual":
+        return dual_update(level, xbar, d, spec.schedule.step(t), eligible)
+    if spec.kind == "lyapunov":
+        return queue_update(level, alloc, d, eligible)
+    if spec.kind == "auction":
+        return regulation_update(level, alloc, d, spec.phi, eligible)
+    if spec.kind == "radp_vpc":
+        return vpc_update(level, alloc, spec.alpha, eligible)
+    return level
 
 
 def tiebreak_pick(row: np.ndarray) -> int:
@@ -76,10 +81,11 @@ def solve_exact_alone(inst: RegulatedInstance) -> SolveResult:
     return SolveResult(selected, float(objective[mask]), True)
 
 
-def auction_slot_alone(state, realization, eligible):
-    """The auction under truthful bids: its own solve, then its objective
-    rebuilt for the pivots. Returns the allocation and the payments."""
-    kappa = realization.true_costs - state.bonus
+def auction_slot_alone(factors, realization, eligible):
+    """The auction under truthful bids at the regulation factors: its own
+    solve, then its objective rebuilt for the pivots. Returns the allocation
+    and the payments."""
+    kappa = realization.true_costs - factors
     alloc = solve_exact_alone(RegulatedInstance(realization, kappa, eligible)).selected
     winners = np.flatnonzero(alloc)
     value_term = evaluate_allocation(realization, alloc).value
@@ -91,17 +97,17 @@ def auction_slot_alone(state, realization, eligible):
         others_cost = float(kappa[winners].sum() - kappa[u])
         has_u = (masks >> int(np.searchsorted(users, u))) & 1
         welfare_without = float(objective[tiebreak_pick(np.where(has_u, -np.inf, objective))])
-        payments[u] = pivot_payment(value_term, others_cost, welfare_without, state.factors[u])
+        payments[u] = pivot_payment(value_term, others_cost, welfare_without, factors[u])
     return alloc, payments
 
 
-def _allocate(spec, state, realization, eligible, options, rng):
+def _allocate(spec, bonus, realization, eligible, options, rng):
     if spec.kind == "random":
         return baselines.random_baseline_step(realization, eligible, rng)
     if spec.kind == "greedy":
         inst = RegulatedInstance(realization, realization.true_costs, eligible)
         return solve_greedy(inst).selected
-    inst = RegulatedInstance(realization, realization.true_costs - state.bonus, eligible)
+    inst = RegulatedInstance(realization, realization.true_costs - bonus, eligible)
     if options.mode in ("exact", "auto") and eligible.sum() <= options.exact_limit:
         return solve_exact_alone(inst).selected
     if options.mode == "greedy":
@@ -110,10 +116,12 @@ def _allocate(spec, state, realization, eligible, options, rng):
 
 
 def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> dict:
-    """One policy's per-slot arrays, drop events and final state, as
-    TraceMetrics names them; greedy and random carry no state."""
+    """One policy's per-slot arrays, drop events and final level, as
+    TraceMetrics names them; greedy and random keep a zero level."""
     t_slots, n = len(slots), thresholds.size
-    state, update = REGULATORS.get(spec.kind, lambda spec, d: (None, None))(spec, thresholds)
+    # an auction starts with one virtual arrival: phi r0 = D
+    level = thresholds / spec.phi if spec.kind == "auction" else np.zeros(n)
+    scale = spec.phi if spec.kind == "lyapunov" else 1.0
     rng = np.random.default_rng([seed, RANDOM_POLICY_STREAM])
     eligible = np.ones(n, dtype=bool)
     selections, seen = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
@@ -128,24 +136,24 @@ def run_lane_alone(slots, spec, thresholds, warmup, options, seed, dropping) -> 
     }
     for k, realization in enumerate(slots):
         t = k + 1
-        out["regulation"][k] = np.where(eligible, 0.0 if state is None else state.bonus, 0.0)
+        bonus = level / scale
+        out["regulation"][k] = np.where(eligible, bonus, 0.0)
         out["active"][k] = eligible
         if t <= warmup:
             alloc = eligible
         elif spec.kind == "auction":
-            alloc, out["payments_series"][k] = auction_slot_alone(state, realization, eligible)
+            alloc, out["payments_series"][k] = auction_slot_alone(level, realization, eligible)
         else:
-            alloc = _allocate(spec, state, realization, eligible, options, rng)
+            alloc = _allocate(spec, bonus, realization, eligible, options, rng)
         out["welfare_series"][k] = evaluate_allocation(realization, alloc).welfare
         out["selected"][k] = alloc
         seen += eligible
         selections += alloc
         out["alloc_prob_series"][k] = selections / seen
-        if update is not None:
-            state = update(state, alloc, thresholds, eligible)
+        level = _update(spec, level, alloc, out["alloc_prob_series"][k], thresholds, eligible, t)
         if dropping and t > warmup:
             dropped = apply_dropping(eligible, out["alloc_prob_series"][k], thresholds)
             out["drop_events"] += [(u, t) for u in dropped.tolist()]
     out["drop_events"] = tuple(out["drop_events"])
-    out["final_policy_state"] = state
+    out["final_level"] = level
     return out

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from sensecourt.policy_lyapunov import QueueState, penalty_bound_B
+from sensecourt.policy_lyapunov import penalty_bound_B
 from sensecourt.world import SlotRealization, evaluate_allocation
 
 
 def drift_plus_penalty_diag(
-    state: QueueState,
+    backlogs: np.ndarray,
+    phi: float,
     alloc: np.ndarray,
     realization: SlotRealization,
     thresholds: np.ndarray,
 ) -> float:
-    """Right-hand side of the drift-plus-penalty upper bound for one allocation.
+    """Right-hand side of the drift-plus-penalty upper bound for one allocation
+    at backlogs q and trade-off phi.
 
     Diagnostic only: the allocation rule must minimize this quantity over
     all allocations of the slot.
@@ -31,16 +33,16 @@ def drift_plus_penalty_diag(
     wb = evaluate_allocation(realization, alloc)
     return float(
         penalty_bound_B(d)
-        + (state.backlogs * (d - x)).sum()
-        - state.phi * wb.welfare
+        + (backlogs * (d - x)).sum()
+        - phi * wb.welfare
     )
 
 
-def lyapunov_function(state: QueueState) -> float:
+def lyapunov_function(backlogs: np.ndarray) -> float:
     """J = 0.5 * sum(q_n^2)."""
-    return float(0.5 * (state.backlogs * state.backlogs).sum())
+    return float(0.5 * (backlogs * backlogs).sum())
 
 
-def lyapunov_drift(state: QueueState, next_state: QueueState) -> float:
+def lyapunov_drift(backlogs: np.ndarray, next_backlogs: np.ndarray) -> float:
     """Change of the Lyapunov function across one slot."""
-    return lyapunov_function(next_state) - lyapunov_function(state)
+    return lyapunov_function(next_backlogs) - lyapunov_function(backlogs)

@@ -15,7 +15,7 @@ plain Python loops over users with no package code:
     and eps_t = c / t (harmonic) or c (constant), bonus lambda;
   - radp_vpc (Lee and Hoh, "Sell your experiences", PerCom 2010): winners'
     credits reset to 0, everyone else's grow by alpha, bonus the credit;
-  - greedy and random carry no value, bonus 0;
+  - greedy and random keep a zero level, bonus 0;
 - drops, after the warmup and only when dropping is on: an active user whose
   probability is strictly below its threshold leaves for good, in user order.
 
@@ -54,28 +54,9 @@ def _bonus(spec, level: float) -> float:
     return level / spec.phi if spec.kind == "lyapunov" else level
 
 
-def _final(spec, levels: list, selections: list, t_slots: int):
-    """The final state's fields by name, or None for greedy and random."""
-    level = np.array(levels)
-    if spec.kind == "lyapunov":
-        return {"backlogs": level, "phi": spec.phi}
-    if spec.kind == "auction":
-        return {"factors": level, "phi": spec.phi}
-    if spec.kind == "radp_vpc":
-        return {"credits": level, "alpha": spec.alpha}
-    if spec.kind == "dual":
-        return {
-            "multipliers": level,
-            "cumulative_selected": np.array(selections, dtype=np.int64),
-            "slot_index": t_slots + 1,
-            "schedule": spec.schedule,
-        }
-    return None
-
-
 def replay(spec, selected: np.ndarray, thresholds: np.ndarray, warmup: int, dropping: bool) -> dict:
-    """regulation, alloc_prob_series, active, drop_events and the final state's
-    fields of one lane, from its (T, n) selections. Asserts that the
+    """regulation, alloc_prob_series, active, drop_events and the final level
+    of one lane, from its (T, n) selections. Asserts that the
     selections obey the warmup and eligibility rules."""
     t_slots, n = selected.shape
     d = [float(v) for v in thresholds]
@@ -111,5 +92,5 @@ def replay(spec, selected: np.ndarray, thresholds: np.ndarray, warmup: int, drop
         "alloc_prob_series": np.array(alloc_prob, dtype=float).reshape(t_slots, n),
         "active": np.array(active_rows, dtype=bool).reshape(t_slots, n),
         "drop_events": tuple(drops),
-        "final_policy_state": _final(spec, level, selections, t_slots),
+        "final_level": np.array(level, dtype=float),
     }

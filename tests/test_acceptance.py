@@ -21,8 +21,8 @@ from sensecourt.benchmark import (
 )
 from sensecourt.cli import cmd_benchmark, cmd_simulate, cmd_truthcheck
 from sensecourt.engine import PolicySpec, run_policy, run_simulation
-from sensecourt.policy_dual import DualState, StepSchedule, dual_allocate
-from sensecourt.policy_lyapunov import QueueState, lyapunov_allocate, penalty_bound_B
+from sensecourt.policy_dual import dual_allocate
+from sensecourt.policy_lyapunov import lyapunov_allocate, penalty_bound_B
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import (
     RegulatedInstance,
@@ -101,7 +101,7 @@ def test_c2_queue_stability_and_participation():
         t_slots=t_slots,
     )
     elapsed = time.monotonic() - start
-    backlogs = metrics.final_policy_state.backlogs
+    backlogs = metrics.final_level
     probs = metrics.alloc_prob_series[-1]
     max_ratio = backlogs.max() / t_slots
     report(
@@ -165,10 +165,9 @@ def test_c4_policy_equivalences():
     agree = 0
     for realization in realization_stream(cfg, 100):
         lam = rng.random(6) * 3
-        dual_state = DualState(lam, np.zeros(6, dtype=np.int64), 1, StepSchedule.harmonic())
-        queue_state = QueueState(phi * lam, phi=phi)
-        a = dual_allocate(dual_state, realization, options=SolveOptions(mode="exact"))
-        b = lyapunov_allocate(queue_state, realization, options=SolveOptions(mode="exact"))
+        q = phi * lam
+        a = dual_allocate(lam, realization, options=SolveOptions(mode="exact"))
+        b = lyapunov_allocate(q / phi, realization, options=SolveOptions(mode="exact"))
         agree += a.tolist() == b.tolist()
 
     # (b) the truthful auction reproduces the queue policy's trace

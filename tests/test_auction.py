@@ -6,12 +6,12 @@ import pytest
 
 from sensecourt.auction import (
     ExactPivotsRequiredError,
-    RegulationState,
     regulation_update,
     run_auction_slot,
     truthfulness_sweep,
 )
-from sensecourt.policy_lyapunov import QueueState, queue_update
+from sensecourt.engine import PolicySpec, run_policy
+from sensecourt.policy_lyapunov import queue_update
 from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many, solve_exact
 from sensecourt.world import evaluate_allocation
 
@@ -124,7 +124,7 @@ class TestPivots:
         finally:
             tracemalloc.stop()
         assert peak < 2 * objective[0].nbytes
-        alloc, payments = auction_slot_alone(RegulationState(factors, 10.0), real, np.ones(m, bool))
+        alloc, payments = auction_slot_alone(factors, real, np.ones(m, bool))
         assert outcome.selected.tobytes() == alloc.tobytes()
         assert outcome.payments.tobytes() == payments.tobytes()
 
@@ -174,32 +174,30 @@ class TestLeaveOneOutAssert:
 
 class TestRegulationUpdate:
     def test_one_step_formula(self):
-        state = RegulationState(np.array([0.2]), phi=10.0)
-        new = regulation_update(state, np.array([True]), np.array([0.5]))
-        assert new.factors[0] == pytest.approx(0.15, abs=1e-12)
+        new = regulation_update(np.array([0.2]), np.array([True]), np.array([0.5]), 10.0)
+        assert new[0] == pytest.approx(0.15, abs=1e-12)
 
     def test_zero_fixed_point(self):
-        state = RegulationState(np.array([0.0]), phi=10.0)
-        new = regulation_update(state, np.array([False]), np.array([0.0]))
-        assert new.factors[0] == 0.0
+        new = regulation_update(np.array([0.0]), np.array([False]), np.array([0.0]), 10.0)
+        assert new[0] == 0.0
 
     def test_scaled_trace_equals_queue_trace(self):
         rng = np.random.default_rng(5)
         phi = 6.0
         n = 4
         d = rng.random(n)
-        reg = RegulationState(np.zeros(n), phi=phi)
-        queue = QueueState(np.zeros(n), phi=phi)
+        reg, queue = np.zeros(n), np.zeros(n)
         for _ in range(60):
             alloc = rng.random(n) < 0.5
-            reg = regulation_update(reg, alloc, d)
+            reg = regulation_update(reg, alloc, d, phi)
             queue = queue_update(queue, alloc, d)
-            assert np.allclose(phi * reg.factors, queue.backlogs, atol=1e-12)
+            assert np.allclose(phi * reg, queue, atol=1e-12)
 
-    def test_initial_preloads_one_arrival(self):
+    def test_engine_preloads_one_arrival(self):
         d = np.array([0.5, 0.2])
-        state = RegulationState.initial(d, phi=4.0)
-        assert np.allclose(4.0 * state.factors, d)
+        real = make_realization(4, [{0}, {1}], costs=[0.1, 0.1])
+        run = run_policy([real], PolicySpec("auction", phi=4.0), d, warmup_slots=1)
+        assert np.allclose(4.0 * run.regulation[0], d)
 
 
 class TestTruthfulnessSweep:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from sensecourt.baselines import (
-    VpcState,
-    greedy_baseline_step,
-    radp_vpc_step,
-    random_baseline_step,
-)
+from sensecourt.baselines import greedy_baseline_step, radp_vpc_step, random_baseline_step
 from sensecourt.solver import RegulatedInstance, solve_greedy
 from sensecourt.world import evaluate_allocation
 
@@ -14,28 +9,25 @@ from test_solver import random_instance
 from test_world import make_realization
 
 
-class TestVpcState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VpcState(np.array([-0.1]), alpha=1.0)
-        with pytest.raises(ValueError):
-            VpcState(np.array([0.0]), alpha=-1.0)
-
-
 class TestRadpVpc:
+    def test_validation(self):
+        real = make_realization(4, [{0}], costs=[0.5])
+        with pytest.raises(ValueError, match="credits must be non-negative"):
+            radp_vpc_step(np.array([-0.1]), 1.0, real)
+        with pytest.raises(ValueError, match="alpha must be"):
+            radp_vpc_step(np.array([0.0]), -1.0, real)
+
     def test_loser_gains_alpha(self):
         real = make_realization(4, [set(), {0, 1, 2}], costs=[5.0, 0.5])
-        state = VpcState(np.array([0.4, 0.0]), alpha=0.2)
-        alloc, new = radp_vpc_step(state, real)
+        alloc, new = radp_vpc_step(np.array([0.4, 0.0]), 0.2, real)
         assert not alloc[0] and alloc[1]
-        assert new.credits[0] == pytest.approx(0.6)
+        assert new[0] == pytest.approx(0.6)
 
     def test_winner_resets_to_zero(self):
         real = make_realization(4, [{0, 1, 2}], costs=[0.5])
-        state = VpcState(np.array([1.3]), alpha=0.2)
-        alloc, new = radp_vpc_step(state, real)
+        alloc, new = radp_vpc_step(np.array([1.3]), 0.2, real)
         assert alloc[0]
-        assert new.credits[0] == 0.0
+        assert new[0] == 0.0
 
     def test_alpha_zero_degenerates_to_greedy(self):
         from sensecourt.solver import SolveOptions
@@ -44,22 +36,21 @@ class TestRadpVpc:
         for _ in range(15):
             inst = random_instance(rng)
             real = inst.realization
-            state = VpcState.initial(real.n_users, alpha=0.0)
+            credits = np.zeros(real.n_users)
             for _ in range(3):
-                alloc, state = radp_vpc_step(
-                    state, real, options=SolveOptions(mode="greedy")
+                alloc, credits = radp_vpc_step(
+                    credits, 0.0, real, options=SolveOptions(mode="greedy")
                 )
-                assert np.all(state.credits == 0.0)
+                assert np.all(credits == 0.0)
                 expected = greedy_baseline_step(real)
                 assert alloc.tolist() == expected.tolist()
 
     def test_ineligible_credits_frozen(self):
         real = make_realization(4, [{0}, {1}], costs=[0.1, 0.1])
-        state = VpcState(np.array([0.7, 0.2]), alpha=0.5)
         eligible = np.array([False, True])
-        alloc, new = radp_vpc_step(state, real, eligible)
+        alloc, new = radp_vpc_step(np.array([0.7, 0.2]), 0.5, real, eligible)
         assert not alloc[0]
-        assert new.credits[0] == 0.7
+        assert new[0] == 0.7
 
     def test_credit_bounded_by_losing_streak(self):
         rng = np.random.default_rng(1)
@@ -67,13 +58,13 @@ class TestRadpVpc:
         real = inst.realization
         n = real.n_users
         alpha = 0.3
-        state = VpcState.initial(n, alpha)
+        credits = np.zeros(n)
         streak = np.zeros(n)
         for _ in range(50):
-            alloc, state = radp_vpc_step(state, real)
+            alloc, credits = radp_vpc_step(credits, alpha, real)
             streak = np.where(alloc, 0, streak + 1)
-            assert np.all(state.credits <= alpha * streak + 1e-12)
-            assert np.all(state.credits[alloc] == 0.0)
+            assert np.all(credits <= alpha * streak + 1e-12)
+            assert np.all(credits[alloc] == 0.0)
 
 
 class TestGreedyBaseline:

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -499,6 +500,17 @@ class TestFailBeforeWork:
             ),
             # a slot here costs at most 0.4 * 0.5 * 64 * 1.2 = 15.36
             ("truthcheck", "truthcheck", {"bid_span": 1e308}, "truthcheck.bid_span = 1e+308"),
+            # a null step defaults to at most harmonic(2 max_cost), here 1.92e307:
+            # past the 2e305 that 150 iterations of 3 users at D = 0.5 allow
+            (
+                "benchmark",
+                "scenario",
+                {
+                    "width_grids": 4, "height_grids": 4, "grid_edge_m": 200.0, "n_users": 3,
+                    "cost_to_weight_ratio": 1e306, "seed": 1,
+                },
+                "the default benchmark step, coeff 2 * scenario.max_cost = 1.92e+307,",
+            ),
         ],
     )
     def test_refused_with_error_line(
@@ -534,6 +546,37 @@ class TestFailBeforeWork:
         path = write_config(tmp_path, benchmark={"bruteforce": False, "step": step})
         with pytest.raises(cli_mod.ConfigError, match=re.escape(f"at most {coeff:.17g}")):
             cli_mod.load_config(path)
+
+    def test_largest_accepted_default_benchmark_step_runs_without_warnings(self, tmp_path):
+        # a null step is harmonic(2 mean_cost), at most harmonic(2 max_cost); the
+        # bound is that of a given step, and max_cost = ratio * 0.5 * 64 * 1.2
+        coeff_max = np.finfo(float).max / (2 * 150) / (0.5 * (1.0 + math.log(150)))
+        path = lambda ratio: write_config(  # noqa: E731
+            tmp_path, {"scenario.cost_to_weight_ratio": ratio}, benchmark={"bruteforce": False}
+        )
+
+        def accepted(ratio):
+            try:
+                cli_mod.load_config(path(ratio))
+            except cli_mod.ConfigError:
+                return False
+            return True
+
+        ratio = coeff_max / (2 * 0.5 * 64 * 1.2)
+        for _ in range(64):  # the largest accepted ratio is a few ulps from this one
+            if not accepted(ratio):
+                ratio = np.nextafter(ratio, 0.0)
+            elif accepted(np.nextafter(ratio, np.inf)):
+                ratio = np.nextafter(ratio, np.inf)
+        assert accepted(ratio)
+        with pytest.raises(cli_mod.ConfigError, match="the default benchmark step"):
+            cli_mod.load_config(path(np.nextafter(ratio, np.inf)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmd_benchmark(str(path(ratio)), out=str(out)) == 0
+        bound = json.loads((out / "benchmark.json").read_text())["dual_upper_bound"]
+        assert math.isfinite(bound)
 
     @pytest.mark.parametrize("command", ["simulate", "benchmark", "truthcheck"])
     @pytest.mark.parametrize(
@@ -711,7 +754,7 @@ def awkward_metrics(payments: bool) -> TraceMetrics:
         regulation=grid(),
         payments_series=grid() if payments else None,
         drop_events=((2, 3), (7, 5)),
-        final_policy_state=None,
+        final_level=np.zeros(n),
     )
 
 
@@ -736,7 +779,7 @@ def cycled_metrics(t: int, n: int, pool: np.ndarray, payments: bool) -> TraceMet
         regulation=grid(),
         payments_series=grid() if payments else None,
         drop_events=((0, 1), (n - 1, t)),
-        final_policy_state=None,
+        final_level=np.zeros(n),
     )
 
 

@@ -9,7 +9,6 @@ from sensecourt.auction import ExactPivotsRequiredError
 from sensecourt.engine import (
     PolicySpec,
     apply_dropping,
-    compute_summary,
     run_policy,
     run_simulation,
 )
@@ -436,7 +435,7 @@ class TestFailBeforeWork:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             dual = run_policy(realization_stream(cfg, 1), spec, [0.2], 0, t_slots=1)
-        assert np.isfinite(dual.final_policy_state.multipliers).all()
+        assert np.isfinite(dual.final_level).all()
 
     @pytest.mark.parametrize("actual", [4, 6])
     def test_stream_length_must_match_horizon(self, actual):
@@ -475,15 +474,6 @@ class TestPolicyEquivalences:
         assert np.all(dual.regulation == 0.0)
 
 
-# the regulated value each policy's state carries per user
-REGULATED = {
-    "dual": "multipliers",
-    "lyapunov": "backlogs",
-    "auction": "factors",
-    "radp_vpc": "credits",
-}
-
-
 class TestFreeze:
     @pytest.mark.parametrize(
         "spec",
@@ -502,41 +492,25 @@ class TestFreeze:
         solver = SolveOptions(mode="exact")
         full = run_policy(slots, spec, thresholds, 10, solver=solver)
         assert len(full.drop_events) == 5
-        final = getattr(full.final_policy_state, REGULATED[spec.kind])
         for user, slot in full.drop_events:
             cut = run_policy(slots[:slot], spec, thresholds, 10, solver=solver)
-            at_drop = getattr(cut.final_policy_state, REGULATED[spec.kind])
-            assert at_drop[user].tobytes() == final[user].tobytes()
+            assert cut.final_level[user].tobytes() == full.final_level[user].tobytes()
 
 
-class TestComputeSummary:
-    def _metrics(self, welfare, warmup=0, drops=(), n=10):
-        from sensecourt.engine import TraceMetrics
+class TestSummary:
+    def test_avg_welfare_is_the_post_warmup_mean(self):
+        cfg = desk_config()
+        m = run_policy(list(realization_stream(cfg, 20)), PolicySpec("greedy"), np.full(6, 0.3), 4)
+        assert m.summary["avg_welfare"] == float(m.welfare_series[4:].mean())
+        assert m.summary["avg_welfare"] != pytest.approx(m.welfare_series.mean())
 
-        t = len(welfare)
-        welfare = np.asarray(welfare, dtype=float)
-        return TraceMetrics(
-            policy_label="greedy",
-            replication=0,
-            seed=0,
-            t_slots=t,
-            warmup_slots=warmup,
-            thresholds=np.full(n, 0.5),
-            welfare_series=welfare,
-            running_avg_welfare=np.cumsum(welfare) / np.arange(1, t + 1),
-            alloc_prob_series=np.ones((t, n)),
-            selected=np.ones((t, n), dtype=bool),
-            active=np.ones((t, n), dtype=bool),
-            regulation=np.zeros((t, n)),
-            payments_series=None,
-            drop_events=tuple(drops),
-            final_policy_state=None,
-        )
-
-    def test_constant_series(self):
-        m = self._metrics([2.5] * 10)
-        assert compute_summary(m)["avg_welfare"] == pytest.approx(2.5)
+    def test_whole_run_warmup_averages_every_slot(self):
+        cfg = desk_config()
+        m = run_policy(list(realization_stream(cfg, 5)), PolicySpec("greedy"), np.full(6, 0.3), 5)
+        assert m.summary["avg_welfare"] == float(m.welfare_series.mean())
 
     def test_dropping_fraction(self):
-        m = self._metrics([1.0] * 10, drops=[(0, 5), (3, 6), (7, 9)])
-        assert compute_summary(m)["dropping_fraction"] == pytest.approx(0.3)
+        cfg = desk_config()
+        m = run_policy(list(realization_stream(cfg, 20)), PolicySpec("greedy"), np.full(6, 0.7), 4)
+        assert len(m.drop_events) == 3
+        assert m.summary["dropping_fraction"] == pytest.approx(0.5)

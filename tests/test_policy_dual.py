@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from sensecourt.policy_dual import DualState, StepSchedule, dual_allocate, dual_update
-from sensecourt.policy_lyapunov import QueueState, lyapunov_allocate
+from sensecourt.policy_dual import StepSchedule, dual_allocate, dual_update
+from sensecourt.policy_lyapunov import lyapunov_allocate
 from sensecourt.solver import RegulatedInstance, SolveOptions, solve_exact
 
 from test_solver import random_instance
-
-
-def state_with(multipliers, slot_index=1, cum=None, schedule=None):
-    lam = np.asarray(multipliers, dtype=float)
-    if cum is None:
-        cum = np.zeros(lam.size, dtype=np.int64)
-    return DualState(
-        lam, cum, slot_index, schedule or StepSchedule.harmonic(1.0)
-    )
 
 
 class TestStepSchedule:
@@ -34,29 +25,13 @@ class TestStepSchedule:
             StepSchedule.harmonic(1.0).step(0)
 
 
-class TestDualState:
-    def test_initial_is_zero(self):
-        state = DualState.initial(3)
-        assert np.all(state.multipliers == 0)
-        assert state.slot_index == 1
-
-    def test_rejects_negative_multipliers(self):
-        with pytest.raises(ValueError):
-            state_with([-0.1])
-
-    def test_rejects_counts_ahead_of_time(self):
-        with pytest.raises(ValueError):
-            state_with([0.0], slot_index=1, cum=np.array([1]))
-
-
 class TestDualAllocate:
     def test_zero_multipliers_is_unregulated(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             inst = random_instance(rng)
             real = inst.realization
-            state = DualState.initial(real.n_users)
-            alloc = dual_allocate(state, real, options=SolveOptions(mode="exact"))
+            alloc = dual_allocate(np.zeros(real.n_users), real, options=SolveOptions(mode="exact"))
             plain = solve_exact(RegulatedInstance.of(real, real.true_costs))
             assert alloc.tolist() == plain.selected.tolist()
 
@@ -67,7 +42,6 @@ class TestDualAllocate:
         lam = np.zeros(real.n_users)
         lam[0] = real.true_costs[0] + 1.0  # overshoots the cost
         regions = list(real.regions)
-        state = state_with(lam)
         # rebuild with an empty region for user 0
         from test_world import make_realization
 
@@ -77,7 +51,7 @@ class TestDualAllocate:
             real.weights.values,
             real.true_costs,
         )
-        alloc = dual_allocate(state, real2, options=SolveOptions(mode="exact"))
+        alloc = dual_allocate(lam, real2, options=SolveOptions(mode="exact"))
         assert alloc[0]
 
     def test_matches_lyapunov_at_scaled_queues(self):
@@ -87,10 +61,9 @@ class TestDualAllocate:
             inst = random_instance(rng)
             real = inst.realization
             lam = rng.random(real.n_users) * 2
-            dual_state = state_with(lam)
-            queue_state = QueueState(backlogs=phi * lam, phi=phi)
-            a = dual_allocate(dual_state, real, options=SolveOptions(mode="exact"))
-            b = lyapunov_allocate(queue_state, real, options=SolveOptions(mode="exact"))
+            q = phi * lam
+            a = dual_allocate(lam, real, options=SolveOptions(mode="exact"))
+            b = lyapunov_allocate(q / phi, real, options=SolveOptions(mode="exact"))
             assert a.tolist() == b.tolist()
 
 
@@ -98,36 +71,36 @@ class TestDualUpdate:
     def test_one_step_formula(self):
         # lambda=0.3, eps=0.1 (constant), running freq 0.4 after this slot,
         # threshold 0.5 -> 0.3 - 0.1*(0.4-0.5) = 0.31
-        state = state_with(
-            [0.3], slot_index=5, cum=np.array([1]), schedule=StepSchedule.constant(0.1)
-        )
-        alloc = np.array([True])
-        new = dual_update(state, alloc, np.array([0.5]))
-        assert new.multipliers[0] == pytest.approx(0.31, abs=1e-12)
-        assert new.slot_index == 6
-        assert new.cumulative_selected[0] == 2
+        new = dual_update(np.array([0.3]), np.array([2 / 5]), np.array([0.5]), 0.1)
+        assert new[0] == pytest.approx(0.31, abs=1e-12)
 
     def test_projection_at_zero(self):
-        state = state_with(
-            [0.05], slot_index=1, schedule=StepSchedule.constant(0.1)
-        )
-        new = dual_update(state, np.array([True]), np.array([0.0]))
-        assert new.multipliers[0] == 0.0
+        new = dual_update(np.array([0.05]), np.array([1.0]), np.array([0.0]), 0.1)
+        assert new[0] == 0.0
 
     def test_zero_thresholds_keep_lambda_zero(self):
         rng = np.random.default_rng(3)
-        state = DualState.initial(4)
-        thresholds = np.zeros(4)
-        for t in range(50):
-            alloc = rng.random(4) < 0.5
-            state = dual_update(state, alloc, thresholds)
-            assert np.all(state.multipliers == 0.0)
+        lam, counts, thresholds = np.zeros(4), np.zeros(4), np.zeros(4)
+        schedule = StepSchedule.harmonic(1.0)
+        for t in range(1, 51):
+            counts += rng.random(4) < 0.5
+            lam = dual_update(lam, counts / t, thresholds, schedule.step(t))
+            assert np.all(lam == 0.0)
 
     def test_multipliers_stay_nonnegative(self):
         rng = np.random.default_rng(4)
-        state = DualState.initial(5, StepSchedule.constant(0.7))
-        thresholds = rng.random(5)
-        for t in range(200):
-            alloc = rng.random(5) < 0.3
-            state = dual_update(state, alloc, thresholds)
-            assert np.all(state.multipliers >= 0.0)
+        lam, counts, thresholds = np.zeros(5), np.zeros(5), rng.random(5)
+        for t in range(1, 201):
+            counts += rng.random(5) < 0.3
+            lam = dual_update(lam, counts / t, thresholds, 0.7)
+            assert np.all(lam >= 0.0)
+
+    def test_ineligible_multipliers_stay(self):
+        new = dual_update(np.array([0.3, 0.3]), np.array([0.0, 0.0]), np.full(2, 0.5), 1.0,
+                          np.array([True, False]))
+        assert new.tolist() == [0.8, 0.3]
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_step_refused(self, eps):
+        with pytest.raises(ValueError, match="eps must be"):
+            dual_update(np.zeros(1), np.zeros(1), np.full(1, 0.5), eps)

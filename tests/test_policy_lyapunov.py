@@ -3,54 +3,39 @@ import itertools
 import numpy as np
 import pytest
 
-from sensecourt.policy_lyapunov import (
-    QueueState,
-    lyapunov_allocate,
-    penalty_bound_B,
-    queue_update,
-)
+from sensecourt.policy_lyapunov import lyapunov_allocate, penalty_bound_B, queue_update
 from sensecourt.solver import RegulatedInstance, SolveOptions, solve_exact
 
 from oracle_lyapunov import drift_plus_penalty_diag, lyapunov_drift, lyapunov_function
 from test_solver import random_instance
 
 
-class TestQueueState:
-    def test_initial(self):
-        state = QueueState.initial(3, phi=10.0)
-        assert np.all(state.backlogs == 0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QueueState(np.array([-1.0]), phi=1.0)
-        with pytest.raises(ValueError):
-            QueueState(np.array([0.0]), phi=0.0)
-
-
 class TestQueueUpdate:
     def test_one_step_formula(self):
-        state = QueueState(np.array([2.0]), phi=1.0)
-        new = queue_update(state, np.array([True]), np.array([0.5]))
-        assert new.backlogs[0] == pytest.approx(1.5)
+        new = queue_update(np.array([2.0]), np.array([True]), np.array([0.5]))
+        assert new[0] == pytest.approx(1.5)
 
     def test_projection_active(self):
-        state = QueueState(np.array([0.3]), phi=1.0)
-        new = queue_update(state, np.array([True]), np.array([0.5]))
-        assert new.backlogs[0] == pytest.approx(0.5)
+        new = queue_update(np.array([0.3]), np.array([True]), np.array([0.5]))
+        assert new[0] == pytest.approx(0.5)
 
     def test_zero_fixed_point(self):
-        state = QueueState(np.array([0.0]), phi=1.0)
+        q = np.array([0.0])
         for _ in range(10):
-            state = queue_update(state, np.array([False]), np.array([0.0]))
-        assert state.backlogs[0] == 0.0
+            q = queue_update(q, np.array([False]), np.array([0.0]))
+        assert q[0] == 0.0
 
     def test_backlogs_stay_nonnegative(self):
         rng = np.random.default_rng(0)
-        state = QueueState.initial(4, phi=5.0)
+        q = np.zeros(4)
         d = rng.random(4)
         for _ in range(100):
-            state = queue_update(state, rng.random(4) < 0.5, d)
-            assert np.all(state.backlogs >= 0)
+            q = queue_update(q, rng.random(4) < 0.5, d)
+            assert np.all(q >= 0)
+
+    def test_negative_backlog_refused(self):
+        with pytest.raises(ValueError, match="backlogs must be non-negative"):
+            queue_update(np.array([-1.0]), np.array([True]), np.array([0.5]))
 
 
 class TestPenaltyBound:
@@ -69,8 +54,7 @@ class TestAllocate:
         rng = np.random.default_rng(1)
         inst = random_instance(rng)
         real = inst.realization
-        state = QueueState.initial(real.n_users, phi=3.0)
-        alloc = lyapunov_allocate(state, real, options=SolveOptions(mode="exact"))
+        alloc = lyapunov_allocate(np.zeros(real.n_users), real, options=SolveOptions(mode="exact"))
         plain = solve_exact(RegulatedInstance.of(real, real.true_costs))
         assert alloc.tolist() == plain.selected.tolist()
 
@@ -78,8 +62,8 @@ class TestAllocate:
         from test_world import make_realization
 
         real = make_realization(4, [set(), {0, 1}], costs=[0.5, 0.2])
-        state = QueueState(np.array([10.0, 0.0]), phi=2.0)
-        alloc = lyapunov_allocate(state, real, options=SolveOptions(mode="exact"))
+        q, phi = np.array([10.0, 0.0]), 2.0
+        alloc = lyapunov_allocate(q / phi, real, options=SolveOptions(mode="exact"))
         assert alloc[0]
 
 
@@ -88,9 +72,8 @@ class TestDriftPlusPenalty:
         from test_world import make_realization
 
         real = make_realization(2, [], weights=[1.0, 1.0], costs=[])
-        state = QueueState(np.zeros(0), phi=1.0)
         value = drift_plus_penalty_diag(
-            state, np.zeros(0, dtype=bool), real, np.zeros(0)
+            np.zeros(0), 1.0, np.zeros(0, dtype=bool), real, np.zeros(0)
         )
         assert value == 0.0
 
@@ -101,14 +84,12 @@ class TestDriftPlusPenalty:
             real = inst.realization
             n = real.n_users
             d = rng.random(n)
-            state = QueueState(rng.random(n) * 3, phi=rng.uniform(1, 10))
-            chosen = lyapunov_allocate(state, real, options=SolveOptions(mode="exact"))
-            bound_at = drift_plus_penalty_diag(state, chosen, real, d)
+            q, phi = rng.random(n) * 3, rng.uniform(1, 10)
+            chosen = lyapunov_allocate(q / phi, real, options=SolveOptions(mode="exact"))
+            bound_at = drift_plus_penalty_diag(q, phi, chosen, real, d)
             for bits in itertools.product([False, True], repeat=n):
                 other = np.array(bits)
-                assert bound_at <= drift_plus_penalty_diag(
-                    state, other, real, d
-                ) + 1e-9
+                assert bound_at <= drift_plus_penalty_diag(q, phi, other, real, d) + 1e-9
 
     def test_reduces_to_B_minus_welfare(self):
         rng = np.random.default_rng(3)
@@ -116,17 +97,15 @@ class TestDriftPlusPenalty:
         real = inst.realization
         n = real.n_users
         d = rng.random(n)
-        state = QueueState(np.zeros(n), phi=1.0)
         alloc = rng.random(n) < 0.5
         from sensecourt.world import evaluate_allocation
 
         expected = penalty_bound_B(d) - evaluate_allocation(real, alloc).welfare
-        assert drift_plus_penalty_diag(state, alloc, real, d) == pytest.approx(expected)
+        assert drift_plus_penalty_diag(np.zeros(n), 1.0, alloc, real, d) == pytest.approx(expected)
 
 
 class TestDiagnostics:
     def test_lyapunov_function_and_drift(self):
-        a = QueueState(np.array([3.0, 4.0]), phi=1.0)
-        b = QueueState(np.array([0.0, 0.0]), phi=1.0)
+        a, b = np.array([3.0, 4.0]), np.array([0.0, 0.0])
         assert lyapunov_function(a) == pytest.approx(12.5)
         assert lyapunov_drift(a, b) == pytest.approx(-12.5)

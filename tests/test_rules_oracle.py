@@ -18,7 +18,7 @@ from sensecourt.world import GridMap
 
 from oracle_rules import replay
 
-RECORDED = ("regulation", "alloc_prob_series", "active")
+RECORDED = ("regulation", "alloc_prob_series", "active", "final_level")
 
 
 def spec_of(kind: str, knob: float, constant: bool) -> PolicySpec:
@@ -71,16 +71,6 @@ def assert_follows_rules(run):
             x, y = getattr(metrics, name), want[name]
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (spec.label, name)
         assert metrics.drop_events == want["drop_events"], spec.label
-        final = want["final_policy_state"]
-        if final is None:
-            assert metrics.final_policy_state is None, spec.label
-            continue
-        for name, y in final.items():
-            x = getattr(metrics.final_policy_state, name)
-            if isinstance(y, np.ndarray):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (spec.label, name)
-            else:
-                assert x == y, (spec.label, name)
 
 
 class TestRulesOracle:

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import sensecourt.auction as auction_mod
 import sensecourt.benchmark as benchmark_mod
 import sensecourt.solver as solver_mod
-from sensecourt.auction import RegulationState, run_auction_slot
+from sensecourt.auction import run_auction_slot
 from sensecourt.benchmark import Trace, dual_upper_bound, unconstrained_trace_welfare
 from sensecourt.solver import (
     TIE_TOL,
@@ -156,7 +156,7 @@ def run_callers(slots, data):
     if data.draw(st.booleans()):  # bids less factors all zero: every superset ties
         factors = np.abs(slots[0].true_costs)
     outcome = run_auction_slot(factors, slots[0], slots[0].true_costs, eligible, n)
-    alloc, payments = auction_slot_alone(RegulationState(factors, 1.0), slots[0], eligible)
+    alloc, payments = auction_slot_alone(factors, slots[0], eligible)
     assert outcome.selected.tobytes() == alloc.tobytes()
     assert outcome.payments.tobytes() == payments.tobytes()
 

@@ -1,7 +1,8 @@
 """The shared way in for per-user arrays (world.frozen_array and the
 thresholds and eligibility helpers built on it): every value type and entry
-point refuses non-finite floats, the wrong number of axes and, where its
-field must be non-negative, negatives, with a ValueError naming the field;
+point refuses non-finite floats, the wrong number of axes, flags other than
+0 and 1 and, where its field must be non-negative, negatives, with a
+ValueError naming the field;
 what it keeps is a read-only copy that the caller's array no longer reaches.
 """
 
@@ -13,21 +14,22 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sensecourt.auction import (
-    RegulationState,
-    regulation_update,
-    run_auction_slot,
-    truthfulness_sweep,
-)
-from sensecourt.baselines import VpcState, random_baseline_step, vpc_update
+from sensecourt.auction import regulation_update, run_auction_slot, truthfulness_sweep
+from sensecourt.baselines import radp_vpc_step, random_baseline_step, vpc_update
 from sensecourt.benchmark import Trace
 from sensecourt.cli import ExperimentConfig, load_config
 from sensecourt.engine import PolicySpec, run_policy
-from sensecourt.policy_dual import DualState, StepSchedule, dual_update
-from sensecourt.policy_lyapunov import QueueState, penalty_bound_B, queue_update
+from sensecourt.policy_dual import dual_update
+from sensecourt.policy_lyapunov import penalty_bound_B, queue_update
 from sensecourt.scenarios import ScenarioConfig, realization_stream
 from sensecourt.solver import RegulatedInstance, SolveOptions, allocate_many
-from sensecourt.world import GridMap, SlotRealization, WeightField, evaluate_allocation
+from sensecourt.world import (
+    GridMap,
+    SlotRealization,
+    WeightField,
+    eligible_mask,
+    evaluate_allocation,
+)
 
 from test_world import make_realization
 
@@ -79,23 +81,21 @@ CASES = {
         lambda o: o.selected,
         per_user=True,
     ),
-    "dual_update.selected": Case(
-        "selected", MASK, lambda s: dual_update(DualState.initial(4), s, THRESHOLDS), per_user=True
+    "dual_update.xbar": Case(
+        "xbar",
+        np.array([0.5, 0.0, 1.0, 0.25]),
+        lambda p: dual_update(FACTORS, p, THRESHOLDS, 0.5),
+        nonneg=True,
+        per_user=True,
     ),
     "queue_update.selected": Case(
-        "selected",
-        MASK,
-        lambda s: queue_update(QueueState.initial(4, 2.0), s, THRESHOLDS),
-        per_user=True,
+        "selected", MASK, lambda s: queue_update(FACTORS, s, THRESHOLDS), per_user=True
     ),
     "regulation_update.selected": Case(
-        "selected",
-        MASK,
-        lambda s: regulation_update(RegulationState(FACTORS, 2.0), s, THRESHOLDS),
-        per_user=True,
+        "selected", MASK, lambda s: regulation_update(FACTORS, s, THRESHOLDS, 2.0), per_user=True
     ),
     "vpc_update.selected": Case(
-        "selected", MASK, lambda s: vpc_update(VpcState.initial(4, 1.0), s), per_user=True
+        "selected", MASK, lambda s: vpc_update(FACTORS, s, 1.0), per_user=True
     ),
     "RegulatedInstance.effective_costs": Case(
         "effective_costs",
@@ -107,28 +107,26 @@ CASES = {
     "RegulatedInstance.eligible": Case(
         "eligible", MASK, lambda e: RegulatedInstance(REAL, COSTS, e), lambda o: o.eligible
     ),
-    "QueueState.backlogs": Case(
-        "backlogs", COSTS, lambda q: QueueState(q, 2.0), lambda o: o.backlogs, nonneg=True
+    "queue_update.backlogs": Case(
+        "backlogs", COSTS, lambda q: queue_update(q, MASK, THRESHOLDS), nonneg=True
     ),
-    "RegulationState.factors": Case(
-        "factors", COSTS, lambda r: RegulationState(r, 2.0), lambda o: o.factors, nonneg=True
+    "regulation_update.factors": Case(
+        "factors",
+        COSTS,
+        lambda r: regulation_update(r, MASK, THRESHOLDS, 2.0),
+        nonneg=True,
     ),
-    "VpcState.credits": Case(
-        "credits", COSTS, lambda v: VpcState(v, 1.0), lambda o: o.credits, nonneg=True
+    "vpc_update.credits": Case(
+        "credits", COSTS, lambda c: vpc_update(c, MASK, 1.0), nonneg=True
     ),
-    "DualState.multipliers": Case(
+    "dual_update.multipliers": Case(
         "multipliers",
         COSTS,
-        lambda lam: DualState(lam, np.zeros(4, np.int64), 1, StepSchedule()),
-        lambda o: o.multipliers,
+        lambda lam: dual_update(lam, THRESHOLDS, THRESHOLDS, 0.5),
         nonneg=True,
     ),
-    "DualState.cumulative_selected": Case(
-        "cumulative_selected",
-        np.array([0, 3, 9, 1], dtype=np.int64),
-        lambda cum: DualState(np.zeros(4), cum, 10, StepSchedule()),
-        lambda o: o.cumulative_selected,
-        nonneg=True,
+    "radp_vpc_step.credits": Case(
+        "credits", COSTS, lambda c: radp_vpc_step(c, 1.0, REAL), nonneg=True, per_user=True
     ),
     "Trace.thresholds": Case(
         "thresholds",
@@ -204,6 +202,7 @@ NONNEG_CASES = [name for name, case in CASES.items() if case.nonneg]
 SIGNED_CASES = [name for name in FLOAT_CASES if not CASES[name].nonneg]
 KEPT_CASES = [name for name, case in CASES.items() if case.kept is not None]
 LENGTH_CASES = [name for name, case in CASES.items() if case.per_user or case.field == "eligible"]
+FLAG_CASES = [name for name, case in CASES.items() if case.good.dtype == bool]
 
 
 def refused(case: Case, values) -> None:
@@ -234,6 +233,29 @@ def test_per_user_array_of_another_length_refused(name, size):
     # one entry would broadcast against the four users if let through
     case = CASES[name]
     refused(case, np.resize(case.good, size))
+
+
+@pytest.mark.parametrize("name", FLAG_CASES)
+@pytest.mark.parametrize(
+    "flags",
+    [[0.5, 0, 0, 1], [-3, 0, 7, 1], [2, 0, -1, 1], [1, 0, np.nan, 1]],
+    ids=["half", "minus3_7", "2_minus1", "nan"],
+)
+def test_flags_other_than_0_1_refused(name, flags):
+    # a cast to bool would read each nonzero entry as selected
+    refused(CASES[name], np.array(flags))
+
+
+@pytest.mark.parametrize("name", FLAG_CASES)
+@pytest.mark.parametrize("dtype", [int, float])
+def test_flags_of_0_1_accepted(name, dtype):
+    case = CASES[name]
+    case.build(case.good.astype(dtype))
+
+
+def test_eligible_mask_refuses_nonzero_non_flags():
+    with pytest.raises(ValueError, match="eligible must hold flags of 0 or 1"):
+        eligible_mask([2, 0, -1], 3)
 
 
 @pytest.mark.parametrize("name", NONNEG_CASES)
@@ -269,18 +291,35 @@ def test_kept_array_is_a_read_only_copy(name):
     np.testing.assert_array_equal(kept, case.good)
 
 
-class TestLedgersRefuseNonFinite:
+class TestLevelUpdatesRefuseBadInput:
     def test_nan_backlog(self):
         with pytest.raises(ValueError, match="backlogs must be finite"):
-            QueueState([np.nan], 1.0)
+            queue_update([np.nan], [True], [0.5])
 
     def test_inf_factor(self):
         with pytest.raises(ValueError, match="factors must be finite"):
-            RegulationState([np.inf], 1.0)
+            regulation_update([np.inf], [True], [0.5], 1.0)
 
     def test_two_dimensional_backlogs(self):
         with pytest.raises(ValueError, match="backlogs must be a 1-D array"):
-            QueueState([[1.0, 2.0]], 1.0)
+            queue_update([[1.0, 2.0]], [True, False], [0.5, 0.5])
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0, np.inf, np.nan, 1e-320])
+    def test_bad_phi(self, phi):
+        with pytest.raises(ValueError, match="phi must be a finite number > 0"):
+            regulation_update([0.5], [True], [0.5], phi)
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.inf, np.nan])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a finite number >= 0"):
+            vpc_update([0.5], [True], alpha)
+
+    @pytest.mark.parametrize(
+        "kind, knob", [("lyapunov", "phi"), ("auction", "phi"), ("radp_vpc", "alpha")]
+    )
+    def test_policy_spec_refuses_the_same_knobs(self, kind, knob):
+        with pytest.raises(ValueError, match=f"{knob} must be a finite number"):
+            PolicySpec(kind, **{knob: np.nan})
 
     def test_nan_threshold_in_the_penalty_bound(self):
         with pytest.raises(ValueError, match=r"thresholds must lie in \[0, 1\]"):
